@@ -1,0 +1,774 @@
+//! Degree columns and the batched membership kernel that fills them.
+//!
+//! A predicate's [`DegreeColumn`] holds one degree of truth per entity.
+//! Building one is the cold half of every subjective query, and its
+//! cost splits cleanly in two:
+//!
+//! * the **query half** — the query phrase's embedding, sentiment and
+//!   its cosine to every marker — depends on the predicate only, so
+//!   [`OpineDb::prepare_interpretation`] computes it once into a
+//!   [`PreparedInterpretation`];
+//! * the **entity half** — per-marker fractions, sentiment means and
+//!   totals of each `(entity, attribute)` summary — depends on the data
+//!   only, so `OpineDb::assemble` freezes it into a [`FeaturePlane`].
+//!
+//! Scoring an entity is then one sequential row read, a k-term dot
+//! product, and the logistic. Cells with a pinned delta summary (live
+//! ingest) and externally supplied summaries (review-qualified
+//! statements) run the same feature function over a row written on the
+//! spot from the merged [`MarkerSummary`]. Every degree is bit-identical
+//! to [`crate::membership::marker_features`] followed by
+//! [`crate::MembershipModel::degree`]: that reference is the same two
+//! halves composed per call.
+
+use crate::db::{OpineDb, PreparedPhrase};
+use crate::ingest::Pin;
+use crate::interpret::Interpretation;
+use crate::membership::{
+    feature_row_len, features_from_row, marker_sims, scan_features, summary_features,
+    write_feature_row, MarkerSims,
+};
+use crate::par;
+use crate::summary::{MarkerSet, MarkerSummary};
+use opine_ir::{Bm25Params, InvertedIndex};
+use opine_store::FuzzyAlgebra;
+use opine_text::WordId;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::{Arc, OnceLock};
+
+/// Quantization scale of the `u16` degree representation.
+const QUANT_SCALE: f64 = u16::MAX as f64;
+
+/// Storage of a degree column: exact `f64` per entity, or ceil-quantized
+/// `u16` (the ROADMAP "degree-column memory" representation — 4x smaller,
+/// with the dequantized value a guaranteed *upper bound* of the exact
+/// degree so the threshold algorithm stays correct).
+#[derive(Debug)]
+enum DegreeData {
+    Exact(Vec<f64>),
+    Quantized(Vec<u16>),
+}
+
+/// The dense degree column of one predicate: one slot per entity, plus
+/// the descending-degree entity order (TA's sorted-access list),
+/// computed once on demand and reused by every subsequent top-k over
+/// the same predicate.
+#[derive(Debug)]
+pub struct DegreeColumn {
+    data: DegreeData,
+    sorted: OnceLock<Vec<u32>>,
+}
+
+/// Ceil quantization: the dequantized value never under-estimates the
+/// exact degree, which is what TA's threshold bound needs.
+#[inline]
+fn quantize_degree(degree: f64) -> u16 {
+    (degree.clamp(0.0, 1.0) * QUANT_SCALE).ceil() as u16
+}
+
+/// Sort key whose ascending `u64` order is `f64::total_cmp`'s
+/// *descending* order: `total_cmp`'s own order-preserving bit transform
+/// (flip the magnitude bits of negatives), biased to unsigned, inverted.
+#[inline]
+fn descending_key(degree: f64) -> u64 {
+    let mut bits = degree.to_bits() as i64;
+    bits ^= (((bits >> 63) as u64) >> 1) as i64;
+    !((bits as u64) ^ (1 << 63))
+}
+
+impl DegreeColumn {
+    fn exact(degrees: Vec<f64>) -> Self {
+        DegreeColumn {
+            data: DegreeData::Exact(degrees),
+            sorted: OnceLock::new(),
+        }
+    }
+
+    fn quantized(degrees: &[f64]) -> Self {
+        DegreeColumn {
+            data: DegreeData::Quantized(degrees.iter().map(|&d| quantize_degree(d)).collect()),
+            sorted: OnceLock::new(),
+        }
+    }
+
+    /// Number of entities.
+    pub fn len(&self) -> usize {
+        match &self.data {
+            DegreeData::Exact(v) => v.len(),
+            DegreeData::Quantized(v) => v.len(),
+        }
+    }
+
+    /// True when the column holds no entities.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// True for the `u16` representation.
+    pub fn is_quantized(&self) -> bool {
+        matches!(self.data, DegreeData::Quantized(_))
+    }
+
+    /// Exact degree of truth per entity id; `None` for quantized
+    /// columns, whose exact degrees must be recomputed point-wise.
+    pub fn degrees(&self) -> Option<&[f64]> {
+        match &self.data {
+            DegreeData::Exact(v) => Some(v),
+            DegreeData::Quantized(_) => None,
+        }
+    }
+
+    /// Upper bound of the entity's degree: the exact value, or the
+    /// dequantized ceil for quantized columns.
+    #[inline]
+    pub fn upper(&self, entity: usize) -> f64 {
+        match &self.data {
+            DegreeData::Exact(v) => v[entity],
+            DegreeData::Quantized(v) => f64::from(v[entity]) / QUANT_SCALE,
+        }
+    }
+
+    /// Heap bytes of the degree storage (the cache-footprint number the
+    /// quantization ablation measures).
+    pub fn memory_bytes(&self) -> usize {
+        match &self.data {
+            DegreeData::Exact(v) => v.len() * std::mem::size_of::<f64>(),
+            DegreeData::Quantized(v) => v.len() * std::mem::size_of::<u16>(),
+        }
+    }
+
+    /// A copy with the given `(entity, exact degree)` slots replaced —
+    /// the live-ingest cache-repair path, which recomputes only the
+    /// entities whose delta version moved past the cached column's
+    /// epoch stamp instead of rebuilding all of them. Quantized slots
+    /// re-quantize with the same ceil rule as a cold build; the sorted
+    /// order is recomputed lazily by the new column.
+    fn patched(&self, updates: &[(usize, f64)]) -> DegreeColumn {
+        let data = match &self.data {
+            DegreeData::Exact(v) => {
+                let mut v = v.clone();
+                for &(entity, degree) in updates {
+                    v[entity] = degree;
+                }
+                DegreeData::Exact(v)
+            }
+            DegreeData::Quantized(q) => {
+                let mut q = q.clone();
+                for &(entity, degree) in updates {
+                    q[entity] = quantize_degree(degree);
+                }
+                DegreeData::Quantized(q)
+            }
+        };
+        DegreeColumn {
+            data,
+            sorted: OnceLock::new(),
+        }
+    }
+
+    /// Entity ids in descending-degree order (ties by entity id), by
+    /// [`Self::upper`] under `f64::total_cmp`. Sorted once per column;
+    /// repeated queries reuse the order.
+    pub fn sorted_order(&self) -> &[u32] {
+        self.sorted.get_or_init(|| {
+            // Packed `(key, id)` pairs are distinct, so the unstable
+            // sort yields the one permutation the comparator
+            // `upper(b).total_cmp(upper(a)).then(a.cmp(b))` defines.
+            let mut keyed: Vec<(u64, u32)> = (0..self.len())
+                .map(|e| (descending_key(self.upper(e)), e as u32))
+                .collect();
+            keyed.sort_unstable();
+            keyed.into_iter().map(|(_, e)| e).collect()
+        })
+    }
+}
+
+/// The frozen entity half of the membership features: per attribute one
+/// contiguous `entities × feature_row_len(k)` array of
+/// [`write_feature_row`] rows over the build-time summaries. Immutable
+/// after `OpineDb::assemble`; cells touched by live ingest are scored
+/// from their merged summary instead.
+#[derive(Debug)]
+pub(crate) struct FeaturePlane {
+    /// Per attribute: the row stride and the rows, entity-major.
+    attributes: Vec<(usize, Vec<f64>)>,
+}
+
+impl FeaturePlane {
+    /// Freezes `summaries[entity][attribute]` into rows.
+    pub(crate) fn build(summaries: &[Vec<MarkerSummary>], marker_sets: &[MarkerSet]) -> Self {
+        let attributes = marker_sets
+            .iter()
+            .enumerate()
+            .map(|(attribute, set)| {
+                let k = set.markers.len();
+                let stride = feature_row_len(k);
+                let mut rows = vec![0.0; summaries.len() * stride];
+                for (row, per_attribute) in rows.chunks_exact_mut(stride).zip(summaries) {
+                    write_feature_row(&per_attribute[attribute], k, row);
+                }
+                (stride, rows)
+            })
+            .collect();
+        FeaturePlane { attributes }
+    }
+
+    /// The row of one `(attribute, entity)` cell.
+    #[inline]
+    fn row(&self, attribute: usize, entity: usize) -> &[f64] {
+        let (stride, rows) = &self.attributes[attribute];
+        &rows[entity * stride..(entity + 1) * stride]
+    }
+
+    /// Heap bytes of the rows.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.attributes
+            .iter()
+            .map(|(_, rows)| rows.len() * std::mem::size_of::<f64>())
+            .sum()
+    }
+}
+
+/// One `attribute .= phrase` term with its query half computed: the
+/// prepared phrase and its similarity to every marker of the attribute.
+#[derive(Debug)]
+pub(crate) struct PreparedTerm {
+    pub(crate) attribute: usize,
+    phrase: Arc<PreparedPhrase>,
+    sims: MarkerSims,
+}
+
+/// An interpretation with its query-side work hoisted out of the
+/// per-entity loop: embeddings, sentiments, marker similarities and
+/// fallback term ids are computed once, so scoring an entity touches
+/// only entity state.
+#[derive(Debug)]
+pub(crate) enum PreparedInterpretation {
+    /// Stage 1: one attribute, scored against the original phrase.
+    Direct(PreparedTerm),
+    /// Stage 2: fuzzy combination of `(attribute, marker phrase)` terms.
+    CoOccur {
+        terms: Vec<PreparedTerm>,
+        conjunctive: bool,
+    },
+    /// Stage 3: BM25 fallback over pre-resolved term ids.
+    Text { terms: Vec<WordId> },
+}
+
+impl PreparedInterpretation {
+    /// The degree of one entity: `term` scores each membership term,
+    /// `text` the fallback's term ids; co-occurrence terms combine
+    /// under the product algebra.
+    pub(crate) fn combine(
+        &self,
+        term: impl Fn(&PreparedTerm) -> f64,
+        text: impl FnOnce(&[WordId]) -> f64,
+    ) -> f64 {
+        let algebra = FuzzyAlgebra::Product;
+        match self {
+            PreparedInterpretation::Direct(t) => term(t),
+            PreparedInterpretation::CoOccur { terms, conjunctive } => {
+                let degrees = terms.iter().map(term);
+                if *conjunctive {
+                    degrees.fold(1.0, |acc, d| algebra.and(acc, d))
+                } else {
+                    degrees.fold(0.0, |acc, d| algebra.or(acc, d))
+                }
+            }
+            PreparedInterpretation::Text { terms } => text(terms),
+        }
+    }
+}
+
+fn sigmoid(x: f64) -> f64 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// The pinned delta's frozen text index, when it spans every entity
+/// (doc id == entity id) — `None` until the first merge. Both the
+/// point and the dense text paths add its BM25 contribution with
+/// one `f64` add under this same guard, so their bit-identity
+/// survives live ingest.
+fn delta_text_index(pin: &Pin, num_entities: usize) -> Option<&InvertedIndex> {
+    pin.delta
+        .text_index
+        .as_deref()
+        .filter(|index| index.num_docs() == num_entities)
+}
+
+impl OpineDb {
+    /// The dense degree column of a predicate over all entities, cached
+    /// when the degree cache is enabled. Degrees are computed in
+    /// parallel over entity chunks.
+    ///
+    /// Cached columns are stamped with the data epoch they were built
+    /// at. A probe from a newer pin **repairs** a stale column instead
+    /// of rebuilding it: only the entities whose pinned delta version
+    /// moved past the stamp recompute (an `INSERT` touches one entity;
+    /// the other N−1 slots are reused verbatim).
+    pub fn degree_column(&self, predicate: &str) -> Arc<DegreeColumn> {
+        self.ensure_pinned(|pin| self.degree_column_pinned(predicate, pin))
+    }
+
+    fn degree_column_pinned(&self, predicate: &str, pin: &Pin) -> Arc<DegreeColumn> {
+        let mut cacheable = self.caching();
+        if cacheable {
+            if let Some((stamp, column)) = self.column_cache.get(predicate) {
+                if stamp == pin.epoch {
+                    opine_trace::count("ta_topk", "cache_hits", 1);
+                    return column;
+                }
+                if stamp < pin.epoch {
+                    let mut stale: Vec<usize> = pin
+                        .delta
+                        .entity_versions
+                        .iter()
+                        .filter(|&(_, &version)| version > stamp)
+                        .map(|(&entity, _)| entity)
+                        .collect();
+                    if stale.is_empty() {
+                        // Nothing the column depends on changed across
+                        // those epochs; restamp so the next probe hits
+                        // on the fast equality check.
+                        opine_trace::count("ta_topk", "cache_hits", 1);
+                        self.column_cache
+                            .insert(predicate, (pin.epoch, column.clone()));
+                        return column;
+                    }
+                    stale.sort_unstable();
+                    opine_trace::count("ta_topk", "cache_repairs", 1);
+                    let prepared = self.prepare_interpretation(predicate);
+                    let updates: Vec<(usize, f64)> = stale
+                        .iter()
+                        .map(|&entity| {
+                            opine_faults::checkpoint();
+                            (entity, self.degree_prepared(entity, &prepared, pin))
+                        })
+                        .collect();
+                    let column = Arc::new(column.patched(&updates));
+                    self.column_cache
+                        .insert(predicate, (pin.epoch, column.clone()));
+                    return column;
+                }
+                // stamp > pin.epoch: a column from this pin's future.
+                // Build privately without regressing the cached stamp.
+                cacheable = false;
+            }
+        }
+        opine_trace::count("ta_topk", "cache_misses", 1);
+        let prepared = self.prepare_interpretation(predicate);
+        let degrees = match &prepared {
+            // Text fallback: one term-at-a-time pass over the entity
+            // index's posting lists (O(total postings)) instead of a
+            // per-entity per-term lookup — bit-identical to the point
+            // path, which sums the same contributions per document.
+            // The pinned delta's text index (present after a merge)
+            // contributes through the identical dense pass, added as
+            // one `f64` add per entity exactly like the point path.
+            PreparedInterpretation::Text { terms }
+                if self.entity_index.num_docs() == self.num_entities() =>
+            {
+                let mut scores = self.entity_index.bm25_dense(terms, &Bm25Params::default());
+                if let Some(index) = delta_text_index(pin, self.num_entities()) {
+                    let delta_scores = index.bm25_dense(terms, &Bm25Params::default());
+                    for (score, delta) in scores.iter_mut().zip(&delta_scores) {
+                        *score += delta;
+                    }
+                }
+                scores
+                    .into_iter()
+                    .map(|score| sigmoid(score - self.config.sigmoid_c))
+                    .collect()
+            }
+            _ => par::par_map(self.num_entities(), |entity| {
+                opine_faults::checkpoint();
+                self.degree_prepared(entity, &prepared, pin)
+            }),
+        };
+        // sync: ablation toggle; a stale read only routes through the
+        // other (equally correct) column representation.
+        let column = Arc::new(if self.quantize_columns.load(Relaxed) {
+            DegreeColumn::quantized(&degrees)
+        } else {
+            DegreeColumn::exact(degrees)
+        });
+        if cacheable {
+            self.column_cache
+                .insert(predicate, (pin.epoch, column.clone()));
+        }
+        column
+    }
+
+    /// Hoists the query half of a `attribute .= phrase` term.
+    pub(crate) fn prepare_term(&self, attribute: usize, phrase: &str) -> PreparedTerm {
+        let phrase = self.prepare_phrase(phrase);
+        PreparedTerm {
+            attribute,
+            sims: marker_sims(self.marker_set(attribute), &phrase.rep),
+            phrase,
+        }
+    }
+
+    /// Interprets a predicate and hoists its query-side work
+    /// (embeddings, sentiment, marker similarities, fallback term
+    /// lookup) so per-entity scoring is pure entity-state access.
+    pub(crate) fn prepare_interpretation(&self, predicate: &str) -> PreparedInterpretation {
+        match self.interpret(predicate) {
+            Interpretation::Direct { attribute, .. } => {
+                PreparedInterpretation::Direct(self.prepare_term(attribute, predicate))
+            }
+            Interpretation::CoOccur { terms, conjunctive } => PreparedInterpretation::CoOccur {
+                terms: terms
+                    .iter()
+                    .map(|&(a, m)| self.prepare_term(a, &self.marker_set(a).markers[m].phrase))
+                    .collect(),
+                conjunctive,
+            },
+            Interpretation::TextFallback => PreparedInterpretation::Text {
+                terms: self.text_terms(predicate),
+            },
+        }
+    }
+
+    /// The in-vocabulary term ids of a predicate (the text fallback's
+    /// query).
+    pub(crate) fn text_terms(&self, predicate: &str) -> Vec<WordId> {
+        opine_text::tokenize(predicate)
+            .iter()
+            .filter_map(|t| self.vocab().get(t))
+            .collect()
+    }
+
+    /// Degree of one entity under a prepared interpretation, reading
+    /// the frozen plane and `pin`'s delta.
+    pub(crate) fn degree_prepared(
+        &self,
+        entity: usize,
+        prepared: &PreparedInterpretation,
+        pin: &Pin,
+    ) -> f64 {
+        prepared.combine(
+            |term| self.term_degree(entity, term, pin),
+            |terms| self.text_degree_terms(entity, terms, pin),
+        )
+    }
+
+    /// Degree of one membership term for an entity (marker features, or
+    /// raw-scan features under the Table 7 ablation).
+    pub(crate) fn term_degree(&self, entity: usize, term: &PreparedTerm, pin: &Pin) -> f64 {
+        let attribute = term.attribute;
+        // sync: ablation toggle; both branches are correct membership paths.
+        if !self.use_markers.load(Relaxed) {
+            let occs = &self.raw[entity][attribute];
+            let delta_occs = pin
+                .delta
+                .cells
+                .get(&(entity, attribute))
+                .map(|cell| cell.occs.as_slice())
+                .unwrap_or(&[]);
+            let variations = self.opinion_domains[attribute].variations();
+            let phrase_refs: Vec<(&[f32], f64)> = occs
+                .iter()
+                .chain(delta_occs)
+                .map(|occ| (variations[occ.variation].rep.as_slice(), occ.sentiment))
+                .collect();
+            return self.membership_scan.degree(&scan_features(
+                &phrase_refs,
+                &term.phrase.rep,
+                term.phrase.sentiment,
+            ));
+        }
+        match pin.delta.summaries.get(&(entity, attribute)) {
+            None => self.membership_markers.degree(&features_from_row(
+                self.plane.row(attribute, entity),
+                &term.sims,
+                term.phrase.sentiment,
+            )),
+            // Delta reviews mentioned this cell: score over the frozen
+            // summary merged with the pinned delta summary (fixed-point
+            // merge — identical to rebuilding from base + delta
+            // occurrences; accumulators only, provenance is not scored).
+            Some(delta_summary) => {
+                let base = &self.summaries[entity][attribute];
+                let mut merged = MarkerSummary::empty(base.num_markers());
+                let mut add = |part: &MarkerSummary| {
+                    merged.merge_quantized(
+                        part.quantized_counts(),
+                        part.quantized_sentiments(),
+                        part.total,
+                        part.unmatched,
+                    )
+                };
+                add(base);
+                add(delta_summary);
+                self.summary_term_degree(&merged, term)
+            }
+        }
+    }
+
+    /// Degree of one membership term over an explicit summary: the
+    /// kernel's generic arm (delta-merged cells, review-qualified
+    /// summaries), which writes the entity-half row on the spot.
+    pub(crate) fn summary_term_degree(&self, summary: &MarkerSummary, term: &PreparedTerm) -> f64 {
+        self.membership_markers.degree(&summary_features(
+            summary,
+            &term.sims,
+            term.phrase.sentiment,
+        ))
+    }
+
+    /// Text-retrieval fallback degree over pre-resolved term ids:
+    /// `sigmoid(BM25(D_e, q) − c)`, with the pinned delta's merged text
+    /// contributing once a merge has frozen it (near-real-time,
+    /// Lucene-style: delta text becomes retrievable at the next merge,
+    /// not the next epoch).
+    pub(crate) fn text_degree_terms(&self, entity: usize, terms: &[WordId], pin: &Pin) -> f64 {
+        let doc = opine_ir::DocId(entity as u32);
+        let mut score = self.entity_index.bm25(doc, terms, &Bm25Params::default());
+        if let Some(index) = delta_text_index(pin, self.num_entities()) {
+            score += index.bm25(doc, terms, &Bm25Params::default());
+        }
+        sigmoid(score - self.config.sigmoid_c)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::membership::{marker_features, MembershipModel};
+    use crate::summary::{AssignMode, Marker, SummaryKind};
+    use opine_ml::LogRegConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `marker_features` as it was before the query/entity split, kept
+    /// verbatim as the frozen specification of every degree's bits.
+    fn legacy_marker_features(
+        summary: &MarkerSummary,
+        markers: &MarkerSet,
+        query_rep: &[f32],
+        query_sentiment: f64,
+    ) -> Vec<f64> {
+        let fracs = summary.fractions();
+        let mut support = 0.0;
+        let mut avg_sent = 0.0;
+        let mut best = (0usize, f32::NEG_INFINITY);
+        for (i, m) in markers.markers.iter().enumerate() {
+            let sim = opine_embed::cosine(query_rep, &m.rep);
+            support += fracs.get(i).copied().unwrap_or(0.0) * sim.max(0.0) as f64;
+            avg_sent += fracs.get(i).copied().unwrap_or(0.0) * summary.sentiment_mean(i);
+            if sim > best.1 {
+                best = (i, sim);
+            }
+        }
+        let (best_idx, best_sim) = best;
+        let (best_frac, best_sent) = if markers.markers.is_empty() {
+            (0.0, 0.0)
+        } else {
+            (
+                fracs.get(best_idx).copied().unwrap_or(0.0),
+                summary.sentiment_mean(best_idx),
+            )
+        };
+        vec![
+            support,
+            avg_sent,
+            best_frac,
+            best_sim.max(-1.0) as f64,
+            best_sent,
+            (summary.total + 1.0).ln(),
+            summary.unmatched_fraction(),
+            query_sentiment,
+            avg_sent * query_sentiment,
+        ]
+    }
+
+    fn random_rep(rng: &mut StdRng, dim: usize) -> Vec<f32> {
+        let mut rep: Vec<f32> = (0..dim).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect();
+        opine_embed::normalize(&mut rep);
+        rep
+    }
+
+    fn random_marker_set(rng: &mut StdRng, k: usize, kind: SummaryKind) -> MarkerSet {
+        MarkerSet {
+            attribute: "a".into(),
+            kind,
+            markers: (0..k)
+                .map(|i| Marker {
+                    phrase: format!("m{i}"),
+                    rep: random_rep(rng, 8),
+                    sentiment: rng.gen::<f64>() * 2.0 - 1.0,
+                })
+                .collect(),
+        }
+    }
+
+    /// A summary of `phrases` random phrases; `min_similarity` above 1
+    /// leaves every one of them unmatched.
+    fn random_summary(
+        rng: &mut StdRng,
+        set: &MarkerSet,
+        phrases: usize,
+        mode: AssignMode,
+        min_similarity: f32,
+    ) -> MarkerSummary {
+        let mut summary = MarkerSummary::empty(set.markers.len());
+        for review in 0..phrases {
+            let rep = random_rep(rng, 8);
+            let sentiment = rng.gen::<f64>() * 2.0 - 1.0;
+            summary.add_phrase("p", &rep, sentiment, set, mode, min_similarity, review);
+        }
+        summary
+    }
+
+    #[test]
+    fn plane_summary_and_reference_features_agree_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let tuples: Vec<(Vec<f64>, bool)> = (0..200)
+            .map(|_| {
+                let x: Vec<f64> = (0..crate::membership::FEATURE_DIM)
+                    .map(|_| rng.gen::<f64>() * 2.0 - 1.0)
+                    .collect();
+                let y = x[0] + x[1] > x[6];
+                (x, y)
+            })
+            .collect();
+        let model = MembershipModel::train(&tuples, &LogRegConfig::default());
+
+        for (k, kind) in [
+            (0, SummaryKind::Linear),
+            (1, SummaryKind::Linear),
+            (4, SummaryKind::Linear),
+            (10, SummaryKind::Linear),
+            (6, SummaryKind::Categorical),
+            // Past the stack row of `summary_features`.
+            (20, SummaryKind::Linear),
+        ] {
+            let set = random_marker_set(&mut rng, k, kind);
+            // One cell per shape: empty, all-unmatched, a lone phrase,
+            // then best- and proportional-assign mixes with a threshold
+            // that leaves some phrases unmatched.
+            let mut cells = vec![
+                MarkerSummary::empty(k),
+                random_summary(&mut rng, &set, 5, AssignMode::Best, 2.0),
+                random_summary(&mut rng, &set, 1, AssignMode::Best, -1.0),
+            ];
+            for _ in 0..20 {
+                let phrases = rng.gen_range(1..40);
+                cells.push(random_summary(
+                    &mut rng,
+                    &set,
+                    phrases,
+                    AssignMode::Best,
+                    0.2,
+                ));
+                cells.push(random_summary(
+                    &mut rng,
+                    &set,
+                    phrases,
+                    AssignMode::Proportional,
+                    -0.3,
+                ));
+            }
+            let summaries: Vec<Vec<MarkerSummary>> = cells.into_iter().map(|c| vec![c]).collect();
+            let plane = FeaturePlane::build(&summaries, std::slice::from_ref(&set));
+            assert_eq!(
+                plane.memory_bytes(),
+                summaries.len() * feature_row_len(k) * 8
+            );
+
+            for _ in 0..8 {
+                // Includes the zero vector: cosine 0 against everything.
+                let query = if rng.gen::<f64>() < 0.15 {
+                    vec![0.0; 8]
+                } else {
+                    random_rep(&mut rng, 8)
+                };
+                let sentiment = rng.gen::<f64>() * 2.0 - 1.0;
+                let sims = marker_sims(&set, &query);
+                for (entity, cell) in summaries.iter().enumerate() {
+                    let over_plane =
+                        model.degree(&features_from_row(plane.row(0, entity), &sims, sentiment));
+                    let over_summary = model.degree(&summary_features(&cell[0], &sims, sentiment));
+                    let reference =
+                        model.degree(&marker_features(&cell[0], &set, &query, sentiment));
+                    let legacy =
+                        model.degree(&legacy_marker_features(&cell[0], &set, &query, sentiment));
+                    assert_eq!(
+                        over_plane.to_bits(),
+                        legacy.to_bits(),
+                        "k={k} cell {entity}"
+                    );
+                    assert_eq!(
+                        over_summary.to_bits(),
+                        legacy.to_bits(),
+                        "k={k} cell {entity}"
+                    );
+                    assert_eq!(reference.to_bits(), legacy.to_bits(), "k={k} cell {entity}");
+                }
+            }
+        }
+    }
+
+    /// The order `sorted_order` produced before it sorted packed keys.
+    fn comparator_order(column: &DegreeColumn) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..column.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            column
+                .upper(b as usize)
+                .total_cmp(&column.upper(a as usize))
+                .then_with(|| a.cmp(&b))
+        });
+        order
+    }
+
+    #[test]
+    fn packed_key_order_equals_the_comparator_order() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let specials = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            5e-324,
+            -5e-324,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            1.0 - f64::EPSILON,
+        ];
+        let mut columns = vec![
+            DegreeColumn::exact(Vec::new()),
+            DegreeColumn::exact(vec![0.25; 300]),
+            DegreeColumn::exact(specials.to_vec()),
+            DegreeColumn::exact(
+                (0..400)
+                    .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
+                    .collect(),
+            ),
+            DegreeColumn::exact((0..500).map(|_| rng.gen::<f64>()).collect()),
+            DegreeColumn::exact(
+                (0..500)
+                    .map(|_| specials[rng.gen_range(0..specials.len())])
+                    .collect(),
+            ),
+        ];
+        // Quantized columns tie heavily: 500 degrees on a handful of
+        // `u16` levels, plus the clamp edges.
+        columns.push(DegreeColumn::quantized(
+            &(0..500)
+                .map(|_| f64::from(rng.gen_range(0..4u32)) / 3.0)
+                .collect::<Vec<_>>(),
+        ));
+        columns.push(DegreeColumn::quantized(&specials));
+        for column in &columns {
+            assert_eq!(column.sorted_order(), comparator_order(column).as_slice());
+        }
+    }
+}

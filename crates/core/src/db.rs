@@ -6,15 +6,17 @@
 
 use crate::builder::BuildConfig;
 use crate::cache::{BoundedCache, CacheStats};
+pub use crate::column::DegreeColumn;
+use crate::column::{FeaturePlane, PreparedInterpretation};
 use crate::domain::LinguisticDomain;
 use crate::ingest::{DeltaState, IngestReceipt, IngestState, PhraseMatcher, Pin};
 use crate::interpret::{Interpretation, Interpreter};
-use crate::membership::{marker_features, scan_features, MembershipModel};
+use crate::membership::MembershipModel;
 use crate::par;
 use crate::summary::{MarkerSet, MarkerSummary, PhraseContribution};
 use crate::topk::{threshold_topk_dense, threshold_topk_dense_filtered, threshold_topk_rescored};
 use opine_embed::PhraseEmbedder;
-use opine_ir::{Bm25Params, InvertedIndex};
+use opine_ir::InvertedIndex;
 use opine_sentiment::SentimentAnalyzer;
 use opine_store::ast::ColumnRef;
 use opine_store::exec::{execute_with_algebra, SubjectiveScorer};
@@ -22,7 +24,7 @@ use opine_store::{
     execute_lazy_with_overlay, parse_insert, parse_select, Bitmap, Catalog, FuzzyAlgebra,
     InsertStmt, ResultSet, ReviewQualifier, ScoredRows, Select, StoreError, Value,
 };
-use opine_text::{Vocab, WordId};
+use opine_text::Vocab;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, OnceLock};
@@ -123,6 +125,9 @@ pub struct CacheReport {
     pub cached_columns: usize,
     /// Heap bytes held by the cached degree columns.
     pub column_bytes: usize,
+    /// Heap bytes of the frozen feature plane (the entity half of the
+    /// membership features; fixed at build time).
+    pub feature_plane_bytes: usize,
     /// True when new degree columns are stored quantized (`u16`).
     pub quantized_columns: bool,
     /// Queries answered by the threshold-algorithm fast path (pure
@@ -204,6 +209,10 @@ impl CacheReport {
             ("degree_columns", Cache(self.columns)),
             ("cached_degree_columns", Gauge(self.cached_columns as u64)),
             ("degree_column_bytes", Gauge(self.column_bytes as u64)),
+            (
+                "feature_plane_bytes",
+                Gauge(self.feature_plane_bytes as u64),
+            ),
             ("quantized_columns", Flag(self.quantized_columns)),
             ("ta_queries", Counter(self.ta_queries)),
             ("pushdown_queries", Counter(self.pushdown_queries)),
@@ -239,141 +248,6 @@ pub struct PreparedPhrase {
     pub rep: Vec<f32>,
     /// Phrase sentiment.
     pub sentiment: f64,
-}
-
-/// Quantization scale of the `u16` degree representation.
-const QUANT_SCALE: f64 = u16::MAX as f64;
-
-/// Storage of a degree column: exact `f64` per entity, or ceil-quantized
-/// `u16` (the ROADMAP "degree-column memory" representation — 4x smaller,
-/// with the dequantized value a guaranteed *upper bound* of the exact
-/// degree so the threshold algorithm stays correct).
-#[derive(Debug)]
-enum DegreeData {
-    Exact(Vec<f64>),
-    Quantized(Vec<u16>),
-}
-
-/// The dense degree column of one predicate: one slot per entity, plus
-/// the descending-degree entity order (TA's sorted-access list),
-/// computed once on demand and reused by every subsequent top-k over
-/// the same predicate.
-#[derive(Debug)]
-pub struct DegreeColumn {
-    data: DegreeData,
-    sorted: OnceLock<Vec<u32>>,
-}
-
-impl DegreeColumn {
-    fn exact(degrees: Vec<f64>) -> Self {
-        DegreeColumn {
-            data: DegreeData::Exact(degrees),
-            sorted: OnceLock::new(),
-        }
-    }
-
-    /// Ceil quantization: the dequantized value never under-estimates
-    /// the exact degree, which is what TA's threshold bound needs.
-    fn quantized(degrees: &[f64]) -> Self {
-        DegreeColumn {
-            data: DegreeData::Quantized(
-                degrees
-                    .iter()
-                    .map(|&d| (d.clamp(0.0, 1.0) * QUANT_SCALE).ceil() as u16)
-                    .collect(),
-            ),
-            sorted: OnceLock::new(),
-        }
-    }
-
-    /// Number of entities.
-    pub fn len(&self) -> usize {
-        match &self.data {
-            DegreeData::Exact(v) => v.len(),
-            DegreeData::Quantized(v) => v.len(),
-        }
-    }
-
-    /// True when the column holds no entities.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True for the `u16` representation.
-    pub fn is_quantized(&self) -> bool {
-        matches!(self.data, DegreeData::Quantized(_))
-    }
-
-    /// Exact degree of truth per entity id; `None` for quantized
-    /// columns, whose exact degrees must be recomputed point-wise.
-    pub fn degrees(&self) -> Option<&[f64]> {
-        match &self.data {
-            DegreeData::Exact(v) => Some(v),
-            DegreeData::Quantized(_) => None,
-        }
-    }
-
-    /// Upper bound of the entity's degree: the exact value, or the
-    /// dequantized ceil for quantized columns.
-    #[inline]
-    pub fn upper(&self, entity: usize) -> f64 {
-        match &self.data {
-            DegreeData::Exact(v) => v[entity],
-            DegreeData::Quantized(v) => f64::from(v[entity]) / QUANT_SCALE,
-        }
-    }
-
-    /// Heap bytes of the degree storage (the cache-footprint number the
-    /// quantization ablation measures).
-    pub fn memory_bytes(&self) -> usize {
-        match &self.data {
-            DegreeData::Exact(v) => v.len() * std::mem::size_of::<f64>(),
-            DegreeData::Quantized(v) => v.len() * std::mem::size_of::<u16>(),
-        }
-    }
-
-    /// A copy with the given `(entity, exact degree)` slots replaced —
-    /// the live-ingest cache-repair path, which recomputes only the
-    /// entities whose delta version moved past the cached column's
-    /// epoch stamp instead of rebuilding all of them. Quantized slots
-    /// re-quantize with the same ceil rule as a cold build; the sorted
-    /// order is recomputed lazily by the new column.
-    fn patched(&self, updates: &[(usize, f64)]) -> DegreeColumn {
-        match &self.data {
-            DegreeData::Exact(v) => {
-                let mut v = v.clone();
-                for &(entity, degree) in updates {
-                    v[entity] = degree;
-                }
-                DegreeColumn::exact(v)
-            }
-            DegreeData::Quantized(q) => {
-                let mut q = q.clone();
-                for &(entity, degree) in updates {
-                    q[entity] = (degree.clamp(0.0, 1.0) * QUANT_SCALE).ceil() as u16;
-                }
-                DegreeColumn {
-                    data: DegreeData::Quantized(q),
-                    sorted: OnceLock::new(),
-                }
-            }
-        }
-    }
-
-    /// Entity ids in descending-degree order (ties by entity id), by
-    /// [`Self::upper`]. Sorted once per column; repeated queries reuse
-    /// the order.
-    pub fn sorted_order(&self) -> &[u32] {
-        self.sorted.get_or_init(|| {
-            let mut order: Vec<u32> = (0..self.len() as u32).collect();
-            order.sort_by(|&a, &b| {
-                self.upper(b as usize)
-                    .total_cmp(&self.upper(a as usize))
-                    .then_with(|| a.cmp(&b))
-            });
-            order
-        })
-    }
 }
 
 /// Bidirectional entity id ↔ entity-table row position maps.
@@ -501,24 +375,6 @@ fn classify_bucket(bucket: u8, min_count: u32) -> BucketCut {
     }
 }
 
-/// An interpretation with its query-side work hoisted out of the
-/// per-entity loop: embeddings, sentiments, and fallback term ids are
-/// computed once, so scoring an entity touches only entity state.
-enum PreparedInterpretation {
-    /// Stage 1: one attribute, scored against the original phrase.
-    Direct {
-        attribute: usize,
-        phrase: Arc<PreparedPhrase>,
-    },
-    /// Stage 2: fuzzy combination of `(attribute, marker phrase)` terms.
-    CoOccur {
-        terms: Vec<(usize, Arc<PreparedPhrase>)>,
-        conjunctive: bool,
-    },
-    /// Stage 3: BM25 fallback over pre-resolved term ids.
-    Text { terms: Vec<WordId> },
-}
-
 /// One validated `INSERT` row, resolved against the frozen entity set.
 struct InsertRow {
     entity: usize,
@@ -542,13 +398,16 @@ pub struct OpineDb {
     vocab: Vocab,
     embedder: PhraseEmbedder,
     sentiment: SentimentAnalyzer,
-    opinion_domains: Vec<LinguisticDomain>,
+    pub(crate) opinion_domains: Vec<LinguisticDomain>,
     interpreter: Interpreter,
-    summaries: Vec<Vec<MarkerSummary>>,
-    raw: Vec<Vec<Vec<PhraseOcc>>>,
-    membership_markers: MembershipModel,
-    membership_scan: MembershipModel,
-    entity_index: InvertedIndex,
+    pub(crate) summaries: Vec<Vec<MarkerSummary>>,
+    /// The entity half of the membership features of every build-time
+    /// summary, frozen into contiguous rows (see [`crate::column`]).
+    pub(crate) plane: FeaturePlane,
+    pub(crate) raw: Vec<Vec<Vec<PhraseOcc>>>,
+    pub(crate) membership_markers: MembershipModel,
+    pub(crate) membership_scan: MembershipModel,
+    pub(crate) entity_index: InvertedIndex,
     catalog: Catalog,
     entity_table: String,
     entity_keys: Vec<String>,
@@ -565,13 +424,13 @@ pub struct OpineDb {
     /// grouped into log2-degree bucket atoms over a flat accumulator
     /// store.
     partials: Vec<Vec<CellPartials>>,
-    config: BuildConfig,
+    pub(crate) config: BuildConfig,
     /// Predicate → dense degree column over all entities, with its sorted
     /// order, stamped with the data epoch it was built (or last repaired)
     /// at. Populated in parallel on first use; keyed by predicate text
     /// so repeated queries reuse both the degrees and the sort. Bounded:
     /// columns are the largest per-entry cache (8 bytes × entities each).
-    column_cache: BoundedCache<(u64, Arc<DegreeColumn>)>,
+    pub(crate) column_cache: BoundedCache<(u64, Arc<DegreeColumn>)>,
     /// `(entity, predicate)` → epoch-stamped degree memo for the lazy
     /// point path taken by mixed queries, where an objective filter
     /// admits few rows and a full column build would be wasted work.
@@ -582,13 +441,13 @@ pub struct OpineDb {
     phrase_cache: BoundedCache<Arc<PreparedPhrase>>,
     /// When false, degrees are recomputed by scanning raw extractions
     /// (the Table 7 "no markers" ablation).
-    use_markers: std::sync::atomic::AtomicBool,
+    pub(crate) use_markers: std::sync::atomic::AtomicBool,
     /// When false, degrees are recomputed on every call (honest timing)
     /// and the batched/TA fast paths are disabled.
     cache_degrees: std::sync::atomic::AtomicBool,
     /// When true, new degree columns are stored as `u16` (4x smaller);
     /// query answers stay exact via frontier rescoring.
-    quantize_columns: std::sync::atomic::AtomicBool,
+    pub(crate) quantize_columns: std::sync::atomic::AtomicBool,
     /// When false, `rank_subjective_conjunction` refuses candidate
     /// bitmaps, so mixed queries fall back to row-at-a-time residual
     /// scoring — the pre-pushdown behaviour, kept as an ablation and as
@@ -666,6 +525,7 @@ impl OpineDb {
         // construction fans out over entity chunks like the degree
         // columns do.
         let marker_sets = interpreter.marker_sets();
+        let plane = FeaturePlane::build(&summaries, marker_sets);
         let partials: Vec<Vec<CellPartials>> = par::par_map(raw.len(), |entity| {
             raw[entity]
                 .iter()
@@ -729,6 +589,7 @@ impl OpineDb {
             opinion_domains,
             interpreter,
             summaries,
+            plane,
             raw,
             membership_markers,
             membership_scan,
@@ -942,6 +803,7 @@ impl OpineDb {
             columns: self.column_cache.stats(),
             cached_columns: self.column_cache.len(),
             column_bytes,
+            feature_plane_bytes: self.plane.memory_bytes(),
             // sync: ablation-toggle read for a stats report; staleness fine.
             quantized_columns: self
                 .quantize_columns
@@ -1133,6 +995,7 @@ impl OpineDb {
     }
 
     fn degree_pinned(&self, entity: usize, predicate: &str, pin: &Pin) -> f64 {
+        let compute = || self.degree_prepared(entity, &self.prepare_interpretation(predicate), pin);
         if self.caching() {
             // Quantized columns only hold upper bounds, so with
             // quantization on (the cache is cleared on every flag flip,
@@ -1162,120 +1025,11 @@ impl OpineDb {
                     return degree;
                 }
             }
-            let interp = self.interpret(predicate);
-            let degree = self.degree_for_interpretation(entity, predicate, &interp);
+            let degree = compute();
             self.point_cache.insert(&key, (pin.epoch, degree));
             return degree;
         }
-        let interp = self.interpret(predicate);
-        self.degree_for_interpretation(entity, predicate, &interp)
-    }
-
-    /// The dense degree column of a predicate over all entities, cached
-    /// when the degree cache is enabled. Degrees are computed in
-    /// parallel over entity chunks.
-    ///
-    /// Cached columns are stamped with the data epoch they were built
-    /// at. A probe from a newer pin **repairs** a stale column instead
-    /// of rebuilding it: only the entities whose pinned delta version
-    /// moved past the stamp recompute (an `INSERT` touches one entity;
-    /// the other N−1 slots are reused verbatim).
-    pub fn degree_column(&self, predicate: &str) -> Arc<DegreeColumn> {
-        self.ensure_pinned(|pin| self.degree_column_pinned(predicate, pin))
-    }
-
-    fn degree_column_pinned(&self, predicate: &str, pin: &Pin) -> Arc<DegreeColumn> {
-        let mut cacheable = self.caching();
-        if self.caching() {
-            if let Some((stamp, column)) = self.column_cache.get(predicate) {
-                if stamp == pin.epoch {
-                    opine_trace::count("ta_topk", "cache_hits", 1);
-                    return column;
-                }
-                if stamp < pin.epoch {
-                    let mut stale: Vec<usize> = pin
-                        .delta
-                        .entity_versions
-                        .iter()
-                        .filter(|&(_, &version)| version > stamp)
-                        .map(|(&entity, _)| entity)
-                        .collect();
-                    if stale.is_empty() {
-                        // Nothing the column depends on changed across
-                        // those epochs; restamp so the next probe hits
-                        // on the fast equality check.
-                        opine_trace::count("ta_topk", "cache_hits", 1);
-                        self.column_cache
-                            .insert(predicate, (pin.epoch, column.clone()));
-                        return column;
-                    }
-                    stale.sort_unstable();
-                    opine_trace::count("ta_topk", "cache_repairs", 1);
-                    let interp = self.interpret(predicate);
-                    let prepared = self.prepare_interpretation(predicate, &interp);
-                    let updates: Vec<(usize, f64)> = stale
-                        .iter()
-                        .map(|&entity| {
-                            opine_faults::checkpoint();
-                            (entity, self.degree_prepared(entity, &prepared))
-                        })
-                        .collect();
-                    let column = Arc::new(column.patched(&updates));
-                    self.column_cache
-                        .insert(predicate, (pin.epoch, column.clone()));
-                    return column;
-                }
-                // stamp > pin.epoch: a column from this pin's future.
-                // Build privately without regressing the cached stamp.
-                cacheable = false;
-            }
-        }
-        opine_trace::count("ta_topk", "cache_misses", 1);
-        let interp = self.interpret(predicate);
-        let prepared = self.prepare_interpretation(predicate, &interp);
-        let degrees = match &prepared {
-            // Text fallback: one term-at-a-time pass over the entity
-            // index's posting lists (O(total postings)) instead of a
-            // per-entity per-term lookup — bit-identical to the point
-            // path, which sums the same contributions per document.
-            // The pinned delta's text index (present after a merge)
-            // contributes through the identical dense pass, added as
-            // one `f64` add per entity exactly like the point path.
-            PreparedInterpretation::Text { terms }
-                if self.entity_index.num_docs() == self.num_entities() =>
-            {
-                let mut scores = self.entity_index.bm25_dense(terms, &Bm25Params::default());
-                if let Some(index) = Self::delta_text_index(pin, self.num_entities()) {
-                    let delta_scores = index.bm25_dense(terms, &Bm25Params::default());
-                    for (score, delta) in scores.iter_mut().zip(&delta_scores) {
-                        *score += delta;
-                    }
-                }
-                scores
-                    .into_iter()
-                    .map(|score| sigmoid(score - self.config.sigmoid_c))
-                    .collect()
-            }
-            _ => par::par_map(self.num_entities(), |entity| {
-                opine_faults::checkpoint();
-                self.degree_prepared(entity, &prepared)
-            }),
-        };
-        // sync: ablation toggle; a stale read only routes through the
-        // other (equally correct) column representation.
-        let quantize = self
-            .quantize_columns
-            .load(std::sync::atomic::Ordering::Relaxed);
-        let column = Arc::new(if quantize {
-            DegreeColumn::quantized(&degrees)
-        } else {
-            DegreeColumn::exact(degrees)
-        });
-        if cacheable {
-            self.column_cache
-                .insert(predicate, (pin.epoch, column.clone()));
-        }
-        column
+        compute()
     }
 
     /// Top-k entities for a conjunction of natural-language predicates
@@ -1398,7 +1152,7 @@ impl OpineDb {
     }
 
     #[inline]
-    fn caching(&self) -> bool {
+    pub(crate) fn caching(&self) -> bool {
         // sync: ablation toggle; stale reads only affect whether a result
         // is memoized, never its value.
         self.cache_degrees
@@ -1424,180 +1178,17 @@ impl OpineDb {
         self.phrase_cache.get_or_insert_with(phrase, compute)
     }
 
-    /// Hoists the query-side work of an interpretation (embeddings,
-    /// sentiment, fallback term lookup) so per-entity scoring is pure
-    /// entity-state access.
-    fn prepare_interpretation(
-        &self,
-        predicate: &str,
-        interp: &Interpretation,
-    ) -> PreparedInterpretation {
-        match interp {
-            Interpretation::Direct { attribute, .. } => PreparedInterpretation::Direct {
-                attribute: *attribute,
-                phrase: self.prepare_phrase(predicate),
-            },
-            Interpretation::CoOccur { terms, conjunctive } => PreparedInterpretation::CoOccur {
-                terms: terms
-                    .iter()
-                    .map(|&(a, m)| {
-                        let phrase = &self.marker_set(a).markers[m].phrase;
-                        (a, self.prepare_phrase(phrase))
-                    })
-                    .collect(),
-                conjunctive: *conjunctive,
-            },
-            Interpretation::TextFallback => PreparedInterpretation::Text {
-                terms: opine_text::tokenize(predicate)
-                    .iter()
-                    .filter_map(|t| self.vocab.get(t))
-                    .collect(),
-            },
-        }
-    }
-
-    /// Degree of one entity under a prepared interpretation.
-    fn degree_prepared(&self, entity: usize, prepared: &PreparedInterpretation) -> f64 {
-        let algebra = FuzzyAlgebra::Product;
-        match prepared {
-            PreparedInterpretation::Direct { attribute, phrase } => {
-                self.attribute_degree_prepared(entity, *attribute, phrase)
-            }
-            PreparedInterpretation::CoOccur { terms, conjunctive } => {
-                let degrees = terms
-                    .iter()
-                    .map(|(a, p)| self.attribute_degree_prepared(entity, *a, p));
-                if *conjunctive {
-                    degrees.fold(1.0, |acc, d| algebra.and(acc, d))
-                } else {
-                    degrees.fold(0.0, |acc, d| algebra.or(acc, d))
-                }
-            }
-            PreparedInterpretation::Text { terms } => {
-                let pin = self.pinned();
-                let mut score = self.entity_index.bm25(
-                    opine_ir::DocId(entity as u32),
-                    terms,
-                    &Bm25Params::default(),
-                );
-                if let Some(index) = Self::delta_text_index(&pin, self.num_entities()) {
-                    score +=
-                        index.bm25(opine_ir::DocId(entity as u32), terms, &Bm25Params::default());
-                }
-                sigmoid(score - self.config.sigmoid_c)
-            }
-        }
-    }
-
-    /// The pinned delta's frozen text index, when it spans every entity
-    /// (doc id == entity id) — `None` until the first merge. Both the
-    /// point and the dense text paths add its BM25 contribution with
-    /// one `f64` add under this same guard, so their bit-identity
-    /// survives live ingest.
-    fn delta_text_index(pin: &Pin, num_entities: usize) -> Option<&InvertedIndex> {
-        pin.delta
-            .text_index
-            .as_deref()
-            .filter(|index| index.num_docs() == num_entities)
-    }
-
-    /// Degree of truth under a given interpretation.
-    pub fn degree_for_interpretation(
-        &self,
-        entity: usize,
-        predicate: &str,
-        interp: &Interpretation,
-    ) -> f64 {
-        let prepared = self.prepare_interpretation(predicate, interp);
-        self.degree_prepared(entity, &prepared)
-    }
-
     /// Degree of truth of `attribute .= phrase` for an entity, via the
     /// membership function (marker features or raw-scan features).
     pub fn attribute_degree(&self, entity: usize, attribute: usize, phrase: &str) -> f64 {
-        let prepared = self.prepare_phrase(phrase);
-        self.attribute_degree_prepared(entity, attribute, &prepared)
+        let term = self.prepare_term(attribute, phrase);
+        self.term_degree(entity, &term, &self.pinned())
     }
 
-    /// [`Self::attribute_degree`] with the query phrase already prepared
-    /// (the per-entity hot path: no embedding or sentiment recompute).
-    pub fn attribute_degree_prepared(
-        &self,
-        entity: usize,
-        attribute: usize,
-        phrase: &PreparedPhrase,
-    ) -> f64 {
-        let pin = self.pinned();
-        // sync: ablation toggle; both branches are correct membership paths.
-        if self.use_markers.load(std::sync::atomic::Ordering::Relaxed) {
-            let base = &self.summaries[entity][attribute];
-            let feats = match pin.delta.summaries.get(&(entity, attribute)) {
-                // Delta reviews mentioned this cell: score over the
-                // frozen summary merged with the pinned delta summary
-                // (fixed-point merge — identical to rebuilding from
-                // base + delta occurrences).
-                Some(delta_summary) => {
-                    let mut merged = base.clone();
-                    merged.merge(delta_summary);
-                    marker_features(
-                        &merged,
-                        self.marker_set(attribute),
-                        &phrase.rep,
-                        phrase.sentiment,
-                    )
-                }
-                None => marker_features(
-                    base,
-                    self.marker_set(attribute),
-                    &phrase.rep,
-                    phrase.sentiment,
-                ),
-            };
-            self.membership_markers.degree(&feats)
-        } else {
-            let occs = &self.raw[entity][attribute];
-            let delta_occs = pin
-                .delta
-                .cells
-                .get(&(entity, attribute))
-                .map(|cell| cell.occs.as_slice())
-                .unwrap_or(&[]);
-            let phrase_refs: Vec<(&[f32], f64)> = occs
-                .iter()
-                .chain(delta_occs)
-                .map(|occ| {
-                    (
-                        self.opinion_domains[attribute].variations()[occ.variation]
-                            .rep
-                            .as_slice(),
-                        occ.sentiment,
-                    )
-                })
-                .collect();
-            self.membership_scan
-                .degree(&scan_features(&phrase_refs, &phrase.rep, phrase.sentiment))
-        }
-    }
-
-    /// Text-retrieval fallback degree: `sigmoid(BM25(D_e, q) − c)`,
-    /// with the pinned delta's merged text contributing once a merge
-    /// has frozen it (near-real-time, Lucene-style: delta text becomes
-    /// retrievable at the next merge, not the next epoch).
+    /// Text-retrieval fallback degree: `sigmoid(BM25(D_e, q) − c)` over
+    /// the frozen entity index plus the pinned delta's merged text.
     pub fn text_degree(&self, entity: usize, predicate: &str) -> f64 {
-        let pin = self.pinned();
-        let terms: Vec<_> = opine_text::tokenize(predicate)
-            .iter()
-            .filter_map(|t| self.vocab.get(t))
-            .collect();
-        let mut score = self.entity_index.bm25(
-            opine_ir::DocId(entity as u32),
-            &terms,
-            &Bm25Params::default(),
-        );
-        if let Some(index) = Self::delta_text_index(&pin, self.num_entities()) {
-            score += index.bm25(opine_ir::DocId(entity as u32), &terms, &Bm25Params::default());
-        }
-        sigmoid(score - self.config.sigmoid_c)
+        self.text_degree_terms(entity, &self.text_terms(predicate), &self.pinned())
     }
 
     /// Recomputes all summaries over the subset of reviews accepted by
@@ -1803,14 +1394,8 @@ impl OpineDb {
         attribute: usize,
         phrase: &str,
     ) -> f64 {
-        let prepared = self.prepare_phrase(phrase);
-        let feats = marker_features(
-            &summaries[entity][attribute],
-            self.marker_set(attribute),
-            &prepared.rep,
-            prepared.sentiment,
-        );
-        self.membership_markers.degree(&feats)
+        let term = self.prepare_term(attribute, phrase);
+        self.summary_term_degree(&summaries[entity][attribute], &term)
     }
 
     /// Number of reviews aggregated for an entity: the build-time count
@@ -1896,7 +1481,7 @@ impl OpineDb {
     /// for the duration of `f`. Every delta-aware entry point goes
     /// through this — it is what makes a whole request observe exactly
     /// one epoch.
-    fn ensure_pinned<T>(&self, f: impl FnOnce(&Pin) -> T) -> T {
+    pub(crate) fn ensure_pinned<T>(&self, f: impl FnOnce(&Pin) -> T) -> T {
         if let Some(pin) = crate::ingest::current_pin() {
             return f(&pin);
         }
@@ -2312,7 +1897,7 @@ impl OpineDb {
 
 /// A scorer view over one review qualifier's merged summaries: every
 /// subjective degree is computed from the filtered summaries through
-/// [`OpineDb::attribute_degree_with_summaries`], so only qualifying
+/// the membership kernel's generic-summary arm, so only qualifying
 /// reviews count. Interpretations, prepared phrases, and the membership
 /// model are shared with the engine; the unqualified degree-column and
 /// point caches are bypassed (their entries assume all reviews).
@@ -2324,6 +1909,12 @@ impl OpineDb {
 pub struct QualifiedScorer<'a> {
     db: &'a OpineDb,
     summaries: Arc<Vec<Vec<MarkerSummary>>>,
+    /// The delta generation the statement pinned (the text fallback
+    /// reads its merged text index).
+    pin: Pin,
+    /// Predicate → prepared interpretation, so the statement's row loop
+    /// interprets and embeds each predicate once, not once per row.
+    prepared: BoundedCache<Arc<PreparedInterpretation>>,
 }
 
 impl QualifiedScorer<'_> {
@@ -2338,28 +1929,16 @@ impl QualifiedScorer<'_> {
     /// entity's full review document — BM25 has no per-review summary
     /// to filter — so it is the one stage a qualifier cannot scope.
     fn degree(&self, entity: usize, predicate: &str) -> f64 {
-        let algebra = FuzzyAlgebra::Product;
-        match self.db.interpret(predicate) {
-            Interpretation::Direct { attribute, .. } => self.db.attribute_degree_with_summaries(
-                &self.summaries,
-                entity,
-                attribute,
-                predicate,
-            ),
-            Interpretation::CoOccur { terms, conjunctive } => {
-                let degrees = terms.iter().map(|&(a, m)| {
-                    let phrase = &self.db.marker_set(a).markers[m].phrase;
-                    self.db
-                        .attribute_degree_with_summaries(&self.summaries, entity, a, phrase)
-                });
-                if conjunctive {
-                    degrees.fold(1.0, |acc, d| algebra.and(acc, d))
-                } else {
-                    degrees.fold(0.0, |acc, d| algebra.or(acc, d))
-                }
-            }
-            Interpretation::TextFallback => self.db.text_degree(entity, predicate),
-        }
+        let prepared = self.prepared.get_or_insert_with(predicate, || {
+            Arc::new(self.db.prepare_interpretation(predicate))
+        });
+        prepared.combine(
+            |term| {
+                self.db
+                    .summary_term_degree(&self.summaries[entity][term.attribute], term)
+            },
+            |terms| self.db.text_degree_terms(entity, terms, &self.pin),
+        )
     }
 }
 
@@ -2485,12 +2064,11 @@ impl SubjectiveScorer for OpineDb {
         Some(Box::new(QualifiedScorer {
             db: self,
             summaries: self.summaries_qualified(qualifier),
+            pin: self.pinned(),
+            // A statement names a handful of predicates.
+            prepared: BoundedCache::new(64),
         }))
     }
-}
-
-fn sigmoid(x: f64) -> f64 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 /// Concurrency audit: the serving layer shares one `OpineDb` behind an

@@ -17,6 +17,8 @@
 //!   summary aggregation;
 //! * [`db`] — [`OpineDb`]: the end-to-end engine executing Subjective SQL
 //!   with fuzzy combination (Sec. 3.1);
+//! * [`column`] — degree columns and the batched membership kernel that
+//!   fills them from a frozen feature plane;
 //! * [`ingest`] — live ingest: the copy-on-write delta segment behind
 //!   snapshot-isolated `INSERT` at serve time;
 //! * [`topk`] — Fagin's Threshold Algorithm for fuzzy top-k (an extension
@@ -24,6 +26,7 @@
 
 pub mod builder;
 pub mod cache;
+pub mod column;
 pub mod db;
 /// Deadlines, cooperative cancellation, and fault-injection failpoints
 /// (re-exported from the workspace's bottom-layer `opine-faults` crate

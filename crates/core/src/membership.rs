@@ -10,6 +10,15 @@
 //! (fast — the paper's 3.3–6.6× speedup), while [`scan_features`] recomputes
 //! statistics from every extracted phrase at query time (the no-marker
 //! baseline).
+//!
+//! The marker family factors into a **query half** (`marker_sims`: the
+//! query↔marker cosines, which do not depend on the entity) and an
+//! **entity half** (`write_feature_row`: fractions, sentiment means and
+//! totals, which do not depend on the query), joined by
+//! `features_from_row`. [`marker_features`] is exactly that
+//! composition, so the batched column kernel (`crate::column`), which
+//! hoists the query half out of the entity loop and reads the entity
+//! half from a prebuilt plane, cannot drift from it.
 
 use crate::summary::{MarkerSet, MarkerSummary};
 use opine_embed::cosine;
@@ -18,45 +27,131 @@ use opine_ml::{LogRegConfig, LogisticRegression};
 /// Number of features both families produce.
 pub const FEATURE_DIM: usize = 9;
 
-/// Features computed from the marker summary only.
+/// The query half of the marker features for one `(marker set, query
+/// phrase)` pair.
+#[derive(Debug, Clone)]
+pub(crate) struct MarkerSims {
+    /// `max(cos(query, marker_i), 0)` per marker, widened to `f64` —
+    /// the weights of the `support` sum.
+    support_weights: Vec<f64>,
+    /// The most similar marker (the first one on ties).
+    best: usize,
+    /// Its similarity, floored at −1 (the value when no marker exists).
+    best_sim: f64,
+}
+
+/// Computes the query↔marker similarities of `query_rep` once.
+pub(crate) fn marker_sims(markers: &MarkerSet, query_rep: &[f32]) -> MarkerSims {
+    let mut best = (0usize, f32::NEG_INFINITY);
+    let support_weights = markers
+        .markers
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            let sim = cosine(query_rep, &m.rep);
+            if sim > best.1 {
+                best = (i, sim);
+            }
+            sim.max(0.0) as f64
+        })
+        .collect();
+    MarkerSims {
+        support_weights,
+        best: best.0,
+        best_sim: best.1.max(-1.0) as f64,
+    }
+}
+
+/// Length of the entity-half row of a summary over `k` markers: `k`
+/// fractions, `k` sentiment means, then `Σ fraction·mean`,
+/// `ln(total + 1)` and the unmatched fraction.
+pub(crate) const fn feature_row_len(k: usize) -> usize {
+    2 * k + 3
+}
+
+/// Writes the entity half of the marker features — everything
+/// [`marker_features`] derives from `summary` alone — into `row`
+/// (`feature_row_len(k)` slots, `k` the marker-set size).
+pub(crate) fn write_feature_row(summary: &MarkerSummary, k: usize, row: &mut [f64]) {
+    debug_assert_eq!(row.len(), feature_row_len(k));
+    let mut avg_sent = 0.0;
+    for i in 0..k {
+        let frac = summary.fraction(i);
+        let mean = summary.sentiment_mean(i);
+        row[i] = frac;
+        row[k + i] = mean;
+        avg_sent += frac * mean;
+    }
+    row[2 * k] = avg_sent;
+    row[2 * k + 1] = (summary.total + 1.0).ln();
+    row[2 * k + 2] = summary.unmatched_fraction();
+}
+
+/// Joins an entity-half row with a query half into the feature vector.
+#[inline]
+pub(crate) fn features_from_row(
+    row: &[f64],
+    sims: &MarkerSims,
+    query_sentiment: f64,
+) -> [f64; FEATURE_DIM] {
+    let k = sims.support_weights.len();
+    debug_assert_eq!(row.len(), feature_row_len(k));
+    let mut support = 0.0;
+    for (frac, weight) in row[..k].iter().zip(&sims.support_weights) {
+        support += frac * weight;
+    }
+    let (best_frac, best_sent) = if k == 0 {
+        (0.0, 0.0)
+    } else {
+        (row[sims.best], row[k + sims.best])
+    };
+    let avg_sent = row[2 * k];
+    [
+        support,
+        avg_sent,
+        best_frac,
+        sims.best_sim,
+        best_sent,
+        row[2 * k + 1],
+        row[2 * k + 2],
+        query_sentiment,
+        avg_sent * query_sentiment,
+    ]
+}
+
+/// The feature vector of a summary that has no prebuilt row (the
+/// reference below, delta-merged cells, review-qualified summaries):
+/// writes the entity half on the spot — on the stack for every marker
+/// set up to 16 markers — and joins it with `sims`.
+pub(crate) fn summary_features(
+    summary: &MarkerSummary,
+    sims: &MarkerSims,
+    query_sentiment: f64,
+) -> [f64; FEATURE_DIM] {
+    const STACK_ROW: usize = feature_row_len(16);
+    let k = sims.support_weights.len();
+    let len = feature_row_len(k);
+    let mut stack = [0.0; STACK_ROW];
+    let mut heap;
+    let row = if len <= STACK_ROW {
+        &mut stack[..len]
+    } else {
+        heap = vec![0.0; len];
+        &mut heap[..]
+    };
+    write_feature_row(summary, k, row);
+    features_from_row(row, sims, query_sentiment)
+}
+
+/// Features computed from the marker summary only: the slow reference
+/// (trainer, Table 7 bench, tests) that recomputes both halves per call.
 pub fn marker_features(
     summary: &MarkerSummary,
     markers: &MarkerSet,
     query_rep: &[f32],
     query_sentiment: f64,
 ) -> Vec<f64> {
-    let fracs = summary.fractions();
-    let mut support = 0.0;
-    let mut avg_sent = 0.0;
-    let mut best = (0usize, f32::NEG_INFINITY);
-    for (i, m) in markers.markers.iter().enumerate() {
-        let sim = cosine(query_rep, &m.rep);
-        support += fracs.get(i).copied().unwrap_or(0.0) * sim.max(0.0) as f64;
-        avg_sent += fracs.get(i).copied().unwrap_or(0.0) * summary.sentiment_mean(i);
-        if sim > best.1 {
-            best = (i, sim);
-        }
-    }
-    let (best_idx, best_sim) = best;
-    let (best_frac, best_sent) = if markers.markers.is_empty() {
-        (0.0, 0.0)
-    } else {
-        (
-            fracs.get(best_idx).copied().unwrap_or(0.0),
-            summary.sentiment_mean(best_idx),
-        )
-    };
-    vec![
-        support,
-        avg_sent,
-        best_frac,
-        best_sim.max(-1.0) as f64,
-        best_sent,
-        (summary.total + 1.0).ln(),
-        summary.unmatched_fraction(),
-        query_sentiment,
-        avg_sent * query_sentiment,
-    ]
+    summary_features(summary, &marker_sims(markers, query_rep), query_sentiment).to_vec()
 }
 
 /// Features recomputed from all raw extracted phrases (no markers).

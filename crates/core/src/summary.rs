@@ -134,17 +134,26 @@ impl MarkerSet {
         self.markers.iter().position(|m| m.phrase == phrase)
     }
 
-    /// `(marker index, weight)` assignments for a phrase representation.
-    pub fn assign(&self, rep: &[f32], mode: AssignMode) -> Vec<(usize, f64)> {
-        if self.markers.is_empty() {
-            return Vec::new();
-        }
-        let mut sims: Vec<(usize, f32)> = self
-            .markers
+    /// `(marker index, cosine)` of a phrase representation against every
+    /// marker, in marker order.
+    fn similarities(&self, rep: &[f32]) -> Vec<(usize, f32)> {
+        self.markers
             .iter()
             .enumerate()
             .map(|(i, m)| (i, cosine(rep, &m.rep)))
-            .collect();
+            .collect()
+    }
+
+    /// `(marker index, weight)` assignments for a phrase representation.
+    pub fn assign(&self, rep: &[f32], mode: AssignMode) -> Vec<(usize, f64)> {
+        self.assign_from(self.similarities(rep), mode)
+    }
+
+    /// [`Self::assign`] over already-computed [`Self::similarities`].
+    fn assign_from(&self, mut sims: Vec<(usize, f32)>, mode: AssignMode) -> Vec<(usize, f64)> {
+        if sims.is_empty() {
+            return Vec::new();
+        }
         sims.sort_by(|a, b| b.1.total_cmp(&a.1));
         match mode {
             AssignMode::Best => vec![(sims[0].0, 1.0)],
@@ -220,12 +229,14 @@ impl<'p> PhraseContribution<'p> {
         min_similarity: f32,
         review_id: usize,
     ) -> Self {
-        let assignments = markers.assign(rep, mode);
-        let best_sim = markers
-            .markers
+        // One pass of marker cosines feeds both the assignment and the
+        // unmatched verdict.
+        let sims = markers.similarities(rep);
+        let best_sim = sims
             .iter()
-            .map(|m| cosine(rep, &m.rep))
+            .map(|&(_, sim)| sim)
             .fold(f32::NEG_INFINITY, f32::max);
+        let assignments = markers.assign_from(sims, mode);
         let unmatched = assignments.is_empty() || best_sim < min_similarity;
         let assignments = if unmatched {
             Vec::new()
@@ -411,13 +422,14 @@ impl MarkerSummary {
         }
     }
 
+    /// Fraction of matched mass on marker `i` (zero when empty).
+    pub(crate) fn fraction(&self, i: usize) -> f64 {
+        self.count(i) / (self.total - self.unmatched).max(1e-12)
+    }
+
     /// Fraction of matched mass on each marker (zeros when empty).
     pub fn fractions(&self) -> Vec<f64> {
-        let matched = (self.total - self.unmatched).max(1e-12);
-        self.counts_q
-            .iter()
-            .map(|&q| dequantize(q) / matched)
-            .collect()
+        (0..self.counts_q.len()).map(|i| self.fraction(i)).collect()
     }
 
     /// Fraction of phrases that matched no marker.

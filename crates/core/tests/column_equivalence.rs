@@ -1,0 +1,195 @@
+//! The batched membership kernel against the point path, bit for bit.
+//!
+//! A predicate's degree column is filled by one loop over the frozen
+//! feature plane; the point path scores one entity; the repair path
+//! recomputes only the entities an `INSERT` or a merge touched. All
+//! three must agree to the last bit for every interpretation kind, with
+//! live delta cells in play, before and after a delta merge, serial and
+//! fanned out. Lives in its own test binary because it sets
+//! `OPINE_THREADS` and merges deltas (the lib's unit tests arm global
+//! merge failpoints).
+
+use opine_core::faults::{with_deadline, Cancelled, Deadline};
+use opine_core::trace::{with_trace, TraceContext};
+use opine_core::{build, BuildConfig, Interpretation, OpineDb};
+use opine_corpus::hotel::hotel_spec;
+use opine_corpus::workload::build_workload;
+use opine_corpus::{Corpus, CorpusConfig};
+use opine_embed::Word2VecConfig;
+use std::time::Duration;
+
+/// Above `par::PAR_THRESHOLD` (512), so `OPINE_THREADS=2` really fans
+/// the column loop out, and above the checkpoint stride (256).
+const ENTITIES: usize = 520;
+
+fn db() -> OpineDb {
+    let corpus = Corpus::generate(
+        hotel_spec(),
+        &CorpusConfig {
+            num_entities: ENTITIES,
+            mean_reviews: 4,
+            seed: 5,
+        },
+    );
+    build(
+        &corpus,
+        &BuildConfig {
+            w2v: Word2VecConfig {
+                dim: 24,
+                epochs: 2,
+                ..Default::default()
+            },
+            membership_tuples: 400,
+            ..Default::default()
+        },
+    )
+}
+
+/// One bank predicate per interpreter stage: direct, co-occurrence,
+/// text fallback.
+fn one_predicate_per_kind(db: &OpineDb) -> [String; 3] {
+    let bank: Vec<String> = build_workload(&hotel_spec(), 190)
+        .into_iter()
+        .map(|p| p.text)
+        .collect();
+    let first = |want: fn(&Interpretation) -> bool| {
+        bank.iter()
+            .find(|p| want(&db.interpret(p)))
+            .expect("the bank exercises every interpreter stage")
+            .clone()
+    };
+    [
+        first(|i| matches!(i, Interpretation::Direct { .. })),
+        first(|i| matches!(i, Interpretation::CoOccur { .. })),
+        first(|i| matches!(i, Interpretation::TextFallback)),
+    ]
+}
+
+fn bits(column: &opine_core::DegreeColumn) -> Vec<u64> {
+    column
+        .degrees()
+        .expect("exact by default")
+        .iter()
+        .map(|d| d.to_bits())
+        .collect()
+}
+
+/// With every predicate's column cached at an older epoch: the probe
+/// must take the repair path, and the repaired column, a cold rebuild
+/// and the memo-free point path must all hold the same bits.
+fn assert_repair_cold_and_point_agree(db: &OpineDb, predicates: &[String], stage: &str) {
+    let repaired: Vec<Vec<u64>> = predicates
+        .iter()
+        .map(|predicate| {
+            let ctx = TraceContext::new();
+            let column = with_trace(Some(ctx.clone()), || bits(&db.degree_column(predicate)));
+            let snapshot = ctx.snapshot();
+            let ta = snapshot.stage("ta_topk").expect("column probe is counted");
+            assert_eq!(
+                (ta.counter("cache_repairs"), ta.counter("cache_misses")),
+                (1, 0),
+                "{stage}: {predicate:?} must be repaired, not rebuilt"
+            );
+            column
+        })
+        .collect();
+    db.clear_degree_columns();
+    for (predicate, repaired) in predicates.iter().zip(&repaired) {
+        let cold = bits(&db.degree_column(predicate));
+        assert_eq!(repaired, &cold, "{stage}: {predicate:?} repaired vs cold");
+    }
+    // `set_degree_cache(false)` drops the columns and the point memo,
+    // so every point below is computed, not read back.
+    db.set_degree_cache(false);
+    let point: Vec<Vec<u64>> = predicates
+        .iter()
+        .map(|p| (0..ENTITIES).map(|e| db.degree(e, p).to_bits()).collect())
+        .collect();
+    db.set_degree_cache(true);
+    for (predicate, point) in predicates.iter().zip(&point) {
+        let column = bits(&db.degree_column(predicate));
+        assert_eq!(&column, point, "{stage}: {predicate:?} column vs point");
+    }
+}
+
+#[test]
+fn column_point_and_repaired_column_agree_bit_for_bit() {
+    let mut reference: Option<Vec<Vec<u64>>> = None;
+    for threads in ["1", "2"] {
+        std::env::set_var("OPINE_THREADS", threads);
+        let db = db();
+        let predicates = one_predicate_per_kind(&db);
+        let frozen: Vec<Vec<u64>> = predicates
+            .iter()
+            .map(|p| bits(&db.degree_column(p)))
+            .collect();
+
+        // Live delta cells on a spread of entities, phrased from the
+        // frozen opinion domains so insert-time extraction lands them
+        // in marker summaries (and, after the merge, in the text index).
+        for i in 0..24 {
+            let entity = db.entity_key(i * 21).to_string();
+            let phrase = &db.opinion_domain(i % 3).variations()[i % 5].phrase;
+            db.insert_sql(&format!(
+                "INSERT INTO reviews (entity, text, year) \
+                 VALUES ('{entity}', 'warm welcome and {phrase} and again {phrase}', 2019)"
+            ))
+            .unwrap();
+        }
+        assert_repair_cold_and_point_agree(&db, &predicates, "live delta");
+        let live = bits(&db.degree_column(&predicates[0]));
+        assert_ne!(live, frozen[0], "the inserts must reach marker summaries");
+
+        // The merge freezes the delta text index and bumps the merged
+        // entities' versions: the cached columns are stale again.
+        db.merge_delta().unwrap();
+        assert_repair_cold_and_point_agree(&db, &predicates, "merged delta");
+
+        // And the fan-out changes nothing: both worker counts produce
+        // the same bits.
+        let columns: Vec<Vec<u64>> = predicates
+            .iter()
+            .map(|p| bits(&db.degree_column(p)))
+            .collect();
+        assert_ne!(
+            columns[2], frozen[2],
+            "the merge must reach the text fallback"
+        );
+        match &reference {
+            None => reference = Some(columns),
+            Some(serial) => assert_eq!(serial, &columns, "OPINE_THREADS=1 vs 2"),
+        }
+    }
+    std::env::remove_var("OPINE_THREADS");
+}
+
+#[test]
+fn column_build_unwinds_with_cancelled_mid_loop() {
+    let db = db();
+    let [direct, cooccur, _] = one_predicate_per_kind(&db);
+    for predicate in [direct, cooccur] {
+        // The interpretation is memoized above, so the only checkpoints
+        // left on the path are the entity loop's own; an expired
+        // deadline can only be noticed from inside it.
+        let unwound = with_deadline(Some(Deadline::after(Duration::ZERO)), || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                db.degree_column(&predicate)
+            }))
+        });
+        let Err(payload) = unwound else {
+            panic!("an expired deadline must cancel the build of {predicate:?}");
+        };
+        assert!(
+            payload.is::<Cancelled>(),
+            "unwind payload must be Cancelled"
+        );
+        assert_eq!(
+            db.cached_degree_columns(),
+            0,
+            "a cancelled build publishes nothing"
+        );
+        // Without a deadline the same build completes.
+        assert_eq!(db.degree_column(&predicate).len(), ENTITIES);
+        db.clear_degree_columns();
+    }
+}

@@ -11,7 +11,8 @@
 //!   call `Deadline::checkpoint()` so 504s stay honest.
 //! * `counter_parity` — every `CacheReport::fields()` counter has an
 //!   increment site and both /stats and /metrics render from `fields()`;
-//!   every declared trace stage is opened.
+//!   every declared trace stage is opened, and every trace stage/counter
+//!   name in use is declared.
 //! * `no_panic_in_serve` — no unannotated unwrap/expect/panic!/indexing
 //!   in server request-handling modules.
 //! * `taxonomy_exhaustiveness` — emitted HTTP statuses and the JSON

@@ -59,11 +59,13 @@ pub const COUNTER_ALIASES: &[(&str, &str)] = &[
 
 /// Files whose loops are data-proportional (per-document / per-block /
 /// per-posting work): top-k pivoting, WAND block skipping, summary
-/// merging, rescoring, and the parallel worker shim. Loops of
-/// consequence here must hit `Deadline::checkpoint()`.
+/// merging, degree-column builds and repairs, rescoring, and the
+/// parallel worker shim. Loops of consequence here must hit
+/// `Deadline::checkpoint()`.
 pub const HOT_LOOP_FILES: &[&str] = &[
     "crates/core/src/topk.rs",
     "crates/core/src/summary.rs",
+    "crates/core/src/column.rs",
     "crates/core/src/db.rs",
     "crates/core/src/ingest.rs",
     "crates/core/src/par.rs",

@@ -356,7 +356,8 @@ fn parse_fields(db: &FileScan) -> Vec<(String, String, u32)> {
 
 /// counter-parity: every `CacheReport::fields()` counter has ≥1
 /// increment site; /stats and /metrics both render from `fields()`;
-/// every declared trace stage is opened somewhere.
+/// every declared trace stage is opened somewhere, and every stage or
+/// counter name used at an instrumentation site is declared.
 pub fn counter_parity(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
 
@@ -448,55 +449,141 @@ pub fn counter_parity(ws: &Workspace) -> Vec<Finding> {
         }
     }
 
-    // Every declared trace stage must be opened by a span() somewhere.
     if let Some(tr) = ws
         .files
         .iter()
         .find(|f| f.path.ends_with(STAGES_FILE_SUFFIX))
     {
-        let toks = &tr.tokens;
-        if let Some(decl) = toks.iter().position(|t| t.is_ident("STAGES")) {
-            let mut stages: Vec<(String, u32)> = Vec::new();
-            let mut j = decl;
-            // Scan to the initializer `[` after `=`, then collect strings.
-            while j < toks.len() && !toks[j].is_punct('=') {
-                j += 1;
+        let stages = declared_names(tr, "STAGES");
+        let counters = declared_names(tr, "COUNTERS");
+        let uses: Vec<(&FileScan, TraceNameUse)> = ws
+            .files
+            .iter()
+            .flat_map(|f| trace_name_uses(f).into_iter().map(move |u| (f, u)))
+            .collect();
+
+        // Every declared trace stage must be opened by a span() somewhere.
+        for (stage, line) in &stages {
+            let opened = uses.iter().any(|(f, u)| {
+                u.opens_span && u.name == *stage && !f.path.ends_with(STAGES_FILE_SUFFIX)
+            });
+            if opened || tr.allowed("counter_parity", *line, *line) {
+                continue;
             }
-            while j < toks.len() && !toks[j].is_punct('[') {
-                j += 1;
+            out.push(Finding {
+                path: tr.path.clone(),
+                line: *line,
+                rule: "counter_parity",
+                message: format!(
+                    "trace stage \"{stage}\" is declared but never opened by a span() call"
+                ),
+                hint:
+                    "open the stage on the query path (ctx.span(\"...\")) or remove it from STAGES"
+                        .into(),
+            });
+        }
+
+        // And the other direction: a stage or counter name used at an
+        // instrumentation site must be declared, because the trace
+        // crate panics on an unknown name the first time the site runs
+        // under an armed context (the server arms one per request).
+        for (f, u) in &uses {
+            let declared = if u.table == "STAGES" {
+                &stages
+            } else {
+                &counters
+            };
+            if declared.is_empty()
+                || declared.iter().any(|(name, _)| *name == u.name)
+                || f.allowed("counter_parity", u.line, u.line)
+            {
+                continue;
             }
-            let mut k = j;
-            while k < toks.len() && !toks[k].is_punct(']') {
-                if toks[k].kind == TokKind::Str {
-                    stages.push((toks[k].text.clone(), toks[k].line));
-                }
-                k += 1;
-            }
-            for (stage, line) in stages {
-                let opened = ws.files.iter().any(|f| {
-                    !f.path.ends_with(STAGES_FILE_SUFFIX)
-                        && f.tokens.windows(3).any(|w| {
-                            w[0].is_ident("span")
-                                && w[1].is_punct('(')
-                                && w[2].kind == TokKind::Str
-                                && w[2].text == stage
-                                && !f.in_test(w[2].line)
-                        })
-                });
-                if opened || tr.allowed("counter_parity", line, line) {
-                    continue;
-                }
-                out.push(Finding {
-                    path: tr.path.clone(),
-                    line,
-                    rule: "counter_parity",
-                    message: format!("trace stage \"{stage}\" is declared but never opened by a span() call"),
-                    hint: "open the stage on the query path (ctx.span(\"...\")) or remove it from STAGES".into(),
-                });
-            }
+            out.push(Finding {
+                path: f.path.clone(),
+                line: u.line,
+                rule: "counter_parity",
+                message: format!(
+                    "trace name \"{}\" is used here but not declared in opine_trace::{}",
+                    u.name, u.table
+                ),
+                hint: format!(
+                    "add it to {} in the trace crate (an undeclared name panics under an armed trace) or fix the typo",
+                    u.table
+                ),
+            });
         }
     }
 
+    out
+}
+
+/// The string literals of a `const NAME: [&str; n] = [...]` table, with
+/// their lines (empty when the table is absent).
+fn declared_names(tr: &FileScan, table: &str) -> Vec<(String, u32)> {
+    let toks = &tr.tokens;
+    let Some(decl) = toks.iter().position(|t| t.is_ident(table)) else {
+        return Vec::new();
+    };
+    // Scan to the initializer `[` after `=`, then collect strings.
+    let mut j = decl;
+    while j < toks.len() && !toks[j].is_punct('=') {
+        j += 1;
+    }
+    while j < toks.len() && !toks[j].is_punct('[') {
+        j += 1;
+    }
+    toks[j.min(toks.len())..]
+        .iter()
+        .take_while(|t| !t.is_punct(']'))
+        .filter(|t| t.kind == TokKind::Str)
+        .map(|t| (t.text.clone(), t.line))
+        .collect()
+}
+
+/// One string literal naming a trace stage or counter at a non-test
+/// instrumentation site.
+struct TraceNameUse {
+    /// `"STAGES"` or `"COUNTERS"`: the table the name must appear in.
+    table: &'static str,
+    name: String,
+    line: u32,
+    /// True for `span("stage")` (the use that opens a stage).
+    opens_span: bool,
+}
+
+/// Literal stage/counter names passed to `span("stage")`,
+/// `count("stage", "counter", n)` and `SpanGuard::count("counter", n)`.
+fn trace_name_uses(f: &FileScan) -> Vec<TraceNameUse> {
+    let toks = &f.tokens;
+    let mut out = Vec::new();
+    for w in 0..toks.len().saturating_sub(2) {
+        let (callee, arg) = (&toks[w], &toks[w + 2]);
+        if !toks[w + 1].is_punct('(') || arg.kind != TokKind::Str || f.in_test(arg.line) {
+            continue;
+        }
+        let mut push = |table, t: &crate::lexer::Token, opens_span| {
+            out.push(TraceNameUse {
+                table,
+                name: t.text.clone(),
+                line: t.line,
+                opens_span,
+            })
+        };
+        if callee.is_ident("span") {
+            push("STAGES", arg, true);
+        } else if callee.is_ident("count") {
+            // Two leading literals: the free `count(stage, counter, n)`;
+            // one: `SpanGuard::count(counter, n)`.
+            match toks.get(w + 4) {
+                Some(second) if toks[w + 3].is_punct(',') && second.kind == TokKind::Str => {
+                    push("STAGES", arg, false);
+                    push("COUNTERS", second, false);
+                }
+                _ => push("COUNTERS", arg, false),
+            }
+        }
+    }
     out
 }
 

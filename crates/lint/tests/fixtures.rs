@@ -185,6 +185,73 @@ pub fn run(ctx: &TraceContext) {
 }
 
 #[test]
+fn counter_parity_catches_undeclared_trace_names() {
+    let trace = (
+        "crates/trace/src/lib.rs",
+        r#"
+pub const STAGES: [&str; 2] = ["ta_topk", "ingest"];
+pub const COUNTERS: [&str; 2] = ["cache_hits", "rows"];
+"#,
+    );
+    // The must-catch mutant: the column-repair path as it shipped,
+    // bumping a counter the trace crate never declared — a panic (an
+    // HTTP 500) on every repaired SELECT under the server's armed trace.
+    let mutant = ws(&[
+        trace,
+        (
+            "crates/core/src/column.rs",
+            r#"
+fn repair() {
+    let _ta = opine_trace::span("ta_topk");
+    let span = opine_trace::span("ingest");
+    opine_trace::count("ta_topk", "cache_hits", 1);
+    opine_trace::count("ta_topk", "cache_repairs", 1);
+    span.count("rows", 3);
+}
+"#,
+        ),
+    ]);
+    let findings = run_rule(&mutant, "counter_parity");
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    assert_pointed(&findings, "crates/core/src/column.rs", "counter_parity");
+    assert_eq!(findings[0].line, 6);
+    assert!(findings[0].message.contains("\"cache_repairs\""));
+    assert!(findings[0].message.contains("COUNTERS"));
+
+    // Undeclared stages (both call shapes) and a span-guard counter are
+    // caught too; test code may name whatever it likes.
+    let sloppy = ws(&[
+        trace,
+        (
+            "crates/core/src/topk.rs",
+            r#"
+fn rank(ctx: &TraceContext) {
+    let _ta = ctx.span("ta_topk");
+    let span = opine_trace::span("ingest");
+    span.count("heap_pops", 1);
+    opine_trace::count("rescore", "rows", 1);
+    let _warm = opine_trace::span("warmup");
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn unknown_names_panic() {
+        drop(opine_trace::span("no_such_stage"));
+    }
+}
+"#,
+        ),
+    ]);
+    let findings = run_rule(&sloppy, "counter_parity");
+    let messages: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
+    assert_eq!(findings.len(), 3, "{findings:#?}");
+    assert!(messages[0].contains("\"heap_pops\"") && messages[0].contains("COUNTERS"));
+    assert!(messages[1].contains("\"rescore\"") && messages[1].contains("STAGES"));
+    assert!(messages[2].contains("\"warmup\"") && messages[2].contains("STAGES"));
+}
+
+#[test]
 fn taxonomy_fixture_pair() {
     // The rule anchors on the service module path.
     let path = "crates/server/src/service.rs";

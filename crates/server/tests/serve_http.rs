@@ -7,6 +7,7 @@ use opine_corpus::{Corpus, CorpusConfig};
 use opine_embed::Word2VecConfig;
 use opine_server::{render_query_body, HttpClient, OpineServer, ServerConfig};
 use opine_store::parse_select;
+use std::io::{Read, Write};
 use std::sync::Arc;
 
 fn small_db() -> Arc<OpineDb> {
@@ -600,17 +601,32 @@ fn shutdown_is_prompt_with_idle_keepalive_connections() {
 #[test]
 fn oversized_body_gets_413_and_huge_results_still_serve() {
     let server = serve(small_db());
-    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
     let big = format!(
         "{{\"sql\": \"{}\"}}",
         "x".repeat(opine_server::DEFAULT_MAX_BODY)
     );
-    let resp = client.post("/query", &big);
-    // Either the server answers 413 before closing, or the write fails
-    // against the closed socket — both are acceptable refusals, but with
-    // our max_body the response should arrive.
-    let resp = resp.unwrap();
-    assert_eq!(resp.status, 413);
+    write!(
+        stream,
+        "POST /query HTTP/1.1\r\nhost: localhost\r\ncontent-length: {}\r\n\r\n",
+        big.len()
+    )
+    .unwrap();
+    // The server answers 413 off the headers and closes without draining
+    // the megabyte in flight, so this write may die on the closed socket
+    // (`HttpClient::post` gives up there, before reading). The 413 was
+    // queued ahead of the reset and must still be there to read.
+    let _ = stream.write_all(big.as_bytes());
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    let response = String::from_utf8_lossy(&response);
+    assert!(
+        response.starts_with("HTTP/1.1 413"),
+        "expected 413, got: {response:?}"
+    );
 }
 
 #[test]
@@ -685,4 +701,66 @@ fn insert_serves_through_the_query_endpoint_and_rejections_are_400s() {
     assert!(bad.body.contains("bad_request"), "{}", bad.body);
     let stats = client.get("/stats").unwrap();
     assert!(stats.body.contains("\"inserted_reviews\":1"), "{}", stats.body);
+}
+
+/// Regression: after any `INSERT`, a conjunction over already-cached
+/// degree columns takes the column-repair path, which bumped a trace
+/// counter (`cache_repairs`) that was never registered — a panic under
+/// the server's always-armed trace, so every such SELECT answered 500.
+#[test]
+fn conjunctions_keep_serving_after_an_insert_repairs_their_columns() {
+    let db = small_db();
+    let server = serve(db.clone());
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+
+    let predicates = ["clean rooms", "friendly staff"];
+    let sql = "select * from hotels where \"clean rooms\" and \"friendly staff\" limit 5";
+    let cold = client.post("/query", &query_body(sql)).unwrap();
+    assert_eq!(cold.status, 200, "{}", cold.body);
+
+    // New evidence for two of the statement's own top entities, phrased
+    // from the frozen opinion domain so it lands in a marker summary.
+    let top = db.rank_top_k(&predicates, 2);
+    let phrase = db.opinion_domain(0).variations()[0].phrase.clone();
+    let insert_for = |rank: usize| {
+        format!(
+            "INSERT INTO reviews (entity, text, year) VALUES ('{}', '{}', 2024)",
+            db.entity_key(top[rank].0),
+            [phrase.as_str(); 4].join(" and ")
+        )
+    };
+    let receipt = client.post("/insert", &query_body(&insert_for(0))).unwrap();
+    assert_eq!(receipt.status, 200, "{}", receipt.body);
+
+    // The repeat executes (the epoch moved under the result-cache key)
+    // against the stale cached columns and must repair them, not die.
+    let repaired = client.post("/query", &query_body(sql)).unwrap();
+    assert_eq!(repaired.status, 200, "{}", repaired.body);
+    assert_eq!(repaired.header("x-opine-cache"), Some("miss"));
+
+    // Repaired columns answer exactly like an engine that never cached
+    // anything: a fresh build over the same corpus plus the same insert.
+    let fresh = small_db();
+    fresh.insert_sql(&insert_for(0)).unwrap();
+    let reference = render_query_body(&fresh, &parse_select(sql).unwrap()).unwrap();
+    assert_eq!(repaired.body, reference);
+
+    // And the trace names the path: one repair per cached column.
+    let receipt = client.post("/insert", &query_body(&insert_for(1))).unwrap();
+    assert_eq!(receipt.status, 200, "{}", receipt.body);
+    let explained = client
+        .post("/query", &query_body(&format!("explain analyze {sql}")))
+        .unwrap();
+    assert_eq!(explained.status, 200, "{}", explained.body);
+    let v = opine_server::json::parse(&explained.body).expect("traced body is valid JSON");
+    let stages = match v.get("trace").and_then(|t| t.get("stages")) {
+        Some(opine_server::JsonValue::Array(items)) => items,
+        other => panic!("expected a stages array, got {other:?}"),
+    };
+    let repairs = stages
+        .iter()
+        .find(|s| s.get("stage").and_then(|n| n.as_str()) == Some("ta_topk"))
+        .and_then(|s| s.get("counters")?.get("cache_repairs")?.as_f64())
+        .unwrap_or(0.0);
+    assert!(repairs >= 1.0, "no cache_repairs in {}", explained.body);
 }

@@ -45,12 +45,13 @@ pub const STAGES: [&str; 11] = [
 
 /// Stage-native counter names. Each stage may bump any of these; the
 /// snapshot only reports non-zero cells.
-pub const COUNTERS: [&str; 7] = [
+pub const COUNTERS: [&str; 8] = [
     "candidates",
     "heap_pops",
     "blocks_skipped",
     "cache_hits",
     "cache_misses",
+    "cache_repairs",
     "rows",
     "scored",
 ];
