@@ -30,7 +30,7 @@ use crate::membership::{
 };
 use crate::par;
 use crate::summary::{MarkerSet, MarkerSummary};
-use opine_ir::{Bm25Params, InvertedIndex};
+use opine_ir::Bm25Params;
 use opine_store::FuzzyAlgebra;
 use opine_text::WordId;
 use std::sync::atomic::Ordering::Relaxed;
@@ -284,18 +284,6 @@ fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// The pinned delta's frozen text index, when it spans every entity
-/// (doc id == entity id) — `None` until the first merge. Both the
-/// point and the dense text paths add its BM25 contribution with
-/// one `f64` add under this same guard, so their bit-identity
-/// survives live ingest.
-fn delta_text_index(pin: &Pin, num_entities: usize) -> Option<&InvertedIndex> {
-    pin.delta
-        .text_index
-        .as_deref()
-        .filter(|index| index.num_docs() == num_entities)
-}
-
 impl OpineDb {
     /// The dense degree column of a predicate over all entities, cached
     /// when the degree cache is enabled. Degrees are computed in
@@ -311,21 +299,31 @@ impl OpineDb {
     }
 
     fn degree_column_pinned(&self, predicate: &str, pin: &Pin) -> Arc<DegreeColumn> {
+        let cached = if self.caching() {
+            self.column_cache.get(predicate)
+        } else {
+            None
+        };
+        self.column_from(predicate, pin, cached)
+    }
+
+    /// The column of `predicate` for `pin`, given what a probe of the
+    /// column cache found (`None`: nothing, or caching is off).
+    pub(crate) fn column_from(
+        &self,
+        predicate: &str,
+        pin: &Pin,
+        cached: Option<(u64, Arc<DegreeColumn>)>,
+    ) -> Arc<DegreeColumn> {
         let mut cacheable = self.caching();
         if cacheable {
-            if let Some((stamp, column)) = self.column_cache.get(predicate) {
+            if let Some((stamp, column)) = cached {
                 if stamp == pin.epoch {
                     opine_trace::count("ta_topk", "cache_hits", 1);
                     return column;
                 }
                 if stamp < pin.epoch {
-                    let mut stale: Vec<usize> = pin
-                        .delta
-                        .entity_versions
-                        .iter()
-                        .filter(|&(_, &version)| version > stamp)
-                        .map(|(&entity, _)| entity)
-                        .collect();
+                    let stale = pin.delta.changed_since(stamp);
                     if stale.is_empty() {
                         // Nothing the column depends on changed across
                         // those epochs; restamp so the next probe hits
@@ -335,7 +333,6 @@ impl OpineDb {
                             .insert(predicate, (pin.epoch, column.clone()));
                         return column;
                     }
-                    stale.sort_unstable();
                     opine_trace::count("ta_topk", "cache_repairs", 1);
                     let prepared = self.prepare_interpretation(predicate);
                     let updates: Vec<(usize, f64)> = stale
@@ -362,19 +359,14 @@ impl OpineDb {
             // index's posting lists (O(total postings)) instead of a
             // per-entity per-term lookup — bit-identical to the point
             // path, which sums the same contributions per document.
-            // The pinned delta's text index (present after a merge)
-            // contributes through the identical dense pass, added as
-            // one `f64` add per entity exactly like the point path.
+            // The pinned delta's merged text contributes through its
+            // own dense pass, added as one `f64` add per entity exactly
+            // like the point path.
             PreparedInterpretation::Text { terms }
                 if self.entity_index.num_docs() == self.num_entities() =>
             {
                 let mut scores = self.entity_index.bm25_dense(terms, &Bm25Params::default());
-                if let Some(index) = delta_text_index(pin, self.num_entities()) {
-                    let delta_scores = index.bm25_dense(terms, &Bm25Params::default());
-                    for (score, delta) in scores.iter_mut().zip(&delta_scores) {
-                        *score += delta;
-                    }
-                }
+                pin.delta.add_text_scores(terms, &mut scores);
                 scores
                     .into_iter()
                     .map(|score| sigmoid(score - self.config.sigmoid_c))
@@ -462,10 +454,8 @@ impl OpineDb {
             let occs = &self.raw[entity][attribute];
             let delta_occs = pin
                 .delta
-                .cells
-                .get(&(entity, attribute))
-                .map(|cell| cell.occs.as_slice())
-                .unwrap_or(&[]);
+                .cell(entity, attribute)
+                .map_or(&[][..], |cell| cell.occs.as_slice());
             let variations = self.opinion_domains[attribute].variations();
             let phrase_refs: Vec<(&[f32], f64)> = occs
                 .iter()
@@ -478,7 +468,7 @@ impl OpineDb {
                 term.phrase.sentiment,
             ));
         }
-        match pin.delta.summaries.get(&(entity, attribute)) {
+        match pin.delta.summary(entity, attribute) {
             None => self.membership_markers.degree(&features_from_row(
                 self.plane.row(attribute, entity),
                 &term.sims,
@@ -525,8 +515,8 @@ impl OpineDb {
     pub(crate) fn text_degree_terms(&self, entity: usize, terms: &[WordId], pin: &Pin) -> f64 {
         let doc = opine_ir::DocId(entity as u32);
         let mut score = self.entity_index.bm25(doc, terms, &Bm25Params::default());
-        if let Some(index) = delta_text_index(pin, self.num_entities()) {
-            score += index.bm25(doc, terms, &Bm25Params::default());
+        if let Some(delta) = pin.delta.text_score(entity, terms, self.num_entities()) {
+            score += delta;
         }
         sigmoid(score - self.config.sigmoid_c)
     }

@@ -9,7 +9,7 @@ use crate::cache::{BoundedCache, CacheStats};
 pub use crate::column::DegreeColumn;
 use crate::column::{FeaturePlane, PreparedInterpretation};
 use crate::domain::LinguisticDomain;
-use crate::ingest::{DeltaState, IngestReceipt, IngestState, PhraseMatcher, Pin};
+use crate::ingest::{DeltaState, IngestState, Pin};
 use crate::interpret::{Interpretation, Interpreter};
 use crate::membership::MembershipModel;
 use crate::par;
@@ -21,11 +21,12 @@ use opine_sentiment::SentimentAnalyzer;
 use opine_store::ast::ColumnRef;
 use opine_store::exec::{execute_with_algebra, SubjectiveScorer};
 use opine_store::{
-    execute_lazy_with_overlay, parse_insert, parse_select, Bitmap, Catalog, FuzzyAlgebra,
-    InsertStmt, ResultSet, ReviewQualifier, ScoredRows, Select, StoreError, Value,
+    execute_lazy_with_overlay, parse_select, Bitmap, Catalog, FuzzyAlgebra, ResultSet,
+    ReviewQualifier, ScoredRows, Select, StoreError, Value,
 };
 use opine_text::Vocab;
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Borrow;
+use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, OnceLock};
 
@@ -147,6 +148,15 @@ pub struct CacheReport {
     /// statements) — the `filtered_summary_queries` counter in `/stats`
     /// that the serve-smoke CI job guards.
     pub filtered_summary_queries: u64,
+    /// Cached qualified sets brought to a newer epoch by re-aggregating
+    /// only the entities that changed since their stamp.
+    pub qualified_repairs: u64,
+    /// Entities those repairs re-aggregated.
+    pub qualified_repaired_entities: u64,
+    /// Point-degree lookups that found their predicate's cached column
+    /// stale and repaired it once for the epoch instead of computing
+    /// the point.
+    pub column_point_repairs: u64,
     /// Top-k retrievals answered by the Block-Max-WAND path, summed
     /// over the review index (co-occurrence interpretation) and the
     /// entity index (text fallback) — the `/stats` counter the
@@ -178,6 +188,11 @@ pub struct CacheReport {
     /// Delta merges that failed and were rolled back — the previous
     /// epoch kept serving. The chaos-smoke CI job greps this.
     pub failed_merges: u64,
+    /// Delta nodes (entity rows, spine chunks, reviewer shards) that
+    /// publishes copied — the copy-on-write cost of ingest.
+    pub delta_rows_copied: u64,
+    /// Approximate heap bytes of the current delta generation.
+    pub delta_bytes: usize,
 }
 
 /// One exported value of a [`CacheReport`] field, typed so each metrics
@@ -225,6 +240,12 @@ impl CacheReport {
                 "filtered_summary_queries",
                 Counter(self.filtered_summary_queries),
             ),
+            ("qualified_repairs", Counter(self.qualified_repairs)),
+            (
+                "qualified_repaired_entities",
+                Counter(self.qualified_repaired_entities),
+            ),
+            ("column_point_repairs", Counter(self.column_point_repairs)),
             ("wand_queries", Counter(self.wand_queries)),
             ("exhaustive_queries", Counter(self.exhaustive_queries)),
             ("blocks_skipped", Counter(self.blocks_skipped)),
@@ -235,10 +256,20 @@ impl CacheReport {
             ("inserted_reviews", Counter(self.inserted_reviews)),
             ("delta_merges", Counter(self.delta_merges)),
             ("failed_merges", Counter(self.failed_merges)),
+            ("delta_rows_copied", Counter(self.delta_rows_copied)),
+            ("delta_bytes", Gauge(self.delta_bytes as u64)),
         ]
         .into_iter()
     }
 }
+
+/// One entity's review-qualified summaries, one per attribute. Shared
+/// between the generations of a cached set: a repair replaces only the
+/// rows of the entities that changed.
+pub type QualifiedRow = Arc<Vec<MarkerSummary>>;
+
+/// A review-qualified summary set: `set[entity][attribute]`.
+pub type QualifiedSummaries = Arc<Vec<QualifiedRow>>;
 
 /// A query phrase prepared for membership scoring: its normalized
 /// embedding and sentiment, computed once instead of once per entity.
@@ -333,7 +364,7 @@ fn degree_bucket(count: u32) -> u8 {
 /// straddle refinement, and the raw-scan rebuild. Sharing it (and the
 /// fixed-point accumulators underneath) is what makes every route
 /// produce bit-identical summaries.
-fn occ_contribution<'a>(
+pub(crate) fn occ_contribution<'a>(
     domain: &'a LinguisticDomain,
     markers: &MarkerSet,
     config: &BuildConfig,
@@ -375,22 +406,6 @@ fn classify_bucket(bucket: u8, min_count: u32) -> BucketCut {
     }
 }
 
-/// One validated `INSERT` row, resolved against the frozen entity set.
-struct InsertRow {
-    entity: usize,
-    text: String,
-    /// `None` defaults to a fresh reviewer id at apply time.
-    reviewer_id: Option<usize>,
-    year: u32,
-    helpful_votes: u32,
-}
-
-/// An `INSERT` rejection (shape/typing/unknown-entity problems surface
-/// as execution errors, like the executor's own validation does).
-fn insert_error(message: String) -> OpineError {
-    OpineError::Store(StoreError::Execution(message))
-}
-
 /// The subjective database engine.
 pub struct OpineDb {
     /// Subjective attribute names, index-aligned with the domain spec.
@@ -410,15 +425,15 @@ pub struct OpineDb {
     pub(crate) entity_index: InvertedIndex,
     catalog: Catalog,
     entity_table: String,
-    entity_keys: Vec<String>,
+    pub(crate) entity_keys: Vec<String>,
     key_to_entity: HashMap<String, usize>,
-    review_meta: Vec<ReviewMeta>,
+    pub(crate) review_meta: Vec<ReviewMeta>,
     /// Reviews aggregated per entity, precomputed at build time (the
     /// old `review_count` walked every review per call).
     entity_review_counts: Vec<u32>,
     /// Reviews written per reviewer id — the degree the qualifier's
     /// `reviewer_min_count` thresholds compare against.
-    reviewer_counts: Vec<u32>,
+    pub(crate) reviewer_counts: Vec<u32>,
     /// Per `(entity, attribute)`: raw occurrences partitioned by
     /// `(year, reviewer degree)` into mergeable partial summaries,
     /// grouped into log2-degree bucket atoms over a flat accumulator
@@ -460,19 +475,25 @@ pub struct OpineDb {
     ta_queries: std::sync::atomic::AtomicU64,
     /// TA rankings that carried an objective candidate bitmap.
     pushdown_queries: std::sync::atomic::AtomicU64,
-    /// Qualifier rendering → merged summary set, so repeated
-    /// review-qualified statements (the interactive case) skip even the
-    /// bucket merge.
-    filtered_cache: BoundedCache<Arc<Vec<Vec<MarkerSummary>>>>,
+    /// Qualifier rendering → qualified summary set stamped with the
+    /// epoch it is exact for, so repeated review-qualified statements
+    /// (the interactive case) skip even the bucket merge and a newer
+    /// pin repairs only what changed since the stamp.
+    filtered_cache: BoundedCache<(u64, QualifiedSummaries)>,
     /// Review-qualified rankings served (the `/stats`
     /// `filtered_summary_queries` counter).
     qualified_queries: std::sync::atomic::AtomicU64,
+    /// Stale qualified sets repaired / entities they re-aggregated.
+    qualified_repairs: std::sync::atomic::AtomicU64,
+    qualified_repaired_entities: std::sync::atomic::AtomicU64,
+    /// Stale columns repaired from the point path.
+    column_point_repairs: std::sync::atomic::AtomicU64,
     /// Queries cancelled by an expired deadline (mapped to
     /// [`OpineError::QueryTimeout`] at the query entry).
     timed_out_queries: std::sync::atomic::AtomicU64,
     /// Live ingest: the published delta generation, the writer lock,
     /// and the ingest counters.
-    ingest: IngestState,
+    pub(crate) ingest: IngestState,
 }
 
 impl OpineDb {
@@ -615,6 +636,9 @@ impl OpineDb {
             pushdown_queries: std::sync::atomic::AtomicU64::new(0),
             filtered_cache: BoundedCache::new(16),
             qualified_queries: std::sync::atomic::AtomicU64::new(0),
+            qualified_repairs: std::sync::atomic::AtomicU64::new(0),
+            qualified_repaired_entities: std::sync::atomic::AtomicU64::new(0),
+            column_point_repairs: std::sync::atomic::AtomicU64::new(0),
             timed_out_queries: std::sync::atomic::AtomicU64::new(0),
             ingest: IngestState::new(),
         }
@@ -813,6 +837,9 @@ impl OpineDb {
             filtered_summaries: self.filtered_cache.stats(),
             filtered_summary_sets: self.filtered_cache.len(),
             filtered_summary_queries: self.qualified_queries(),
+            qualified_repairs: self.qualified_repairs.load(Relaxed),
+            qualified_repaired_entities: self.qualified_repaired_entities.load(Relaxed),
+            column_point_repairs: self.column_point_repairs.load(Relaxed),
             wand_queries: review_ir.wand_queries + entity_ir.wand_queries,
             exhaustive_queries: review_ir.exhaustive_queries + entity_ir.exhaustive_queries,
             blocks_skipped: review_ir.blocks_skipped + entity_ir.blocks_skipped,
@@ -821,10 +848,12 @@ impl OpineDb {
                 .load(std::sync::atomic::Ordering::Relaxed),
             faults_injected: opine_faults::injected_total(),
             ingest_epoch: delta.epoch(),
-            delta_reviews: delta.value().meta.len() as u64,
+            delta_reviews: delta.value().reviews() as u64,
             inserted_reviews: self.ingest.inserted_reviews.load(Relaxed),
             delta_merges: self.ingest.delta_merges.load(Relaxed),
             failed_merges: self.ingest.failed_merges.load(Relaxed),
+            delta_rows_copied: self.ingest.delta_rows_copied.load(Relaxed),
+            delta_bytes: delta.value().memory_bytes(),
         }
     }
 
@@ -1014,11 +1043,23 @@ impl OpineDb {
                         if let Some(degrees) = column.degrees() {
                             return degrees[entity];
                         }
+                    } else if stamp < pin.epoch {
+                        // Stale for this entity only: repair the column
+                        // once for this epoch (the entities changed
+                        // since the stamp recompute) so the statement's
+                        // other rows, and every later statement's, stay
+                        // on the dense read above.
+                        self.column_point_repairs.fetch_add(1, Relaxed);
+                        let repaired = self.column_from(predicate, pin, Some((stamp, column)));
+                        if let Some(degrees) = repaired.degrees() {
+                            return degrees[entity];
+                        }
                     }
                 }
             }
-            // `\u{1}` cannot occur in tokenized predicate text, so the
-            // composite key is unambiguous.
+            // No cached column (or one from this pin's future): memoize
+            // the point. `\u{1}` cannot occur in tokenized predicate
+            // text, so the composite key is unambiguous.
             let key = format!("{entity}\u{1}{predicate}");
             if let Some((stamp, degree)) = self.point_cache.get(&key) {
                 if Self::entry_fresh(stamp, entity, pin) {
@@ -1231,10 +1272,9 @@ impl OpineDb {
                 }
             }
             // The pinned delta's occurrences re-aggregate through the
-            // identical contribution path. Map iteration order varies,
-            // but fixed-point accumulation is commutative bit-for-bit,
-            // so the aggregates (not provenance order) are stable.
-            for (&(entity, attr), cell) in &pin.delta.cells {
+            // identical contribution path (fixed-point accumulation is
+            // commutative bit-for-bit, so the order does not matter).
+            for (entity, attr, cell) in pin.delta.cells() {
                 for occ in &cell.occs {
                     opine_faults::checkpoint();
                     let meta = self.review_meta_at(&pin.delta, occ.review_id);
@@ -1268,134 +1308,184 @@ impl OpineDb {
     /// [`ReviewQualifier::accepts`] (modulo provenance, which the merge
     /// path deliberately drops).
     ///
-    /// Merged sets are cached (bounded) by the qualifier's canonical
-    /// rendering; repeated qualified statements cost a hash probe.
-    pub fn summaries_qualified(&self, qualifier: &ReviewQualifier) -> Arc<Vec<Vec<MarkerSummary>>> {
+    /// Sets are cached (bounded) by the qualifier's canonical rendering
+    /// and stamped with the epoch they are exact for. A pin at that
+    /// epoch costs a hash probe; a newer pin **repairs** the set: it
+    /// shares every row but those of the entities whose qualified
+    /// version moved past the stamp (their own inserts, or a review
+    /// gained elsewhere by one of their reviewers), which re-aggregate
+    /// exactly from base + pinned-delta occurrences under live reviewer
+    /// counts. A cold set is the base-only bucket merge — exact for
+    /// epoch 0 — repaired the same way; a set from the pin's future is
+    /// rebuilt privately, as degree columns are.
+    pub fn summaries_qualified(&self, qualifier: &ReviewQualifier) -> QualifiedSummaries {
         self.ensure_pinned(|pin| {
-            // Epoch-prefixed key: a publish invalidates by cache miss,
-            // not by flushing, so queries pinned before the publish
-            // keep hitting their own generation's entries.
-            let key = format!("{}\u{1}{}", pin.epoch, qualifier);
-            if self.caching() {
-                if let Some(hit) = self.filtered_cache.get(&key) {
-                    opine_trace::count("summary_merge", "cache_hits", 1);
-                    return hit;
+            let key = qualifier.to_string();
+            let mut cacheable = self.caching();
+            let found = if cacheable {
+                self.filtered_cache.get(&key)
+            } else {
+                None
+            };
+            let missed = found.is_none();
+            if !missed {
+                opine_trace::count("summary_merge", "cache_hits", 1);
+            }
+            let stale = match found {
+                Some((stamp, set)) if stamp == pin.epoch => return set,
+                Some((stamp, set)) if stamp < pin.epoch => Some((stamp, set)),
+                // A set from this pin's future keeps its stamp.
+                Some(_) => {
+                    cacheable = false;
+                    None
                 }
-            }
+                None => None,
+            };
             let span = opine_trace::span("summary_merge");
-            span.count("cache_misses", 1);
-            let merged = Arc::new(self.merge_qualified(qualifier, pin));
+            let (stamp, set) = stale.unwrap_or_else(|| {
+                if missed {
+                    span.count("cache_misses", 1);
+                }
+                (0, Arc::new(self.merge_base_partials(qualifier)))
+            });
+            let set = self.repair_qualified(qualifier, stamp, set, pin, &span);
             drop(span);
-            if self.caching() {
-                self.filtered_cache.insert(&key, merged.clone());
+            if cacheable {
+                self.filtered_cache.insert(&key, (pin.epoch, set.clone()));
             }
-            merged
+            set
         })
     }
 
-    /// The bucket-merge itself, parallel over entity chunks.
-    ///
-    /// Delta handling: the base atoms merge as before; each delta
-    /// cell's per-year partials (frozen by the last merge) merge under
-    /// the same year bounds, and the small unsealed tail (bounded by
-    /// the merge threshold) re-resolves its occurrences directly. One
-    /// exception — a reviewer-degree threshold compares against *live*
-    /// review counts, which delta inserts can shift across the
-    /// build-time log2 buckets; with a live delta such qualifiers take
-    /// the exact raw rescan instead of the bucket merge, trading the
-    /// shortcut for correctness (the staleness bug this PR fixes).
-    fn merge_qualified(&self, qualifier: &ReviewQualifier, pin: &Pin) -> Vec<Vec<MarkerSummary>> {
-        opine_faults::fire_panic("summary_merge");
-        if qualifier.min_reviewer_count.is_some() && !pin.delta.is_empty() {
-            return self.summaries_with_review_filter(|m| {
-                qualifier.accepts(m.year, self.reviewer_review_count(m.reviewer_id) as u32)
-            });
+    /// Brings `set`, exact for epoch `stamp`, to `pin`: the entities
+    /// whose qualified version moved in `(stamp, pin.epoch]` re-aggregate
+    /// from their raw occurrences, every other row is shared.
+    fn repair_qualified(
+        &self,
+        qualifier: &ReviewQualifier,
+        stamp: u64,
+        mut set: QualifiedSummaries,
+        pin: &Pin,
+        span: &opine_trace::SpanGuard,
+    ) -> QualifiedSummaries {
+        let dirty = pin.delta.qualified_changed_since(stamp);
+        if dirty.is_empty() {
+            return set;
         }
+        self.qualified_repairs.fetch_add(1, Relaxed);
+        self.qualified_repaired_entities
+            .fetch_add(dirty.len() as u64, Relaxed);
+        span.count("repairs", 1);
+        span.count("repaired_entities", dirty.len() as u64);
+        let rows = Arc::make_mut(&mut set);
+        for entity in dirty {
+            opine_faults::checkpoint();
+            rows[entity] = Arc::new(
+                (0..self.attributes.len())
+                    .map(|attr| self.requalify_cell(entity, attr, qualifier, pin))
+                    .collect(),
+            );
+        }
+        set
+    }
+
+    /// The qualified summary of one cell, re-aggregated from its base
+    /// and pinned-delta occurrences under live reviewer counts — the
+    /// per-cell body of [`Self::summaries_with_review_filter`] over
+    /// [`ReviewQualifier::accepts`], provenance off.
+    fn requalify_cell(
+        &self,
+        entity: usize,
+        attr: usize,
+        qualifier: &ReviewQualifier,
+        pin: &Pin,
+    ) -> MarkerSummary {
+        let markers = self.marker_set(attr);
+        let mut out = MarkerSummary::empty(markers.markers.len());
+        let delta_occs = pin
+            .delta
+            .cell(entity, attr)
+            .map_or(&[][..], |cell| cell.occs.as_slice());
+        for occ in self.raw[entity][attr].iter().chain(delta_occs) {
+            opine_faults::checkpoint();
+            let meta = self.review_meta_at(&pin.delta, occ.review_id);
+            let count = self.reviewer_count_at(&pin.delta, meta.reviewer_id);
+            if !qualifier.accepts(meta.year, count) {
+                continue;
+            }
+            let contribution =
+                occ_contribution(&self.opinion_domains[attr], markers, &self.config, occ);
+            out.apply(&contribution, false);
+        }
+        out
+    }
+
+    /// The bucket merge over the build-time partials, parallel over
+    /// entity chunks: the qualified set of the base alone (no delta
+    /// review, build-time reviewer counts), which is what every entity
+    /// untouched by ingest still has.
+    fn merge_base_partials(&self, qualifier: &ReviewQualifier) -> Vec<QualifiedRow> {
+        opine_faults::fire_panic("summary_merge");
         par::par_map(self.num_entities(), |entity| {
             opine_faults::checkpoint();
-            (0..self.attributes.len())
-                .map(|attr| {
-                    let k = self.marker_set(attr).markers.len();
-                    let cell = &self.partials[entity][attr];
-                    let mut out = MarkerSummary::empty(k);
-                    // lint:allow(checkpoint_coverage, reason = "bounded by years x degree-buckets per entity; the par_map closure checkpoints per entity")
-                    for atom in &cell.atoms {
-                        if qualifier.min_year.is_some_and(|y| atom.year < y)
-                            || qualifier.max_year.is_some_and(|y| atom.year > y)
-                        {
-                            continue;
-                        }
-                        let cut = match qualifier.min_reviewer_count {
-                            None => BucketCut::Full,
-                            Some(t) => classify_bucket(atom.degree_bucket, t),
-                        };
-                        match cut {
-                            BucketCut::Full => {
-                                for s in atom.start..atom.end {
-                                    cell.merge_sub(s as usize, k, &mut out);
-                                }
+            Arc::new(
+                (0..self.attributes.len())
+                    .map(|attr| {
+                        let k = self.marker_set(attr).markers.len();
+                        let cell = &self.partials[entity][attr];
+                        let mut out = MarkerSummary::empty(k);
+                        // lint:allow(checkpoint_coverage, reason = "bounded by years x degree-buckets per entity; the par_map closure checkpoints per entity")
+                        for atom in &cell.atoms {
+                            if qualifier.min_year.is_some_and(|y| atom.year < y)
+                                || qualifier.max_year.is_some_and(|y| atom.year > y)
+                            {
+                                continue;
                             }
-                            BucketCut::Out => {}
-                            BucketCut::Straddle => {
-                                // The threshold cuts through this degree
-                                // bucket: merge just the qualifying
-                                // exact-degree sub-partials (sorted, so
-                                // the prefix below the threshold skips).
-                                let t = qualifier.min_reviewer_count.expect("straddle needs t");
-                                for s in atom.start..atom.end {
-                                    if cell.degrees[s as usize] >= t {
+                            let cut = match qualifier.min_reviewer_count {
+                                None => BucketCut::Full,
+                                Some(t) => classify_bucket(atom.degree_bucket, t),
+                            };
+                            match cut {
+                                BucketCut::Full => {
+                                    for s in atom.start..atom.end {
                                         cell.merge_sub(s as usize, k, &mut out);
+                                    }
+                                }
+                                BucketCut::Out => {}
+                                BucketCut::Straddle => {
+                                    // The threshold cuts through this degree
+                                    // bucket: merge just the qualifying
+                                    // exact-degree sub-partials (sorted, so
+                                    // the prefix below the threshold skips).
+                                    let t = qualifier.min_reviewer_count.expect("straddle needs t");
+                                    for s in atom.start..atom.end {
+                                        if cell.degrees[s as usize] >= t {
+                                            cell.merge_sub(s as usize, k, &mut out);
+                                        }
                                     }
                                 }
                             }
                         }
-                    }
-                    // Delta side (no reviewer threshold reaches here):
-                    // merged per-year partials + the unsealed tail.
-                    if let Some(delta_cell) = pin.delta.cells.get(&(entity, attr)) {
-                        // lint:allow(checkpoint_coverage, reason = "bounded by distinct delta years; the par_map closure checkpoints per entity")
-                        for (year, partial) in &delta_cell.year_partials {
-                            if qualifier.min_year.is_some_and(|y| *year < y)
-                                || qualifier.max_year.is_some_and(|y| *year > y)
-                            {
-                                continue;
-                            }
-                            out.merge(partial);
-                        }
-                        for occ in &delta_cell.occs[delta_cell.sealed..] {
-                            opine_faults::checkpoint();
-                            let meta = self.review_meta_at(&pin.delta, occ.review_id);
-                            if qualifier.min_year.is_some_and(|y| meta.year < y)
-                                || qualifier.max_year.is_some_and(|y| meta.year > y)
-                            {
-                                continue;
-                            }
-                            let contribution = occ_contribution(
-                                &self.opinion_domains[attr],
-                                self.marker_set(attr),
-                                &self.config,
-                                occ,
-                            );
-                            out.apply(&contribution, false);
-                        }
-                    }
-                    out
-                })
-                .collect()
+                        out
+                    })
+                    .collect(),
+            )
         })
     }
 
     /// Degree of `attribute .= phrase` computed over externally supplied
     /// summaries (pairs with [`Self::summaries_with_review_filter`]).
-    pub fn attribute_degree_with_summaries(
+    /// Rows may be owned (`Vec<Vec<MarkerSummary>>`, the rescan's) or
+    /// shared ([`QualifiedSummaries`]).
+    pub fn attribute_degree_with_summaries<R: Borrow<Vec<MarkerSummary>>>(
         &self,
-        summaries: &[Vec<MarkerSummary>],
+        summaries: &[R],
         entity: usize,
         attribute: usize,
         phrase: &str,
     ) -> f64 {
         let term = self.prepare_term(attribute, phrase);
-        self.summary_term_degree(&summaries[entity][attribute], &term)
+        self.summary_term_degree(&summaries[entity].borrow()[attribute], &term)
     }
 
     /// Number of reviews aggregated for an entity: the build-time count
@@ -1403,24 +1493,22 @@ impl OpineDb {
     /// every review in the corpus per call).
     pub fn review_count(&self, entity: usize) -> usize {
         let pin = self.pinned();
-        self.entity_review_counts[entity] as usize
-            + pin.delta.entity_counts.get(&entity).copied().unwrap_or(0) as usize
+        self.entity_review_counts[entity] as usize + pin.delta.entity_reviews(entity) as usize
     }
 
     /// Number of reviews written by a reviewer — the degree the
     /// qualifier's `reviewer_min_count` thresholds compare against.
-    /// Live: includes the pinned delta's reviews, which is why a
-    /// reviewer-threshold qualifier over a non-empty delta must rescan
-    /// instead of merging the build-time degree buckets.
+    /// Live: includes the pinned delta's reviews, which is why an
+    /// insert re-qualifies every entity its reviewer ever reviewed.
     pub fn reviewer_review_count(&self, reviewer_id: usize) -> usize {
-        let pin = self.pinned();
-        self.reviewer_counts.get(reviewer_id).copied().unwrap_or(0) as usize
-            + pin
-                .delta
-                .reviewer_counts
-                .get(&reviewer_id)
-                .copied()
-                .unwrap_or(0) as usize
+        self.reviewer_count_at(&self.pinned().delta, reviewer_id) as usize
+    }
+
+    /// [`Self::reviewer_review_count`] against an explicit generation.
+    #[inline]
+    fn reviewer_count_at(&self, delta: &DeltaState, reviewer_id: usize) -> u32 {
+        self.reviewer_counts.get(reviewer_id).copied().unwrap_or(0)
+            + delta.reviewer_count(reviewer_id)
     }
 
     /// Resolves an attribute name to its index.
@@ -1470,429 +1558,6 @@ impl OpineDb {
             })
             .as_ref()
     }
-
-    // ------------------------------------------------------------------
-    // Live ingest: snapshot pins, INSERT execution, the delta merge.
-    // ------------------------------------------------------------------
-
-    /// Runs `f` under a pinned delta generation: the pin already
-    /// installed on this thread (so every read inside one query shares
-    /// a generation), else the currently published generation installed
-    /// for the duration of `f`. Every delta-aware entry point goes
-    /// through this — it is what makes a whole request observe exactly
-    /// one epoch.
-    pub(crate) fn ensure_pinned<T>(&self, f: impl FnOnce(&Pin) -> T) -> T {
-        if let Some(pin) = crate::ingest::current_pin() {
-            return f(&pin);
-        }
-        let snap = self.ingest.cell.load();
-        let pin = Pin {
-            epoch: snap.epoch(),
-            delta: snap.value().clone(),
-        };
-        crate::ingest::with_pin(Some(pin.clone()), || f(&pin))
-    }
-
-    /// The delta generation this thread's query pinned, or (outside a
-    /// query) the currently published one. Leaf reads that don't
-    /// recurse into other delta-aware paths use this instead of
-    /// [`Self::ensure_pinned`].
-    fn pinned(&self) -> Pin {
-        crate::ingest::current_pin().unwrap_or_else(|| {
-            let snap = self.ingest.cell.load();
-            Pin {
-                epoch: snap.epoch(),
-                delta: snap.value().clone(),
-            }
-        })
-    }
-
-    /// Whether an epoch-stamped cache entry is valid for `entity` under
-    /// `pin`: the entry must not come from the pin's future (snapshot
-    /// isolation for queries pinned before a publish), and the entity
-    /// must not have changed since the entry was stamped (per-entity
-    /// precision — an insert into entity A never invalidates entity
-    /// B's memoized degrees).
-    #[inline]
-    fn entry_fresh(stamp: u64, entity: usize, pin: &Pin) -> bool {
-        stamp <= pin.epoch && pin.delta.entity_version(entity) <= stamp
-    }
-
-    /// Metadata of a review by global id: base reviews first, then the
-    /// pinned delta's (delta review `i` has id `base_count + i`).
-    #[inline]
-    fn review_meta_at(&self, delta: &DeltaState, review_id: usize) -> ReviewMeta {
-        if review_id < self.review_meta.len() {
-            self.review_meta[review_id]
-        } else {
-            delta.meta[review_id - self.review_meta.len()]
-        }
-    }
-
-    /// The current data epoch: 0 at build, bumped by every published
-    /// `INSERT` batch and every completed merge.
-    pub fn ingest_epoch(&self) -> u64 {
-        self.ingest.cell.epoch()
-    }
-
-    /// Delta reviews live in the current generation.
-    pub fn delta_reviews(&self) -> usize {
-        self.ingest.cell.load().value().meta.len()
-    }
-
-    /// Sets the unsealed-review count that triggers a merge after an
-    /// insert (clamped to ≥ 1; default
-    /// [`crate::ingest::DEFAULT_MERGE_THRESHOLD`]).
-    pub fn set_merge_threshold(&self, reviews: usize) {
-        // sync: writer-side tuning knob; a racing insert that reads the
-        // old threshold merges one batch early or late, both harmless.
-        self.ingest.merge_threshold.store(reviews.max(1), Relaxed);
-    }
-
-    /// Parses and executes one `INSERT INTO reviews ...` statement.
-    pub fn insert_sql(&self, sql: &str) -> Result<IngestReceipt, OpineError> {
-        let stmt = parse_insert(sql).map_err(|e| OpineError::Parse(e.to_string()))?;
-        self.execute_insert(&stmt)
-    }
-
-    /// Executes an already-parsed `INSERT`, all-or-nothing: the batch
-    /// is validated in full, applied to a copy-on-write clone of the
-    /// delta generation, and published with **one** epoch bump — a
-    /// concurrent query pins either every row of the batch or none.
-    ///
-    /// Only the `reviews` table accepts inserts (the entity set — and
-    /// with it every frozen model artifact — is fixed at build time).
-    /// Columns must be listed by name. `entity` is required; the
-    /// virtual `text` column carries the review text that insert-time
-    /// phrase extraction and the next merge's text-index rebuild
-    /// consume; `reviewer_id`, `year`, and `helpful_votes` are
-    /// optional (`reviewer_id` defaults to a fresh reviewer).
-    /// `review_id` is assigned by the engine and cannot be specified.
-    ///
-    /// When the statement pushes the unsealed delta over the merge
-    /// threshold, the merge runs immediately (still under the writer
-    /// lock) and publishes a second epoch. A merge failure does not
-    /// fail the insert — the batch already published; the merge
-    /// retries at the next threshold crossing.
-    pub fn execute_insert(&self, stmt: &InsertStmt) -> Result<IngestReceipt, OpineError> {
-        let rows = self.validate_insert(stmt)?;
-        // lint:allow(lock_hold, reason = "single writer lock by design: inserts and merges serialize; readers pin generations and never take it")
-        let _writer = self.ingest.writer.lock();
-        let span = opine_trace::span("ingest");
-        let snap = self.ingest.cell.load();
-        // Single writer (the lock above) ⇒ the next publish gets
-        // exactly this epoch; inserted entities are stamped with it.
-        let new_epoch = snap.epoch() + 1;
-        let mut next = (**snap.value()).clone();
-        let matcher = self
-            .ingest
-            .matcher
-            .get_or_init(|| PhraseMatcher::build(&self.opinion_domains));
-        let marker_sets = self.interpreter.marker_sets();
-        for row in &rows {
-            opine_faults::checkpoint();
-            let review_id = self.review_meta.len() + next.meta.len();
-            // Fresh default: past the dense base ids plus one per prior
-            // delta review, so two anonymous inserts never merge into
-            // one reviewer.
-            let reviewer_id = row
-                .reviewer_id
-                .unwrap_or(self.reviewer_counts.len() + next.meta.len());
-            next.overlay.push_row(
-                "reviews",
-                vec![
-                    Value::Int(review_id as i64),
-                    Value::text(&self.entity_keys[row.entity]),
-                    Value::Int(reviewer_id as i64),
-                    Value::Int(i64::from(row.year)),
-                    Value::Int(i64::from(row.helpful_votes)),
-                ],
-            );
-            next.meta.push(ReviewMeta {
-                entity_id: row.entity,
-                reviewer_id,
-                year: row.year,
-                helpful_votes: row.helpful_votes,
-            });
-            *next.entity_counts.entry(row.entity).or_insert(0) += 1;
-            *next.reviewer_counts.entry(reviewer_id).or_insert(0) += 1;
-            next.entity_versions.insert(row.entity, new_epoch);
-            next.unsealed_reviews += 1;
-            if !row.text.is_empty() {
-                let slot = next.texts.entry(row.entity).or_default();
-                if !slot.is_empty() {
-                    slot.push(' ');
-                }
-                slot.push_str(&row.text);
-            }
-            // Insert-time extraction against the frozen domains: each
-            // occurrence lands in its cell and folds into the cell's
-            // running summary through the same fixed-point contribution
-            // path the build uses.
-            for (attr, variation) in matcher.extract(&row.text) {
-                opine_faults::checkpoint();
-                let occ = PhraseOcc {
-                    variation,
-                    sentiment: self.opinion_domains[attr].variations()[variation].sentiment,
-                    review_id,
-                };
-                let contribution = occ_contribution(
-                    &self.opinion_domains[attr],
-                    &marker_sets[attr],
-                    &self.config,
-                    &occ,
-                );
-                next.summaries
-                    .entry((row.entity, attr))
-                    .or_insert_with(|| MarkerSummary::empty(marker_sets[attr].markers.len()))
-                    .apply(&contribution, false);
-                next.cells
-                    .entry((row.entity, attr))
-                    .or_default()
-                    .occs
-                    .push(occ);
-            }
-        }
-        let unsealed = next.unsealed_reviews;
-        span.count("rows", rows.len() as u64);
-        let published = self.ingest.cell.publish(next);
-        debug_assert_eq!(published, new_epoch);
-        self.ingest
-            .inserted_reviews
-            .fetch_add(rows.len() as u64, Relaxed);
-        drop(span);
-
-        // Threshold merge, still under the writer lock so no other
-        // insert interleaves between the batch publish and the merge
-        // publish.
-        // sync: tuning knob; a stale threshold merges a batch late.
-        let threshold = self.ingest.merge_threshold.load(Relaxed);
-        let merged = unsealed >= threshold && self.merge_delta_locked().is_ok();
-        let snap = self.ingest.cell.load();
-        Ok(IngestReceipt {
-            inserted: rows.len(),
-            epoch: snap.epoch(),
-            delta_reviews: snap.value().meta.len(),
-            merged,
-        })
-    }
-
-    /// Validates the whole statement before anything mutates — every
-    /// rejection surfaces with zero rows applied.
-    fn validate_insert(&self, stmt: &InsertStmt) -> Result<Vec<InsertRow>, OpineError> {
-        if stmt.table != "reviews" {
-            return Err(insert_error(format!(
-                "INSERT supports only the reviews table (the `{}` entity set and every \
-                 model artifact are frozen at build time), got `{}`",
-                self.entity_table, stmt.table
-            )));
-        }
-        if stmt.columns.is_empty() {
-            return Err(insert_error(
-                "INSERT INTO reviews requires a named column list (the virtual `text` \
-                 column is not part of the stored schema)"
-                    .into(),
-            ));
-        }
-        let mut seen: HashMap<&str, usize> = HashMap::new();
-        for (i, name) in stmt.columns.iter().enumerate() {
-            opine_faults::checkpoint();
-            match name.as_str() {
-                "entity" | "text" | "reviewer_id" | "year" | "helpful_votes" => {}
-                "review_id" => {
-                    return Err(insert_error(
-                        "review_id is assigned by the engine and cannot be inserted".into(),
-                    ))
-                }
-                other => {
-                    return Err(insert_error(format!(
-                        "unknown insert column `{other}` \
-                         (allowed: entity, text, reviewer_id, year, helpful_votes)"
-                    )))
-                }
-            }
-            if seen.insert(name.as_str(), i).is_some() {
-                return Err(insert_error(format!("duplicate insert column `{name}`")));
-            }
-        }
-        let Some(&entity_col) = seen.get("entity") else {
-            return Err(insert_error(
-                "INSERT INTO reviews requires the entity column".into(),
-            ));
-        };
-        let mut rows = Vec::with_capacity(stmt.rows.len());
-        for (r, values) in stmt.rows.iter().enumerate() {
-            opine_faults::checkpoint();
-            if values.len() != stmt.columns.len() {
-                return Err(insert_error(format!(
-                    "row {r}: {} values for {} columns",
-                    values.len(),
-                    stmt.columns.len()
-                )));
-            }
-            let int_field = |name: &str| -> Result<Option<i64>, OpineError> {
-                match seen.get(name) {
-                    None => Ok(None),
-                    Some(&c) => match &values[c] {
-                        Value::Int(v) => Ok(Some(*v)),
-                        other => Err(insert_error(format!(
-                            "row {r}: {name} must be an integer, got {other}"
-                        ))),
-                    },
-                }
-            };
-            let key = values[entity_col].as_str().ok_or_else(|| {
-                insert_error(format!("row {r}: entity must be a string key"))
-            })?;
-            let entity = self.entity_id(key).ok_or_else(|| {
-                insert_error(format!(
-                    "row {r}: unknown entity `{key}` (the entity set is frozen at build time)"
-                ))
-            })?;
-            let reviewer_id = match int_field("reviewer_id")? {
-                None => None,
-                Some(v) if v >= 0 => Some(v as usize),
-                Some(v) => {
-                    return Err(insert_error(format!(
-                        "row {r}: reviewer_id must be non-negative, got {v}"
-                    )))
-                }
-            };
-            let year = match int_field("year")? {
-                None => 0,
-                Some(v) if (0..=i64::from(u32::MAX)).contains(&v) => v as u32,
-                Some(v) => return Err(insert_error(format!("row {r}: year out of range: {v}"))),
-            };
-            let helpful_votes = match int_field("helpful_votes")? {
-                None => 0,
-                Some(v) if (0..=i64::from(u32::MAX)).contains(&v) => v as u32,
-                Some(v) => {
-                    return Err(insert_error(format!(
-                        "row {r}: helpful_votes out of range: {v}"
-                    )))
-                }
-            };
-            let text = match seen.get("text") {
-                None => String::new(),
-                Some(&c) => values[c]
-                    .as_str()
-                    .ok_or_else(|| insert_error(format!("row {r}: text must be a string")))?
-                    .to_string(),
-            };
-            rows.push(InsertRow {
-                entity,
-                text,
-                reviewer_id,
-                year,
-                helpful_votes,
-            });
-        }
-        Ok(rows)
-    }
-
-    /// Freezes the delta: seals the overlay tail into `Arc`-shared
-    /// chunks, folds every occurrence into per-year partial summaries,
-    /// rebuilds the per-entity delta text index (block-max frozen, so
-    /// delta BM25 serves through the same WAND machinery as the base
-    /// index), and publishes the frozen artifacts with a single epoch
-    /// bump. On failure (an injected `mid_merge` fault, a cancelled
-    /// deadline) nothing publishes — the previous epoch keeps serving
-    /// — and `failed_merges` increments.
-    pub fn merge_delta(&self) -> Result<u64, OpineError> {
-        // lint:allow(lock_hold, reason = "single writer lock by design: inserts and merges serialize; readers pin generations and never take it")
-        let _writer = self.ingest.writer.lock();
-        self.merge_delta_locked()
-    }
-
-    /// The merge body; the caller holds the writer lock.
-    fn merge_delta_locked(&self) -> Result<u64, OpineError> {
-        let snap = self.ingest.cell.load();
-        if snap.value().unsealed_reviews == 0 {
-            return Ok(snap.epoch());
-        }
-        let span = opine_trace::span("delta_merge");
-        let new_epoch = snap.epoch() + 1;
-        let marker_sets = self.interpreter.marker_sets();
-        // The merge builds a complete successor generation off to the
-        // side and publishes it only if every step succeeds; a panic
-        // (injected fault, expired deadline) is caught — NOT resumed,
-        // unlike the query path — because a failed merge is recoverable
-        // by design: the old generation is untouched and keeps serving.
-        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            opine_faults::fire_panic("mid_merge");
-            let mut next = (**snap.value()).clone();
-            next.overlay.seal();
-            // Fold all occurrences (sealed + tail) into fresh per-year
-            // partials; rebuilding instead of appending keeps one code
-            // path, and the delta stays small by design.
-            for (&(_, attr), cell) in next.cells.iter_mut() {
-                let k = marker_sets[attr].markers.len();
-                let mut by_year: BTreeMap<u32, MarkerSummary> = BTreeMap::new();
-                for occ in &cell.occs {
-                    opine_faults::checkpoint();
-                    let year = if occ.review_id < self.review_meta.len() {
-                        self.review_meta[occ.review_id].year
-                    } else {
-                        snap.value().meta[occ.review_id - self.review_meta.len()].year
-                    };
-                    let contribution = occ_contribution(
-                        &self.opinion_domains[attr],
-                        &marker_sets[attr],
-                        &self.config,
-                        occ,
-                    );
-                    by_year
-                        .entry(year)
-                        .or_insert_with(|| MarkerSummary::empty(k))
-                        .apply(&contribution, false);
-                }
-                cell.year_partials = by_year.into_iter().collect();
-                cell.sealed = cell.occs.len();
-            }
-            // Rebuild the delta text index over every entity's merged
-            // delta text (doc id == entity id so dense BM25 aligns
-            // with the base index), vocabulary frozen.
-            let mut index = InvertedIndex::new();
-            for entity in 0..self.num_entities() {
-                opine_faults::checkpoint();
-                let text = next.texts.get(&entity).map(String::as_str).unwrap_or("");
-                index.add_document_frozen_vocab(text, &self.vocab);
-            }
-            index.freeze();
-            next.text_index = Some(Arc::new(index));
-            // The merge changes these reviews' text-retrieval
-            // contribution, so their entities must invalidate
-            // epoch-stamped cache entries from before it.
-            for i in next.merged_reviews..next.meta.len() {
-                let entity = next.meta[i].entity_id;
-                next.entity_versions.insert(entity, new_epoch);
-            }
-            next.merged_reviews = next.meta.len();
-            next.unsealed_reviews = 0;
-            next
-        }));
-        match built {
-            Ok(next) => {
-                let epoch = self.ingest.cell.publish(next);
-                debug_assert_eq!(epoch, new_epoch);
-                self.ingest.delta_merges.fetch_add(1, Relaxed);
-                drop(span);
-                Ok(epoch)
-            }
-            Err(payload) => {
-                self.ingest.failed_merges.fetch_add(1, Relaxed);
-                drop(span);
-                if payload.is::<opine_faults::Cancelled>() {
-                    Err(OpineError::QueryTimeout)
-                } else {
-                    Err(OpineError::Store(StoreError::Execution(
-                        "delta merge failed and was rolled back; the previous epoch keeps serving"
-                            .into(),
-                    )))
-                }
-            }
-        }
-    }
 }
 
 /// A scorer view over one review qualifier's merged summaries: every
@@ -1908,7 +1573,7 @@ impl OpineDb {
 /// statements score row-at-a-time over the merged summaries.
 pub struct QualifiedScorer<'a> {
     db: &'a OpineDb,
-    summaries: Arc<Vec<Vec<MarkerSummary>>>,
+    summaries: QualifiedSummaries,
     /// The delta generation the statement pinned (the text fallback
     /// reads its merged text index).
     pin: Pin,
@@ -2688,13 +2353,7 @@ mod tests {
 
     // ---- live ingest ----
 
-    /// Serializes the tests that merge or arm failpoints: the faults
-    /// registry is process-global, and an armed `mid_merge` panic must
-    /// not leak into a concurrently merging test.
-    fn ingest_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::ingest::merge_test_lock as ingest_lock;
 
     #[test]
     fn insert_lands_in_delta_and_is_immediately_queryable() {
@@ -2885,11 +2544,11 @@ mod tests {
                 }
             }
         };
-        // Pre-merge: the unsealed tail re-resolves raw occurrences.
+        // Pre-merge: cold sets, repaired from the delta occurrences.
         check("pre-merge");
         let epoch = db.merge_delta().unwrap();
         assert_eq!(epoch, 2);
-        // Post-merge: the sealed per-year partials path.
+        // Post-merge: the merge moves text only; the cached sets restamp.
         check("post-merge");
     }
 

@@ -48,8 +48,8 @@ pub mod topk;
 pub use builder::{build, BuildConfig, ExtractionMode};
 pub use cache::{BoundedCache, CacheStats};
 pub use db::{
-    CacheReport, DegreeColumn, MetricValue, OpineDb, OpineError, PreparedPhrase, QualifiedScorer,
-    QueryOutput, QueryRef,
+    CacheReport, DegreeColumn, MetricValue, OpineDb, OpineError, PreparedPhrase, QualifiedRow,
+    QualifiedScorer, QualifiedSummaries, QueryOutput, QueryRef,
 };
 pub use domain::LinguisticDomain;
 pub use ingest::IngestReceipt;

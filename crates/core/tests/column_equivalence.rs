@@ -163,6 +163,63 @@ fn column_point_and_repaired_column_agree_bit_for_bit() {
     std::env::remove_var("OPINE_THREADS");
 }
 
+/// The same spread of inserts for two engines: live cells, a merge, then
+/// more live cells on top of the merged ones.
+fn ingest_spread(db: &OpineDb) {
+    let insert = |i: usize, year: u32| {
+        let entity = db.entity_key(i * 21).to_string();
+        let phrase = &db.opinion_domain(i % 3).variations()[i % 5].phrase;
+        db.insert_sql(&format!(
+            "INSERT INTO reviews (entity, text, year) \
+             VALUES ('{entity}', 'warm welcome and {phrase} and again {phrase}', {year})"
+        ))
+        .unwrap();
+    };
+    (0..24).for_each(|i| insert(i, 2019));
+    db.merge_delta().unwrap();
+    (6..18).for_each(|i| insert(i, 2021));
+}
+
+#[test]
+fn point_path_after_inserts_reads_the_repaired_column_and_matches_a_fresh_engine() {
+    let warm = db();
+    let predicates = one_predicate_per_kind(&warm);
+    for predicate in &predicates {
+        let _ = warm.degree_column(predicate);
+    }
+    ingest_spread(&warm);
+    // Same corpus, same inserts, nothing cached before them.
+    let fresh = db();
+    ingest_spread(&fresh);
+
+    for predicate in &predicates {
+        let before = warm.cache_report();
+        let point: Vec<u64> = (0..ENTITIES)
+            .map(|e| warm.degree(e, predicate).to_bits())
+            .collect();
+        let after = warm.cache_report();
+        assert_eq!(
+            after.column_point_repairs - before.column_point_repairs,
+            1,
+            "{predicate:?}: the first stale row repairs the column, the rest read it"
+        );
+        assert_eq!(
+            after.points.hits + after.points.misses,
+            before.points.hits + before.points.misses,
+            "{predicate:?}: a predicate with a cached column never probes the point memo"
+        );
+        assert_eq!(
+            point,
+            bits(&warm.degree_column(predicate)),
+            "{predicate:?}: point vs slot"
+        );
+        let reference: Vec<u64> = (0..ENTITIES)
+            .map(|e| fresh.degree(e, predicate).to_bits())
+            .collect();
+        assert_eq!(point, reference, "{predicate:?}: repaired vs fresh engine");
+    }
+}
+
 #[test]
 fn column_build_unwinds_with_cancelled_mid_loop() {
     let db = db();

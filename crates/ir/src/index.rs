@@ -833,18 +833,51 @@ impl InvertedIndex {
     }
 
     fn avg_doc_len(&self) -> f64 {
-        if self.doc_lengths.is_empty() {
-            return 1.0;
-        }
-        (self.total_length as f64 / self.doc_lengths.len() as f64).max(1.0)
+        avg_doc_len(self.doc_lengths.len(), self.total_length)
     }
 
-    /// Non-negative BM25 idf: `ln(1 + (N - df + 0.5)/(df + 0.5))`.
     fn idf(&self, df: usize) -> f64 {
-        let n = self.num_docs() as f64;
-        let df = df as f64;
-        (1.0 + (n - df + 0.5) / (df + 0.5)).ln()
+        idf(self.num_docs(), df)
     }
+}
+
+/// Mean document length of `num_docs` documents holding `total_length`
+/// tokens, floored at 1 (and 1 for an empty corpus).
+fn avg_doc_len(num_docs: usize, total_length: u64) -> f64 {
+    if num_docs == 0 {
+        return 1.0;
+    }
+    (total_length as f64 / num_docs as f64).max(1.0)
+}
+
+/// Non-negative BM25 idf: `ln(1 + (N - df + 0.5)/(df + 0.5))`.
+fn idf(num_docs: usize, df: usize) -> f64 {
+    let n = num_docs as f64;
+    let df = df as f64;
+    (1.0 + (n - df + 0.5) / (df + 0.5)).ln()
+}
+
+/// One `(term, doc)` BM25 contribution under explicit corpus
+/// statistics: `num_docs` documents of `total_length` tokens, `df` of
+/// them containing the term, this one `tf` times in `doc_len` tokens.
+/// The expression [`InvertedIndex::bm25`] evaluates per term, for
+/// callers that keep those statistics outside an index (the engine's
+/// delta text) and must score bit-identically to one.
+pub fn bm25_term_score(
+    num_docs: usize,
+    total_length: u64,
+    df: usize,
+    tf: u32,
+    doc_len: u32,
+    params: &Bm25Params,
+) -> f64 {
+    score_one(
+        idf(num_docs, df),
+        tf,
+        doc_len,
+        avg_doc_len(num_docs, total_length),
+        params,
+    )
 }
 
 /// Drains a top-k heap into the canonical hit order: score descending,

@@ -15,4 +15,7 @@ pub mod expansion;
 pub mod index;
 
 pub use expansion::expand_query;
-pub use index::{Bm25Params, DocId, InvertedIndex, RetrievalStats, SearchHit, DEFAULT_BLOCK_SIZE};
+pub use index::{
+    bm25_term_score, Bm25Params, DocId, InvertedIndex, RetrievalStats, SearchHit,
+    DEFAULT_BLOCK_SIZE,
+};

@@ -22,10 +22,16 @@ pub const MONOTONIC_COUNTERS: &[&str] = &[
     "blocks_skipped",
     // faults crate injection counter
     "INJECTED",
-    // core::db ingest counters (writer-side bumps, reader-side report)
+    // core::db repair counters (a stale cached artifact brought to a
+    // newer pin by recomputing only what changed since its stamp)
+    "qualified_repairs",
+    "qualified_repaired_entities",
+    "column_point_repairs",
+    // core::ingest counters (writer-side bumps, reader-side report)
     "inserted_reviews",
     "delta_merges",
     "failed_merges",
+    "delta_rows_copied",
     // server::service counters
     "shed_requests",
     "caught_panics",

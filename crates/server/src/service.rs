@@ -44,7 +44,7 @@ use opine_store::{parse_insert, parse_statement, InsertStmt, Select, Statement, 
 use opine_trace::{TraceContext, TraceSnapshot};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -589,9 +589,12 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
                 return;
             }
             Err(HttpError::PayloadTooLarge(n)) => {
-                // The oversized body is *not* drained: the 413 goes out
-                // with `Connection: close` and the socket drops, so an
-                // abusive client cannot make a worker read gigabytes.
+                // The declared length is never read — an abusive client
+                // cannot make a worker read gigabytes — but closing on
+                // a body still in flight resets the connection, and a
+                // client that is still writing never sees its 413. So
+                // the 413 goes out with `Connection: close`, then the
+                // close lingers briefly (see `linger_close`).
                 state.metrics.record(Endpoint::Other, false, 0);
                 let _ = http::write_response(
                     &mut writer,
@@ -608,8 +611,45 @@ fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
                     false,
                     &[],
                 );
+                linger_close(writer.get_ref(), &mut reader);
                 return;
             }
+        }
+    }
+}
+
+/// Most unread request bytes a refusing close discards before giving
+/// up: twice the default body cap, so a request modestly over the cap
+/// (an oversized `INSERT` batch) is absorbed whole and its sender reads
+/// the refusal, while a body of any declared size costs the worker at
+/// most this much reading.
+const LINGER_MAX_BYTES: usize = 2 * DEFAULT_MAX_BODY;
+
+/// Longest a refusing close waits on the client — far below the
+/// connection's read timeout.
+const LINGER_MAX_WAIT: Duration = Duration::from_millis(250);
+
+/// Closes a connection whose request was refused unread: half-closes
+/// the write side (the client sees the response, then EOF) and discards
+/// what the client is still sending until it stops, [`LINGER_MAX_BYTES`]
+/// were discarded, or [`LINGER_MAX_WAIT`] passed. Dropping the socket
+/// with unread bytes queued would reset the connection and could take
+/// the response down with it.
+fn linger_close(stream: &TcpStream, reader: &mut impl Read) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER_MAX_WAIT;
+    let mut scratch = [0u8; 16 * 1024];
+    let mut discarded = 0;
+    while discarded < LINGER_MAX_BYTES {
+        let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+            return;
+        };
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match reader.read(&mut scratch) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => discarded += n,
         }
     }
 }

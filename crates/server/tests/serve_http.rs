@@ -615,18 +615,25 @@ fn oversized_body_gets_413_and_huge_results_still_serve() {
         big.len()
     )
     .unwrap();
-    // The server answers 413 off the headers and closes without draining
-    // the megabyte in flight, so this write may die on the closed socket
-    // (`HttpClient::post` gives up there, before reading). The 413 was
-    // queued ahead of the reset and must still be there to read.
-    let _ = stream.write_all(big.as_bytes());
+    // The server answers 413 off the headers, half-closes, and lingers
+    // over the megabyte still in flight instead of resetting the
+    // connection: the write completes and the response, then EOF, is
+    // there to read.
+    stream.write_all(big.as_bytes()).unwrap();
     let mut response = Vec::new();
-    let _ = stream.read_to_end(&mut response);
+    stream.read_to_end(&mut response).unwrap();
     let response = String::from_utf8_lossy(&response);
     assert!(
         response.starts_with("HTTP/1.1 413"),
         "expected 413, got: {response:?}"
     );
+
+    // The same through the client, which gives up on a failed body
+    // write before it ever reads: it must get its 413 too.
+    let mut client = HttpClient::connect(server.local_addr()).unwrap();
+    let resp = client.post("/query", &big).unwrap();
+    assert_eq!(resp.status, 413);
+    assert!(resp.body.contains("payload_too_large"), "{}", resp.body);
 }
 
 #[test]

@@ -45,13 +45,15 @@ pub const STAGES: [&str; 11] = [
 
 /// Stage-native counter names. Each stage may bump any of these; the
 /// snapshot only reports non-zero cells.
-pub const COUNTERS: [&str; 8] = [
+pub const COUNTERS: [&str; 10] = [
     "candidates",
     "heap_pops",
     "blocks_skipped",
     "cache_hits",
     "cache_misses",
     "cache_repairs",
+    "repairs",
+    "repaired_entities",
     "rows",
     "scored",
 ];

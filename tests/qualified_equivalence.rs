@@ -13,6 +13,11 @@
 //!
 //! Routes 1 and 2 are exercised both at the summary level and through
 //! `execute` / `execute_lazy` (the SQL surface).
+//!
+//! Under live ingest route 1 splits in two that must still agree with
+//! route 2 at every epoch: the **repaired** set (a cached set brought
+//! to the new epoch by re-aggregating only the entities that changed)
+//! and the **cold** set (base bucket merge, then the same repair).
 
 use opinedb::core::{build, BuildConfig, OpineDb};
 use opinedb::corpus::hotel::hotel_spec;
@@ -29,6 +34,10 @@ fn env_usize(key: &str, default: usize) -> usize {
 }
 
 fn qualified_db() -> OpineDb {
+    qualified_corpus_and_db().1
+}
+
+fn qualified_corpus_and_db() -> (Corpus, OpineDb) {
     let corpus = Corpus::generate(
         hotel_spec(),
         &CorpusConfig {
@@ -37,7 +46,7 @@ fn qualified_db() -> OpineDb {
             seed: 71,
         },
     );
-    build(
+    let db = build(
         &corpus,
         &BuildConfig {
             w2v: Word2VecConfig {
@@ -48,7 +57,8 @@ fn qualified_db() -> OpineDb {
             membership_tuples: 300,
             ..Default::default()
         },
-    )
+    );
+    (corpus, db)
 }
 
 fn db() -> &'static OpineDb {
@@ -58,7 +68,10 @@ fn db() -> &'static OpineDb {
 }
 
 /// Degrees of one predicate for all entities over a summary set.
-fn degrees(db: &OpineDb, summaries: &[Vec<opinedb::core::MarkerSummary>]) -> Vec<f64> {
+fn degrees<R>(db: &OpineDb, summaries: &[R]) -> Vec<f64>
+where
+    R: std::borrow::Borrow<Vec<opinedb::core::MarkerSummary>>,
+{
     (0..db.num_entities())
         .map(|e| db.attribute_degree_with_summaries(summaries, e, 0, "clean rooms"))
         .collect()
@@ -175,4 +188,185 @@ fn qualified_execution_matches_rebuild_reference_scores() {
             "entity {entity}: SQL path vs rebuild reference"
         );
     }
+}
+
+/// Total phrase mass of one entity in a summary set, over all attributes.
+fn entity_total<R>(db: &OpineDb, summaries: &[R], entity: usize) -> f64
+where
+    R: std::borrow::Borrow<Vec<opinedb::core::MarkerSummary>>,
+{
+    (0..db.attributes.len())
+        .map(|a| summaries[entity].borrow()[a].total)
+        .sum()
+}
+
+/// Repaired set == cold set == raw rescan for every qualifier, by
+/// every accumulator; returns the repaired sets.
+fn assert_routes_agree(
+    db: &OpineDb,
+    qualifiers: &[ReviewQualifier],
+    label: &str,
+) -> Vec<opinedb::core::QualifiedSummaries> {
+    // The cached sets are the previous call's cold ones, an epoch or
+    // more old: these calls repair them.
+    let repaired: Vec<_> = qualifiers
+        .iter()
+        .map(|q| db.summaries_qualified(q))
+        .collect();
+    db.clear_filtered_summaries();
+    for (q, repaired) in qualifiers.iter().zip(&repaired) {
+        let cold = db.summaries_qualified(q);
+        let rescan = db.summaries_with_review_filter(|m| {
+            q.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
+        });
+        for e in 0..db.num_entities() {
+            for a in 0..db.attributes.len() {
+                let reference = &rescan[e][a];
+                for (route, got) in [("repaired", &repaired[e][a]), ("cold", &cold[e][a])] {
+                    assert!(
+                        got.quantized_counts() == reference.quantized_counts()
+                            && got.quantized_sentiments() == reference.quantized_sentiments()
+                            && got.total.to_bits() == reference.total.to_bits()
+                            && got.unmatched.to_bits() == reference.unmatched.to_bits(),
+                        "{label}: {route} set of {q}, entity {e} attr {a}: \
+                         {:?}/{} vs rescan {:?}/{}",
+                        got.counts(),
+                        got.total,
+                        reference.counts(),
+                        reference.total
+                    );
+                }
+            }
+        }
+    }
+    repaired
+}
+
+#[test]
+fn repaired_and_cold_sets_equal_the_rescan_across_inserts_and_merges() {
+    for threads in ["1", "2"] {
+        std::env::set_var("OPINE_THREADS", threads);
+        let (corpus, db) = qualified_corpus_and_db();
+        db.set_merge_threshold(usize::MAX);
+        let n = db.num_entities();
+
+        // A base reviewer about to return: few reviews, at least one of
+        // them with extracted phrases on an entity no insert touches.
+        let inserted_into = [0usize, 1, 2, 3];
+        let counts = corpus.reviewer_counts();
+        let mut candidates: Vec<(usize, usize)> = counts
+            .iter()
+            .filter(|&(_, &c)| (1..=3).contains(&c))
+            .map(|(&r, &c)| (r, c))
+            .collect();
+        candidates.sort_unstable();
+        let (returning, base_count, witness) = candidates
+            .into_iter()
+            .find_map(|(r, c)| {
+                let own = db.summaries_with_review_filter(|m| m.reviewer_id == r);
+                let witness = (0..n)
+                    .find(|e| !inserted_into.contains(e) && entity_total(&db, &own, *e) > 0.0)?;
+                Some((r, c, witness))
+            })
+            .expect("a returning reviewer with a witness entity");
+        let crossing = ReviewQualifier {
+            min_year: None,
+            max_year: None,
+            min_reviewer_count: Some(base_count as u32 + 1),
+        };
+        let qualifiers = [
+            ReviewQualifier {
+                min_year: Some(2012),
+                max_year: None,
+                min_reviewer_count: None,
+            },
+            crossing,
+            ReviewQualifier {
+                min_year: Some(2008),
+                max_year: Some(2020),
+                min_reviewer_count: Some(2),
+            },
+            ReviewQualifier::default(),
+        ];
+
+        let phrase = |attr: usize, v: usize| db.opinion_domain(attr).variations()[v].phrase.clone();
+        let key = |e: usize| db.entity_key(e).to_string();
+        let before = assert_routes_agree(&db, &qualifiers, "no delta");
+        assert_eq!(db.cache_report().qualified_repairs, 0);
+
+        // New reviewers.
+        db.insert_sql(&format!(
+            "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES \
+             ('{}', 'really {} here', 2016, 900001), \
+             ('{}', '{} but loud', 2009, 900002)",
+            key(0),
+            phrase(0, 0),
+            key(1),
+            phrase(1, 0)
+        ))
+        .unwrap();
+        assert_routes_agree(&db, &qualifiers, "new reviewers");
+        let repairs = db.cache_report().qualified_repairs;
+        assert!(repairs > 0, "a non-empty delta must repair, not rescan");
+
+        // The base reviewer returns elsewhere: its review of the
+        // untouched witness crosses the threshold.
+        db.insert_sql(&format!(
+            "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES ('{}', 'so {}', 2018, {returning})",
+            key(2),
+            phrase(0, 1),
+        ))
+        .unwrap();
+        let after = assert_routes_agree(&db, &qualifiers, "base reviewer returns");
+        assert!(
+            entity_total(&db, &after[1], witness) > entity_total(&db, &before[1], witness),
+            "reviewer {returning}'s base review of entity {witness} must start to qualify"
+        );
+
+        // A delta reviewer returns (its first review, of entity 0, now
+        // has an author of two); then anonymous rows.
+        db.insert_sql(&format!(
+            "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES \
+             ('{}', '{} and {}', 2013, 900001)",
+            key(3),
+            phrase(0, 0),
+            phrase(1, 1)
+        ))
+        .unwrap();
+        assert_routes_agree(&db, &qualifiers, "delta reviewer returns");
+        db.insert_sql(&format!(
+            "INSERT INTO reviews (entity, text, year) VALUES \
+             ('{}', 'again {}', 2019), ('{}', '{}', 2011)",
+            key(0),
+            phrase(2, 0),
+            key(1),
+            phrase(0, 2)
+        ))
+        .unwrap();
+        assert_routes_agree(&db, &qualifiers, "anonymous rows");
+
+        db.merge_delta().unwrap();
+        assert_routes_agree(&db, &qualifiers, "merged");
+
+        // And once more past the merge: both returning reviewers again.
+        db.insert_sql(&format!(
+            "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES \
+             ('{}', '{}', 2020, {returning}), ('{}', '{}', 2020, 900002), ('{}', '{}', 2020, 900002)",
+            key(3),
+            phrase(1, 0),
+            key(2),
+            phrase(0, 0),
+            key(0),
+            phrase(0, 1)
+        ))
+        .unwrap();
+        assert_routes_agree(&db, &qualifiers, "after the merge");
+        db.merge_delta().unwrap();
+        assert_routes_agree(&db, &qualifiers, "merged again");
+
+        let report = db.cache_report();
+        assert!(report.qualified_repairs > repairs);
+        assert!(report.qualified_repaired_entities >= report.qualified_repairs);
+    }
+    std::env::remove_var("OPINE_THREADS");
 }

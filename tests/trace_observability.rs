@@ -141,6 +141,36 @@ fn review_qualified_query_shows_summary_merge() {
         after2.filtered_summaries.hits - before2.filtered_summaries.hits
     );
     assert!(merge2.counter("cache_hits") > 0);
+
+    // After an insert the cached set is found (a hit) and repaired: the
+    // span is back, and it names what the repair touched.
+    let phrase = db.opinion_domain(0).variations()[0].phrase.clone();
+    db.insert_sql(&format!(
+        "INSERT INTO reviews (entity, text, year) VALUES ('{}', 'so {phrase}', 2019)",
+        db.entity_key(1)
+    ))
+    .unwrap();
+    let (snap3, before3, after3, _) = traced_query(&db, sql);
+    let merge3 = snap3
+        .stage("summary_merge")
+        .expect("repair is a merge call");
+    assert_eq!(merge3.calls, 1);
+    assert_eq!(merge3.counter("cache_misses"), 0);
+    assert_eq!(
+        merge3.counter("repairs"),
+        after3.qualified_repairs - before3.qualified_repairs
+    );
+    assert_eq!(
+        merge3.counter("repaired_entities"),
+        after3.qualified_repaired_entities - before3.qualified_repaired_entities
+    );
+    assert_eq!(
+        (
+            merge3.counter("repairs"),
+            merge3.counter("repaired_entities")
+        ),
+        (1, 1)
+    );
 }
 
 #[test]
