@@ -4,9 +4,9 @@
 //! DESIGN.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use opine_bench::{banner, build_db, hotel_corpus, opine_rank, restaurant_corpus};
+use opine_bench::{banner, build_db, hotel_corpus, opine_rank, opine_rank_with, restaurant_corpus};
 use opine_core::membership::{marker_features, scan_features};
-use opine_core::topk::{full_scan_topk, threshold_topk};
+use opine_core::topk::{full_scan_topk_dense, threshold_topk};
 use opine_core::OpineDb;
 use opine_corpus::workload::{build_workload, hotel_workload, restaurant_workload};
 use opine_corpus::Corpus;
@@ -59,19 +59,19 @@ fn run_set(db: &OpineDb, corpus: &Corpus, queries: &[EvalQuery], label: &str) {
             db.interpret(&p.text);
         }
     }
-    db.set_degree_cache(false);
-
-    db.set_use_markers(true);
+    // Both arms run on the cache-free reference: every degree is
+    // recomputed, which is what the table times.
     let t0 = Instant::now();
-    let quality_mk = workload_quality(queries, corpus, TOP_K, |q| opine_rank(db, q, TOP_K));
+    let quality_mk = workload_quality(queries, corpus, TOP_K, |q| {
+        opine_rank_with(db, q, TOP_K, |sql| db.reference().query(sql))
+    });
     let time_mk = t0.elapsed().as_secs_f64() * (100.0 / queries.len() as f64);
 
-    db.set_use_markers(false);
     let t1 = Instant::now();
-    let quality_scan = workload_quality(queries, corpus, TOP_K, |q| opine_rank(db, q, TOP_K));
+    let quality_scan = workload_quality(queries, corpus, TOP_K, |q| {
+        opine_rank_with(db, q, TOP_K, |sql| db.reference().scan().query(sql))
+    });
     let time_scan = t1.elapsed().as_secs_f64() * (100.0 / queries.len() as f64);
-    db.set_use_markers(true);
-    db.set_degree_cache(true);
 
     let (acc_mk, acc_scan) = lr_accuracy(db, corpus, 77);
     println!(
@@ -129,43 +129,28 @@ fn bench(c: &mut Criterion) {
 
     // Ablation: Fagin's Threshold Algorithm vs full scan for fuzzy top-k.
     let preds = ["clean rooms", "friendly staff", "quiet room"];
-    let lists: Vec<Vec<(usize, f64)>> = preds
-        .iter()
-        .map(|p| {
-            let mut l: Vec<(usize, f64)> = (0..hotel_db.num_entities())
-                .map(|e| (e, hotel_db.degree(e, p)))
-                .collect();
-            l.sort_by(|a, b| b.1.total_cmp(&a.1));
-            l
-        })
-        .collect();
-    let ta = threshold_topk(&lists, TOP_K);
-    let fs = full_scan_topk(&lists, TOP_K);
+    let columns: Vec<_> = preds.iter().map(|p| hotel_db.degree_column(p)).collect();
+    let degrees: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
+    let orders: Vec<&[u32]> = columns.iter().map(|c| c.sorted_order()).collect();
     assert_eq!(
-        ta.iter().map(|x| x.0).collect::<Vec<_>>(),
-        fs.iter().map(|x| x.0).collect::<Vec<_>>()
+        threshold_topk(&degrees, &orders, TOP_K, |_| true),
+        full_scan_topk_dense(&degrees, TOP_K)
     );
     println!("threshold-algorithm top-{TOP_K} matches full scan on 3-predicate conjunction ✓");
 
     let mut group = c.benchmark_group("table7");
     group.sample_size(10);
     group.bench_function("degree_with_markers", |b| {
-        hotel_db.set_degree_cache(false);
-        b.iter(|| black_box(hotel_db.degree(3, "clean rooms")));
-        hotel_db.set_degree_cache(true);
+        b.iter(|| black_box(hotel_db.reference().degree(3, "clean rooms")))
     });
     group.bench_function("degree_no_markers_scan", |b| {
-        hotel_db.set_degree_cache(false);
-        hotel_db.set_use_markers(false);
-        b.iter(|| black_box(hotel_db.degree(3, "clean rooms")));
-        hotel_db.set_use_markers(true);
-        hotel_db.set_degree_cache(true);
+        b.iter(|| black_box(hotel_db.reference().scan().degree(3, "clean rooms")))
     });
     group.bench_function("threshold_topk", |b| {
-        b.iter(|| black_box(threshold_topk(&lists, TOP_K)))
+        b.iter(|| black_box(threshold_topk(&degrees, &orders, TOP_K, |_| true)))
     });
     group.bench_function("full_scan_topk", |b| {
-        b.iter(|| black_box(full_scan_topk(&lists, TOP_K)))
+        b.iter(|| black_box(full_scan_topk_dense(&degrees, TOP_K)))
     });
     group.finish();
 }

@@ -5,7 +5,7 @@
 //! reproduced rows during setup and then measuring the core operation with
 //! Criterion.
 
-use opine_core::{build, BuildConfig, OpineDb};
+use opine_core::{build, BuildConfig, OpineDb, OpineError, QueryOutput};
 use opine_corpus::hotel::hotel_spec;
 use opine_corpus::restaurant::restaurant_spec;
 use opine_corpus::{Corpus, CorpusConfig};
@@ -61,8 +61,19 @@ pub fn build_db(corpus: &Corpus) -> OpineDb {
 /// Ranks entities for an eval query through the full Subjective SQL path,
 /// returning dense entity ids in rank order.
 pub fn opine_rank(db: &OpineDb, query: &EvalQuery, k: usize) -> Vec<usize> {
+    opine_rank_with(db, query, k, |sql| db.query(sql))
+}
+
+/// [`opine_rank`] with the statement run by `evaluate` — the engine, or
+/// an arm of its reference evaluator.
+pub fn opine_rank_with(
+    db: &OpineDb,
+    query: &EvalQuery,
+    k: usize,
+    evaluate: impl Fn(&str) -> Result<QueryOutput, OpineError>,
+) -> Vec<usize> {
     let sql = query.to_sql(db.entity_table(), k);
-    match db.query(&sql) {
+    match evaluate(&sql) {
         Ok(out) => out
             .result
             .rows

@@ -25,29 +25,15 @@ use crate::db::{OpineDb, PreparedPhrase};
 use crate::ingest::Pin;
 use crate::interpret::Interpretation;
 use crate::membership::{
-    feature_row_len, features_from_row, marker_sims, scan_features, summary_features,
-    write_feature_row, MarkerSims,
+    feature_row_len, features_from_row, marker_sims, summary_features, write_feature_row,
+    MarkerSims,
 };
 use crate::par;
 use crate::summary::{MarkerSet, MarkerSummary};
 use opine_ir::Bm25Params;
 use opine_store::FuzzyAlgebra;
 use opine_text::WordId;
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, OnceLock};
-
-/// Quantization scale of the `u16` degree representation.
-const QUANT_SCALE: f64 = u16::MAX as f64;
-
-/// Storage of a degree column: exact `f64` per entity, or ceil-quantized
-/// `u16` (the ROADMAP "degree-column memory" representation — 4x smaller,
-/// with the dequantized value a guaranteed *upper bound* of the exact
-/// degree so the threshold algorithm stays correct).
-#[derive(Debug)]
-enum DegreeData {
-    Exact(Vec<f64>),
-    Quantized(Vec<u16>),
-}
 
 /// The dense degree column of one predicate: one slot per entity, plus
 /// the descending-degree entity order (TA's sorted-access list),
@@ -55,15 +41,8 @@ enum DegreeData {
 /// the same predicate.
 #[derive(Debug)]
 pub struct DegreeColumn {
-    data: DegreeData,
+    degrees: Vec<f64>,
     sorted: OnceLock<Vec<u32>>,
-}
-
-/// Ceil quantization: the dequantized value never under-estimates the
-/// exact degree, which is what TA's threshold bound needs.
-#[inline]
-fn quantize_degree(degree: f64) -> u16 {
-    (degree.clamp(0.0, 1.0) * QUANT_SCALE).ceil() as u16
 }
 
 /// Sort key whose ascending `u64` order is `f64::total_cmp`'s
@@ -77,105 +56,60 @@ fn descending_key(degree: f64) -> u64 {
 }
 
 impl DegreeColumn {
-    fn exact(degrees: Vec<f64>) -> Self {
+    /// A column over `degrees[entity]`.
+    pub fn new(degrees: Vec<f64>) -> Self {
         DegreeColumn {
-            data: DegreeData::Exact(degrees),
-            sorted: OnceLock::new(),
-        }
-    }
-
-    fn quantized(degrees: &[f64]) -> Self {
-        DegreeColumn {
-            data: DegreeData::Quantized(degrees.iter().map(|&d| quantize_degree(d)).collect()),
+            degrees,
             sorted: OnceLock::new(),
         }
     }
 
     /// Number of entities.
     pub fn len(&self) -> usize {
-        match &self.data {
-            DegreeData::Exact(v) => v.len(),
-            DegreeData::Quantized(v) => v.len(),
-        }
+        self.degrees.len()
     }
 
     /// True when the column holds no entities.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.degrees.is_empty()
     }
 
-    /// True for the `u16` representation.
-    pub fn is_quantized(&self) -> bool {
-        matches!(self.data, DegreeData::Quantized(_))
+    /// Degree of truth per entity id.
+    pub fn degrees(&self) -> &[f64] {
+        &self.degrees
     }
 
-    /// Exact degree of truth per entity id; `None` for quantized
-    /// columns, whose exact degrees must be recomputed point-wise.
-    pub fn degrees(&self) -> Option<&[f64]> {
-        match &self.data {
-            DegreeData::Exact(v) => Some(v),
-            DegreeData::Quantized(_) => None,
-        }
-    }
-
-    /// Upper bound of the entity's degree: the exact value, or the
-    /// dequantized ceil for quantized columns.
-    #[inline]
-    pub fn upper(&self, entity: usize) -> f64 {
-        match &self.data {
-            DegreeData::Exact(v) => v[entity],
-            DegreeData::Quantized(v) => f64::from(v[entity]) / QUANT_SCALE,
-        }
-    }
-
-    /// Heap bytes of the degree storage (the cache-footprint number the
-    /// quantization ablation measures).
+    /// Heap bytes of the degree storage.
     pub fn memory_bytes(&self) -> usize {
-        match &self.data {
-            DegreeData::Exact(v) => v.len() * std::mem::size_of::<f64>(),
-            DegreeData::Quantized(v) => v.len() * std::mem::size_of::<u16>(),
-        }
+        self.degrees.len() * std::mem::size_of::<f64>()
     }
 
-    /// A copy with the given `(entity, exact degree)` slots replaced —
-    /// the live-ingest cache-repair path, which recomputes only the
+    /// A copy with the given `(entity, degree)` slots replaced — the
+    /// live-ingest cache-repair path, which recomputes only the
     /// entities whose delta version moved past the cached column's
-    /// epoch stamp instead of rebuilding all of them. Quantized slots
-    /// re-quantize with the same ceil rule as a cold build; the sorted
-    /// order is recomputed lazily by the new column.
+    /// epoch stamp instead of rebuilding all of them. The sorted order
+    /// is recomputed lazily by the new column.
     fn patched(&self, updates: &[(usize, f64)]) -> DegreeColumn {
-        let data = match &self.data {
-            DegreeData::Exact(v) => {
-                let mut v = v.clone();
-                for &(entity, degree) in updates {
-                    v[entity] = degree;
-                }
-                DegreeData::Exact(v)
-            }
-            DegreeData::Quantized(q) => {
-                let mut q = q.clone();
-                for &(entity, degree) in updates {
-                    q[entity] = quantize_degree(degree);
-                }
-                DegreeData::Quantized(q)
-            }
-        };
-        DegreeColumn {
-            data,
-            sorted: OnceLock::new(),
+        let mut degrees = self.degrees.clone();
+        for &(entity, degree) in updates {
+            degrees[entity] = degree;
         }
+        DegreeColumn::new(degrees)
     }
 
-    /// Entity ids in descending-degree order (ties by entity id), by
-    /// [`Self::upper`] under `f64::total_cmp`. Sorted once per column;
-    /// repeated queries reuse the order.
+    /// Entity ids in descending-degree order (ties by entity id) under
+    /// `f64::total_cmp`. Sorted once per column; repeated queries reuse
+    /// the order.
     pub fn sorted_order(&self) -> &[u32] {
         self.sorted.get_or_init(|| {
             // Packed `(key, id)` pairs are distinct, so the unstable
             // sort yields the one permutation the comparator
-            // `upper(b).total_cmp(upper(a)).then(a.cmp(b))` defines.
-            let mut keyed: Vec<(u64, u32)> = (0..self.len())
-                .map(|e| (descending_key(self.upper(e)), e as u32))
+            // `degree(b).total_cmp(degree(a)).then(a.cmp(b))` defines.
+            let mut keyed: Vec<(u64, u32)> = self
+                .degrees
+                .iter()
+                .enumerate()
+                .map(|(e, &d)| (descending_key(d), e as u32))
                 .collect();
             keyed.sort_unstable();
             keyed.into_iter().map(|(_, e)| e).collect()
@@ -285,9 +219,8 @@ fn sigmoid(x: f64) -> f64 {
 }
 
 impl OpineDb {
-    /// The dense degree column of a predicate over all entities, cached
-    /// when the degree cache is enabled. Degrees are computed in
-    /// parallel over entity chunks.
+    /// The dense degree column of a predicate over all entities, cached.
+    /// Degrees are computed in parallel over entity chunks.
     ///
     /// Cached columns are stamped with the data epoch they were built
     /// at. A probe from a newer pin **repairs** a stale column instead
@@ -295,62 +228,51 @@ impl OpineDb {
     /// moved past the stamp recompute (an `INSERT` touches one entity;
     /// the other N−1 slots are reused verbatim).
     pub fn degree_column(&self, predicate: &str) -> Arc<DegreeColumn> {
-        self.ensure_pinned(|pin| self.degree_column_pinned(predicate, pin))
-    }
-
-    fn degree_column_pinned(&self, predicate: &str, pin: &Pin) -> Arc<DegreeColumn> {
-        let cached = if self.caching() {
-            self.column_cache.get(predicate)
-        } else {
-            None
-        };
-        self.column_from(predicate, pin, cached)
+        self.ensure_pinned(|pin| self.column_from(predicate, pin, self.column_cache.get(predicate)))
     }
 
     /// The column of `predicate` for `pin`, given what a probe of the
-    /// column cache found (`None`: nothing, or caching is off).
+    /// column cache found.
     pub(crate) fn column_from(
         &self,
         predicate: &str,
         pin: &Pin,
         cached: Option<(u64, Arc<DegreeColumn>)>,
     ) -> Arc<DegreeColumn> {
-        let mut cacheable = self.caching();
-        if cacheable {
-            if let Some((stamp, column)) = cached {
-                if stamp == pin.epoch {
+        let mut cacheable = true;
+        if let Some((stamp, column)) = cached {
+            if stamp == pin.epoch {
+                opine_trace::count("ta_topk", "cache_hits", 1);
+                return column;
+            }
+            if stamp < pin.epoch {
+                let stale = pin.delta.changed_since(stamp);
+                if stale.is_empty() {
+                    // Nothing the column depends on changed across
+                    // those epochs; restamp so the next probe hits
+                    // on the fast equality check.
                     opine_trace::count("ta_topk", "cache_hits", 1);
-                    return column;
-                }
-                if stamp < pin.epoch {
-                    let stale = pin.delta.changed_since(stamp);
-                    if stale.is_empty() {
-                        // Nothing the column depends on changed across
-                        // those epochs; restamp so the next probe hits
-                        // on the fast equality check.
-                        opine_trace::count("ta_topk", "cache_hits", 1);
-                        self.column_cache
-                            .insert(predicate, (pin.epoch, column.clone()));
-                        return column;
-                    }
-                    opine_trace::count("ta_topk", "cache_repairs", 1);
-                    let prepared = self.prepare_interpretation(predicate);
-                    let updates: Vec<(usize, f64)> = stale
-                        .iter()
-                        .map(|&entity| {
-                            opine_faults::checkpoint();
-                            (entity, self.degree_prepared(entity, &prepared, pin))
-                        })
-                        .collect();
-                    let column = Arc::new(column.patched(&updates));
                     self.column_cache
                         .insert(predicate, (pin.epoch, column.clone()));
                     return column;
                 }
-                // stamp > pin.epoch: a column from this pin's future.
-                // Build privately without regressing the cached stamp.
-                cacheable = false;
+                opine_trace::count("ta_topk", "cache_repairs", 1);
+                let prepared = self.prepare_interpretation(predicate);
+                let updates: Vec<(usize, f64)> = stale
+                    .iter()
+                    .map(|&entity| {
+                        opine_faults::checkpoint();
+                        (entity, self.degree_prepared(entity, &prepared, pin))
+                    })
+                    .collect();
+                let column = Arc::new(column.patched(&updates));
+                self.column_cache
+                    .insert(predicate, (pin.epoch, column.clone()));
+                return column;
             }
+            // stamp > pin.epoch: a column from this pin's future.
+            // Build privately without regressing the cached stamp.
+            cacheable = false;
         }
         opine_trace::count("ta_topk", "cache_misses", 1);
         let prepared = self.prepare_interpretation(predicate);
@@ -377,13 +299,7 @@ impl OpineDb {
                 self.degree_prepared(entity, &prepared, pin)
             }),
         };
-        // sync: ablation toggle; a stale read only routes through the
-        // other (equally correct) column representation.
-        let column = Arc::new(if self.quantize_columns.load(Relaxed) {
-            DegreeColumn::quantized(&degrees)
-        } else {
-            DegreeColumn::exact(degrees)
-        });
+        let column = Arc::new(DegreeColumn::new(degrees));
         if cacheable {
             self.column_cache
                 .insert(predicate, (pin.epoch, column.clone()));
@@ -445,29 +361,9 @@ impl OpineDb {
         )
     }
 
-    /// Degree of one membership term for an entity (marker features, or
-    /// raw-scan features under the Table 7 ablation).
+    /// Degree of one membership term for an entity.
     pub(crate) fn term_degree(&self, entity: usize, term: &PreparedTerm, pin: &Pin) -> f64 {
         let attribute = term.attribute;
-        // sync: ablation toggle; both branches are correct membership paths.
-        if !self.use_markers.load(Relaxed) {
-            let occs = &self.raw[entity][attribute];
-            let delta_occs = pin
-                .delta
-                .cell(entity, attribute)
-                .map_or(&[][..], |cell| cell.occs.as_slice());
-            let variations = self.opinion_domains[attribute].variations();
-            let phrase_refs: Vec<(&[f32], f64)> = occs
-                .iter()
-                .chain(delta_occs)
-                .map(|occ| (variations[occ.variation].rep.as_slice(), occ.sentiment))
-                .collect();
-            return self.membership_scan.degree(&scan_features(
-                &phrase_refs,
-                &term.phrase.rep,
-                term.phrase.sentiment,
-            ));
-        }
         match pin.delta.summary(entity, attribute) {
             None => self.membership_markers.degree(&features_from_row(
                 self.plane.row(attribute, entity),
@@ -481,16 +377,8 @@ impl OpineDb {
             Some(delta_summary) => {
                 let base = &self.summaries[entity][attribute];
                 let mut merged = MarkerSummary::empty(base.num_markers());
-                let mut add = |part: &MarkerSummary| {
-                    merged.merge_quantized(
-                        part.quantized_counts(),
-                        part.quantized_sentiments(),
-                        part.total,
-                        part.unmatched,
-                    )
-                };
-                add(base);
-                add(delta_summary);
+                merged.merge_aggregates(base);
+                merged.merge_aggregates(delta_summary);
                 self.summary_term_degree(&merged, term)
             }
         }
@@ -702,11 +590,11 @@ mod tests {
 
     /// The order `sorted_order` produced before it sorted packed keys.
     fn comparator_order(column: &DegreeColumn) -> Vec<u32> {
+        let degrees = column.degrees();
         let mut order: Vec<u32> = (0..column.len() as u32).collect();
         order.sort_by(|&a, &b| {
-            column
-                .upper(b as usize)
-                .total_cmp(&column.upper(a as usize))
+            degrees[b as usize]
+                .total_cmp(&degrees[a as usize])
                 .then_with(|| a.cmp(&b))
         });
         order
@@ -733,30 +621,22 @@ mod tests {
             f64::MIN,
             1.0 - f64::EPSILON,
         ];
-        let mut columns = vec![
-            DegreeColumn::exact(Vec::new()),
-            DegreeColumn::exact(vec![0.25; 300]),
-            DegreeColumn::exact(specials.to_vec()),
-            DegreeColumn::exact(
+        let columns = [
+            DegreeColumn::new(Vec::new()),
+            DegreeColumn::new(vec![0.25; 300]),
+            DegreeColumn::new(specials.to_vec()),
+            DegreeColumn::new(
                 (0..400)
                     .map(|i| if i % 2 == 0 { 0.0 } else { -0.0 })
                     .collect(),
             ),
-            DegreeColumn::exact((0..500).map(|_| rng.gen::<f64>()).collect()),
-            DegreeColumn::exact(
+            DegreeColumn::new((0..500).map(|_| rng.gen::<f64>()).collect()),
+            DegreeColumn::new(
                 (0..500)
                     .map(|_| specials[rng.gen_range(0..specials.len())])
                     .collect(),
             ),
         ];
-        // Quantized columns tie heavily: 500 degrees on a handful of
-        // `u16` levels, plus the clamp edges.
-        columns.push(DegreeColumn::quantized(
-            &(0..500)
-                .map(|_| f64::from(rng.gen_range(0..4u32)) / 3.0)
-                .collect::<Vec<_>>(),
-        ));
-        columns.push(DegreeColumn::quantized(&specials));
         for column in &columns {
             assert_eq!(column.sorted_order(), comparator_order(column).as_slice());
         }

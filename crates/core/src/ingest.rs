@@ -593,6 +593,14 @@ pub(crate) struct Pin {
     pub delta: Arc<DeltaState>,
 }
 
+impl Pin {
+    /// The pinned generation's relational rows, `None` while it has none
+    /// (the executor's no-overlay case).
+    pub fn overlay(&self) -> Option<&TableOverlay> {
+        (!self.delta.overlay.is_empty()).then_some(&self.delta.overlay)
+    }
+}
+
 thread_local! {
     /// The delta generation pinned by the query running on this thread.
     static PIN: RefCell<Option<Pin>> = const { RefCell::new(None) };
@@ -1439,22 +1447,15 @@ mod tests {
             for predicate in predicates {
                 let (point, dense) =
                     text_degrees_by_rebuilt_index(&db, merged.as_deref(), predicate);
-                // Point path, memo and columns out of the way.
-                db.set_degree_cache(false);
+                // Point path: the reference, no memo or column in the way.
                 let got: Vec<u64> = (0..n)
-                    .map(|e| db.text_degree(e, predicate).to_bits())
+                    .map(|e| db.reference().degree(e, predicate).to_bits())
                     .collect();
-                db.set_degree_cache(true);
                 assert_eq!(got, point, "step {step} {predicate:?}: point path");
                 // Dense path: a cold column build.
                 db.clear_degree_columns();
                 let column = db.degree_column(predicate);
-                let got: Vec<u64> = column
-                    .degrees()
-                    .expect("exact")
-                    .iter()
-                    .map(|d| d.to_bits())
-                    .collect();
+                let got: Vec<u64> = column.degrees().iter().map(|d| d.to_bits()).collect();
                 assert_eq!(got, dense, "step {step} {predicate:?}: dense path");
             }
         }

@@ -173,8 +173,8 @@ impl Interpreter {
     }
 
     /// The review inverted index the co-occurrence stage retrieves
-    /// from — exposed so the engine can flip its Block-Max-WAND
-    /// ablation toggle and aggregate its retrieval counters.
+    /// from — exposed so the engine can aggregate its retrieval
+    /// counters and tests can run its exhaustive reference scorer.
     pub fn review_index(&self) -> &InvertedIndex {
         &self.review_index
     }

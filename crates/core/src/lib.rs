@@ -21,6 +21,8 @@
 //!   fills them from a frozen feature plane;
 //! * [`ingest`] — live ingest: the copy-on-write delta segment behind
 //!   snapshot-isolated `INSERT` at serve time;
+//! * [`reference`] — the slow, cache-free evaluator every fast path is
+//!   checked against and every ablation runs on;
 //! * [`topk`] — Fagin's Threshold Algorithm for fuzzy top-k (an extension
 //!   the paper cites as the standard technique \[15\]).
 
@@ -41,6 +43,7 @@ pub mod ingest;
 pub mod interpret;
 pub mod membership;
 pub mod par;
+pub mod reference;
 pub mod snapshot;
 pub mod summary;
 pub mod topk;
@@ -55,5 +58,6 @@ pub use domain::LinguisticDomain;
 pub use ingest::IngestReceipt;
 pub use interpret::{Interpretation, Interpreter, InterpreterConfig};
 pub use membership::MembershipModel;
+pub use reference::Reference;
 pub use snapshot::{Snapshot, SnapshotCell};
 pub use summary::{AssignMode, Marker, MarkerSet, MarkerSummary, SummaryKind};

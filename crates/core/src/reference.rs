@@ -1,0 +1,186 @@
+//! The reference evaluator: the paper's semantics as one slow function
+//! of a statement and a data epoch.
+//!
+//! [`OpineDb::reference`] borrows the engine and scores row at a time
+//! through the *unsplit* specification functions the builder trains
+//! with — [`marker_features`] (or [`scan_features`] after
+//! [`Reference::scan`], Table 7's "no markers" arm) and
+//! [`crate::MembershipModel::degree`], the point BM25 plus the pinned
+//! delta text for the fallback, and the raw rescan
+//! ([`OpineDb::summaries_with_review_filter`]) for `with reviews(…)` —
+//! under the same pin as every other read. It declines every index the
+//! executor offers ([`SubjectiveScorer::prepare_predicates`] and
+//! [`SubjectiveScorer::rank_subjective_conjunction`] stay at their
+//! defaults) and reads and writes no cache but the interpreter's memo,
+//! so it is what every fast path, cold or warm, is compared against bit
+//! for bit, and what an ablation runs on.
+
+use crate::db::{OpineDb, OpineError, QueryOutput, QueryRef};
+use crate::ingest::Pin;
+use crate::interpret::Interpretation;
+use crate::membership::{marker_features, scan_features};
+use crate::summary::MarkerSummary;
+use opine_store::ast::ColumnRef;
+use opine_store::exec::SubjectiveScorer;
+use opine_store::{parse_select, FuzzyAlgebra, ReviewQualifier, StoreError, Value};
+use std::borrow::Cow;
+
+/// A borrowed, cache-free, row-at-a-time evaluator over an [`OpineDb`].
+pub struct Reference<'a> {
+    db: &'a OpineDb,
+    /// Score from raw occurrences instead of marker summaries.
+    scan: bool,
+    /// Inside a `with reviews(…)` statement: the summaries of the raw
+    /// rescan under the statement's qualifier.
+    qualified: Option<Vec<Vec<MarkerSummary>>>,
+}
+
+impl OpineDb {
+    /// The reference evaluator over this engine's data.
+    pub fn reference(&self) -> Reference<'_> {
+        Reference {
+            db: self,
+            scan: false,
+            qualified: None,
+        }
+    }
+}
+
+impl<'a> Reference<'a> {
+    /// Scores from every raw extracted phrase through the scan
+    /// membership model (Table 7's "no markers" arm). Raw occurrences
+    /// carry no per-review summaries to qualify, so `with reviews(…)`
+    /// statements are declined in this mode.
+    pub fn scan(self) -> Self {
+        Reference { scan: true, ..self }
+    }
+
+    /// Degree of truth of a natural-language predicate for an entity.
+    pub fn degree(&self, entity: usize, predicate: &str) -> f64 {
+        self.db
+            .ensure_pinned(|pin| self.predicate_degree(entity, predicate, pin))
+    }
+
+    /// [`OpineDb::query`], scored by this evaluator.
+    pub fn query(&self, sql: &str) -> Result<QueryOutput, OpineError> {
+        self.query_ref(sql).map(QueryOutput::from)
+    }
+
+    /// [`OpineDb::query_ref`], scored by this evaluator.
+    pub fn query_ref(&self, sql: &str) -> Result<QueryRef<'a>, OpineError> {
+        let select = parse_select(sql).map_err(|e| OpineError::Parse(e.to_string()))?;
+        self.db.query_select_with(&select, self)
+    }
+
+    fn predicate_degree(&self, entity: usize, predicate: &str, pin: &Pin) -> f64 {
+        let db = self.db;
+        let algebra = FuzzyAlgebra::Product;
+        match db.interpret(predicate) {
+            Interpretation::Direct { attribute, .. } => {
+                self.term_degree(entity, attribute, predicate, pin)
+            }
+            Interpretation::CoOccur { terms, conjunctive } => {
+                let degrees = terms.iter().map(|&(a, m)| {
+                    self.term_degree(entity, a, &db.marker_set(a).markers[m].phrase, pin)
+                });
+                if conjunctive {
+                    degrees.fold(1.0, |acc, d| algebra.and(acc, d))
+                } else {
+                    degrees.fold(0.0, |acc, d| algebra.or(acc, d))
+                }
+            }
+            Interpretation::TextFallback => {
+                db.text_degree_terms(entity, &db.text_terms(predicate), pin)
+            }
+        }
+    }
+
+    /// Degree of `attribute .= phrase` for an entity.
+    fn term_degree(&self, entity: usize, attribute: usize, phrase: &str, pin: &Pin) -> f64 {
+        let db = self.db;
+        let mut rep = db.embedder().rep(phrase, db.vocab());
+        opine_embed::normalize(&mut rep);
+        let sentiment = db.sentiment().score(phrase);
+        if self.scan {
+            let variations = db.opinion_domain(attribute).variations();
+            let delta_occs = pin
+                .delta
+                .cell(entity, attribute)
+                .map_or(&[][..], |cell| cell.occs.as_slice());
+            let phrases: Vec<(&[f32], f64)> = db.raw[entity][attribute]
+                .iter()
+                .chain(delta_occs)
+                .map(|occ| (variations[occ.variation].rep.as_slice(), occ.sentiment))
+                .collect();
+            return db
+                .membership_scan()
+                .degree(&scan_features(&phrases, &rep, sentiment));
+        }
+        let summary = self.summary(entity, attribute, pin);
+        db.membership_markers().degree(&marker_features(
+            &summary,
+            db.marker_set(attribute),
+            &rep,
+            sentiment,
+        ))
+    }
+
+    /// The summary of one cell at `pin`: the rescan's inside a qualified
+    /// statement, else the build-time summary merged with the pinned
+    /// delta's.
+    fn summary(&self, entity: usize, attribute: usize, pin: &Pin) -> Cow<'_, MarkerSummary> {
+        if let Some(set) = &self.qualified {
+            return Cow::Borrowed(&set[entity][attribute]);
+        }
+        let base = &self.db.summaries[entity][attribute];
+        match pin.delta.summary(entity, attribute) {
+            None => Cow::Borrowed(base),
+            Some(delta) => {
+                let mut merged = MarkerSummary::empty(base.num_markers());
+                merged.merge_aggregates(base);
+                merged.merge_aggregates(delta);
+                Cow::Owned(merged)
+            }
+        }
+    }
+}
+
+impl SubjectiveScorer for Reference<'_> {
+    fn degree_predicate(&self, predicate: &str, key: &Value) -> Result<f64, StoreError> {
+        Ok(self.degree(self.db.entity_of_value(key)?, predicate))
+    }
+
+    fn degree_match(
+        &self,
+        attribute: &ColumnRef,
+        phrase: &str,
+        key: &Value,
+    ) -> Result<f64, StoreError> {
+        let entity = self.db.entity_of_value(key)?;
+        let attr = self
+            .db
+            .attribute_index(&attribute.column)
+            .ok_or_else(|| StoreError::UnknownColumn(attribute.column.clone()))?;
+        Ok(self
+            .db
+            .ensure_pinned(|pin| self.term_degree(entity, attr, phrase, pin)))
+    }
+
+    fn qualified_scorer<'s>(
+        &'s self,
+        qualifier: &ReviewQualifier,
+    ) -> Option<Box<dyn SubjectiveScorer + 's>> {
+        if self.scan {
+            return None;
+        }
+        let db = self.db;
+        let rescan = db.summaries_with_review_filter(|m| {
+            qualifier.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
+        });
+        Some(Box::new(Reference {
+            db,
+            scan: false,
+            qualified: Some(rescan),
+        }))
+    }
+}

@@ -344,22 +344,21 @@ impl MarkerSummary {
     /// multiset reproduces the from-scratch build of the union
     /// bit-for-bit (provenance concatenates in merge order).
     pub fn merge(&mut self, other: &MarkerSummary) {
-        debug_assert_eq!(
-            self.counts_q.len(),
-            other.counts_q.len(),
-            "merging summaries over different marker sets"
-        );
-        for (a, b) in self.counts_q.iter_mut().zip(&other.counts_q) {
-            *a += b;
-        }
-        for (a, b) in self.senti_q.iter_mut().zip(&other.senti_q) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.unmatched += other.unmatched;
+        self.merge_aggregates(other);
         if !other.provenance.is_empty() {
             self.provenance.extend(other.provenance.iter().cloned());
         }
+    }
+
+    /// [`Self::merge`] of the numeric aggregates alone — what degrees are
+    /// scored from; `other`'s provenance is not carried over.
+    pub fn merge_aggregates(&mut self, other: &MarkerSummary) {
+        self.merge_quantized(
+            &other.counts_q,
+            &other.senti_q,
+            other.total,
+            other.unmatched,
+        );
     }
 
     /// Merges raw fixed-point accumulators (the storage

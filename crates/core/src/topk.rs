@@ -7,12 +7,12 @@
 //! as soon as the k-th best combined score beats the threshold — the
 //! product of the degrees at the current scan positions.
 //!
-//! The hot entry point is [`threshold_topk_dense`]: degrees live in
-//! entity-id-indexed `Vec<f64>` columns (O(1) random access, no hashing),
-//! seen-tracking is a `Vec<bool>` bitmap, and the current top-k is a
-//! fixed-size binary min-heap instead of a re-sorted vector. The original
-//! sorted-pair-list API ([`threshold_topk`]) densifies its input and
-//! delegates, so callers holding `(entity, degree)` lists keep working.
+//! There is one kernel, [`threshold_topk`]: degrees live in
+//! entity-id-indexed `f64` columns (O(1) random access, no hashing),
+//! seen-tracking is a `Vec<bool>` bitmap, the current top-k is a
+//! fixed-size binary min-heap, and an `is_candidate` filter restricts
+//! sorted access to the executor's objective prefilter. Beside it sits
+//! the one reference, [`full_scan_topk_dense`].
 //!
 //! Ranking is a total order: combined degree descending, entity id
 //! ascending on ties. Both the TA and the full-scan reference break ties
@@ -52,107 +52,28 @@ pub fn rank_cmp(a: &(usize, f64), b: &(usize, f64)) -> Ordering {
     b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
 }
 
-/// Top-k entities by product-combined degree over dense columns.
+/// Top-k entities by product-combined degree over dense columns, with
+/// **restricted sorted access**: only entities for which `is_candidate`
+/// returns true are eligible (the executor's objective-prefilter bitmap,
+/// mapped to entity ids; `|_| true` ranks everything).
 ///
 /// * `columns[p][e]` — degree of entity `e` under predicate `p`; all
 ///   columns must have the same length (one slot per entity).
-/// * `sorted[p]` — entity ids in descending-degree order for predicate
-///   `p` (ties in any order); this is TA's sorted-access sequence.
-///
-/// Returns `(entity, combined degree)` in ranking order; fewer than `k`
-/// results when there are fewer entities.
-pub fn threshold_topk_dense<C, S>(columns: &[C], sorted: &[S], k: usize) -> Vec<(usize, f64)>
-where
-    C: AsRef<[f64]>,
-    S: AsRef<[u32]>,
-{
-    assert_eq!(
-        columns.len(),
-        sorted.len(),
-        "one sorted order per degree column"
-    );
-    if columns.is_empty() || k == 0 {
-        return Vec::new();
-    }
-    let columns: Vec<&[f64]> = columns.iter().map(AsRef::as_ref).collect();
-    let sorted: Vec<&[u32]> = sorted.iter().map(AsRef::as_ref).collect();
-    let num_entities = columns[0].len();
-    let mut seen = vec![false; num_entities];
-    // Min-heap of the current top-k: the root is the candidate that would
-    // be evicted first (lowest score, then largest entity id).
-    let mut best: BinaryHeap<Reverse<Candidate>> = BinaryHeap::with_capacity(k + 1);
-    // Heap evictions are counted locally and flushed to the ambient
-    // trace once per call, so the loop body stays atomic-free.
-    let mut heap_pops = 0u64;
-
-    let depth_max = sorted.iter().map(|s| s.len()).max().unwrap_or(0);
-    for depth in 0..depth_max {
-        // Cancellation checkpoint per sorted-access depth: an expired
-        // request deadline unwinds out of the scan here instead of
-        // walking the remaining entities.
-        opine_faults::checkpoint();
-        // lint:allow(checkpoint_coverage, reason = "bounded by predicate count; the enclosing depth loop checkpoints once per sorted-access round")
-        for order in &sorted {
-            let Some(&entity) = order.get(depth) else {
-                continue;
-            };
-            let entity = entity as usize;
-            if seen[entity] {
-                continue;
-            }
-            seen[entity] = true;
-            let score: f64 = columns.iter().map(|c| c[entity]).product();
-            let candidate = Candidate { score, entity };
-            if best.len() < k {
-                best.push(Reverse(candidate));
-            } else if candidate > best.peek().expect("non-empty heap").0 {
-                best.pop();
-                heap_pops += 1;
-                best.push(Reverse(candidate));
-            }
-        }
-
-        // Threshold: product of the degrees at the current scan depth.
-        // Any unseen entity sits deeper in every sorted order, so its
-        // combined degree is bounded by this product.
-        let threshold: f64 = sorted
-            .iter()
-            .zip(&columns)
-            .map(|(order, column)| order.get(depth).map(|&e| column[e as usize]).unwrap_or(0.0))
-            .product();
-        // Strict inequality: at equality an unseen entity could still tie
-        // the k-th candidate and win the entity-id tiebreak.
-        if best.len() >= k && best.peek().expect("non-empty heap").0.score > threshold {
-            break;
-        }
-    }
-    if heap_pops != 0 {
-        opine_trace::count("ta_topk", "heap_pops", heap_pops);
-    }
-
-    let mut out: Vec<(usize, f64)> = best
-        .into_iter()
-        .map(|Reverse(c)| (c.entity, c.score))
-        .collect();
-    out.sort_by(rank_cmp);
-    out
-}
-
-/// [`threshold_topk_dense`] with **restricted sorted access**: only
-/// entities for which `is_candidate` returns true are eligible (the
-/// executor's objective-prefilter bitmap, mapped to entity ids).
+/// * `sorted[p]` — **all** entity ids in descending-degree order for
+///   predicate `p` (ties in any order): TA's sorted-access sequence. A
+///   list that runs out of candidates has therefore shown every
+///   candidate, and the scan stops.
 ///
 /// Each list keeps its own cursor and skips non-candidates, so the
-/// stopping threshold uses the *corrected bound*: the product of the
-/// degrees of the last **candidate** accessed per list. Any unseen
-/// candidate sits deeper than every cursor, so its combined degree is
-/// bounded by that product — the plain at-depth threshold would be
-/// needlessly loose (or, with lockstep depth, scan non-candidates
-/// forever on selective filters).
+/// stopping threshold is the product of the degrees of the last
+/// **candidate** accessed per list. Any unseen candidate sits deeper
+/// than every cursor, so its combined degree is bounded by that product
+/// — the plain at-depth threshold would be needlessly loose (or, with
+/// lockstep depth, scan non-candidates forever on selective filters).
 ///
 /// Returns `(entity, combined degree)` in ranking order; only candidate
-/// entities appear.
-pub fn threshold_topk_dense_filtered<C, S, F>(
+/// entities appear, fewer than `k` when there are fewer of them.
+pub fn threshold_topk<C, S, F>(
     columns: &[C],
     sorted: &[S],
     k: usize,
@@ -173,81 +94,21 @@ where
     }
     let columns: Vec<&[f64]> = columns.iter().map(AsRef::as_ref).collect();
     let sorted: Vec<&[u32]> = sorted.iter().map(AsRef::as_ref).collect();
-    let num_entities = columns[0].len();
-    ta_restricted(
-        &sorted,
-        num_entities,
-        |p, e| columns[p][e],
-        |e| columns.iter().map(|c| c[e]).product(),
-        is_candidate,
-        k,
-    )
-}
-
-/// TA over **upper-bound** degree columns with exact rescoring — the
-/// quantized-column path. `sorted[p]` must be ordered by `upper(p, ·)`
-/// descending; `upper(p, e)` must over-approximate entity `e`'s true
-/// degree under predicate `p` (ceil quantization guarantees this);
-/// `exact` returns the exact combined degree and is called once per
-/// entity brought in by sorted access (the top-k *frontier* — rescoring
-/// cost is proportional to how deep TA scans, not to the corpus).
-///
-/// The result is the exact top-k: the heap ranks by exact scores, while
-/// the stopping threshold is the product of upper bounds at the
-/// cursors, which dominates any unseen entity's exact combined degree.
-pub fn threshold_topk_rescored<S, U, E, F>(
-    sorted: &[S],
-    num_entities: usize,
-    upper: U,
-    exact: E,
-    is_candidate: F,
-    k: usize,
-) -> Vec<(usize, f64)>
-where
-    S: AsRef<[u32]>,
-    U: Fn(usize, usize) -> f64,
-    E: FnMut(usize) -> f64,
-    F: Fn(usize) -> bool,
-{
-    if sorted.is_empty() || k == 0 {
-        return Vec::new();
-    }
-    let sorted: Vec<&[u32]> = sorted.iter().map(AsRef::as_ref).collect();
-    ta_restricted(&sorted, num_entities, upper, exact, is_candidate, k)
-}
-
-/// The shared TA engine behind the filtered and rescored entry points.
-///
-/// Invariants required of the inputs:
-/// * every sorted order contains **all** entity ids, descending by
-///   `upper(p, ·)` — so when one list runs out of candidates, every
-///   candidate has been seen and the scan can stop;
-/// * `upper(p, e)` ≥ entity `e`'s contribution to `exact(e)` under
-///   predicate `p`, with equality in the unquantized case.
-fn ta_restricted<U, E, F>(
-    sorted: &[&[u32]],
-    num_entities: usize,
-    upper: U,
-    mut exact: E,
-    is_candidate: F,
-    k: usize,
-) -> Vec<(usize, f64)>
-where
-    U: Fn(usize, usize) -> f64,
-    E: FnMut(usize) -> f64,
-    F: Fn(usize) -> bool,
-{
-    let mut seen = vec![false; num_entities];
+    let mut seen = vec![false; columns[0].len()];
+    // Min-heap of the current top-k: the root is the candidate that would
+    // be evicted first (lowest score, then largest entity id).
     let mut best: BinaryHeap<Reverse<Candidate>> = BinaryHeap::with_capacity(k + 1);
-    // See `threshold_topk_dense`: flushed to the trace once per call.
+    // Heap evictions are counted locally and flushed to the ambient
+    // trace once per call, so the loop body stays atomic-free.
     let mut heap_pops = 0u64;
     let mut cursors = vec![0usize; sorted.len()];
-    // Degree upper bound of the last candidate accessed per list.
+    // Degree of the last candidate accessed per list.
     let mut bounds = vec![0.0f64; sorted.len()];
 
     'scan: loop {
-        // Cancellation checkpoint per sorted-access round (see
-        // `threshold_topk_dense`).
+        // Cancellation checkpoint per sorted-access round: an expired
+        // request deadline unwinds out of the scan here instead of
+        // walking the remaining entities.
         opine_faults::checkpoint();
         for (p, order) in sorted.iter().enumerate() {
             let mut cur = cursors[p];
@@ -267,13 +128,13 @@ where
             };
             cursors[p] = cur + 1;
             let entity = e as usize;
-            bounds[p] = upper(p, entity);
+            bounds[p] = columns[p][entity];
             if seen[entity] {
                 continue;
             }
             seen[entity] = true;
             let candidate = Candidate {
-                score: exact(entity),
+                score: columns.iter().map(|c| c[entity]).product(),
                 entity,
             };
             if best.len() < k {
@@ -287,7 +148,7 @@ where
 
         let threshold: f64 = bounds.iter().product();
         // Strict inequality: at equality an unseen candidate could still
-        // tie the k-th exact score and win the entity-id tiebreak.
+        // tie the k-th candidate and win the entity-id tiebreak.
         if best.len() >= k && best.peek().expect("non-empty heap").0.score > threshold {
             break;
         }
@@ -302,47 +163,6 @@ where
         .collect();
     out.sort_by(rank_cmp);
     out
-}
-
-/// Top-k entities by product-combined degree across sorted
-/// `(entity, degree)` lists (the pre-densification API).
-///
-/// Every list must cover the same entity set and be sorted by degree
-/// descending. Internally the lists are densified once — entity-indexed
-/// columns plus sorted-order vectors — and ranked by
-/// [`threshold_topk_dense`]; no per-depth hashing, re-sorting, or
-/// `HashSet` tracking happens anymore.
-pub fn threshold_topk(lists: &[Vec<(usize, f64)>], k: usize) -> Vec<(usize, f64)> {
-    if lists.is_empty() || k == 0 {
-        return Vec::new();
-    }
-    let (columns, sorted) = densify(lists);
-    threshold_topk_dense(&columns, &sorted, k)
-}
-
-/// Converts sorted `(entity, degree)` lists into dense degree columns and
-/// sorted-order vectors (entity ids must be dense, as produced by
-/// [`crate::OpineDb`]).
-pub fn densify(lists: &[Vec<(usize, f64)>]) -> (Vec<Vec<f64>>, Vec<Vec<u32>>) {
-    let num_entities = lists
-        .iter()
-        .flat_map(|l| l.iter().map(|&(e, _)| e + 1))
-        .max()
-        .unwrap_or(0);
-    let mut columns = Vec::with_capacity(lists.len());
-    let mut sorted = Vec::with_capacity(lists.len());
-    for list in lists {
-        opine_faults::checkpoint();
-        let mut column = vec![0.0f64; num_entities];
-        let mut order = Vec::with_capacity(list.len());
-        for &(entity, degree) in list {
-            column[entity] = degree;
-            order.push(entity as u32);
-        }
-        columns.push(column);
-        sorted.push(order);
-    }
-    (columns, sorted)
 }
 
 /// Reference implementation over dense columns: combine every entity,
@@ -361,69 +181,66 @@ pub fn full_scan_topk_dense<C: AsRef<[f64]>>(columns: &[C], k: usize) -> Vec<(us
     combined
 }
 
-/// Reference implementation: full scan over all entities (list API).
-///
-/// Only entities that appear in at least one input list are candidates
-/// — an id gap in a sparse id space is not an entity, so (unlike the
-/// dense-column API, where every column slot is an entity) no
-/// zero-score results are fabricated for ids absent from every list.
-/// This matches [`threshold_topk`], which can only surface entities via
-/// sorted access.
-pub fn full_scan_topk(lists: &[Vec<(usize, f64)>], k: usize) -> Vec<(usize, f64)> {
-    if lists.is_empty() {
-        return Vec::new();
-    }
-    let (columns, sorted) = densify(lists);
-    let mut present = vec![false; columns[0].len()];
-    for order in &sorted {
-        for &entity in order {
-            present[entity as usize] = true;
-        }
-    }
-    let mut combined: Vec<(usize, f64)> = present
-        .iter()
-        .enumerate()
-        .filter(|&(_, &p)| p)
-        .map(|(e, _)| (e, columns.iter().map(|c| c[e]).product()))
-        .collect();
-    combined.sort_by(rank_cmp);
-    combined.truncate(k);
-    combined
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::DegreeColumn;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn sorted_list(degrees: &[(usize, f64)]) -> Vec<(usize, f64)> {
-        let mut l = degrees.to_vec();
-        l.sort_by(|a, b| b.1.total_cmp(&a.1));
-        l
+    fn columns(degrees: &[&[f64]]) -> Vec<DegreeColumn> {
+        degrees
+            .iter()
+            .map(|d| DegreeColumn::new(d.to_vec()))
+            .collect()
+    }
+
+    /// The kernel over columns whose sorted orders come from the
+    /// production sort.
+    fn ta(
+        columns: &[DegreeColumn],
+        k: usize,
+        is_candidate: impl Fn(usize) -> bool,
+    ) -> Vec<(usize, f64)> {
+        let degrees: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
+        let orders: Vec<&[u32]> = columns.iter().map(|c| c.sorted_order()).collect();
+        threshold_topk(&degrees, &orders, k, is_candidate)
+    }
+
+    fn full_scan(columns: &[DegreeColumn], k: usize) -> Vec<(usize, f64)> {
+        let degrees: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
+        full_scan_topk_dense(&degrees, k)
+    }
+
+    fn random_columns(
+        rng: &mut StdRng,
+        predicates: usize,
+        n: usize,
+        mut degree: impl FnMut(&mut StdRng) -> f64,
+    ) -> Vec<DegreeColumn> {
+        (0..predicates)
+            .map(|_| DegreeColumn::new((0..n).map(|_| degree(rng)).collect()))
+            .collect()
     }
 
     #[test]
     fn matches_full_scan_on_small_case() {
-        let l1 = sorted_list(&[(0, 0.9), (1, 0.8), (2, 0.1)]);
-        let l2 = sorted_list(&[(0, 0.2), (1, 0.9), (2, 0.9)]);
-        let ta = threshold_topk(&[l1.clone(), l2.clone()], 2);
-        let fs = full_scan_topk(&[l1, l2], 2);
-        assert_eq!(ta, fs);
-        assert_eq!(ta[0].0, 1); // 0.8 * 0.9 = 0.72 is the best product
+        let cols = columns(&[&[0.9, 0.8, 0.1], &[0.2, 0.9, 0.9]]);
+        let top = ta(&cols, 2, |_| true);
+        assert_eq!(top, full_scan(&cols, 2));
+        assert_eq!(top[0].0, 1); // 0.8 * 0.9 = 0.72 is the best product
     }
 
     #[test]
     fn matches_full_scan_on_random_inputs() {
         let mut rng = StdRng::seed_from_u64(77);
         for _ in 0..20 {
-            let n = 50;
-            let lists: Vec<Vec<(usize, f64)>> = (0..3)
-                .map(|_| sorted_list(&(0..n).map(|e| (e, rng.gen::<f64>())).collect::<Vec<_>>()))
-                .collect();
-            let ta = threshold_topk(&lists, 5);
-            let fs = full_scan_topk(&lists, 5);
-            assert_eq!(ta, fs, "TA must equal the reference exactly");
+            let cols = random_columns(&mut rng, 3, 50, |rng| rng.gen::<f64>());
+            assert_eq!(
+                ta(&cols, 5, |_| true),
+                full_scan(&cols, 5),
+                "TA must equal the reference exactly"
+            );
         }
     }
 
@@ -433,92 +250,56 @@ mod tests {
         // exactly because both sides tiebreak on entity id.
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..40 {
-            let n = 30;
-            let lists: Vec<Vec<(usize, f64)>> = (0..2)
-                .map(|_| {
-                    sorted_list(
-                        &(0..n)
-                            .map(|e| (e, f64::from(rng.gen_range(0..4u32)) / 4.0))
-                            .collect::<Vec<_>>(),
-                    )
-                })
-                .collect();
+            let cols = random_columns(&mut rng, 2, 30, |rng| {
+                f64::from(rng.gen_range(0..4u32)) / 4.0
+            });
             for k in [1, 3, 7, 30] {
-                let ta = threshold_topk(&lists, k);
-                let fs = full_scan_topk(&lists, k);
-                assert_eq!(ta, fs, "k={k}");
+                assert_eq!(ta(&cols, k, |_| true), full_scan(&cols, k), "k={k}");
             }
         }
     }
 
     #[test]
-    fn dense_entry_point_equals_list_entry_point() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let n = 200;
-        let lists: Vec<Vec<(usize, f64)>> = (0..3)
-            .map(|_| sorted_list(&(0..n).map(|e| (e, rng.gen::<f64>())).collect::<Vec<_>>()))
-            .collect();
-        let (columns, sorted) = densify(&lists);
-        assert_eq!(
-            threshold_topk(&lists, 10),
-            threshold_topk_dense(&columns, &sorted, 10),
-        );
-        assert_eq!(
-            full_scan_topk(&lists, 10),
-            full_scan_topk_dense(&columns, 10),
-        );
-    }
-
-    #[test]
     fn early_termination_happens() {
         // One dominant entity: TA should stop after ~1 depth.
-        let l1 = sorted_list(
-            &(0..1000)
-                .map(|e| (e, if e == 0 { 1.0 } else { 0.001 }))
-                .collect::<Vec<_>>(),
-        );
-        let l2 = l1.clone();
-        let top = threshold_topk(&[l1, l2], 1);
+        let degrees: Vec<f64> = (0..1000)
+            .map(|e| if e == 0 { 1.0 } else { 0.001 })
+            .collect();
+        let top = ta(&columns(&[&degrees, &degrees]), 1, |_| true);
         assert_eq!(top[0].0, 0);
         assert!((top[0].1 - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn k_zero_and_empty_inputs() {
-        assert!(threshold_topk(&[], 3).is_empty());
-        let l = sorted_list(&[(0, 0.5)]);
-        assert!(threshold_topk(&[l], 0).is_empty());
-        assert!(threshold_topk_dense::<Vec<f64>, Vec<u32>>(&[], &[], 3).is_empty());
+        assert!(ta(&[], 3, |_| true).is_empty());
+        assert!(ta(&columns(&[&[0.5]]), 0, |_| true).is_empty());
+        assert!(full_scan(&[], 3).is_empty());
     }
 
     #[test]
     fn k_larger_than_entity_count() {
-        let l = sorted_list(&[(0, 0.5), (1, 0.4)]);
-        let top = threshold_topk(&[l], 10);
-        assert_eq!(top.len(), 2);
+        assert_eq!(ta(&columns(&[&[0.5, 0.4]]), 10, |_| true).len(), 2);
     }
 
     #[test]
     fn sparse_entity_ids_are_not_fabricated() {
-        // Entity ids 0..5 absent from every list: neither entry point may
-        // invent them as zero-score results.
-        let lists = vec![sorted_list(&[(5, 0.9), (7, 0.2)])];
-        let fs = full_scan_topk(&lists, 4);
-        let ta = threshold_topk(&lists, 4);
-        assert_eq!(fs, vec![(5, 0.9), (7, 0.2)]);
-        assert_eq!(ta, fs);
+        // Only ids 5 and 7 are entities of the ranked set: the ids below
+        // them must not come back as zero-score results.
+        let cols = columns(&[&[0.0, 0.0, 0.0, 0.0, 0.0, 0.9, 0.0, 0.2]]);
+        let top = ta(&cols, 4, |e| e == 5 || e == 7);
+        assert_eq!(top, vec![(5, 0.9), (7, 0.2)]);
     }
 
     /// Filtered full-scan reference: combine candidate entities only.
-    fn full_scan_filtered<C: AsRef<[f64]>>(
-        columns: &[C],
+    fn full_scan_filtered(
+        columns: &[DegreeColumn],
         k: usize,
         is_candidate: impl Fn(usize) -> bool,
     ) -> Vec<(usize, f64)> {
-        let columns: Vec<&[f64]> = columns.iter().map(AsRef::as_ref).collect();
         let mut combined: Vec<(usize, f64)> = (0..columns[0].len())
             .filter(|&e| is_candidate(e))
-            .map(|e| (e, columns.iter().map(|c| c[e]).product()))
+            .map(|e| (e, columns.iter().map(|c| c.degrees()[e]).product()))
             .collect();
         combined.sort_by(rank_cmp);
         combined.truncate(k);
@@ -529,25 +310,14 @@ mod tests {
     fn filtered_ta_matches_filtered_full_scan() {
         let mut rng = StdRng::seed_from_u64(123);
         for round in 0..30 {
-            let n = 80;
-            let lists: Vec<Vec<(usize, f64)>> = (0..3)
-                .map(|_| {
-                    sorted_list(
-                        &(0..n)
-                            // Quantize every other round to force ties.
-                            .map(|e| {
-                                let d = if round % 2 == 0 {
-                                    rng.gen::<f64>()
-                                } else {
-                                    f64::from(rng.gen_range(0..5u32)) / 5.0
-                                };
-                                (e, d)
-                            })
-                            .collect::<Vec<_>>(),
-                    )
-                })
-                .collect();
-            let (columns, sorted) = densify(&lists);
+            // Quantize every other round to force ties.
+            let cols = random_columns(&mut rng, 3, 80, |rng| {
+                if round % 2 == 0 {
+                    rng.gen::<f64>()
+                } else {
+                    f64::from(rng.gen_range(0..5u32)) / 5.0
+                }
+            });
             // Selective, mid, and non-selective candidate sets.
             let masks: Vec<Box<dyn Fn(usize) -> bool>> = vec![
                 Box::new(|e| e % 13 == 0),
@@ -557,9 +327,11 @@ mod tests {
             ];
             for mask in &masks {
                 for k in [1, 4, 200] {
-                    let ta = threshold_topk_dense_filtered(&columns, &sorted, k, mask);
-                    let fs = full_scan_filtered(&columns, k, mask);
-                    assert_eq!(ta, fs, "round {round} k={k}");
+                    assert_eq!(
+                        ta(&cols, k, mask),
+                        full_scan_filtered(&cols, k, mask),
+                        "round {round} k={k}"
+                    );
                 }
             }
         }
@@ -568,15 +340,10 @@ mod tests {
     #[test]
     fn filtered_ta_with_all_candidates_equals_unfiltered() {
         let mut rng = StdRng::seed_from_u64(7);
-        let n = 120;
-        let lists: Vec<Vec<(usize, f64)>> = (0..2)
-            .map(|_| sorted_list(&(0..n).map(|e| (e, rng.gen::<f64>())).collect::<Vec<_>>()))
-            .collect();
-        let (columns, sorted) = densify(&lists);
-        assert_eq!(
-            threshold_topk_dense_filtered(&columns, &sorted, 9, |_| true),
-            threshold_topk_dense(&columns, &sorted, 9),
-        );
+        let cols = random_columns(&mut rng, 2, 120, |rng| rng.gen::<f64>());
+        let all = [true; 120];
+        assert_eq!(ta(&cols, 9, |e| all[e]), ta(&cols, 9, |_| true));
+        assert_eq!(ta(&cols, 9, |e| all[e]), full_scan(&cols, 9));
     }
 
     #[test]
@@ -584,75 +351,20 @@ mod tests {
         // One dominant candidate among many non-candidates: the cursor
         // skipping must still find it and stop (this is a liveness
         // check — an at-depth threshold would walk all 10k rows).
-        let n = 10_000;
-        let lists: Vec<Vec<(usize, f64)>> = (0..2)
-            .map(|_| {
-                sorted_list(
-                    &(0..n)
-                        .map(|e| (e, if e == 4242 { 0.95 } else { 0.5 }))
-                        .collect::<Vec<_>>(),
-                )
-            })
+        let degrees: Vec<f64> = (0..10_000)
+            .map(|e| if e == 4242 { 0.95 } else { 0.5 })
             .collect();
-        let (columns, sorted) = densify(&lists);
-        let top = threshold_topk_dense_filtered(&columns, &sorted, 1, |e| e == 4242);
+        let top = ta(&columns(&[&degrees, &degrees]), 1, |e| e == 4242);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].0, 4242);
         assert!((top[0].1 - 0.95 * 0.95).abs() < 1e-12);
     }
 
-    /// Ceil quantization to `u16`, the upper-bound transform the
-    /// rescored TA is built for.
-    fn quantize(d: f64) -> f64 {
-        (d * 65535.0).ceil() / 65535.0
-    }
-
-    #[test]
-    fn rescored_ta_over_quantized_uppers_is_exact() {
-        let mut rng = StdRng::seed_from_u64(55);
-        for _ in 0..20 {
-            let n = 60;
-            let exact_cols: Vec<Vec<f64>> = (0..3)
-                .map(|_| (0..n).map(|_| rng.gen::<f64>()).collect())
-                .collect();
-            // Sorted orders come from the *quantized* views, as they
-            // would from a cached quantized column.
-            let sorted: Vec<Vec<u32>> = exact_cols
-                .iter()
-                .map(|col| {
-                    let mut order: Vec<u32> = (0..n as u32).collect();
-                    order.sort_by(|&a, &b| {
-                        quantize(col[b as usize])
-                            .total_cmp(&quantize(col[a as usize]))
-                            .then_with(|| a.cmp(&b))
-                    });
-                    order
-                })
-                .collect();
-            let mut rescores = 0usize;
-            let ta = threshold_topk_rescored(
-                &sorted,
-                n,
-                |p, e| quantize(exact_cols[p][e]),
-                |e| {
-                    rescores += 1;
-                    exact_cols.iter().map(|c| c[e]).product()
-                },
-                |_| true,
-                5,
-            );
-            let fs = full_scan_topk_dense(&exact_cols, 5);
-            assert_eq!(ta, fs, "rescored TA must return the exact top-k");
-            assert!(rescores <= n, "each entity rescored at most once");
-        }
-    }
-
     #[test]
     fn all_zero_degrees_rank_by_entity_id() {
-        let lists = vec![sorted_list(&[(2, 0.0), (0, 0.0), (1, 0.0)])];
-        let ta = threshold_topk(&lists, 2);
-        let fs = full_scan_topk(&lists, 2);
-        assert_eq!(ta, fs);
-        assert_eq!(ta, vec![(0, 0.0), (1, 0.0)]);
+        let cols = columns(&[&[0.0, 0.0, 0.0]]);
+        let top = ta(&cols, 2, |_| true);
+        assert_eq!(top, full_scan(&cols, 2));
+        assert_eq!(top, vec![(0, 0.0), (1, 0.0)]);
     }
 }

@@ -1,9 +1,9 @@
-//! The batched membership kernel against the point path, bit for bit.
+//! The batched membership kernel against the reference, bit for bit.
 //!
 //! A predicate's degree column is filled by one loop over the frozen
-//! feature plane; the point path scores one entity; the repair path
-//! recomputes only the entities an `INSERT` or a merge touched. All
-//! three must agree to the last bit for every interpretation kind, with
+//! feature plane; the reference scores one entity through the unsplit
+//! feature functions; the repair path recomputes only the entities an
+//! `INSERT` or a merge touched. All three must agree to the last bit for every interpretation kind, with
 //! live delta cells in play, before and after a delta merge, serial and
 //! fanned out. Lives in its own test binary because it sets
 //! `OPINE_THREADS` and merges deltas (the lib's unit tests arm global
@@ -66,17 +66,12 @@ fn one_predicate_per_kind(db: &OpineDb) -> [String; 3] {
 }
 
 fn bits(column: &opine_core::DegreeColumn) -> Vec<u64> {
-    column
-        .degrees()
-        .expect("exact by default")
-        .iter()
-        .map(|d| d.to_bits())
-        .collect()
+    column.degrees().iter().map(|d| d.to_bits()).collect()
 }
 
 /// With every predicate's column cached at an older epoch: the probe
 /// must take the repair path, and the repaired column, a cold rebuild
-/// and the memo-free point path must all hold the same bits.
+/// and the reference's point path must all hold the same bits.
 fn assert_repair_cold_and_point_agree(db: &OpineDb, predicates: &[String], stage: &str) {
     let repaired: Vec<Vec<u64>> = predicates
         .iter()
@@ -98,17 +93,12 @@ fn assert_repair_cold_and_point_agree(db: &OpineDb, predicates: &[String], stage
         let cold = bits(&db.degree_column(predicate));
         assert_eq!(repaired, &cold, "{stage}: {predicate:?} repaired vs cold");
     }
-    // `set_degree_cache(false)` drops the columns and the point memo,
-    // so every point below is computed, not read back.
-    db.set_degree_cache(false);
-    let point: Vec<Vec<u64>> = predicates
-        .iter()
-        .map(|p| (0..ENTITIES).map(|e| db.degree(e, p).to_bits()).collect())
-        .collect();
-    db.set_degree_cache(true);
-    for (predicate, point) in predicates.iter().zip(&point) {
+    for predicate in predicates {
+        let point: Vec<u64> = (0..ENTITIES)
+            .map(|e| db.reference().degree(e, predicate).to_bits())
+            .collect();
         let column = bits(&db.degree_column(predicate));
-        assert_eq!(&column, point, "{stage}: {predicate:?} column vs point");
+        assert_eq!(column, point, "{stage}: {predicate:?} column vs point");
     }
 }
 

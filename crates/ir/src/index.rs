@@ -8,18 +8,19 @@
 //! runs Block-Max WAND: a pivot walks the term cursors in document
 //! order and whole blocks are skipped when their summed impact bounds
 //! cannot beat the current top-k threshold. The pre-existing exhaustive
-//! scorer survives as an ablation ([`InvertedIndex::set_wand`]) and as
-//! the equivalence-test reference: both paths funnel every `(term,
-//! doc)` contribution through one scoring expression and accumulate in
-//! query-term order, so their answers are **bit-identical** — same
-//! documents, same `f64` score bits, same tie order.
+//! scorer survives as the equivalence-test reference
+//! ([`InvertedIndex::search_terms_exhaustive`]): both paths funnel every
+//! `(term, doc)` contribution through one scoring expression and
+//! accumulate in query-term order, so their answers are
+//! **bit-identical** — same documents, same `f64` score bits, same tie
+//! order.
 
 use opine_text::{tokenize, Vocab, WordId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::OnceLock;
 
 /// Identifier of an indexed document (dense, starting at 0).
@@ -81,7 +82,7 @@ pub const DEFAULT_BLOCK_SIZE: usize = 128;
 pub struct RetrievalStats {
     /// Top-k searches answered by the Block-Max-WAND path.
     pub wand_queries: u64,
-    /// Top-k searches answered by the exhaustive ablation scorer.
+    /// Top-k searches answered by the exhaustive reference scorer.
     pub exhaustive_queries: u64,
     /// Posting blocks bypassed via skip pointers instead of being
     /// scored document-at-a-time.
@@ -159,10 +160,6 @@ pub struct InvertedIndex {
     total_length: u64,
     block_size: usize,
     frozen: OnceLock<Frozen>,
-    /// When false, `search_terms` takes the exhaustive scorer — the
-    /// pre-block-max behaviour, kept as an ablation and as the
-    /// equivalence-test reference path.
-    use_wand: AtomicBool,
     wand_queries: AtomicU64,
     exhaustive_queries: AtomicU64,
     blocks_skipped: AtomicU64,
@@ -176,7 +173,6 @@ impl Default for InvertedIndex {
             total_length: 0,
             block_size: DEFAULT_BLOCK_SIZE,
             frozen: OnceLock::new(),
-            use_wand: AtomicBool::new(true),
             wand_queries: AtomicU64::new(0),
             exhaustive_queries: AtomicU64::new(0),
             blocks_skipped: AtomicU64::new(0),
@@ -196,8 +192,6 @@ impl Clone for InvertedIndex {
             total_length: self.total_length,
             block_size: self.block_size,
             frozen,
-            // sync: ablation toggle; both routes are bit-identical.
-            use_wand: AtomicBool::new(self.use_wand.load(Relaxed)),
             // Counters are per-instance observability state, not model
             // state: a clone starts at zero.
             wand_queries: AtomicU64::new(0),
@@ -418,22 +412,6 @@ impl InvertedIndex {
         self.frozen.take();
     }
 
-    /// Routes `search_terms` through Block-Max WAND (`true`, the
-    /// default) or the exhaustive scorer (`false`) — the ablation the
-    /// equivalence tests and the cold-interpretation bench compare.
-    /// Both produce bit-identical answers.
-    pub fn set_wand(&self, enabled: bool) {
-        // sync: ablation toggle; a stale read routes through the other
-        // bit-identical retrieval path.
-        self.use_wand.store(enabled, Relaxed);
-    }
-
-    /// True when `search_terms` takes the Block-Max-WAND path.
-    pub fn wand_enabled(&self) -> bool {
-        // sync: ablation toggle; observability read.
-        self.use_wand.load(Relaxed)
-    }
-
     /// Retrieval-path counters since construction.
     pub fn retrieval_stats(&self) -> RetrievalStats {
         RetrievalStats {
@@ -548,22 +526,9 @@ impl InvertedIndex {
         self.search_terms(&terms, k, params)
     }
 
-    /// Top-`k` documents for pre-interned query terms, via Block-Max
-    /// WAND (or the exhaustive ablation when [`Self::set_wand`] turned
-    /// it off — answers are bit-identical either way).
-    pub fn search_terms(&self, terms: &[WordId], k: usize, params: &Bm25Params) -> Vec<SearchHit> {
-        // sync: ablation toggle; both routes are bit-identical.
-        if self.use_wand.load(Relaxed) {
-            self.search_terms_wand(terms, k, params)
-        } else {
-            self.search_terms_exhaustive(terms, k, params)
-        }
-    }
-
     /// The exhaustive scorer: accumulate every candidate's score
     /// document-at-a-time over the full posting lists, then heap-select
-    /// the top k. Kept verbatim as the WAND ablation and the
-    /// equivalence-test reference.
+    /// the top k. Kept verbatim as the equivalence-test reference.
     pub fn search_terms_exhaustive(
         &self,
         terms: &[WordId],
@@ -601,10 +566,11 @@ impl InvertedIndex {
         sorted_hits(heap)
     }
 
-    /// Block-Max WAND: advance a pivot over doc-ordered term cursors,
-    /// skipping whole blocks whose summed max-impact bounds cannot beat
-    /// the current k-th score.
-    fn search_terms_wand(&self, terms: &[WordId], k: usize, params: &Bm25Params) -> Vec<SearchHit> {
+    /// Top-`k` documents for pre-interned query terms by Block-Max WAND:
+    /// advance a pivot over doc-ordered term cursors, skipping whole
+    /// blocks whose summed max-impact bounds cannot beat the current k-th
+    /// score.
+    pub fn search_terms(&self, terms: &[WordId], k: usize, params: &Bm25Params) -> Vec<SearchHit> {
         if k == 0 || terms.is_empty() || self.doc_lengths.is_empty() {
             return Vec::new();
         }
@@ -1171,6 +1137,8 @@ mod tests {
             after.blocks_skipped > before.blocks_skipped,
             "top-10 over 3000 skewed docs must skip blocks: {after:?}"
         );
+        // …and skipping them changed nothing.
+        assert_paths_agree(&index, &terms, 10);
     }
 
     #[test]
@@ -1268,21 +1236,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn toggle_routes_between_wand_and_exhaustive() {
-        let (vocab, index) = build();
-        let term = vocab.get("clean").unwrap();
-        let before = index.retrieval_stats();
-        let _ = index.search_terms(&[term], 2, &Bm25Params::default());
-        index.set_wand(false);
-        assert!(!index.wand_enabled());
-        let _ = index.search_terms(&[term], 2, &Bm25Params::default());
-        index.set_wand(true);
-        let after = index.retrieval_stats();
-        assert_eq!(after.wand_queries, before.wand_queries + 1);
-        assert_eq!(after.exhaustive_queries, before.exhaustive_queries + 1);
     }
 
     #[test]

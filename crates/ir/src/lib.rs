@@ -5,7 +5,7 @@
 //! * [`InvertedIndex`] — document index with Okapi BM25 top-k retrieval
 //!   (doc-ordered posting lists partitioned into blocks carrying
 //!   max-impact bounds, driven by Block-Max WAND, with the exhaustive
-//!   scorer kept as an ablation), used by the co-occurrence
+//!   scorer kept as the test reference), used by the co-occurrence
 //!   interpretation method (Eq. (3)) and by the text-retrieval
 //!   fallback (Sec. 3.2);
 //! * [`expansion`] — embedding-based query expansion, used to strengthen

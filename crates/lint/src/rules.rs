@@ -342,10 +342,7 @@ fn parse_fields(db: &FileScan) -> Vec<(String, String, u32)> {
         if toks[j].kind == TokKind::Str
             && toks[j + 1].is_punct(',')
             && toks[j + 2].kind == TokKind::Ident
-            && matches!(
-                toks[j + 2].text.as_str(),
-                "Counter" | "Gauge" | "Flag" | "Cache"
-            )
+            && matches!(toks[j + 2].text.as_str(), "Counter" | "Gauge" | "Cache")
             && toks[j + 3].is_punct('(')
         {
             out.push((toks[j].text.clone(), toks[j + 2].text.clone(), toks[j].line));

@@ -245,10 +245,10 @@ impl OpineServer {
 
     /// The shared database handle.
     ///
-    /// Anything that changes query *results* through this handle — the
-    /// ablation toggles `set_use_markers` / `set_degree_cache` — must be
-    /// followed by [`Self::clear_result_cache`], or previously-served
-    /// statements keep replaying their pre-toggle response bodies.
+    /// Data changes through this handle (`insert_sql`, `merge_delta`)
+    /// bump the epoch the result cache is keyed by, so served bodies
+    /// never go stale; nothing reachable through it changes *how* a
+    /// statement is scored.
     pub fn db(&self) -> &Arc<OpineDb> {
         &self.state.db
     }
@@ -1245,7 +1245,6 @@ fn render_stats(state: &ServerState) -> String {
         out.push_str("\":");
         match value {
             MetricValue::Counter(n) | MetricValue::Gauge(n) => out.push_str(&n.to_string()),
-            MetricValue::Flag(b) => out.push_str(if b { "true" } else { "false" }),
             MetricValue::Cache(stats) => push_cache_stats(&mut out, stats),
         }
     }
@@ -1429,11 +1428,6 @@ fn render_prometheus(state: &ServerState) -> String {
                 let metric = format!("opine_{name}");
                 exp.family(&metric, "gauge", "Engine gauge (see /stats).");
                 exp.sample(&metric, &[], *n);
-            }
-            MetricValue::Flag(b) => {
-                let metric = format!("opine_{name}");
-                exp.family(&metric, "gauge", "Engine toggle (0/1, see /stats).");
-                exp.sample(&metric, &[], u64::from(*b));
             }
             MetricValue::Cache(_) => {}
         }

@@ -57,7 +57,11 @@ fn serve(db: Arc<OpineDb>) -> OpineServer {
         "127.0.0.1:0",
         db,
         ServerConfig {
-            workers: 4,
+            // More blocking workers than the soak's 9 keep-alive
+            // connections: a writer parked in the accept queue lets the
+            // readers spin through their 10 000-request connection budget
+            // and die on the closed socket.
+            workers: 12,
             max_in_flight: 64,
             ..Default::default()
         },

@@ -194,6 +194,14 @@ impl RowHandle<'_> {
             RowHandle::Owned(row) => row.len(),
         }
     }
+
+    /// The whole row, owned.
+    fn into_values(self) -> Vec<Value> {
+        match self {
+            RowHandle::Base(view) => view.to_values(),
+            RowHandle::Owned(row) => row,
+        }
+    }
 }
 
 /// A ranked result that *borrows* matching rows from the catalog instead
@@ -300,12 +308,9 @@ impl<'a> ScoredRows<'a> {
         let rows = entries
             .into_iter()
             .map(|(handle, score)| {
-                let row = match (&projection, handle) {
-                    (Some(idx), handle) => {
-                        idx.iter().map(|&i| handle.value(i).to_value()).collect()
-                    }
-                    (None, RowHandle::Owned(row)) => row,
-                    (None, RowHandle::Base(view)) => view.to_values(),
+                let row = match &projection {
+                    Some(idx) => idx.iter().map(|&i| handle.value(i).to_value()).collect(),
+                    None => handle.into_values(),
                 };
                 (row, score)
             })
@@ -349,45 +354,19 @@ impl Layout {
     }
 }
 
-/// Executes `query` against `catalog` using `scorer` for subjective parts,
-/// materializing an owned [`ResultSet`].
-pub fn execute(
-    query: &Select,
-    catalog: &Catalog,
-    scorer: &dyn SubjectiveScorer,
-) -> Result<ResultSet, StoreError> {
-    execute_lazy(query, catalog, scorer).map(ScoredRows::into_result_set)
-}
-
-/// [`execute`] over {base tables} ∪ {overlay rows} — the read path of
-/// live ingest, where rows inserted after the build ride in a pinned
-/// [`TableOverlay`] generation instead of mutating catalog tables.
-pub fn execute_with_overlay(
-    query: &Select,
-    catalog: &Catalog,
-    scorer: &dyn SubjectiveScorer,
-    overlay: Option<&TableOverlay>,
-) -> Result<ResultSet, StoreError> {
-    execute_lazy_with_overlay(query, catalog, scorer, overlay).map(ScoredRows::into_result_set)
-}
-
-/// [`execute`] without the final materialization: the returned
-/// [`ScoredRows`] borrows winning rows from the catalog, so serving
-/// layers can serialize results with zero per-row clones.
-pub fn execute_lazy<'a>(
-    query: &Select,
-    catalog: &'a Catalog,
-    scorer: &dyn SubjectiveScorer,
-) -> Result<ScoredRows<'a>, StoreError> {
-    execute_lazy_with_overlay(query, catalog, scorer, None)
-}
-
-/// [`execute_lazy`] with an optional [`TableOverlay`]: overlay rows are
-/// logically appended to their table's row set — they participate in
-/// scans, joins, and scoring as owned rows, after any planner fast path
-/// has ranked the (bitmap-indexed) base rows. Scores are identical to
-/// what a from-scratch build containing the same rows would produce.
-pub fn execute_lazy_with_overlay<'a>(
+/// Executes `query` against `catalog` using `scorer` for subjective
+/// parts. The returned [`ScoredRows`] borrows winning rows from the
+/// catalog, so serving layers serialize results with zero per-row
+/// clones; [`ScoredRows::into_result_set`] materializes owned rows.
+///
+/// `overlay` is the read path of live ingest, where rows inserted after
+/// the build ride in a pinned [`TableOverlay`] generation instead of
+/// mutating catalog tables: overlay rows are logically appended to
+/// their table's row set — they participate in scans, joins, and
+/// scoring as owned rows, after any planner fast path has ranked the
+/// (bitmap-indexed) base rows. Scores are identical to what a
+/// from-scratch build containing the same rows would produce.
+pub fn execute<'a>(
     query: &Select,
     catalog: &'a Catalog,
     scorer: &dyn SubjectiveScorer,
@@ -858,16 +837,18 @@ fn finish<'a>(
     })
 }
 
-/// Executes `query` with the given fuzzy algebra (ablation hook).
+/// Executes `query` with the given fuzzy algebra (ablation hook) over
+/// {base rows} ∪ {`overlay` rows}, like [`execute`].
 pub fn execute_with_algebra(
     query: &Select,
     catalog: &Catalog,
     scorer: &dyn SubjectiveScorer,
     algebra: FuzzyAlgebra,
+    overlay: Option<&TableOverlay>,
 ) -> Result<ResultSet, StoreError> {
     // Reuse the main path when the default algebra is requested.
     if algebra == FuzzyAlgebra::Product {
-        return execute(query, catalog, scorer);
+        return execute(query, catalog, scorer, overlay).map(ScoredRows::into_result_set);
     }
     let scoped = resolve_qualified(query, scorer)?;
     let scorer: &dyn SubjectiveScorer = scoped.as_deref().unwrap_or(scorer);
@@ -887,9 +868,16 @@ pub fn execute_with_algebra(
             .collect(),
         base_key_slot: base.schema().key,
     };
+    let mut rows: Vec<RowHandle<'_>> = base.rows().map(RowHandle::Base).collect();
+    for row in overlay.iter().flat_map(|o| o.rows_for(&query.from)) {
+        rows.push(RowHandle::Owned(checked_overlay_row(
+            &query.from,
+            row,
+            layout.slots.len(),
+        )?));
+    }
     let mut scored: Vec<(Vec<Value>, f64)> = Vec::new();
-    for view in base.rows() {
-        let handle = RowHandle::Base(view);
+    for handle in rows {
         let score = match &query.where_clause {
             None => 1.0,
             Some(expr) => {
@@ -898,7 +886,7 @@ pub fn execute_with_algebra(
             }
         };
         if score > 0.0 {
-            scored.push((view.to_values(), score));
+            scored.push((handle.into_values(), score));
         }
     }
     scored.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -970,6 +958,16 @@ mod tests {
     use crate::parser::parse_select;
     use crate::schema::{Column, ColumnType, Schema};
     use std::cell::Cell;
+
+    /// [`execute`], materialized.
+    fn run(
+        query: &Select,
+        catalog: &Catalog,
+        scorer: &dyn SubjectiveScorer,
+        overlay: Option<&TableOverlay>,
+    ) -> Result<ResultSet, StoreError> {
+        execute(query, catalog, scorer, overlay).map(ScoredRows::into_result_set)
+    }
 
     fn hotel_catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -1136,8 +1134,8 @@ mod tests {
         let qualified =
             parse_select("select * from hotels where \"clean rooms\" with reviews(year >= 2015)")
                 .unwrap();
-        let base = execute(&plain, &cat, &Scoping).unwrap();
-        let scoped = execute(&qualified, &cat, &Scoping).unwrap();
+        let base = run(&plain, &cat, &Scoping, None).unwrap();
+        let scoped = run(&qualified, &cat, &Scoping, None).unwrap();
         assert_eq!(base.rows.len(), scoped.rows.len());
         for (b, s) in base.rows.iter().zip(&scoped.rows) {
             assert_eq!(b.0[0], s.0[0], "same ranking order");
@@ -1151,13 +1149,13 @@ mod tests {
         let plain = parse_select("select * from hotels where \"clean rooms\"").unwrap();
         let trivial =
             parse_select("select * from hotels where \"clean rooms\" with reviews()").unwrap();
-        let base = execute(&plain, &cat, &Scoping).unwrap();
-        let bypassed = execute(&trivial, &cat, &Scoping).unwrap();
+        let base = run(&plain, &cat, &Scoping, None).unwrap();
+        let bypassed = run(&trivial, &cat, &Scoping, None).unwrap();
         // `with reviews()` accepts every review — the base scorer
         // answers it directly (degrees NOT halved), keeping its fast
         // paths. A scorer without qualifier support also serves it.
         assert_eq!(base.rows, bypassed.rows);
-        assert!(execute(&trivial, &cat, &Canned).is_ok());
+        assert!(run(&trivial, &cat, &Canned, None).is_ok());
     }
 
     #[test]
@@ -1169,12 +1167,12 @@ mod tests {
         // Canned has no qualified view; silently answering from
         // unqualified degrees would be wrong, so this must error.
         assert!(matches!(
-            execute(&q, &cat, &Canned),
+            run(&q, &cat, &Canned, None),
             Err(StoreError::NoScorer(_))
         ));
         // Same through the Gödel-algebra entry point.
         assert!(matches!(
-            execute_with_algebra(&q, &cat, &Canned, FuzzyAlgebra::Godel),
+            execute_with_algebra(&q, &cat, &Canned, FuzzyAlgebra::Godel, None),
             Err(StoreError::NoScorer(_))
         ));
     }
@@ -1187,7 +1185,7 @@ mod tests {
              with reviews(year >= 2015)",
         )
         .unwrap();
-        let r = execute(&q, &cat, &Scoping).unwrap();
+        let r = run(&q, &cat, &Scoping, None).unwrap();
         // Plaza (300/night) filtered objectively; degrees are the scoped
         // (halved) ones.
         assert_eq!(r.rows.len(), 2);
@@ -1235,7 +1233,7 @@ mod tests {
         cat.insert("events", vec![Value::Int(-7), Value::text("b")])
             .unwrap();
         let q = parse_select("select * from events where \"great\"").unwrap();
-        let r = execute(&q, &cat, &ById).unwrap();
+        let r = run(&q, &cat, &ById, None).unwrap();
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.rows[0].0[0], Value::Int(41));
         assert!((r.rows[0].1 - 0.9).abs() < 1e-12);
@@ -1246,7 +1244,7 @@ mod tests {
     fn objective_filter_works() {
         let cat = hotel_catalog();
         let q = parse_select("select * from hotels where price_pn < 150").unwrap();
-        let r = execute(&q, &cat, &ObjectiveOnly).unwrap();
+        let r = run(&q, &cat, &ObjectiveOnly, None).unwrap();
         assert_eq!(r.rows.len(), 2);
         for (row, score) in &r.rows {
             assert!(row[2].as_f64().unwrap() < 150.0);
@@ -1258,7 +1256,7 @@ mod tests {
     fn subjective_predicate_ranks_rows() {
         let cat = hotel_catalog();
         let q = parse_select("select * from hotels where \"clean rooms\"").unwrap();
-        let r = execute(&q, &cat, &Canned).unwrap();
+        let r = run(&q, &cat, &Canned, None).unwrap();
         assert_eq!(r.rows.len(), 3);
         assert_eq!(r.rows[0].0[0], Value::text("Grand"));
         assert!((r.rows[0].1 - 0.9).abs() < 1e-9);
@@ -1270,7 +1268,7 @@ mod tests {
         let cat = hotel_catalog();
         let q =
             parse_select("select * from hotels where price_pn < 150 and \"clean rooms\"").unwrap();
-        let r = execute(&q, &cat, &Canned).unwrap();
+        let r = run(&q, &cat, &Canned, None).unwrap();
         // Plaza (300/night) excluded by the objective 0; Grand 0.9, Canal 0.2.
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.rows[0].0[0], Value::text("Grand"));
@@ -1284,7 +1282,7 @@ mod tests {
         let q =
             parse_select("select * from hotels where price_pn < 150 and \"clean rooms\" limit 10")
                 .unwrap();
-        let r = execute(&q, &cat, &scorer).unwrap();
+        let r = run(&q, &cat, &scorer, None).unwrap();
         assert_eq!(scorer.pushdowns.get(), 1, "pushdown path must fire");
         assert_eq!(
             scorer.last_candidates.get(),
@@ -1296,7 +1294,7 @@ mod tests {
         assert!((r.rows[0].1 - 0.9).abs() < 1e-9);
         assert_eq!(r.rows[1].0[0], Value::text("Canal"));
         // Results equal the naive path exactly.
-        let naive = execute(&q, &cat, &Canned).unwrap();
+        let naive = run(&q, &cat, &Canned, None).unwrap();
         assert_eq!(r.rows, naive.rows);
     }
 
@@ -1310,10 +1308,10 @@ mod tests {
             "select * from hotels where price_pn < 400 and \"clean rooms\" and city = 'London'",
         )
         .unwrap();
-        let r = execute(&q, &cat, &scorer).unwrap();
+        let r = run(&q, &cat, &scorer, None).unwrap();
         assert_eq!(scorer.pushdowns.get(), 1);
         assert_eq!(scorer.last_candidates.get(), Some(2), "Grand + Plaza");
-        let naive = execute(&q, &cat, &Canned).unwrap();
+        let naive = run(&q, &cat, &Canned, None).unwrap();
         assert_eq!(r.rows, naive.rows);
     }
 
@@ -1325,7 +1323,7 @@ mod tests {
             "select * from hotels where price_pn < 150 and \"clean rooms\" order by price_pn asc",
         )
         .unwrap();
-        let r = execute(&q, &cat, &scorer).unwrap();
+        let r = run(&q, &cat, &scorer, None).unwrap();
         assert_eq!(scorer.pushdowns.get(), 0, "ORDER BY must skip TA");
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.rows[0].0[0], Value::text("Canal"), "ordered by price");
@@ -1346,7 +1344,7 @@ mod tests {
                 column: "price_pn".into(),
             }),
         });
-        let r = execute(&q, &cat, &ObjectiveOnly).unwrap();
+        let r = run(&q, &cat, &ObjectiveOnly, None).unwrap();
         assert_eq!(r.rows.len(), 2);
         for (row, _) in &r.rows {
             assert!(row[2].as_f64().unwrap() < 150.0);
@@ -1357,7 +1355,7 @@ mod tests {
     fn marker_match_uses_scorer() {
         let cat = hotel_catalog();
         let q = parse_select("select * from hotels h where h.comfort .= \"firm\"").unwrap();
-        let r = execute(&q, &cat, &Canned).unwrap();
+        let r = run(&q, &cat, &Canned, None).unwrap();
         assert_eq!(r.rows[0].0[0], Value::text("Plaza"));
     }
 
@@ -1370,7 +1368,7 @@ mod tests {
             "select * from hotels h where h.price_pn >= 150 and h.comfort .= \"firm\"",
         )
         .unwrap();
-        let r = execute(&q, &cat, &Canned).unwrap();
+        let r = run(&q, &cat, &Canned, None).unwrap();
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0].0[0], Value::text("Plaza"));
         assert!((r.rows[0].1 - 0.8).abs() < 1e-9);
@@ -1381,7 +1379,7 @@ mod tests {
         let cat = hotel_catalog();
         let q = parse_select("select * from hotels where \"clean rooms\"").unwrap();
         assert!(matches!(
-            execute(&q, &cat, &ObjectiveOnly),
+            run(&q, &cat, &ObjectiveOnly, None),
             Err(StoreError::NoScorer(_))
         ));
     }
@@ -1390,7 +1388,7 @@ mod tests {
     fn projection_selects_columns() {
         let cat = hotel_catalog();
         let q = parse_select("select hotelname from hotels where price_pn < 150").unwrap();
-        let r = execute(&q, &cat, &ObjectiveOnly).unwrap();
+        let r = run(&q, &cat, &ObjectiveOnly, None).unwrap();
         assert_eq!(r.columns, vec!["hotelname"]);
         assert_eq!(r.rows[0].0.len(), 1);
     }
@@ -1399,7 +1397,7 @@ mod tests {
     fn order_by_overrides_score_order() {
         let cat = hotel_catalog();
         let q = parse_select("select * from hotels order by price_pn asc").unwrap();
-        let r = execute(&q, &cat, &ObjectiveOnly).unwrap();
+        let r = run(&q, &cat, &ObjectiveOnly, None).unwrap();
         assert_eq!(r.rows[0].0[0], Value::text("Canal"));
         assert_eq!(r.rows[2].0[0], Value::text("Plaza"));
     }
@@ -1408,7 +1406,7 @@ mod tests {
     fn limit_truncates() {
         let cat = hotel_catalog();
         let q = parse_select("select * from hotels limit 1").unwrap();
-        let r = execute(&q, &cat, &ObjectiveOnly).unwrap();
+        let r = run(&q, &cat, &ObjectiveOnly, None).unwrap();
         assert_eq!(r.rows.len(), 1);
     }
 
@@ -1429,7 +1427,7 @@ mod tests {
         cat.insert("cafes", vec![Value::text("Brew"), Value::text("canal")])
             .unwrap();
         let q = parse_select("select * from hotels h join cafes c on h.street = c.street").unwrap();
-        let r = execute(&q, &cat, &ObjectiveOnly).unwrap();
+        let r = run(&q, &cat, &ObjectiveOnly, None).unwrap();
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0].0[0], Value::text("Grand"));
         assert_eq!(r.rows[0].0[4], Value::text("Beans"));
@@ -1456,8 +1454,8 @@ mod tests {
         let cat = hotel_catalog();
         let q =
             parse_select("select * from hotels where \"clean rooms\" and \"clean rooms\"").unwrap();
-        let product = execute(&q, &cat, &Canned).unwrap();
-        let godel = execute_with_algebra(&q, &cat, &Canned, FuzzyAlgebra::Godel).unwrap();
+        let product = run(&q, &cat, &Canned, None).unwrap();
+        let godel = execute_with_algebra(&q, &cat, &Canned, FuzzyAlgebra::Godel, None).unwrap();
         // product: 0.81 for Grand; Gödel: 0.9.
         assert!((product.rows[0].1 - 0.81).abs() < 1e-9);
         assert!((godel.rows[0].1 - 0.9).abs() < 1e-9);
@@ -1472,8 +1470,8 @@ mod tests {
             "select * from hotels order by price_pn asc",
         ] {
             let q = parse_select(sql).unwrap();
-            let lazy = execute_lazy(&q, &cat, &Canned).unwrap();
-            let materialized = execute(&q, &cat, &Canned).unwrap();
+            let lazy = execute(&q, &cat, &Canned, None).unwrap();
+            let materialized = run(&q, &cat, &Canned, None).unwrap();
             assert_eq!(lazy.columns(), materialized.columns.as_slice(), "{sql}");
             assert_eq!(lazy.len(), materialized.rows.len(), "{sql}");
             for (i, (row, score)) in materialized.rows.iter().enumerate() {
@@ -1491,7 +1489,7 @@ mod tests {
     fn lazy_projection_is_applied_at_read_time() {
         let cat = hotel_catalog();
         let q = parse_select("select hotelname, city from hotels where price_pn < 150").unwrap();
-        let lazy = execute_lazy(&q, &cat, &ObjectiveOnly).unwrap();
+        let lazy = execute(&q, &cat, &ObjectiveOnly, None).unwrap();
         assert_eq!(lazy.columns(), ["hotelname", "city"]);
         let vals: Vec<ValueRef<'_>> = lazy.values(0).collect();
         assert_eq!(vals.len(), 2);
@@ -1515,7 +1513,7 @@ mod tests {
         cat.insert("cafes", vec![Value::text("Beans"), Value::text("baker")])
             .unwrap();
         let q = parse_select("select * from hotels h join cafes c on h.street = c.street").unwrap();
-        let lazy = execute_lazy(&q, &cat, &ObjectiveOnly).unwrap();
+        let lazy = execute(&q, &cat, &ObjectiveOnly, None).unwrap();
         assert_eq!(lazy.len(), 1);
         let vals: Vec<ValueRef<'_>> = lazy.values(0).collect();
         assert_eq!(vals[4], Value::text("Beans"));
@@ -1537,11 +1535,11 @@ mod tests {
         // Purely objective WHERE rides the bitmap for base rows; the
         // overlay row is evaluated separately and still included.
         let q = parse_select("select * from hotels where price_pn < 150").unwrap();
-        let r = execute_with_overlay(&q, &cat, &ObjectiveOnly, Some(&overlay)).unwrap();
+        let r = run(&q, &cat, &ObjectiveOnly, Some(&overlay)).unwrap();
         assert_eq!(r.rows.len(), 3, "Grand, Canal, and the overlay row");
         assert!(r.rows.iter().any(|(row, _)| row[0] == Value::text("Nieuw")));
         // Without the overlay the same query sees only base rows.
-        let base = execute(&q, &cat, &ObjectiveOnly).unwrap();
+        let base = run(&q, &cat, &ObjectiveOnly, None).unwrap();
         assert_eq!(base.rows.len(), 2);
     }
 
@@ -1559,7 +1557,7 @@ mod tests {
             ],
         );
         let q = parse_select("select * from hotels where \"clean rooms\"").unwrap();
-        let r = execute_with_overlay(&q, &cat, &Canned, Some(&overlay)).unwrap();
+        let r = run(&q, &cat, &Canned, Some(&overlay)).unwrap();
         assert_eq!(r.rows.len(), 4);
         // Ranked by degree among base rows: Grand 0.9, the two Plazas
         // 0.5, Canal 0.2.
@@ -1584,7 +1582,7 @@ mod tests {
             ],
         );
         let q = parse_select("select * from hotels where \"clean rooms\" limit 2").unwrap();
-        let r = execute_with_overlay(&q, &cat, &scorer, Some(&overlay)).unwrap();
+        let r = run(&q, &cat, &scorer, Some(&overlay)).unwrap();
         assert_eq!(r.rows.len(), 2);
         assert!((r.rows[0].1 - 0.9).abs() < 1e-12);
         assert!((r.rows[1].1 - 0.9).abs() < 1e-12, "delta row outranks Plaza");
@@ -1608,7 +1606,7 @@ mod tests {
         // Overlay on the build side: a new cafe on Plaza's street.
         overlay.push_row("cafes", vec![Value::text("Roast"), Value::text("oxford")]);
         let q = parse_select("select * from hotels h join cafes c on h.street = c.street").unwrap();
-        let r = execute_with_overlay(&q, &cat, &ObjectiveOnly, Some(&overlay)).unwrap();
+        let r = run(&q, &cat, &ObjectiveOnly, Some(&overlay)).unwrap();
         assert_eq!(r.rows.len(), 2);
         assert!(r
             .rows
@@ -1623,12 +1621,12 @@ mod tests {
         overlay.push_row("hotels", vec![Value::text("Short")]);
         let q = parse_select("select * from hotels where price_pn < 150").unwrap();
         assert!(matches!(
-            execute_with_overlay(&q, &cat, &ObjectiveOnly, Some(&overlay)),
+            run(&q, &cat, &ObjectiveOnly, Some(&overlay)),
             Err(StoreError::SchemaMismatch(_))
         ));
         let scan = parse_select("select * from hotels").unwrap();
         assert!(matches!(
-            execute_with_overlay(&scan, &cat, &ObjectiveOnly, Some(&overlay)),
+            run(&scan, &cat, &ObjectiveOnly, Some(&overlay)),
             Err(StoreError::SchemaMismatch(_))
         ));
     }
@@ -1638,7 +1636,7 @@ mod tests {
         let cat = hotel_catalog();
         let q = parse_select("select * from hotels where nosuch > 5").unwrap();
         assert!(matches!(
-            execute(&q, &cat, &ObjectiveOnly),
+            run(&q, &cat, &ObjectiveOnly, None),
             Err(StoreError::UnknownColumn(_))
         ));
     }

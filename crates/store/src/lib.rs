@@ -37,8 +37,8 @@
 //!     .insert("hotels", vec![Value::text("Grand"), Value::Float(120.0)])
 //!     .unwrap();
 //! let q = parse_select("select * from hotels where price < 200 limit 5").unwrap();
-//! let result = execute(&q, &catalog, &ObjectiveOnly).unwrap();
-//! assert_eq!(result.rows.len(), 1);
+//! let result = execute(&q, &catalog, &ObjectiveOnly, None).unwrap();
+//! assert_eq!(result.len(), 1);
 //! ```
 
 pub mod ast;
@@ -57,8 +57,7 @@ pub use bitmap::Bitmap;
 pub use catalog::Catalog;
 pub use column::ColumnData;
 pub use exec::{
-    execute, execute_lazy, execute_lazy_with_overlay, execute_with_overlay, FuzzyAlgebra,
-    ObjectiveOnly, ProjectedValues, ResultSet, ScoredRows, SubjectiveScorer,
+    execute, FuzzyAlgebra, ObjectiveOnly, ProjectedValues, ResultSet, ScoredRows, SubjectiveScorer,
 };
 pub use overlay::TableOverlay;
 pub use parser::{parse_insert, parse_select, parse_statement, ParseError, Statement};

@@ -84,9 +84,10 @@ fn main() {
                limit 5";
     println!("query (Fig. 3): {sql}\n");
     let select = opinedb::store::parse_select(sql).expect("parses");
-    let result = opinedb::store::execute(&select, &catalog, &db).expect("executes");
+    let result = opinedb::store::execute(&select, &catalog, &db, None).expect("executes");
     println!("hotel        street       cafe      score");
-    for (row, score) in &result.rows {
+    for (row, score) in result.iter() {
+        let row: Vec<_> = row.collect();
         println!(
             "{:<12} {:<12} {:<9} {score:.3}",
             row[0].to_string(),

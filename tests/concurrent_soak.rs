@@ -4,13 +4,17 @@
 //! single-threaded execution — this validates the engine's interior
 //! caches (interpretation memo, degree columns, point memo, prepared
 //! phrases) under contention, which is exactly what the serving layer
-//! relies on.
+//! relies on. A second soak interleaves the engine with its reference
+//! evaluator on the same handle while a writer inserts and merges.
 
-use opinedb::core::{build, BuildConfig, OpineDb, QueryOutput};
+use opinedb::core::{build, BuildConfig, OpineDb, QueryOutput, QueryRef};
 use opinedb::corpus::hotel::hotel_spec;
 use opinedb::corpus::{Corpus, CorpusConfig};
 use opinedb::embed::Word2VecConfig;
-use std::sync::Arc;
+use opinedb::store::Value;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 
 const THREADS: usize = 8;
 const ITERATIONS: usize = 12;
@@ -139,12 +143,7 @@ fn concurrent_column_builds_are_consistent() {
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
                 let db = db.clone();
-                s.spawn(move || {
-                    db.degree_column("clean rooms")
-                        .degrees()
-                        .expect("exact columns by default")
-                        .to_vec()
-                })
+                s.spawn(move || db.degree_column("clean rooms").degrees().to_vec())
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -156,4 +155,91 @@ fn concurrent_column_builds_are_consistent() {
     for (e, column_degree) in columns[0].iter().enumerate() {
         assert!((db.degree(e, "clean rooms") - column_degree).abs() < 1e-12);
     }
+}
+
+/// Rows and score bits of a borrowed answer.
+fn rows_and_bits(q: &QueryRef<'_>) -> Vec<(Vec<Value>, u64)> {
+    q.result
+        .iter()
+        .map(|(row, score)| (row.map(|v| v.to_value()).collect(), score.to_bits()))
+        .collect()
+}
+
+#[test]
+fn reference_and_fast_queries_agree_at_every_epoch_under_a_live_writer() {
+    const READERS: usize = 4;
+    const BATCHES: usize = 32;
+    let db = Arc::new(soak_db());
+    let phrases: Vec<String> = (0..3)
+        .map(|a| db.opinion_domain(a).variations()[0].phrase.clone())
+        .collect();
+    // Every reader iteration hands the writer one token (a rendezvous)
+    // and the writer publishes one batch (every eighth time, a merge
+    // too) per token: the batches land while the other readers are
+    // mid-query, and a reader retrying for an epoch both of its answers
+    // share cannot be outrun.
+    let (token, tokens) = mpsc::sync_channel::<()>(0);
+    let done = AtomicBool::new(false);
+    let epochs: BTreeSet<u64> = std::thread::scope(|s| {
+        let (db, done, phrases) = (&db, &done, &phrases);
+        s.spawn(move || {
+            for batch in 0..BATCHES {
+                tokens.recv().expect("readers outlive the writer");
+                let entity = db.entity_key(batch % db.num_entities());
+                let phrase = &phrases[batch % phrases.len()];
+                db.insert_sql(&format!(
+                    "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES \
+                     ('{entity}', 'so {phrase} and {phrase}', 2020, {})",
+                    970_000 + batch % 5
+                ))
+                .expect("insert");
+                if batch % 8 == 7 {
+                    db.merge_delta().expect("merge");
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        let readers: Vec<_> = (0..READERS)
+            .map(|t| {
+                let token = token.clone();
+                s.spawn(move || {
+                    let mut epochs = BTreeSet::new();
+                    let mut i = 0;
+                    while !done.load(Ordering::SeqCst) {
+                        let sql = QUERIES[(t * 7 + i) % QUERIES.len()];
+                        i += 1;
+                        let (fast, reference) = loop {
+                            let fast = db.query_ref(sql).expect("fast query");
+                            let reference = db.reference().query_ref(sql).expect("reference");
+                            if fast.epoch == reference.epoch {
+                                break (fast, reference);
+                            }
+                        };
+                        assert_eq!(
+                            rows_and_bits(&fast),
+                            rows_and_bits(&reference),
+                            "{sql} at epoch {}",
+                            fast.epoch
+                        );
+                        epochs.insert(fast.epoch);
+                        // The writer hangs up after its last batch.
+                        let _ = token.send(());
+                    }
+                    epochs
+                })
+            })
+            .collect();
+        readers
+            .into_iter()
+            .flat_map(|r| r.join().expect("reader"))
+            .collect()
+    });
+    assert_eq!(db.delta_reviews(), BATCHES);
+    // A reader's next-but-one comparison starts after the batch its
+    // token paid for was published, and some reader paid for at least
+    // `BATCHES / READERS` of them.
+    assert!(
+        epochs.len() >= BATCHES / (2 * READERS),
+        "answers were compared across the stream, not at one epoch: {epochs:?}"
+    );
 }

@@ -1,9 +1,17 @@
 //! Property-based tests over core invariants (proptest).
 
-use opinedb::core::topk::{full_scan_topk, threshold_topk};
+use opinedb::core::topk::{full_scan_topk_dense, threshold_topk};
+use opinedb::core::DegreeColumn;
 use opinedb::store::parser::parse_select;
 use opinedb::store::FuzzyAlgebra;
 use proptest::prelude::*;
+
+/// The TA kernel over columns whose sorted orders are the production sort.
+fn ta(columns: &[DegreeColumn], k: usize) -> Vec<(usize, f64)> {
+    let degrees: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
+    let orders: Vec<&[u32]> = columns.iter().map(|c| c.sorted_order()).collect();
+    threshold_topk(&degrees, &orders, k, |_| true)
+}
 
 proptest! {
     /// The parser never panics, whatever the input.
@@ -55,68 +63,45 @@ proptest! {
             (0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0), 1..40),
         k in 1usize..8,
     ) {
-        let lists: Vec<Vec<(usize, f64)>> = (0..3)
-            .map(|dim| {
-                let mut l: Vec<(usize, f64)> = degrees
-                    .iter()
-                    .enumerate()
-                    .map(|(e, d)| (e, [d.0, d.1, d.2][dim]))
-                    .collect();
-                l.sort_by(|a, b| b.1.total_cmp(&a.1));
-                l
-            })
+        let columns: Vec<DegreeColumn> = (0..3)
+            .map(|dim| DegreeColumn::new(degrees.iter().map(|d| [d.0, d.1, d.2][dim]).collect()))
             .collect();
-        let ta = threshold_topk(&lists, k);
-        let fs = full_scan_topk(&lists, k);
-        prop_assert_eq!(&ta, &fs);
+        let top = ta(&columns, k);
+        let views: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
+        prop_assert_eq!(&top, &full_scan_topk_dense(&views, k));
         // Result is sorted descending.
-        for w in ta.windows(2) {
+        for w in top.windows(2) {
             prop_assert!(w[0].1 >= w[1].1);
         }
     }
 
-    /// The list-based and densified TA entry points both reproduce the
-    /// naive full-scan product-combine sort *exactly*, ties included:
-    /// degrees are quantized to force score collisions, and every entry
-    /// point must break them the same way (entity id ascending).
+    /// The TA kernel and the full-scan reference both reproduce the
+    /// naive product-combine sort *exactly*, ties included: degrees are
+    /// quantized to force score collisions, and both must break them the
+    /// same way (entity id ascending).
     #[test]
     fn ta_entry_points_agree_with_naive_under_ties(
         degrees in prop::collection::vec((0u32..5, 0u32..5, 0u32..5), 1..60),
         k in 1usize..10,
     ) {
-        use opinedb::core::topk::{densify, full_scan_topk_dense, threshold_topk_dense};
-        let lists: Vec<Vec<(usize, f64)>> = (0..3)
+        let columns: Vec<DegreeColumn> = (0..3)
             .map(|dim| {
-                let mut l: Vec<(usize, f64)> = degrees
-                    .iter()
-                    .enumerate()
-                    .map(|(e, d)| (e, f64::from([d.0, d.1, d.2][dim]) / 4.0))
-                    .collect();
-                l.sort_by(|a, b| b.1.total_cmp(&a.1));
-                l
+                DegreeColumn::new(
+                    degrees.iter().map(|d| f64::from([d.0, d.1, d.2][dim]) / 4.0).collect(),
+                )
             })
             .collect();
+        let views: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
         // Naive reference: combine every entity, sort by (score desc,
         // entity asc), truncate.
         let mut naive: Vec<(usize, f64)> = (0..degrees.len())
-            .map(|e| {
-                let product: f64 = lists
-                    .iter()
-                    .map(|l| l.iter().find(|&&(le, _)| le == e).unwrap().1)
-                    .product();
-                (e, product)
-            })
+            .map(|e| (e, views.iter().map(|c| c[e]).product()))
             .collect();
         naive.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         naive.truncate(k);
 
-        let legacy = threshold_topk(&lists, k);
-        let (columns, sorted) = densify(&lists);
-        let dense = threshold_topk_dense(&columns, &sorted, k);
-        let dense_scan = full_scan_topk_dense(&columns, k);
-        prop_assert_eq!(&legacy, &naive);
-        prop_assert_eq!(&dense, &naive);
-        prop_assert_eq!(&dense_scan, &naive);
+        prop_assert_eq!(&ta(&columns, k), &naive);
+        prop_assert_eq!(&full_scan_topk_dense(&views, k), &naive);
     }
 
     /// BM25 search scores are non-negative and sorted.

@@ -1,16 +1,15 @@
 //! Mixed objective+subjective queries must return **byte-identical**
 //! results whether they ride the objective-predicate pushdown into the
 //! threshold-algorithm fast path or the naive row-at-a-time scoring
-//! loop — same rows, same order, bit-equal `f64` scores — through both
-//! `execute` and `execute_lazy`.
+//! loop — same rows, same order, bit-equal `f64` scores — borrowed and
+//! materialized.
 
-use opinedb::core::topk::{threshold_topk_dense, threshold_topk_dense_filtered};
+use opinedb::core::topk::threshold_topk;
+use opinedb::core::DegreeColumn;
 use opinedb::store::ast::ColumnRef;
 use opinedb::store::exec::SubjectiveScorer;
 use opinedb::store::parser::parse_select;
-use opinedb::store::{
-    execute, execute_lazy, Bitmap, Catalog, Column, ColumnType, Schema, StoreError, Value,
-};
+use opinedb::store::{execute, Bitmap, Catalog, Column, ColumnType, Schema, StoreError, Value};
 use proptest::prelude::*;
 use std::cell::Cell;
 
@@ -20,9 +19,8 @@ use std::cell::Cell;
 /// catalog below is inserted in id order), so the executor's row-indexed
 /// candidate bitmaps apply to entities directly.
 struct SyntheticIndex {
-    /// `degrees[p][e]` for predicate name `p{p}`.
-    degrees: Vec<Vec<f64>>,
-    sorted: Vec<Vec<u32>>,
+    /// The column of predicate name `p{p}`.
+    columns: Vec<DegreeColumn>,
     keys: Vec<String>,
     /// When false the scorer has "no index": the executor falls back to
     /// row-at-a-time scoring of the candidates.
@@ -32,21 +30,8 @@ struct SyntheticIndex {
 
 impl SyntheticIndex {
     fn new(degrees: Vec<Vec<f64>>, keys: Vec<String>, use_index: bool) -> Self {
-        let sorted = degrees
-            .iter()
-            .map(|col| {
-                let mut order: Vec<u32> = (0..col.len() as u32).collect();
-                order.sort_by(|&a, &b| {
-                    col[b as usize]
-                        .total_cmp(&col[a as usize])
-                        .then_with(|| a.cmp(&b))
-                });
-                order
-            })
-            .collect();
         SyntheticIndex {
-            degrees,
-            sorted,
+            columns: degrees.into_iter().map(DegreeColumn::new).collect(),
             keys,
             use_index,
             pushdowns: Cell::new(0),
@@ -71,7 +56,7 @@ impl SubjectiveScorer for SyntheticIndex {
         let e = self
             .entity(key)
             .ok_or_else(|| StoreError::Execution(format!("unknown key {key}")))?;
-        Ok(self.degrees[p][e])
+        Ok(self.columns[p].degrees()[e])
     }
 
     fn degree_match(
@@ -92,20 +77,18 @@ impl SubjectiveScorer for SyntheticIndex {
         if !self.use_index {
             return None;
         }
-        let columns: Vec<&[f64]> = predicates
+        let columns: Vec<&DegreeColumn> = predicates
             .iter()
-            .map(|p| self.predicate_index(p).map(|i| self.degrees[i].as_slice()))
+            .map(|p| self.predicate_index(p).map(|i| &self.columns[i]))
             .collect::<Option<Vec<_>>>()?;
-        let orders: Vec<&[u32]> = predicates
-            .iter()
-            .map(|p| self.predicate_index(p).map(|i| self.sorted[i].as_slice()))
-            .collect::<Option<Vec<_>>>()?;
+        let degrees: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
+        let orders: Vec<&[u32]> = columns.iter().map(|c| c.sorted_order()).collect();
         let ranked = match candidates {
             Some(bitmap) => {
                 self.pushdowns.set(self.pushdowns.get() + 1);
-                threshold_topk_dense_filtered(&columns, &orders, k, |e| bitmap.get(e))
+                threshold_topk(&degrees, &orders, k, |e| bitmap.get(e))
             }
-            None => threshold_topk_dense(&columns, &orders, k),
+            None => threshold_topk(&degrees, &orders, k, |_| true),
         };
         Some(
             ranked
@@ -173,8 +156,8 @@ proptest! {
         let indexed = SyntheticIndex::new(degrees.clone(), keys.clone(), true);
         let naive = SyntheticIndex::new(degrees, keys, false);
 
-        let fast = execute(&query, &cat, &indexed).unwrap();
-        let slow = execute(&query, &cat, &naive).unwrap();
+        let fast = execute(&query, &cat, &indexed, None).unwrap().into_result_set();
+        let slow = execute(&query, &cat, &naive, None).unwrap().into_result_set();
         prop_assert!(indexed.pushdowns.get() == 1, "pushdown must fire for {}", sql);
         prop_assert_eq!(naive.pushdowns.get(), 0);
 
@@ -193,7 +176,7 @@ proptest! {
         // The borrowing path agrees with the materializing path on both
         // scorers.
         for (scorer, reference) in [(&indexed, &fast), (&naive, &slow)] {
-            let lazy = execute_lazy(&query, &cat, scorer).unwrap();
+            let lazy = execute(&query, &cat, scorer, None).unwrap();
             prop_assert_eq!(lazy.len(), reference.rows.len());
             for (i, (row, score)) in reference.rows.iter().enumerate() {
                 prop_assert_eq!(lazy.score(i).to_bits(), score.to_bits());
@@ -204,9 +187,9 @@ proptest! {
     }
 }
 
-/// End-to-end: the same equivalence through a real `OpineDb` — pushdown
-/// on vs pushdown off vs degree caches off — over the paper's
-/// running-example shape at several selectivities.
+/// End-to-end: the same equivalence through a real `OpineDb` — the
+/// pushdown against the reference's prefilter + row-at-a-time residue —
+/// over the paper's running-example shape at several selectivities.
 #[test]
 fn opinedb_pushdown_matches_naive_end_to_end() {
     use opinedb::core::{build, BuildConfig};
@@ -242,29 +225,17 @@ fn opinedb_pushdown_matches_naive_end_to_end() {
     ];
     for sql in queries {
         let fast = db.query(sql).expect("pushdown query");
-        db.set_objective_pushdown(false);
-        let row_at_a_time = db.query(sql).expect("row-at-a-time query");
-        db.set_objective_pushdown(true);
-        db.set_degree_cache(false);
-        let uncached = db.query(sql).expect("uncached query");
-        db.set_degree_cache(true);
-
-        for (label, reference) in [("pushdown-off", &row_at_a_time), ("cache-off", &uncached)] {
+        let reference = db.reference().query(sql).expect("reference query");
+        assert_eq!(fast.result.rows.len(), reference.result.rows.len(), "{sql}");
+        for (a, b) in fast.result.rows.iter().zip(&reference.result.rows) {
+            assert_eq!(a.0, b.0, "{sql}");
             assert_eq!(
-                fast.result.rows.len(),
-                reference.result.rows.len(),
-                "{label}: {sql}"
+                a.1.to_bits(),
+                b.1.to_bits(),
+                "scores must be bit-identical ({} vs {}) in {sql}",
+                a.1,
+                b.1
             );
-            for (a, b) in fast.result.rows.iter().zip(&reference.result.rows) {
-                assert_eq!(a.0, b.0, "{label}: {sql}");
-                assert_eq!(
-                    a.1.to_bits(),
-                    b.1.to_bits(),
-                    "{label}: scores must be bit-identical ({} vs {}) in {sql}",
-                    a.1,
-                    b.1
-                );
-            }
         }
     }
     assert!(

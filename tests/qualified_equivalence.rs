@@ -12,7 +12,7 @@
 //!    unqualified query answers.
 //!
 //! Routes 1 and 2 are exercised both at the summary level and through
-//! `execute` / `execute_lazy` (the SQL surface).
+//! `execute` (the SQL surface), borrowed and materialized.
 //!
 //! Under live ingest route 1 splits in two that must still agree with
 //! route 2 at every epoch: the **repaired** set (a cached set brought
@@ -23,7 +23,7 @@ use opinedb::core::{build, BuildConfig, OpineDb};
 use opinedb::corpus::hotel::hotel_spec;
 use opinedb::corpus::{Corpus, CorpusConfig};
 use opinedb::embed::Word2VecConfig;
-use opinedb::store::{execute, execute_lazy, parse_select, ReviewQualifier, Value};
+use opinedb::store::{execute, parse_select, ResultSet, ReviewQualifier, Value};
 use proptest::prelude::*;
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -59,6 +59,13 @@ fn qualified_corpus_and_db() -> (Corpus, OpineDb) {
         },
     );
     (corpus, db)
+}
+
+/// `execute` with the engine as the scorer, materialized.
+fn run(db: &OpineDb, sql: &str) -> ResultSet {
+    execute(&parse_select(sql).unwrap(), db.catalog(), db, None)
+        .unwrap()
+        .into_result_set()
 }
 
 fn db() -> &'static OpineDb {
@@ -118,12 +125,11 @@ proptest! {
 #[test]
 fn trivial_qualifier_is_bit_identical_to_unqualified_execution() {
     let db = db();
-    let plain = parse_select("select * from hotels where \"clean rooms\" limit 20").unwrap();
-    let trivial =
-        parse_select("select * from hotels where \"clean rooms\" with reviews() limit 20").unwrap();
-
-    let base = execute(&plain, db.catalog(), db).unwrap();
-    let qualified = execute(&trivial, db.catalog(), db).unwrap();
+    let base = run(db, "select * from hotels where \"clean rooms\" limit 20");
+    let qualified = run(
+        db,
+        "select * from hotels where \"clean rooms\" with reviews() limit 20",
+    );
     assert_eq!(base.rows.len(), qualified.rows.len());
     for (a, b) in base.rows.iter().zip(&qualified.rows) {
         assert_eq!(a.0, b.0, "same rows in the same order");
@@ -132,7 +138,7 @@ fn trivial_qualifier_is_bit_identical_to_unqualified_execution() {
 }
 
 #[test]
-fn execute_and_execute_lazy_agree_on_qualified_statements() {
+fn borrowed_and_materialized_rows_agree_on_qualified_statements() {
     let db = db();
     for sql in [
         "select * from hotels where \"clean rooms\" with reviews(year >= 2012) limit 20",
@@ -143,8 +149,8 @@ fn execute_and_execute_lazy_agree_on_qualified_statements() {
         "select * from hotels where \"clean rooms\" with reviews() limit 20",
     ] {
         let q = parse_select(sql).unwrap();
-        let materialized = execute(&q, db.catalog(), db).unwrap();
-        let lazy = execute_lazy(&q, db.catalog(), db).unwrap();
+        let materialized = run(db, sql);
+        let lazy = execute(&q, db.catalog(), db, None).unwrap();
         assert_eq!(lazy.len(), materialized.rows.len(), "{sql}");
         for (i, (row, score)) in materialized.rows.iter().enumerate() {
             assert_eq!(
@@ -166,16 +172,20 @@ fn qualified_execution_matches_rebuild_reference_scores() {
         max_year: None,
         min_reviewer_count: Some(3),
     };
-    let out = execute(
-        &parse_select(
-            "select * from hotels where \"clean rooms\" \
-             with reviews(year >= 2011, reviewer_min_count >= 3) limit 20",
-        )
-        .unwrap(),
-        db.catalog(),
+    let before = db.cache_report();
+    let out = run(
         db,
-    )
-    .unwrap();
+        "select * from hotels where \"clean rooms\" \
+         with reviews(year >= 2011, reviewer_min_count >= 3) limit 20",
+    );
+    // The statement rode the bucket merge (or its cached set); the
+    // engine is shared with this binary's other tests, so the counters
+    // are only known to move.
+    let after = db.cache_report();
+    assert!(after.filtered_summary_queries > before.filtered_summary_queries);
+    let probes =
+        |r: &opinedb::core::CacheReport| r.filtered_summaries.hits + r.filtered_summaries.misses;
+    assert!(probes(&after) > probes(&before));
     let rebuilt = db.summaries_with_review_filter(|m| {
         q.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
     });

@@ -1,0 +1,228 @@
+//! Every fast path against the one reference evaluator.
+//!
+//! `OpineDb::reference()` scores row at a time through the unsplit
+//! specification functions and touches no cache; the engine answers the
+//! same statements through TA ranking, the objective pushdown, degree
+//! columns and their per-entity repair, the bucket merge and its repair.
+//! Whatever the statement shape and whatever state the caches are in,
+//! the two must return the same rows in the same order with bit-equal
+//! scores. Lives in its own test binary because it sets `OPINE_THREADS`.
+
+use opinedb::core::{build, BuildConfig, CacheReport, Interpretation, OpineDb, QueryOutput};
+use opinedb::corpus::hotel::hotel_spec;
+use opinedb::corpus::workload::build_workload;
+use opinedb::corpus::{Corpus, CorpusConfig};
+use opinedb::embed::Word2VecConfig;
+
+fn db(num_entities: usize, mean_reviews: usize) -> OpineDb {
+    let corpus = Corpus::generate(
+        hotel_spec(),
+        &CorpusConfig {
+            num_entities,
+            mean_reviews,
+            seed: 5,
+        },
+    );
+    build(
+        &corpus,
+        &BuildConfig {
+            w2v: Word2VecConfig {
+                dim: 24,
+                epochs: 2,
+                ..Default::default()
+            },
+            membership_tuples: 400,
+            ..Default::default()
+        },
+    )
+}
+
+/// The first bank predicate the interpreter sends to the text fallback.
+fn text_fallback_predicate(db: &OpineDb) -> String {
+    build_workload(&hotel_spec(), 190)
+        .into_iter()
+        .map(|p| p.text)
+        .find(|p| db.interpret(p) == Interpretation::TextFallback)
+        .expect("the bank exercises the text fallback")
+}
+
+/// One statement per shape the executor plans differently.
+fn statements(db: &OpineDb) -> Vec<String> {
+    let fallback = text_fallback_predicate(db);
+    [
+        // join → generic scan over point degrees; first, so that after an
+        // insert it meets the stale column the warm pass left behind
+        "select * from hotels h join reviews r on h.hotelname = r.entity \
+         where \"clean rooms\" and r.year >= 2018 limit 20"
+            .to_string(),
+        // pure conjunction → TA top-k
+        "select * from hotels where \"clean rooms\" and \"friendly staff\" limit 10".into(),
+        // mixed → objective prefilter + pushdown (gather, then restricted TA)
+        "select * from hotels where price_pn < 120 and \"clean rooms\" limit 12".into(),
+        "select * from hotels where price_pn < 100000 and \"clean rooms\" limit 5".into(),
+        // OR/NOT residue → row-at-a-time over candidates / batch warm-up
+        "select * from hotels where price_pn < 300 and (\"clean rooms\" or not \"quiet room\") \
+         limit 15"
+            .into(),
+        "select * from hotels where \"clean rooms\" or \"friendly staff\" limit 9".into(),
+        "select * from hotels h where h.room_cleanliness .= \"very clean\" limit 7".into(),
+        format!("select * from hotels where \"{fallback}\" and \"clean rooms\" limit 8"),
+        "select * from hotels where \"clean rooms\" \
+         with reviews(year >= 2012, reviewer_min_count >= 2) limit 10"
+            .into(),
+        "select hotelname, price_pn from hotels where \"clean rooms\" \
+         order by price_pn asc limit 6"
+            .into(),
+        "select * from hotels where \"clean rooms\" limit 0".into(),
+    ]
+    .into()
+}
+
+fn assert_same(stage: &str, sql: &str, fast: &QueryOutput, reference: &QueryOutput) {
+    assert_eq!(
+        fast.result.columns, reference.result.columns,
+        "{stage}: {sql}"
+    );
+    assert_eq!(
+        fast.interpretations, reference.interpretations,
+        "{stage}: {sql}"
+    );
+    assert_eq!(
+        fast.result.rows.len(),
+        reference.result.rows.len(),
+        "{stage}: {sql}"
+    );
+    for (i, (f, r)) in fast
+        .result
+        .rows
+        .iter()
+        .zip(&reference.result.rows)
+        .enumerate()
+    {
+        assert_eq!(f.0, r.0, "{stage}: row {i} of {sql}");
+        assert_eq!(
+            f.1.to_bits(),
+            r.1.to_bits(),
+            "{stage}: score {i} of {sql} ({} vs {})",
+            f.1,
+            r.1
+        );
+    }
+}
+
+#[test]
+fn fast_paths_equal_the_reference() {
+    // Above `par::PAR_THRESHOLD` (512), so `OPINE_THREADS=2` really fans
+    // the column builds and the bucket merge out.
+    const ENTITIES: usize = 520;
+    for threads in ["1", "2"] {
+        std::env::set_var("OPINE_THREADS", threads);
+        let db = db(ENTITIES, 4);
+        let statements = statements(&db);
+        let check = |stage: &str, cold: bool| {
+            for sql in &statements {
+                if cold {
+                    db.clear_caches();
+                }
+                let fast = db.query(sql).expect("engine answers");
+                let reference = db.reference().query(sql).expect("reference answers");
+                assert_same(
+                    &format!("{stage}, {threads} thread(s)"),
+                    sql,
+                    &fast,
+                    &reference,
+                );
+                assert_eq!(
+                    fast.result.rows.is_empty(),
+                    sql.ends_with("limit 0"),
+                    "{sql}"
+                );
+            }
+        };
+        check("cold", true);
+        check("warm", false);
+
+        // Live cells on a spread of entities; a new reviewer whose
+        // second review re-qualifies the entity of their first, and a
+        // base reviewer whose return re-qualifies an entity no insert
+        // touches.
+        let returning = (0..)
+            .find(|&r| db.reviewer_review_count(r) == 1)
+            .expect("a base reviewer with one review");
+        for i in 0..24 {
+            let entity = db.entity_key(i * 21).to_string();
+            let phrase = &db.opinion_domain(i % 3).variations()[i % 5].phrase;
+            let reviewer = match i {
+                0 | 1 => 990_001,
+                2 => returning,
+                _ => 990_100 + i,
+            };
+            db.insert_sql(&format!(
+                "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES \
+                 ('{entity}', 'warm welcome and {phrase} and again {phrase}', 2019, {reviewer})"
+            ))
+            .unwrap();
+        }
+        // Warm caches from before the inserts: the repair paths.
+        check("after inserts", false);
+        check("after inserts, cold", true);
+
+        db.merge_delta().unwrap();
+        check("after the merge", false);
+        check("after the merge, cold", true);
+
+        // The table met the paths it names.
+        let report = db.cache_report();
+        assert!(report.ta_queries > report.pushdown_queries && report.pushdown_queries > 0);
+        assert!(report.filtered_summary_queries > 0 && report.qualified_repairs > 0);
+        assert!(report.column_point_repairs > 0, "{report:?}");
+    }
+    std::env::remove_var("OPINE_THREADS");
+}
+
+/// The cache state a reference query must not move: every engine cache's
+/// counters and sizes, and the plan counters. The interpretation memo is
+/// shared by design and left out.
+fn cache_state(r: &CacheReport) -> impl PartialEq + std::fmt::Debug {
+    (
+        (r.phrases, r.points, r.columns, r.filtered_summaries),
+        (r.cached_columns, r.column_bytes, r.filtered_summary_sets),
+        (r.ta_queries, r.pushdown_queries, r.filtered_summary_queries),
+        (
+            r.qualified_repairs,
+            r.qualified_repaired_entities,
+            r.column_point_repairs,
+        ),
+    )
+}
+
+#[test]
+fn reference_queries_leave_every_cache_untouched() {
+    let db = db(16, 16);
+    let statements = statements(&db);
+    // Half-warm engine: some columns, points, phrases and one qualified
+    // set cached, then an insert that leaves all of them stale.
+    for sql in &statements[..9] {
+        db.query(sql).unwrap();
+    }
+    let phrase = db.opinion_domain(0).variations()[0].phrase.clone();
+    let entity = db.entity_key(3).to_string();
+    db.insert_sql(&format!(
+        "INSERT INTO reviews (entity, text, year) VALUES ('{entity}', 'so {phrase}', 2020)"
+    ))
+    .unwrap();
+
+    let before = db.cache_report();
+    for sql in &statements {
+        db.reference().query(sql).expect("reference answers");
+    }
+    for sql in &statements[..8] {
+        db.reference().scan().query(sql).expect("scan arm answers");
+    }
+    for e in 0..db.num_entities() {
+        db.reference().degree(e, "clean rooms");
+        db.reference().scan().degree(e, "friendly staff");
+    }
+    let after = db.cache_report();
+    assert_eq!(cache_state(&before), cache_state(&after));
+}

@@ -139,3 +139,23 @@ fn errors_are_reported_not_panicked() {
         .query("select * from hotels h where h.not_an_attribute .= \"x\"")
         .is_err());
 }
+
+/// Regression: `query_with_algebra` scanned the frozen tables only, so a
+/// review inserted at serve time was missing from its answers under
+/// either algebra while `query` returned it.
+#[test]
+fn query_with_algebra_sees_live_inserted_rows() {
+    let db = db();
+    let entity = db.entity_key(2).to_string();
+    db.insert_sql(&format!(
+        "INSERT INTO reviews (entity, year, reviewer_id) VALUES ('{entity}', 2022, 880088)"
+    ))
+    .unwrap();
+    let sql = "select * from reviews where reviewer_id = 880088";
+    let expected = db.query(sql).unwrap().result.rows;
+    assert_eq!(expected.len(), 1);
+    for algebra in [FuzzyAlgebra::Product, FuzzyAlgebra::Godel] {
+        let got = db.query_with_algebra(sql, algebra).unwrap().result.rows;
+        assert_eq!(got, expected, "{algebra:?}");
+    }
+}

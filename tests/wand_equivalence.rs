@@ -9,8 +9,10 @@
 //! document's score. On top of the index-level properties, a cold-path
 //! regression asserts the skipping path actually fires inside the
 //! interpretation pipeline (`wand_queries` / `blocks_skipped` via
-//! `cache_report`) and that query answers with WAND on and off match
-//! end-to-end through both `execute` and `execute_lazy`.
+//! `cache_report`) and that, on the interpreter's own review index at
+//! its own retrieval depth, WAND and the exhaustive scorer return the
+//! same hits — so interpretations, and the answers built on them, match
+//! the reference end to end.
 
 use opinedb::core::interpret::InterpreterConfig;
 use opinedb::core::{build, BuildConfig, OpineDb};
@@ -18,8 +20,6 @@ use opinedb::corpus::hotel::hotel_spec;
 use opinedb::corpus::{Corpus, CorpusConfig};
 use opinedb::embed::Word2VecConfig;
 use opinedb::ir::{Bm25Params, InvertedIndex, SearchHit};
-use opinedb::store::parser::parse_select;
-use opinedb::store::{execute, execute_lazy};
 use opinedb::text::Vocab;
 use proptest::prelude::*;
 
@@ -291,61 +291,51 @@ fn cold_interpretation_fires_the_skipping_path() {
     );
 }
 
+const PIPELINE_PREDICATES: [&str; 6] = [
+    "very clean comfortable room",
+    "friendly helpful staff",
+    "clean rooms",
+    "quiet comfortable room",
+    "spotless bathroom",
+    "quiet room great location",
+];
+
+/// WAND ≡ exhaustive for `predicate` on the interpreter's real review
+/// index with its real `top_k_reviews * 4`.
+fn assert_interpreter_retrieval_matches(db: &OpineDb, predicate: &str) {
+    let index = db.interpreter().review_index();
+    let k = db.interpreter().config().top_k_reviews * 4;
+    let params = Bm25Params::default();
+    let terms: Vec<_> = opinedb::text::tokenize(predicate)
+        .iter()
+        .filter_map(|t| db.vocab().get(t))
+        .collect();
+    let wand = index.search_terms(&terms, k, &params);
+    let exhaustive = index.search_terms_exhaustive(&terms, k, &params);
+    assert!(!wand.is_empty(), "{predicate:?} retrieves reviews");
+    assert_bit_identical(&wand, &exhaustive, predicate).expect("bit-identical retrieval");
+}
+
 #[test]
 fn wand_toggle_answers_match_end_to_end() {
     let db = pipeline_db();
+    for predicate in PIPELINE_PREDICATES {
+        assert_interpreter_retrieval_matches(&db, predicate);
+    }
+    // With identical retrieval under every interpretation, the answers
+    // equal the reference's: same rows, same order, bit-equal scores.
     for sql in [
         "select * from hotels where \"very clean comfortable room\" limit 10",
         "select * from hotels where \"friendly helpful staff\" and \"clean rooms\" limit 6",
         "select * from hotels where price_pn < 200 and \"quiet comfortable room\" limit 12",
     ] {
-        let select = parse_select(sql).expect("parses");
-
-        let wand_exec = execute(&select, db.catalog(), &db).expect("execute");
-        let wand_lazy_rows: Vec<_> = {
-            let lazy = execute_lazy(&select, db.catalog(), &db).expect("execute_lazy");
-            (0..lazy.len())
-                .map(|i| {
-                    (
-                        lazy.score(i),
-                        lazy.values(i).map(|v| v.to_value()).collect::<Vec<_>>(),
-                    )
-                })
-                .collect()
-        };
-
-        db.set_wand(false);
-        let exhaustive_exec = execute(&select, db.catalog(), &db).expect("execute (exhaustive)");
-        let exhaustive_lazy_rows: Vec<_> = {
-            let lazy = execute_lazy(&select, db.catalog(), &db).expect("execute_lazy (exhaustive)");
-            (0..lazy.len())
-                .map(|i| {
-                    (
-                        lazy.score(i),
-                        lazy.values(i).map(|v| v.to_value()).collect::<Vec<_>>(),
-                    )
-                })
-                .collect()
-        };
-        db.set_wand(true);
-
-        // execute: same rows, same order, bit-equal scores.
-        assert_eq!(wand_exec.rows.len(), exhaustive_exec.rows.len(), "{sql}");
-        for ((wr, ws), (er, es)) in wand_exec.rows.iter().zip(&exhaustive_exec.rows) {
-            assert_eq!(wr, er, "{sql}");
-            assert_eq!(ws.to_bits(), es.to_bits(), "{sql}");
-        }
-        // execute_lazy: identical through the borrowing path too.
-        assert_eq!(wand_lazy_rows.len(), exhaustive_lazy_rows.len(), "{sql}");
-        for ((ws, wr), (es, er)) in wand_lazy_rows.iter().zip(&exhaustive_lazy_rows) {
-            assert_eq!(ws.to_bits(), es.to_bits(), "{sql}");
-            assert_eq!(wr, er, "{sql}");
-        }
-        // And the lazy path agrees with the materializing one.
-        assert_eq!(wand_exec.rows.len(), wand_lazy_rows.len(), "{sql}");
-        for ((row, score), (lscore, lrow)) in wand_exec.rows.iter().zip(&wand_lazy_rows) {
-            assert_eq!(score.to_bits(), lscore.to_bits(), "{sql}");
-            assert_eq!(row, lrow, "{sql}");
+        let fast = db.query(sql).expect("query");
+        let reference = db.reference().query(sql).expect("reference query");
+        assert_eq!(fast.interpretations, reference.interpretations, "{sql}");
+        assert_eq!(fast.result.rows.len(), reference.result.rows.len(), "{sql}");
+        for ((fr, fs), (rr, rs)) in fast.result.rows.iter().zip(&reference.result.rows) {
+            assert_eq!(fr, rr, "{sql}");
+            assert_eq!(fs.to_bits(), rs.to_bits(), "{sql}");
         }
     }
 }
@@ -353,18 +343,12 @@ fn wand_toggle_answers_match_end_to_end() {
 #[test]
 fn interpretations_match_with_wand_on_and_off() {
     let db = pipeline_db();
-    let predicates = [
-        "very clean comfortable room",
-        "friendly helpful staff",
-        "spotless bathroom",
-        "quiet room great location",
-    ];
-    let with_wand: Vec<_> = predicates.iter().map(|p| db.interpret(p)).collect();
-    db.set_wand(false); // also clears the interpretation memo
-    let without: Vec<_> = predicates.iter().map(|p| db.interpret(p)).collect();
-    db.set_wand(true);
-    assert_eq!(
-        with_wand, without,
-        "bit-identical retrieval must produce identical interpretations"
-    );
+    // The co-occurrence stage is a function of the retrieved hits, so
+    // bit-identical retrieval produces identical interpretations.
+    for predicate in PIPELINE_PREDICATES {
+        assert_interpreter_retrieval_matches(&db, predicate);
+        let cold = db.interpret(predicate);
+        db.clear_caches();
+        assert_eq!(cold, db.interpret(predicate), "{predicate:?}");
+    }
 }
