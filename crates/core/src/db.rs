@@ -7,7 +7,7 @@
 use crate::builder::BuildConfig;
 use crate::cache::{BoundedCache, CacheStats};
 pub use crate::column::DegreeColumn;
-use crate::column::{FeaturePlane, PreparedInterpretation};
+use crate::column::FeaturePlane;
 use crate::domain::LinguisticDomain;
 use crate::ingest::{DeltaState, IngestState, Pin};
 use crate::interpret::{Interpretation, Interpreter};
@@ -19,7 +19,7 @@ use opine_embed::PhraseEmbedder;
 use opine_ir::InvertedIndex;
 use opine_sentiment::SentimentAnalyzer;
 use opine_store::ast::ColumnRef;
-use opine_store::exec::{execute_with_algebra, SubjectiveScorer};
+use opine_store::exec::{BoundLeaf, SubjectiveScorer};
 use opine_store::{
     execute, parse_select, Bitmap, Catalog, FuzzyAlgebra, ResultSet, ReviewQualifier, ScoredRows,
     Select, StoreError, Value,
@@ -127,7 +127,9 @@ pub struct CacheReport {
     pub interpretations: CacheStats,
     /// Prepared-phrase memo hits/misses.
     pub phrases: CacheStats,
-    /// `(entity, predicate)` point-degree memo hits/misses.
+    /// Always zero: the `(entity, predicate)` point-degree memo it
+    /// counted is gone. Read only by `perfbench/src/run.rs`, and not
+    /// exported through [`Self::fields`].
     pub points: CacheStats,
     /// Degree-column cache hits/misses.
     pub columns: CacheStats,
@@ -160,10 +162,6 @@ pub struct CacheReport {
     pub qualified_repairs: u64,
     /// Entities those repairs re-aggregated.
     pub qualified_repaired_entities: u64,
-    /// Point-degree lookups that found their predicate's cached column
-    /// stale and repaired it once for the epoch instead of computing
-    /// the point.
-    pub column_point_repairs: u64,
     /// Top-k retrievals answered by the Block-Max-WAND path, summed
     /// over the review index (co-occurrence interpretation) and the
     /// entity index (text fallback) — the `/stats` counter the
@@ -225,7 +223,6 @@ impl CacheReport {
         [
             ("interpretations", Cache(self.interpretations)),
             ("phrases", Cache(self.phrases)),
-            ("points", Cache(self.points)),
             ("degree_columns", Cache(self.columns)),
             ("cached_degree_columns", Gauge(self.cached_columns as u64)),
             ("degree_column_bytes", Gauge(self.column_bytes as u64)),
@@ -249,7 +246,6 @@ impl CacheReport {
                 "qualified_repaired_entities",
                 Counter(self.qualified_repaired_entities),
             ),
-            ("column_point_repairs", Counter(self.column_point_repairs)),
             ("wand_queries", Counter(self.wand_queries)),
             ("exhaustive_queries", Counter(self.exhaustive_queries)),
             ("blocks_skipped", Counter(self.blocks_skipped)),
@@ -450,10 +446,6 @@ pub struct OpineDb {
     /// so repeated queries reuse both the degrees and the sort. Bounded:
     /// columns are the largest per-entry cache (8 bytes × entities each).
     pub(crate) column_cache: BoundedCache<(u64, Arc<DegreeColumn>)>,
-    /// `(entity, predicate)` → epoch-stamped degree memo for the lazy
-    /// point path taken by mixed queries, where an objective filter
-    /// admits few rows and a full column build would be wasted work.
-    point_cache: BoundedCache<(u64, f64)>,
     /// Phrase → normalized embedding + sentiment, shared by the
     /// interpretation, marker-match (`attr .= "phrase"`), and column
     /// scoring paths.
@@ -476,8 +468,6 @@ pub struct OpineDb {
     /// Stale qualified sets repaired / entities they re-aggregated.
     qualified_repairs: std::sync::atomic::AtomicU64,
     qualified_repaired_entities: std::sync::atomic::AtomicU64,
-    /// Stale columns repaired from the point path.
-    column_point_repairs: std::sync::atomic::AtomicU64,
     /// Queries cancelled by an expired deadline (mapped to
     /// [`OpineError::QueryTimeout`] at the query entry).
     timed_out_queries: std::sync::atomic::AtomicU64,
@@ -615,7 +605,6 @@ impl OpineDb {
             partials,
             config,
             column_cache: BoundedCache::new(256),
-            point_cache: BoundedCache::new(65_536),
             phrase_cache: BoundedCache::new(4096),
             entity_rows: OnceLock::new(),
             ta_queries: std::sync::atomic::AtomicU64::new(0),
@@ -624,7 +613,6 @@ impl OpineDb {
             qualified_queries: std::sync::atomic::AtomicU64::new(0),
             qualified_repairs: std::sync::atomic::AtomicU64::new(0),
             qualified_repaired_entities: std::sync::atomic::AtomicU64::new(0),
-            column_point_repairs: std::sync::atomic::AtomicU64::new(0),
             timed_out_queries: std::sync::atomic::AtomicU64::new(0),
             ingest: IngestState::new(),
         }
@@ -705,7 +693,6 @@ impl OpineDb {
     pub fn clear_caches(&self) {
         self.interpreter.clear_cache();
         self.column_cache.clear();
-        self.point_cache.clear();
         self.phrase_cache.clear();
         self.filtered_cache.clear();
     }
@@ -732,8 +719,7 @@ impl OpineDb {
     }
 
     /// Snapshot of every query-path cache (interpretations, phrases,
-    /// point degrees, degree columns) — the `/stats` payload's engine
-    /// section.
+    /// degree columns) — the `/stats` payload's engine section.
     pub fn cache_report(&self) -> CacheReport {
         let mut column_bytes = 0usize;
         self.column_cache
@@ -744,7 +730,7 @@ impl OpineDb {
         CacheReport {
             interpretations: self.interpreter.cache_stats(),
             phrases: self.phrase_cache.stats(),
-            points: self.point_cache.stats(),
+            points: CacheStats { hits: 0, misses: 0 },
             columns: self.column_cache.stats(),
             cached_columns: self.column_cache.len(),
             column_bytes,
@@ -756,7 +742,6 @@ impl OpineDb {
             filtered_summary_queries: self.qualified_queries(),
             qualified_repairs: self.qualified_repairs.load(Relaxed),
             qualified_repaired_entities: self.qualified_repaired_entities.load(Relaxed),
-            column_point_repairs: self.column_point_repairs.load(Relaxed),
             wand_queries: review_ir.wand_queries + entity_ir.wand_queries,
             exhaustive_queries: review_ir.exhaustive_queries + entity_ir.exhaustive_queries,
             blocks_skipped: review_ir.blocks_skipped + entity_ir.blocks_skipped,
@@ -836,15 +821,17 @@ impl OpineDb {
     /// underneath reads the same generation — snapshot isolation
     /// against concurrent `INSERT`s.
     pub fn query_select_ref(&self, select: &Select) -> Result<QueryRef<'_>, OpineError> {
-        self.query_select_with(select, self)
+        self.query_select_with(select, self, FuzzyAlgebra::Product)
     }
 
     /// [`Self::query_select_ref`] with the subjective parts scored by
-    /// `scorer` (the engine itself, or its [`crate::reference`]).
+    /// `scorer` (the engine itself, or its [`crate::reference`]) and
+    /// combined under `algebra`.
     pub(crate) fn query_select_with(
         &self,
         select: &Select,
         scorer: &dyn SubjectiveScorer,
+        algebra: FuzzyAlgebra,
     ) -> Result<QueryRef<'_>, OpineError> {
         self.ensure_pinned(|pin| {
             let interpretations = select
@@ -857,7 +844,7 @@ impl OpineDb {
                         .collect()
                 })
                 .unwrap_or_default();
-            let result = execute(select, &self.catalog, scorer, pin.overlay())?;
+            let result = execute(select, &self.catalog, scorer, algebra, pin.overlay())?;
             Ok(QueryRef {
                 result,
                 interpretations,
@@ -909,22 +896,17 @@ impl OpineDb {
         })
     }
 
-    /// Executes with an explicit fuzzy algebra (ablation hook; joins are
-    /// only supported under the default product algebra), under one
-    /// pinned delta generation like every other path.
+    /// [`Self::query`] with an explicit fuzzy algebra (ablation hook).
+    /// Only the product algebra is ranked by the TA index; any other
+    /// scores candidate rows one at a time.
     pub fn query_with_algebra(
         &self,
         sql: &str,
         algebra: FuzzyAlgebra,
     ) -> Result<QueryOutput, OpineError> {
         let select = parse_select(sql).map_err(|e| OpineError::Parse(e.to_string()))?;
-        let result = self.ensure_pinned(|pin| {
-            execute_with_algebra(&select, &self.catalog, self, algebra, pin.overlay())
-        })?;
-        Ok(QueryOutput {
-            result,
-            interpretations: Vec::new(),
-        })
+        self.query_select_with(&select, self, algebra)
+            .map(QueryOutput::from)
     }
 
     /// Interprets a predicate through the interpreter's bounded memo.
@@ -933,42 +915,10 @@ impl OpineDb {
             .interpret_cached(predicate, &self.embedder, &self.vocab)
     }
 
-    /// Degree of truth of a natural-language predicate for an entity.
-    ///
-    /// Reads the predicate's dense column when one is already cached
-    /// (built by the batch paths) and otherwise computes just this
-    /// entity, memoizing the point value — a mixed query whose objective
-    /// filter admits few rows must not trigger a full column build.
+    /// Degree of truth of a natural-language predicate for an entity:
+    /// the entity's slot of the predicate's [`Self::degree_column`].
     pub fn degree(&self, entity: usize, predicate: &str) -> f64 {
-        self.ensure_pinned(|pin| self.degree_pinned(entity, predicate, pin))
-    }
-
-    fn degree_pinned(&self, entity: usize, predicate: &str, pin: &Pin) -> f64 {
-        if let Some((stamp, column)) = self.column_cache.get(predicate) {
-            if Self::entry_fresh(stamp, entity, pin) {
-                return column.degrees()[entity];
-            } else if stamp < pin.epoch {
-                // Stale for this entity only: repair the column once for
-                // this epoch (the entities changed since the stamp
-                // recompute) so the statement's other rows, and every
-                // later statement's, stay on the dense read above.
-                self.column_point_repairs.fetch_add(1, Relaxed);
-                let repaired = self.column_from(predicate, pin, Some((stamp, column)));
-                return repaired.degrees()[entity];
-            }
-        }
-        // No cached column (or one from this pin's future): memoize
-        // the point. `\u{1}` cannot occur in tokenized predicate
-        // text, so the composite key is unambiguous.
-        let key = format!("{entity}\u{1}{predicate}");
-        if let Some((stamp, degree)) = self.point_cache.get(&key) {
-            if Self::entry_fresh(stamp, entity, pin) {
-                return degree;
-            }
-        }
-        let degree = self.degree_prepared(entity, &self.prepare_interpretation(predicate), pin);
-        self.point_cache.insert(&key, (pin.epoch, degree));
-        degree
+        self.degree_column(predicate).degrees()[entity]
     }
 
     /// Top-k entities for a conjunction of natural-language predicates
@@ -1374,6 +1324,12 @@ impl OpineDb {
         self.attributes.iter().position(|a| a == name)
     }
 
+    /// The attribute a `attribute .= "phrase"` leaf names.
+    pub(crate) fn match_attribute(&self, attribute: &ColumnRef) -> Result<usize, StoreError> {
+        self.attribute_index(&attribute.column)
+            .ok_or_else(|| StoreError::UnknownColumn(attribute.column.clone()))
+    }
+
     /// Dense entity id for a row-key [`Value`]. Goes through the shared
     /// [`Value::with_key_str`] rendering — the same path the table key
     /// index uses — so text keys probe the map by `&str`, non-text keys
@@ -1423,8 +1379,8 @@ impl OpineDb {
 /// subjective degree is computed from the filtered summaries through
 /// the membership kernel's generic-summary arm, so only qualifying
 /// reviews count. Interpretations, prepared phrases, and the membership
-/// model are shared with the engine; the unqualified degree-column and
-/// point caches are bypassed (their entries assume all reviews).
+/// model are shared with the engine; the unqualified degree columns are
+/// bypassed (their entries assume all reviews).
 ///
 /// The executor obtains one per qualified statement via
 /// [`SubjectiveScorer::qualified_scorer`]. It deliberately declines the
@@ -1436,76 +1392,59 @@ pub struct QualifiedScorer<'a> {
     /// The delta generation the statement pinned (the text fallback
     /// reads its merged text index).
     pin: Pin,
-    /// Predicate → prepared interpretation, so the statement's row loop
-    /// interprets and embeds each predicate once, not once per row.
-    prepared: BoundedCache<Arc<PreparedInterpretation>>,
-}
-
-impl QualifiedScorer<'_> {
-    /// Degree of a natural-language predicate over the filtered
-    /// summaries. The text-retrieval fallback (stage 3) scores the
-    /// entity's full review document — BM25 has no per-review summary
-    /// to filter — so it is the one stage a qualifier cannot scope.
-    fn degree(&self, entity: usize, predicate: &str) -> f64 {
-        let prepared = self.prepared.get_or_insert_with(predicate, || {
-            Arc::new(self.db.prepare_interpretation(predicate))
-        });
-        prepared.combine(
-            |term| {
-                self.db
-                    .summary_term_degree(&self.summaries[entity][term.attribute], term)
-            },
-            |terms| self.db.text_degree_terms(entity, terms, &self.pin),
-        )
-    }
 }
 
 impl SubjectiveScorer for QualifiedScorer<'_> {
-    fn degree_predicate(&self, predicate: &str, key: &Value) -> Result<f64, StoreError> {
-        Ok(self.degree(self.db.entity_of_value(key)?, predicate))
+    /// The text-retrieval fallback (stage 3) scores the entity's full
+    /// review document — BM25 has no per-review summary to filter — so
+    /// it is the one stage a qualifier cannot scope.
+    fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
+        let db = self.db;
+        let prepared = db.prepare_interpretation(predicate);
+        Ok(Box::new(move |key| {
+            let entity = db.entity_of_value(key)?;
+            Ok(prepared.combine(
+                |term| db.summary_term_degree(&self.summaries[entity][term.attribute], term),
+                |terms| db.text_degree_terms(entity, terms, &self.pin),
+            ))
+        }))
     }
 
-    fn degree_match(
-        &self,
-        attribute: &ColumnRef,
-        phrase: &str,
-        key: &Value,
-    ) -> Result<f64, StoreError> {
-        let entity = self.db.entity_of_value(key)?;
-        let attr = self
-            .db
-            .attribute_index(&attribute.column)
-            .ok_or_else(|| StoreError::UnknownColumn(attribute.column.clone()))?;
-        Ok(self
-            .db
-            .attribute_degree_with_summaries(&self.summaries, entity, attr, phrase))
+    fn bind_match<'s>(
+        &'s self,
+        attribute: &'s ColumnRef,
+        phrase: &'s str,
+    ) -> Result<BoundLeaf<'s>, StoreError> {
+        let db = self.db;
+        let term = db.prepare_term(db.match_attribute(attribute)?, phrase);
+        Ok(Box::new(move |key| {
+            let row = &self.summaries[db.entity_of_value(key)?];
+            Ok(db.summary_term_degree(&row[term.attribute], &term))
+        }))
     }
 }
 
 impl SubjectiveScorer for OpineDb {
-    fn degree_predicate(&self, predicate: &str, key: &Value) -> Result<f64, StoreError> {
-        Ok(self.degree(self.entity_of_value(key)?, predicate))
+    /// The leaf reads one [`DegreeColumn`] for the whole statement: the
+    /// cached one, restamped or repaired for the entities that changed
+    /// since its stamp, or built — [`Self::degree_column`]'s cases.
+    fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
+        let column = self.degree_column(predicate);
+        Ok(Box::new(move |key| {
+            Ok(column.degrees()[self.entity_of_value(key)?])
+        }))
     }
 
-    fn degree_match(
-        &self,
-        attribute: &ColumnRef,
-        phrase: &str,
-        key: &Value,
-    ) -> Result<f64, StoreError> {
-        let entity = self.entity_of_value(key)?;
-        let attr = self
-            .attribute_index(&attribute.column)
-            .ok_or_else(|| StoreError::UnknownColumn(attribute.column.clone()))?;
-        Ok(self.attribute_degree(entity, attr, phrase))
-    }
-
-    fn prepare_predicates(&self, predicates: &[&str]) {
-        // Warm the degree columns (computed in parallel over entity
-        // chunks) so the executor's row loop reduces to cache reads.
-        for predicate in predicates {
-            let _ = self.degree_column(predicate);
-        }
+    fn bind_match<'s>(
+        &'s self,
+        attribute: &'s ColumnRef,
+        phrase: &'s str,
+    ) -> Result<BoundLeaf<'s>, StoreError> {
+        let term = self.prepare_term(self.match_attribute(attribute)?, phrase);
+        let pin = self.pinned();
+        Ok(Box::new(move |key| {
+            Ok(self.term_degree(self.entity_of_value(key)?, &term, &pin))
+        }))
     }
 
     fn rank_subjective_conjunction(
@@ -1551,8 +1490,6 @@ impl SubjectiveScorer for OpineDb {
             db: self,
             summaries: self.summaries_qualified(qualifier),
             pin: self.pinned(),
-            // A statement names a handful of predicates.
-            prepared: BoundedCache::new(64),
         }))
     }
 }
@@ -1662,6 +1599,7 @@ mod tests {
         let a = db.degree(0, "clean rooms");
         let b = db.degree(0, "clean rooms");
         assert_eq!(a, b);
+        assert_eq!(a, db.degree_column("clean rooms").degrees()[0]);
     }
 
     #[test]

@@ -262,13 +262,6 @@ impl DeltaState {
         })
     }
 
-    /// The pinned-generation version of `entity` (0 when untouched).
-    #[inline]
-    pub fn entity_version(&self, entity: usize) -> u64 {
-        self.chunk(entity)
-            .map_or(0, |chunk| chunk.versions[entity % SPINE_CHUNK])
-    }
-
     /// Delta reviews of `entity`.
     #[inline]
     pub fn entity_reviews(&self, entity: usize) -> u32 {
@@ -660,17 +653,6 @@ impl OpineDb {
                 delta: snap.value().clone(),
             }
         })
-    }
-
-    /// Whether an epoch-stamped cache entry is valid for `entity` under
-    /// `pin`: the entry must not come from the pin's future (snapshot
-    /// isolation for queries pinned before a publish), and the entity
-    /// must not have changed since the entry was stamped (per-entity
-    /// precision — an insert into entity A never invalidates entity
-    /// B's memoized degrees).
-    #[inline]
-    pub(crate) fn entry_fresh(stamp: u64, entity: usize, pin: &Pin) -> bool {
-        stamp <= pin.epoch && pin.delta.entity_version(entity) <= stamp
     }
 
     /// Metadata of a review by global id: base reviews first, then the

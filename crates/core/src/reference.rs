@@ -8,12 +8,13 @@
 //! [`crate::MembershipModel::degree`], the point BM25 plus the pinned
 //! delta text for the fallback, and the raw rescan
 //! ([`OpineDb::summaries_with_review_filter`]) for `with reviews(…)` —
-//! under the same pin as every other read. It declines every index the
-//! executor offers ([`SubjectiveScorer::prepare_predicates`] and
-//! [`SubjectiveScorer::rank_subjective_conjunction`] stay at their
-//! defaults) and reads and writes no cache but the interpreter's memo,
-//! so it is what every fast path, cold or warm, is compared against bit
-//! for bit, and what an ablation runs on.
+//! under the same pin as every other read. Its bound leaves hoist
+//! nothing out of the row loop (each row interprets, embeds and scores
+//! again), it declines the executor's index
+//! ([`SubjectiveScorer::rank_subjective_conjunction`] stays at its
+//! default), and it reads and writes no cache but the interpreter's
+//! memo, so it is what every fast path, cold or warm, is compared
+//! against bit for bit, and what an ablation runs on.
 
 use crate::db::{OpineDb, OpineError, QueryOutput, QueryRef};
 use crate::ingest::Pin;
@@ -21,8 +22,8 @@ use crate::interpret::Interpretation;
 use crate::membership::{marker_features, scan_features};
 use crate::summary::MarkerSummary;
 use opine_store::ast::ColumnRef;
-use opine_store::exec::SubjectiveScorer;
-use opine_store::{parse_select, FuzzyAlgebra, ReviewQualifier, StoreError, Value};
+use opine_store::exec::{BoundLeaf, SubjectiveScorer};
+use opine_store::{parse_select, FuzzyAlgebra, ReviewQualifier, StoreError};
 use std::borrow::Cow;
 
 /// A borrowed, cache-free, row-at-a-time evaluator over an [`OpineDb`].
@@ -69,7 +70,8 @@ impl<'a> Reference<'a> {
     /// [`OpineDb::query_ref`], scored by this evaluator.
     pub fn query_ref(&self, sql: &str) -> Result<QueryRef<'a>, OpineError> {
         let select = parse_select(sql).map_err(|e| OpineError::Parse(e.to_string()))?;
-        self.db.query_select_with(&select, self)
+        self.db
+            .query_select_with(&select, self, FuzzyAlgebra::Product)
     }
 
     fn predicate_degree(&self, entity: usize, predicate: &str, pin: &Pin) -> f64 {
@@ -146,24 +148,23 @@ impl<'a> Reference<'a> {
 }
 
 impl SubjectiveScorer for Reference<'_> {
-    fn degree_predicate(&self, predicate: &str, key: &Value) -> Result<f64, StoreError> {
-        Ok(self.degree(self.db.entity_of_value(key)?, predicate))
+    fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
+        Ok(Box::new(move |key| {
+            Ok(self.degree(self.db.entity_of_value(key)?, predicate))
+        }))
     }
 
-    fn degree_match(
-        &self,
-        attribute: &ColumnRef,
-        phrase: &str,
-        key: &Value,
-    ) -> Result<f64, StoreError> {
-        let entity = self.db.entity_of_value(key)?;
-        let attr = self
-            .db
-            .attribute_index(&attribute.column)
-            .ok_or_else(|| StoreError::UnknownColumn(attribute.column.clone()))?;
-        Ok(self
-            .db
-            .ensure_pinned(|pin| self.term_degree(entity, attr, phrase, pin)))
+    fn bind_match<'s>(
+        &'s self,
+        attribute: &'s ColumnRef,
+        phrase: &'s str,
+    ) -> Result<BoundLeaf<'s>, StoreError> {
+        let db = self.db;
+        let attr = db.match_attribute(attribute)?;
+        Ok(Box::new(move |key| {
+            let entity = db.entity_of_value(key)?;
+            Ok(db.ensure_pinned(|pin| self.term_degree(entity, attr, phrase, pin)))
+        }))
     }
 
     fn qualified_scorer<'s>(

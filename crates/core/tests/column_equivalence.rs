@@ -11,7 +11,7 @@
 
 use opine_core::faults::{with_deadline, Cancelled, Deadline};
 use opine_core::trace::{with_trace, TraceContext};
-use opine_core::{build, BuildConfig, Interpretation, OpineDb};
+use opine_core::{build, BuildConfig, CacheReport, CacheStats, Interpretation, OpineDb};
 use opine_corpus::hotel::hotel_spec;
 use opine_corpus::workload::build_workload;
 use opine_corpus::{Corpus, CorpusConfig};
@@ -171,7 +171,7 @@ fn ingest_spread(db: &OpineDb) {
 }
 
 #[test]
-fn point_path_after_inserts_reads_the_repaired_column_and_matches_a_fresh_engine() {
+fn repaired_warm_column_matches_a_fresh_engine() {
     let warm = db();
     let predicates = one_predicate_per_kind(&warm);
     for predicate in &predicates {
@@ -183,31 +183,65 @@ fn point_path_after_inserts_reads_the_repaired_column_and_matches_a_fresh_engine
     ingest_spread(&fresh);
 
     for predicate in &predicates {
-        let before = warm.cache_report();
-        let point: Vec<u64> = (0..ENTITIES)
+        let repaired: Vec<u64> = (0..ENTITIES)
             .map(|e| warm.degree(e, predicate).to_bits())
             .collect();
-        let after = warm.cache_report();
         assert_eq!(
-            after.column_point_repairs - before.column_point_repairs,
-            1,
-            "{predicate:?}: the first stale row repairs the column, the rest read it"
-        );
-        assert_eq!(
-            after.points.hits + after.points.misses,
-            before.points.hits + before.points.misses,
-            "{predicate:?}: a predicate with a cached column never probes the point memo"
-        );
-        assert_eq!(
-            point,
+            repaired,
             bits(&warm.degree_column(predicate)),
-            "{predicate:?}: point vs slot"
+            "{predicate:?}: degree vs slot"
         );
         let reference: Vec<u64> = (0..ENTITIES)
             .map(|e| fresh.degree(e, predicate).to_bits())
             .collect();
-        assert_eq!(point, reference, "{predicate:?}: repaired vs fresh engine");
+        assert_eq!(
+            repaired, reference,
+            "{predicate:?}: repaired vs fresh engine"
+        );
     }
+}
+
+/// What a statement does per leaf it does once, however many rows it
+/// scores: counted on the caches the leaves go through, not timed.
+#[test]
+fn a_statement_binds_each_subjective_leaf_once_whatever_its_row_count() {
+    let db = db();
+    let probes = |sql: &str, cache: fn(&CacheReport) -> CacheStats| {
+        db.query(sql).expect("warms");
+        let before = cache(&db.cache_report());
+        let rows = db.query(sql).expect("answers").result.rows.len();
+        let after = cache(&db.cache_report());
+        assert!(rows >= 100, "{rows} rows: {sql}");
+        (after.hits + after.misses) - (before.hits + before.misses)
+    };
+    // Two natural-language leaves: two probes of the column cache.
+    assert_eq!(
+        probes(
+            "select * from hotels where price_pn < 100000 \
+             and (\"clean rooms\" or \"friendly staff\")",
+            |r| r.columns
+        ),
+        2
+    );
+    // Two `.=` leaves: two probes of the prepared-phrase memo.
+    assert_eq!(
+        probes(
+            "select * from hotels h where h.price_pn < 100000 \
+             and (h.room_cleanliness .= \"very clean\" or h.service .= \"exceptional\")",
+            |r| r.phrases
+        ),
+        2
+    );
+    // Two qualified leaves: each interpreted once for the answer's
+    // interpretation list and once by its bind.
+    assert_eq!(
+        probes(
+            "select * from hotels where \"clean rooms\" or \"friendly staff\" \
+             with reviews(year >= 2012)",
+            |r| r.interpretations
+        ),
+        4
+    );
 }
 
 #[test]

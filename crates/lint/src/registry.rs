@@ -26,7 +26,6 @@ pub const MONOTONIC_COUNTERS: &[&str] = &[
     // newer pin by recomputing only what changed since its stamp)
     "qualified_repairs",
     "qualified_repaired_entities",
-    "column_point_repairs",
     // core::ingest counters (writer-side bumps, reader-side report)
     "inserted_reviews",
     "delta_merges",
@@ -65,10 +64,11 @@ pub const COUNTER_ALIASES: &[(&str, &str)] = &[
 
 /// Files whose loops are data-proportional (per-document / per-block /
 /// per-posting work): top-k pivoting, WAND block skipping, summary
-/// merging, degree-column builds and repairs, rescoring, and the
-/// parallel worker shim. Loops of consequence here must hit
-/// `Deadline::checkpoint()`.
+/// merging, degree-column builds and repairs, the executor's row loop
+/// and hash joins, and the parallel worker shim. Loops of consequence
+/// here must hit `Deadline::checkpoint()`.
 pub const HOT_LOOP_FILES: &[&str] = &[
+    "crates/store/src/exec.rs",
     "crates/core/src/topk.rs",
     "crates/core/src/summary.rs",
     "crates/core/src/column.rs",

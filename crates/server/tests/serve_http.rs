@@ -525,7 +525,14 @@ fn review_text_with_quotes_survives_the_json_layer() {
         .insert("hotels", vec![Value::text(tricky), Value::Float(99.0)])
         .unwrap();
     let select = parse_select("select * from hotels where price_pn < 100").unwrap();
-    let rows = opine_store::execute(&select, &catalog, &opine_store::ObjectiveOnly, None).unwrap();
+    let rows = opine_store::execute(
+        &select,
+        &catalog,
+        &opine_store::ObjectiveOnly,
+        opine_store::FuzzyAlgebra::Product,
+        None,
+    )
+    .unwrap();
     // Render through the same writer the server uses.
     let mut body = String::from("{\"values\":[");
     for (j, v) in rows.values(0).enumerate() {

@@ -287,9 +287,13 @@ fn expired_deadline_returns_504_timeout() {
         },
     );
     let mut client = HttpClient::connect(server.local_addr()).unwrap();
-    let resp = client.post("/query", &query_body(RUNNING_EXAMPLE)).unwrap();
-    assert_eq!(resp.status, 504, "body: {}", resp.body);
-    assert_taxonomy(&resp.body, "timeout");
+    let joined = "select * from hotels h join reviews r on h.hotelname = r.entity \
+                  where \"clean rooms\" limit 5";
+    for sql in [RUNNING_EXAMPLE, joined] {
+        let resp = client.post("/query", &query_body(sql)).unwrap();
+        assert_eq!(resp.status, 504, "body: {}", resp.body);
+        assert_taxonomy(&resp.body, "timeout");
+    }
 
     let stats = client.get("/stats").unwrap();
     let parsed = opine_server::json::parse(&stats.body).unwrap();

@@ -251,9 +251,8 @@ impl Expr {
 
     /// True when every leaf is a subjective construct — no objective
     /// comparison anywhere. Such expressions evaluate the subjective
-    /// degrees for *every* row, so batch warm-up always pays off; a mixed
-    /// expression may short-circuit on its objective filters, where eager
-    /// whole-column scoring would be wasted work.
+    /// degrees for *every* row; a mixed expression may short-circuit on
+    /// its objective filters.
     pub fn is_purely_subjective(&self) -> bool {
         match self {
             Expr::Subjective(_) | Expr::MarkerMatch { .. } => true,

@@ -19,8 +19,14 @@
 //! ([`SubjectiveScorer::rank_subjective_conjunction`]) — the paper's
 //! running example `price_pn < 150 and "clean rooms"` rides the TA fast
 //! path end-to-end instead of forcing row-at-a-time scoring.
+//!
+//! Everything else — a residue TA cannot rank, joined rows, overlay rows,
+//! a statement without an index behind it — goes through one row loop
+//! (`score_rows`), which binds each subjective leaf once per statement
+//! ([`SubjectiveScorer::bind_predicate`], [`SubjectiveScorer::bind_match`])
+//! and reads the bound leaf once per row.
 
-use crate::ast::{ColumnRef, Expr, Operand, ReviewQualifier, Select};
+use crate::ast::{CmpOp, ColumnRef, Expr, Operand, ReviewQualifier, Select};
 use crate::bitmap::Bitmap;
 use crate::catalog::Catalog;
 use crate::overlay::TableOverlay;
@@ -67,30 +73,29 @@ impl FuzzyAlgebra {
     }
 }
 
+/// One subjective leaf of a WHERE clause, bound by a [`SubjectiveScorer`]
+/// for the statement being executed: maps a row's base-table key — in
+/// OpineDB the entity identifier — to the leaf's degree of truth.
+pub type BoundLeaf<'s> = Box<dyn Fn(&Value) -> Result<f64, StoreError> + 's>;
+
 /// Supplies degrees of truth for subjective constructs.
 ///
-/// The key passed in is the value of the scanned row's primary key for the
-/// *base* table of the query — in OpineDB that is the entity identifier.
+/// The executor binds every subjective leaf of a statement **once**,
+/// before the first row, and calls the bound leaf per row. Whatever a
+/// leaf costs that does not depend on the row (interpreting the
+/// predicate, embedding the phrase, finding or building a degree column,
+/// resolving the attribute name) belongs in `bind_*`; so do its errors,
+/// which makes a bad leaf an error whether or not any row reaches it.
 pub trait SubjectiveScorer {
-    /// Degree of truth of a natural-language predicate for the entity.
-    fn degree_predicate(&self, predicate: &str, key: &Value) -> Result<f64, StoreError>;
+    /// Binds a natural-language predicate.
+    fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError>;
 
-    /// Degree of truth of `attribute .= "phrase"` for the entity.
-    fn degree_match(
-        &self,
-        attribute: &ColumnRef,
-        phrase: &str,
-        key: &Value,
-    ) -> Result<f64, StoreError>;
-
-    /// Batch warm-up hook called once per query with every
-    /// natural-language predicate in the WHERE clause, before the
-    /// executor's row loop. Scorers that can evaluate a predicate over
-    /// all entities at once (OpineDB scores them in parallel entity
-    /// chunks) implement this so the subsequent per-row
-    /// [`Self::degree_predicate`] calls become cache reads. The default
-    /// does nothing.
-    fn prepare_predicates(&self, _predicates: &[&str]) {}
+    /// Binds `attribute .= "phrase"`.
+    fn bind_match<'s>(
+        &'s self,
+        attribute: &'s ColumnRef,
+        phrase: &'s str,
+    ) -> Result<BoundLeaf<'s>, StoreError>;
 
     /// Optional index-assisted ranking for a WHERE clause whose
     /// subjective part is exactly a conjunction of natural-language
@@ -135,16 +140,15 @@ pub trait SubjectiveScorer {
 pub struct ObjectiveOnly;
 
 impl SubjectiveScorer for ObjectiveOnly {
-    fn degree_predicate(&self, predicate: &str, _key: &Value) -> Result<f64, StoreError> {
+    fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
         Err(StoreError::NoScorer(predicate.to_string()))
     }
 
-    fn degree_match(
-        &self,
-        attribute: &ColumnRef,
-        phrase: &str,
-        _key: &Value,
-    ) -> Result<f64, StoreError> {
+    fn bind_match<'s>(
+        &'s self,
+        attribute: &'s ColumnRef,
+        phrase: &'s str,
+    ) -> Result<BoundLeaf<'s>, StoreError> {
         Err(StoreError::NoScorer(format!(
             "{}.= \"{phrase}\"",
             attribute.column
@@ -355,9 +359,10 @@ impl Layout {
 }
 
 /// Executes `query` against `catalog` using `scorer` for subjective
-/// parts. The returned [`ScoredRows`] borrows winning rows from the
-/// catalog, so serving layers serialize results with zero per-row
-/// clones; [`ScoredRows::into_result_set`] materializes owned rows.
+/// parts and `algebra` to combine degrees. The returned [`ScoredRows`]
+/// borrows winning rows from the catalog, so serving layers serialize
+/// results with zero per-row clones; [`ScoredRows::into_result_set`]
+/// materializes owned rows.
 ///
 /// `overlay` is the read path of live ingest, where rows inserted after
 /// the build ride in a pinned [`TableOverlay`] generation instead of
@@ -370,6 +375,7 @@ pub fn execute<'a>(
     query: &Select,
     catalog: &'a Catalog,
     scorer: &dyn SubjectiveScorer,
+    algebra: FuzzyAlgebra,
     overlay: Option<&TableOverlay>,
 ) -> Result<ScoredRows<'a>, StoreError> {
     // Review-qualified statements swap in the scorer's scoped view for
@@ -395,27 +401,26 @@ pub fn execute<'a>(
 
     // Single-table planner: objective prefilter bitmap + subjective
     // residue, with TA pushdown for conjunction-shaped residues. Joins
-    // change the row set, so they always take the generic path. Overlay
-    // rows are not bitmap-indexed; they are scored one at a time with
-    // the full WHERE expression and appended before the final
-    // sort/limit, which keeps top-k answers exact.
-    if query.joins.is_empty() {
-        if let Some(mut scored) = plan_single_table(query, base, &layout, scorer)? {
-            if let Some(overlay) = overlay {
-                score_overlay_rows(query, &layout, overlay, scorer, &mut scored)?;
-            }
-            return finish(query, layout, scored);
-        }
-    }
-
-    // Candidate rows: views into the base table's columns plus owned
-    // overlay rows; joins below replace them with owned combined rows.
-    let mut rows: Vec<RowHandle<'a>> = base.rows().map(RowHandle::Base).collect();
+    // change the row set, so they always scan every base row.
+    let plan = if query.joins.is_empty() {
+        plan_single_table(query, base, &layout, scorer, algebra)?
+    } else {
+        Plan::every_row(base)
+    };
+    let (mut scored, mut rows, answered) = match plan {
+        Plan::Answered(scored) => (scored, Vec::new(), true),
+        Plan::Scan(rows) => (Vec::new(), rows, false),
+    };
+    // Overlay rows are not bitmap-indexed: whatever the plan, they are
+    // scored one at a time with the full WHERE expression and ranked
+    // with the base rows before the final sort/limit, which keeps top-k
+    // answers exact.
     for row in overlay.iter().flat_map(|o| o.rows_for(&query.from)) {
+        opine_faults::checkpoint();
         rows.push(RowHandle::Owned(checked_overlay_row(
             &query.from,
             row,
-            base.schema().columns.len(),
+            layout.slots.len(),
         )?));
     }
 
@@ -438,11 +443,13 @@ pub fn execute<'a>(
         // rows, owned tuples for the table's overlay rows).
         let mut hash: HashMap<String, Vec<BuildRow>> = HashMap::new();
         for view in right.rows() {
+            opine_faults::checkpoint();
             hash.entry(view.get(build_col).to_string())
                 .or_default()
                 .push(BuildRow::Pos(view.index()));
         }
         for row in overlay.iter().flat_map(|o| o.rows_for(&join.table)) {
+            opine_faults::checkpoint();
             let row = checked_overlay_row(&join.table, row, right.schema().columns.len())?;
             hash.entry(ValueRef::from(&row[build_col]).to_string())
                 .or_default()
@@ -450,8 +457,10 @@ pub fn execute<'a>(
         }
         let mut joined = Vec::new();
         for handle in &rows {
+            opine_faults::checkpoint();
             if let Some(matches) = hash.get(&handle.value(probe_slot).to_string()) {
                 for m in matches {
+                    opine_faults::checkpoint();
                     let mut combined: Vec<Value> = (0..handle.width())
                         .map(|s| handle.value(s).to_value())
                         .collect();
@@ -473,45 +482,12 @@ pub fn execute<'a>(
         );
     }
 
-    // Batch warm-up — only for purely subjective WHERE clauses (e.g.
-    // `"a" or "b"`, which the TA conjunction path can't take): every row
-    // will need every predicate's degree, so scoring all entities at
-    // once in parallel is always profitable. Mixed clauses keep lazy
-    // per-row scoring so a selective objective filter short-circuits the
-    // subjective work exactly as before.
-    if let Some(expr) = &query.where_clause {
-        if expr.is_purely_subjective() {
-            let predicates = expr.subjective_predicates();
-            if !predicates.is_empty() {
-                scorer.prepare_predicates(&predicates);
-            }
-        }
+    // A plan that answered the base rows leaves only overlay rows, and
+    // usually none. A scan binds its WHERE clause even over zero rows.
+    if !(answered && rows.is_empty()) {
+        let where_clause = query.where_clause.as_ref();
+        score_rows(where_clause, rows, &layout, scorer, algebra, &mut scored)?;
     }
-
-    // Score every row.
-    let mut scored: Vec<(RowHandle<'a>, f64)> = Vec::with_capacity(rows.len());
-    let algebra = FuzzyAlgebra::Product;
-    {
-        let span = opine_trace::span("rescore");
-        let examined = rows.len() as u64;
-        for handle in rows {
-            // Cancellation checkpoint per scored row: an expired request
-            // deadline unwinds out of the scan at the next chunk boundary.
-            opine_faults::checkpoint();
-            let score = match &query.where_clause {
-                None => 1.0,
-                Some(expr) => {
-                    let key = handle.value(layout.base_key_slot).to_value();
-                    eval(expr, &handle, &layout, &key, scorer, algebra)?
-                }
-            };
-            if score > 0.0 {
-                scored.push((handle, score));
-            }
-        }
-        span.count("scored", examined);
-    }
-
     finish(query, layout, scored)
 }
 
@@ -535,41 +511,59 @@ fn resolve_qualified<'s>(
     }
 }
 
-/// The single-table planner. Returns `Ok(None)` for shapes it does not
-/// handle (no WHERE, a purely subjective clause that is not a TA-shaped
-/// conjunction, …), which fall through to the generic scan.
+/// What the single-table planner decided about the base table's rows.
+enum Plan<'a> {
+    /// They are answered: ranked by the scorer's TA top-k, or selected
+    /// by a purely objective WHERE clause with score 1.
+    Answered(Vec<(RowHandle<'a>, f64)>),
+    /// These (every row, or the objective prefilter's candidates) are
+    /// scored one at a time with the full WHERE expression.
+    Scan(Vec<RowHandle<'a>>),
+}
+
+impl<'a> Plan<'a> {
+    fn every_row(base: &'a Table) -> Self {
+        Plan::Scan(base.rows().map(RowHandle::Base).collect())
+    }
+}
+
+/// The single-table planner: the only place that chooses between the
+/// scorer's index and the row loop.
 fn plan_single_table<'a>(
     query: &Select,
     base: &'a Table,
     layout: &Layout,
     scorer: &dyn SubjectiveScorer,
-) -> Result<Option<Vec<(RowHandle<'a>, f64)>>, StoreError> {
+    algebra: FuzzyAlgebra,
+) -> Result<Plan<'a>, StoreError> {
     let Some(where_clause) = &query.where_clause else {
-        return Ok(None);
+        return Ok(Plan::every_row(base));
     };
     let plan_span = opine_trace::span("plan");
     let conjuncts = where_clause.conjuncts();
     let (objective, subjective): (Vec<&Expr>, Vec<&Expr>) =
         conjuncts.into_iter().partition(|e| !e.has_subjective());
     drop(plan_span);
+    // The scorer ranks under the product t-norm, in degree order: any
+    // other algebra, or an ORDER BY, scores rows instead.
+    let rankable = algebra == FuzzyAlgebra::Product && query.order_by.is_none();
 
     if objective.is_empty() {
         // Pure subjective conjunction (the paper's core ranking query):
         // the scorer's threshold-algorithm top-k over its degree columns
-        // skips the full scoring scan. ORDER BY asks for a different
-        // order, so it disables the path; scorers without an index
-        // return `None` and fall through.
-        if query.order_by.is_none() {
+        // skips the full scoring scan; scorers without an index return
+        // `None` and fall through.
+        if rankable {
             if let Some(predicates) = where_clause.as_subjective_conjunction() {
                 let k = query.limit.unwrap_or(usize::MAX).min(base.len());
                 if let Some(ranked) = scorer.rank_subjective_conjunction(&predicates, k, None) {
                     opine_trace::note(|| "plan: pure subjective conjunction → TA top-k".into());
-                    return Ok(Some(materialize_ranked(base, ranked)?));
+                    return Ok(Plan::Answered(materialize_ranked(base, ranked)?));
                 }
                 opine_trace::note(|| "plan: scorer declined TA ranking → full scan".into());
             }
         }
-        return Ok(None);
+        return Ok(Plan::every_row(base));
     }
 
     // Objective prefilter: vectorized comparisons over typed columns,
@@ -583,7 +577,7 @@ fn plan_single_table<'a>(
 
     if subjective.is_empty() {
         // Purely objective WHERE: the bitmap *is* the answer (score 1).
-        return Ok(Some(
+        return Ok(Plan::Answered(
             candidates
                 .iter_ones()
                 .map(|i| (RowHandle::Base(base.row(i)), 1.0))
@@ -595,7 +589,7 @@ fn plan_single_table<'a>(
     // the candidate bitmap down into the scorer's TA top-k. Objective
     // conjuncts contribute an exact factor of 1 on candidates under
     // both t-norms, so the combined degree is the residue's product.
-    if query.order_by.is_none() && subjective.iter().all(|e| matches!(e, Expr::Subjective(_))) {
+    if rankable && subjective.iter().all(|e| matches!(e, Expr::Subjective(_))) {
         let predicates: Vec<&str> = subjective
             .iter()
             .map(|e| match e {
@@ -610,31 +604,22 @@ fn plan_single_table<'a>(
         if let Some(ranked) = scorer.rank_subjective_conjunction(&predicates, k, Some(&candidates))
         {
             opine_trace::note(|| "plan: mixed clause → objective prefilter + TA pushdown".into());
-            return Ok(Some(materialize_ranked(base, ranked)?));
+            return Ok(Plan::Answered(materialize_ranked(base, ranked)?));
         }
     }
 
     // Residue that TA can't rank (marker matches, OR/NOT, an explicit
-    // ORDER BY, or a scorer without an index): score candidates one at
-    // a time with the *full* WHERE expression, so scores match the
-    // naive path bit-for-bit. Non-candidates would have scored 0.
+    // ORDER BY, another algebra, or a scorer without an index): score
+    // candidates one at a time with the *full* WHERE expression, so
+    // scores match the naive path bit-for-bit. Non-candidates would
+    // have scored 0.
     opine_trace::note(|| "plan: residue not TA-rankable → row-at-a-time over candidates".into());
-    let span = opine_trace::span("rescore");
-    let algebra = FuzzyAlgebra::Product;
-    let mut scored = Vec::new();
-    let mut examined = 0u64;
-    for i in candidates.iter_ones() {
-        opine_faults::checkpoint();
-        examined += 1;
-        let handle = RowHandle::Base(base.row(i));
-        let key = handle.value(layout.base_key_slot).to_value();
-        let score = eval(where_clause, &handle, layout, &key, scorer, algebra)?;
-        if score > 0.0 {
-            scored.push((handle, score));
-        }
-    }
-    span.count("scored", examined);
-    Ok(Some(scored))
+    Ok(Plan::Scan(
+        candidates
+            .iter_ones()
+            .map(|i| RowHandle::Base(base.row(i)))
+            .collect(),
+    ))
 }
 
 /// Evaluates the objective conjuncts into one candidate bitmap.
@@ -674,20 +659,16 @@ fn objective_bitmap(
                 continue;
             }
         }
+        let bound = bind(expr, layout, scorer)?;
         for i in 0..base.len() {
             opine_faults::checkpoint();
-            if !candidates.get(i) {
-                continue;
-            }
-            let handle = RowHandle::Base(base.row(i));
-            if eval(
-                expr,
-                &handle,
-                layout,
-                &Value::Null,
-                scorer,
-                FuzzyAlgebra::Product,
-            )? == 0.0
+            if candidates.get(i)
+                && eval(
+                    &bound,
+                    &RowHandle::Base(base.row(i)),
+                    &Value::Null,
+                    FuzzyAlgebra::Product,
+                )? == 0.0
             {
                 candidates.clear(i);
             }
@@ -721,31 +702,31 @@ fn checked_overlay_row(
     Ok(row.to_vec())
 }
 
-/// Scores the base table's overlay rows with the full WHERE expression
-/// and appends the survivors. Used on the single-table planner path,
-/// whose bitmap/TA machinery only ranks base (positional) rows; full
-/// evaluation here matches the planner's scores bit-for-bit because
-/// both reduce to [`eval`] semantics.
-fn score_overlay_rows(
-    query: &Select,
+/// The row loop, the only one: binds the WHERE clause once, then scores
+/// `rows` — a scan's base rows, the planner's candidates, overlay rows,
+/// joined rows — one at a time and appends the survivors to `scored`.
+fn score_rows<'a>(
+    where_clause: Option<&Expr>,
+    rows: Vec<RowHandle<'a>>,
     layout: &Layout,
-    overlay: &TableOverlay,
     scorer: &dyn SubjectiveScorer,
-    scored: &mut Vec<(RowHandle<'_>, f64)>,
+    algebra: FuzzyAlgebra,
+    scored: &mut Vec<(RowHandle<'a>, f64)>,
 ) -> Result<(), StoreError> {
-    let algebra = FuzzyAlgebra::Product;
-    for row in overlay.rows_for(&query.from) {
+    let span = opine_trace::span("rescore");
+    let bound = where_clause
+        .map(|expr| bind(expr, layout, scorer))
+        .transpose()?;
+    span.count("scored", rows.len() as u64);
+    for handle in rows {
+        // Cancellation checkpoint per scored row: an expired request
+        // deadline unwinds out of the scan at the next chunk boundary.
         opine_faults::checkpoint();
-        let handle = RowHandle::Owned(checked_overlay_row(
-            &query.from,
-            row,
-            layout.slots.len(),
-        )?);
-        let score = match &query.where_clause {
+        let score = match &bound {
             None => 1.0,
-            Some(expr) => {
+            Some(bound) => {
                 let key = handle.value(layout.base_key_slot).to_value();
-                eval(expr, &handle, layout, &key, scorer, algebra)?
+                eval(bound, &handle, &key, algebra)?
             }
         };
         if score > 0.0 {
@@ -763,6 +744,7 @@ fn materialize_ranked<'a>(
 ) -> Result<Vec<(RowHandle<'a>, f64)>, StoreError> {
     let mut scored = Vec::with_capacity(ranked.len());
     for (key, score) in ranked {
+        opine_faults::checkpoint();
         if score <= 0.0 {
             continue;
         }
@@ -837,118 +819,93 @@ fn finish<'a>(
     })
 }
 
-/// Executes `query` with the given fuzzy algebra (ablation hook) over
-/// {base rows} ∪ {`overlay` rows}, like [`execute`].
-pub fn execute_with_algebra(
-    query: &Select,
-    catalog: &Catalog,
-    scorer: &dyn SubjectiveScorer,
-    algebra: FuzzyAlgebra,
-    overlay: Option<&TableOverlay>,
-) -> Result<ResultSet, StoreError> {
-    // Reuse the main path when the default algebra is requested.
-    if algebra == FuzzyAlgebra::Product {
-        return execute(query, catalog, scorer, overlay).map(ScoredRows::into_result_set);
-    }
-    let scoped = resolve_qualified(query, scorer)?;
-    let scorer: &dyn SubjectiveScorer = scoped.as_deref().unwrap_or(scorer);
-    let base = catalog.table(&query.from)?;
-    let base_name = query.alias.clone().unwrap_or_else(|| query.from.clone());
-    if !query.joins.is_empty() {
-        return Err(StoreError::Execution(
-            "execute_with_algebra does not support joins".into(),
-        ));
-    }
-    let layout = Layout {
-        slots: base
-            .schema()
-            .columns
-            .iter()
-            .map(|c| (base_name.clone(), c.name.clone()))
-            .collect(),
-        base_key_slot: base.schema().key,
-    };
-    let mut rows: Vec<RowHandle<'_>> = base.rows().map(RowHandle::Base).collect();
-    for row in overlay.iter().flat_map(|o| o.rows_for(&query.from)) {
-        rows.push(RowHandle::Owned(checked_overlay_row(
-            &query.from,
-            row,
-            layout.slots.len(),
-        )?));
-    }
-    let mut scored: Vec<(Vec<Value>, f64)> = Vec::new();
-    for handle in rows {
-        let score = match &query.where_clause {
-            None => 1.0,
-            Some(expr) => {
-                let key = handle.value(layout.base_key_slot).to_value();
-                eval(expr, &handle, &layout, &key, scorer, algebra)?
-            }
-        };
-        if score > 0.0 {
-            scored.push((handle.into_values(), score));
+/// A WHERE clause bound for one statement: column references resolved
+/// to row slots and every subjective leaf bound by the scorer, so
+/// evaluating a row looks nothing up by name.
+enum Bound<'s> {
+    Compare {
+        lhs: BoundOperand<'s>,
+        op: CmpOp,
+        rhs: BoundOperand<'s>,
+    },
+    Leaf(BoundLeaf<'s>),
+    And(Box<Bound<'s>>, Box<Bound<'s>>),
+    Or(Box<Bound<'s>>, Box<Bound<'s>>),
+    Not(Box<Bound<'s>>),
+}
+
+enum BoundOperand<'s> {
+    Literal(&'s Value),
+    Slot(usize),
+}
+
+impl BoundOperand<'_> {
+    #[inline]
+    fn value<'r>(&'r self, row: &'r RowHandle<'_>) -> ValueRef<'r> {
+        match self {
+            BoundOperand::Literal(v) => ValueRef::from(*v),
+            BoundOperand::Slot(slot) => row.value(*slot),
         }
     }
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-    if let Some(limit) = query.limit {
-        scored.truncate(limit);
-    }
-    Ok(ResultSet {
-        columns: layout
-            .slots
-            .iter()
-            .map(|(t, c)| format!("{t}.{c}"))
-            .collect(),
-        rows: scored,
+}
+
+fn bind<'s>(
+    expr: &'s Expr,
+    layout: &Layout,
+    scorer: &'s dyn SubjectiveScorer,
+) -> Result<Bound<'s>, StoreError> {
+    let operand = |op: &'s Operand| match op {
+        Operand::Literal(v) => Ok(BoundOperand::Literal(v)),
+        Operand::Column(c) => layout.resolve(c).map(BoundOperand::Slot),
+    };
+    let boxed = |e: &'s Expr| bind(e, layout, scorer).map(Box::new);
+    Ok(match expr {
+        Expr::Compare { lhs, op, rhs } => Bound::Compare {
+            lhs: operand(lhs)?,
+            op: *op,
+            rhs: operand(rhs)?,
+        },
+        Expr::Subjective(p) => Bound::Leaf(scorer.bind_predicate(p)?),
+        Expr::MarkerMatch { attribute, phrase } => {
+            Bound::Leaf(scorer.bind_match(attribute, phrase)?)
+        }
+        Expr::And(a, b) => Bound::And(boxed(a)?, boxed(b)?),
+        Expr::Or(a, b) => Bound::Or(boxed(a)?, boxed(b)?),
+        Expr::Not(e) => Bound::Not(boxed(e)?),
     })
 }
 
 fn eval(
-    expr: &Expr,
+    bound: &Bound<'_>,
     row: &RowHandle<'_>,
-    layout: &Layout,
     key: &Value,
-    scorer: &dyn SubjectiveScorer,
     algebra: FuzzyAlgebra,
 ) -> Result<f64, StoreError> {
-    match expr {
-        Expr::Compare { lhs, op, rhs } => {
-            let l = operand_ref(lhs, row, layout)?;
-            let r = operand_ref(rhs, row, layout)?;
-            Ok(if op.evaluate(l.compare(&r)) { 1.0 } else { 0.0 })
+    match bound {
+        Bound::Compare { lhs, op, rhs } => {
+            let holds = op.evaluate(lhs.value(row).compare(&rhs.value(row)));
+            Ok(if holds { 1.0 } else { 0.0 })
         }
-        Expr::Subjective(p) => scorer.degree_predicate(p, key),
-        Expr::MarkerMatch { attribute, phrase } => scorer.degree_match(attribute, phrase, key),
-        Expr::And(a, b) => {
-            let x = eval(a, row, layout, key, scorer, algebra)?;
+        Bound::Leaf(degree) => degree(key),
+        Bound::And(a, b) => {
+            let x = eval(a, row, key, algebra)?;
             // 0 annihilates under both t-norms; skip the (possibly
             // expensive subjective) right side for filtered-out rows.
             if x == 0.0 {
                 return Ok(0.0);
             }
-            let y = eval(b, row, layout, key, scorer, algebra)?;
+            let y = eval(b, row, key, algebra)?;
             Ok(algebra.and(x, y))
         }
-        Expr::Or(a, b) => {
-            let x = eval(a, row, layout, key, scorer, algebra)?;
-            let y = eval(b, row, layout, key, scorer, algebra)?;
+        Bound::Or(a, b) => {
+            let x = eval(a, row, key, algebra)?;
+            let y = eval(b, row, key, algebra)?;
             Ok(algebra.or(x, y))
         }
-        Expr::Not(e) => {
-            let x = eval(e, row, layout, key, scorer, algebra)?;
+        Bound::Not(e) => {
+            let x = eval(e, row, key, algebra)?;
             Ok(algebra.not(x))
         }
-    }
-}
-
-fn operand_ref<'r>(
-    op: &'r Operand,
-    row: &'r RowHandle<'_>,
-    layout: &Layout,
-) -> Result<ValueRef<'r>, StoreError> {
-    match op {
-        Operand::Literal(v) => Ok(ValueRef::from(v)),
-        Operand::Column(c) => Ok(row.value(layout.resolve(c)?)),
     }
 }
 
@@ -966,7 +923,8 @@ mod tests {
         scorer: &dyn SubjectiveScorer,
         overlay: Option<&TableOverlay>,
     ) -> Result<ResultSet, StoreError> {
-        execute(query, catalog, scorer, overlay).map(ScoredRows::into_result_set)
+        execute(query, catalog, scorer, FuzzyAlgebra::Product, overlay)
+            .map(ScoredRows::into_result_set)
     }
 
     fn hotel_catalog() -> Catalog {
@@ -1001,29 +959,45 @@ mod tests {
         c
     }
 
+    /// Binds a degree function of `(predicate or phrase, row key)`.
+    fn leaf<'s>(
+        text: &'s str,
+        degree: impl Fn(&str, &str) -> f64 + 's,
+    ) -> Result<BoundLeaf<'s>, StoreError> {
+        Ok(Box::new(move |key| {
+            Ok(degree(text, key.as_str().unwrap_or("")))
+        }))
+    }
+
+    fn canned_predicate(predicate: &str, key: &str) -> f64 {
+        // "clean rooms": Grand 0.9, Plaza 0.5, Canal 0.2
+        match (predicate, key) {
+            ("clean rooms", "Grand") => 0.9,
+            ("clean rooms", "Plaza") => 0.5,
+            ("clean rooms", "Canal") => 0.2,
+            _ => 0.1,
+        }
+    }
+
+    fn canned_match(phrase: &str, key: &str) -> f64 {
+        match (phrase, key) {
+            ("firm", "Plaza") => 0.8,
+            _ => 0.3,
+        }
+    }
+
     /// Scorer with canned degrees for tests.
     struct Canned;
     impl SubjectiveScorer for Canned {
-        fn degree_predicate(&self, predicate: &str, key: &Value) -> Result<f64, StoreError> {
-            // "clean rooms": Grand 0.9, Plaza 0.5, Canal 0.2
-            let v = match (predicate, key.as_str().unwrap_or("")) {
-                ("clean rooms", "Grand") => 0.9,
-                ("clean rooms", "Plaza") => 0.5,
-                ("clean rooms", "Canal") => 0.2,
-                _ => 0.1,
-            };
-            Ok(v)
+        fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
+            leaf(predicate, canned_predicate)
         }
-        fn degree_match(
-            &self,
-            _attribute: &ColumnRef,
-            phrase: &str,
-            key: &Value,
-        ) -> Result<f64, StoreError> {
-            Ok(match (phrase, key.as_str().unwrap_or("")) {
-                ("firm", "Plaza") => 0.8,
-                _ => 0.3,
-            })
+        fn bind_match<'s>(
+            &'s self,
+            _attribute: &'s ColumnRef,
+            phrase: &'s str,
+        ) -> Result<BoundLeaf<'s>, StoreError> {
+            leaf(phrase, canned_match)
         }
     }
 
@@ -1045,16 +1019,15 @@ mod tests {
     }
 
     impl SubjectiveScorer for Indexed {
-        fn degree_predicate(&self, predicate: &str, key: &Value) -> Result<f64, StoreError> {
-            Canned.degree_predicate(predicate, key)
+        fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
+            leaf(predicate, canned_predicate)
         }
-        fn degree_match(
-            &self,
-            attribute: &ColumnRef,
-            phrase: &str,
-            key: &Value,
-        ) -> Result<f64, StoreError> {
-            Canned.degree_match(attribute, phrase, key)
+        fn bind_match<'s>(
+            &'s self,
+            _attribute: &'s ColumnRef,
+            phrase: &'s str,
+        ) -> Result<BoundLeaf<'s>, StoreError> {
+            leaf(phrase, canned_match)
         }
         fn rank_subjective_conjunction(
             &self,
@@ -1073,12 +1046,8 @@ mod tests {
                 .enumerate()
                 .filter(|(i, _)| candidates.is_none_or(|c| c.get(*i)))
                 .map(|(_, n)| {
-                    let key = Value::text(n);
-                    let score: f64 = predicates
-                        .iter()
-                        .map(|p| self.degree_predicate(p, &key).unwrap())
-                        .product();
-                    (key, score)
+                    let score: f64 = predicates.iter().map(|p| canned_predicate(p, n)).product();
+                    (Value::text(n), score)
                 })
                 .collect();
             ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -1094,30 +1063,28 @@ mod tests {
 
     struct Halved;
     impl SubjectiveScorer for Halved {
-        fn degree_predicate(&self, predicate: &str, key: &Value) -> Result<f64, StoreError> {
-            Canned.degree_predicate(predicate, key).map(|d| d / 2.0)
+        fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
+            leaf(predicate, |p, key| canned_predicate(p, key) / 2.0)
         }
-        fn degree_match(
-            &self,
-            attribute: &ColumnRef,
-            phrase: &str,
-            key: &Value,
-        ) -> Result<f64, StoreError> {
-            Canned.degree_match(attribute, phrase, key).map(|d| d / 2.0)
+        fn bind_match<'s>(
+            &'s self,
+            _attribute: &'s ColumnRef,
+            phrase: &'s str,
+        ) -> Result<BoundLeaf<'s>, StoreError> {
+            leaf(phrase, |p, key| canned_match(p, key) / 2.0)
         }
     }
 
     impl SubjectiveScorer for Scoping {
-        fn degree_predicate(&self, predicate: &str, key: &Value) -> Result<f64, StoreError> {
-            Canned.degree_predicate(predicate, key)
+        fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
+            leaf(predicate, canned_predicate)
         }
-        fn degree_match(
-            &self,
-            attribute: &ColumnRef,
-            phrase: &str,
-            key: &Value,
-        ) -> Result<f64, StoreError> {
-            Canned.degree_match(attribute, phrase, key)
+        fn bind_match<'s>(
+            &'s self,
+            _attribute: &'s ColumnRef,
+            phrase: &'s str,
+        ) -> Result<BoundLeaf<'s>, StoreError> {
+            leaf(phrase, canned_match)
         }
         fn qualified_scorer<'s>(
             &'s self,
@@ -1170,9 +1137,9 @@ mod tests {
             run(&q, &cat, &Canned, None),
             Err(StoreError::NoScorer(_))
         ));
-        // Same through the Gödel-algebra entry point.
+        // Same under the Gödel algebra.
         assert!(matches!(
-            execute_with_algebra(&q, &cat, &Canned, FuzzyAlgebra::Godel, None),
+            execute(&q, &cat, &Canned, FuzzyAlgebra::Godel, None),
             Err(StoreError::NoScorer(_))
         ));
     }
@@ -1200,21 +1167,25 @@ mod tests {
     fn int_keyed_base_table_scores_subjectively() {
         struct ById;
         impl SubjectiveScorer for ById {
-            fn degree_predicate(&self, _predicate: &str, key: &Value) -> Result<f64, StoreError> {
+            fn bind_predicate<'s>(
+                &'s self,
+                _predicate: &'s str,
+            ) -> Result<BoundLeaf<'s>, StoreError> {
                 // Resolve the key the way an engine-side entity map
                 // would: by its shared key rendering.
-                key.with_key_str(|s| match s {
-                    "41" => Ok(0.9),
-                    "-7" => Ok(0.4),
-                    other => Err(StoreError::Execution(format!("unknown key {other}"))),
-                })
+                Ok(Box::new(|key| {
+                    key.with_key_str(|s| match s {
+                        "41" => Ok(0.9),
+                        "-7" => Ok(0.4),
+                        other => Err(StoreError::Execution(format!("unknown key {other}"))),
+                    })
+                }))
             }
-            fn degree_match(
-                &self,
-                attribute: &ColumnRef,
-                _phrase: &str,
-                _key: &Value,
-            ) -> Result<f64, StoreError> {
+            fn bind_match<'s>(
+                &'s self,
+                attribute: &'s ColumnRef,
+                _phrase: &'s str,
+            ) -> Result<BoundLeaf<'s>, StoreError> {
                 Err(StoreError::NoScorer(attribute.column.clone()))
             }
         }
@@ -1377,11 +1348,22 @@ mod tests {
     #[test]
     fn missing_scorer_is_an_error() {
         let cat = hotel_catalog();
-        let q = parse_select("select * from hotels where \"clean rooms\"").unwrap();
-        assert!(matches!(
-            run(&q, &cat, &ObjectiveOnly, None),
-            Err(StoreError::NoScorer(_))
-        ));
+        // An error whether or not any row reaches the leaf: the last two
+        // statements have no candidate rows.
+        for sql in [
+            "select * from hotels where \"clean rooms\"",
+            "select * from hotels where price_pn < 0 and \"clean rooms\"",
+            "select * from hotels h where h.price_pn < 0 and (\"a\" or h.comfort .= \"firm\")",
+        ] {
+            let q = parse_select(sql).unwrap();
+            assert!(
+                matches!(
+                    run(&q, &cat, &ObjectiveOnly, None),
+                    Err(StoreError::NoScorer(_))
+                ),
+                "{sql}"
+            );
+        }
     }
 
     #[test]
@@ -1433,6 +1415,40 @@ mod tests {
         assert_eq!(r.rows[0].0[4], Value::text("Beans"));
     }
 
+    /// The join's build and probe loops checkpoint: an expired deadline
+    /// cancels a join even when it produces no row for the row loop.
+    #[test]
+    fn expired_deadline_cancels_a_join_with_no_matching_rows() {
+        let mut cat = hotel_catalog();
+        cat.create_table(Schema::new(
+            "cafes",
+            vec![
+                Column::new("cafename", ColumnType::Text),
+                Column::new("street", ColumnType::Text),
+            ],
+            0,
+        ))
+        .unwrap();
+        // More build rows than one checkpoint stride, none on a hotel's street.
+        for i in 0..600 {
+            cat.insert(
+                "cafes",
+                vec![Value::text(&format!("cafe{i}")), Value::text("nowhere")],
+            )
+            .unwrap();
+        }
+        let q = parse_select("select * from hotels h join cafes c on h.street = c.street").unwrap();
+        assert_eq!(run(&q, &cat, &ObjectiveOnly, None).unwrap().rows.len(), 0);
+        let expired = opine_faults::Deadline::after(std::time::Duration::ZERO);
+        let unwound = opine_faults::with_deadline(Some(expired), || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run(&q, &cat, &ObjectiveOnly, None).map(|r| r.rows.len())
+            }))
+        });
+        let payload = unwound.expect_err("the build loop must reach a checkpoint");
+        assert!(payload.is::<opine_faults::Cancelled>());
+    }
+
     #[test]
     fn fuzzy_algebra_laws() {
         for alg in [FuzzyAlgebra::Product, FuzzyAlgebra::Godel] {
@@ -1455,7 +1471,9 @@ mod tests {
         let q =
             parse_select("select * from hotels where \"clean rooms\" and \"clean rooms\"").unwrap();
         let product = run(&q, &cat, &Canned, None).unwrap();
-        let godel = execute_with_algebra(&q, &cat, &Canned, FuzzyAlgebra::Godel, None).unwrap();
+        let godel = execute(&q, &cat, &Canned, FuzzyAlgebra::Godel, None)
+            .unwrap()
+            .into_result_set();
         // product: 0.81 for Grand; Gödel: 0.9.
         assert!((product.rows[0].1 - 0.81).abs() < 1e-9);
         assert!((godel.rows[0].1 - 0.9).abs() < 1e-9);
@@ -1470,7 +1488,7 @@ mod tests {
             "select * from hotels order by price_pn asc",
         ] {
             let q = parse_select(sql).unwrap();
-            let lazy = execute(&q, &cat, &Canned, None).unwrap();
+            let lazy = execute(&q, &cat, &Canned, FuzzyAlgebra::Product, None).unwrap();
             let materialized = run(&q, &cat, &Canned, None).unwrap();
             assert_eq!(lazy.columns(), materialized.columns.as_slice(), "{sql}");
             assert_eq!(lazy.len(), materialized.rows.len(), "{sql}");
@@ -1489,7 +1507,7 @@ mod tests {
     fn lazy_projection_is_applied_at_read_time() {
         let cat = hotel_catalog();
         let q = parse_select("select hotelname, city from hotels where price_pn < 150").unwrap();
-        let lazy = execute(&q, &cat, &ObjectiveOnly, None).unwrap();
+        let lazy = execute(&q, &cat, &ObjectiveOnly, FuzzyAlgebra::Product, None).unwrap();
         assert_eq!(lazy.columns(), ["hotelname", "city"]);
         let vals: Vec<ValueRef<'_>> = lazy.values(0).collect();
         assert_eq!(vals.len(), 2);
@@ -1513,7 +1531,7 @@ mod tests {
         cat.insert("cafes", vec![Value::text("Beans"), Value::text("baker")])
             .unwrap();
         let q = parse_select("select * from hotels h join cafes c on h.street = c.street").unwrap();
-        let lazy = execute(&q, &cat, &ObjectiveOnly, None).unwrap();
+        let lazy = execute(&q, &cat, &ObjectiveOnly, FuzzyAlgebra::Product, None).unwrap();
         assert_eq!(lazy.len(), 1);
         let vals: Vec<ValueRef<'_>> = lazy.values(0).collect();
         assert_eq!(vals[4], Value::text("Beans"));

@@ -18,8 +18,12 @@
 //!   [`exec::SubjectiveScorer`], all combined with a pluggable fuzzy
 //!   algebra and returned as a ranked result.
 //!
+//! Writing a scorer: do everything that depends only on the predicate or
+//! phrase in `bind_predicate` / `bind_match` (the executor calls each once
+//! per statement) and return a closure that reads one row's degree by key.
+//!
 //! ```
-//! use opine_store::{Catalog, Column, ColumnType, Schema, Value};
+//! use opine_store::{Catalog, Column, ColumnType, FuzzyAlgebra, Schema, Value};
 //! use opine_store::parser::parse_select;
 //! use opine_store::exec::{execute, ObjectiveOnly};
 //!
@@ -37,7 +41,7 @@
 //!     .insert("hotels", vec![Value::text("Grand"), Value::Float(120.0)])
 //!     .unwrap();
 //! let q = parse_select("select * from hotels where price < 200 limit 5").unwrap();
-//! let result = execute(&q, &catalog, &ObjectiveOnly, None).unwrap();
+//! let result = execute(&q, &catalog, &ObjectiveOnly, FuzzyAlgebra::Product, None).unwrap();
 //! assert_eq!(result.len(), 1);
 //! ```
 
@@ -57,7 +61,8 @@ pub use bitmap::Bitmap;
 pub use catalog::Catalog;
 pub use column::ColumnData;
 pub use exec::{
-    execute, FuzzyAlgebra, ObjectiveOnly, ProjectedValues, ResultSet, ScoredRows, SubjectiveScorer,
+    execute, BoundLeaf, FuzzyAlgebra, ObjectiveOnly, ProjectedValues, ResultSet, ScoredRows,
+    SubjectiveScorer,
 };
 pub use overlay::TableOverlay;
 pub use parser::{parse_insert, parse_select, parse_statement, ParseError, Statement};

@@ -84,7 +84,14 @@ fn main() {
                limit 5";
     println!("query (Fig. 3): {sql}\n");
     let select = opinedb::store::parse_select(sql).expect("parses");
-    let result = opinedb::store::execute(&select, &catalog, &db, None).expect("executes");
+    let result = opinedb::store::execute(
+        &select,
+        &catalog,
+        &db,
+        opinedb::store::FuzzyAlgebra::Product,
+        None,
+    )
+    .expect("executes");
     println!("hotel        street       cafe      score");
     for (row, score) in result.iter() {
         let row: Vec<_> = row.collect();

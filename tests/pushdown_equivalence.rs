@@ -7,9 +7,11 @@
 use opinedb::core::topk::threshold_topk;
 use opinedb::core::DegreeColumn;
 use opinedb::store::ast::ColumnRef;
-use opinedb::store::exec::SubjectiveScorer;
+use opinedb::store::exec::{BoundLeaf, SubjectiveScorer};
 use opinedb::store::parser::parse_select;
-use opinedb::store::{execute, Bitmap, Catalog, Column, ColumnType, Schema, StoreError, Value};
+use opinedb::store::{
+    execute, Bitmap, Catalog, Column, ColumnType, FuzzyAlgebra, Schema, StoreError, Value,
+};
 use proptest::prelude::*;
 use std::cell::Cell;
 
@@ -49,22 +51,23 @@ impl SyntheticIndex {
 }
 
 impl SubjectiveScorer for SyntheticIndex {
-    fn degree_predicate(&self, predicate: &str, key: &Value) -> Result<f64, StoreError> {
+    fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
         let p = self
             .predicate_index(predicate)
             .ok_or_else(|| StoreError::NoScorer(predicate.to_string()))?;
-        let e = self
-            .entity(key)
-            .ok_or_else(|| StoreError::Execution(format!("unknown key {key}")))?;
-        Ok(self.columns[p].degrees()[e])
+        Ok(Box::new(move |key| {
+            let e = self
+                .entity(key)
+                .ok_or_else(|| StoreError::Execution(format!("unknown key {key}")))?;
+            Ok(self.columns[p].degrees()[e])
+        }))
     }
 
-    fn degree_match(
-        &self,
-        attribute: &ColumnRef,
-        _phrase: &str,
-        _key: &Value,
-    ) -> Result<f64, StoreError> {
+    fn bind_match<'s>(
+        &'s self,
+        attribute: &'s ColumnRef,
+        _phrase: &'s str,
+    ) -> Result<BoundLeaf<'s>, StoreError> {
         Err(StoreError::NoScorer(attribute.column.clone()))
     }
 
@@ -156,8 +159,8 @@ proptest! {
         let indexed = SyntheticIndex::new(degrees.clone(), keys.clone(), true);
         let naive = SyntheticIndex::new(degrees, keys, false);
 
-        let fast = execute(&query, &cat, &indexed, None).unwrap().into_result_set();
-        let slow = execute(&query, &cat, &naive, None).unwrap().into_result_set();
+        let fast = execute(&query, &cat, &indexed, FuzzyAlgebra::Product, None).unwrap().into_result_set();
+        let slow = execute(&query, &cat, &naive, FuzzyAlgebra::Product, None).unwrap().into_result_set();
         prop_assert!(indexed.pushdowns.get() == 1, "pushdown must fire for {}", sql);
         prop_assert_eq!(naive.pushdowns.get(), 0);
 
@@ -176,7 +179,7 @@ proptest! {
         // The borrowing path agrees with the materializing path on both
         // scorers.
         for (scorer, reference) in [(&indexed, &fast), (&naive, &slow)] {
-            let lazy = execute(&query, &cat, scorer, None).unwrap();
+            let lazy = execute(&query, &cat, scorer, FuzzyAlgebra::Product, None).unwrap();
             prop_assert_eq!(lazy.len(), reference.rows.len());
             for (i, (row, score)) in reference.rows.iter().enumerate() {
                 prop_assert_eq!(lazy.score(i).to_bits(), score.to_bits());

@@ -23,7 +23,7 @@ use opinedb::core::{build, BuildConfig, OpineDb};
 use opinedb::corpus::hotel::hotel_spec;
 use opinedb::corpus::{Corpus, CorpusConfig};
 use opinedb::embed::Word2VecConfig;
-use opinedb::store::{execute, parse_select, ResultSet, ReviewQualifier, Value};
+use opinedb::store::{execute, parse_select, FuzzyAlgebra, ResultSet, ReviewQualifier, Value};
 use proptest::prelude::*;
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -63,9 +63,15 @@ fn qualified_corpus_and_db() -> (Corpus, OpineDb) {
 
 /// `execute` with the engine as the scorer, materialized.
 fn run(db: &OpineDb, sql: &str) -> ResultSet {
-    execute(&parse_select(sql).unwrap(), db.catalog(), db, None)
-        .unwrap()
-        .into_result_set()
+    execute(
+        &parse_select(sql).unwrap(),
+        db.catalog(),
+        db,
+        FuzzyAlgebra::Product,
+        None,
+    )
+    .unwrap()
+    .into_result_set()
 }
 
 fn db() -> &'static OpineDb {
@@ -150,7 +156,7 @@ fn borrowed_and_materialized_rows_agree_on_qualified_statements() {
     ] {
         let q = parse_select(sql).unwrap();
         let materialized = run(db, sql);
-        let lazy = execute(&q, db.catalog(), db, None).unwrap();
+        let lazy = execute(&q, db.catalog(), db, FuzzyAlgebra::Product, None).unwrap();
         assert_eq!(lazy.len(), materialized.rows.len(), "{sql}");
         for (i, (row, score)) in materialized.rows.iter().enumerate() {
             assert_eq!(

@@ -115,6 +115,32 @@ fn godel_algebra_scores_with_min() {
 }
 
 #[test]
+fn godel_algebra_answers_joined_statements() {
+    let db = db();
+    // One predicate: min(1, x) = 1·x, so the two algebras agree to the bit.
+    let single = "select * from hotels h join reviews r on h.hotelname = r.entity \
+                  where \"clean rooms\" and r.year >= 2015 limit 40";
+    let product = db.query(single).unwrap().result.rows;
+    let godel = db.query_with_algebra(single, FuzzyAlgebra::Godel).unwrap();
+    assert!(!product.is_empty());
+    assert_eq!(godel.result.rows, product);
+
+    // Two predicates: every joined row scores the min of its entity's degrees.
+    let double = "select * from hotels h join reviews r on h.hotelname = r.entity \
+                  where \"clean rooms\" and \"friendly staff\" limit 40";
+    let godel = db.query_with_algebra(double, FuzzyAlgebra::Godel).unwrap();
+    assert!(!godel.result.rows.is_empty());
+    let reference = db.reference();
+    for (row, score) in &godel.result.rows {
+        let entity = db.entity_id(row[0].as_str().unwrap()).unwrap();
+        let expected = reference
+            .degree(entity, "clean rooms")
+            .min(reference.degree(entity, "friendly staff"));
+        assert_eq!(score.to_bits(), expected.to_bits(), "{:?}", row[0]);
+    }
+}
+
+#[test]
 fn explicit_marker_conditions_execute() {
     let db = db();
     let out = db
@@ -137,6 +163,10 @@ fn errors_are_reported_not_panicked() {
     assert!(db.query("garbage !!").is_err());
     assert!(db
         .query("select * from hotels h where h.not_an_attribute .= \"x\"")
+        .is_err());
+    // A bad leaf is an error even when no row reaches it.
+    assert!(db
+        .query("select * from hotels h where h.price_pn < 0 and h.not_an_attribute .= \"x\"")
         .is_err());
 }
 
