@@ -22,13 +22,14 @@ use opine_store::ast::ColumnRef;
 use opine_store::exec::{BoundLeaf, SubjectiveScorer};
 use opine_store::{
     execute, parse_select, Bitmap, Catalog, FuzzyAlgebra, ResultSet, ReviewQualifier, ScoredRows,
-    Select, StoreError, Value,
+    Select, StoreError, Table, Value,
 };
 use opine_text::Vocab;
 use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One extracted phrase occurrence in an entity's raw digest.
 #[derive(Debug, Clone, Copy)]
@@ -281,16 +282,6 @@ pub struct PreparedPhrase {
     pub sentiment: f64,
 }
 
-/// Bidirectional entity id ↔ entity-table row position maps.
-///
-/// `row_to_entity` holds `u32::MAX` for rows that are not an entity's
-/// canonical row (only possible with duplicate keys).
-#[derive(Debug)]
-struct EntityRowMaps {
-    entity_to_row: Vec<u32>,
-    row_to_entity: Vec<u32>,
-}
-
 /// One bucket atom of the partitioned review-qualified summaries:
 /// every raw occurrence of one `(entity, attribute)` whose source
 /// review shares a publication year and a reviewer-degree bucket
@@ -450,9 +441,9 @@ pub struct OpineDb {
     /// interpretation, marker-match (`attr .= "phrase"`), and column
     /// scoring paths.
     phrase_cache: BoundedCache<Arc<PreparedPhrase>>,
-    /// Entity id ↔ base-table row position maps, built once on first
-    /// pushdown (the executor's candidate bitmaps are row-indexed).
-    entity_rows: OnceLock<Option<EntityRowMaps>>,
+    /// Whether row `i` of the catalog's entity table is entity `i`,
+    /// verified once at assembly ([`Self::rows_are_entities`]).
+    entity_rows: bool,
     /// TA fast-path rankings served.
     ta_queries: std::sync::atomic::AtomicU64,
     /// TA rankings that carried an objective candidate bitmap.
@@ -497,11 +488,21 @@ impl OpineDb {
         review_meta: Vec<ReviewMeta>,
         config: BuildConfig,
     ) -> Self {
-        let key_to_entity = entity_keys
+        let key_to_entity: HashMap<String, usize> = entity_keys
             .iter()
             .enumerate()
             .map(|(i, k)| (k.clone(), i))
             .collect();
+        // As many rows as entities, and every row's key resolves — the
+        // way `entity_of_value` resolves it for a by-key reader — to its
+        // own position, which also rules out duplicate keys.
+        let entity_rows = catalog.table(&entity_table).is_ok_and(|table| {
+            table.len() == entity_keys.len()
+                && table.rows().all(|row| {
+                    let key = row.get(table.schema().key).to_value();
+                    key.with_key_str(|s| key_to_entity.get(s).copied()) == Some(row.index())
+                })
+        });
 
         // Per-entity and per-reviewer review counts, both needed at
         // query time: the former answers `review_count` in O(1), the
@@ -606,7 +607,7 @@ impl OpineDb {
             config,
             column_cache: BoundedCache::new(256),
             phrase_cache: BoundedCache::new(4096),
-            entity_rows: OnceLock::new(),
+            entity_rows,
             ta_queries: std::sync::atomic::AtomicU64::new(0),
             pushdown_queries: std::sync::atomic::AtomicU64::new(0),
             filtered_cache: BoundedCache::new(16),
@@ -967,23 +968,17 @@ impl OpineDb {
     /// (`candidates² ≤ k · entities`, equating the two cost models);
     /// selective filters — the whole point of the pushdown — land
     /// there, while weak filters keep TA's early termination.
-    fn rank_pushdown(
-        &self,
-        predicates: &[&str],
-        k: usize,
-        bitmap: &Bitmap,
-    ) -> Option<Vec<(usize, f64)>> {
-        // The bitmap indexes base-table rows; degree columns index
-        // entities. Translate through the entity↔row maps (or decline
-        // the pushdown if the catalog and the entity list disagree).
-        let maps = self.entity_row_maps()?;
+    ///
+    /// `bitmap` indexes rows of a table with [`Self::rows_are_entities`],
+    /// so a set bit, a column slot and a ranked id are the same number.
+    fn rank_pushdown(&self, predicates: &[&str], k: usize, bitmap: &Bitmap) -> Vec<(usize, f64)> {
         self.pushdown_queries
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let columns: Vec<Arc<DegreeColumn>> =
             predicates.iter().map(|p| self.degree_column(p)).collect();
         let cand_count = bitmap.count_ones();
         if k == 0 {
-            return Some(Vec::new());
+            return Vec::new();
         }
         if cand_count.saturating_mul(cand_count) <= k.saturating_mul(self.num_entities()) {
             opine_trace::note(|| {
@@ -992,10 +987,6 @@ impl OpineDb {
             let views: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
             let mut scored: Vec<(usize, f64)> = bitmap
                 .iter_ones()
-                .filter_map(|row| {
-                    let entity = *maps.row_to_entity.get(row)?;
-                    (entity != u32::MAX).then_some(entity as usize)
-                })
                 .map(|e| (e, views.iter().map(|c| c[e]).product()))
                 .collect();
             // Select-then-sort: partition the top k in O(candidates),
@@ -1005,18 +996,14 @@ impl OpineDb {
                 scored.truncate(k);
             }
             scored.sort_by(crate::topk::rank_cmp);
-            return Some(scored);
+            return scored;
         }
         opine_trace::note(|| {
             format!(
                 "ta_topk: pushdown via restricted sorted access ({cand_count} candidates, k={k})"
             )
         });
-        Some(self.rank_top_k_filtered(
-            predicates,
-            k,
-            Some(&|entity: usize| bitmap.get(maps.entity_to_row[entity] as usize)),
-        ))
+        self.rank_top_k_filtered(predicates, k, Some(&|entity: usize| bitmap.get(entity)))
     }
 
     /// Normalized embedding + sentiment of a query phrase, memoized.
@@ -1340,38 +1327,41 @@ impl OpineDb {
             .ok_or_else(|| StoreError::Execution(format!("unknown entity key {key}")))
     }
 
-    /// Entity id ↔ base-table row maps, built once: the executor's
-    /// candidate bitmaps index *rows* of the entity table, while degree
-    /// columns index *entities*. `None` when some entity key has no row
-    /// (cannot happen for catalogs built by [`crate::build`], but a
-    /// caller-assembled catalog could), in which case the pushdown is
-    /// declined rather than answered wrongly.
-    fn entity_row_maps(&self) -> Option<&EntityRowMaps> {
+    /// True when `base` is the catalog's entity table and its row `i`
+    /// is entity `i` — the one fact that lets a row position of `base`
+    /// stand for an entity id (a degree-column slot, a candidate bit, a
+    /// ranked id) with no translation. Any other table — a joined-in
+    /// relation, `reviews`, a clone of the catalog the caller extended —
+    /// is unproven: its leaves read by key and its ranking is declined,
+    /// which is slower and never wrong.
+    ///
+    /// The catalog is immutable once assembled, so the row-by-row half
+    /// of the proof was made there; what is left per statement is
+    /// whether `base` is that very table.
+    pub(crate) fn rows_are_entities(&self, base: &Table) -> bool {
         self.entity_rows
-            .get_or_init(|| {
-                let table = self.catalog.table(&self.entity_table).ok()?;
-                let mut entity_to_row = Vec::with_capacity(self.entity_keys.len());
-                let mut row_to_entity = vec![u32::MAX; table.len()];
-                for (entity, key) in self.entity_keys.iter().enumerate() {
-                    let row = table.row_of_key_str(key)?;
-                    entity_to_row.push(row as u32);
-                    row_to_entity[row] = entity as u32;
-                }
-                // Rows that are no entity's canonical row (duplicate
-                // keys, or extra rows in a caller-assembled catalog)
-                // would be scored by the row-at-a-time path but are
-                // invisible to entity-indexed ranking; the maps must
-                // not exist then, so the pushdown is declined and the
-                // two paths stay result-identical.
-                if row_to_entity.contains(&u32::MAX) {
-                    return None;
-                }
-                Some(EntityRowMaps {
-                    entity_to_row,
-                    row_to_entity,
-                })
-            })
-            .as_ref()
+            && self
+                .catalog
+                .table(&self.entity_table)
+                .is_ok_and(|own| std::ptr::eq(own, base))
+    }
+
+    /// A bound leaf over `base` whose degree is a function of the entity
+    /// id: read by key through [`Self::entity_of_value`], and by
+    /// position when [`Self::rows_are_entities`] proves them equal.
+    pub(crate) fn entity_leaf<'s>(
+        &'s self,
+        base: &Table,
+        degree: impl Fn(usize) -> f64 + 's,
+    ) -> BoundLeaf<'s> {
+        let degree = Rc::new(degree);
+        let by_entity = Rc::clone(&degree);
+        let leaf = BoundLeaf::by_key(move |key| Ok(by_entity(self.entity_of_value(key)?)));
+        if self.rows_are_entities(base) {
+            leaf.with_positions(move |pos| degree(pos))
+        } else {
+            leaf
+        }
     }
 }
 
@@ -1398,28 +1388,31 @@ impl SubjectiveScorer for QualifiedScorer<'_> {
     /// The text-retrieval fallback (stage 3) scores the entity's full
     /// review document — BM25 has no per-review summary to filter — so
     /// it is the one stage a qualifier cannot scope.
-    fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
+    fn bind_predicate<'s>(
+        &'s self,
+        base: &Table,
+        predicate: &'s str,
+    ) -> Result<BoundLeaf<'s>, StoreError> {
         let db = self.db;
         let prepared = db.prepare_interpretation(predicate);
-        Ok(Box::new(move |key| {
-            let entity = db.entity_of_value(key)?;
-            Ok(prepared.combine(
+        Ok(db.entity_leaf(base, move |entity| {
+            prepared.combine(
                 |term| db.summary_term_degree(&self.summaries[entity][term.attribute], term),
                 |terms| db.text_degree_terms(entity, terms, &self.pin),
-            ))
+            )
         }))
     }
 
     fn bind_match<'s>(
         &'s self,
+        base: &Table,
         attribute: &'s ColumnRef,
         phrase: &'s str,
     ) -> Result<BoundLeaf<'s>, StoreError> {
         let db = self.db;
         let term = db.prepare_term(db.match_attribute(attribute)?, phrase);
-        Ok(Box::new(move |key| {
-            let row = &self.summaries[db.entity_of_value(key)?];
-            Ok(db.summary_term_degree(&row[term.attribute], &term))
+        Ok(db.entity_leaf(base, move |entity| {
+            db.summary_term_degree(&self.summaries[entity][term.attribute], &term)
         }))
     }
 }
@@ -1427,32 +1420,42 @@ impl SubjectiveScorer for QualifiedScorer<'_> {
 impl SubjectiveScorer for OpineDb {
     /// The leaf reads one [`DegreeColumn`] for the whole statement: the
     /// cached one, restamped or repaired for the entities that changed
-    /// since its stamp, or built — [`Self::degree_column`]'s cases.
-    fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
+    /// since its stamp, or built — [`Self::degree_column`]'s cases. Over
+    /// the entity table a row's degree is the column slot at its
+    /// position.
+    fn bind_predicate<'s>(
+        &'s self,
+        base: &Table,
+        predicate: &'s str,
+    ) -> Result<BoundLeaf<'s>, StoreError> {
         let column = self.degree_column(predicate);
-        Ok(Box::new(move |key| {
-            Ok(column.degrees()[self.entity_of_value(key)?])
-        }))
+        Ok(self.entity_leaf(base, move |entity| column.degrees()[entity]))
     }
 
     fn bind_match<'s>(
         &'s self,
+        base: &Table,
         attribute: &'s ColumnRef,
         phrase: &'s str,
     ) -> Result<BoundLeaf<'s>, StoreError> {
         let term = self.prepare_term(self.match_attribute(attribute)?, phrase);
         let pin = self.pinned();
-        Ok(Box::new(move |key| {
-            Ok(self.term_degree(self.entity_of_value(key)?, &term, &pin))
-        }))
+        Ok(self.entity_leaf(base, move |entity| self.term_degree(entity, &term, &pin)))
     }
 
+    /// Ranks entity ids, which are row positions of `base` only when
+    /// [`Self::rows_are_entities`] says so; any other table is declined.
     fn rank_subjective_conjunction(
         &self,
+        base: &Table,
         predicates: &[&str],
         k: usize,
         candidates: Option<&Bitmap>,
-    ) -> Option<Vec<(Value, f64)>> {
+    ) -> Option<Vec<(usize, f64)>> {
+        if !self.rows_are_entities(base) {
+            opine_trace::note(|| "ta_topk: declined — base rows are not the entities".into());
+            return None;
+        }
         opine_faults::fire_panic("pre_ta");
         let span = opine_trace::span("ta_topk");
         let ranked = match candidates {
@@ -1460,24 +1463,13 @@ impl SubjectiveScorer for OpineDb {
                 opine_trace::note(|| format!("ta_topk: full TA over degree columns (k={k})"));
                 self.rank_top_k(predicates, k)
             }
-            Some(bitmap) => {
-                let Some(ranked) = self.rank_pushdown(predicates, k, bitmap) else {
-                    opine_trace::note(|| "ta_topk: declined — no entity↔row maps".into());
-                    return None;
-                };
-                ranked
-            }
+            Some(bitmap) => self.rank_pushdown(predicates, k, bitmap),
         };
         span.count("scored", ranked.len() as u64);
         drop(span);
         self.ta_queries
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Some(
-            ranked
-                .into_iter()
-                .map(|(entity, score)| (Value::text(&self.entity_keys[entity]), score))
-                .collect(),
-        )
+        Some(ranked)
     }
 
     fn qualified_scorer<'s>(

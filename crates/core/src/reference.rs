@@ -10,7 +10,10 @@
 //! ([`OpineDb::summaries_with_review_filter`]) for `with reviews(…)` —
 //! under the same pin as every other read. Its bound leaves hoist
 //! nothing out of the row loop (each row interprets, embeds and scores
-//! again), it declines the executor's index
+//! again) and read **by key on purpose** — every row, whatever table it
+//! came from, is resolved through its key value, never through a row
+//! position, so the oracle depends on no proof about row order — it
+//! declines the executor's index
 //! ([`SubjectiveScorer::rank_subjective_conjunction`] stays at its
 //! default), and it reads and writes no cache but the interpreter's
 //! memo, so it is what every fast path, cold or warm, is compared
@@ -23,7 +26,7 @@ use crate::membership::{marker_features, scan_features};
 use crate::summary::MarkerSummary;
 use opine_store::ast::ColumnRef;
 use opine_store::exec::{BoundLeaf, SubjectiveScorer};
-use opine_store::{parse_select, FuzzyAlgebra, ReviewQualifier, StoreError};
+use opine_store::{parse_select, FuzzyAlgebra, ReviewQualifier, StoreError, Table};
 use std::borrow::Cow;
 
 /// A borrowed, cache-free, row-at-a-time evaluator over an [`OpineDb`].
@@ -148,20 +151,25 @@ impl<'a> Reference<'a> {
 }
 
 impl SubjectiveScorer for Reference<'_> {
-    fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
-        Ok(Box::new(move |key| {
+    fn bind_predicate<'s>(
+        &'s self,
+        _base: &Table,
+        predicate: &'s str,
+    ) -> Result<BoundLeaf<'s>, StoreError> {
+        Ok(BoundLeaf::by_key(move |key| {
             Ok(self.degree(self.db.entity_of_value(key)?, predicate))
         }))
     }
 
     fn bind_match<'s>(
         &'s self,
+        _base: &Table,
         attribute: &'s ColumnRef,
         phrase: &'s str,
     ) -> Result<BoundLeaf<'s>, StoreError> {
         let db = self.db;
         let attr = db.match_attribute(attribute)?;
-        Ok(Box::new(move |key| {
+        Ok(BoundLeaf::by_key(move |key| {
             let entity = db.entity_of_value(key)?;
             Ok(db.ensure_pinned(|pin| self.term_degree(entity, attr, phrase, pin)))
         }))

@@ -25,6 +25,15 @@
 //! (`score_rows`), which binds each subjective leaf once per statement
 //! ([`SubjectiveScorer::bind_predicate`], [`SubjectiveScorer::bind_match`])
 //! and reads the bound leaf once per row.
+//!
+//! ## Row positions
+//!
+//! The identifier that crosses the scorer boundary is a **row position
+//! of the statement's base table**, and every call that carries one also
+//! carries that [`Table`]: candidate bitmaps index its rows, the ranking
+//! returns its positions, and a [`BoundLeaf`] may offer a by-position
+//! reader for it. A scorer that cannot prove how the table's rows relate
+//! to whatever it indexes reads by key and declines to rank.
 
 use crate::ast::{CmpOp, ColumnRef, Expr, Operand, ReviewQualifier, Select};
 use crate::bitmap::Bitmap;
@@ -74,9 +83,49 @@ impl FuzzyAlgebra {
 }
 
 /// One subjective leaf of a WHERE clause, bound by a [`SubjectiveScorer`]
-/// for the statement being executed: maps a row's base-table key — in
-/// OpineDB the entity identifier — to the leaf's degree of truth.
-pub type BoundLeaf<'s> = Box<dyn Fn(&Value) -> Result<f64, StoreError> + 's>;
+/// for the statement being executed. It always reads a row's degree of
+/// truth **by key** (the base table's key value — in OpineDB the entity
+/// identifier); a scorer that has proven how the base table's row
+/// positions map to what it indexes also offers a **by-position**
+/// reader, which the row loop prefers for base-table rows.
+pub struct BoundLeaf<'s> {
+    by_key: KeyReader<'s>,
+    by_position: Option<PositionReader<'s>>,
+}
+
+type KeyReader<'s> = Box<dyn Fn(&Value) -> Result<f64, StoreError> + 's>;
+type PositionReader<'s> = Box<dyn Fn(usize) -> f64 + 's>;
+
+impl<'s> BoundLeaf<'s> {
+    /// A leaf that reads by key only. Owned rows (overlay, joined) are
+    /// always read this way, so every leaf has this reader.
+    pub fn by_key(read: impl Fn(&Value) -> Result<f64, StoreError> + 's) -> Self {
+        BoundLeaf {
+            by_key: Box::new(read),
+            by_position: None,
+        }
+    }
+
+    /// Adds the reader for rows of the base table the leaf was bound
+    /// against, addressed by position. It must agree with the by-key
+    /// reader on every row of that table, and cannot fail: whatever
+    /// could go wrong was checked when the table was proven.
+    pub fn with_positions(mut self, read: impl Fn(usize) -> f64 + 's) -> Self {
+        self.by_position = Some(Box::new(read));
+        self
+    }
+
+    /// The degree of one row of the (possibly joined) layout whose base
+    /// key sits in `key_slot`.
+    #[inline]
+    fn degree(&self, row: &RowHandle<'_>, key_slot: usize) -> Result<f64, StoreError> {
+        match (row, &self.by_position) {
+            (RowHandle::Base(view), Some(read)) => Ok(read(view.index())),
+            (RowHandle::Base(view), None) => (self.by_key)(&view.get(key_slot).to_value()),
+            (RowHandle::Owned(values), _) => (self.by_key)(&values[key_slot]),
+        }
+    }
+}
 
 /// Supplies degrees of truth for subjective constructs.
 ///
@@ -86,35 +135,45 @@ pub type BoundLeaf<'s> = Box<dyn Fn(&Value) -> Result<f64, StoreError> + 's>;
 /// predicate, embedding the phrase, finding or building a degree column,
 /// resolving the attribute name) belongs in `bind_*`; so do its errors,
 /// which makes a bad leaf an error whether or not any row reaches it.
+///
+/// Every method receives `base`, the statement's base table: a row
+/// position means nothing without the table it indexes.
 pub trait SubjectiveScorer {
-    /// Binds a natural-language predicate.
-    fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError>;
+    /// Binds a natural-language predicate for a statement over `base`.
+    fn bind_predicate<'s>(
+        &'s self,
+        base: &Table,
+        predicate: &'s str,
+    ) -> Result<BoundLeaf<'s>, StoreError>;
 
-    /// Binds `attribute .= "phrase"`.
+    /// Binds `attribute .= "phrase"` for a statement over `base`.
     fn bind_match<'s>(
         &'s self,
+        base: &Table,
         attribute: &'s ColumnRef,
         phrase: &'s str,
     ) -> Result<BoundLeaf<'s>, StoreError>;
 
     /// Optional index-assisted ranking for a WHERE clause whose
     /// subjective part is exactly a conjunction of natural-language
-    /// predicates: the top `k` `(key, combined degree)` pairs under the
-    /// product t-norm, ranked by degree descending with a deterministic
-    /// tiebreak.
+    /// predicates: the top `k` `(row position in base, combined degree)`
+    /// pairs under the product t-norm, ranked by degree descending with
+    /// a deterministic tiebreak.
     ///
     /// `candidates`, when present, is the objective prefilter: a bitmap
-    /// over *base-table row positions* with a set bit for every row that
-    /// passed the objective conjuncts. The scorer must then rank only
-    /// candidate entities (restricted sorted access in TA terms).
+    /// over the row positions of `base` with a set bit for every row
+    /// that passed the objective conjuncts. The scorer must then rank
+    /// only candidate rows (restricted sorted access in TA terms).
     /// Returning `None` (the default) falls back to scoring candidate
-    /// rows one at a time.
+    /// rows one at a time; a scorer must decline a `base` whose rows it
+    /// cannot map to what it indexes.
     fn rank_subjective_conjunction(
         &self,
+        _base: &Table,
         _predicates: &[&str],
         _k: usize,
         _candidates: Option<&Bitmap>,
-    ) -> Option<Vec<(Value, f64)>> {
+    ) -> Option<Vec<(usize, f64)>> {
         None
     }
 
@@ -140,12 +199,17 @@ pub trait SubjectiveScorer {
 pub struct ObjectiveOnly;
 
 impl SubjectiveScorer for ObjectiveOnly {
-    fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
+    fn bind_predicate<'s>(
+        &'s self,
+        _base: &Table,
+        predicate: &'s str,
+    ) -> Result<BoundLeaf<'s>, StoreError> {
         Err(StoreError::NoScorer(predicate.to_string()))
     }
 
     fn bind_match<'s>(
         &'s self,
+        _base: &Table,
         attribute: &'s ColumnRef,
         phrase: &'s str,
     ) -> Result<BoundLeaf<'s>, StoreError> {
@@ -324,14 +388,16 @@ impl<'a> ScoredRows<'a> {
 }
 
 /// Column resolution over the (possibly joined) row layout.
-struct Layout {
+struct Layout<'a> {
     /// `(table_or_alias, column_name)` per output slot.
     slots: Vec<(String, String)>,
-    /// Index of the base table's key column in the combined row.
-    base_key_slot: usize,
+    /// The statement's base table: its columns are the first slots, its
+    /// key column the slot subjective leaves read by key, and its row
+    /// positions the ones candidate bitmaps and rankings speak of.
+    base: &'a Table,
 }
 
-impl Layout {
+impl Layout<'_> {
     fn resolve(&self, r: &ColumnRef) -> Result<usize, StoreError> {
         let matches: Vec<usize> = self
             .slots
@@ -396,21 +462,28 @@ pub fn execute<'a>(
             .iter()
             .map(|c| (base_name.clone(), c.name.clone()))
             .collect(),
-        base_key_slot: base.schema().key,
+        base,
     };
 
     // Single-table planner: objective prefilter bitmap + subjective
-    // residue, with TA pushdown for conjunction-shaped residues. Joins
-    // change the row set, so they always scan every base row.
-    let plan = if query.joins.is_empty() {
-        plan_single_table(query, base, &layout, scorer, algebra)?
+    // residue, with TA pushdown for conjunction-shaped residues. What
+    // it leaves to the row loop stays a bitmap of base positions. Joins
+    // change the row set, so they probe every base row by value.
+    let mut scored = Vec::new();
+    let mut answered = false;
+    let mut scan = None;
+    let mut rows: Vec<RowHandle<'a>> = Vec::new();
+    if query.joins.is_empty() {
+        match plan_single_table(query, &layout, scorer, algebra)? {
+            Plan::Answered(ranked) => {
+                scored = ranked;
+                answered = true;
+            }
+            Plan::Scan(left) => scan = Some(left),
+        }
     } else {
-        Plan::every_row(base)
-    };
-    let (mut scored, mut rows, answered) = match plan {
-        Plan::Answered(scored) => (scored, Vec::new(), true),
-        Plan::Scan(rows) => (Vec::new(), rows, false),
-    };
+        rows.extend(base.rows().map(RowHandle::Base));
+    }
     // Overlay rows are not bitmap-indexed: whatever the plan, they are
     // scored one at a time with the full WHERE expression and ranked
     // with the base rows before the final sort/limit, which keeps top-k
@@ -486,7 +559,15 @@ pub fn execute<'a>(
     // usually none. A scan binds its WHERE clause even over zero rows.
     if !(answered && rows.is_empty()) {
         let where_clause = query.where_clause.as_ref();
-        score_rows(where_clause, rows, &layout, scorer, algebra, &mut scored)?;
+        score_rows(
+            where_clause,
+            scan,
+            rows,
+            &layout,
+            scorer,
+            algebra,
+            &mut scored,
+        )?;
     }
     finish(query, layout, scored)
 }
@@ -516,14 +597,25 @@ enum Plan<'a> {
     /// They are answered: ranked by the scorer's TA top-k, or selected
     /// by a purely objective WHERE clause with score 1.
     Answered(Vec<(RowHandle<'a>, f64)>),
-    /// These (every row, or the objective prefilter's candidates) are
-    /// scored one at a time with the full WHERE expression.
-    Scan(Vec<RowHandle<'a>>),
+    /// Some of them are left to the row loop.
+    Scan(Scan),
 }
 
-impl<'a> Plan<'a> {
-    fn every_row(base: &'a Table) -> Self {
-        Plan::Scan(base.rows().map(RowHandle::Base).collect())
+/// The base-table rows a plan leaves to the row loop: a bitmap over the
+/// base table's row positions (every row, or the objective prefilter's
+/// candidates), scored one at a time with the full WHERE expression.
+struct Scan {
+    candidates: Bitmap,
+    /// Why no index answered, for the plan note.
+    why: &'static str,
+}
+
+impl Plan<'_> {
+    fn every_row(base: &Table, why: &'static str) -> Self {
+        Plan::Scan(Scan {
+            candidates: Bitmap::all_set(base.len()),
+            why,
+        })
     }
 }
 
@@ -531,13 +623,13 @@ impl<'a> Plan<'a> {
 /// scorer's index and the row loop.
 fn plan_single_table<'a>(
     query: &Select,
-    base: &'a Table,
-    layout: &Layout,
+    layout: &Layout<'a>,
     scorer: &dyn SubjectiveScorer,
     algebra: FuzzyAlgebra,
 ) -> Result<Plan<'a>, StoreError> {
+    let base = layout.base;
     let Some(where_clause) = &query.where_clause else {
-        return Ok(Plan::every_row(base));
+        return Ok(Plan::every_row(base, "no WHERE clause"));
     };
     let plan_span = opine_trace::span("plan");
     let conjuncts = where_clause.conjuncts();
@@ -545,8 +637,12 @@ fn plan_single_table<'a>(
         conjuncts.into_iter().partition(|e| !e.has_subjective());
     drop(plan_span);
     // The scorer ranks under the product t-norm, in degree order: any
-    // other algebra, or an ORDER BY, scores rows instead.
+    // other algebra, or an ORDER BY, scores rows instead. So does a
+    // residue that is not a conjunction of predicates (marker matches,
+    // OR/NOT): the row loop scores with the *full* WHERE expression, so
+    // scores match the naive path bit-for-bit.
     let rankable = algebra == FuzzyAlgebra::Product && query.order_by.is_none();
+    let mut why = "residue not TA-rankable";
 
     if objective.is_empty() {
         // Pure subjective conjunction (the paper's core ranking query):
@@ -556,20 +652,21 @@ fn plan_single_table<'a>(
         if rankable {
             if let Some(predicates) = where_clause.as_subjective_conjunction() {
                 let k = query.limit.unwrap_or(usize::MAX).min(base.len());
-                if let Some(ranked) = scorer.rank_subjective_conjunction(&predicates, k, None) {
+                if let Some(ranked) = scorer.rank_subjective_conjunction(base, &predicates, k, None)
+                {
                     opine_trace::note(|| "plan: pure subjective conjunction → TA top-k".into());
                     return Ok(Plan::Answered(materialize_ranked(base, ranked)?));
                 }
-                opine_trace::note(|| "plan: scorer declined TA ranking → full scan".into());
+                why = "scorer declined TA ranking";
             }
         }
-        return Ok(Plan::every_row(base));
+        return Ok(Plan::every_row(base, why));
     }
 
     // Objective prefilter: vectorized comparisons over typed columns,
     // AND-combined into one candidate bitmap.
     let prefilter_span = opine_trace::span("prefilter_bitmap");
-    let candidates = objective_bitmap(base, layout, &objective, scorer)?;
+    let candidates = objective_bitmap(layout, &objective, scorer)?;
     if prefilter_span.active() {
         prefilter_span.count("candidates", candidates.count_ones() as u64);
     }
@@ -601,38 +698,30 @@ fn plan_single_table<'a>(
             .limit
             .unwrap_or(usize::MAX)
             .min(candidates.count_ones());
-        if let Some(ranked) = scorer.rank_subjective_conjunction(&predicates, k, Some(&candidates))
+        if let Some(ranked) =
+            scorer.rank_subjective_conjunction(base, &predicates, k, Some(&candidates))
         {
             opine_trace::note(|| "plan: mixed clause → objective prefilter + TA pushdown".into());
             return Ok(Plan::Answered(materialize_ranked(base, ranked)?));
         }
+        why = "scorer declined TA ranking";
     }
 
-    // Residue that TA can't rank (marker matches, OR/NOT, an explicit
-    // ORDER BY, another algebra, or a scorer without an index): score
-    // candidates one at a time with the *full* WHERE expression, so
-    // scores match the naive path bit-for-bit. Non-candidates would
-    // have scored 0.
-    opine_trace::note(|| "plan: residue not TA-rankable → row-at-a-time over candidates".into());
-    Ok(Plan::Scan(
-        candidates
-            .iter_ones()
-            .map(|i| RowHandle::Base(base.row(i)))
-            .collect(),
-    ))
+    // Non-candidates would have scored 0.
+    Ok(Plan::Scan(Scan { candidates, why }))
 }
 
-/// Evaluates the objective conjuncts into one candidate bitmap.
-/// Column-vs-literal comparisons vectorize over the typed column
-/// storage; other objective shapes (column-vs-column, OR/NOT trees)
-/// evaluate row-at-a-time over the still-live candidates. `scorer` is
-/// never consulted — every conjunct here is subjective-free.
+/// Evaluates the objective conjuncts into one candidate bitmap over the
+/// base table's rows. Column-vs-literal comparisons vectorize over the
+/// typed column storage; other objective shapes (column-vs-column,
+/// OR/NOT trees) evaluate row-at-a-time over the still-live candidates.
+/// `scorer` is never consulted — every conjunct here is subjective-free.
 fn objective_bitmap(
-    base: &Table,
-    layout: &Layout,
+    layout: &Layout<'_>,
     conjuncts: &[&Expr],
     scorer: &dyn SubjectiveScorer,
 ) -> Result<Bitmap, StoreError> {
+    let base = layout.base;
     let mut candidates = Bitmap::all_set(base.len());
     for expr in conjuncts {
         if let Expr::Compare { lhs, op, rhs } = expr {
@@ -666,7 +755,7 @@ fn objective_bitmap(
                 && eval(
                     &bound,
                     &RowHandle::Base(base.row(i)),
-                    &Value::Null,
+                    base.schema().key,
                     FuzzyAlgebra::Product,
                 )? == 0.0
             {
@@ -703,31 +792,45 @@ fn checked_overlay_row(
 }
 
 /// The row loop, the only one: binds the WHERE clause once, then scores
-/// `rows` — a scan's base rows, the planner's candidates, overlay rows,
-/// joined rows — one at a time and appends the survivors to `scored`.
+/// the base positions a plan's `scan` left over, followed by `rows` —
+/// overlay rows, joined rows — one at a time, and appends the survivors
+/// to `scored` in that order. Base rows are read by position wherever
+/// the bound leaves allow it; owned rows are always read by key.
 fn score_rows<'a>(
     where_clause: Option<&Expr>,
+    scan: Option<Scan>,
     rows: Vec<RowHandle<'a>>,
-    layout: &Layout,
+    layout: &Layout<'a>,
     scorer: &dyn SubjectiveScorer,
     algebra: FuzzyAlgebra,
     scored: &mut Vec<(RowHandle<'a>, f64)>,
 ) -> Result<(), StoreError> {
     let span = opine_trace::span("rescore");
+    let base = layout.base;
+    let key_slot = base.schema().key;
     let bound = where_clause
         .map(|expr| bind(expr, layout, scorer))
         .transpose()?;
-    span.count("scored", rows.len() as u64);
-    for handle in rows {
+    let base_rows = scan.as_ref().map_or(0, |s| s.candidates.count_ones());
+    span.count("scored", (base_rows + rows.len()) as u64);
+    if let Some(scan) = &scan {
+        opine_trace::note(|| {
+            let reader = match &bound {
+                Some(bound) if !bound.reads_by_position() => "key",
+                _ => "position",
+            };
+            format!("plan: {} → {base_rows} candidates by {reader}", scan.why)
+        });
+    }
+    scored.reserve(base_rows + rows.len());
+    let candidates = scan.iter().flat_map(|s| s.candidates.iter_ones());
+    for handle in candidates.map(|i| RowHandle::Base(base.row(i))).chain(rows) {
         // Cancellation checkpoint per scored row: an expired request
         // deadline unwinds out of the scan at the next chunk boundary.
         opine_faults::checkpoint();
         let score = match &bound {
             None => 1.0,
-            Some(bound) => {
-                let key = handle.value(layout.base_key_slot).to_value();
-                eval(bound, &handle, &key, algebra)?
-            }
+            Some(bound) => eval(bound, &handle, key_slot, algebra)?,
         };
         if score > 0.0 {
             scored.push((handle, score));
@@ -736,22 +839,25 @@ fn score_rows<'a>(
     Ok(())
 }
 
-/// Resolves the scorer's ranked `(key, degree)` pairs back to base-table
-/// rows through the key index — no per-query scan, no row clone.
+/// Turns the scorer's ranked `(row position, degree)` pairs into views
+/// of those base-table rows — no key is rendered, no index probed.
 fn materialize_ranked<'a>(
     base: &'a Table,
-    ranked: Vec<(Value, f64)>,
+    ranked: Vec<(usize, f64)>,
 ) -> Result<Vec<(RowHandle<'a>, f64)>, StoreError> {
     let mut scored = Vec::with_capacity(ranked.len());
-    for (key, score) in ranked {
+    for (pos, score) in ranked {
         opine_faults::checkpoint();
         if score <= 0.0 {
             continue;
         }
-        let row = base
-            .get_by_key(&key)
-            .ok_or_else(|| StoreError::Execution(format!("ranked key {key} not in base table")))?;
-        scored.push((RowHandle::Base(row), score));
+        if pos >= base.len() {
+            return Err(StoreError::Execution(format!(
+                "ranked position {pos} not in base table ({} rows)",
+                base.len()
+            )));
+        }
+        scored.push((RowHandle::Base(base.row(pos)), score));
     }
     Ok(scored)
 }
@@ -761,14 +867,16 @@ fn materialize_ranked<'a>(
 /// the projection lazily at read time.
 fn finish<'a>(
     query: &Select,
-    layout: Layout,
+    layout: Layout<'a>,
     mut scored: Vec<(RowHandle<'a>, f64)>,
 ) -> Result<ScoredRows<'a>, StoreError> {
     let span = opine_trace::span("materialize");
-    // Order: explicit ORDER BY, else score descending (stable, so equal
-    // scores keep base-row / rank order).
-    match &query.order_by {
-        Some(ob) => {
+    // Order: explicit ORDER BY, else score descending with equal scores
+    // in arrival order (base-row / rank order, then overlay rows).
+    match (&query.order_by, query.limit) {
+        // ORDER BY sorts every scored row, stably: nothing here depends
+        // on the scores, so the top-k selection below does not apply.
+        (Some(ob), _) => {
             let slot = layout.resolve(&ob.column)?;
             scored.sort_by(|a, b| {
                 let ord =
@@ -782,7 +890,16 @@ fn finish<'a>(
                 }
             });
         }
-        None => scored.sort_by(|a, b| b.1.total_cmp(&a.1)),
+        // LIMIT k usually keeps far fewer rows than were scored: drop
+        // all but the top k under the total order a stable sort by
+        // score produces — (score descending, arrival index ascending)
+        // — and sort only those.
+        (None, limit) => {
+            if let Some(k) = limit.filter(|&k| k < scored.len()) {
+                retain_top_k(&mut scored, k);
+            }
+            scored.sort_by(|a, b| b.1.total_cmp(&a.1));
+        }
     }
     if let Some(limit) = query.limit {
         scored.truncate(limit);
@@ -819,6 +936,25 @@ fn finish<'a>(
     })
 }
 
+/// Keeps the `k < scored.len()` entries a stable sort by score
+/// descending would put first, in their arrival order.
+fn retain_top_k<T>(scored: &mut Vec<(T, f64)>, k: usize) {
+    if k == 0 {
+        return scored.clear();
+    }
+    let mut order: Vec<usize> = (0..scored.len()).collect();
+    order.select_nth_unstable_by(k - 1, |&a, &b| {
+        scored[b].1.total_cmp(&scored[a].1).then(a.cmp(&b))
+    });
+    let mut keep = vec![false; scored.len()];
+    for &i in &order[..k] {
+        keep[i] = true;
+    }
+    // `retain` visits every entry exactly once, in order.
+    let mut keep = keep.into_iter();
+    scored.retain(|_| keep.next() == Some(true));
+}
+
 /// A WHERE clause bound for one statement: column references resolved
 /// to row slots and every subjective leaf bound by the scorer, so
 /// evaluating a row looks nothing up by name.
@@ -849,9 +985,22 @@ impl BoundOperand<'_> {
     }
 }
 
+impl Bound<'_> {
+    /// True when no base-table row needs its key rendered: every
+    /// subjective leaf (there may be none) offers a by-position reader.
+    fn reads_by_position(&self) -> bool {
+        match self {
+            Bound::Compare { .. } => true,
+            Bound::Leaf(leaf) => leaf.by_position.is_some(),
+            Bound::And(a, b) | Bound::Or(a, b) => a.reads_by_position() && b.reads_by_position(),
+            Bound::Not(e) => e.reads_by_position(),
+        }
+    }
+}
+
 fn bind<'s>(
     expr: &'s Expr,
-    layout: &Layout,
+    layout: &Layout<'_>,
     scorer: &'s dyn SubjectiveScorer,
 ) -> Result<Bound<'s>, StoreError> {
     let operand = |op: &'s Operand| match op {
@@ -865,9 +1014,9 @@ fn bind<'s>(
             op: *op,
             rhs: operand(rhs)?,
         },
-        Expr::Subjective(p) => Bound::Leaf(scorer.bind_predicate(p)?),
+        Expr::Subjective(p) => Bound::Leaf(scorer.bind_predicate(layout.base, p)?),
         Expr::MarkerMatch { attribute, phrase } => {
-            Bound::Leaf(scorer.bind_match(attribute, phrase)?)
+            Bound::Leaf(scorer.bind_match(layout.base, attribute, phrase)?)
         }
         Expr::And(a, b) => Bound::And(boxed(a)?, boxed(b)?),
         Expr::Or(a, b) => Bound::Or(boxed(a)?, boxed(b)?),
@@ -875,10 +1024,11 @@ fn bind<'s>(
     })
 }
 
+/// Scores one row; `key_slot` is where the base table's key sits in it.
 fn eval(
     bound: &Bound<'_>,
     row: &RowHandle<'_>,
-    key: &Value,
+    key_slot: usize,
     algebra: FuzzyAlgebra,
 ) -> Result<f64, StoreError> {
     match bound {
@@ -886,24 +1036,24 @@ fn eval(
             let holds = op.evaluate(lhs.value(row).compare(&rhs.value(row)));
             Ok(if holds { 1.0 } else { 0.0 })
         }
-        Bound::Leaf(degree) => degree(key),
+        Bound::Leaf(leaf) => leaf.degree(row, key_slot),
         Bound::And(a, b) => {
-            let x = eval(a, row, key, algebra)?;
+            let x = eval(a, row, key_slot, algebra)?;
             // 0 annihilates under both t-norms; skip the (possibly
             // expensive subjective) right side for filtered-out rows.
             if x == 0.0 {
                 return Ok(0.0);
             }
-            let y = eval(b, row, key, algebra)?;
+            let y = eval(b, row, key_slot, algebra)?;
             Ok(algebra.and(x, y))
         }
         Bound::Or(a, b) => {
-            let x = eval(a, row, key, algebra)?;
-            let y = eval(b, row, key, algebra)?;
+            let x = eval(a, row, key_slot, algebra)?;
+            let y = eval(b, row, key_slot, algebra)?;
             Ok(algebra.or(x, y))
         }
         Bound::Not(e) => {
-            let x = eval(e, row, key, algebra)?;
+            let x = eval(e, row, key_slot, algebra)?;
             Ok(algebra.not(x))
         }
     }
@@ -964,7 +1114,7 @@ mod tests {
         text: &'s str,
         degree: impl Fn(&str, &str) -> f64 + 's,
     ) -> Result<BoundLeaf<'s>, StoreError> {
-        Ok(Box::new(move |key| {
+        Ok(BoundLeaf::by_key(move |key| {
             Ok(degree(text, key.as_str().unwrap_or("")))
         }))
     }
@@ -989,11 +1139,16 @@ mod tests {
     /// Scorer with canned degrees for tests.
     struct Canned;
     impl SubjectiveScorer for Canned {
-        fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
+        fn bind_predicate<'s>(
+            &'s self,
+            _base: &Table,
+            predicate: &'s str,
+        ) -> Result<BoundLeaf<'s>, StoreError> {
             leaf(predicate, canned_predicate)
         }
         fn bind_match<'s>(
             &'s self,
+            _base: &Table,
             _attribute: &'s ColumnRef,
             phrase: &'s str,
         ) -> Result<BoundLeaf<'s>, StoreError> {
@@ -1019,11 +1174,16 @@ mod tests {
     }
 
     impl SubjectiveScorer for Indexed {
-        fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
+        fn bind_predicate<'s>(
+            &'s self,
+            _base: &Table,
+            predicate: &'s str,
+        ) -> Result<BoundLeaf<'s>, StoreError> {
             leaf(predicate, canned_predicate)
         }
         fn bind_match<'s>(
             &'s self,
+            _base: &Table,
             _attribute: &'s ColumnRef,
             phrase: &'s str,
         ) -> Result<BoundLeaf<'s>, StoreError> {
@@ -1031,23 +1191,24 @@ mod tests {
         }
         fn rank_subjective_conjunction(
             &self,
+            _base: &Table,
             predicates: &[&str],
             k: usize,
             candidates: Option<&Bitmap>,
-        ) -> Option<Vec<(Value, f64)>> {
+        ) -> Option<Vec<(usize, f64)>> {
             if candidates.is_some() {
                 self.pushdowns.set(self.pushdowns.get() + 1);
             }
             self.last_candidates.set(candidates.map(Bitmap::count_ones));
             // Rank rows 0..3 (Grand, Plaza, Canal) by canned product.
             let names = ["Grand", "Plaza", "Canal"];
-            let mut ranked: Vec<(Value, f64)> = names
+            let mut ranked: Vec<(usize, f64)> = names
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| candidates.is_none_or(|c| c.get(*i)))
-                .map(|(_, n)| {
+                .map(|(i, n)| {
                     let score: f64 = predicates.iter().map(|p| canned_predicate(p, n)).product();
-                    (Value::text(n), score)
+                    (i, score)
                 })
                 .collect();
             ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -1063,11 +1224,16 @@ mod tests {
 
     struct Halved;
     impl SubjectiveScorer for Halved {
-        fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
+        fn bind_predicate<'s>(
+            &'s self,
+            _base: &Table,
+            predicate: &'s str,
+        ) -> Result<BoundLeaf<'s>, StoreError> {
             leaf(predicate, |p, key| canned_predicate(p, key) / 2.0)
         }
         fn bind_match<'s>(
             &'s self,
+            _base: &Table,
             _attribute: &'s ColumnRef,
             phrase: &'s str,
         ) -> Result<BoundLeaf<'s>, StoreError> {
@@ -1076,11 +1242,16 @@ mod tests {
     }
 
     impl SubjectiveScorer for Scoping {
-        fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
+        fn bind_predicate<'s>(
+            &'s self,
+            _base: &Table,
+            predicate: &'s str,
+        ) -> Result<BoundLeaf<'s>, StoreError> {
             leaf(predicate, canned_predicate)
         }
         fn bind_match<'s>(
             &'s self,
+            _base: &Table,
             _attribute: &'s ColumnRef,
             phrase: &'s str,
         ) -> Result<BoundLeaf<'s>, StoreError> {
@@ -1169,11 +1340,12 @@ mod tests {
         impl SubjectiveScorer for ById {
             fn bind_predicate<'s>(
                 &'s self,
+                _base: &Table,
                 _predicate: &'s str,
             ) -> Result<BoundLeaf<'s>, StoreError> {
                 // Resolve the key the way an engine-side entity map
                 // would: by its shared key rendering.
-                Ok(Box::new(|key| {
+                Ok(BoundLeaf::by_key(|key| {
                     key.with_key_str(|s| match s {
                         "41" => Ok(0.9),
                         "-7" => Ok(0.4),
@@ -1183,6 +1355,7 @@ mod tests {
             }
             fn bind_match<'s>(
                 &'s self,
+                _base: &Table,
                 attribute: &'s ColumnRef,
                 _phrase: &'s str,
             ) -> Result<BoundLeaf<'s>, StoreError> {
@@ -1209,6 +1382,228 @@ mod tests {
         assert_eq!(r.rows[0].0[0], Value::Int(41));
         assert!((r.rows[0].1 - 0.9).abs() < 1e-12);
         assert_eq!(r.rows[1].0[0], Value::Int(-7));
+    }
+
+    /// A scorer whose leaves read base rows of `hotels` by position
+    /// only: the by-position reader counts its calls, the by-key reader
+    /// counts its own and — while `base_keys_fail` — refuses the keys of
+    /// the three base rows, so a base row that reached it fails the
+    /// statement.
+    struct Positional {
+        base_keys_fail: bool,
+        by_position: Cell<usize>,
+        by_key: Cell<usize>,
+    }
+
+    impl Positional {
+        fn new(base_keys_fail: bool) -> Self {
+            Positional {
+                base_keys_fail,
+                by_position: Cell::new(0),
+                by_key: Cell::new(0),
+            }
+        }
+
+        fn leaf<'s>(&'s self, text: &'s str, degree: fn(&str, &str) -> f64) -> BoundLeaf<'s> {
+            const NAMES: [&str; 3] = ["Grand", "Plaza", "Canal"];
+            BoundLeaf::by_key(move |key| {
+                self.by_key.set(self.by_key.get() + 1);
+                let key = key.as_str().unwrap_or("");
+                if self.base_keys_fail && NAMES.contains(&key) {
+                    return Err(StoreError::Execution(format!("base row {key} read by key")));
+                }
+                Ok(degree(text, key))
+            })
+            .with_positions(move |pos| {
+                self.by_position.set(self.by_position.get() + 1);
+                degree(text, NAMES[pos])
+            })
+        }
+    }
+
+    impl SubjectiveScorer for Positional {
+        fn bind_predicate<'s>(
+            &'s self,
+            _base: &Table,
+            predicate: &'s str,
+        ) -> Result<BoundLeaf<'s>, StoreError> {
+            Ok(self.leaf(predicate, canned_predicate))
+        }
+        fn bind_match<'s>(
+            &'s self,
+            _base: &Table,
+            _attribute: &'s ColumnRef,
+            phrase: &'s str,
+        ) -> Result<BoundLeaf<'s>, StoreError> {
+            Ok(self.leaf(phrase, canned_match))
+        }
+    }
+
+    /// Adds `cafes(cafename, street)` with one cafe, on Grand's street.
+    fn cafes(cat: &mut Catalog) {
+        cat.create_table(Schema::new(
+            "cafes",
+            vec![
+                Column::new("cafename", ColumnType::Text),
+                Column::new("street", ColumnType::Text),
+            ],
+            0,
+        ))
+        .unwrap();
+        cat.insert("cafes", vec![Value::text("Beans"), Value::text("baker")])
+            .unwrap();
+    }
+
+    #[test]
+    fn base_rows_are_read_by_position_and_owned_rows_by_key() {
+        let mut cat = hotel_catalog();
+        cafes(&mut cat);
+        let mut overlay = TableOverlay::new();
+        overlay.push_row(
+            "hotels",
+            vec![
+                Value::text("Nieuw"),
+                Value::text("Amsterdam"),
+                Value::Float(80.0),
+                Value::text("damrak"),
+            ],
+        );
+        // Two leaves under an OR, so no row short-circuits past a leaf
+        // and no plan ranks: every statement goes through the row loop.
+        let residue = "(\"clean rooms\" or h.comfort .= \"firm\")";
+        // (statement, overlay?, base rows scored, owned rows scored)
+        let cases = [
+            (
+                format!("select * from hotels h where {residue}"),
+                false,
+                3,
+                0,
+            ),
+            (
+                format!("select * from hotels h where h.price_pn < 150 and {residue}"),
+                false,
+                2,
+                0,
+            ),
+            (
+                format!("select * from hotels h where {residue}"),
+                true,
+                3,
+                1,
+            ),
+            (
+                format!("select * from hotels h where h.price_pn < 150 and {residue}"),
+                true,
+                2,
+                1,
+            ),
+        ];
+        for (sql, with_overlay, base_rows, owned_rows) in cases {
+            let q = parse_select(&sql).unwrap();
+            let overlay = with_overlay.then_some(&overlay);
+            let scorer = Positional::new(true);
+            let fast = run(&q, &cat, &scorer, overlay).expect(&sql);
+            assert_eq!(scorer.by_position.get(), base_rows * 2, "{sql}");
+            assert_eq!(scorer.by_key.get(), owned_rows * 2, "{sql}");
+            assert_eq!(
+                fast.rows,
+                run(&q, &cat, &Canned, overlay).unwrap().rows,
+                "{sql}"
+            );
+        }
+
+        // A join turns every base row into an owned row: all by key.
+        let q = parse_select(&format!(
+            "select * from hotels h join cafes c on h.street = c.street where {residue}"
+        ))
+        .unwrap();
+        let scorer = Positional::new(false);
+        let joined = run(&q, &cat, &scorer, None).unwrap();
+        assert_eq!(joined.rows.len(), 1, "Grand × Beans");
+        assert_eq!((scorer.by_position.get(), scorer.by_key.get()), (0, 2));
+        assert_eq!(joined.rows, run(&q, &cat, &Canned, None).unwrap().rows);
+    }
+
+    /// The pre-select-k `finish` ordering, verbatim: the oracle.
+    fn stable_sort_then_truncate<T>(scored: &mut Vec<(T, f64)>, limit: Option<usize>) {
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
+        if let Some(limit) = limit {
+            scored.truncate(limit);
+        }
+    }
+
+    /// `finish` with a LIMIT selects the top k instead of sorting every
+    /// scored row; the answer — which rows, in which order — must be the
+    /// stable full sort's, ties included. (`ORDER BY` statements never
+    /// reach the selection: they sort by a column, as before.)
+    #[test]
+    fn limit_selects_what_the_stable_full_sort_kept() {
+        let mut cat = Catalog::new();
+        cat.create_table(Schema::new(
+            "t",
+            vec![Column::new("id", ColumnType::Int)],
+            0,
+        ))
+        .unwrap();
+        let base_rows = 23;
+        for i in 0..base_rows {
+            cat.insert("t", vec![Value::Int(i)]).unwrap();
+        }
+        let base = cat.table("t").unwrap();
+        let palettes: [&[f64]; 4] = [
+            &[0.25],
+            &[0.0, -0.0],
+            &[0.25, 0.25, 0.25, 0.5, 0.125],
+            &[0.9, 0.25, 0.25, -0.0, 0.0, 0.7, 0.25, 1.0],
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        for palette in palettes {
+            for overlay_rows in [0, 1, 9] {
+                // Arrival order: base rows by position, then overlay rows.
+                let scores: Vec<f64> = (0..base_rows as usize + overlay_rows)
+                    .map(|_| palette[next(palette.len())])
+                    .collect();
+                let n = scores.len();
+                for limit in [Some(0), Some(1), Some(5), Some(n), Some(n + 1), None] {
+                    let mut q = parse_select("select * from t").unwrap();
+                    q.limit = limit;
+                    let scored: Vec<(RowHandle<'_>, f64)> = scores
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &score)| {
+                            let handle = if i < base_rows as usize {
+                                RowHandle::Base(base.row(i))
+                            } else {
+                                RowHandle::Owned(vec![Value::Int(i as i64)])
+                            };
+                            (handle, score)
+                        })
+                        .collect();
+                    let layout = Layout {
+                        slots: vec![("t".into(), "id".into())],
+                        base,
+                    };
+                    let got = finish(&q, layout, scored).unwrap().into_result_set();
+                    let mut want: Vec<(Vec<Value>, f64)> = scores
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &score)| (vec![Value::Int(i as i64)], score))
+                        .collect();
+                    stable_sort_then_truncate(&mut want, limit);
+                    assert_eq!(got.rows.len(), want.len(), "{palette:?} limit {limit:?}");
+                    for (g, w) in got.rows.iter().zip(&want) {
+                        assert_eq!(g.0, w.0, "{palette:?} limit {limit:?}");
+                        assert_eq!(g.1.to_bits(), w.1.to_bits(), "{palette:?} limit {limit:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1395,17 +1790,7 @@ mod tests {
     #[test]
     fn join_combines_tables() {
         let mut cat = hotel_catalog();
-        cat.create_table(Schema::new(
-            "cafes",
-            vec![
-                Column::new("cafename", ColumnType::Text),
-                Column::new("street", ColumnType::Text),
-            ],
-            0,
-        ))
-        .unwrap();
-        cat.insert("cafes", vec![Value::text("Beans"), Value::text("baker")])
-            .unwrap();
+        cafes(&mut cat);
         cat.insert("cafes", vec![Value::text("Brew"), Value::text("canal")])
             .unwrap();
         let q = parse_select("select * from hotels h join cafes c on h.street = c.street").unwrap();
@@ -1519,17 +1904,7 @@ mod tests {
     #[test]
     fn lazy_join_materializes_combined_rows() {
         let mut cat = hotel_catalog();
-        cat.create_table(Schema::new(
-            "cafes",
-            vec![
-                Column::new("cafename", ColumnType::Text),
-                Column::new("street", ColumnType::Text),
-            ],
-            0,
-        ))
-        .unwrap();
-        cat.insert("cafes", vec![Value::text("Beans"), Value::text("baker")])
-            .unwrap();
+        cafes(&mut cat);
         let q = parse_select("select * from hotels h join cafes c on h.street = c.street").unwrap();
         let lazy = execute(&q, &cat, &ObjectiveOnly, FuzzyAlgebra::Product, None).unwrap();
         assert_eq!(lazy.len(), 1);
@@ -1609,17 +1984,7 @@ mod tests {
     #[test]
     fn overlay_rows_participate_in_joins() {
         let mut cat = hotel_catalog();
-        cat.create_table(Schema::new(
-            "cafes",
-            vec![
-                Column::new("cafename", ColumnType::Text),
-                Column::new("street", ColumnType::Text),
-            ],
-            0,
-        ))
-        .unwrap();
-        cat.insert("cafes", vec![Value::text("Beans"), Value::text("baker")])
-            .unwrap();
+        cafes(&mut cat);
         let mut overlay = TableOverlay::new();
         // Overlay on the build side: a new cafe on Plaza's street.
         overlay.push_row("cafes", vec![Value::text("Roast"), Value::text("oxford")]);

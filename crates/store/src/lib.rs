@@ -20,7 +20,18 @@
 //!
 //! Writing a scorer: do everything that depends only on the predicate or
 //! phrase in `bind_predicate` / `bind_match` (the executor calls each once
-//! per statement) and return a closure that reads one row's degree by key.
+//! per statement) and return an [`exec::BoundLeaf`]. Every leaf reads one
+//! row's degree **by key** ([`exec::BoundLeaf::by_key`]): that is how
+//! overlay rows, joined rows and rows of a table you know nothing about
+//! are scored. Add a **by-position** reader
+//! ([`exec::BoundLeaf::with_positions`]) only when you can prove that
+//! row `i` of the `base` table you were handed is item `i` of whatever
+//! you index — the executor then reads base rows as `read(i)` and never
+//! renders their keys. A position is meaningful only together with its
+//! table: `bind_*` and `rank_subjective_conjunction` all receive `base`,
+//! the candidate bitmap indexes its rows, the ranking returns its
+//! positions, and a scorer that cannot prove the table declines to rank
+//! it (`None`) rather than guess.
 //!
 //! ```
 //! use opine_store::{Catalog, Column, ColumnType, FuzzyAlgebra, Schema, Value};

@@ -10,7 +10,7 @@ use opinedb::store::ast::ColumnRef;
 use opinedb::store::exec::{BoundLeaf, SubjectiveScorer};
 use opinedb::store::parser::parse_select;
 use opinedb::store::{
-    execute, Bitmap, Catalog, Column, ColumnType, FuzzyAlgebra, Schema, StoreError, Value,
+    execute, Bitmap, Catalog, Column, ColumnType, FuzzyAlgebra, Schema, StoreError, Table, Value,
 };
 use proptest::prelude::*;
 use std::cell::Cell;
@@ -51,11 +51,15 @@ impl SyntheticIndex {
 }
 
 impl SubjectiveScorer for SyntheticIndex {
-    fn bind_predicate<'s>(&'s self, predicate: &'s str) -> Result<BoundLeaf<'s>, StoreError> {
+    fn bind_predicate<'s>(
+        &'s self,
+        _base: &Table,
+        predicate: &'s str,
+    ) -> Result<BoundLeaf<'s>, StoreError> {
         let p = self
             .predicate_index(predicate)
             .ok_or_else(|| StoreError::NoScorer(predicate.to_string()))?;
-        Ok(Box::new(move |key| {
+        Ok(BoundLeaf::by_key(move |key| {
             let e = self
                 .entity(key)
                 .ok_or_else(|| StoreError::Execution(format!("unknown key {key}")))?;
@@ -65,6 +69,7 @@ impl SubjectiveScorer for SyntheticIndex {
 
     fn bind_match<'s>(
         &'s self,
+        _base: &Table,
         attribute: &'s ColumnRef,
         _phrase: &'s str,
     ) -> Result<BoundLeaf<'s>, StoreError> {
@@ -73,10 +78,11 @@ impl SubjectiveScorer for SyntheticIndex {
 
     fn rank_subjective_conjunction(
         &self,
+        _base: &Table,
         predicates: &[&str],
         k: usize,
         candidates: Option<&Bitmap>,
-    ) -> Option<Vec<(Value, f64)>> {
+    ) -> Option<Vec<(usize, f64)>> {
         if !self.use_index {
             return None;
         }
@@ -93,12 +99,8 @@ impl SubjectiveScorer for SyntheticIndex {
             }
             None => threshold_topk(&degrees, &orders, k, |_| true),
         };
-        Some(
-            ranked
-                .into_iter()
-                .map(|(e, score)| (Value::text(&self.keys[e]), score))
-                .collect(),
-        )
+        // Entity ids are row positions of `t` (see `catalog`).
+        Some(ranked)
     }
 }
 
@@ -245,4 +247,106 @@ fn opinedb_pushdown_matches_naive_end_to_end() {
         db.cache_report().pushdown_queries >= queries.len() as u64,
         "every mixed query must take the pushdown path"
     );
+}
+
+/// A row position is an entity id only in the engine's own entity
+/// table. Over any other base table — a relation keyed by hotel name
+/// but stored in another order, the `reviews` table, a clone of the
+/// catalog — every plan must answer what `reference()` answers (which
+/// reads by key, always) or raise the same typed error.
+#[test]
+fn foreign_base_tables_match_the_reference_from_every_plan() {
+    use opinedb::core::{build, BuildConfig};
+    use opinedb::corpus::hotel::hotel_spec;
+    use opinedb::corpus::{Corpus, CorpusConfig};
+
+    let corpus = Corpus::generate(
+        hotel_spec(),
+        &CorpusConfig {
+            num_entities: 60,
+            mean_reviews: 8,
+            seed: 33,
+        },
+    );
+    let db = build(
+        &corpus,
+        &BuildConfig {
+            w2v: opinedb::embed::Word2VecConfig {
+                dim: 16,
+                epochs: 1,
+                ..Default::default()
+            },
+            membership_tuples: 300,
+            ..Default::default()
+        },
+    );
+
+    // The `examples/join_search.rs` pattern: clone the catalog, add a
+    // relation keyed by hotel name — in *reverse* entity order, so row
+    // `i` of `hotel_streets` is entity `n - 1 - i`.
+    let mut catalog = db.catalog().clone();
+    catalog
+        .create_table(Schema::new(
+            "hotel_streets",
+            vec![
+                Column::new("hotel", ColumnType::Text),
+                Column::new("street", ColumnType::Text),
+            ],
+            0,
+        ))
+        .unwrap();
+    let streets = ["baker", "oxford", "regent"];
+    for e in (0..db.num_entities()).rev() {
+        catalog
+            .insert(
+                "hotel_streets",
+                vec![
+                    Value::text(db.entity_key(e)),
+                    Value::text(streets[e % streets.len()]),
+                ],
+            )
+            .unwrap();
+    }
+
+    let run = |sql: &str, scorer: &dyn SubjectiveScorer| {
+        let select = parse_select(sql).unwrap();
+        execute(&select, &catalog, scorer, FuzzyAlgebra::Product, None)
+            .map(|rows| rows.into_result_set().rows)
+    };
+    let reference = db.reference();
+    for sql in [
+        // filter + conjunction: the pushdown's shape
+        "select hotel from hotel_streets where street = 'baker' and \"clean rooms\" limit 5",
+        // pure conjunction: TA's shape
+        "select hotel from hotel_streets where \"clean rooms\" and \"friendly staff\" limit 5",
+        // filtered OR: the row loop over candidates
+        "select hotel from hotel_streets where street = 'baker' \
+         and (\"clean rooms\" or \"friendly staff\") limit 5",
+        // the cloned entity table is correct whichever reader it gets
+        "select * from hotels where price_pn < 150 and \"clean rooms\" limit 5",
+        "select * from hotels where price_pn < 150 \
+         and (\"clean rooms\" or \"friendly staff\") limit 5",
+    ] {
+        let fast = run(sql, &db).expect(sql);
+        let slow = run(sql, &reference).expect(sql);
+        assert!(!fast.is_empty(), "{sql}");
+        assert_eq!(fast.len(), slow.len(), "{sql}");
+        for (a, b) in fast.iter().zip(&slow) {
+            assert_eq!(a.0, b.0, "{sql}");
+            assert_eq!(a.1.to_bits(), b.1.to_bits(), "{sql}");
+        }
+    }
+
+    // `reviews` is keyed by review id: no row of it is an entity, and
+    // every plan says so with the error the reference raises.
+    let errors: Vec<_> = [
+        "select * from reviews where review_id < 40 and \"clean rooms\"",
+        "select * from reviews where review_id < 40 and (\"clean rooms\" or \"friendly staff\")",
+        "select * from reviews where \"clean rooms\" limit 3",
+    ]
+    .into_iter()
+    .flat_map(|sql| [db.query(sql), db.reference().query(sql)])
+    .map(|result| result.expect_err("a review is not an entity"))
+    .collect();
+    assert!(errors.windows(2).all(|w| w[0] == w[1]), "{errors:?}");
 }

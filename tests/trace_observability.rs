@@ -222,3 +222,30 @@ fn wand_cold_query_blocks_skipped_matches_stats_delta() {
         "block-max bounds must skip blocks on a review-heavy corpus"
     );
 }
+
+/// The row loop's plan note names the reader that ran and how many base
+/// rows it walked: by position for the engine over its entity table, by
+/// key for the reference (on purpose) — the same statement, the same
+/// candidates.
+#[test]
+fn row_loop_plan_note_names_the_reader_and_the_candidate_count() {
+    let db = small_db();
+    let sql = "select * from hotels where price_pn < 200 \
+               and (\"clean rooms\" or \"friendly staff\") limit 5";
+    let (snap, ..) = traced_query(&db, sql);
+    let candidates = snap
+        .stage("prefilter_bitmap")
+        .unwrap()
+        .counter("candidates");
+    assert!(candidates > 0);
+    assert_eq!(snap.stage("rescore").unwrap().counter("scored"), candidates);
+    let by_position =
+        format!("plan: residue not TA-rankable → {candidates} candidates by position");
+    assert!(snap.notes.contains(&by_position), "notes: {:?}", snap.notes);
+
+    let ctx = trace::TraceContext::new();
+    trace::with_trace(Some(ctx.clone()), || db.reference().query(sql)).expect("query runs");
+    let by_key = format!("plan: residue not TA-rankable → {candidates} candidates by key");
+    let notes = ctx.snapshot().notes;
+    assert!(notes.contains(&by_key), "notes: {notes:?}");
+}
