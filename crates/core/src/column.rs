@@ -37,8 +37,9 @@ use std::sync::{Arc, OnceLock};
 
 /// The dense degree column of one predicate: one slot per entity, plus
 /// the descending-degree entity order (TA's sorted-access list),
-/// computed once on demand and reused by every subsequent top-k over
-/// the same predicate.
+/// computed once on demand — by the first top-k that walks it, which
+/// the ranking plan arranges to be the column's first *reuse* — and
+/// reused by every subsequent top-k over the same predicate.
 #[derive(Debug)]
 pub struct DegreeColumn {
     degrees: Vec<f64>,
@@ -95,6 +96,11 @@ impl DegreeColumn {
             degrees[entity] = degree;
         }
         DegreeColumn::new(degrees)
+    }
+
+    /// Whether [`Self::sorted_order`] has been computed for this column.
+    pub fn has_order(&self) -> bool {
+        self.sorted.get().is_some()
     }
 
     /// Entity ids in descending-degree order (ties by entity id) under
@@ -228,22 +234,29 @@ impl OpineDb {
     /// moved past the stamp recompute (an `INSERT` touches one entity;
     /// the other N−1 slots are reused verbatim).
     pub fn degree_column(&self, predicate: &str) -> Arc<DegreeColumn> {
+        self.fetch_column(predicate).0
+    }
+
+    /// [`Self::degree_column`], and whether this call had to build the
+    /// column from nothing (a cache miss; a restamp or a repair starts
+    /// from a column some earlier statement paid for).
+    pub(crate) fn fetch_column(&self, predicate: &str) -> (Arc<DegreeColumn>, bool) {
         self.ensure_pinned(|pin| self.column_from(predicate, pin, self.column_cache.get(predicate)))
     }
 
     /// The column of `predicate` for `pin`, given what a probe of the
-    /// column cache found.
+    /// column cache found, and whether it was built from nothing.
     pub(crate) fn column_from(
         &self,
         predicate: &str,
         pin: &Pin,
         cached: Option<(u64, Arc<DegreeColumn>)>,
-    ) -> Arc<DegreeColumn> {
+    ) -> (Arc<DegreeColumn>, bool) {
         let mut cacheable = true;
         if let Some((stamp, column)) = cached {
             if stamp == pin.epoch {
                 opine_trace::count("ta_topk", "cache_hits", 1);
-                return column;
+                return (column, false);
             }
             if stamp < pin.epoch {
                 let stale = pin.delta.changed_since(stamp);
@@ -254,7 +267,7 @@ impl OpineDb {
                     opine_trace::count("ta_topk", "cache_hits", 1);
                     self.column_cache
                         .insert(predicate, (pin.epoch, column.clone()));
-                    return column;
+                    return (column, false);
                 }
                 opine_trace::count("ta_topk", "cache_repairs", 1);
                 let prepared = self.prepare_interpretation(predicate);
@@ -268,7 +281,7 @@ impl OpineDb {
                 let column = Arc::new(column.patched(&updates));
                 self.column_cache
                     .insert(predicate, (pin.epoch, column.clone()));
-                return column;
+                return (column, false);
             }
             // stamp > pin.epoch: a column from this pin's future.
             // Build privately without regressing the cached stamp.
@@ -304,7 +317,7 @@ impl OpineDb {
             self.column_cache
                 .insert(predicate, (pin.epoch, column.clone()));
         }
-        column
+        (column, true)
     }
 
     /// Hoists the query half of a `attribute .= phrase` term.

@@ -14,7 +14,7 @@ use crate::interpret::{Interpretation, Interpreter};
 use crate::membership::MembershipModel;
 use crate::par;
 use crate::summary::{MarkerSet, MarkerSummary, PhraseContribution};
-use crate::topk::threshold_topk;
+use crate::topk::{scan_topk, threshold_topk};
 use opine_embed::PhraseEmbedder;
 use opine_ir::InvertedIndex;
 use opine_sentiment::SentimentAnalyzer;
@@ -923,8 +923,8 @@ impl OpineDb {
     }
 
     /// Top-k entities for a conjunction of natural-language predicates
-    /// under the product t-norm, ranked with Fagin's Threshold Algorithm
-    /// over the predicates' cached degree columns and sorted orders.
+    /// under the product t-norm, over the predicates' cached degree
+    /// columns.
     ///
     /// Returns `(entity, combined degree)` in ranking order (degree
     /// descending, entity id ascending on ties), including zero-degree
@@ -933,77 +933,97 @@ impl OpineDb {
         self.rank_top_k_filtered(predicates, k, None)
     }
 
-    /// [`Self::rank_top_k`] with an optional candidate restriction: only
-    /// entities with `is_candidate(entity)` true are ranked (the
-    /// objective-predicate pushdown).
+    /// [`Self::rank_top_k`] among the set bits of `candidates` (the
+    /// executor's objective prefilter; every entity when `None`), and
+    /// the one place the ranking plan is chosen. Each predicate's column
+    /// is fetched once; then, the classic selection-vs-sorted-access
+    /// optimizer choice:
+    ///
+    /// * **scan** — read every candidate's degrees straight from the
+    ///   dense columns, combine, select the k best
+    ///   ([`scan_topk`]). O(candidates · predicates), and needs no
+    ///   sorted order.
+    /// * **sorted access** — the (filtered) threshold algorithm
+    ///   ([`threshold_topk`]), which walks ~`k / selectivity` positions
+    ///   of each column's sorted order and so needs every order built.
+    ///
+    /// The scan wins when the candidate set is small
+    /// (`candidates² ≤ k · entities`, equating the two cost models;
+    /// selective filters — the whole point of the pushdown — land
+    /// there, while weak filters keep TA's early termination), and when
+    /// a conjunction of two or more predicates had to build one of its
+    /// columns just now: it has already paid Θ(entities) for the build,
+    /// and sorting that column for a list TA reads a short prefix of
+    /// costs more than one pass over all of them. The order is a
+    /// column's reward for being *reused*: the next conjunction that
+    /// finds it cached sorts it. A lone predicate keeps sorted access —
+    /// its answer is the order's prefix.
+    ///
+    /// `candidates` indexes rows of a table with
+    /// [`Self::rows_are_entities`], so a set bit, a column slot and a
+    /// ranked id are the same number.
     pub fn rank_top_k_filtered(
         &self,
         predicates: &[&str],
         k: usize,
-        is_candidate: Option<&(dyn Fn(usize) -> bool + Sync)>,
+        candidates: Option<&Bitmap>,
     ) -> Vec<(usize, f64)> {
-        let columns: Vec<Arc<DegreeColumn>> =
-            predicates.iter().map(|p| self.degree_column(p)).collect();
-        let degrees: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
-        let orders: Vec<&[u32]> = columns.iter().map(|c| c.sorted_order()).collect();
-        // Two instantiations on purpose: the unfiltered scan compiles
-        // without the candidate test or the skip loop.
-        match is_candidate {
-            None => threshold_topk(&degrees, &orders, k, |_| true),
-            Some(f) => threshold_topk(&degrees, &orders, k, f),
+        if candidates.is_some() {
+            self.pushdown_queries
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
-    }
-
-    /// The objective-pushdown ranking: top-k among the candidate rows
-    /// of `bitmap` (the executor's objective prefilter). Picks between
-    /// two physical plans, the classic selection-vs-sorted-access
-    /// optimizer choice:
-    ///
-    /// * **gather** — read every candidate's degrees straight from the
-    ///   dense columns, combine, sort. O(candidates · predicates).
-    /// * **restricted sorted access** — the filtered threshold
-    ///   algorithm, which scans ~`k / selectivity` positions per list.
-    ///
-    /// Gather wins when the candidate set is small
-    /// (`candidates² ≤ k · entities`, equating the two cost models);
-    /// selective filters — the whole point of the pushdown — land
-    /// there, while weak filters keep TA's early termination.
-    ///
-    /// `bitmap` indexes rows of a table with [`Self::rows_are_entities`],
-    /// so a set bit, a column slot and a ranked id are the same number.
-    fn rank_pushdown(&self, predicates: &[&str], k: usize, bitmap: &Bitmap) -> Vec<(usize, f64)> {
-        self.pushdown_queries
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let columns: Vec<Arc<DegreeColumn>> =
-            predicates.iter().map(|p| self.degree_column(p)).collect();
-        let cand_count = bitmap.count_ones();
+        let mut built = false;
+        let columns: Vec<Arc<DegreeColumn>> = predicates
+            .iter()
+            .map(|p| {
+                let (column, fresh) = self.fetch_column(p);
+                built |= fresh;
+                column
+            })
+            .collect();
         if k == 0 {
             return Vec::new();
         }
-        if cand_count.saturating_mul(cand_count) <= k.saturating_mul(self.num_entities()) {
+        let degrees: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
+        let n = self.num_entities();
+        let cand_count = candidates.map_or(n, Bitmap::count_ones);
+        let few = cand_count.saturating_mul(cand_count) <= k.saturating_mul(n);
+        if few || (built && predicates.len() >= 2) {
             opine_trace::note(|| {
-                format!("ta_topk: pushdown via gather ({cand_count} candidates, k={k})")
+                if few && candidates.is_some() {
+                    return format!(
+                        "ta_topk: pushdown via gather ({cand_count} candidates, k={k})"
+                    );
+                }
+                let why = if few {
+                    "k reaches them all"
+                } else {
+                    "column built by this statement"
+                };
+                format!("ta_topk: scan of {cand_count} candidates (k={k}) — {why}")
             });
-            let views: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
-            let mut scored: Vec<(usize, f64)> = bitmap
-                .iter_ones()
-                .map(|e| (e, views.iter().map(|c| c[e]).product()))
-                .collect();
-            // Select-then-sort: partition the top k in O(candidates),
-            // order only the winners.
-            if scored.len() > k {
-                scored.select_nth_unstable_by(k - 1, crate::topk::rank_cmp);
-                scored.truncate(k);
-            }
-            scored.sort_by(crate::topk::rank_cmp);
-            return scored;
+            // Two instantiations on purpose, here and below: the
+            // unfiltered loops compile without the candidate test.
+            return match candidates {
+                None => scan_topk(&degrees, k, 0..n),
+                Some(bitmap) => scan_topk(&degrees, k, bitmap.iter_ones()),
+            };
         }
-        opine_trace::note(|| {
-            format!(
-                "ta_topk: pushdown via restricted sorted access ({cand_count} candidates, k={k})"
-            )
-        });
-        self.rank_top_k_filtered(predicates, k, Some(&|entity: usize| bitmap.get(entity)))
+        let orders: Vec<&[u32]> = columns.iter().map(|c| c.sorted_order()).collect();
+        match candidates {
+            None => {
+                opine_trace::note(|| format!("ta_topk: full TA over degree columns (k={k})"));
+                threshold_topk(&degrees, &orders, k, |_| true)
+            }
+            Some(bitmap) => {
+                opine_trace::note(|| {
+                    format!(
+                        "ta_topk: pushdown via restricted sorted access ({cand_count} candidates, k={k})"
+                    )
+                });
+                threshold_topk(&degrees, &orders, k, |entity| bitmap.get(entity))
+            }
+        }
     }
 
     /// Normalized embedding + sentiment of a query phrase, memoized.
@@ -1458,13 +1478,7 @@ impl SubjectiveScorer for OpineDb {
         }
         opine_faults::fire_panic("pre_ta");
         let span = opine_trace::span("ta_topk");
-        let ranked = match candidates {
-            None => {
-                opine_trace::note(|| format!("ta_topk: full TA over degree columns (k={k})"));
-                self.rank_top_k(predicates, k)
-            }
-            Some(bitmap) => self.rank_pushdown(predicates, k, bitmap),
-        };
+        let ranked = self.rank_top_k_filtered(predicates, k, candidates);
         span.count("scored", ranked.len() as u64);
         drop(span);
         self.ta_queries

@@ -15,6 +15,11 @@ pub struct Variation {
     pub sentiment: f64,
     /// IDF-weighted phrase embedding (Eq. 1), unit-normalized.
     pub rep: Vec<f32>,
+    /// `norm(rep)` as `opine_embed::cosine` would compute it (1 up to
+    /// rounding, 0 for an out-of-vocabulary phrase), taken once so that
+    /// [`LinguisticDomain::best_match`] costs one dot product per
+    /// variation.
+    norm: f32,
 }
 
 /// The linguistic domain of one subjective attribute: "a set of short
@@ -52,11 +57,17 @@ impl LinguisticDomain {
         }
         let mut rep = embedder.rep(phrase, vocab);
         opine_embed::normalize(&mut rep);
+        self.insert(phrase, sentiment, rep);
+    }
+
+    /// Appends a first-seen variation with its representation.
+    fn insert(&mut self, phrase: &str, sentiment: f64, rep: Vec<f32>) {
         self.index.insert(phrase.to_string(), self.variations.len());
         self.variations.push(Variation {
             phrase: phrase.to_string(),
             count: 1,
             sentiment,
+            norm: opine_embed::norm(&rep),
             rep,
         });
     }
@@ -87,11 +98,20 @@ impl LinguisticDomain {
     }
 
     /// The variation most similar to a query representation, with its
-    /// cosine similarity.
+    /// cosine similarity: `opine_embed::cosine(query_rep, &v.rep)` bit
+    /// for bit, with both norms taken outside the loop.
     pub fn best_match(&self, query_rep: &[f32]) -> Option<(&Variation, f32)> {
+        let query_norm = opine_embed::norm(query_rep);
         self.variations
             .iter()
-            .map(|v| (v, opine_embed::cosine(query_rep, &v.rep)))
+            .map(|v| {
+                let cosine = if query_norm == 0.0 || v.norm == 0.0 {
+                    0.0
+                } else {
+                    (opine_embed::dot(query_rep, &v.rep) / (query_norm * v.norm)).clamp(-1.0, 1.0)
+                };
+                (v, cosine)
+            })
             .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 }
@@ -155,6 +175,48 @@ mod tests {
         let (best, sim) = d.best_match(&q).unwrap();
         assert_eq!(best.phrase, "clean");
         assert!(sim > -1.0);
+    }
+
+    #[test]
+    fn best_match_equals_max_by_cosine_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(41);
+        const DIM: usize = 12;
+        let mut random_rep = |unit: bool| -> Vec<f32> {
+            let scale = if unit { 1.0 } else { rng.gen::<f32>() * 40.0 };
+            let mut rep: Vec<f32> = (0..DIM).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect();
+            opine_embed::normalize(&mut rep);
+            rep.iter_mut().for_each(|x| *x *= scale);
+            rep
+        };
+        for round in 0..50 {
+            let mut d = LinguisticDomain::new();
+            for i in 0..40 {
+                let rep = match i {
+                    // An out-of-vocabulary phrase embeds to all zeros.
+                    7 => vec![0.0; DIM],
+                    // A duplicate representation: ties resolve alike.
+                    8 => d.variations()[3].rep.clone(),
+                    _ => random_rep(i % 3 != 0),
+                };
+                d.insert(&format!("v{i}"), 0.0, rep);
+            }
+            let query = if round == 0 {
+                vec![0.0; DIM]
+            } else {
+                random_rep(round % 2 == 0)
+            };
+            let (expected, expected_sim) = d
+                .variations()
+                .iter()
+                .map(|v| (v, opine_embed::cosine(&query, &v.rep)))
+                .max_by(|a, b| a.1.total_cmp(&b.1))
+                .unwrap();
+            let (best, sim) = d.best_match(&query).unwrap();
+            assert_eq!(best.phrase, expected.phrase, "round {round}");
+            assert_eq!(sim.to_bits(), expected_sim.to_bits(), "round {round}");
+        }
     }
 
     #[test]

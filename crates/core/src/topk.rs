@@ -7,16 +7,21 @@
 //! as soon as the k-th best combined score beats the threshold — the
 //! product of the degrees at the current scan positions.
 //!
-//! There is one kernel, [`threshold_topk`]: degrees live in
+//! There is one TA kernel, [`threshold_topk`]: degrees live in
 //! entity-id-indexed `f64` columns (O(1) random access, no hashing),
 //! seen-tracking is a `Vec<bool>` bitmap, the current top-k is a
 //! fixed-size binary min-heap, and an `is_candidate` filter restricts
-//! sorted access to the executor's objective prefilter. Beside it sits
+//! sorted access to the executor's objective prefilter. It needs every
+//! column's sorted order; [`scan_topk`] answers the same question from
+//! the columns alone — combine every candidate, select the k best — for
+//! the statements where building or walking the orders costs more than
+//! one pass (`OpineDb::rank_top_k_filtered` chooses). Beside them sits
 //! the one reference, [`full_scan_topk_dense`].
 //!
 //! Ranking is a total order: combined degree descending, entity id
-//! ascending on ties. Both the TA and the full-scan reference break ties
-//! identically, which the property tests assert exactly.
+//! ascending on ties. TA, the scan and the full-scan reference combine
+//! with the same expression and break ties identically, which the
+//! property tests assert exactly.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -163,6 +168,33 @@ where
         .collect();
     out.sort_by(rank_cmp);
     out
+}
+
+/// Top-k of `candidates` (entity ids, each at most once) by
+/// product-combined degree, without sorted orders: one pass over the
+/// candidates, select the k best in O(candidates), order only the
+/// winners. Same combining expression and comparator as
+/// [`threshold_topk`], so the two return the same pairs bit for bit.
+pub fn scan_topk<C: AsRef<[f64]>>(
+    columns: &[C],
+    k: usize,
+    candidates: impl Iterator<Item = usize>,
+) -> Vec<(usize, f64)> {
+    if columns.is_empty() || k == 0 {
+        return Vec::new();
+    }
+    let columns: Vec<&[f64]> = columns.iter().map(AsRef::as_ref).collect();
+    let mut scored = Vec::with_capacity(candidates.size_hint().0);
+    for e in candidates {
+        opine_faults::checkpoint();
+        scored.push((e, columns.iter().map(|c| c[e]).product()));
+    }
+    if scored.len() > k {
+        scored.select_nth_unstable_by(k - 1, rank_cmp);
+        scored.truncate(k);
+    }
+    scored.sort_by(rank_cmp);
+    scored
 }
 
 /// Reference implementation over dense columns: combine every entity,
@@ -358,6 +390,48 @@ mod tests {
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].0, 4242);
         assert!((top[0].1 - 0.95 * 0.95).abs() < 1e-12);
+    }
+
+    /// The production scan against both the TA kernel and the reference,
+    /// on the inputs where a selection could diverge from a sort: score
+    /// ties across the k-th place (quantized degrees), both zeros (equal
+    /// as numbers, ordered by `total_cmp`), `k` at and past either end,
+    /// and candidate sets from empty to everything.
+    #[test]
+    fn scan_equals_ta_and_the_reference() {
+        let mut rng = StdRng::seed_from_u64(2024);
+        for round in 0..60 {
+            let n = rng.gen_range(1..90usize);
+            let predicates = rng.gen_range(1..4usize);
+            let cols = random_columns(&mut rng, predicates, n, |rng| match round % 3 {
+                0 => rng.gen::<f64>(),
+                1 => f64::from(rng.gen_range(0..4u32)) / 4.0,
+                _ => [0.0, -0.0, 0.5, 1.0][rng.gen_range(0..4usize)],
+            });
+            let degrees: Vec<&[f64]> = cols.iter().map(|c| c.degrees()).collect();
+            let bits = |ranked: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+                ranked.into_iter().map(|(e, s)| (e, s.to_bits())).collect()
+            };
+            let keep: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() < 0.15).collect();
+            let lone = rng.gen_range(0..n);
+            for k in [0, 1, n / 2, n, n + 1] {
+                assert_eq!(
+                    bits(scan_topk(&degrees, k, 0..n)),
+                    bits(full_scan(&cols, k)),
+                    "round {round} k={k}: scan vs reference"
+                );
+                let masks: [&dyn Fn(usize) -> bool; 4] =
+                    [&|_| true, &|e| keep[e], &|e| e == lone, &|_| false];
+                for (m, mask) in masks.iter().enumerate() {
+                    assert_eq!(
+                        bits(scan_topk(&degrees, k, (0..n).filter(|&e| mask(e)))),
+                        bits(ta(&cols, k, mask)),
+                        "round {round} k={k} mask {m}: scan vs TA"
+                    );
+                }
+            }
+        }
+        assert!(scan_topk::<&[f64]>(&[], 3, 0..0).is_empty());
     }
 
     #[test]

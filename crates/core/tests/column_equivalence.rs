@@ -4,10 +4,9 @@
 //! feature plane; the reference scores one entity through the unsplit
 //! feature functions; the repair path recomputes only the entities an
 //! `INSERT` or a merge touched. All three must agree to the last bit for every interpretation kind, with
-//! live delta cells in play, before and after a delta merge, serial and
-//! fanned out. Lives in its own test binary because it sets
-//! `OPINE_THREADS` and merges deltas (the lib's unit tests arm global
-//! merge failpoints).
+//! live delta cells in play, before and after a delta merge. Lives in
+//! its own test binary because it merges deltas (the lib's unit tests
+//! arm global merge failpoints).
 
 use opine_core::faults::{with_deadline, Cancelled, Deadline};
 use opine_core::trace::{with_trace, TraceContext};
@@ -18,8 +17,7 @@ use opine_corpus::{Corpus, CorpusConfig};
 use opine_embed::Word2VecConfig;
 use std::time::Duration;
 
-/// Above `par::PAR_THRESHOLD` (512), so `OPINE_THREADS=2` really fans
-/// the column loop out, and above the checkpoint stride (256).
+/// Above the checkpoint stride (256).
 const ENTITIES: usize = 520;
 
 fn db() -> OpineDb {
@@ -104,53 +102,38 @@ fn assert_repair_cold_and_point_agree(db: &OpineDb, predicates: &[String], stage
 
 #[test]
 fn column_point_and_repaired_column_agree_bit_for_bit() {
-    let mut reference: Option<Vec<Vec<u64>>> = None;
-    for threads in ["1", "2"] {
-        std::env::set_var("OPINE_THREADS", threads);
-        let db = db();
-        let predicates = one_predicate_per_kind(&db);
-        let frozen: Vec<Vec<u64>> = predicates
-            .iter()
-            .map(|p| bits(&db.degree_column(p)))
-            .collect();
+    let db = db();
+    let predicates = one_predicate_per_kind(&db);
+    let frozen: Vec<Vec<u64>> = predicates
+        .iter()
+        .map(|p| bits(&db.degree_column(p)))
+        .collect();
 
-        // Live delta cells on a spread of entities, phrased from the
-        // frozen opinion domains so insert-time extraction lands them
-        // in marker summaries (and, after the merge, in the text index).
-        for i in 0..24 {
-            let entity = db.entity_key(i * 21).to_string();
-            let phrase = &db.opinion_domain(i % 3).variations()[i % 5].phrase;
-            db.insert_sql(&format!(
-                "INSERT INTO reviews (entity, text, year) \
-                 VALUES ('{entity}', 'warm welcome and {phrase} and again {phrase}', 2019)"
-            ))
-            .unwrap();
-        }
-        assert_repair_cold_and_point_agree(&db, &predicates, "live delta");
-        let live = bits(&db.degree_column(&predicates[0]));
-        assert_ne!(live, frozen[0], "the inserts must reach marker summaries");
-
-        // The merge freezes the delta text index and bumps the merged
-        // entities' versions: the cached columns are stale again.
-        db.merge_delta().unwrap();
-        assert_repair_cold_and_point_agree(&db, &predicates, "merged delta");
-
-        // And the fan-out changes nothing: both worker counts produce
-        // the same bits.
-        let columns: Vec<Vec<u64>> = predicates
-            .iter()
-            .map(|p| bits(&db.degree_column(p)))
-            .collect();
-        assert_ne!(
-            columns[2], frozen[2],
-            "the merge must reach the text fallback"
-        );
-        match &reference {
-            None => reference = Some(columns),
-            Some(serial) => assert_eq!(serial, &columns, "OPINE_THREADS=1 vs 2"),
-        }
+    // Live delta cells on a spread of entities, phrased from the
+    // frozen opinion domains so insert-time extraction lands them
+    // in marker summaries (and, after the merge, in the text index).
+    for i in 0..24 {
+        let entity = db.entity_key(i * 21).to_string();
+        let phrase = &db.opinion_domain(i % 3).variations()[i % 5].phrase;
+        db.insert_sql(&format!(
+            "INSERT INTO reviews (entity, text, year) \
+             VALUES ('{entity}', 'warm welcome and {phrase} and again {phrase}', 2019)"
+        ))
+        .unwrap();
     }
-    std::env::remove_var("OPINE_THREADS");
+    assert_repair_cold_and_point_agree(&db, &predicates, "live delta");
+    let live = bits(&db.degree_column(&predicates[0]));
+    assert_ne!(live, frozen[0], "the inserts must reach marker summaries");
+
+    // The merge freezes the delta text index and bumps the merged
+    // entities' versions: the cached columns are stale again.
+    db.merge_delta().unwrap();
+    assert_repair_cold_and_point_agree(&db, &predicates, "merged delta");
+    assert_ne!(
+        bits(&db.degree_column(&predicates[2])),
+        frozen[2],
+        "the merge must reach the text fallback"
+    );
 }
 
 /// The same spread of inserts for two engines: live cells, a merge, then
@@ -242,6 +225,39 @@ fn a_statement_binds_each_subjective_leaf_once_whatever_its_row_count() {
         ),
         4
     );
+}
+
+/// A cold conjunction pays for its columns once each and for no sorted
+/// order: one cache probe per predicate, whatever the plan (under a
+/// filter too weak for the gather rule the ranking used to fetch every
+/// column a second time), both columns left cached for the next
+/// statement, neither sorted until a statement reuses it.
+#[test]
+fn a_cold_conjunction_probes_each_column_once_and_sorts_none() {
+    let db = db();
+    let predicates = ["clean rooms", "friendly staff"];
+    for filter in ["", "price_pn < 100000 and "] {
+        db.clear_degree_columns();
+        let sql = format!(
+            "select * from hotels where {filter}\"{}\" and \"{}\" limit 5",
+            predicates[0], predicates[1]
+        );
+        let probes = |r: &CacheReport| r.columns.hits + r.columns.misses;
+        let before = db.cache_report();
+        assert_eq!(db.query(&sql).expect("answers").result.rows.len(), 5);
+        let after = db.cache_report();
+        assert_eq!(probes(&after) - probes(&before), 2, "{sql}");
+        assert_eq!(after.columns.misses - before.columns.misses, 2, "{sql}");
+        assert_eq!(db.cached_degree_columns(), 2, "{sql}");
+        for predicate in predicates {
+            assert!(!db.degree_column(predicate).has_order(), "{sql}");
+        }
+        // The reuse earns the orders.
+        db.query(&sql).expect("answers again");
+        for predicate in predicates {
+            assert!(db.degree_column(predicate).has_order(), "{sql}");
+        }
+    }
 }
 
 #[test]

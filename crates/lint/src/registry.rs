@@ -46,7 +46,7 @@ pub const MONOTONIC_COUNTERS: &[&str] = &[
     "connections",
     // trace::StageAgg accumulation cells
     "calls",
-    "elapsed_us",
+    "elapsed_ns",
     "counters",
 ];
 

@@ -3,6 +3,8 @@
 //! `{"name": …}`). Dependency-free by construction — the build
 //! environment has no crates.io access.
 
+use std::fmt::Write;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -303,26 +305,56 @@ impl Parser<'_> {
     }
 }
 
+/// Appends `s` to `out` escaped for the inside of a JSON string literal
+/// (quotes, backslashes, control characters): runs of clean bytes are
+/// copied whole, only the bytes that need it are rewritten.
+fn escape_body_into(out: &mut String, s: &str) {
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Every escaped byte is ASCII, so both cuts are char boundaries.
+        out.push_str(s.get(clean..i).unwrap_or_default());
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+    }
+    out.push_str(s.get(clean..).unwrap_or_default());
+}
+
 /// Appends `s` to `out` as a JSON string literal, escaping quotes,
 /// backslashes, and control characters. Review text goes through here on
 /// every response, so it must be correct for arbitrary input.
 pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    escape_body_into(out, s);
+    out.push('"');
+}
+
+/// [`escape_into`] for a value's `Display`/`Debug` rendering
+/// (`format_args!("{x:?}")`), escaped as it is produced rather than
+/// formatted into a temporary first.
+pub fn escape_fmt_into(out: &mut String, args: std::fmt::Arguments<'_>) {
+    struct Escaping<'a>(&'a mut String);
+    impl Write for Escaping<'_> {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            escape_body_into(self.0, s);
+            Ok(())
         }
     }
+    out.push('"');
+    let _ = Escaping(out).write_fmt(args);
     out.push('"');
 }
 
@@ -337,7 +369,7 @@ pub fn escaped(s: &str) -> String {
 /// cannot represent) become `null`.
 pub fn push_f64(out: &mut String, x: f64) {
     if x.is_finite() {
-        out.push_str(&format!("{x}"));
+        let _ = write!(out, "{x}");
     } else {
         out.push_str("null");
     }
@@ -385,6 +417,56 @@ mod tests {
         }
     }
 
+    /// The writer as it was before it copied clean runs whole: one
+    /// `char` at a time, kept as the specification of the bytes.
+    fn escaped_char_by_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn run_copying_escape_writes_the_same_bytes_as_char_by_char() {
+        let every_low_byte: String = (0u8..=0x7f).map(char::from).collect();
+        for text in [
+            "",
+            "plain",
+            "\"",
+            "\\\\\"\"",
+            "ends with a quote\"",
+            "\u{1}starts with a control",
+            "émigré \"café\" ☕\n旅館\u{7f}\u{80}\u{1f}",
+            "Direct { attribute: 3, similarity: 0.8124 }",
+            every_low_byte.as_str(),
+        ] {
+            assert_eq!(escaped(text), escaped_char_by_char(text), "{text:?}");
+            // The same text arriving in pieces through a formatter.
+            let mut streamed = String::new();
+            escape_fmt_into(&mut streamed, format_args!("{}{text}{:?}", "", 1.5));
+            assert_eq!(streamed, escaped_char_by_char(&format!("{text}1.5")));
+        }
+        #[derive(Debug)]
+        #[allow(dead_code)]
+        struct Quoted(&'static str, f32);
+        let value = Quoted("a \"b\"\n", 0.25);
+        let mut streamed = String::new();
+        escape_fmt_into(&mut streamed, format_args!("{value:?}"));
+        assert_eq!(streamed, escaped(&format!("{value:?}")));
+    }
+
     #[test]
     fn unicode_escapes_and_surrogate_pairs() {
         let v = parse("\"caf\\u00e9 \\ud83d\\ude00\"").unwrap();
@@ -426,5 +508,19 @@ mod tests {
         s.push(' ');
         push_f64(&mut s, f64::INFINITY);
         assert_eq!(s, "0.25 null null");
+        for x in [
+            0.0,
+            -0.0,
+            1.0,
+            0.1 + 0.2,
+            1e-7,
+            1e21,
+            f64::MIN_POSITIVE,
+            -123.456,
+        ] {
+            let mut s = String::new();
+            push_f64(&mut s, x);
+            assert_eq!(s, format!("{x}"));
+        }
     }
 }

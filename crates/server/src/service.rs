@@ -44,6 +44,7 @@ use opine_store::{parse_insert, parse_statement, InsertStmt, Select, Statement, 
 use opine_trace::{TraceContext, TraceSnapshot};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::io::{self, BufReader, BufWriter, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -1121,7 +1122,9 @@ fn render_slow_queries(state: &ServerState) -> String {
 fn push_value(out: &mut String, v: ValueRef<'_>) {
     match v {
         ValueRef::Null => out.push_str("null"),
-        ValueRef::Int(i) => out.push_str(&i.to_string()),
+        ValueRef::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
         ValueRef::Float(x) => json::push_f64(out, x),
         ValueRef::Str(s) => json::escape_into(out, s),
         ValueRef::Bool(b) => out.push_str(if b { "true" } else { "false" }),
@@ -1165,9 +1168,7 @@ fn render_body(q: &opine_core::QueryRef<'_>) -> String {
         }
         json::escape_into(&mut out, col);
     }
-    out.push_str("],\"row_count\":");
-    out.push_str(&q.result.len().to_string());
-    out.push_str(",\"rows\":[");
+    let _ = write!(out, "],\"row_count\":{},\"rows\":[", q.result.len());
     for i in 0..q.result.len() {
         if i > 0 {
             out.push(',');
@@ -1191,7 +1192,7 @@ fn render_body(q: &opine_core::QueryRef<'_>) -> String {
         out.push_str("{\"predicate\":");
         json::escape_into(&mut out, predicate);
         out.push_str(",\"interpretation\":");
-        json::escape_into(&mut out, &format!("{interp:?}"));
+        json::escape_fmt_into(&mut out, format_args!("{interp:?}"));
         out.push('}');
     }
     out.push_str("]}");

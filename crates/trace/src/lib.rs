@@ -78,7 +78,9 @@ fn counter_index(counter: &str) -> usize {
 #[derive(Default)]
 struct StageAgg {
     calls: AtomicU64,
-    elapsed_us: AtomicU64,
+    /// Nanoseconds: a span is often under a microsecond, and rounding
+    /// each one down would lose half a microsecond per call.
+    elapsed_ns: AtomicU64,
     counters: [AtomicU64; NUM_COUNTERS],
 }
 
@@ -119,10 +121,10 @@ impl TraceContext {
         }
     }
 
-    fn record_span(&self, stage: usize, elapsed_us: u64) {
+    fn record_span(&self, stage: usize, elapsed_ns: u64) {
         let agg = &self.inner.stages[stage];
         agg.calls.fetch_add(1, Ordering::Relaxed);
-        agg.elapsed_us.fetch_add(elapsed_us, Ordering::Relaxed);
+        agg.elapsed_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
     }
 
     fn add(&self, stage: usize, counter: usize, n: u64) {
@@ -147,7 +149,7 @@ impl TraceContext {
             .filter_map(|(i, &name)| {
                 let agg = &self.inner.stages[i];
                 let calls = agg.calls.load(Ordering::Relaxed);
-                let elapsed_us = agg.elapsed_us.load(Ordering::Relaxed);
+                let elapsed_us = agg.elapsed_ns.load(Ordering::Relaxed) / 1_000;
                 let counters: Vec<(&'static str, u64)> = COUNTERS
                     .iter()
                     .enumerate()
@@ -185,7 +187,8 @@ pub struct StageSnapshot {
     pub name: &'static str,
     /// How many spans closed on this stage.
     pub calls: u64,
-    /// Total time inside those spans, µs.
+    /// Total time inside those spans, µs: the stage's nanoseconds
+    /// rounded down once, at the snapshot.
     pub elapsed_us: u64,
     /// Non-zero stage-native counters, in [`COUNTERS`] order.
     pub counters: Vec<(&'static str, u64)>,
@@ -302,7 +305,7 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((ctx, stage, start)) = self.live.take() {
-            ctx.record_span(stage, start.elapsed().as_micros() as u64);
+            ctx.record_span(stage, start.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -407,6 +410,16 @@ mod tests {
         assert!(snap.stage("wand_retrieval").is_none(), "idle stage omitted");
         assert_eq!(snap.notes, vec!["gather".to_string()]);
         assert!(snap.total_us >= ta.elapsed_us);
+    }
+
+    #[test]
+    fn sub_microsecond_spans_add_up_instead_of_rounding_to_zero() {
+        let ctx = TraceContext::new();
+        for _ in 0..4 {
+            ctx.record_span(stage_index("plan"), 900);
+        }
+        let plan = ctx.snapshot().stages[0].clone();
+        assert_eq!((plan.name, plan.calls, plan.elapsed_us), ("plan", 4, 3));
     }
 
     #[test]
