@@ -2160,7 +2160,11 @@ mod tests {
             let err = db.insert_sql(&sql).unwrap_err();
             assert!(matches!(err, OpineError::Store(_)), "{sql}: {err:?}");
         }
-        assert_eq!(db.ingest_epoch(), 0, "every rejection left the epoch untouched");
+        assert_eq!(
+            db.ingest_epoch(),
+            0,
+            "every rejection left the epoch untouched"
+        );
         assert_eq!(db.delta_reviews(), 0);
         assert_eq!(db.cache_report().inserted_reviews, 0);
     }

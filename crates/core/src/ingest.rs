@@ -714,10 +714,7 @@ impl PhraseMatcher {
             // lint:allow(checkpoint_coverage, reason = "bounded by the domains' variation count per anchor token, not by data volume")
             for &(attr, var, ref phrase) in candidates {
                 let fits = phrase.len() <= tokens.len() - start
-                    && phrase
-                        .iter()
-                        .zip(&tokens[start..])
-                        .all(|(p, t)| p == t);
+                    && phrase.iter().zip(&tokens[start..]).all(|(p, t)| p == t);
                 if fits && best.is_none_or(|(_, _, len)| phrase.len() > len) {
                     best = Some((attr, var, phrase.len()));
                 }
@@ -1077,9 +1074,9 @@ impl OpineDb {
                     },
                 }
             };
-            let key = values[entity_col].as_str().ok_or_else(|| {
-                insert_error(format!("row {r}: entity must be a string key"))
-            })?;
+            let key = values[entity_col]
+                .as_str()
+                .ok_or_else(|| insert_error(format!("row {r}: entity must be a string key")))?;
             let entity = self.entity_id(key).ok_or_else(|| {
                 insert_error(format!(
                     "row {r}: unknown entity `{key}` (the entity set is frozen at build time)"

@@ -777,11 +777,7 @@ enum BuildRow {
 /// returns an owned copy. A mismatched tuple means the engine-side
 /// delta was built against a different schema — surface it rather than
 /// panicking on a slot read.
-fn checked_overlay_row(
-    table: &str,
-    row: &[Value],
-    width: usize,
-) -> Result<Vec<Value>, StoreError> {
+fn checked_overlay_row(table: &str, row: &[Value], width: usize) -> Result<Vec<Value>, StoreError> {
     if row.len() != width {
         return Err(StoreError::SchemaMismatch(format!(
             "{table}: overlay row has {} values, schema has {width} columns",
@@ -1978,7 +1974,10 @@ mod tests {
         let r = run(&q, &cat, &scorer, Some(&overlay)).unwrap();
         assert_eq!(r.rows.len(), 2);
         assert!((r.rows[0].1 - 0.9).abs() < 1e-12);
-        assert!((r.rows[1].1 - 0.9).abs() < 1e-12, "delta row outranks Plaza");
+        assert!(
+            (r.rows[1].1 - 0.9).abs() < 1e-12,
+            "delta row outranks Plaza"
+        );
     }
 
     #[test]

@@ -58,7 +58,11 @@ impl TableOverlay {
     /// full schema-order tuple; the executor rejects width mismatches
     /// at query time.
     pub fn push_row(&mut self, table: &str, row: Vec<Value>) {
-        self.tables.entry(table.to_string()).or_default().tail.push(row);
+        self.tables
+            .entry(table.to_string())
+            .or_default()
+            .tail
+            .push(row);
     }
 
     /// Freezes every table's unsealed tail into a shared chunk, so
@@ -75,7 +79,10 @@ impl TableOverlay {
 
     /// The overlay rows for `table`, oldest first.
     pub fn rows_for(&self, table: &str) -> impl Iterator<Item = &[Value]> + '_ {
-        self.tables.get(table).into_iter().flat_map(OverlayRows::iter)
+        self.tables
+            .get(table)
+            .into_iter()
+            .flat_map(OverlayRows::iter)
     }
 
     /// Number of overlay rows for `table`.
