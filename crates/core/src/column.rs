@@ -30,7 +30,6 @@ use crate::membership::{
 };
 use crate::par;
 use crate::summary::{MarkerSet, MarkerSummary};
-use opine_ir::Bm25Params;
 use opine_store::FuzzyAlgebra;
 use opine_text::WordId;
 use std::sync::{Arc, OnceLock};
@@ -300,7 +299,7 @@ impl OpineDb {
             PreparedInterpretation::Text { terms }
                 if self.entity_index.num_docs() == self.num_entities() =>
             {
-                let mut scores = self.entity_index.bm25_dense(terms, &Bm25Params::default());
+                let mut scores = self.entity_index.bm25_dense(terms);
                 pin.delta.add_text_scores(terms, &mut scores);
                 scores
                     .into_iter()
@@ -415,7 +414,7 @@ impl OpineDb {
     /// not the next epoch).
     pub(crate) fn text_degree_terms(&self, entity: usize, terms: &[WordId], pin: &Pin) -> f64 {
         let doc = opine_ir::DocId(entity as u32);
-        let mut score = self.entity_index.bm25(doc, terms, &Bm25Params::default());
+        let mut score = self.entity_index.bm25(doc, terms);
         if let Some(delta) = pin.delta.text_score(entity, terms, self.num_entities()) {
             score += delta;
         }

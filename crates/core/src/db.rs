@@ -9,11 +9,11 @@ use crate::cache::{BoundedCache, CacheStats};
 pub use crate::column::DegreeColumn;
 use crate::column::FeaturePlane;
 use crate::domain::LinguisticDomain;
-use crate::ingest::{DeltaState, IngestState, Pin};
+use crate::ingest::{DeltaState, IngestState};
 use crate::interpret::{Interpretation, Interpreter};
 use crate::membership::MembershipModel;
-use crate::par;
-use crate::summary::{MarkerSet, MarkerSummary, PhraseContribution};
+use crate::qualified::{QualifiedScorer, QualifiedSummaries};
+use crate::summary::{Assignment, MarkerSet, MarkerSummary};
 use crate::topk::{scan_topk, threshold_topk};
 use opine_embed::PhraseEmbedder;
 use opine_ir::InvertedIndex;
@@ -25,7 +25,6 @@ use opine_store::{
     Select, StoreError, Table, Value,
 };
 use opine_text::Vocab;
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::Ordering::Relaxed;
@@ -149,10 +148,10 @@ pub struct CacheReport {
     /// shape) — the pushdown counter the serving layer's `/stats`
     /// reports and CI guards.
     pub pushdown_queries: u64,
-    /// Filtered-summary cache hits/misses (qualifier rendering → merged
-    /// summary set).
+    /// Filtered-summary cache hits/misses (qualifier rendering →
+    /// qualified summary set).
     pub filtered_summaries: CacheStats,
-    /// Merged summary sets currently cached.
+    /// Qualified summary sets currently cached.
     pub filtered_summary_sets: usize,
     /// Review-qualified rankings served (`with reviews(...)`
     /// statements) — the `filtered_summary_queries` counter in `/stats`
@@ -189,7 +188,8 @@ pub struct CacheReport {
     pub delta_reviews: u64,
     /// Reviews accepted by `INSERT` statements since startup.
     pub inserted_reviews: u64,
-    /// Delta merges that published (froze posting blocks + partials).
+    /// Delta merges that published (folded the unsealed reviews' text
+    /// into the delta's term frequencies).
     pub delta_merges: u64,
     /// Delta merges that failed and were rolled back — the previous
     /// epoch kept serving. The chaos-smoke CI job greps this.
@@ -264,14 +264,6 @@ impl CacheReport {
     }
 }
 
-/// One entity's review-qualified summaries, one per attribute. Shared
-/// between the generations of a cached set: a repair replaces only the
-/// rows of the entities that changed.
-pub type QualifiedRow = Arc<Vec<MarkerSummary>>;
-
-/// A review-qualified summary set: `set[entity][attribute]`.
-pub type QualifiedSummaries = Arc<Vec<QualifiedRow>>;
-
 /// A query phrase prepared for membership scoring: its normalized
 /// embedding and sentiment, computed once instead of once per entity.
 #[derive(Debug, Clone)]
@@ -280,121 +272,6 @@ pub struct PreparedPhrase {
     pub rep: Vec<f32>,
     /// Phrase sentiment.
     pub sentiment: f64,
-}
-
-/// One bucket atom of the partitioned review-qualified summaries:
-/// every raw occurrence of one `(entity, attribute)` whose source
-/// review shares a publication year and a reviewer-degree bucket
-/// (`⌊log2(reviews the author wrote)⌋`). The atom spans a `[start,
-/// end)` range of exact-degree sub-partials inside the cell's flat
-/// accumulator store ([`CellPartials`]).
-///
-/// A bucket-aligned qualifier merges whole atoms without looking at
-/// individual degrees; a min-degree threshold that cuts *through* the
-/// bucket (the paper's "at least 10 hotels" cuts `[8, 16)`) resolves
-/// just that atom's sub-partials — no raw occurrence is ever
-/// re-aggregated at query time.
-#[derive(Debug)]
-struct PartialAtom {
-    /// Publication year shared by this atom's occurrences.
-    year: u32,
-    /// `⌊log2(author review count)⌋` shared by this atom's occurrences.
-    degree_bucket: u8,
-    /// Sub-partial range `[start, end)` in the cell's flat store.
-    start: u32,
-    end: u32,
-}
-
-/// Flat per-`(entity, attribute)` store of the partial summaries, laid
-/// out struct-of-arrays: sub-partial `s` owns `counts_q[s·k ..
-/// (s+1)·k]` and `senti_q[s·k .. (s+1)·k]` (k = markers of the
-/// attribute). Contiguous accumulators keep the qualifier merge loop
-/// sequential in memory — merging a sub-partial is two k-element slice
-/// additions, not a pointer chase through per-summary heap
-/// allocations. Fixed-point accumulation (see `core::summary`) makes
-/// any merge order bit-identical to the from-scratch rebuild.
-#[derive(Debug, Default)]
-struct CellPartials {
-    /// Bucket atoms, sorted by (year, degree bucket); ranges index the
-    /// arrays below.
-    atoms: Vec<PartialAtom>,
-    /// Exact reviewer degree per sub-partial (ascending within an
-    /// atom).
-    degrees: Vec<u32>,
-    /// Total phrase count per sub-partial.
-    totals: Vec<f64>,
-    /// Unmatched phrase count per sub-partial.
-    unmatcheds: Vec<f64>,
-    /// Quantized per-marker mass, `subs × k`.
-    counts_q: Vec<i64>,
-    /// Quantized per-marker `Σ sentiment·weight`, `subs × k`.
-    senti_q: Vec<i64>,
-}
-
-impl CellPartials {
-    /// Merges sub-partial `s` into `out`.
-    #[inline]
-    fn merge_sub(&self, s: usize, k: usize, out: &mut MarkerSummary) {
-        out.merge_quantized(
-            &self.counts_q[s * k..(s + 1) * k],
-            &self.senti_q[s * k..(s + 1) * k],
-            self.totals[s],
-            self.unmatcheds[s],
-        );
-    }
-}
-
-/// Degree bucket of a reviewer who wrote `count` reviews.
-#[inline]
-fn degree_bucket(count: u32) -> u8 {
-    count.max(1).ilog2() as u8
-}
-
-/// Resolves one raw occurrence into its summary contribution — the one
-/// shared aggregation step of the build-time partials, the bucket-merge
-/// straddle refinement, and the raw-scan rebuild. Sharing it (and the
-/// fixed-point accumulators underneath) is what makes every route
-/// produce bit-identical summaries.
-pub(crate) fn occ_contribution<'a>(
-    domain: &'a LinguisticDomain,
-    markers: &MarkerSet,
-    config: &BuildConfig,
-    occ: &PhraseOcc,
-) -> PhraseContribution<'a> {
-    let variation = &domain.variations()[occ.variation];
-    PhraseContribution::compute(
-        &variation.phrase,
-        &variation.rep,
-        occ.sentiment,
-        markers,
-        config.assign,
-        config.unmatched_threshold,
-        occ.review_id,
-    )
-}
-
-/// How a min-degree threshold relates to one degree bucket.
-enum BucketCut {
-    /// Every reviewer in the bucket meets the threshold.
-    Full,
-    /// No reviewer in the bucket meets the threshold.
-    Out,
-    /// The threshold cuts through the bucket; the atom's exact-degree
-    /// sub-partials resolve it.
-    Straddle,
-}
-
-fn classify_bucket(bucket: u8, min_count: u32) -> BucketCut {
-    let lo: u32 = 1 << bucket;
-    // Upper bound of the bucket, saturating for the top bucket.
-    let hi: u32 = lo.saturating_mul(2).saturating_sub(1);
-    if min_count <= lo {
-        BucketCut::Full
-    } else if min_count > hi {
-        BucketCut::Out
-    } else {
-        BucketCut::Straddle
-    }
 }
 
 /// The subjective database engine.
@@ -425,11 +302,12 @@ pub struct OpineDb {
     /// Reviews written per reviewer id — the degree the qualifier's
     /// `reviewer_min_count` thresholds compare against.
     pub(crate) reviewer_counts: Vec<u32>,
-    /// Per `(entity, attribute)`: raw occurrences partitioned by
-    /// `(year, reviewer degree)` into mergeable partial summaries,
-    /// grouped into log2-degree bucket atoms over a flat accumulator
-    /// store.
-    partials: Vec<Vec<CellPartials>>,
+    /// `[attribute][variation]`: what one occurrence of a variation adds
+    /// to a summary, up to its sentiment. Every engine-side aggregation
+    /// (delta cells, qualified folds) reads it by `PhraseOcc::variation`
+    /// instead of recomputing the marker cosines; the builder's
+    /// summaries and the reference's rescan do not.
+    pub(crate) assignments: Vec<Vec<Assignment>>,
     pub(crate) config: BuildConfig,
     /// Predicate → dense degree column over all entities, with its sorted
     /// order, stamped with the data epoch it was built (or last repaired)
@@ -450,15 +328,15 @@ pub struct OpineDb {
     pushdown_queries: std::sync::atomic::AtomicU64,
     /// Qualifier rendering → qualified summary set stamped with the
     /// epoch it is exact for, so repeated review-qualified statements
-    /// (the interactive case) skip even the bucket merge and a newer
-    /// pin repairs only what changed since the stamp.
-    filtered_cache: BoundedCache<(u64, QualifiedSummaries)>,
+    /// (the interactive case) skip even the fold and a newer pin repairs
+    /// only what changed since the stamp.
+    pub(crate) filtered_cache: BoundedCache<(u64, QualifiedSummaries)>,
     /// Review-qualified rankings served (the `/stats`
     /// `filtered_summary_queries` counter).
     qualified_queries: std::sync::atomic::AtomicU64,
     /// Stale qualified sets repaired / entities they re-aggregated.
-    qualified_repairs: std::sync::atomic::AtomicU64,
-    qualified_repaired_entities: std::sync::atomic::AtomicU64,
+    pub(crate) qualified_repairs: std::sync::atomic::AtomicU64,
+    pub(crate) qualified_repaired_entities: std::sync::atomic::AtomicU64,
     /// Queries cancelled by an expired deadline (mapped to
     /// [`OpineError::QueryTimeout`] at the query entry).
     timed_out_queries: std::sync::atomic::AtomicU64,
@@ -518,70 +396,26 @@ impl OpineDb {
             reviewer_counts[meta.reviewer_id] += 1;
         }
 
-        // Partition every raw occurrence by (year, reviewer degree)
-        // into mergeable partial summaries, grouped into log2-degree
-        // bucket atoms over a flat accumulator store. Contributions are
-        // resolved through the same fixed-point path the full summaries
-        // and the rebuild fallback use, so merging partials reproduces
-        // either bit-for-bit. Entities are independent, so the
-        // construction fans out over entity chunks like the degree
-        // columns do.
         let marker_sets = interpreter.marker_sets();
         let plane = FeaturePlane::build(&summaries, marker_sets);
-        let partials: Vec<Vec<CellPartials>> = par::par_map(raw.len(), |entity| {
-            raw[entity]
-                .iter()
-                .enumerate()
-                .map(|(attr, occs)| {
-                    let k = marker_sets[attr].markers.len();
-                    // (year, exact degree) → partial, in key order.
-                    let mut subs: std::collections::BTreeMap<(u32, u32), MarkerSummary> =
-                        std::collections::BTreeMap::new();
-                    // lint:allow(checkpoint_coverage, reason = "construction path; no request deadline is armed during build")
-                    for occ in occs {
-                        let meta = &review_meta[occ.review_id];
-                        let degree = reviewer_counts[meta.reviewer_id];
-                        let partial = subs
-                            .entry((meta.year, degree))
-                            .or_insert_with(|| MarkerSummary::empty(k));
-                        let contribution = occ_contribution(
-                            &opinion_domains[attr],
-                            &marker_sets[attr],
-                            &config,
-                            occ,
-                        );
-                        partial.apply(&contribution, false);
-                    }
-                    // Flatten into the SoA store; BTreeMap order
-                    // keeps sub-partials sorted by degree within
-                    // each (year, bucket) atom run.
-                    let mut cell = CellPartials::default();
-                    // lint:allow(checkpoint_coverage, reason = "construction path; no request deadline is armed during build")
-                    for ((year, degree), partial) in subs {
-                        let bucket = degree_bucket(degree);
-                        let s = cell.degrees.len() as u32;
-                        match cell.atoms.last_mut() {
-                            Some(atom) if atom.year == year && atom.degree_bucket == bucket => {
-                                atom.end = s + 1;
-                            }
-                            _ => cell.atoms.push(PartialAtom {
-                                year,
-                                degree_bucket: bucket,
-                                start: s,
-                                end: s + 1,
-                            }),
-                        }
-                        cell.degrees.push(degree);
-                        cell.totals.push(partial.total);
-                        cell.unmatcheds.push(partial.unmatched);
-                        cell.counts_q.extend_from_slice(partial.quantized_counts());
-                        cell.senti_q
-                            .extend_from_slice(partial.quantized_sentiments());
-                    }
-                    cell
-                })
-                .collect()
-        });
+        let assignments = opinion_domains
+            .iter()
+            .zip(marker_sets)
+            .map(|(domain, markers)| {
+                domain
+                    .variations()
+                    .iter()
+                    .map(|v| {
+                        Assignment::compute(
+                            &v.rep,
+                            markers,
+                            config.assign,
+                            config.unmatched_threshold,
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
 
         Self {
             attributes,
@@ -603,7 +437,7 @@ impl OpineDb {
             review_meta,
             entity_review_counts,
             reviewer_counts,
-            partials,
+            assignments,
             config,
             column_cache: BoundedCache::new(256),
             phrase_cache: BoundedCache::new(4096),
@@ -698,8 +532,8 @@ impl OpineDb {
         self.filtered_cache.clear();
     }
 
-    /// Drops only the cached merged summary sets of review-qualified
-    /// statements — used to benchmark the bucket merge in isolation.
+    /// Drops only the cached summary sets of review-qualified
+    /// statements — used to benchmark the cold fold in isolation.
     pub fn clear_filtered_summaries(&self) {
         self.filtered_cache.clear();
     }
@@ -857,7 +691,7 @@ impl OpineDb {
     /// [`Self::query_select_ref`] under a request deadline: `deadline`
     /// is installed as the thread's ambient cancellation token for the
     /// duration of execution, so every long scan underneath (TA depth
-    /// loops, WAND pivoting, summary-partial merges, row scoring,
+    /// loops, WAND pivoting, qualified-summary folds, row scoring,
     /// `par_map` fan-outs) checkpoints against it at chunk boundaries.
     ///
     /// This is the **single catch site** for the cancellation unwind: an
@@ -1051,258 +885,6 @@ impl OpineDb {
         self.text_degree_terms(entity, &self.text_terms(predicate), &self.pinned())
     }
 
-    /// Recomputes all summaries over the subset of reviews accepted by
-    /// `filter` — the paper's "only consider opinions of people who
-    /// reviewed at least 10 hotels" / "reviews after 2010" queries.
-    ///
-    /// This is the general fallback for *arbitrary* closures: it
-    /// re-aggregates every raw occurrence, O(total extractions).
-    /// Qualifiers expressible as year ranges + reviewer-degree
-    /// thresholds should go through [`Self::summaries_qualified`], which
-    /// merges the build-time partial summaries instead and returns
-    /// bit-identical aggregates.
-    pub fn summaries_with_review_filter<F>(&self, filter: F) -> Vec<Vec<MarkerSummary>>
-    where
-        F: Fn(&ReviewMeta) -> bool,
-    {
-        self.ensure_pinned(|pin| {
-            let mut out: Vec<Vec<MarkerSummary>> = (0..self.num_entities())
-                .map(|_| {
-                    (0..self.attributes.len())
-                        .map(|a| MarkerSummary::empty(self.marker_set(a).markers.len()))
-                        .collect()
-                })
-                .collect();
-            for (entity, per_attr) in self.raw.iter().enumerate() {
-                for (attr, occs) in per_attr.iter().enumerate() {
-                    for occ in occs {
-                        opine_faults::checkpoint();
-                        if !filter(&self.review_meta[occ.review_id]) {
-                            continue;
-                        }
-                        let contribution = occ_contribution(
-                            &self.opinion_domains[attr],
-                            self.marker_set(attr),
-                            &self.config,
-                            occ,
-                        );
-                        out[entity][attr].apply(&contribution, true);
-                    }
-                }
-            }
-            // The pinned delta's occurrences re-aggregate through the
-            // identical contribution path (fixed-point accumulation is
-            // commutative bit-for-bit, so the order does not matter).
-            for (entity, attr, cell) in pin.delta.cells() {
-                for occ in &cell.occs {
-                    opine_faults::checkpoint();
-                    let meta = self.review_meta_at(&pin.delta, occ.review_id);
-                    if !filter(&meta) {
-                        continue;
-                    }
-                    let contribution = occ_contribution(
-                        &self.opinion_domains[attr],
-                        self.marker_set(attr),
-                        &self.config,
-                        occ,
-                    );
-                    out[entity][attr].apply(&contribution, true);
-                }
-            }
-            out
-        })
-    }
-
-    /// The filtered summaries of a structured review qualifier, answered
-    /// by **merging** the build-time `(year, reviewer-degree bucket)`
-    /// partial summaries instead of re-aggregating raw occurrences —
-    /// the "interactive" path for the paper's review-qualified queries.
-    ///
-    /// Year ranges align exactly with the partition (atoms are
-    /// per-year). A `reviewer_min_count` threshold merges every degree
-    /// bucket it fully covers and re-resolves only the occurrences of
-    /// the single bucket it cuts through. Fixed-point accumulation makes
-    /// the result bit-identical to
-    /// [`Self::summaries_with_review_filter`] over
-    /// [`ReviewQualifier::accepts`] (modulo provenance, which the merge
-    /// path deliberately drops).
-    ///
-    /// Sets are cached (bounded) by the qualifier's canonical rendering
-    /// and stamped with the epoch they are exact for. A pin at that
-    /// epoch costs a hash probe; a newer pin **repairs** the set: it
-    /// shares every row but those of the entities whose qualified
-    /// version moved past the stamp (their own inserts, or a review
-    /// gained elsewhere by one of their reviewers), which re-aggregate
-    /// exactly from base + pinned-delta occurrences under live reviewer
-    /// counts. A cold set is the base-only bucket merge — exact for
-    /// epoch 0 — repaired the same way; a set from the pin's future is
-    /// rebuilt privately, as degree columns are.
-    pub fn summaries_qualified(&self, qualifier: &ReviewQualifier) -> QualifiedSummaries {
-        self.ensure_pinned(|pin| {
-            let key = qualifier.to_string();
-            let mut cacheable = true;
-            let found = self.filtered_cache.get(&key);
-            let missed = found.is_none();
-            if !missed {
-                opine_trace::count("summary_merge", "cache_hits", 1);
-            }
-            let stale = match found {
-                Some((stamp, set)) if stamp == pin.epoch => return set,
-                Some((stamp, set)) if stamp < pin.epoch => Some((stamp, set)),
-                // A set from this pin's future keeps its stamp.
-                Some(_) => {
-                    cacheable = false;
-                    None
-                }
-                None => None,
-            };
-            let span = opine_trace::span("summary_merge");
-            let (stamp, set) = stale.unwrap_or_else(|| {
-                if missed {
-                    span.count("cache_misses", 1);
-                }
-                (0, Arc::new(self.merge_base_partials(qualifier)))
-            });
-            let set = self.repair_qualified(qualifier, stamp, set, pin, &span);
-            drop(span);
-            if cacheable {
-                self.filtered_cache.insert(&key, (pin.epoch, set.clone()));
-            }
-            set
-        })
-    }
-
-    /// Brings `set`, exact for epoch `stamp`, to `pin`: the entities
-    /// whose qualified version moved in `(stamp, pin.epoch]` re-aggregate
-    /// from their raw occurrences, every other row is shared.
-    fn repair_qualified(
-        &self,
-        qualifier: &ReviewQualifier,
-        stamp: u64,
-        mut set: QualifiedSummaries,
-        pin: &Pin,
-        span: &opine_trace::SpanGuard,
-    ) -> QualifiedSummaries {
-        let dirty = pin.delta.qualified_changed_since(stamp);
-        if dirty.is_empty() {
-            return set;
-        }
-        self.qualified_repairs.fetch_add(1, Relaxed);
-        self.qualified_repaired_entities
-            .fetch_add(dirty.len() as u64, Relaxed);
-        span.count("repairs", 1);
-        span.count("repaired_entities", dirty.len() as u64);
-        let rows = Arc::make_mut(&mut set);
-        for entity in dirty {
-            opine_faults::checkpoint();
-            rows[entity] = Arc::new(
-                (0..self.attributes.len())
-                    .map(|attr| self.requalify_cell(entity, attr, qualifier, pin))
-                    .collect(),
-            );
-        }
-        set
-    }
-
-    /// The qualified summary of one cell, re-aggregated from its base
-    /// and pinned-delta occurrences under live reviewer counts — the
-    /// per-cell body of [`Self::summaries_with_review_filter`] over
-    /// [`ReviewQualifier::accepts`], provenance off.
-    fn requalify_cell(
-        &self,
-        entity: usize,
-        attr: usize,
-        qualifier: &ReviewQualifier,
-        pin: &Pin,
-    ) -> MarkerSummary {
-        let markers = self.marker_set(attr);
-        let mut out = MarkerSummary::empty(markers.markers.len());
-        let delta_occs = pin
-            .delta
-            .cell(entity, attr)
-            .map_or(&[][..], |cell| cell.occs.as_slice());
-        for occ in self.raw[entity][attr].iter().chain(delta_occs) {
-            opine_faults::checkpoint();
-            let meta = self.review_meta_at(&pin.delta, occ.review_id);
-            let count = self.reviewer_count_at(&pin.delta, meta.reviewer_id);
-            if !qualifier.accepts(meta.year, count) {
-                continue;
-            }
-            let contribution =
-                occ_contribution(&self.opinion_domains[attr], markers, &self.config, occ);
-            out.apply(&contribution, false);
-        }
-        out
-    }
-
-    /// The bucket merge over the build-time partials, parallel over
-    /// entity chunks: the qualified set of the base alone (no delta
-    /// review, build-time reviewer counts), which is what every entity
-    /// untouched by ingest still has.
-    fn merge_base_partials(&self, qualifier: &ReviewQualifier) -> Vec<QualifiedRow> {
-        opine_faults::fire_panic("summary_merge");
-        par::par_map(self.num_entities(), |entity| {
-            opine_faults::checkpoint();
-            Arc::new(
-                (0..self.attributes.len())
-                    .map(|attr| {
-                        let k = self.marker_set(attr).markers.len();
-                        let cell = &self.partials[entity][attr];
-                        let mut out = MarkerSummary::empty(k);
-                        // lint:allow(checkpoint_coverage, reason = "bounded by years x degree-buckets per entity; the par_map closure checkpoints per entity")
-                        for atom in &cell.atoms {
-                            if qualifier.min_year.is_some_and(|y| atom.year < y)
-                                || qualifier.max_year.is_some_and(|y| atom.year > y)
-                            {
-                                continue;
-                            }
-                            let cut = match qualifier.min_reviewer_count {
-                                None => BucketCut::Full,
-                                Some(t) => classify_bucket(atom.degree_bucket, t),
-                            };
-                            match cut {
-                                BucketCut::Full => {
-                                    for s in atom.start..atom.end {
-                                        cell.merge_sub(s as usize, k, &mut out);
-                                    }
-                                }
-                                BucketCut::Out => {}
-                                BucketCut::Straddle => {
-                                    // The threshold cuts through this degree
-                                    // bucket: merge just the qualifying
-                                    // exact-degree sub-partials (sorted, so
-                                    // the prefix below the threshold skips).
-                                    let t = qualifier.min_reviewer_count.expect("straddle needs t");
-                                    for s in atom.start..atom.end {
-                                        if cell.degrees[s as usize] >= t {
-                                            cell.merge_sub(s as usize, k, &mut out);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        out
-                    })
-                    .collect(),
-            )
-        })
-    }
-
-    /// Degree of `attribute .= phrase` computed over externally supplied
-    /// summaries (pairs with [`Self::summaries_with_review_filter`]).
-    /// Rows may be owned (`Vec<Vec<MarkerSummary>>`, the rescan's) or
-    /// shared ([`QualifiedSummaries`]).
-    pub fn attribute_degree_with_summaries<R: Borrow<Vec<MarkerSummary>>>(
-        &self,
-        summaries: &[R],
-        entity: usize,
-        attribute: usize,
-        phrase: &str,
-    ) -> f64 {
-        let term = self.prepare_term(attribute, phrase);
-        self.summary_term_degree(&summaries[entity].borrow()[attribute], &term)
-    }
-
     /// Number of reviews aggregated for an entity: the build-time count
     /// plus the pinned delta's (both O(1); the base side used to walk
     /// every review in the corpus per call).
@@ -1321,7 +903,7 @@ impl OpineDb {
 
     /// [`Self::reviewer_review_count`] against an explicit generation.
     #[inline]
-    fn reviewer_count_at(&self, delta: &DeltaState, reviewer_id: usize) -> u32 {
+    pub(crate) fn reviewer_count_at(&self, delta: &DeltaState, reviewer_id: usize) -> u32 {
         self.reviewer_counts.get(reviewer_id).copied().unwrap_or(0)
             + delta.reviewer_count(reviewer_id)
     }
@@ -1385,58 +967,6 @@ impl OpineDb {
     }
 }
 
-/// A scorer view over one review qualifier's merged summaries: every
-/// subjective degree is computed from the filtered summaries through
-/// the membership kernel's generic-summary arm, so only qualifying
-/// reviews count. Interpretations, prepared phrases, and the membership
-/// model are shared with the engine; the unqualified degree columns are
-/// bypassed (their entries assume all reviews).
-///
-/// The executor obtains one per qualified statement via
-/// [`SubjectiveScorer::qualified_scorer`]. It deliberately declines the
-/// TA fast path (`rank_subjective_conjunction` default): qualified
-/// statements score row-at-a-time over the merged summaries.
-pub struct QualifiedScorer<'a> {
-    db: &'a OpineDb,
-    summaries: QualifiedSummaries,
-    /// The delta generation the statement pinned (the text fallback
-    /// reads its merged text index).
-    pin: Pin,
-}
-
-impl SubjectiveScorer for QualifiedScorer<'_> {
-    /// The text-retrieval fallback (stage 3) scores the entity's full
-    /// review document — BM25 has no per-review summary to filter — so
-    /// it is the one stage a qualifier cannot scope.
-    fn bind_predicate<'s>(
-        &'s self,
-        base: &Table,
-        predicate: &'s str,
-    ) -> Result<BoundLeaf<'s>, StoreError> {
-        let db = self.db;
-        let prepared = db.prepare_interpretation(predicate);
-        Ok(db.entity_leaf(base, move |entity| {
-            prepared.combine(
-                |term| db.summary_term_degree(&self.summaries[entity][term.attribute], term),
-                |terms| db.text_degree_terms(entity, terms, &self.pin),
-            )
-        }))
-    }
-
-    fn bind_match<'s>(
-        &'s self,
-        base: &Table,
-        attribute: &'s ColumnRef,
-        phrase: &'s str,
-    ) -> Result<BoundLeaf<'s>, StoreError> {
-        let db = self.db;
-        let term = db.prepare_term(db.match_attribute(attribute)?, phrase);
-        Ok(db.entity_leaf(base, move |entity| {
-            db.summary_term_degree(&self.summaries[entity][term.attribute], &term)
-        }))
-    }
-}
-
 impl SubjectiveScorer for OpineDb {
     /// The leaf reads one [`DegreeColumn`] for the whole statement: the
     /// cached one, restamped or repaired for the entities that changed
@@ -1492,11 +1022,7 @@ impl SubjectiveScorer for OpineDb {
     ) -> Option<Box<dyn SubjectiveScorer + 's>> {
         self.qualified_queries
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Some(Box::new(QualifiedScorer {
-            db: self,
-            summaries: self.summaries_qualified(qualifier),
-            pin: self.pinned(),
-        }))
+        Some(Box::new(QualifiedScorer::new(self, qualifier)))
     }
 }
 
@@ -1649,9 +1175,8 @@ mod tests {
     #[test]
     fn bucket_merge_matches_raw_rebuild_bit_for_bit() {
         let (_, db) = db();
-        // Thresholds chosen to exercise year bounds AND a degree
-        // threshold that cuts through a log2 bucket (3 is not a power
-        // of two ⇒ straddle refinement).
+        // Year bounds on one side and both, and reviewer-degree
+        // thresholds alone and combined with them.
         for q in [
             ReviewQualifier {
                 min_year: Some(2012),
@@ -1783,7 +1308,7 @@ mod tests {
             "expected NoScorer, got {err:?}"
         );
         // The marker reference answers it, from the raw rescan, exactly
-        // as the engine does from the bucket merge.
+        // as the engine does from the fold.
         let reference = db.reference().query(sql).unwrap();
         assert_same_answer(&db.query(sql).unwrap(), &reference, sql);
     }
@@ -1918,13 +1443,12 @@ mod tests {
         let index = db.interpreter().review_index();
         let terms = db.text_terms("comfortable beds");
         let k = db.interpreter().config().top_k_reviews * 4;
-        let params = opine_ir::Bm25Params::default();
-        let exhaustive = index.search_terms_exhaustive(&terms, k, &params);
+        let exhaustive = index.search_terms_exhaustive(&terms, k);
         assert_eq!(
             db.cache_report().exhaustive_queries,
             after.exhaustive_queries + 1
         );
-        let wand = index.search_terms(&terms, k, &params);
+        let wand = index.search_terms(&terms, k);
         assert_eq!(wand.len(), exhaustive.len());
         for (w, e) in wand.iter().zip(&exhaustive) {
             assert_eq!((w.doc, w.score.to_bits()), (e.doc, e.score.to_bits()));

@@ -2,7 +2,7 @@
 //! and the writer that grows it.
 //!
 //! A built [`crate::OpineDb`] is immutable — its relational tables,
-//! summaries, partials, and indexes are frozen artifacts. Reviews
+//! summaries, and indexes are frozen artifacts. Reviews
 //! inserted at serve time land in a [`DeltaState`]: a copy-on-write
 //! value published through a [`crate::snapshot::SnapshotCell`], so every
 //! query pins exactly one delta generation for its whole execution (the
@@ -32,11 +32,11 @@
 //! epoch *e* by asking [`DeltaState::changed_since`] which entities
 //! moved in (*s*, *e*].
 
-use crate::db::{occ_contribution, OpineDb, OpineError, PhraseOcc, ReviewMeta};
+use crate::db::{OpineDb, OpineError, PhraseOcc, ReviewMeta};
 use crate::domain::LinguisticDomain;
 use crate::snapshot::SnapshotCell;
-use crate::summary::MarkerSummary;
-use opine_ir::{bm25_term_score, Bm25Params};
+use crate::summary::{Assignment, MarkerSummary};
+use opine_ir::bm25_term_score;
 use opine_store::{parse_insert, InsertStmt, StoreError, TableOverlay, Value};
 use opine_text::{Vocab, WordId};
 use parking_lot::Mutex;
@@ -252,16 +252,6 @@ impl DeltaState {
         self.cell(entity, attribute).map(|cell| &cell.summary)
     }
 
-    /// Every non-empty cell as `(entity, attribute, cell)`.
-    pub fn cells(&self) -> impl Iterator<Item = (usize, usize, &DeltaCell)> + '_ {
-        self.rows().flat_map(|(entity, row)| {
-            row.cells
-                .iter()
-                .enumerate()
-                .filter_map(move |(attribute, cell)| Some((entity, attribute, cell.as_deref()?)))
-        })
-    }
-
     /// Delta reviews of `entity`.
     #[inline]
     pub fn entity_reviews(&self, entity: usize) -> u32 {
@@ -367,7 +357,6 @@ impl DeltaState {
             self.text.doc_freqs.get(&term).copied().unwrap_or(0) as usize,
             row.term_freqs[i].1,
             row.text_len,
-            &Bm25Params::default(),
         ))
     }
 
@@ -515,13 +504,14 @@ impl DeltaState {
 }
 
 impl EntityDelta {
-    /// Adds one extracted occurrence and its contribution to a cell.
+    /// Adds one extracted occurrence to a cell and folds it into the
+    /// cell's summary.
     fn push_occurrence(
         &mut self,
         attribute: usize,
         markers: usize,
         occ: PhraseOcc,
-        contribution: &crate::summary::PhraseContribution<'_>,
+        assignment: &Assignment,
         copied: &mut u64,
     ) {
         if self.cells.len() <= attribute {
@@ -536,14 +526,13 @@ impl EntityDelta {
             }),
             copied,
         );
-        cell.summary.apply(contribution, false);
+        cell.summary.add_assigned(assignment, occ.sentiment);
         cell.occs.push(occ);
     }
 
     /// Folds the unsealed text into the merged term frequencies,
     /// updating the shared statistics: tokens outside the frozen
-    /// vocabulary are dropped, as `add_document_frozen_vocab` drops
-    /// them.
+    /// vocabulary are dropped and do not count towards the length.
     fn merge_text(&mut self, vocab: &Vocab, text: &mut DeltaText) {
         let mut words: Vec<WordId> = opine_text::tokenize(&self.unsealed_text)
             .iter()
@@ -653,6 +642,21 @@ impl OpineDb {
                 delta: snap.value().clone(),
             }
         })
+    }
+
+    /// Every occurrence of one cell at `pin`: the build-time ones, then
+    /// the pinned delta's.
+    pub(crate) fn occurrences_at<'a>(
+        &'a self,
+        entity: usize,
+        attribute: usize,
+        pin: &'a Pin,
+    ) -> impl Iterator<Item = &'a PhraseOcc> + 'a {
+        let delta_occs = pin
+            .delta
+            .cell(entity, attribute)
+            .map_or(&[][..], |cell| cell.occs.as_slice());
+        self.raw[entity][attribute].iter().chain(delta_occs)
     }
 
     /// Metadata of a review by global id: base reviews first, then the
@@ -960,8 +964,9 @@ impl OpineDb {
             }
             // Insert-time extraction against the frozen domains: each
             // occurrence lands in its cell and folds into the cell's
-            // running summary through the same fixed-point contribution
-            // path the build uses.
+            // running summary through its variation's tabulated
+            // assignment — the increments the build computed for the
+            // same variation.
             for (attr, variation) in matcher.extract(&row.text) {
                 opine_faults::checkpoint();
                 let occ = PhraseOcc {
@@ -969,17 +974,11 @@ impl OpineDb {
                     sentiment: self.opinion_domains[attr].variations()[variation].sentiment,
                     review_id,
                 };
-                let contribution = occ_contribution(
-                    &self.opinion_domains[attr],
-                    &marker_sets[attr],
-                    &self.config,
-                    &occ,
-                );
                 entity.push_occurrence(
                     attr,
                     marker_sets[attr].markers.len(),
                     occ,
-                    &contribution,
+                    &self.assignments[attr][variation],
                     &mut copied,
                 );
             }
@@ -1292,7 +1291,7 @@ mod tests {
         // reviews of the merged "reviewer".)
     }
 
-    fn same_set(a: &[crate::db::QualifiedRow], b: &[Vec<MarkerSummary>]) -> bool {
+    fn same_set(a: &[crate::QualifiedRow], b: &[Vec<MarkerSummary>]) -> bool {
         a.iter()
             .zip(b)
             .all(|(a, b)| a.iter().zip(b).all(|(a, b)| a.same_aggregates(b)))
@@ -1343,29 +1342,36 @@ mod tests {
         predicate: &str,
     ) -> (Vec<u64>, Vec<u64>) {
         let terms = db.text_terms(predicate);
-        let params = Bm25Params::default();
         let sigmoid = |x: f64| 1.0 / (1.0 + (-x).exp());
+        // Only in-vocabulary tokens are indexed, as the merge keeps only
+        // those: the copy of the vocabulary interns nothing new, so its
+        // word ids are the engine's.
         let index = merged.map(|texts| {
+            let mut vocab = db.vocab().clone();
             let mut index = InvertedIndex::new();
             for text in texts {
-                index.add_document_frozen_vocab(text, db.vocab());
+                let known: Vec<String> = opine_text::tokenize(text)
+                    .into_iter()
+                    .filter(|token| vocab.get(token).is_some())
+                    .collect();
+                index.add_document(&known.join(" "), &mut vocab);
             }
-            index.freeze();
+            assert_eq!(vocab.len(), db.vocab().len());
             index
         });
         let point = (0..db.num_entities())
             .map(|e| {
                 let doc = DocId(e as u32);
-                let mut score = db.entity_index.bm25(doc, &terms, &params);
+                let mut score = db.entity_index.bm25(doc, &terms);
                 if let Some(index) = &index {
-                    score += index.bm25(doc, &terms, &params);
+                    score += index.bm25(doc, &terms);
                 }
                 sigmoid(score - db.config.sigmoid_c).to_bits()
             })
             .collect();
-        let mut scores = db.entity_index.bm25_dense(&terms, &params);
+        let mut scores = db.entity_index.bm25_dense(&terms);
         if let Some(index) = &index {
-            for (score, delta) in scores.iter_mut().zip(index.bm25_dense(&terms, &params)) {
+            for (score, delta) in scores.iter_mut().zip(index.bm25_dense(&terms)) {
                 *score += delta;
             }
         }

@@ -16,7 +16,7 @@ use crate::cache::{BoundedCache, CacheStats};
 use crate::domain::LinguisticDomain;
 use crate::summary::MarkerSet;
 use opine_embed::PhraseEmbedder;
-use opine_ir::{Bm25Params, InvertedIndex};
+use opine_ir::InvertedIndex;
 use opine_text::Vocab;
 
 /// Interpreter thresholds and fan-outs.
@@ -99,23 +99,6 @@ pub struct Interpreter {
     /// Bounded predicate → interpretation memo (see
     /// [`InterpreterConfig::cache_capacity`]).
     cache: BoundedCache<Interpretation>,
-}
-
-impl Clone for Interpreter {
-    fn clone(&self) -> Self {
-        Interpreter {
-            config: self.config.clone(),
-            domains: self.domains.clone(),
-            marker_sets: self.marker_sets.clone(),
-            review_index: self.review_index.clone(),
-            review_sentiments: self.review_sentiments.clone(),
-            review_digest: self.review_digest.clone(),
-            attr_review_df: self.attr_review_df.clone(),
-            // The memo is per-instance state, not model state: a clone
-            // starts cold with fresh counters.
-            cache: BoundedCache::new(self.config.cache_capacity),
-        }
-    }
 }
 
 impl Interpreter {
@@ -249,12 +232,9 @@ impl Interpreter {
     pub fn cooccurrence_stage(&self, predicate: &str, vocab: &Vocab) -> Option<Interpretation> {
         // Retrieve candidate reviews by BM25 and rescore with sentiment
         // (Eq. 3), keeping positive reviews only.
-        let raw_hits = self.review_index.search(
-            predicate,
-            self.config.top_k_reviews * 4,
-            vocab,
-            &Bm25Params::default(),
-        );
+        let raw_hits = self
+            .review_index
+            .search(predicate, self.config.top_k_reviews * 4, vocab);
         let mut scored: Vec<(usize, f64)> = raw_hits
             .iter()
             .filter_map(|h| {

@@ -21,6 +21,9 @@
 //!   fills them from a frozen feature plane;
 //! * [`ingest`] — live ingest: the copy-on-write delta segment behind
 //!   snapshot-isolated `INSERT` at serve time;
+//! * [`qualified`] — review-qualified summaries (`with reviews(…)`): one
+//!   fold over the raw occurrences per cell, cached and repaired per
+//!   entity;
 //! * [`reference`] — the slow, cache-free evaluator every fast path is
 //!   checked against and every ablation runs on;
 //! * [`topk`] — Fagin's Threshold Algorithm for fuzzy top-k (an extension
@@ -43,6 +46,7 @@ pub mod ingest;
 pub mod interpret;
 pub mod membership;
 pub mod par;
+pub mod qualified;
 pub mod reference;
 pub mod snapshot;
 pub mod summary;
@@ -51,13 +55,14 @@ pub mod topk;
 pub use builder::{build, BuildConfig, ExtractionMode};
 pub use cache::{BoundedCache, CacheStats};
 pub use db::{
-    CacheReport, DegreeColumn, MetricValue, OpineDb, OpineError, PreparedPhrase, QualifiedRow,
-    QualifiedScorer, QualifiedSummaries, QueryOutput, QueryRef,
+    CacheReport, DegreeColumn, MetricValue, OpineDb, OpineError, PreparedPhrase, QueryOutput,
+    QueryRef,
 };
 pub use domain::LinguisticDomain;
 pub use ingest::IngestReceipt;
 pub use interpret::{Interpretation, Interpreter, InterpreterConfig};
 pub use membership::MembershipModel;
+pub use qualified::{QualifiedRow, QualifiedScorer, QualifiedSummaries};
 pub use reference::Reference;
 pub use snapshot::{Snapshot, SnapshotCell};
 pub use summary::{AssignMode, Marker, MarkerSet, MarkerSummary, SummaryKind};

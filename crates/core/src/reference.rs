@@ -19,15 +19,15 @@
 //! memo, so it is what every fast path, cold or warm, is compared
 //! against bit for bit, and what an ablation runs on.
 
-use crate::db::{OpineDb, OpineError, QueryOutput, QueryRef};
+use crate::db::{OpineDb, OpineError, QueryOutput, QueryRef, ReviewMeta};
 use crate::ingest::Pin;
 use crate::interpret::Interpretation;
 use crate::membership::{marker_features, scan_features};
-use crate::summary::MarkerSummary;
+use crate::summary::{MarkerSummary, PhraseContribution};
 use opine_store::ast::ColumnRef;
 use opine_store::exec::{BoundLeaf, SubjectiveScorer};
 use opine_store::{parse_select, FuzzyAlgebra, ReviewQualifier, StoreError, Table};
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 
 /// A borrowed, cache-free, row-at-a-time evaluator over an [`OpineDb`].
 pub struct Reference<'a> {
@@ -47,6 +47,70 @@ impl OpineDb {
             scan: false,
             qualified: None,
         }
+    }
+
+    /// Recomputes all summaries over the subset of reviews accepted by
+    /// `filter` — the paper's "only consider opinions of people who
+    /// reviewed at least 10 hotels" / "reviews after 2010" queries, for
+    /// *arbitrary* closures.
+    ///
+    /// This is the rescan oracle: every raw occurrence, base and pinned
+    /// delta, is resolved from scratch through
+    /// [`PhraseContribution::compute`] (marker cosines and all, never
+    /// the engine's assignment table), O(total extractions × markers).
+    /// Qualifiers expressible as year ranges + reviewer-degree
+    /// thresholds are served by [`Self::summaries_qualified`], whose
+    /// aggregates must equal these bit for bit.
+    pub fn summaries_with_review_filter<F>(&self, filter: F) -> Vec<Vec<MarkerSummary>>
+    where
+        F: Fn(&ReviewMeta) -> bool,
+    {
+        self.ensure_pinned(|pin| {
+            let mut out: Vec<Vec<MarkerSummary>> = Vec::with_capacity(self.num_entities());
+            for entity in 0..self.num_entities() {
+                let mut row = Vec::with_capacity(self.attributes.len());
+                for attr in 0..self.attributes.len() {
+                    let markers = self.marker_set(attr);
+                    let variations = self.opinion_domain(attr).variations();
+                    let mut summary = MarkerSummary::empty(markers.markers.len());
+                    for occ in self.occurrences_at(entity, attr, pin) {
+                        opine_faults::checkpoint();
+                        if !filter(&self.review_meta_at(&pin.delta, occ.review_id)) {
+                            continue;
+                        }
+                        let variation = &variations[occ.variation];
+                        let contribution = PhraseContribution::compute(
+                            &variation.phrase,
+                            &variation.rep,
+                            occ.sentiment,
+                            markers,
+                            self.config.assign,
+                            self.config.unmatched_threshold,
+                            occ.review_id,
+                        );
+                        summary.apply(&contribution, true);
+                    }
+                    row.push(summary);
+                }
+                out.push(row);
+            }
+            out
+        })
+    }
+
+    /// Degree of `attribute .= phrase` computed over externally supplied
+    /// summaries (pairs with [`Self::summaries_with_review_filter`]).
+    /// Rows may be owned (`Vec<Vec<MarkerSummary>>`, the rescan's) or
+    /// shared ([`crate::QualifiedSummaries`]).
+    pub fn attribute_degree_with_summaries<R: Borrow<Vec<MarkerSummary>>>(
+        &self,
+        summaries: &[R],
+        entity: usize,
+        attribute: usize,
+        phrase: &str,
+    ) -> f64 {
+        let term = self.prepare_term(attribute, phrase);
+        self.summary_term_degree(&summaries[entity].borrow()[attribute], &term)
     }
 }
 
@@ -108,13 +172,8 @@ impl<'a> Reference<'a> {
         let sentiment = db.sentiment().score(phrase);
         if self.scan {
             let variations = db.opinion_domain(attribute).variations();
-            let delta_occs = pin
-                .delta
-                .cell(entity, attribute)
-                .map_or(&[][..], |cell| cell.occs.as_slice());
-            let phrases: Vec<(&[f32], f64)> = db.raw[entity][attribute]
-                .iter()
-                .chain(delta_occs)
+            let phrases: Vec<(&[f32], f64)> = db
+                .occurrences_at(entity, attribute, pin)
                 .map(|occ| (variations[occ.variation].rep.as_slice(), occ.sentiment))
                 .collect();
             return db

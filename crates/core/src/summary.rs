@@ -11,11 +11,22 @@
 //! floating point. Integer addition is exact, associative, and
 //! commutative, so [`MarkerSummary::merge`] of any partition of the
 //! phrases — in any order — is *bit-identical* to a from-scratch build
-//! over the same phrases. That is the property the review-qualified
-//! query path relies on: per-bucket partial summaries built at
-//! construction time can be merged per filter instead of re-aggregating
-//! every raw occurrence, with answers guaranteed identical to the full
-//! rebuild.
+//! over the same phrases. That is the property live ingest and the
+//! review-qualified query path rely on: a delta cell's summary merges
+//! into the build-time one, and a qualified summary folds whichever
+//! occurrences a qualifier accepts in whatever order they are stored,
+//! with answers guaranteed identical to the reference's rescan.
+//!
+//! ## One resolution, tabulated
+//!
+//! What an occurrence adds to a summary is its variation's
+//! `Assignment` — which markers take its mass, or none — scaled by its
+//! sentiment. The assignment is the expensive half (one cosine per
+//! marker) and a pure function of the variation, so the engine
+//! tabulates it once per `(attribute, variation)` at assembly and every
+//! engine-side aggregation (`MarkerSummary::add_assigned`) is table
+//! lookups and integer adds. [`PhraseContribution::compute`] is the
+//! untabulated definition the builder and the reference go through.
 
 use crate::domain::LinguisticDomain;
 use opine_embed::cosine;
@@ -197,37 +208,29 @@ fn dequantize(q: i64) -> f64 {
     q as f64 / FP_SCALE
 }
 
-/// One phrase's fully-resolved effect on a summary: the marker
-/// assignments quantized to the fixed-point accumulator grid, plus the
-/// unmatched verdict. Splitting resolution ([`Self::compute`], the
-/// marker-similarity loop) from accumulation ([`MarkerSummary::apply`])
-/// gives every aggregation site — the build-time summaries, the
-/// review-bucket partials, the raw-rescan fallback — one shared
-/// resolution path, so their updates are identical by construction.
-/// (Sharing one *computed* contribution across the full summary and
-/// its bucket partial within a single build pass is the follow-on the
-/// ROADMAP's batching item describes.)
+/// The sentiment-free half of a phrase's effect on a summary: which
+/// markers take its mass, or that none does. A pure function of the
+/// phrase representation, the marker set, the assignment mode and the
+/// unmatched threshold — all frozen at build — so the engine keeps one
+/// per `(attribute, variation)` instead of recomputing the marker
+/// cosines per occurrence.
 #[derive(Debug, Clone)]
-pub struct PhraseContribution<'p> {
-    phrase: &'p str,
-    review_id: usize,
+pub(crate) struct Assignment {
     unmatched: bool,
-    /// `(marker, quantized weight, quantized sentiment·weight)`.
-    assignments: Vec<(usize, i64, i64)>,
+    /// `(marker, weight, quantized weight)`; empty when unmatched.
+    slots: Vec<(usize, f64, i64)>,
 }
 
-impl<'p> PhraseContribution<'p> {
-    /// Resolves a phrase against a marker set (Sec. 4.2.2 aggregation
-    /// step). `min_similarity` is the threshold below which the phrase
-    /// counts as unmatched rather than being forced onto a marker.
-    pub fn compute(
-        phrase: &'p str,
+impl Assignment {
+    /// Resolves a phrase representation against a marker set (Sec. 4.2.2
+    /// aggregation step). `min_similarity` is the threshold below which
+    /// the phrase counts as unmatched rather than being forced onto a
+    /// marker.
+    pub(crate) fn compute(
         rep: &[f32],
-        sentiment: f64,
         markers: &MarkerSet,
         mode: AssignMode,
         min_similarity: f32,
-        review_id: usize,
     ) -> Self {
         // One pass of marker cosines feeds both the assignment and the
         // unmatched verdict.
@@ -238,19 +241,60 @@ impl<'p> PhraseContribution<'p> {
             .fold(f32::NEG_INFINITY, f32::max);
         let assignments = markers.assign_from(sims, mode);
         let unmatched = assignments.is_empty() || best_sim < min_similarity;
-        let assignments = if unmatched {
+        let slots = if unmatched {
             Vec::new()
         } else {
             assignments
                 .into_iter()
-                .map(|(idx, weight)| (idx, quantize(weight), quantize(sentiment * weight)))
+                .map(|(idx, weight)| (idx, weight, quantize(weight)))
                 .collect()
         };
+        Assignment { unmatched, slots }
+    }
+
+    /// This assignment for one occurrence of sentiment `sentiment`:
+    /// `(marker, quantized weight, quantized sentiment·weight)` per slot
+    /// — the one place an occurrence's accumulator increments are
+    /// computed.
+    fn scaled(&self, sentiment: f64) -> impl Iterator<Item = (usize, i64, i64)> + '_ {
+        self.slots
+            .iter()
+            .map(move |&(idx, weight, weight_q)| (idx, weight_q, quantize(sentiment * weight)))
+    }
+}
+
+/// One phrase's fully-resolved effect on a summary: its `Assignment`
+/// scaled by its sentiment, plus where it came from. This is the
+/// untabulated route — the marker cosines are computed here, per call —
+/// that the builder's summaries and the reference's rescan take; the
+/// engine folds the same increments from its per-variation table
+/// (`MarkerSummary::add_assigned`), so the two agree by construction.
+#[derive(Debug, Clone)]
+pub struct PhraseContribution<'p> {
+    phrase: &'p str,
+    review_id: usize,
+    unmatched: bool,
+    /// `(marker, quantized weight, quantized sentiment·weight)`.
+    assignments: Vec<(usize, i64, i64)>,
+}
+
+impl<'p> PhraseContribution<'p> {
+    /// `Assignment::compute` for the phrase, scaled by its sentiment.
+    pub fn compute(
+        phrase: &'p str,
+        rep: &[f32],
+        sentiment: f64,
+        markers: &MarkerSet,
+        mode: AssignMode,
+        min_similarity: f32,
+        review_id: usize,
+    ) -> Self {
+        let assignment = Assignment::compute(rep, markers, mode, min_similarity);
         PhraseContribution {
             phrase,
             review_id,
-            unmatched,
-            assignments,
+            unmatched: assignment.unmatched,
+            assignments: assignment.scaled(sentiment).collect(),
         }
     }
 }
@@ -273,8 +317,9 @@ pub struct MarkerSummary {
     /// Count of phrases whose best marker similarity fell below the
     /// unmatched threshold.
     pub unmatched: f64,
-    /// Provenance of every aggregated phrase (empty for the compact
-    /// review-bucket partials, which skip provenance to stay small).
+    /// Provenance of every phrase aggregated through [`Self::add_phrase`]
+    /// (empty for delta-cell and review-qualified summaries, which fold
+    /// occurrences whose phrases the build-time summaries already name).
     pub provenance: Vec<Provenance>,
 }
 
@@ -316,22 +361,39 @@ impl MarkerSummary {
     }
 
     /// Applies one precomputed phrase contribution. With
-    /// `track_provenance` false the phrase text is not recorded — used
-    /// by the review-bucket partials, whose provenance would duplicate
-    /// the full summaries'.
+    /// `track_provenance` false the phrase text is not recorded.
     pub fn apply(&mut self, contribution: &PhraseContribution<'_>, track_provenance: bool) {
-        self.total += 1.0;
         if track_provenance {
             self.provenance.push(Provenance {
                 review_id: contribution.review_id,
                 phrase: contribution.phrase.to_string(),
             });
         }
-        if contribution.unmatched {
+        self.accumulate(
+            contribution.unmatched,
+            contribution.assignments.iter().copied(),
+        );
+    }
+
+    /// Folds in one occurrence of a phrase whose assignment is already
+    /// known — [`Self::apply`] of the contribution
+    /// [`PhraseContribution::compute`] would resolve for it, provenance
+    /// off, without the marker cosines.
+    #[inline]
+    pub(crate) fn add_assigned(&mut self, assignment: &Assignment, sentiment: f64) {
+        self.accumulate(assignment.unmatched, assignment.scaled(sentiment));
+    }
+
+    /// Counts one phrase and adds its `(marker, weight, sentiment·weight)`
+    /// increments.
+    #[inline]
+    fn accumulate(&mut self, unmatched: bool, slots: impl Iterator<Item = (usize, i64, i64)>) {
+        self.total += 1.0;
+        if unmatched {
             self.unmatched += 1.0;
             return;
         }
-        for &(idx, weight_q, senti_q) in &contribution.assignments {
+        for (idx, weight_q, senti_q) in slots {
             self.counts_q[idx] += weight_q;
             self.senti_q[idx] += senti_q;
         }
@@ -353,47 +415,15 @@ impl MarkerSummary {
     /// [`Self::merge`] of the numeric aggregates alone — what degrees are
     /// scored from; `other`'s provenance is not carried over.
     pub fn merge_aggregates(&mut self, other: &MarkerSummary) {
-        self.merge_quantized(
-            &other.counts_q,
-            &other.senti_q,
-            other.total,
-            other.unmatched,
-        );
-    }
-
-    /// Merges raw fixed-point accumulators (the storage
-    /// [`Self::quantized_counts`] / [`Self::quantized_sentiments`]
-    /// expose) into this summary — the flat-layout twin of
-    /// [`Self::merge`], used by partial-summary stores that keep many
-    /// summaries' accumulators in one contiguous allocation.
-    #[inline]
-    pub fn merge_quantized(
-        &mut self,
-        counts_q: &[i64],
-        senti_q: &[i64],
-        total: f64,
-        unmatched: f64,
-    ) {
-        debug_assert_eq!(self.counts_q.len(), counts_q.len());
-        debug_assert_eq!(self.senti_q.len(), senti_q.len());
-        for (a, b) in self.counts_q.iter_mut().zip(counts_q) {
+        debug_assert_eq!(self.counts_q.len(), other.counts_q.len());
+        for (a, b) in self.counts_q.iter_mut().zip(&other.counts_q) {
             *a += b;
         }
-        for (a, b) in self.senti_q.iter_mut().zip(senti_q) {
+        for (a, b) in self.senti_q.iter_mut().zip(&other.senti_q) {
             *a += b;
         }
-        self.total += total;
-        self.unmatched += unmatched;
-    }
-
-    /// The raw fixed-point mass accumulators, one per marker.
-    pub fn quantized_counts(&self) -> &[i64] {
-        &self.counts_q
-    }
-
-    /// The raw fixed-point `Σ sentiment·weight` accumulators.
-    pub fn quantized_sentiments(&self) -> &[i64] {
-        &self.senti_q
+        self.total += other.total;
+        self.unmatched += other.unmatched;
     }
 
     /// Number of markers this summary aggregates over.
@@ -447,8 +477,8 @@ impl MarkerSummary {
 
     /// Exact equality of the numeric aggregate state (mass, sentiment
     /// accumulators, totals) — the "bit-identical" comparison the
-    /// merge/rebuild equivalence tests use. Provenance is excluded: the
-    /// bucket-merge path deliberately drops it.
+    /// fold/rescan equivalence tests use. Provenance is excluded: only
+    /// [`Self::add_phrase`] records it.
     pub fn same_aggregates(&self, other: &MarkerSummary) -> bool {
         self.counts_q == other.counts_q
             && self.senti_q == other.senti_q
@@ -457,7 +487,7 @@ impl MarkerSummary {
     }
 
     /// Approximate heap bytes of the numeric accumulators (provenance
-    /// excluded) — sizing information for the partial-summary store.
+    /// excluded) — sizing information for the delta's memory report.
     pub fn accumulator_bytes(&self) -> usize {
         (self.counts_q.len() + self.senti_q.len()) * std::mem::size_of::<i64>()
     }
@@ -469,6 +499,8 @@ mod tests {
     use crate::domain::LinguisticDomain;
     use opine_embed::{PhraseEmbedder, Word2Vec, Word2VecConfig};
     use opine_text::{IdfModel, Vocab, WordId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn fixture() -> (Vocab, PhraseEmbedder, LinguisticDomain) {
         let mut vocab = Vocab::new();
@@ -672,6 +704,101 @@ mod tests {
         assert!(with.same_aggregates(&without));
         assert_eq!(with.provenance.len(), 1);
         assert!(without.provenance.is_empty());
+    }
+
+    /// `PhraseContribution::compute` as it was before the assignment
+    /// was split from the sentiment, kept verbatim as the frozen
+    /// specification of every accumulator increment's bits.
+    fn unsplit_contribution(
+        rep: &[f32],
+        sentiment: f64,
+        markers: &MarkerSet,
+        mode: AssignMode,
+        min_similarity: f32,
+    ) -> (bool, Vec<(usize, i64, i64)>) {
+        let sims = markers.similarities(rep);
+        let best_sim = sims
+            .iter()
+            .map(|&(_, sim)| sim)
+            .fold(f32::NEG_INFINITY, f32::max);
+        let assignments = markers.assign_from(sims, mode);
+        let unmatched = assignments.is_empty() || best_sim < min_similarity;
+        let assignments = if unmatched {
+            Vec::new()
+        } else {
+            assignments
+                .into_iter()
+                .map(|(idx, weight)| (idx, quantize(weight), quantize(sentiment * weight)))
+                .collect()
+        };
+        (unmatched, assignments)
+    }
+
+    #[test]
+    fn tabulated_assignment_times_sentiment_equals_compute_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(20);
+        let random_rep = |rng: &mut StdRng| -> Vec<f32> {
+            let mut rep: Vec<f32> = (0..8).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect();
+            opine_embed::normalize(&mut rep);
+            rep
+        };
+        let (mut matched, mut unmatched) = (0, 0);
+        for case in 0..400 {
+            let kind = [SummaryKind::Linear, SummaryKind::Categorical][case % 2];
+            let mode = [AssignMode::Best, AssignMode::Proportional][case / 2 % 2];
+            // k = 1 every fifth case: Proportional has no second marker.
+            let k = if case % 5 == 0 { 1 } else { 2 + case % 4 };
+            let set = MarkerSet {
+                attribute: "a".into(),
+                kind,
+                markers: (0..k)
+                    .map(|i| Marker {
+                        phrase: format!("m{i}"),
+                        rep: random_rep(&mut rng),
+                        sentiment: 0.0,
+                    })
+                    .collect(),
+            };
+            let rep = random_rep(&mut rng);
+            let best_sim = set
+                .similarities(&rep)
+                .iter()
+                .map(|&(_, sim)| sim)
+                .fold(f32::NEG_INFINITY, f32::max);
+            // Thresholds just under, at and just over the best
+            // similarity, and the two that can never / always reject.
+            for min_similarity in [-1.0, best_sim - 1e-3, best_sim, best_sim + 1e-3, 1.01] {
+                let assignment = Assignment::compute(&rep, &set, mode, min_similarity);
+                for sentiment in [0.0, 1.0, -1.0, rng.gen::<f64>() * 2.0 - 1.0] {
+                    let expected =
+                        unsplit_contribution(&rep, sentiment, &set, mode, min_similarity);
+                    let computed = PhraseContribution::compute(
+                        "p",
+                        &rep,
+                        sentiment,
+                        &set,
+                        mode,
+                        min_similarity,
+                        case,
+                    );
+                    assert_eq!((computed.unmatched, computed.assignments.clone()), expected);
+                    let tabulated: Vec<_> = assignment.scaled(sentiment).collect();
+                    assert_eq!((assignment.unmatched, tabulated), expected);
+                    // …and the two fold the same summary.
+                    let mut applied = MarkerSummary::empty(k);
+                    applied.apply(&computed, false);
+                    let mut folded = MarkerSummary::empty(k);
+                    folded.add_assigned(&assignment, sentiment);
+                    assert!(applied.same_aggregates(&folded));
+                    if expected.0 {
+                        unmatched += 1;
+                    } else {
+                        matched += 1;
+                    }
+                }
+            }
+        }
+        assert!(matched > 400 && unmatched > 400, "{matched} / {unmatched}");
     }
 
     #[test]

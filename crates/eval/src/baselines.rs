@@ -15,7 +15,7 @@ use crate::quality::sat_score;
 use crate::workload::EvalQuery;
 use opine_corpus::Corpus;
 use opine_embed::{Word2Vec, Word2VecConfig};
-use opine_ir::{expand_query, Bm25Params, InvertedIndex};
+use opine_ir::{expand_query, InvertedIndex};
 use opine_text::{tokenize, Vocab};
 
 /// Rank by ascending price (filter-restricted).
@@ -190,9 +190,7 @@ impl IrBaseline {
                 self.min_similarity,
             );
             for (id, score) in scores.iter_mut() {
-                *score +=
-                    self.index
-                        .bm25(opine_ir::DocId(*id as u32), &terms, &Bm25Params::default());
+                *score += self.index.bm25(opine_ir::DocId(*id as u32), &terms);
             }
         }
         scores.sort_by(|a, b| b.1.total_cmp(&a.1));

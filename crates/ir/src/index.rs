@@ -35,33 +35,12 @@ impl DocId {
     }
 }
 
-/// BM25 free parameters.
-///
-/// The block-max bounds assume the standard ranges `k1 ≥ 0` and
-/// `0 ≤ b ≤ 1` (scores monotone in term frequency, antitone in
-/// document length).
-#[derive(Debug, Clone, Copy)]
-pub struct Bm25Params {
-    /// Term-frequency saturation (`k1`).
-    pub k1: f64,
-    /// Length normalization strength (`b`).
-    pub b: f64,
-}
-
-impl Default for Bm25Params {
-    fn default() -> Self {
-        Self { k1: 1.2, b: 0.75 }
-    }
-}
-
-impl Bm25Params {
-    /// Bit-level equality: the frozen impact bounds are reused only for
-    /// exactly the parameters they were computed under.
-    #[inline]
-    fn same_bits(&self, other: &Bm25Params) -> bool {
-        self.k1.to_bits() == other.k1.to_bits() && self.b.to_bits() == other.b.to_bits()
-    }
-}
+/// BM25 term-frequency saturation (`k1`).
+pub const BM25_K1: f64 = 1.2;
+/// BM25 length-normalization strength (`b`). The block-max bounds rely
+/// on `k1 ≥ 0` and `0 ≤ b ≤ 1`: scores monotone in term frequency,
+/// antitone in document length.
+pub const BM25_B: f64 = 0.75;
 
 /// A scored retrieval result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,30 +73,25 @@ pub struct RetrievalStats {
 /// scorer — funnels through this one expression, which is what makes
 /// their answers bit-identical.
 #[inline]
-fn score_one(idf: f64, tf: u32, doc_len: u32, avg_len: f64, params: &Bm25Params) -> f64 {
+fn score_one(idf: f64, tf: u32, doc_len: u32, avg_len: f64) -> f64 {
     let tf = tf as f64;
-    let len_norm = 1.0 - params.b + params.b * doc_len as f64 / avg_len;
-    idf * tf * (params.k1 + 1.0) / (tf + params.k1 * len_norm)
+    let len_norm = 1.0 - BM25_B + BM25_B * doc_len as f64 / avg_len;
+    idf * tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * len_norm)
 }
 
 /// One block of a frozen posting list: its last document (the skip
-/// pointer), summary statistics for bound recomputation under
-/// non-default parameters, and the precomputed max impact.
-#[derive(Debug, Clone)]
+/// pointer) and the precomputed max impact.
+#[derive(Debug)]
 struct Block {
     /// Largest document id in the block.
     last_doc: u32,
-    /// Largest term frequency in the block.
-    max_tf: u32,
-    /// Smallest document length in the block.
-    min_doc_len: u32,
-    /// `max` over member documents of their exact BM25 contribution
-    /// under the frozen parameters — a tight upper bound.
+    /// `max` over member documents of their exact BM25 contribution —
+    /// a tight upper bound.
     max_impact: f64,
 }
 
 /// A posting list frozen into block-partitioned parallel arrays.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct FrozenList {
     /// Document ids, ascending.
     docs: Vec<u32>,
@@ -132,19 +106,10 @@ struct FrozenList {
 }
 
 /// The immutable retrieval structure, built once per corpus state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Frozen {
     lists: HashMap<WordId, FrozenList>,
     block_size: usize,
-    /// Parameters the stored impact bounds assume; searches under other
-    /// parameters recompute bounds from `(max_tf, min_doc_len)`.
-    params: Bm25Params,
-    /// True when every stored `max_impact` is the exact member maximum
-    /// under `params`. Incremental appends flip this off (corpus
-    /// statistics moved under the sealed blocks), and searches fall back
-    /// to the `(max_tf, min_doc_len)` summary bounds — still true upper
-    /// bounds, just looser — until a full [`InvertedIndex::refreeze`].
-    exact_bounds: bool,
 }
 
 /// An in-memory inverted index over tokenized documents.
@@ -180,27 +145,6 @@ impl Default for InvertedIndex {
     }
 }
 
-impl Clone for InvertedIndex {
-    fn clone(&self) -> Self {
-        let frozen = OnceLock::new();
-        if let Some(f) = self.frozen.get() {
-            let _ = frozen.set(f.clone());
-        }
-        InvertedIndex {
-            postings: self.postings.clone(),
-            doc_lengths: self.doc_lengths.clone(),
-            total_length: self.total_length,
-            block_size: self.block_size,
-            frozen,
-            // Counters are per-instance observability state, not model
-            // state: a clone starts at zero.
-            wand_queries: AtomicU64::new(0),
-            exhaustive_queries: AtomicU64::new(0),
-            blocks_skipped: AtomicU64::new(0),
-        }
-    }
-}
-
 /// One term cursor of the WAND driver. Duplicate query terms get
 /// *separate* cursors so score accumulation stays in query-term order
 /// (bit-identical to the exhaustive scorer's term-major accumulation).
@@ -213,7 +157,7 @@ struct Cursor<'a> {
     block: usize,
     /// Posting index one past the current block.
     block_end: usize,
-    /// List-level score upper bound under the query parameters.
+    /// List-level score upper bound.
     bound: f64,
 }
 
@@ -270,122 +214,25 @@ impl InvertedIndex {
 
     /// Adds a document, interning its tokens into `vocab`.
     ///
-    /// Returns the new document's id. An existing frozen block structure
-    /// is maintained **incrementally**: sealed blocks keep their
-    /// `(last_doc, max_tf, min_doc_len)` summaries untouched, only the
-    /// unsealed tail block of each touched list grows, and per-list idf
-    /// scalars are refreshed for the new corpus statistics — no posting
-    /// is ever rescanned. Stored exact impact bounds are demoted to the
-    /// summary-derived bounds until [`Self::refreeze`].
+    /// Returns the new document's id. A frozen block structure is
+    /// dropped: corpus statistics moved under every stored bound, so the
+    /// next retrieval (or [`Self::freeze`]) rebuilds it.
     pub fn add_document(&mut self, text: &str, vocab: &mut Vocab) -> DocId {
         let tokens = tokenize(text);
         let doc = DocId(self.doc_lengths.len() as u32);
-        let doc_len = tokens.len() as u32;
         let mut tf: HashMap<WordId, u32> = HashMap::new();
         for t in &tokens {
             *tf.entry(vocab.intern(t)).or_insert(0) += 1;
         }
-        for (&word, &count) in &tf {
+        for (word, count) in tf {
             // Documents arrive in ascending id order, so each posting
             // list stays sorted by doc id without ever re-sorting.
             self.postings.entry(word).or_default().push((doc, count));
         }
-        self.doc_lengths.push(doc_len);
+        self.doc_lengths.push(tokens.len() as u32);
         self.total_length += tokens.len() as u64;
-        if let Some(mut frozen) = self.frozen.take() {
-            self.append_to_frozen(&mut frozen, doc.0, doc_len, &tf);
-            let _ = self.frozen.set(frozen);
-        }
-        doc
-    }
-
-    /// Adds a document against a **frozen** vocabulary: tokens the vocab
-    /// does not know are dropped instead of interned.
-    ///
-    /// This is the live-ingest path — the engine's vocabulary (and the
-    /// embeddings and idf statistics hanging off it) is fixed at build
-    /// time, so a delta text index built at serve time may only speak
-    /// the frozen vocabulary. The document length counts the *kept*
-    /// tokens only, keeping the index's length statistics consistent
-    /// with the postings it actually holds.
-    pub fn add_document_frozen_vocab(&mut self, text: &str, vocab: &Vocab) -> DocId {
-        let tokens = tokenize(text);
-        let doc = DocId(self.doc_lengths.len() as u32);
-        let mut tf: HashMap<WordId, u32> = HashMap::new();
-        let mut kept = 0u32;
-        for t in &tokens {
-            opine_faults::checkpoint();
-            if let Some(word) = vocab.get(t) {
-                *tf.entry(word).or_insert(0) += 1;
-                kept += 1;
-            }
-        }
-        for (&word, &count) in &tf {
-            opine_faults::checkpoint();
-            // Same invariant as `add_document`: ascending doc ids keep
-            // every posting list sorted without re-sorting.
-            self.postings.entry(word).or_default().push((doc, count));
-        }
-        self.doc_lengths.push(kept);
-        self.total_length += u64::from(kept);
-        if let Some(mut frozen) = self.frozen.take() {
-            self.append_to_frozen(&mut frozen, doc.0, kept, &tf);
-            let _ = self.frozen.set(frozen);
-        }
-        doc
-    }
-
-    /// Extends a frozen structure with one appended document: push the
-    /// new postings onto the unsealed tail blocks (opening a fresh block
-    /// at each `block_size` boundary) and refresh every list's idf for
-    /// the new `N`. Sealed blocks are untouched; `exact_bounds` drops so
-    /// bound probes use the still-valid summary bounds.
-    fn append_to_frozen(
-        &self,
-        frozen: &mut Frozen,
-        doc: u32,
-        doc_len: u32,
-        tf: &HashMap<WordId, u32>,
-    ) {
-        let block_size = frozen.block_size;
-        frozen.exact_bounds = false;
-        for (&word, &count) in tf {
-            opine_faults::checkpoint();
-            let list = frozen.lists.entry(word).or_insert_with(|| FrozenList {
-                docs: Vec::new(),
-                tfs: Vec::new(),
-                blocks: Vec::new(),
-                idf: 0.0,
-                max_impact: 0.0,
-            });
-            list.docs.push(doc);
-            list.tfs.push(count);
-            if (list.docs.len() - 1).is_multiple_of(block_size) {
-                list.blocks.push(Block {
-                    last_doc: doc,
-                    max_tf: count,
-                    min_doc_len: doc_len,
-                    max_impact: 0.0,
-                });
-            } else if let Some(blk) = list.blocks.last_mut() {
-                blk.last_doc = doc;
-                blk.max_tf = blk.max_tf.max(count);
-                blk.min_doc_len = blk.min_doc_len.min(doc_len);
-            }
-        }
-        // N (and avg_len) moved, so every list's idf shifts — a scalar
-        // update per list, never a member rescan.
-        for list in frozen.lists.values_mut() {
-            opine_faults::checkpoint();
-            list.idf = self.idf(list.docs.len());
-        }
-    }
-
-    /// Rebuilds the frozen structure from scratch, restoring exact
-    /// per-block impact bounds after a run of incremental appends.
-    pub fn refreeze(&mut self) {
         self.frozen.take();
-        self.freeze();
+        doc
     }
 
     /// Number of indexed documents.
@@ -434,44 +281,36 @@ impl InvertedIndex {
         self.postings.get(&term).map_or(&[], Vec::as_slice)
     }
 
-    /// Frozen block metadata of `term` under `params`: one
-    /// `(first_doc, last_doc, upper_bound)` triple per block, where
-    /// `upper_bound` is the stored max impact (for the frozen
-    /// parameters) or the `(max_tf, min_doc_len)` bound otherwise. The
-    /// bound is guaranteed ≥ every member document's exact BM25
-    /// contribution — property-tested in `tests/wand_equivalence.rs`.
-    pub fn term_blocks(&self, term: WordId, params: &Bm25Params) -> Vec<(DocId, DocId, f64)> {
+    /// Frozen block metadata of `term`: one `(first_doc, last_doc,
+    /// upper_bound)` triple per block, where `upper_bound` is the stored
+    /// max impact — the exact maximum of the member documents' BM25
+    /// contributions, so ≥ every one of them (property-tested in
+    /// `tests/wand_equivalence.rs`).
+    pub fn term_blocks(&self, term: WordId) -> Vec<(DocId, DocId, f64)> {
         let frozen = self.frozen();
         let Some(list) = frozen.lists.get(&term) else {
             return Vec::new();
         };
-        let same = params.same_bits(&frozen.params) && frozen.exact_bounds;
-        let avg_len = self.avg_doc_len();
         list.blocks
             .iter()
             .enumerate()
             .map(|(b, blk)| {
                 let first = list.docs[b * frozen.block_size];
-                let bound = if same {
-                    blk.max_impact
-                } else {
-                    score_one(list.idf, blk.max_tf, blk.min_doc_len, avg_len, params)
-                };
-                (DocId(first), DocId(blk.last_doc), bound)
+                (DocId(first), DocId(blk.last_doc), blk.max_impact)
             })
             .collect()
     }
 
     /// BM25 score of `doc` for the (tokenized, interned) query terms.
-    pub fn bm25(&self, doc: DocId, query_terms: &[WordId], params: &Bm25Params) -> f64 {
+    pub fn bm25(&self, doc: DocId, query_terms: &[WordId]) -> f64 {
         let avg_len = self.avg_doc_len();
         query_terms
             .iter()
-            .map(|&term| self.bm25_term(doc, term, avg_len, params))
+            .map(|&term| self.bm25_term(doc, term, avg_len))
             .sum()
     }
 
-    fn bm25_term(&self, doc: DocId, term: WordId, avg_len: f64, params: &Bm25Params) -> f64 {
+    fn bm25_term(&self, doc: DocId, term: WordId, avg_len: f64) -> f64 {
         let Some(postings) = self.postings.get(&term) else {
             return 0.0;
         };
@@ -482,7 +321,7 @@ impl InvertedIndex {
             return 0.0;
         };
         let idf = self.idf(postings.len());
-        score_one(idf, postings[i].1, self.doc_len(doc), avg_len, params)
+        score_one(idf, postings[i].1, self.doc_len(doc), avg_len)
     }
 
     /// BM25 scores of **every** document for `query_terms`, in one
@@ -490,7 +329,7 @@ impl InvertedIndex {
     /// instead of a per-document per-term lookup, and bit-identical to
     /// calling [`Self::bm25`] on each document. This is the batch entry
     /// the text-fallback degree column rides.
-    pub fn bm25_dense(&self, query_terms: &[WordId], params: &Bm25Params) -> Vec<f64> {
+    pub fn bm25_dense(&self, query_terms: &[WordId]) -> Vec<f64> {
         let avg_len = self.avg_doc_len();
         let mut scores = vec![0.0f64; self.num_docs()];
         for &term in query_terms {
@@ -500,8 +339,7 @@ impl InvertedIndex {
             let idf = self.idf(postings.len());
             for &(doc, tf) in postings {
                 opine_faults::checkpoint();
-                scores[doc.index()] +=
-                    score_one(idf, tf, self.doc_lengths[doc.index()], avg_len, params);
+                scores[doc.index()] += score_one(idf, tf, self.doc_lengths[doc.index()], avg_len);
             }
         }
         scores
@@ -512,29 +350,18 @@ impl InvertedIndex {
     /// Only documents containing at least one query term are scored, so the
     /// result may be shorter than `k`. Ties break by ascending doc id for
     /// determinism.
-    pub fn search(
-        &self,
-        query: &str,
-        k: usize,
-        vocab: &Vocab,
-        params: &Bm25Params,
-    ) -> Vec<SearchHit> {
+    pub fn search(&self, query: &str, k: usize, vocab: &Vocab) -> Vec<SearchHit> {
         let terms: Vec<WordId> = tokenize(query)
             .iter()
             .filter_map(|t| vocab.get(t))
             .collect();
-        self.search_terms(&terms, k, params)
+        self.search_terms(&terms, k)
     }
 
     /// The exhaustive scorer: accumulate every candidate's score
     /// document-at-a-time over the full posting lists, then heap-select
     /// the top k. Kept verbatim as the equivalence-test reference.
-    pub fn search_terms_exhaustive(
-        &self,
-        terms: &[WordId],
-        k: usize,
-        params: &Bm25Params,
-    ) -> Vec<SearchHit> {
+    pub fn search_terms_exhaustive(&self, terms: &[WordId], k: usize) -> Vec<SearchHit> {
         if k == 0 || terms.is_empty() {
             return Vec::new();
         }
@@ -549,7 +376,7 @@ impl InvertedIndex {
             let idf = self.idf(postings.len());
             for &(doc, tf) in postings {
                 opine_faults::checkpoint();
-                let s = score_one(idf, tf, self.doc_len(doc), avg_len, params);
+                let s = score_one(idf, tf, self.doc_len(doc), avg_len);
                 *scores.entry(doc).or_insert(0.0) += s;
             }
         }
@@ -570,7 +397,7 @@ impl InvertedIndex {
     /// advance a pivot over doc-ordered term cursors, skipping whole
     /// blocks whose summed max-impact bounds cannot beat the current k-th
     /// score.
-    pub fn search_terms(&self, terms: &[WordId], k: usize, params: &Bm25Params) -> Vec<SearchHit> {
+    pub fn search_terms(&self, terms: &[WordId], k: usize) -> Vec<SearchHit> {
         if k == 0 || terms.is_empty() || self.doc_lengths.is_empty() {
             return Vec::new();
         }
@@ -578,10 +405,7 @@ impl InvertedIndex {
         let span = opine_trace::span("wand_retrieval");
         let frozen = self.frozen();
         let avg_len = self.avg_doc_len();
-        let same_params = params.same_bits(&frozen.params) && frozen.exact_bounds;
         let block_size = frozen.block_size;
-        let loose =
-            |blk: &Block, idf: f64| score_one(idf, blk.max_tf, blk.min_doc_len, avg_len, params);
 
         // One cursor per query-term *occurrence* (duplicates included),
         // in query order, so full evaluations add contributions in the
@@ -589,22 +413,12 @@ impl InvertedIndex {
         let mut cursors: Vec<Cursor<'_>> = terms
             .iter()
             .filter_map(|t| frozen.lists.get(t))
-            .map(|list| {
-                let bound = if same_params {
-                    list.max_impact
-                } else {
-                    list.blocks
-                        .iter()
-                        .map(|blk| loose(blk, list.idf))
-                        .fold(0.0, f64::max)
-                };
-                Cursor {
-                    list,
-                    pos: 0,
-                    block: 0,
-                    block_end: block_size.min(list.docs.len()),
-                    bound,
-                }
+            .map(|list| Cursor {
+                list,
+                pos: 0,
+                block: 0,
+                block_end: block_size.min(list.docs.len()),
+                bound: list.max_impact,
             })
             .collect();
         if cursors.is_empty() {
@@ -677,11 +491,7 @@ impl InvertedIndex {
                     continue;
                 }
                 let blk = &c.list.blocks[b];
-                block_ub += if same_params {
-                    blk.max_impact
-                } else {
-                    loose(blk, c.list.idf)
-                };
+                block_ub += blk.max_impact;
                 min_block_last = min_block_last.min(blk.last_doc);
             }
 
@@ -705,7 +515,7 @@ impl InvertedIndex {
                 // lint:allow(checkpoint_coverage, reason = "bounded by query term count; the enclosing WAND round checkpoints")
                 for c in cursors.iter_mut() {
                     if !c.exhausted() && c.doc() == pivot_doc {
-                        score += score_one(c.list.idf, c.list.tfs[c.pos], doc_len, avg_len, params);
+                        score += score_one(c.list.idf, c.list.tfs[c.pos], doc_len, avg_len);
                         c.advance(block_size);
                     }
                 }
@@ -740,7 +550,6 @@ impl InvertedIndex {
     /// The frozen block structure, built on first use.
     fn frozen(&self) -> &Frozen {
         self.frozen.get_or_init(|| {
-            let params = Bm25Params::default();
             let avg_len = self.avg_doc_len();
             let block_size = self.block_size.max(1);
             let lists = self
@@ -759,21 +568,15 @@ impl InvertedIndex {
                     // lint:allow(checkpoint_coverage, reason = "construction path; block summaries are built before the index serves queries")
                     for start in (0..docs.len()).step_by(block_size) {
                         let end = (start + block_size).min(docs.len());
-                        let mut max_tf = 0u32;
-                        let mut min_doc_len = u32::MAX;
-                        let mut max_impact = 0.0f64;
-                        for i in start..end {
-                            let len = self.doc_lengths[docs[i] as usize];
-                            max_tf = max_tf.max(tfs[i]);
-                            min_doc_len = min_doc_len.min(len);
-                            max_impact =
-                                max_impact.max(score_one(idf, tfs[i], len, avg_len, &params));
-                        }
+                        let max_impact = (start..end)
+                            .map(|i| {
+                                let len = self.doc_lengths[docs[i] as usize];
+                                score_one(idf, tfs[i], len, avg_len)
+                            })
+                            .fold(0.0, f64::max);
                         list_max = list_max.max(max_impact);
                         blocks.push(Block {
                             last_doc: docs[end - 1],
-                            max_tf,
-                            min_doc_len,
                             max_impact,
                         });
                     }
@@ -789,12 +592,7 @@ impl InvertedIndex {
                     )
                 })
                 .collect();
-            Frozen {
-                lists,
-                block_size,
-                params,
-                exact_bounds: true,
-            }
+            Frozen { lists, block_size }
         })
     }
 
@@ -835,14 +633,12 @@ pub fn bm25_term_score(
     df: usize,
     tf: u32,
     doc_len: u32,
-    params: &Bm25Params,
 ) -> f64 {
     score_one(
         idf(num_docs, df),
         tf,
         doc_len,
         avg_doc_len(num_docs, total_length),
-        params,
     )
 }
 
@@ -910,9 +706,8 @@ mod tests {
     /// Asserts WAND and exhaustive answers are bit-identical: same
     /// docs, same score bits, same order.
     fn assert_paths_agree(index: &InvertedIndex, terms: &[WordId], k: usize) {
-        let params = Bm25Params::default();
-        let wand = index.search_terms(terms, k, &params);
-        let exhaustive = index.search_terms_exhaustive(terms, k, &params);
+        let wand = index.search_terms(terms, k);
+        let exhaustive = index.search_terms_exhaustive(terms, k);
         assert_eq!(wand.len(), exhaustive.len(), "k={k} terms={terms:?}");
         for (w, e) in wand.iter().zip(&exhaustive) {
             assert_eq!(w.doc, e.doc, "k={k}");
@@ -953,52 +748,9 @@ mod tests {
     }
 
     #[test]
-    fn frozen_vocab_add_matches_interning_add_on_known_tokens() {
-        let (mut vocab, mut index) = build();
-        // Reference: the same appended document through the interning
-        // path, on a clone, where every token is already known.
-        let mut reference = index.clone();
-        let text = "clean room with friendly staff";
-        let frozen_doc = index.add_document_frozen_vocab(text, &vocab);
-        let interned_doc = reference.add_document(text, &mut vocab);
-        assert_eq!(frozen_doc, interned_doc);
-        assert_eq!(index.doc_len(frozen_doc), reference.doc_len(interned_doc));
-        let terms = [vocab.get("clean").unwrap(), vocab.get("staff").unwrap()];
-        let params = Bm25Params::default();
-        assert_eq!(
-            index.bm25(frozen_doc, &terms, &params).to_bits(),
-            reference.bm25(interned_doc, &terms, &params).to_bits(),
-            "known-token documents score identically through both add paths"
-        );
-    }
-
-    #[test]
-    fn frozen_vocab_add_drops_unknown_tokens() {
-        let (vocab, mut index) = build();
-        let before_vocab = vocab.len();
-        let doc = index.add_document_frozen_vocab("clean zzzunknown qqqnovel room", &vocab);
-        assert_eq!(vocab.len(), before_vocab, "vocab stays frozen");
-        assert_eq!(index.doc_len(doc), 2, "only the known tokens count");
-        let clean = vocab.get("clean").unwrap();
-        assert!(index
-            .term_postings(clean)
-            .iter()
-            .any(|&(d, tf)| d == doc && tf == 1));
-    }
-
-    #[test]
-    fn frozen_vocab_add_keeps_frozen_structure_queryable() {
-        let (vocab, mut index) = build();
-        index.freeze();
-        index.add_document_frozen_vocab("spotless clean room", &vocab);
-        let clean = vocab.get("clean").unwrap();
-        assert_paths_agree(&index, &[clean], 10);
-    }
-
-    #[test]
     fn search_ranks_higher_tf_first() {
         let (vocab, index) = build();
-        let hits = index.search("clean", 10, &vocab, &Bm25Params::default());
+        let hits = index.search("clean", 10, &vocab);
         assert_eq!(hits[0].doc, DocId(2), "doc 2 repeats 'clean' three times");
         assert_eq!(hits.len(), 2);
     }
@@ -1006,7 +758,7 @@ mod tests {
     #[test]
     fn scores_are_nonnegative_and_sorted() {
         let (vocab, index) = build();
-        let hits = index.search("clean room carpet", 10, &vocab, &Bm25Params::default());
+        let hits = index.search("clean room carpet", 10, &vocab);
         assert!(hits.iter().all(|h| h.score >= 0.0));
         assert!(hits.windows(2).all(|w| w[0].score >= w[1].score));
     }
@@ -1014,18 +766,14 @@ mod tests {
     #[test]
     fn unmatched_query_returns_empty() {
         let (vocab, index) = build();
-        assert!(index
-            .search("zebra", 5, &vocab, &Bm25Params::default())
-            .is_empty());
-        assert!(index
-            .search("", 5, &vocab, &Bm25Params::default())
-            .is_empty());
+        assert!(index.search("zebra", 5, &vocab).is_empty());
+        assert!(index.search("", 5, &vocab).is_empty());
     }
 
     #[test]
     fn k_limits_results() {
         let (vocab, index) = build();
-        let hits = index.search("room clean", 1, &vocab, &Bm25Params::default());
+        let hits = index.search("room clean", 1, &vocab);
         assert_eq!(hits.len(), 1);
     }
 
@@ -1036,9 +784,9 @@ mod tests {
             .iter()
             .filter_map(|t| vocab.get(t))
             .collect();
-        let hits = index.search_terms(&terms, 10, &Bm25Params::default());
+        let hits = index.search_terms(&terms, 10);
         for hit in hits {
-            let direct = index.bm25(hit.doc, &terms, &Bm25Params::default());
+            let direct = index.bm25(hit.doc, &terms);
             assert!((direct - hit.score).abs() < 1e-9);
         }
     }
@@ -1064,8 +812,8 @@ mod tests {
             };
             index.add_document(&text, &mut vocab);
         }
-        let rare_hits = index.search("rare", 1, &vocab, &Bm25Params::default());
-        let common_hits = index.search("common", 1, &vocab, &Bm25Params::default());
+        let rare_hits = index.search("rare", 1, &vocab);
+        let common_hits = index.search("common", 1, &vocab);
         assert!(rare_hits[0].score > common_hits[0].score);
     }
 
@@ -1088,20 +836,19 @@ mod tests {
         let postings = index.term_postings(term);
         assert_eq!(postings.len(), 10_000);
         assert!(postings.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
-        let params = Bm25Params::default();
         let avg_len = index.avg_doc_len();
         let idf = index.idf(postings.len());
         for i in (0..10_000).step_by(97) {
             let doc = DocId(i as u32);
             // Linear reference: the pre-PR lookup.
             let (_, tf) = postings.iter().find(|(d, _)| *d == doc).copied().unwrap();
-            let reference = score_one(idf, tf, index.doc_len(doc), avg_len, &params);
-            let got = index.bm25(doc, &[term], &params);
+            let reference = score_one(idf, tf, index.doc_len(doc), avg_len);
+            let got = index.bm25(doc, &[term]);
             assert_eq!(got.to_bits(), reference.to_bits(), "doc {i}");
         }
         // Absent docs score zero for absent terms.
         let rare = vocab.intern("neverseen");
-        assert_eq!(index.bm25(DocId(3), &[rare], &params), 0.0);
+        assert_eq!(index.bm25(DocId(3), &[rare]), 0.0);
     }
 
     #[test]
@@ -1129,7 +876,7 @@ mod tests {
     fn wand_skips_blocks_on_a_skewed_corpus() {
         let (_, index, terms) = skewed(3000, 32);
         let before = index.retrieval_stats();
-        let hits = index.search_terms(&terms, 10, &Bm25Params::default());
+        let hits = index.search_terms(&terms, 10);
         assert_eq!(hits.len(), 10);
         let after = index.retrieval_stats();
         assert_eq!(after.wand_queries, before.wand_queries + 1);
@@ -1146,12 +893,8 @@ mod tests {
         let mut vocab = Vocab::new();
         let index = InvertedIndex::new();
         let term = vocab.intern("anything");
-        assert!(index
-            .search_terms(&[term], 5, &Bm25Params::default())
-            .is_empty());
-        assert!(index
-            .search_terms_exhaustive(&[term], 5, &Bm25Params::default())
-            .is_empty());
+        assert!(index.search_terms(&[term], 5).is_empty());
+        assert!(index.search_terms_exhaustive(&[term], 5).is_empty());
     }
 
     #[test]
@@ -1165,7 +908,7 @@ mod tests {
         for k in [1, 2, 3, 10] {
             assert_paths_agree(&index, &terms, k);
         }
-        let blocks = index.term_blocks(terms[0], &Bm25Params::default());
+        let blocks = index.term_blocks(terms[0]);
         assert_eq!(blocks.len(), index.doc_freq(terms[0]), "one doc per block");
     }
 
@@ -1197,7 +940,7 @@ mod tests {
             .iter()
             .filter_map(|t| vocab.get(t))
             .collect();
-        let hits = index.search_terms(&terms, 50, &Bm25Params::default());
+        let hits = index.search_terms(&terms, 50);
         assert_eq!(hits.len(), 3, "three docs mention clean or room");
         assert_paths_agree(&index, &terms, 50);
     }
@@ -1211,7 +954,7 @@ mod tests {
             index.add_document("spotless lobby carpet", &mut vocab);
         }
         let term = vocab.get("spotless").unwrap();
-        let hits = index.search_terms(&[term], 5, &Bm25Params::default());
+        let hits = index.search_terms(&[term], 5);
         let ids: Vec<u32> = hits.iter().map(|h| h.doc.0).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
         assert_paths_agree(&index, &[term], 5);
@@ -1220,14 +963,13 @@ mod tests {
     #[test]
     fn stored_block_bounds_are_true_upper_bounds() {
         let (_, index, terms) = skewed(1000, 16);
-        let params = Bm25Params::default();
         for &term in &terms {
-            let blocks = index.term_blocks(term, &params);
+            let blocks = index.term_blocks(term);
             assert!(!blocks.is_empty());
             for (first, last, bound) in blocks {
                 for &(doc, _) in index.term_postings(term) {
                     if doc >= first && doc <= last {
-                        let score = index.bm25(doc, &[term], &params);
+                        let score = index.bm25(doc, &[term]);
                         assert!(
                             score <= bound,
                             "doc {doc:?} scores {score} above its block bound {bound}"
@@ -1239,63 +981,11 @@ mod tests {
     }
 
     #[test]
-    fn adding_a_document_extends_the_frozen_blocks_incrementally() {
-        let (mut vocab, mut index) = build();
-        let term = vocab.get("clean").unwrap();
-        let before = index.term_blocks(term, &Bm25Params::default());
-        index.add_document("clean clean clean clean again", &mut vocab);
-        let after = index.term_blocks(term, &Bm25Params::default());
-        assert_ne!(before.len(), 0);
-        assert_eq!(
-            after.last().unwrap().1,
-            DocId(4),
-            "new doc must appear in the extended blocks"
-        );
-        assert_paths_agree(&index, &[term], 3);
-    }
-
-    #[test]
-    fn incremental_append_keeps_sealed_blocks_and_grows_the_tail() {
-        let (mut vocab, mut index, terms) = skewed(257, 64);
-        index.freeze();
-        let sealed_before: Vec<(DocId, DocId, f64)> = index
-            .term_blocks(terms[0], &Bm25Params::default())
-            .into_iter()
-            .collect();
-        index.add_document("clean room clean appended", &mut vocab);
-        let after = index.term_blocks(terms[0], &Bm25Params::default());
-        // Sealed block boundaries are untouched; only the tail moved.
-        for (b, a) in sealed_before
-            .iter()
-            .zip(&after)
-            .take(sealed_before.len() - 1)
-        {
-            assert_eq!(b.0, a.0, "sealed block first doc must not move");
-            assert_eq!(b.1, a.1, "sealed block last doc must not move");
-        }
-        assert_eq!(after.last().unwrap().1, DocId(257));
-        // The summary-derived bounds still dominate member scores.
-        let params = Bm25Params::default();
-        for &term in &terms {
-            for (first, last, bound) in index.term_blocks(term, &params) {
-                for &(doc, _) in index.term_postings(term) {
-                    if doc >= first && doc <= last {
-                        let score = index.bm25(doc, &[term], &params);
-                        assert!(
-                            score <= bound,
-                            "doc {doc:?} scores {score} above its post-append bound {bound}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn interleaved_adds_and_searches_stay_bit_identical() {
-        // Grow a corpus while searching between appends: every search
-        // over the incrementally maintained freeze must stay
-        // bit-identical to the exhaustive scorer over the same state.
+        // Grow a corpus while searching between appends: every append
+        // drops the freeze, so every search rebuilds it over the new
+        // statistics and must stay bit-identical to the exhaustive
+        // scorer over the same state.
         let mut vocab = Vocab::new();
         let mut index = InvertedIndex::new();
         index.set_block_size(4);
@@ -1323,49 +1013,19 @@ mod tests {
                 }
             }
         }
-        // A refreeze restores exact bounds and stays bit-identical.
-        index.refreeze();
-        let terms: Vec<WordId> = ["clean", "room"]
-            .iter()
-            .filter_map(|t| vocab.get(t))
-            .collect();
-        for k in [1, 5, 48] {
-            assert_paths_agree(&index, &terms, k);
-        }
     }
 
     #[test]
     fn appends_that_introduce_new_terms_extend_the_freeze() {
         let (mut vocab, mut index) = build();
         index.freeze();
+        // The add drops the freeze; the search rebuilds it with the new
+        // term's list in it.
         index.add_document("entirely novel wording here", &mut vocab);
         let novel = vocab.get("novel").unwrap();
-        let hits = index.search_terms(&[novel], 5, &Bm25Params::default());
+        let hits = index.search_terms(&[novel], 5);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].doc, DocId(4));
         assert_paths_agree(&index, &[novel], 5);
-    }
-
-    #[test]
-    fn non_default_params_recompute_valid_bounds() {
-        let (_, index, terms) = skewed(500, 16);
-        let params = Bm25Params { k1: 0.9, b: 0.4 };
-        let wand = index.search_terms(&terms, 7, &params);
-        let exhaustive = index.search_terms_exhaustive(&terms, 7, &params);
-        assert_eq!(wand.len(), exhaustive.len());
-        for (w, e) in wand.iter().zip(&exhaustive) {
-            assert_eq!(w.doc, e.doc);
-            assert_eq!(w.score.to_bits(), e.score.to_bits());
-        }
-        // And the recomputed bounds still dominate member scores.
-        for &term in &terms {
-            for (first, last, bound) in index.term_blocks(term, &params) {
-                for &(doc, _) in index.term_postings(term) {
-                    if doc >= first && doc <= last {
-                        assert!(index.bm25(doc, &[term], &params) <= bound);
-                    }
-                }
-            }
-        }
     }
 }

@@ -16,6 +16,6 @@ pub mod index;
 
 pub use expansion::expand_query;
 pub use index::{
-    bm25_term_score, Bm25Params, DocId, InvertedIndex, RetrievalStats, SearchHit,
+    bm25_term_score, DocId, InvertedIndex, RetrievalStats, SearchHit, BM25_B, BM25_K1,
     DEFAULT_BLOCK_SIZE,
 };

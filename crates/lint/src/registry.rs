@@ -64,8 +64,9 @@ pub const COUNTER_ALIASES: &[(&str, &str)] = &[
 
 /// Files whose loops are data-proportional (per-document / per-block /
 /// per-posting work): top-k pivoting, WAND block skipping, summary
-/// merging, degree-column builds and repairs, the executor's row loop
-/// and hash joins, and the parallel worker shim. Loops of consequence
+/// merging, the qualified fold and the reference's rescan,
+/// degree-column builds and repairs, the executor's row loop and hash
+/// joins, and the parallel worker shim. Loops of consequence
 /// here must hit `Deadline::checkpoint()`.
 pub const HOT_LOOP_FILES: &[&str] = &[
     "crates/store/src/exec.rs",
@@ -74,6 +75,8 @@ pub const HOT_LOOP_FILES: &[&str] = &[
     "crates/core/src/column.rs",
     "crates/core/src/db.rs",
     "crates/core/src/ingest.rs",
+    "crates/core/src/qualified.rs",
+    "crates/core/src/reference.rs",
     "crates/core/src/par.rs",
     "crates/ir/src/index.rs",
 ];

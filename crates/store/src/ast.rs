@@ -153,7 +153,8 @@ impl ReviewQualifier {
 
     /// The reference semantics: does a review published in `year` by an
     /// author with `reviewer_count` total reviews qualify? Every
-    /// evaluation path (bucket merge, raw rescan) must agree with this.
+    /// evaluation path (the engine's fold, the reference's rescan) calls
+    /// this.
     pub fn accepts(&self, year: u32, reviewer_count: u32) -> bool {
         self.min_year.is_none_or(|y| year >= y)
             && self.max_year.is_none_or(|y| year <= y)

@@ -736,14 +736,10 @@ fn objective_bitmap(
                 // The conjunct's canonical rendering is injective, so it
                 // keys the table's selection-vector cache: a repeated
                 // objective filter costs a hash probe, not an O(rows)
-                // column scan. Rows appended since the cached bitmap
-                // was stamped are evaluated one at a time with the same
-                // NULL/incomparable-is-false semantics as the kernel.
-                let bitmap = base.cached_filter(
-                    &expr.to_string(),
-                    || base.column(slot).compare_bitmap(op, lit),
-                    |i| op.evaluate(base.value(i, slot).compare(&ValueRef::from(lit))),
-                );
+                // column scan.
+                let bitmap = base.cached_filter(&expr.to_string(), || {
+                    base.column(slot).compare_bitmap(op, lit)
+                });
                 candidates.and_assign(&bitmap);
                 continue;
             }

@@ -26,27 +26,17 @@ const FILTER_CACHE_CAP: usize = 64;
 /// Re-running the paper's `price_pn < 150 and "clean rooms"` should not
 /// re-scan the price column every time: the vectorized comparison is
 /// O(rows) per conjunct, while a warm hit is a hash probe + `Arc`
-/// clone. Entries are length-stamped rather than positionally fragile:
-/// tables are append-only, so a bitmap computed at `valid_len` rows is
-/// still exact for its prefix after inserts — lookups extend it by
-/// evaluating only the suffix rows instead of re-scanning the column.
+/// clone. A bitmap is exact for the rows the table held when it was
+/// built, so [`Table::insert`] drops them all; catalog tables are never
+/// inserted into once assembled (serve-time INSERTs ride the overlay).
 #[derive(Debug, Default)]
 struct FilterCache {
     inner: RwLock<FilterCacheInner>,
 }
 
-/// One cached selection bitmap plus the table length it was computed
-/// at. `bitmap.len() == valid_len` always; a lookup at a larger table
-/// length appends the missing suffix bits and re-stamps.
-#[derive(Debug, Clone)]
-struct CachedFilter {
-    valid_len: usize,
-    bitmap: Arc<Bitmap>,
-}
-
 #[derive(Debug, Default)]
 struct FilterCacheInner {
-    map: HashMap<String, CachedFilter>,
+    map: HashMap<String, Arc<Bitmap>>,
     order: VecDeque<String>,
 }
 
@@ -158,9 +148,8 @@ impl Table {
             column.push(v);
         }
         self.len += 1;
-        // Cached selection bitmaps stay valid for their stamped prefix:
-        // the table is append-only, so lookups extend them lazily over
-        // the new suffix rows instead of re-scanning whole columns.
+        // Every cached selection bitmap is one row short now.
+        self.filters = FilterCache::default();
         Ok(())
     }
 
@@ -168,17 +157,7 @@ impl Table {
     /// cached (bounded, FIFO eviction), and returned. `key` must
     /// determine the bitmap — the executor uses the conjunct's
     /// canonical `Expr` rendering, which is injective.
-    ///
-    /// An entry stamped at a shorter table length (rows were appended
-    /// since it was built) is *extended*, not rebuilt: `eval_row(i)` is
-    /// called for each suffix row only, and must agree with `build()`'s
-    /// per-row semantics.
-    pub fn cached_filter(
-        &self,
-        key: &str,
-        build: impl FnOnce() -> Bitmap,
-        eval_row: impl Fn(usize) -> bool,
-    ) -> Arc<Bitmap> {
+    pub fn cached_filter(&self, key: &str, build: impl FnOnce() -> Bitmap) -> Arc<Bitmap> {
         let hit = self
             .filters
             .inner
@@ -187,48 +166,23 @@ impl Table {
             .map
             .get(key)
             .cloned();
-        let extended = match hit {
-            Some(entry) if entry.valid_len == self.len => return entry.bitmap,
-            Some(entry) if entry.valid_len < self.len => {
-                let mut bitmap = (*entry.bitmap).clone();
-                for i in entry.valid_len..self.len {
-                    bitmap.push(eval_row(i));
-                }
-                Arc::new(bitmap)
-            }
-            // Cold, or (defensively) stamped beyond our length — a full
-            // rebuild is always correct.
-            _ => Arc::new(build()),
-        };
+        if let Some(bitmap) = hit {
+            return bitmap;
+        }
+        let built = Arc::new(build());
         let mut guard = self.filters.inner.write().expect("filter cache lock");
         let inner = &mut *guard;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                // Keep whichever copy is newest (a racing extender may
-                // have stamped a longer prefix already).
-                if entry.valid_len < self.len {
-                    entry.valid_len = self.len;
-                    entry.bitmap = extended.clone();
-                }
-                entry.bitmap.clone()
-            }
-            None => {
-                if inner.map.len() >= FILTER_CACHE_CAP {
-                    if let Some(oldest) = inner.order.pop_front() {
-                        inner.map.remove(&oldest);
-                    }
-                }
-                inner.map.insert(
-                    key.to_string(),
-                    CachedFilter {
-                        valid_len: self.len,
-                        bitmap: extended.clone(),
-                    },
-                );
-                inner.order.push_back(key.to_string());
-                extended
+        if let Some(raced) = inner.map.get(key) {
+            return raced.clone();
+        }
+        if inner.map.len() >= FILTER_CACHE_CAP {
+            if let Some(oldest) = inner.order.pop_front() {
+                inner.map.remove(&oldest);
             }
         }
+        inner.map.insert(key.to_string(), built.clone());
+        inner.order.push_back(key.to_string());
+        built
     }
 
     /// Row views in insertion order.
@@ -370,58 +324,44 @@ mod tests {
     }
 
     #[test]
-    fn filter_cache_hits_and_extends_on_insert() {
+    fn filter_cache_is_dropped_on_insert() {
         let mut t = table();
         t.insert(vec![Value::text("A"), Value::Float(100.0)])
             .unwrap();
         t.insert(vec![Value::text("B"), Value::Float(200.0)])
             .unwrap();
         let mut builds = 0;
-        let price_lt_150 = |t: &Table, i: usize| t.value(i, 1).as_f64().unwrap() < 150.0;
         let build = |t: &Table, builds: &mut i32| {
             let mut b = Bitmap::new(t.len());
             for i in 0..t.len() {
-                if price_lt_150(t, i) {
+                if t.value(i, 1).as_f64().unwrap() < 150.0 {
                     b.set(i);
                 }
             }
             *builds += 1;
             b
         };
-        let first = t.cached_filter(
-            "price < 150",
-            || build(&t, &mut builds),
-            |i| price_lt_150(&t, i),
-        );
-        let second = t.cached_filter(
-            "price < 150",
-            || build(&t, &mut builds),
-            |i| price_lt_150(&t, i),
-        );
+        let first = t.cached_filter("price < 150", || build(&t, &mut builds));
+        let second = t.cached_filter("price < 150", || build(&t, &mut builds));
         assert_eq!(builds, 1, "second lookup must hit the cache");
         assert!(Arc::ptr_eq(&first, &second));
-        // Appends extend the stamped prefix instead of rebuilding: the
-        // suffix rows are evaluated one at a time, no column re-scan.
+        // An insert drops the cache: the next lookup misses and builds
+        // over every row, the same bits a fresh scan gives.
         t.insert(vec![Value::text("C"), Value::Float(50.0)])
             .unwrap();
         t.insert(vec![Value::text("D"), Value::Float(300.0)])
             .unwrap();
-        let extended = t.cached_filter(
-            "price < 150",
-            || build(&t, &mut builds),
-            |i| price_lt_150(&t, i),
+        let rebuilt = t.cached_filter("price < 150", || build(&t, &mut builds));
+        assert_eq!(builds, 2, "insert must drop the cached bitmap");
+        assert_eq!(
+            *rebuilt,
+            build(&t, &mut builds),
+            "same bits as a fresh scan"
         );
-        assert_eq!(builds, 1, "append must extend, not rebuild");
-        assert_eq!(extended.count_ones(), 2, "A and C pass the filter");
-        assert!(extended.get(0) && !extended.get(1) && extended.get(2) && !extended.get(3));
-        // The extended entry is re-stamped: the next lookup is a plain hit.
-        let warm = t.cached_filter(
-            "price < 150",
-            || build(&t, &mut builds),
-            |i| price_lt_150(&t, i),
-        );
-        assert_eq!(builds, 1);
-        assert!(Arc::ptr_eq(&extended, &warm));
+        assert_eq!(rebuilt.count_ones(), 2, "A and C pass the filter");
+        let warm = t.cached_filter("price < 150", || build(&t, &mut builds));
+        assert_eq!(builds, 3);
+        assert!(Arc::ptr_eq(&rebuilt, &warm));
     }
 
     #[test]

@@ -113,7 +113,7 @@ proptest! {
         for d in &docs {
             index.add_document(d, &mut vocab);
         }
-        let hits = index.search(&query, 10, &vocab, &opinedb::ir::Bm25Params::default());
+        let hits = index.search(&query, 10, &vocab);
         for w in hits.windows(2) {
             prop_assert!(w[0].score >= w[1].score);
         }

@@ -2,11 +2,12 @@
 //!
 //! Three evaluation routes must agree *bit-for-bit* on every degree:
 //!
-//! 1. **bucket merge** — `OpineDb::summaries_qualified`, merging the
-//!    build-time `(year, reviewer-degree bucket)` partial summaries
-//!    (with straddle refinement for thresholds that cut a bucket);
+//! 1. **fold** — `OpineDb::summaries_qualified`, one pass over each
+//!    cell's raw occurrences adding the tabulated per-variation
+//!    assignment of every occurrence the qualifier accepts;
 //! 2. **raw rescan** — `OpineDb::summaries_with_review_filter` over the
-//!    qualifier's reference closure (`ReviewQualifier::accepts`);
+//!    qualifier's reference closure (`ReviewQualifier::accepts`), which
+//!    resolves every occurrence against the markers from scratch;
 //! 3. **trivial qualifier** — `with reviews()` over all reviews, which
 //!    must reproduce the unqualified build-time summaries and the
 //!    unqualified query answers.
@@ -16,8 +17,8 @@
 //!
 //! Under live ingest route 1 splits in two that must still agree with
 //! route 2 at every epoch: the **repaired** set (a cached set brought
-//! to the new epoch by re-aggregating only the entities that changed)
-//! and the **cold** set (base bucket merge, then the same repair).
+//! to the new epoch by folding again only the entities that changed)
+//! and the **cold** set (every entity folded at the pinned epoch).
 
 use opinedb::core::{build, BuildConfig, OpineDb};
 use opinedb::corpus::hotel::hotel_spec;
@@ -31,10 +32,6 @@ fn env_usize(key: &str, default: usize) -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-fn qualified_db() -> OpineDb {
-    qualified_corpus_and_db().1
 }
 
 fn qualified_corpus_and_db() -> (Corpus, OpineDb) {
@@ -74,10 +71,15 @@ fn run(db: &OpineDb, sql: &str) -> ResultSet {
     .into_result_set()
 }
 
-fn db() -> &'static OpineDb {
+/// The shared read-only fixture of the tests that insert nothing.
+fn fixture() -> &'static (Corpus, OpineDb) {
     use std::sync::OnceLock;
-    static DB: OnceLock<OpineDb> = OnceLock::new();
-    DB.get_or_init(qualified_db)
+    static FIXTURE: OnceLock<(Corpus, OpineDb)> = OnceLock::new();
+    FIXTURE.get_or_init(qualified_corpus_and_db)
+}
+
+fn db() -> &'static OpineDb {
+    &fixture().1
 }
 
 /// Degrees of one predicate for all entities over a summary set.
@@ -91,38 +93,45 @@ where
 }
 
 proptest! {
-    /// Bucket-merged and raw-rescanned summaries agree bit-for-bit for
-    /// arbitrary year ranges and degree thresholds (including
-    /// non-power-of-two thresholds, which cut through a log2 bucket and
-    /// exercise the straddle refinement).
+    /// Folded and raw-rescanned summaries agree bit-for-bit for
+    /// arbitrary qualifiers: either year bound present or absent, and
+    /// degree thresholds from 1 to one past the most prolific reviewer's
+    /// count (which no review meets: the empty set).
     #[test]
-    fn bucket_merge_equals_raw_rescan(
+    fn fold_equals_raw_rescan(
         min_year in 2004u32..2021,
         span in 0u32..16,
-        min_count in 1u32..12,
+        use_min_year in prop::sample::select(vec![false, true]),
+        use_max_year in prop::sample::select(vec![false, true]),
+        count_draw in 0u32..1000,
         use_count in prop::sample::select(vec![false, true]),
     ) {
-        let db = db();
+        let (corpus, db) = fixture();
+        let max_count = *corpus.reviewer_counts().values().max().unwrap() as u32;
+        let min_count = 1 + count_draw % (max_count + 1);
         let q = ReviewQualifier {
-            min_year: Some(min_year),
-            max_year: Some(min_year + span),
+            min_year: use_min_year.then_some(min_year),
+            max_year: use_max_year.then_some(min_year + span),
             min_reviewer_count: use_count.then_some(min_count),
         };
-        let merged = db.summaries_qualified(&q);
+        let folded = db.summaries_qualified(&q);
         let rebuilt = db.summaries_with_review_filter(|m| {
             q.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
         });
         for e in 0..db.num_entities() {
             for a in 0..db.attributes.len() {
                 prop_assert!(
-                    merged[e][a].same_aggregates(&rebuilt[e][a]),
+                    folded[e][a].same_aggregates(&rebuilt[e][a]),
                     "{q} entity {e} attr {a}"
                 );
+                if use_count && min_count > max_count {
+                    prop_assert!(folded[e][a].total == 0.0, "{q} accepts no review");
+                }
             }
         }
-        let d_merged = degrees(db, &merged);
+        let d_folded = degrees(db, &folded);
         let d_rebuilt = degrees(db, &rebuilt);
-        for (a, b) in d_merged.iter().zip(&d_rebuilt) {
+        for (a, b) in d_folded.iter().zip(&d_rebuilt) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -184,7 +193,7 @@ fn qualified_execution_matches_rebuild_reference_scores() {
         "select * from hotels where \"clean rooms\" \
          with reviews(year >= 2011, reviewer_min_count >= 3) limit 20",
     );
-    // The statement rode the bucket merge (or its cached set); the
+    // The statement rode the fold (or its cached set); the
     // engine is shared with this binary's other tests, so the counters
     // are only known to move.
     let after = db.cache_report();
@@ -216,13 +225,16 @@ where
         .sum()
 }
 
+/// The two engine routes to a qualified set at one epoch.
+const ROUTES: [&str; 2] = ["repaired", "cold"];
+
 /// Repaired set == cold set == raw rescan for every qualifier, by
-/// every accumulator; returns the repaired sets.
+/// every accumulator; returns each qualifier's sets in [`ROUTES`] order.
 fn assert_routes_agree(
     db: &OpineDb,
     qualifiers: &[ReviewQualifier],
     label: &str,
-) -> Vec<opinedb::core::QualifiedSummaries> {
+) -> Vec<[opinedb::core::QualifiedSummaries; 2]> {
     // The cached sets are the previous call's cold ones, an epoch or
     // more old: these calls repair them.
     let repaired: Vec<_> = qualifiers
@@ -230,20 +242,19 @@ fn assert_routes_agree(
         .map(|q| db.summaries_qualified(q))
         .collect();
     db.clear_filtered_summaries();
-    for (q, repaired) in qualifiers.iter().zip(&repaired) {
-        let cold = db.summaries_qualified(q);
+    let mut sets = Vec::with_capacity(qualifiers.len());
+    for (q, repaired) in qualifiers.iter().zip(repaired) {
+        let routes = [repaired, db.summaries_qualified(q)];
         let rescan = db.summaries_with_review_filter(|m| {
             q.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
         });
         for e in 0..db.num_entities() {
             for a in 0..db.attributes.len() {
                 let reference = &rescan[e][a];
-                for (route, got) in [("repaired", &repaired[e][a]), ("cold", &cold[e][a])] {
+                for (route, set) in ROUTES.iter().zip(&routes) {
+                    let got = &set[e][a];
                     assert!(
-                        got.quantized_counts() == reference.quantized_counts()
-                            && got.quantized_sentiments() == reference.quantized_sentiments()
-                            && got.total.to_bits() == reference.total.to_bits()
-                            && got.unmatched.to_bits() == reference.unmatched.to_bits(),
+                        got.same_aggregates(reference),
                         "{label}: {route} set of {q}, entity {e} attr {a}: \
                          {:?}/{} vs rescan {:?}/{}",
                         got.counts(),
@@ -254,8 +265,9 @@ fn assert_routes_agree(
                 }
             }
         }
+        sets.push(routes);
     }
-    repaired
+    sets
 }
 
 #[test]
@@ -290,6 +302,12 @@ fn repaired_and_cold_sets_equal_the_rescan_across_inserts_and_merges() {
             max_year: None,
             min_reviewer_count: Some(base_count as u32 + 1),
         };
+        // One further out: only two delta reviews take the reviewer
+        // across it, the second of them after a merge.
+        let crossing_later = ReviewQualifier {
+            min_reviewer_count: Some(base_count as u32 + 2),
+            ..crossing
+        };
         let qualifiers = [
             ReviewQualifier {
                 min_year: Some(2012),
@@ -303,7 +321,12 @@ fn repaired_and_cold_sets_equal_the_rescan_across_inserts_and_merges() {
                 min_reviewer_count: Some(2),
             },
             ReviewQualifier::default(),
+            crossing_later,
         ];
+        // The witness's phrase mass under `qualifiers[q]`, per route.
+        let witness_totals = |sets: &[[opinedb::core::QualifiedSummaries; 2]], q: usize| {
+            [0, 1].map(|route| entity_total(&db, &sets[q][route], witness))
+        };
 
         let phrase = |attr: usize, v: usize| db.opinion_domain(attr).variations()[v].phrase.clone();
         let key = |e: usize| db.entity_key(e).to_string();
@@ -334,9 +357,17 @@ fn repaired_and_cold_sets_equal_the_rescan_across_inserts_and_merges() {
         ))
         .unwrap();
         let after = assert_routes_agree(&db, &qualifiers, "base reviewer returns");
-        assert!(
-            entity_total(&db, &after[1], witness) > entity_total(&db, &before[1], witness),
-            "reviewer {returning}'s base review of entity {witness} must start to qualify"
+        for (route, name) in ROUTES.iter().enumerate() {
+            assert!(
+                witness_totals(&after, 1)[route] > witness_totals(&before, 1)[route],
+                "{name} set: reviewer {returning}'s base review of entity {witness} must \
+                 start to qualify"
+            );
+        }
+        assert_eq!(
+            witness_totals(&after, 4),
+            witness_totals(&before, 4),
+            "one review short of the later threshold"
         );
 
         // A delta reviewer returns (its first review, of entity 0, now
@@ -376,9 +407,21 @@ fn repaired_and_cold_sets_equal_the_rescan_across_inserts_and_merges() {
             phrase(0, 1)
         ))
         .unwrap();
-        assert_routes_agree(&db, &qualifiers, "after the merge");
+        // That was the returning reviewer's second delta review: delta
+        // reviews alone carry it over the later threshold, and its base
+        // review of the witness — an entity no insert touched — starts
+        // to count in the repaired set and in the cold one, before the
+        // merge and after it.
+        let crossed = assert_routes_agree(&db, &qualifiers, "after the merge");
+        for (route, name) in ROUTES.iter().enumerate() {
+            assert!(
+                witness_totals(&crossed, 4)[route] > witness_totals(&after, 4)[route],
+                "{name} set: entity {witness} must gain reviewer {returning}'s base review"
+            );
+        }
         db.merge_delta().unwrap();
-        assert_routes_agree(&db, &qualifiers, "merged again");
+        let merged = assert_routes_agree(&db, &qualifiers, "merged again");
+        assert_eq!(witness_totals(&merged, 4), witness_totals(&crossed, 4));
 
         let report = db.cache_report();
         assert!(report.qualified_repairs > repairs);

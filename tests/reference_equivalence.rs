@@ -3,7 +3,7 @@
 //! `OpineDb::reference()` scores row at a time through the unsplit
 //! specification functions and touches no cache; the engine answers the
 //! same statements through TA ranking, the objective pushdown, degree
-//! columns and their per-entity repair, the bucket merge and its repair.
+//! columns and their per-entity repair, the qualified fold and its repair.
 //! Whatever the statement shape and whatever state the caches are in,
 //! the two must return the same rows in the same order with bit-equal
 //! scores.

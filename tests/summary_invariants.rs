@@ -96,9 +96,9 @@ proptest! {
     /// partition of the phrases and merging them — in any order — is
     /// bit-identical to the from-scratch build over all phrases.
     /// Fixed-point accumulation makes merge exactly associative and
-    /// commutative, which is what lets the engine answer review-
-    /// qualified queries by merging per-bucket partials instead of
-    /// re-aggregating raw occurrences.
+    /// commutative, which is what lets the engine merge a live delta
+    /// cell's summary into the build-time one, and fold a qualified
+    /// summary in storage order, with the reference's bits.
     #[test]
     fn merge_of_partition_is_bit_identical_to_from_scratch(
         phrases in prop::collection::vec(

@@ -19,7 +19,7 @@ use opinedb::core::{build, BuildConfig, OpineDb};
 use opinedb::corpus::hotel::hotel_spec;
 use opinedb::corpus::{Corpus, CorpusConfig};
 use opinedb::embed::Word2VecConfig;
-use opinedb::ir::{Bm25Params, InvertedIndex, SearchHit};
+use opinedb::ir::{InvertedIndex, SearchHit};
 use opinedb::text::Vocab;
 use proptest::prelude::*;
 
@@ -96,9 +96,8 @@ proptest! {
     ) {
         let (_, index, ids) = build_index(&docs, 12, block_size);
         let terms: Vec<_> = query.iter().map(|&q| ids[q]).collect();
-        let params = Bm25Params::default();
-        let wand = index.search_terms(&terms, k, &params);
-        let exhaustive = index.search_terms_exhaustive(&terms, k, &params);
+        let wand = index.search_terms(&terms, k);
+        let exhaustive = index.search_terms_exhaustive(&terms, k);
         assert_bit_identical(
             &wand,
             &exhaustive,
@@ -121,9 +120,8 @@ proptest! {
         let docs: Vec<Vec<u8>> = (0..num_docs).map(|_| vec![0, 1, 1]).collect();
         let (_, index, ids) = build_index(&docs, 2, block_size);
         let terms = [ids[0], ids[1]];
-        let params = Bm25Params::default();
-        let wand = index.search_terms(&terms, k, &params);
-        let exhaustive = index.search_terms_exhaustive(&terms, k, &params);
+        let wand = index.search_terms(&terms, k);
+        let exhaustive = index.search_terms_exhaustive(&terms, k);
         assert_bit_identical(&wand, &exhaustive, &format!("n={num_docs} k={k}"))?;
         // Ties resolve to the smallest doc ids, in ascending order.
         let expect: Vec<u32> = (0..num_docs.min(k) as u32).collect();
@@ -142,16 +140,15 @@ proptest! {
     ) {
         let (_, index, ids) = build_index(&docs, 6, 4);
         let terms: Vec<_> = std::iter::repeat_n(ids[term], copies).collect();
-        let params = Bm25Params::default();
-        let wand = index.search_terms(&terms, k, &params);
-        let exhaustive = index.search_terms_exhaustive(&terms, k, &params);
+        let wand = index.search_terms(&terms, k);
+        let exhaustive = index.search_terms_exhaustive(&terms, k);
         assert_bit_identical(&wand, &exhaustive, &format!("copies={copies} k={k}"))?;
     }
 
-    /// Interleaved add/search: appending documents to an already-frozen
-    /// index keeps sealed blocks and maintains the freeze incrementally,
-    /// and every search between appends stays bit-identical to the
-    /// exhaustive scorer over the same corpus state.
+    /// Interleaved add/search: a document added to an already-frozen
+    /// index drops the freeze, so every search between appends runs
+    /// over blocks rebuilt for the new corpus statistics and stays
+    /// bit-identical to the exhaustive scorer over the same state.
     #[test]
     fn interleaved_adds_and_searches_stay_bit_identical(
         initial in prop::collection::vec(prop::collection::vec(0u8..10, 1..8), 1..24),
@@ -161,10 +158,7 @@ proptest! {
         block_size in 1usize..6,
     ) {
         let (mut vocab, mut index, ids) = build_index(&initial, 10, block_size);
-        // Freeze now, then append — the sealed prefix must never be
-        // rebuilt, only the unsealed tail and the idf scalars move.
         index.freeze();
-        let params = Bm25Params::default();
         let terms: Vec<_> = query.iter().map(|&q| ids[q]).collect();
         for doc in &appended {
             let text = doc
@@ -173,39 +167,18 @@ proptest! {
                 .collect::<Vec<_>>()
                 .join(" ");
             index.add_document(&text, &mut vocab);
-            let wand = index.search_terms(&terms, k, &params);
-            let exhaustive = index.search_terms_exhaustive(&terms, k, &params);
+            let wand = index.search_terms(&terms, k);
+            let exhaustive = index.search_terms_exhaustive(&terms, k);
             assert_bit_identical(
                 &wand,
                 &exhaustive,
                 &format!(
-                    "incremental: base={} appended_len={} k={k} block={block_size}",
+                    "base={} appended_len={} k={k} block={block_size}",
                     initial.len(),
                     doc.len()
                 ),
             )?;
         }
-        // Post-append block bounds still dominate member scores.
-        for &term in &ids {
-            let postings = index.term_postings(term);
-            for (first, last, bound) in index.term_blocks(term, &params) {
-                for &(doc, _) in postings {
-                    if doc >= first && doc <= last {
-                        let score = index.bm25(doc, &[term], &params);
-                        prop_assert!(
-                            score <= bound,
-                            "doc {:?} scores {} above its post-append bound {}",
-                            doc, score, bound
-                        );
-                    }
-                }
-            }
-        }
-        // A full refreeze restores exact bounds bit-identically.
-        index.refreeze();
-        let wand = index.search_terms(&terms, k, &params);
-        let exhaustive = index.search_terms_exhaustive(&terms, k, &params);
-        assert_bit_identical(&wand, &exhaustive, "after refreeze")?;
     }
 
     /// No block's stored max-impact bound is ever exceeded by a member
@@ -216,14 +189,13 @@ proptest! {
         block_size in 1usize..7,
     ) {
         let (_, index, ids) = build_index(&docs, 8, block_size);
-        let params = Bm25Params::default();
         for &term in &ids {
-            let blocks = index.term_blocks(term, &params);
+            let blocks = index.term_blocks(term);
             let postings = index.term_postings(term);
             for (first, last, bound) in blocks {
                 for &(doc, _) in postings {
                     if doc >= first && doc <= last {
-                        let score = index.bm25(doc, &[term], &params);
+                        let score = index.bm25(doc, &[term]);
                         prop_assert!(
                             score <= bound,
                             "doc {:?} scores {} above its block bound {}",
@@ -305,13 +277,12 @@ const PIPELINE_PREDICATES: [&str; 6] = [
 fn assert_interpreter_retrieval_matches(db: &OpineDb, predicate: &str) {
     let index = db.interpreter().review_index();
     let k = db.interpreter().config().top_k_reviews * 4;
-    let params = Bm25Params::default();
     let terms: Vec<_> = opinedb::text::tokenize(predicate)
         .iter()
         .filter_map(|t| db.vocab().get(t))
         .collect();
-    let wand = index.search_terms(&terms, k, &params);
-    let exhaustive = index.search_terms_exhaustive(&terms, k, &params);
+    let wand = index.search_terms(&terms, k);
+    let exhaustive = index.search_terms_exhaustive(&terms, k);
     assert!(!wand.is_empty(), "{predicate:?} retrieves reviews");
     assert_bit_identical(&wand, &exhaustive, predicate).expect("bit-identical retrieval");
 }
