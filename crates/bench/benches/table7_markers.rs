@@ -6,11 +6,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use opine_bench::{banner, build_db, hotel_corpus, opine_rank, opine_rank_with, restaurant_corpus};
 use opine_core::membership::{marker_features, scan_features};
-use opine_core::topk::{full_scan_topk_dense, threshold_topk};
+use opine_core::reference::full_scan_topk_dense;
+use opine_core::topk::threshold_topk;
 use opine_core::OpineDb;
 use opine_corpus::workload::{build_workload, hotel_workload, restaurant_workload};
 use opine_corpus::Corpus;
 use opine_eval::{generate_queries, workload_quality, EvalQuery, ObjectiveFilter};
+use opine_store::{FuzzyAlgebra, Residue};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -132,10 +134,19 @@ fn bench(c: &mut Criterion) {
     let columns: Vec<_> = preds.iter().map(|p| hotel_db.degree_column(p)).collect();
     let degrees: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
     let orders: Vec<&[u32]> = columns.iter().map(|c| c.sorted_order()).collect();
-    assert_eq!(
-        threshold_topk(&degrees, &orders, TOP_K, |_| true),
-        full_scan_topk_dense(&degrees, TOP_K)
-    );
+    let conjunction = Residue::conjunction(preds.len()).expect("three leaves");
+    let ta = || {
+        threshold_topk(
+            &degrees,
+            &orders,
+            &conjunction,
+            FuzzyAlgebra::Product,
+            TOP_K,
+            |_| true,
+        )
+    };
+    let full_scan = || full_scan_topk_dense(&degrees, &conjunction, FuzzyAlgebra::Product, TOP_K);
+    assert_eq!(ta(), full_scan());
     println!("threshold-algorithm top-{TOP_K} matches full scan on 3-predicate conjunction ✓");
 
     let mut group = c.benchmark_group("table7");
@@ -146,12 +157,8 @@ fn bench(c: &mut Criterion) {
     group.bench_function("degree_no_markers_scan", |b| {
         b.iter(|| black_box(hotel_db.reference().scan().degree(3, "clean rooms")))
     });
-    group.bench_function("threshold_topk", |b| {
-        b.iter(|| black_box(threshold_topk(&degrees, &orders, TOP_K, |_| true)))
-    });
-    group.bench_function("full_scan_topk", |b| {
-        b.iter(|| black_box(full_scan_topk_dense(&degrees, TOP_K)))
-    });
+    group.bench_function("threshold_topk", |b| b.iter(|| black_box(ta())));
+    group.bench_function("full_scan_topk", |b| b.iter(|| black_box(full_scan())));
     group.finish();
 }
 

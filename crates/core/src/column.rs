@@ -37,8 +37,9 @@ use std::sync::{Arc, OnceLock};
 /// The dense degree column of one predicate: one slot per entity, plus
 /// the descending-degree entity order (TA's sorted-access list),
 /// computed once on demand — by the first top-k that walks it, which
-/// the ranking plan arranges to be the column's first *reuse* — and
-/// reused by every subsequent top-k over the same predicate.
+/// the ranking plan arranges to be the column's first *reuse* — reused
+/// by every subsequent top-k over the same predicate, and carried over
+/// by a live-ingest repair.
 #[derive(Debug)]
 pub struct DegreeColumn {
     degrees: Vec<f64>,
@@ -87,14 +88,66 @@ impl DegreeColumn {
     /// A copy with the given `(entity, degree)` slots replaced — the
     /// live-ingest cache-repair path, which recomputes only the
     /// entities whose delta version moved past the cached column's
-    /// epoch stamp instead of rebuilding all of them. The sorted order
-    /// is recomputed lazily by the new column.
+    /// epoch stamp instead of rebuilding all of them.
+    ///
+    /// A column that had its sorted order keeps one. The old order is
+    /// sorted by the old `(descending_key, id)`, so a binary search by
+    /// old key finds where each updated entity leaves it and one by new
+    /// key where it re-enters (every other entity kept its key); the
+    /// new order is the old one copied in runs around those positions —
+    /// the order [`Self::sorted_order`] would compute from scratch, in
+    /// O(m log n) searches and one O(n) copy for m updates instead of
+    /// an O(n log n) sort at the next TA. Past n / 8 updates the
+    /// searches cost most of that sort (≈ 0.13 µs per update against
+    /// ≈ 55 µs per sort at 2 000 entities), so the column stays lazy, as
+    /// does a column without an order.
     fn patched(&self, updates: &[(usize, f64)]) -> DegreeColumn {
         let mut degrees = self.degrees.clone();
         for &(entity, degree) in updates {
             degrees[entity] = degree;
         }
-        DegreeColumn::new(degrees)
+        let mut moved: Vec<u32> = updates.iter().map(|&(e, _)| e as u32).collect();
+        moved.sort_unstable();
+        moved.dedup();
+        let order = match self.sorted.get() {
+            Some(order) if moved.len() <= order.len() / 8 => order,
+            _ => return DegreeColumn::new(degrees),
+        };
+        let old_key = |e: u32| (descending_key(self.degrees[e as usize]), e);
+        let mut leaves: Vec<usize> = moved
+            .iter()
+            .map(|&e| order.partition_point(|&x| old_key(x) < old_key(e)))
+            .collect();
+        leaves.sort_unstable();
+        let mut enters: Vec<(u64, u32)> = moved
+            .iter()
+            .map(|&e| (descending_key(degrees[e as usize]), e))
+            .collect();
+        enters.sort_unstable();
+
+        let mut merged = Vec::with_capacity(order.len());
+        let mut from = 0;
+        let mut leaves = leaves.into_iter().peekable();
+        for entering in enters {
+            opine_faults::checkpoint();
+            let at = order.partition_point(|&x| old_key(x) < entering);
+            while let Some(left) = leaves.next_if(|&left| left < at) {
+                merged.extend_from_slice(&order[from..left]);
+                from = left + 1;
+            }
+            merged.extend_from_slice(&order[from..at]);
+            merged.push(entering.1);
+            from = at;
+        }
+        for left in leaves {
+            merged.extend_from_slice(&order[from..left]);
+            from = left + 1;
+        }
+        merged.extend_from_slice(&order[from..]);
+        DegreeColumn {
+            degrees,
+            sorted: OnceLock::from(merged),
+        }
     }
 
     /// Whether [`Self::sorted_order`] has been computed for this column.
@@ -651,6 +704,50 @@ mod tests {
         ];
         for column in &columns {
             assert_eq!(column.sorted_order(), comparator_order(column).as_slice());
+        }
+    }
+
+    /// A repaired column's order is the order a fresh column over the
+    /// same degrees sorts, whatever the update count (none to every
+    /// entity), with ties and both zeros on both sides of the moves and
+    /// an entity updated twice. It is carried over up to n / 8 updates;
+    /// past that, and for a column without an order, it stays lazy.
+    #[test]
+    fn patched_order_equals_a_fresh_sort() {
+        let mut rng = StdRng::seed_from_u64(25);
+        let palette = [0.0, -0.0, 0.25, 0.5, 0.5, 1.0, f64::MIN_POSITIVE];
+        for n in [1usize, 2, 7, 60, 300] {
+            let degree = |rng: &mut StdRng| -> f64 {
+                if rng.gen::<f64>() < 0.5 {
+                    palette[rng.gen_range(0..palette.len())]
+                } else {
+                    rng.gen::<f64>()
+                }
+            };
+            let old = DegreeColumn::new((0..n).map(|_| degree(&mut rng)).collect());
+            let lazy = DegreeColumn::new(old.degrees().to_vec());
+            old.sorted_order();
+            let mut counts: Vec<usize> = (0..=n.min(12)).collect();
+            counts.extend([n / 2, n.saturating_sub(1), n]);
+            for m in counts {
+                let mut entities: Vec<usize> = (0..n).collect();
+                for i in 0..m {
+                    let j = rng.gen_range(i..n);
+                    entities.swap(i, j);
+                }
+                let mut updates: Vec<(usize, f64)> = entities[..m]
+                    .iter()
+                    .map(|&e| (e, degree(&mut rng)))
+                    .collect();
+                if let Some(&(e, _)) = updates.first() {
+                    updates.push((e, degree(&mut rng)));
+                }
+                let patched = old.patched(&updates);
+                assert_eq!(patched.has_order(), m <= n / 8, "n={n} m={m}");
+                let fresh = DegreeColumn::new(patched.degrees().to_vec());
+                assert_eq!(patched.sorted_order(), fresh.sorted_order(), "n={n} m={m}");
+                assert!(!lazy.patched(&updates).has_order(), "n={n} m={m}");
+            }
         }
     }
 }

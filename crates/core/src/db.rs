@@ -21,8 +21,8 @@ use opine_sentiment::SentimentAnalyzer;
 use opine_store::ast::ColumnRef;
 use opine_store::exec::{BoundLeaf, SubjectiveScorer};
 use opine_store::{
-    execute, parse_select, Bitmap, Catalog, FuzzyAlgebra, ResultSet, ReviewQualifier, ScoredRows,
-    Select, StoreError, Table, Value,
+    execute, parse_select, Bitmap, Catalog, FuzzyAlgebra, Residue, ResultSet, ReviewQualifier,
+    ScoredRows, Select, StoreError, Table, Value,
 };
 use opine_text::Vocab;
 use std::collections::HashMap;
@@ -732,8 +732,8 @@ impl OpineDb {
     }
 
     /// [`Self::query`] with an explicit fuzzy algebra (ablation hook).
-    /// Only the product algebra is ranked by the TA index; any other
-    /// scores candidate rows one at a time.
+    /// Either algebra takes the same plans: the ranking kernel combines
+    /// a statement's degrees under the algebra it is given.
     pub fn query_with_algebra(
         &self,
         sql: &str,
@@ -764,19 +764,25 @@ impl OpineDb {
     /// descending, entity id ascending on ties), including zero-degree
     /// entities when fewer than `k` score positively.
     pub fn rank_top_k(&self, predicates: &[&str], k: usize) -> Vec<(usize, f64)> {
-        self.rank_top_k_filtered(predicates, k, None)
+        match Residue::conjunction(predicates.len()) {
+            Some(residue) => {
+                self.rank_top_k_filtered(&residue, predicates, FuzzyAlgebra::Product, k, None)
+            }
+            None => Vec::new(),
+        }
     }
 
-    /// [`Self::rank_top_k`] among the set bits of `candidates` (the
-    /// executor's objective prefilter; every entity when `None`), and
-    /// the one place the ranking plan is chosen. Each predicate's column
-    /// is fetched once; then, the classic selection-vs-sorted-access
-    /// optimizer choice:
+    /// Top-k entities by `residue`'s degree under `algebra`, its leaf
+    /// `i` reading the degree column of `predicates[i]`, among the set
+    /// bits of `candidates` (the executor's objective prefilter; every
+    /// entity when `None`) — and the one place the ranking plan is
+    /// chosen. Each predicate's column is fetched once; then, the
+    /// classic selection-vs-sorted-access optimizer choice:
     ///
     /// * **scan** — read every candidate's degrees straight from the
     ///   dense columns, combine, select the k best
-    ///   ([`scan_topk`]). O(candidates · predicates), and needs no
-    ///   sorted order.
+    ///   ([`scan_topk`]). O(candidates · leaves), and needs no sorted
+    ///   order.
     /// * **sorted access** — the (filtered) threshold algorithm
     ///   ([`threshold_topk`]), which walks ~`k / selectivity` positions
     ///   of each column's sorted order and so needs every order built.
@@ -785,20 +791,24 @@ impl OpineDb {
     /// (`candidates² ≤ k · entities`, equating the two cost models;
     /// selective filters — the whole point of the pushdown — land
     /// there, while weak filters keep TA's early termination), and when
-    /// a conjunction of two or more predicates had to build one of its
+    /// a residue over two or more predicates had to build one of its
     /// columns just now: it has already paid Θ(entities) for the build,
     /// and sorting that column for a list TA reads a short prefix of
     /// costs more than one pass over all of them. The order is a
-    /// column's reward for being *reused*: the next conjunction that
-    /// finds it cached sorts it. A lone predicate keeps sorted access —
-    /// its answer is the order's prefix.
+    /// column's reward for being *reused*: the next statement that finds
+    /// it cached sorts it. A lone predicate keeps sorted access — its
+    /// answer is the order's prefix. A residue with a NOT is always
+    /// scanned: its degree falls as a leaf's rises, so no cursor bounds
+    /// an unseen entity.
     ///
     /// `candidates` indexes rows of a table with
     /// [`Self::rows_are_entities`], so a set bit, a column slot and a
     /// ranked id are the same number.
     pub fn rank_top_k_filtered(
         &self,
+        residue: &Residue,
         predicates: &[&str],
+        algebra: FuzzyAlgebra,
         k: usize,
         candidates: Option<&Bitmap>,
     ) -> Vec<(usize, f64)> {
@@ -822,7 +832,8 @@ impl OpineDb {
         let n = self.num_entities();
         let cand_count = candidates.map_or(n, Bitmap::count_ones);
         let few = cand_count.saturating_mul(cand_count) <= k.saturating_mul(n);
-        if few || (built && predicates.len() >= 2) {
+        let monotone = residue.is_monotone();
+        if few || !monotone || (built && columns.len() >= 2) {
             opine_trace::note(|| {
                 if few && candidates.is_some() {
                     return format!(
@@ -831,6 +842,8 @@ impl OpineDb {
                 }
                 let why = if few {
                     "k reaches them all"
+                } else if !monotone {
+                    "a NOT is not monotone, so no sorted-access bound holds"
                 } else {
                     "column built by this statement"
                 };
@@ -839,15 +852,15 @@ impl OpineDb {
             // Two instantiations on purpose, here and below: the
             // unfiltered loops compile without the candidate test.
             return match candidates {
-                None => scan_topk(&degrees, k, 0..n),
-                Some(bitmap) => scan_topk(&degrees, k, bitmap.iter_ones()),
+                None => scan_topk(&degrees, residue, algebra, k, 0..n),
+                Some(bitmap) => scan_topk(&degrees, residue, algebra, k, bitmap.iter_ones()),
             };
         }
         let orders: Vec<&[u32]> = columns.iter().map(|c| c.sorted_order()).collect();
         match candidates {
             None => {
                 opine_trace::note(|| format!("ta_topk: full TA over degree columns (k={k})"));
-                threshold_topk(&degrees, &orders, k, |_| true)
+                threshold_topk(&degrees, &orders, residue, algebra, k, |_| true)
             }
             Some(bitmap) => {
                 opine_trace::note(|| {
@@ -855,7 +868,9 @@ impl OpineDb {
                         "ta_topk: pushdown via restricted sorted access ({cand_count} candidates, k={k})"
                     )
                 });
-                threshold_topk(&degrees, &orders, k, |entity| bitmap.get(entity))
+                threshold_topk(&degrees, &orders, residue, algebra, k, |entity| {
+                    bitmap.get(entity)
+                })
             }
         }
     }
@@ -995,10 +1010,12 @@ impl SubjectiveScorer for OpineDb {
 
     /// Ranks entity ids, which are row positions of `base` only when
     /// [`Self::rows_are_entities`] says so; any other table is declined.
-    fn rank_subjective_conjunction(
+    fn rank_residue(
         &self,
         base: &Table,
+        residue: &Residue,
         predicates: &[&str],
+        algebra: FuzzyAlgebra,
         k: usize,
         candidates: Option<&Bitmap>,
     ) -> Option<Vec<(usize, f64)>> {
@@ -1008,7 +1025,7 @@ impl SubjectiveScorer for OpineDb {
         }
         opine_faults::fire_panic("pre_ta");
         let span = opine_trace::span("ta_topk");
-        let ranked = self.rank_top_k_filtered(predicates, k, candidates);
+        let ranked = self.rank_top_k_filtered(residue, predicates, algebra, k, candidates);
         span.count("scored", ranked.len() as u64);
         drop(span);
         self.ta_queries

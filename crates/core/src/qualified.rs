@@ -160,8 +160,8 @@ impl OpineDb {
 ///
 /// The executor obtains one per qualified statement via
 /// [`SubjectiveScorer::qualified_scorer`]. It deliberately declines the
-/// TA fast path (`rank_subjective_conjunction` default): qualified
-/// statements score row-at-a-time over the qualified summaries.
+/// ranking kernel (`rank_residue` default): qualified statements score
+/// row-at-a-time over the qualified summaries.
 pub struct QualifiedScorer<'a> {
     db: &'a OpineDb,
     summaries: QualifiedSummaries,

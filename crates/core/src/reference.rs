@@ -13,21 +13,45 @@
 //! again) and read **by key on purpose** — every row, whatever table it
 //! came from, is resolved through its key value, never through a row
 //! position, so the oracle depends on no proof about row order — it
-//! declines the executor's index
-//! ([`SubjectiveScorer::rank_subjective_conjunction`] stays at its
-//! default), and it reads and writes no cache but the interpreter's
-//! memo, so it is what every fast path, cold or warm, is compared
-//! against bit for bit, and what an ablation runs on.
+//! declines the executor's index ([`SubjectiveScorer::rank_residue`]
+//! stays at its default), and it reads and writes no cache but the
+//! interpreter's memo, so it is what every fast path, cold or warm, is
+//! compared against bit for bit, and what an ablation runs on.
+//!
+//! Beside it sits the top-k kernels' own oracle,
+//! [`full_scan_topk_dense`].
 
 use crate::db::{OpineDb, OpineError, QueryOutput, QueryRef, ReviewMeta};
 use crate::ingest::Pin;
 use crate::interpret::Interpretation;
 use crate::membership::{marker_features, scan_features};
 use crate::summary::{MarkerSummary, PhraseContribution};
+use crate::topk::rank_cmp;
 use opine_store::ast::ColumnRef;
 use opine_store::exec::{BoundLeaf, SubjectiveScorer};
-use opine_store::{parse_select, FuzzyAlgebra, ReviewQualifier, StoreError, Table};
+use opine_store::{parse_select, FuzzyAlgebra, Residue, ReviewQualifier, StoreError, Table};
 use std::borrow::{Borrow, Cow};
+
+/// The top-k reference over dense columns (`columns[leaf][entity]`):
+/// score every entity through `residue` under `algebra`, sort by the
+/// ranking order, truncate. What `topk::threshold_topk` and
+/// `topk::scan_topk` must return, bit for bit.
+pub fn full_scan_topk_dense<C: AsRef<[f64]>>(
+    columns: &[C],
+    residue: &Residue,
+    algebra: FuzzyAlgebra,
+    k: usize,
+) -> Vec<(usize, f64)> {
+    let Some(first) = columns.first() else {
+        return Vec::new();
+    };
+    let mut combined: Vec<(usize, f64)> = (0..first.as_ref().len())
+        .map(|e| (e, residue.score(algebra, &|leaf| columns[leaf].as_ref()[e])))
+        .collect();
+    combined.sort_by(rank_cmp);
+    combined.truncate(k);
+    combined
+}
 
 /// A borrowed, cache-free, row-at-a-time evaluator over an [`OpineDb`].
 pub struct Reference<'a> {

@@ -260,6 +260,43 @@ fn a_cold_conjunction_probes_each_column_once_and_sorts_none() {
     }
 }
 
+/// A column that earned its sorted order keeps it across a repair: after
+/// an INSERT the repaired column is ordered before any statement sorts
+/// it, and TA over it answers what the reference answers.
+#[test]
+fn a_repaired_column_keeps_its_order_and_ranks_like_the_reference() {
+    let db = db();
+    let predicates = ["clean rooms", "friendly staff"];
+    let sql = "select * from hotels where \"clean rooms\" and \"friendly staff\" limit 10";
+    db.query(sql).expect("cold: builds and scans");
+    db.query(sql).expect("warm: sorts");
+    for predicate in predicates {
+        assert!(db.degree_column(predicate).has_order(), "{predicate}");
+    }
+    ingest_spread(&db);
+    for predicate in predicates {
+        let ctx = TraceContext::new();
+        let column = with_trace(Some(ctx.clone()), || db.degree_column(predicate));
+        let ta = ctx.snapshot();
+        let ta = ta.stage("ta_topk").expect("column probe is counted");
+        assert_eq!(ta.counter("cache_repairs"), 1, "{predicate}");
+        assert!(column.has_order(), "{predicate}: the repair kept the order");
+    }
+    let ctx = TraceContext::new();
+    let fast = with_trace(Some(ctx.clone()), || db.query(sql)).expect("answers");
+    let notes = ctx.snapshot().notes;
+    assert!(
+        notes.iter().any(|n| n.starts_with("ta_topk: full TA")),
+        "{notes:?}"
+    );
+    let reference = db.reference().query(sql).expect("reference answers");
+    assert_eq!(fast.result.rows.len(), reference.result.rows.len());
+    for (f, r) in fast.result.rows.iter().zip(&reference.result.rows) {
+        assert_eq!(f.0, r.0);
+        assert_eq!(f.1.to_bits(), r.1.to_bits());
+    }
+}
+
 #[test]
 fn column_build_unwinds_with_cancelled_mid_loop() {
     let db = db();

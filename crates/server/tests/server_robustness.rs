@@ -289,8 +289,8 @@ fn expired_deadline_returns_504_timeout() {
     let mut client = HttpClient::connect(server.local_addr()).unwrap();
     let joined = "select * from hotels h join reviews r on h.hotelname = r.entity \
                   where \"clean rooms\" limit 5";
-    // TA cannot rank an OR: the row loop walks the prefilter's candidate
-    // positions, and checkpoints per row.
+    // A filtered OR: the ranking kernel walks the prefilter's
+    // candidates, and checkpoints as it goes.
     let filtered_or = "select * from hotels where price_pn < 400 \
                        and (\"clean rooms\" or \"friendly staff\") limit 5";
     for sql in [RUNNING_EXAMPLE, joined, filtered_or] {

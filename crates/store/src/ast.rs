@@ -265,27 +265,9 @@ impl Expr {
         }
     }
 
-    /// When the expression is exactly a conjunction of natural-language
-    /// predicates (`"a" and "b" and …`, including a single predicate),
-    /// returns them in left-to-right order. Any objective comparison,
-    /// marker match, `or`, or `not` makes this `None` — those shapes need
-    /// general row-at-a-time evaluation.
-    pub fn as_subjective_conjunction(&self) -> Option<Vec<&str>> {
-        match self {
-            Expr::Subjective(s) => Some(vec![s.as_str()]),
-            Expr::And(a, b) => {
-                let mut preds = a.as_subjective_conjunction()?;
-                preds.extend(b.as_subjective_conjunction()?);
-                Some(preds)
-            }
-            _ => None,
-        }
-    }
-
     /// Flattens the top-level `AND` tree into its conjuncts, left to
     /// right. A non-`And` expression is a single conjunct. The planner
-    /// partitions these into the objective prefilter and the subjective
-    /// residue.
+    /// evaluates the objective ones into the candidate bitmap.
     pub fn conjuncts(&self) -> Vec<&Expr> {
         let mut out = Vec::new();
         self.collect_conjuncts(&mut out);

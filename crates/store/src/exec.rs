@@ -13,18 +13,22 @@
 //! **objective prefilter** and a **subjective residue**: the objective
 //! conjuncts evaluate vectorized over the table's typed columns into a
 //! candidate [`Bitmap`], and the residue is scored only over candidates.
-//! When the residue is exactly a conjunction of natural-language
-//! predicates, the bitmap is pushed down into the scorer's
-//! threshold-algorithm top-k
-//! ([`SubjectiveScorer::rank_subjective_conjunction`]) — the paper's
-//! running example `price_pn < 150 and "clean rooms"` rides the TA fast
-//! path end-to-end instead of forcing row-at-a-time scoring.
+//! When every leaf of the residue is a natural-language predicate — any
+//! nest of AND / OR / NOT, under either algebra — the residue as parsed
+//! ([`Residue`]) and the bitmap are handed to the scorer's top-k
+//! ([`SubjectiveScorer::rank_residue`]): the paper's running example
+//! `price_pn < 150 and "clean rooms"` and a filtered
+//! `price_pn < 150 and ("a" or "b")` both ride the ranking kernel
+//! instead of row-at-a-time scoring.
 //!
-//! Everything else — a residue TA cannot rank, joined rows, overlay rows,
-//! a statement without an index behind it — goes through one row loop
-//! (`score_rows`), which binds each subjective leaf once per statement
+//! Everything else — a `.=` leaf, a comparison under OR/NOT, an
+//! `ORDER BY`, joined rows, overlay rows, a statement without an index
+//! behind it — goes through one row loop (`score_rows`), which binds
+//! each subjective leaf once per statement
 //! ([`SubjectiveScorer::bind_predicate`], [`SubjectiveScorer::bind_match`])
-//! and reads the bound leaf once per row.
+//! and reads the bound leaf once per row. The row loop (`eval`) and the
+//! ranking kernel ([`Residue::score`]) apply the fuzzy operations in the
+//! same order, so both produce the same bits.
 //!
 //! ## Row positions
 //!
@@ -155,10 +159,12 @@ pub trait SubjectiveScorer {
     ) -> Result<BoundLeaf<'s>, StoreError>;
 
     /// Optional index-assisted ranking for a WHERE clause whose
-    /// subjective part is exactly a conjunction of natural-language
-    /// predicates: the top `k` `(row position in base, combined degree)`
-    /// pairs under the product t-norm, ranked by degree descending with
-    /// a deterministic tiebreak.
+    /// subjective residue has only natural-language predicates for
+    /// leaves: the top `k` `(row position in base, degree)` pairs, where
+    /// a row's degree is [`Residue::score`] under `algebra` with leaf
+    /// `i` reading the row's degree of `predicates[i]`, ranked by degree
+    /// descending with a deterministic tiebreak (row position
+    /// ascending).
     ///
     /// `candidates`, when present, is the objective prefilter: a bitmap
     /// over the row positions of `base` with a set bit for every row
@@ -167,10 +173,12 @@ pub trait SubjectiveScorer {
     /// Returning `None` (the default) falls back to scoring candidate
     /// rows one at a time; a scorer must decline a `base` whose rows it
     /// cannot map to what it indexes.
-    fn rank_subjective_conjunction(
+    fn rank_residue(
         &self,
         _base: &Table,
+        _residue: &Residue,
         _predicates: &[&str],
+        _algebra: FuzzyAlgebra,
         _k: usize,
         _candidates: Option<&Bitmap>,
     ) -> Option<Vec<(usize, f64)>> {
@@ -446,9 +454,9 @@ pub fn execute<'a>(
 ) -> Result<ScoredRows<'a>, StoreError> {
     // Review-qualified statements swap in the scorer's scoped view for
     // every subjective evaluation below. The scoped view declines
-    // rank_subjective_conjunction, so qualified queries take the
-    // row-at-a-time path over the (still vectorized) objective
-    // prefilter — degree columns cache *unqualified* degrees only.
+    // rank_residue, so qualified queries take the row-at-a-time path
+    // over the (still vectorized) objective prefilter — degree columns
+    // cache *unqualified* degrees only.
     let scoped = resolve_qualified(query, scorer)?;
     let scorer: &dyn SubjectiveScorer = scoped.as_deref().unwrap_or(scorer);
     let base = catalog.table(&query.from)?;
@@ -466,8 +474,9 @@ pub fn execute<'a>(
     };
 
     // Single-table planner: objective prefilter bitmap + subjective
-    // residue, with TA pushdown for conjunction-shaped residues. What
-    // it leaves to the row loop stays a bitmap of base positions. Joins
+    // residue, pushed down into the scorer's ranking when every leaf is
+    // a predicate. What it leaves to the row loop stays a bitmap of
+    // base positions. Joins
     // change the row set, so they probe every base row by value.
     let mut scored = Vec::new();
     let mut answered = false;
@@ -594,7 +603,7 @@ fn resolve_qualified<'s>(
 
 /// What the single-table planner decided about the base table's rows.
 enum Plan<'a> {
-    /// They are answered: ranked by the scorer's TA top-k, or selected
+    /// They are answered: ranked by the scorer's top-k, or selected
     /// by a purely objective WHERE clause with score 1.
     Answered(Vec<(RowHandle<'a>, f64)>),
     /// Some of them are left to the row loop.
@@ -635,45 +644,25 @@ fn plan_single_table<'a>(
     let conjuncts = where_clause.conjuncts();
     let (objective, subjective): (Vec<&Expr>, Vec<&Expr>) =
         conjuncts.into_iter().partition(|e| !e.has_subjective());
+    let residue = Residue::of(where_clause);
     drop(plan_span);
-    // The scorer ranks under the product t-norm, in degree order: any
-    // other algebra, or an ORDER BY, scores rows instead. So does a
-    // residue that is not a conjunction of predicates (marker matches,
-    // OR/NOT): the row loop scores with the *full* WHERE expression, so
-    // scores match the naive path bit-for-bit.
-    let rankable = algebra == FuzzyAlgebra::Product && query.order_by.is_none();
-    let mut why = "residue not TA-rankable";
-
-    if objective.is_empty() {
-        // Pure subjective conjunction (the paper's core ranking query):
-        // the scorer's threshold-algorithm top-k over its degree columns
-        // skips the full scoring scan; scorers without an index return
-        // `None` and fall through.
-        if rankable {
-            if let Some(predicates) = where_clause.as_subjective_conjunction() {
-                let k = query.limit.unwrap_or(usize::MAX).min(base.len());
-                if let Some(ranked) = scorer.rank_subjective_conjunction(base, &predicates, k, None)
-                {
-                    opine_trace::note(|| "plan: pure subjective conjunction → TA top-k".into());
-                    return Ok(Plan::Answered(materialize_ranked(base, ranked)?));
-                }
-                why = "scorer declined TA ranking";
-            }
-        }
-        return Ok(Plan::every_row(base, why));
-    }
 
     // Objective prefilter: vectorized comparisons over typed columns,
     // AND-combined into one candidate bitmap.
-    let prefilter_span = opine_trace::span("prefilter_bitmap");
-    let candidates = objective_bitmap(layout, &objective, scorer)?;
-    if prefilter_span.active() {
-        prefilter_span.count("candidates", candidates.count_ones() as u64);
-    }
-    drop(prefilter_span);
+    let candidates = if objective.is_empty() {
+        None
+    } else {
+        let prefilter_span = opine_trace::span("prefilter_bitmap");
+        let candidates = objective_bitmap(layout, &objective, scorer)?;
+        if prefilter_span.active() {
+            prefilter_span.count("candidates", candidates.count_ones() as u64);
+        }
+        Some(candidates)
+    };
 
     if subjective.is_empty() {
         // Purely objective WHERE: the bitmap *is* the answer (score 1).
+        let candidates = candidates.expect("a WHERE clause has a conjunct");
         return Ok(Plan::Answered(
             candidates
                 .iter_ones()
@@ -682,33 +671,42 @@ fn plan_single_table<'a>(
         ));
     }
 
-    // Mixed clause with a conjunction-shaped subjective residue: push
-    // the candidate bitmap down into the scorer's TA top-k. Objective
-    // conjuncts contribute an exact factor of 1 on candidates under
-    // both t-norms, so the combined degree is the residue's product.
-    if rankable && subjective.iter().all(|e| matches!(e, Expr::Subjective(_))) {
-        let predicates: Vec<&str> = subjective
-            .iter()
-            .map(|e| match e {
-                Expr::Subjective(s) => s.as_str(),
-                _ => unreachable!("checked above"),
-            })
-            .collect();
-        let k = query
-            .limit
-            .unwrap_or(usize::MAX)
-            .min(candidates.count_ones());
-        if let Some(ranked) =
-            scorer.rank_subjective_conjunction(base, &predicates, k, Some(&candidates))
-        {
-            opine_trace::note(|| "plan: mixed clause → objective prefilter + TA pushdown".into());
-            return Ok(Plan::Answered(materialize_ranked(base, ranked)?));
+    // The residue as parsed goes to the scorer's top-k, with the
+    // candidate bitmap pushed down. An objective conjunct is exactly 1
+    // on every candidate and `and(1, r) = r` bit for bit under both
+    // t-norms, so pruning the objective conjuncts changes no score. The
+    // scorer ranks in degree order, so an ORDER BY scores rows instead;
+    // so does a residue with a leaf no degree column holds (a `.=`
+    // match, a comparison under OR/NOT). The row loop scores with the
+    // *full* WHERE expression.
+    let why = match (residue, &query.order_by) {
+        (_, Some(_)) => "ORDER BY sorts by a column",
+        (None, None) => "residue not TA-rankable",
+        (Some((residue, predicates)), None) => {
+            let k = query
+                .limit
+                .unwrap_or(usize::MAX)
+                .min(candidates.as_ref().map_or(base.len(), Bitmap::count_ones));
+            let ranked =
+                scorer.rank_residue(base, &residue, &predicates, algebra, k, candidates.as_ref());
+            if let Some(ranked) = ranked {
+                opine_trace::note(|| match candidates {
+                    None => "plan: subjective residue → scorer top-k".into(),
+                    Some(_) => {
+                        "plan: objective prefilter + subjective residue → scorer top-k pushdown"
+                            .into()
+                    }
+                });
+                return Ok(Plan::Answered(materialize_ranked(base, ranked)?));
+            }
+            "scorer declined TA ranking"
         }
-        why = "scorer declined TA ranking";
-    }
-
+    };
     // Non-candidates would have scored 0.
-    Ok(Plan::Scan(Scan { candidates, why }))
+    Ok(Plan::Scan(Scan {
+        candidates: candidates.unwrap_or_else(|| Bitmap::all_set(base.len())),
+        why,
+    }))
 }
 
 /// Evaluates the objective conjuncts into one candidate bitmap over the
@@ -1051,6 +1049,185 @@ fn eval(
     }
 }
 
+/// The subjective residue of a WHERE clause as parsed: the tree with its
+/// top-level objective conjuncts pruned (they are the candidate bitmap),
+/// every leaf a natural-language predicate numbered by its distinct
+/// text. `"a" and ("b" or not "a")` is
+/// `And([Leaf(0), Or([Leaf(1), Not(Leaf(0))])])` over `["a", "b"]`.
+///
+/// This is what a scorer ranks ([`SubjectiveScorer::rank_residue`]), and
+/// [`Residue::score`] is the one way its degree is computed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Residue {
+    /// The degree of distinct predicate `i`.
+    Leaf(usize),
+    /// Fuzzy conjunction of two or more operands, folded from the left
+    /// as the parser nests a chain: `And([a, b, c])` is
+    /// `(a and b) and c`, while `a and (b and c)` is
+    /// `And([a, And([b, c])])`.
+    And(Vec<Residue>),
+    /// Fuzzy disjunction, likewise.
+    Or(Vec<Residue>),
+    /// Fuzzy negation.
+    Not(Box<Residue>),
+}
+
+impl Residue {
+    /// The residue of `where_clause` and the predicate texts its leaves
+    /// number; `None` when no conjunct is subjective, or when one holds
+    /// a leaf that is not a natural-language predicate (a `.=` match, a
+    /// comparison under OR/NOT).
+    pub fn of(where_clause: &Expr) -> Option<(Residue, Vec<&str>)> {
+        let mut predicates = Vec::new();
+        let residue = Self::prune(where_clause, &mut predicates)??;
+        Some((residue, predicates))
+    }
+
+    /// `leaf 0 and leaf 1 and … and leaf n−1`; `None` for no leaves.
+    pub fn conjunction(leaves: usize) -> Option<Residue> {
+        (0..leaves).map(Residue::Leaf).reduce(Residue::and)
+    }
+
+    /// Whether this is [`Self::conjunction`]`(leaves)`: the shape a flat
+    /// AND of distinct predicates parses to, and most statements take.
+    pub fn is_conjunction(&self, leaves: usize) -> bool {
+        Residue::conjunction(leaves).as_ref() == Some(self)
+    }
+
+    /// [`Self::score`] of [`Self::conjunction`]`(n)`, given its n leaves'
+    /// degrees in order: the same left fold with the same short-circuit
+    /// on 0, without the tree walk. The ranking kernels score a flat
+    /// conjunction through here.
+    #[inline]
+    pub fn conjoin(algebra: FuzzyAlgebra, degrees: impl IntoIterator<Item = f64>) -> f64 {
+        let mut degrees = degrees.into_iter();
+        let mut x = degrees.next().expect("a conjunction has leaves");
+        // lint:allow(checkpoint_coverage, reason = "one trip per predicate the statement spells, not per row")
+        for y in degrees {
+            x = if x == 0.0 { 0.0 } else { algebra.and(x, y) };
+        }
+        x
+    }
+
+    /// True when no leaf sits under a NOT: the residue's degree is then
+    /// non-decreasing in every leaf (rounding preserves order), which is
+    /// what lets sorted access bound the degree of an unseen row.
+    pub fn is_monotone(&self) -> bool {
+        match self {
+            Residue::Leaf(_) => true,
+            Residue::And(operands) | Residue::Or(operands) => {
+                operands.iter().all(Residue::is_monotone)
+            }
+            Residue::Not(_) => false,
+        }
+    }
+
+    /// The residue's degree, given each leaf's. Applies the operations
+    /// of `eval` (the row loop) in its order, including And's
+    /// short-circuit on 0, so a ranked row scores what the row loop
+    /// would have scored it, to the bit.
+    #[inline]
+    pub fn score<F: Fn(usize) -> f64>(&self, algebra: FuzzyAlgebra, leaf: &F) -> f64 {
+        match self {
+            Residue::Leaf(i) => leaf(*i),
+            Residue::And(operands) => {
+                let (first, rest) = operands.split_first().expect("an AND has operands");
+                let mut x = first.operand(algebra, leaf);
+                // lint:allow(checkpoint_coverage, reason = "one trip per operand the statement spells, not per row")
+                for b in rest {
+                    if x == 0.0 {
+                        return 0.0;
+                    }
+                    x = algebra.and(x, b.operand(algebra, leaf));
+                }
+                x
+            }
+            Residue::Or(operands) => {
+                let (first, rest) = operands.split_first().expect("an OR has operands");
+                rest.iter().fold(first.operand(algebra, leaf), |x, b| {
+                    algebra.or(x, b.operand(algebra, leaf))
+                })
+            }
+            Residue::Not(e) => algebra.not(e.operand(algebra, leaf)),
+        }
+    }
+
+    /// [`Self::score`] of an operand: a leaf is read in place, an
+    /// operator is scored out of line. The kernels score every
+    /// candidate through here and most operands are leaves; a call the
+    /// loop above can see would make it spill its registers around
+    /// every leaf read.
+    #[inline(always)]
+    fn operand<F: Fn(usize) -> f64>(&self, algebra: FuzzyAlgebra, leaf: &F) -> f64 {
+        match self {
+            Residue::Leaf(i) => leaf(*i),
+            nested => nested.score_nested(algebra, leaf),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn score_nested<F: Fn(usize) -> f64>(&self, algebra: FuzzyAlgebra, leaf: &F) -> f64 {
+        self.score(algebra, leaf)
+    }
+
+    /// `self and right`, as the parser nests it: a chain grows on the
+    /// right of its last operand, a nested right side stays nested.
+    fn and(self, right: Residue) -> Residue {
+        match self {
+            Residue::And(mut operands) => {
+                operands.push(right);
+                Residue::And(operands)
+            }
+            left => Residue::And(vec![left, right]),
+        }
+    }
+
+    /// `self or right`, likewise.
+    fn or(self, right: Residue) -> Residue {
+        match self {
+            Residue::Or(mut operands) => {
+                operands.push(right);
+                Residue::Or(operands)
+            }
+            left => Residue::Or(vec![left, right]),
+        }
+    }
+
+    /// The top-level AND spine of `expr`: `Some(None)` when it is all
+    /// objective (pruned), `None` when a subjective conjunct is not
+    /// rankable.
+    fn prune<'e>(expr: &'e Expr, predicates: &mut Vec<&'e str>) -> Option<Option<Residue>> {
+        match expr {
+            Expr::And(a, b) => Some(
+                match (Self::prune(a, predicates)?, Self::prune(b, predicates)?) {
+                    (Some(a), Some(b)) => Some(a.and(b)),
+                    (one, None) | (None, one) => one,
+                },
+            ),
+            e if !e.has_subjective() => Some(None),
+            e => Self::leaves(e, predicates).map(Some),
+        }
+    }
+
+    /// A subjective conjunct whose leaves are all predicates.
+    fn leaves<'e>(expr: &'e Expr, predicates: &mut Vec<&'e str>) -> Option<Residue> {
+        Some(match expr {
+            Expr::Subjective(p) => Residue::Leaf(match predicates.iter().position(|q| q == p) {
+                Some(i) => i,
+                None => {
+                    predicates.push(p);
+                    predicates.len() - 1
+                }
+            }),
+            Expr::And(a, b) => Self::leaves(a, predicates)?.and(Self::leaves(b, predicates)?),
+            Expr::Or(a, b) => Self::leaves(a, predicates)?.or(Self::leaves(b, predicates)?),
+            Expr::Not(e) => Residue::Not(Box::new(Self::leaves(e, predicates)?)),
+            Expr::Compare { .. } | Expr::MarkerMatch { .. } => return None,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1181,10 +1358,12 @@ mod tests {
         ) -> Result<BoundLeaf<'s>, StoreError> {
             leaf(phrase, canned_match)
         }
-        fn rank_subjective_conjunction(
+        fn rank_residue(
             &self,
             _base: &Table,
+            residue: &Residue,
             predicates: &[&str],
+            algebra: FuzzyAlgebra,
             k: usize,
             candidates: Option<&Bitmap>,
         ) -> Option<Vec<(usize, f64)>> {
@@ -1192,14 +1371,15 @@ mod tests {
                 self.pushdowns.set(self.pushdowns.get() + 1);
             }
             self.last_candidates.set(candidates.map(Bitmap::count_ones));
-            // Rank rows 0..3 (Grand, Plaza, Canal) by canned product.
+            // Rank rows 0..3 (Grand, Plaza, Canal) by the canned degrees.
             let names = ["Grand", "Plaza", "Canal"];
             let mut ranked: Vec<(usize, f64)> = names
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| candidates.is_none_or(|c| c.get(*i)))
                 .map(|(i, n)| {
-                    let score: f64 = predicates.iter().map(|p| canned_predicate(p, n)).product();
+                    let score =
+                        residue.score(algebra, &|leaf| canned_predicate(predicates[leaf], n));
                     (i, score)
                 })
                 .collect();
@@ -2007,6 +2187,190 @@ mod tests {
             run(&scan, &cat, &ObjectiveOnly, Some(&overlay)),
             Err(StoreError::SchemaMismatch(_))
         ));
+    }
+
+    /// A random subjective tree of depth ≤ `depth` over `p0`…`p3`.
+    fn random_tree(next: &mut impl FnMut(usize) -> usize, depth: usize) -> Expr {
+        if depth == 0 || next(4) == 0 {
+            return Expr::Subjective(format!("p{}", next(4)));
+        }
+        let op = next(3);
+        let a = Box::new(random_tree(next, depth - 1));
+        match op {
+            0 => Expr::And(a, Box::new(random_tree(next, depth - 1))),
+            1 => Expr::Or(a, Box::new(random_tree(next, depth - 1))),
+            _ => Expr::Not(a),
+        }
+    }
+
+    /// `expr` with `objective` conjoined somewhere on its top-level AND
+    /// spine, on the left or on the right.
+    fn conjoin_somewhere(
+        expr: Expr,
+        objective: Expr,
+        next: &mut impl FnMut(usize) -> usize,
+    ) -> Expr {
+        match (expr, next(4)) {
+            (Expr::And(a, b), 0) => Expr::And(Box::new(conjoin_somewhere(*a, objective, next)), b),
+            (Expr::And(a, b), 1) => Expr::And(a, Box::new(conjoin_somewhere(*b, objective, next))),
+            (expr, 2) => Expr::And(Box::new(objective), Box::new(expr)),
+            (expr, _) => Expr::And(Box::new(expr), Box::new(objective)),
+        }
+    }
+
+    /// The kernel's scorer and the row loop's evaluator agree to the bit
+    /// on every candidate row: random trees (AND / OR / NOT, nested
+    /// either way, predicates repeated) with objective conjuncts spliced
+    /// into their AND spine, both algebras, degrees that include 0 and 1.
+    /// A flat conjunction also folds to the same bits through
+    /// [`Residue::conjoin`].
+    #[test]
+    fn residue_score_equals_eval_of_the_full_where_on_candidates() {
+        const ROWS: usize = 40;
+        const PALETTE: [f64; 7] = [0.0, 1.0, 0.5, 0.25, 0.3, 0.9, 1.0 - f64::EPSILON];
+        let mut cat = Catalog::new();
+        cat.create_table(Schema::new(
+            "t",
+            vec![
+                Column::new("id", ColumnType::Int),
+                Column::new("price", ColumnType::Int),
+            ],
+            0,
+        ))
+        .unwrap();
+        for i in 0..ROWS as i64 {
+            cat.insert("t", vec![Value::Int(i), Value::Int(i % 10)])
+                .unwrap();
+        }
+        let base = cat.table("t").unwrap();
+        let layout = Layout {
+            slots: vec![("t".into(), "id".into()), ("t".into(), "price".into())],
+            base,
+        };
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = move |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let degrees: Vec<Vec<f64>> = (0..4)
+            .map(|_| (0..ROWS).map(|_| PALETTE[next(PALETTE.len())]).collect())
+            .collect();
+
+        /// `p{i}` of the row with id `r` is `degrees[i][r]`.
+        struct Palette(Vec<Vec<f64>>);
+        impl SubjectiveScorer for Palette {
+            fn bind_predicate<'s>(
+                &'s self,
+                _base: &Table,
+                predicate: &'s str,
+            ) -> Result<BoundLeaf<'s>, StoreError> {
+                let p: usize = predicate[1..].parse().unwrap();
+                Ok(BoundLeaf::by_key(move |key| {
+                    Ok(self.0[p][key.as_f64().unwrap() as usize])
+                }))
+            }
+            fn bind_match<'s>(
+                &'s self,
+                _base: &Table,
+                attribute: &'s ColumnRef,
+                _phrase: &'s str,
+            ) -> Result<BoundLeaf<'s>, StoreError> {
+                Err(StoreError::NoScorer(attribute.column.clone()))
+            }
+        }
+        let scorer = Palette(degrees.clone());
+
+        let (mut scored, mut negated, mut flat) = (0, 0, 0);
+        for _ in 0..300 {
+            let mut where_clause = random_tree(&mut next, 3);
+            for _ in 0..next(3) {
+                let price = next(11);
+                let objective = parse_select(&format!("select * from t where price < {price}"))
+                    .unwrap()
+                    .where_clause
+                    .unwrap();
+                where_clause = conjoin_somewhere(where_clause, objective, &mut next);
+            }
+            let (residue, predicates) = Residue::of(&where_clause).expect("every leaf is quoted");
+            negated += usize::from(!residue.is_monotone());
+            let full = bind(&where_clause, &layout, &scorer).unwrap();
+            let objective: Vec<Bound<'_>> = where_clause
+                .conjuncts()
+                .into_iter()
+                .filter(|e| !e.has_subjective())
+                .map(|e| bind(e, &layout, &scorer).unwrap())
+                .collect();
+            for algebra in [FuzzyAlgebra::Product, FuzzyAlgebra::Godel] {
+                for (row, view) in base.rows().enumerate() {
+                    let handle = RowHandle::Base(view);
+                    let eval = |bound: &Bound<'_>| eval(bound, &handle, 0, algebra).unwrap();
+                    if objective.iter().any(|b| eval(b) != 1.0) {
+                        continue;
+                    }
+                    let read =
+                        |leaf: usize| degrees[predicates[leaf][1..].parse::<usize>().unwrap()][row];
+                    let kernel = residue.score(algebra, &read);
+                    assert_eq!(
+                        kernel.to_bits(),
+                        eval(&full).to_bits(),
+                        "{where_clause} row {row} {algebra:?}"
+                    );
+                    if residue.is_conjunction(predicates.len()) {
+                        let folded = Residue::conjoin(algebra, (0..predicates.len()).map(read));
+                        assert_eq!(
+                            folded.to_bits(),
+                            kernel.to_bits(),
+                            "{where_clause} row {row} {algebra:?}: conjoin"
+                        );
+                        flat += 1;
+                    }
+                    scored += 1;
+                }
+            }
+        }
+        assert!(
+            scored > 5_000 && negated > 50 && flat > 500,
+            "{scored} rows, {negated} NOTs, {flat} flat conjunction rows"
+        );
+
+        // A leaf no column holds keeps the row loop.
+        for sql in [
+            "select * from t h where h.comfort .= \"firm\" and \"p0\"",
+            "select * from t where price < 3 or \"p0\"",
+            "select * from t where not (price < 3 and \"p0\")",
+            "select * from t where price < 3",
+        ] {
+            let q = parse_select(sql).unwrap();
+            assert_eq!(Residue::of(q.where_clause.as_ref().unwrap()), None, "{sql}");
+        }
+        let q = parse_select("select * from t where \"a\" and price < 3 and (\"b\" or not \"a\")")
+            .unwrap();
+        assert_eq!(
+            Residue::of(q.where_clause.as_ref().unwrap()),
+            Some((
+                Residue::And(vec![
+                    Residue::Leaf(0),
+                    Residue::Or(vec![
+                        Residue::Leaf(1),
+                        Residue::Not(Box::new(Residue::Leaf(0)))
+                    ])
+                ]),
+                vec!["a", "b"]
+            ))
+        );
+        // A chain folds into one operator; a nested right side stays.
+        let q =
+            parse_select("select * from t where \"a\" and \"b\" and (\"c\" and \"a\")").unwrap();
+        let leaf = Residue::Leaf;
+        assert_eq!(
+            Residue::of(q.where_clause.as_ref().unwrap()),
+            Some((
+                Residue::And(vec![leaf(0), leaf(1), Residue::And(vec![leaf(2), leaf(0)])]),
+                vec!["a", "b", "c"]
+            ))
+        );
     }
 
     #[test]

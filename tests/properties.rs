@@ -1,16 +1,34 @@
 //! Property-based tests over core invariants (proptest).
 
-use opinedb::core::topk::{full_scan_topk_dense, threshold_topk};
+use opinedb::core::reference::full_scan_topk_dense;
+use opinedb::core::topk::threshold_topk;
 use opinedb::core::DegreeColumn;
 use opinedb::store::parser::parse_select;
-use opinedb::store::FuzzyAlgebra;
+use opinedb::store::{FuzzyAlgebra, Residue};
 use proptest::prelude::*;
+
+/// `leaf 0 and leaf 1 and leaf 2`: the three-column product conjunction.
+fn conjunction() -> Residue {
+    Residue::conjunction(3).unwrap()
+}
 
 /// The TA kernel over columns whose sorted orders are the production sort.
 fn ta(columns: &[DegreeColumn], k: usize) -> Vec<(usize, f64)> {
     let degrees: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
     let orders: Vec<&[u32]> = columns.iter().map(|c| c.sorted_order()).collect();
-    threshold_topk(&degrees, &orders, k, |_| true)
+    threshold_topk(
+        &degrees,
+        &orders,
+        &conjunction(),
+        FuzzyAlgebra::Product,
+        k,
+        |_| true,
+    )
+}
+
+/// The kernels' reference over the same columns.
+fn full_scan(views: &[&[f64]], k: usize) -> Vec<(usize, f64)> {
+    full_scan_topk_dense(views, &conjunction(), FuzzyAlgebra::Product, k)
 }
 
 proptest! {
@@ -68,7 +86,7 @@ proptest! {
             .collect();
         let top = ta(&columns, k);
         let views: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
-        prop_assert_eq!(&top, &full_scan_topk_dense(&views, k));
+        prop_assert_eq!(&top, &full_scan(&views, k));
         // Result is sorted descending.
         for w in top.windows(2) {
             prop_assert!(w[0].1 >= w[1].1);
@@ -101,7 +119,7 @@ proptest! {
         naive.truncate(k);
 
         prop_assert_eq!(&ta(&columns, k), &naive);
-        prop_assert_eq!(&full_scan_topk_dense(&views, k), &naive);
+        prop_assert_eq!(&full_scan(&views, k), &naive);
     }
 
     /// BM25 search scores are non-negative and sorted.

@@ -10,7 +10,8 @@ use opinedb::store::ast::ColumnRef;
 use opinedb::store::exec::{BoundLeaf, SubjectiveScorer};
 use opinedb::store::parser::parse_select;
 use opinedb::store::{
-    execute, Bitmap, Catalog, Column, ColumnType, FuzzyAlgebra, Schema, StoreError, Table, Value,
+    execute, Bitmap, Catalog, Column, ColumnType, FuzzyAlgebra, Residue, Schema, StoreError, Table,
+    Value,
 };
 use proptest::prelude::*;
 use std::cell::Cell;
@@ -76,10 +77,12 @@ impl SubjectiveScorer for SyntheticIndex {
         Err(StoreError::NoScorer(attribute.column.clone()))
     }
 
-    fn rank_subjective_conjunction(
+    fn rank_residue(
         &self,
         _base: &Table,
+        residue: &Residue,
         predicates: &[&str],
+        algebra: FuzzyAlgebra,
         k: usize,
         candidates: Option<&Bitmap>,
     ) -> Option<Vec<(usize, f64)>> {
@@ -95,9 +98,9 @@ impl SubjectiveScorer for SyntheticIndex {
         let ranked = match candidates {
             Some(bitmap) => {
                 self.pushdowns.set(self.pushdowns.get() + 1);
-                threshold_topk(&degrees, &orders, k, |e| bitmap.get(e))
+                threshold_topk(&degrees, &orders, residue, algebra, k, |e| bitmap.get(e))
             }
-            None => threshold_topk(&degrees, &orders, k, |_| true),
+            None => threshold_topk(&degrees, &orders, residue, algebra, k, |_| true),
         };
         // Entity ids are row positions of `t` (see `catalog`).
         Some(ranked)

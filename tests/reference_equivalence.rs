@@ -56,6 +56,11 @@ const ONE_PREDICATE: &str =
 /// gather rule (`candidates² > k · entities`).
 const WEAK_MIXED: &str =
     "select * from hotels where price_pn < 300 and \"clean rooms\" and \"friendly staff\" limit 5";
+/// The same filter over an OR of the same two predicates.
+const FILTERED_OR: &str = "select * from hotels where price_pn < 300 \
+                           and (\"clean rooms\" or \"friendly staff\") limit 5";
+/// A residue with a NOT: not monotone, so never sorted access.
+const NEGATED: &str = "select * from hotels where \"clean rooms\" and not \"quiet room\" limit 5";
 
 fn with_fallback(fallback: &str) -> String {
     format!("select * from hotels where \"{fallback}\" and \"clean rooms\" limit 8")
@@ -77,7 +82,8 @@ fn statements(db: &OpineDb) -> Vec<String> {
         "select * from hotels where price_pn < 120 and \"clean rooms\" limit 12".into(),
         ONE_PREDICATE.into(),
         WEAK_MIXED.into(),
-        // OR/NOT residue → row-at-a-time over candidates / every row
+        // OR/NOT residue → the ranking kernel over candidates / every
+        // entity (a NOT always by scan)
         "select * from hotels where price_pn < 300 and (\"clean rooms\" or not \"quiet room\") \
          limit 15"
             .into(),
@@ -98,6 +104,14 @@ fn statements(db: &OpineDb) -> Vec<String> {
             .into(),
         "select * from hotels where price_pn < 300 and \"clean rooms\" \
          order by price_pn desc limit 6"
+            .into(),
+        // right-nested conjunctions → ranked as parsed, `a·(b·c)`, the
+        // order the row loop multiplies in
+        "select * from hotels where \"clean rooms\" and (\"friendly staff\" and \"quiet room\") \
+         limit 10"
+            .into(),
+        "select * from hotels where price_pn < 100000 and \"clean rooms\" \
+         and (\"friendly staff\" and \"quiet room\") limit 10"
             .into(),
     ]
     .into()
@@ -149,11 +163,13 @@ fn traced(db: &OpineDb, sql: &str) -> (QueryOutput, Vec<String>) {
     (answer, notes)
 }
 
-/// The plan rule, read off the `ta_topk` note: a conjunction that had to
+/// The plan rule, read off the `ta_topk` note: a residue that had to
 /// build one of its columns ranks by one scan of its candidates and
 /// leaves the sorted orders unbuilt; the same statement over cached
-/// columns ranks by sorted access; a lone predicate takes sorted access
-/// even when cold. Same answer as the reference every time.
+/// columns ranks by sorted access — a conjunction and a filtered OR
+/// alike; a lone predicate takes sorted access even when cold; a NOT
+/// always scans and never sorts. Same answer as the reference every
+/// time.
 fn assert_the_plan_follows_the_cache_state(db: &OpineDb) {
     let n = db.num_entities();
     let admitted = db
@@ -171,6 +187,12 @@ fn assert_the_plan_follows_the_cache_state(db: &OpineDb) {
         (PURE, n, 10, "full TA over degree columns"),
         (
             WEAK_MIXED,
+            admitted,
+            5,
+            "pushdown via restricted sorted access",
+        ),
+        (
+            FILTERED_OR,
             admitted,
             5,
             "pushdown via restricted sorted access",
@@ -203,6 +225,24 @@ fn assert_the_plan_follows_the_cache_state(db: &OpineDb) {
             "ta_topk: pushdown via restricted sorted access ({n} candidates, k=5)"
         )]
     );
+
+    db.clear_caches();
+    let reference = db.reference().query(NEGATED).expect("reference");
+    for stage in ["cold NOT", "warm NOT"] {
+        let (answer, notes) = traced(db, NEGATED);
+        assert_same(stage, NEGATED, &answer, &reference);
+        assert_eq!(
+            notes,
+            [format!(
+                "ta_topk: scan of {n} candidates (k=5) — a NOT is not monotone, \
+                 so no sorted-access bound holds"
+            )],
+            "{stage}"
+        );
+    }
+    for predicate in ["clean rooms", "quiet room"] {
+        assert!(!db.degree_column(predicate).has_order(), "{predicate}");
+    }
 }
 
 #[test]

@@ -230,8 +230,9 @@ fn wand_cold_query_blocks_skipped_matches_stats_delta() {
 #[test]
 fn row_loop_plan_note_names_the_reader_and_the_candidate_count() {
     let db = small_db();
-    let sql = "select * from hotels where price_pn < 200 \
-               and (\"clean rooms\" or \"friendly staff\") limit 5";
+    // A `.=` leaf has no degree column to rank: the row loop scores it.
+    let sql = "select * from hotels h where h.price_pn < 200 \
+               and (\"clean rooms\" or h.room_cleanliness .= \"very clean\") limit 5";
     let (snap, ..) = traced_query(&db, sql);
     let candidates = snap
         .stage("prefilter_bitmap")
