@@ -240,7 +240,7 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
     for entity in &corpus.entities {
         entity_index.add_document(&corpus.entity_document(entity.id), &mut vocab);
     }
-    // Freeze the block-max structure at build time so no query pays it.
+    // Build the length factors at build time so no query pays them.
     entity_index.freeze();
 
     let interpreter = Interpreter::new(

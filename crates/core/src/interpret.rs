@@ -104,7 +104,9 @@ pub struct Interpreter {
 impl Interpreter {
     /// Assembles an interpreter over prepared per-attribute domains, the
     /// review inverted index, per-review sentiment, and the extraction
-    /// digest (aligned with the review index's doc ids).
+    /// digest (aligned with the review index's doc ids). The index's
+    /// per-document length factors are built here, so the first cold
+    /// interpretation's retrieval does not pay for them.
     pub fn new(
         config: InterpreterConfig,
         domains: Vec<LinguisticDomain>,
@@ -125,8 +127,6 @@ impl Interpreter {
             }
         }
         let cache = BoundedCache::new(config.cache_capacity);
-        // Freeze the block-max retrieval structure now, not inside the
-        // first cold interpretation.
         review_index.freeze();
         Self {
             config,
@@ -157,7 +157,7 @@ impl Interpreter {
 
     /// The review inverted index the co-occurrence stage retrieves
     /// from — exposed so the engine can aggregate its retrieval
-    /// counters and tests can run its exhaustive reference scorer.
+    /// counter and tests can run its exhaustive oracle.
     pub fn review_index(&self) -> &InvertedIndex {
         &self.review_index
     }

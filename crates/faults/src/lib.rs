@@ -126,8 +126,8 @@ pub fn current_deadline() -> Option<Deadline> {
 
 /// Cooperative cancellation point for long scans.
 ///
-/// Call at chunk boundaries (per TA depth, per WAND pivot, per scored
-/// row, per merged entity). With no ambient deadline this is a
+/// Call at chunk boundaries (per TA depth, per scored posting, per
+/// scored row, per merged entity). With no ambient deadline this is a
 /// thread-local increment; with one, the clock is read every
 /// [`CHECKPOINT_STRIDE`] calls and an expired deadline unwinds with
 /// [`Cancelled`].

@@ -1,23 +1,20 @@
-//! Inverted index with Okapi BM25 ranking and Block-Max-WAND top-k.
+//! Inverted index with Okapi BM25 ranking and term-at-a-time top-k.
 //!
-//! Documents are added once (the build phase); the first retrieval
-//! freezes every posting list into fixed-size blocks of `(doc, tf)`
-//! pairs sorted by document id, each carrying a *max impact* — a
-//! precomputed upper bound of any member document's BM25 contribution —
-//! and a last-doc skip pointer. [`InvertedIndex::search_terms`] then
-//! runs Block-Max WAND: a pivot walks the term cursors in document
-//! order and whole blocks are skipped when their summed impact bounds
-//! cannot beat the current top-k threshold. The pre-existing exhaustive
-//! scorer survives as the equivalence-test reference
-//! ([`InvertedIndex::search_terms_exhaustive`]): both paths funnel every
-//! `(term, doc)` contribution through one scoring expression and
-//! accumulate in query-term order, so their answers are
-//! **bit-identical** — same documents, same `f64` score bits, same tie
-//! order.
+//! Documents are added once (the build phase). Every score is a sum of
+//! `(term, doc)` contributions through one expression over a
+//! per-document length factor, built once after the last add. The
+//! multi-document scorers — [`InvertedIndex::bm25_dense`] and the top-k
+//! [`InvertedIndex::search_terms`] — share one accumulation loop that
+//! adds each query term's postings into a dense score array in
+//! query-term order, duplicates included; the top-k search then selects
+//! its k best by (score desc, doc asc). A document's sum is therefore
+//! the one the point [`InvertedIndex::bm25`] computes, and the oracle
+//! [`InvertedIndex::search_terms_exhaustive`], which scores every
+//! matching document that way and fully sorts, returns **bit-identical**
+//! hits — same documents, same `f64` score bits, same tie order.
 
 use opine_text::{tokenize, Vocab, WordId};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;
@@ -37,9 +34,7 @@ impl DocId {
 
 /// BM25 term-frequency saturation (`k1`).
 pub const BM25_K1: f64 = 1.2;
-/// BM25 length-normalization strength (`b`). The block-max bounds rely
-/// on `k1 ≥ 0` and `0 ≤ b ≤ 1`: scores monotone in term frequency,
-/// antitone in document length.
+/// BM25 length-normalization strength (`b`).
 pub const BM25_B: f64 = 0.75;
 
 /// A scored retrieval result.
@@ -51,159 +46,43 @@ pub struct SearchHit {
     pub score: f64,
 }
 
-/// Documents per posting block of the frozen index (see
-/// [`InvertedIndex::set_block_size`]).
-pub const DEFAULT_BLOCK_SIZE: usize = 128;
-
-/// Counters of the retrieval paths, for the serving layer's `/stats`
-/// and the bench/CI skipping guards.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetrievalStats {
-    /// Top-k searches answered by the Block-Max-WAND path.
-    pub wand_queries: u64,
-    /// Top-k searches answered by the exhaustive reference scorer.
-    pub exhaustive_queries: u64,
-    /// Posting blocks bypassed via skip pointers instead of being
-    /// scored document-at-a-time.
-    pub blocks_skipped: u64,
-}
-
-/// One `(term, doc)` BM25 contribution. Every scoring path — the point
-/// lookup, the exhaustive scorer, Block-Max WAND, and the dense batch
-/// scorer — funnels through this one expression, which is what makes
-/// their answers bit-identical.
+/// The length half of a BM25 denominator, `K1·(1 − b + b·len/avg)`:
+/// one value per document for a fixed corpus.
 #[inline]
-fn score_one(idf: f64, tf: u32, doc_len: u32, avg_len: f64) -> f64 {
+fn len_factor(doc_len: u32, avg_len: f64) -> f64 {
+    BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len as f64 / avg_len)
+}
+
+/// One `(term, doc)` BM25 contribution. Every scoring path funnels
+/// through this one expression, which is what makes their answers
+/// bit-identical. It is > 0 for every posting (`idf > 0`, `tf ≥ 1`).
+#[inline]
+fn score_one(idf: f64, tf: u32, len_factor: f64) -> f64 {
     let tf = tf as f64;
-    let len_norm = 1.0 - BM25_B + BM25_B * doc_len as f64 / avg_len;
-    idf * tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * len_norm)
+    idf * tf * (BM25_K1 + 1.0) / (tf + len_factor)
 }
 
-/// One block of a frozen posting list: its last document (the skip
-/// pointer) and the precomputed max impact.
-#[derive(Debug)]
-struct Block {
-    /// Largest document id in the block.
-    last_doc: u32,
-    /// `max` over member documents of their exact BM25 contribution —
-    /// a tight upper bound.
-    max_impact: f64,
-}
-
-/// A posting list frozen into block-partitioned parallel arrays.
-#[derive(Debug)]
-struct FrozenList {
-    /// Document ids, ascending.
-    docs: Vec<u32>,
-    /// Term frequencies, aligned with `docs`.
-    tfs: Vec<u32>,
-    /// Per-block metadata; block `b` spans `docs[b·B .. (b+1)·B]`.
-    blocks: Vec<Block>,
-    /// The list's idf under the frozen corpus statistics.
-    idf: f64,
-    /// `max` over blocks of their max impact (the WAND pivot bound).
-    max_impact: f64,
-}
-
-/// The immutable retrieval structure, built once per corpus state.
-#[derive(Debug)]
-struct Frozen {
-    lists: HashMap<WordId, FrozenList>,
-    block_size: usize,
+/// The canonical hit order: score descending, doc id ascending on ties.
+fn hit_order(a: &SearchHit, b: &SearchHit) -> Ordering {
+    b.score.total_cmp(&a.score).then(a.doc.cmp(&b.doc))
 }
 
 /// An in-memory inverted index over tokenized documents.
 ///
-/// Documents are added once; the index maintains postings (sorted by
-/// document id) with term frequencies, document lengths, and document
-/// frequencies for BM25. Retrieval freezes the postings into a
-/// block-max structure on first use; adding a document invalidates it.
-#[derive(Debug)]
+/// Documents are added once; the index keeps postings (sorted by
+/// document id) with term frequencies, document lengths and document
+/// frequencies for BM25. The per-document length factor every score
+/// reads is built on first use (or by [`Self::freeze`]); adding a
+/// document drops it, since the mean length moved.
+#[derive(Debug, Default)]
 pub struct InvertedIndex {
     postings: HashMap<WordId, Vec<(DocId, u32)>>,
     doc_lengths: Vec<u32>,
     total_length: u64,
-    block_size: usize,
-    frozen: OnceLock<Frozen>,
+    /// [`len_factor`] per document under the current mean length.
+    len_factors: OnceLock<Vec<f64>>,
+    /// Top-k searches answered (the `wand_queries` counter of `/stats`).
     wand_queries: AtomicU64,
-    exhaustive_queries: AtomicU64,
-    blocks_skipped: AtomicU64,
-}
-
-impl Default for InvertedIndex {
-    fn default() -> Self {
-        InvertedIndex {
-            postings: HashMap::new(),
-            doc_lengths: Vec::new(),
-            total_length: 0,
-            block_size: DEFAULT_BLOCK_SIZE,
-            frozen: OnceLock::new(),
-            wand_queries: AtomicU64::new(0),
-            exhaustive_queries: AtomicU64::new(0),
-            blocks_skipped: AtomicU64::new(0),
-        }
-    }
-}
-
-/// One term cursor of the WAND driver. Duplicate query terms get
-/// *separate* cursors so score accumulation stays in query-term order
-/// (bit-identical to the exhaustive scorer's term-major accumulation).
-struct Cursor<'a> {
-    list: &'a FrozenList,
-    /// Index of the next unconsumed posting.
-    pos: usize,
-    /// Block containing `pos` (tracked incrementally; a division per
-    /// bound probe showed up in the retrieval profile).
-    block: usize,
-    /// Posting index one past the current block.
-    block_end: usize,
-    /// List-level score upper bound.
-    bound: f64,
-}
-
-impl Cursor<'_> {
-    #[inline]
-    fn exhausted(&self) -> bool {
-        self.pos >= self.list.docs.len()
-    }
-
-    #[inline]
-    fn doc(&self) -> u32 {
-        self.list.docs[self.pos]
-    }
-
-    /// Consumes the current posting (after scoring it).
-    #[inline]
-    fn advance(&mut self, block_size: usize) {
-        self.pos += 1;
-        if self.pos >= self.block_end {
-            self.block += 1;
-            self.block_end = (self.block_end + block_size).min(self.list.docs.len());
-        }
-    }
-}
-
-/// Advances `c` to the first posting with doc ≥ `target`, bypassing
-/// whole blocks via their last-doc skip pointers (counted in
-/// `skipped`) and binary-searching within the landing block.
-fn seek(c: &mut Cursor<'_>, target: u32, block_size: usize, skipped: &mut u64) {
-    let b0 = c.block;
-    let nblocks = c.list.blocks.len();
-    let mut b = b0;
-    while b < nblocks && c.list.blocks[b].last_doc < target {
-        b += 1;
-    }
-    if b > b0 {
-        *skipped += (b - b0) as u64;
-        c.pos = b * block_size;
-        c.block = b;
-        c.block_end = ((b + 1) * block_size).min(c.list.docs.len());
-    }
-    if b >= nblocks {
-        c.pos = c.list.docs.len();
-        return;
-    }
-    c.pos += c.list.docs[c.pos..c.block_end].partition_point(|&d| d < target);
 }
 
 impl InvertedIndex {
@@ -214,9 +93,9 @@ impl InvertedIndex {
 
     /// Adds a document, interning its tokens into `vocab`.
     ///
-    /// Returns the new document's id. A frozen block structure is
-    /// dropped: corpus statistics moved under every stored bound, so the
-    /// next retrieval (or [`Self::freeze`]) rebuilds it.
+    /// Returns the new document's id. The per-document length factors
+    /// are dropped: the mean length moved under every one of them, so
+    /// the next score (or [`Self::freeze`]) rebuilds them.
     pub fn add_document(&mut self, text: &str, vocab: &mut Vocab) -> DocId {
         let tokens = tokenize(text);
         let doc = DocId(self.doc_lengths.len() as u32);
@@ -231,7 +110,7 @@ impl InvertedIndex {
         }
         self.doc_lengths.push(tokens.len() as u32);
         self.total_length += tokens.len() as u64;
-        self.frozen.take();
+        self.len_factors.take();
         doc
     }
 
@@ -250,29 +129,16 @@ impl InvertedIndex {
         self.doc_lengths[doc.index()]
     }
 
-    /// Documents per posting block (must be ≥ 1; default
-    /// [`DEFAULT_BLOCK_SIZE`]). Small blocks are used by the edge-case
-    /// and property tests to exercise many block boundaries on small
-    /// corpora. Resets the frozen structure.
-    pub fn set_block_size(&mut self, block_size: usize) {
-        self.block_size = block_size.max(1);
-        self.frozen.take();
+    /// Top-k searches answered since construction.
+    pub fn wand_queries(&self) -> u64 {
+        self.wand_queries.load(Relaxed)
     }
 
-    /// Retrieval-path counters since construction.
-    pub fn retrieval_stats(&self) -> RetrievalStats {
-        RetrievalStats {
-            wand_queries: self.wand_queries.load(Relaxed),
-            exhaustive_queries: self.exhaustive_queries.load(Relaxed),
-            blocks_skipped: self.blocks_skipped.load(Relaxed),
-        }
-    }
-
-    /// Builds the frozen block structure eagerly (it is otherwise built
-    /// lazily on the first search), so a serving path never pays the
-    /// freeze inside a query.
+    /// Builds the per-document length factors eagerly (they are
+    /// otherwise built on the first score), so a serving path never
+    /// pays for them inside a query.
     pub fn freeze(&self) {
-        let _ = self.frozen();
+        let _ = self.len_factors();
     }
 
     /// The `(doc, tf)` postings of `term`, sorted by document id
@@ -281,47 +147,23 @@ impl InvertedIndex {
         self.postings.get(&term).map_or(&[], Vec::as_slice)
     }
 
-    /// Frozen block metadata of `term`: one `(first_doc, last_doc,
-    /// upper_bound)` triple per block, where `upper_bound` is the stored
-    /// max impact — the exact maximum of the member documents' BM25
-    /// contributions, so ≥ every one of them (property-tested in
-    /// `tests/wand_equivalence.rs`).
-    pub fn term_blocks(&self, term: WordId) -> Vec<(DocId, DocId, f64)> {
-        let frozen = self.frozen();
-        let Some(list) = frozen.lists.get(&term) else {
-            return Vec::new();
-        };
-        list.blocks
-            .iter()
-            .enumerate()
-            .map(|(b, blk)| {
-                let first = list.docs[b * frozen.block_size];
-                (DocId(first), DocId(blk.last_doc), blk.max_impact)
-            })
-            .collect()
-    }
-
     /// BM25 score of `doc` for the (tokenized, interned) query terms.
     pub fn bm25(&self, doc: DocId, query_terms: &[WordId]) -> f64 {
-        let avg_len = self.avg_doc_len();
         query_terms
             .iter()
-            .map(|&term| self.bm25_term(doc, term, avg_len))
+            .map(|&term| self.bm25_term(doc, term))
             .sum()
     }
 
-    fn bm25_term(&self, doc: DocId, term: WordId, avg_len: f64) -> f64 {
-        let Some(postings) = self.postings.get(&term) else {
-            return 0.0;
-        };
+    fn bm25_term(&self, doc: DocId, term: WordId) -> f64 {
+        let postings = self.term_postings(term);
         // Postings are sorted by doc id (documents are appended in id
-        // order), so the per-(doc, term) lookup is a binary search —
-        // this used to be a linear scan of the whole list.
+        // order), so the per-(doc, term) lookup is a binary search.
         let Ok(i) = postings.binary_search_by_key(&doc, |&(d, _)| d) else {
             return 0.0;
         };
         let idf = self.idf(postings.len());
-        score_one(idf, postings[i].1, self.doc_len(doc), avg_len)
+        score_one(idf, postings[i].1, self.len_factors()[doc.index()])
     }
 
     /// BM25 scores of **every** document for `query_terms`, in one
@@ -330,17 +172,9 @@ impl InvertedIndex {
     /// calling [`Self::bm25`] on each document. This is the batch entry
     /// the text-fallback degree column rides.
     pub fn bm25_dense(&self, query_terms: &[WordId]) -> Vec<f64> {
-        let avg_len = self.avg_doc_len();
         let mut scores = vec![0.0f64; self.num_docs()];
         for &term in query_terms {
-            let Some(postings) = self.postings.get(&term) else {
-                continue;
-            };
-            let idf = self.idf(postings.len());
-            for &(doc, tf) in postings {
-                opine_faults::checkpoint();
-                scores[doc.index()] += score_one(idf, tf, self.doc_lengths[doc.index()], avg_len);
-            }
+            self.add_term(term, &mut scores, |_| {});
         }
         scores
     }
@@ -358,241 +192,91 @@ impl InvertedIndex {
         self.search_terms(&terms, k)
     }
 
-    /// The exhaustive scorer: accumulate every candidate's score
-    /// document-at-a-time over the full posting lists, then heap-select
-    /// the top k. Kept verbatim as the equivalence-test reference.
+    /// The retrieval oracle: every document that contains a query term,
+    /// scored by the point [`Self::bm25`] and fully sorted by (score
+    /// desc, doc asc). [`Self::search_terms`] must equal it bit for bit.
     pub fn search_terms_exhaustive(&self, terms: &[WordId], k: usize) -> Vec<SearchHit> {
-        if k == 0 || terms.is_empty() {
-            return Vec::new();
-        }
-        self.exhaustive_queries.fetch_add(1, Relaxed);
-        let avg_len = self.avg_doc_len();
-        // Accumulate scores document-at-a-time over candidate postings.
-        let mut scores: HashMap<DocId, f64> = HashMap::new();
-        for &term in terms {
-            let Some(postings) = self.postings.get(&term) else {
-                continue;
-            };
-            let idf = self.idf(postings.len());
-            for &(doc, tf) in postings {
-                opine_faults::checkpoint();
-                let s = score_one(idf, tf, self.doc_len(doc), avg_len);
-                *scores.entry(doc).or_insert(0.0) += s;
-            }
-        }
-
-        // Keep the k best via a min-heap of (Reverse score, doc).
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-        for (doc, score) in scores {
-            opine_faults::checkpoint();
-            heap.push(HeapEntry { score, doc });
-            if heap.len() > k {
-                heap.pop();
-            }
-        }
-        sorted_hits(heap)
+        let mut docs: Vec<DocId> = terms
+            .iter()
+            .flat_map(|&term| self.term_postings(term))
+            .map(|&(doc, _)| doc)
+            .collect();
+        docs.sort_unstable();
+        docs.dedup();
+        let mut hits: Vec<SearchHit> = docs
+            .into_iter()
+            .map(|doc| SearchHit {
+                doc,
+                score: self.bm25(doc, terms),
+            })
+            .collect();
+        hits.sort_by(hit_order);
+        hits.truncate(k);
+        hits
     }
 
-    /// Top-`k` documents for pre-interned query terms by Block-Max WAND:
-    /// advance a pivot over doc-ordered term cursors, skipping whole
-    /// blocks whose summed max-impact bounds cannot beat the current k-th
-    /// score.
+    /// Top-`k` documents for pre-interned query terms, term-at-a-time:
+    /// each term's contributions are added into a dense score array in
+    /// query-term order (duplicates included), the touched documents are
+    /// cut to the k best by (score desc, doc asc) with a selection, and
+    /// only those are sorted.
     pub fn search_terms(&self, terms: &[WordId], k: usize) -> Vec<SearchHit> {
         if k == 0 || terms.is_empty() || self.doc_lengths.is_empty() {
             return Vec::new();
         }
         self.wand_queries.fetch_add(1, Relaxed);
         let span = opine_trace::span("wand_retrieval");
-        let frozen = self.frozen();
-        let avg_len = self.avg_doc_len();
-        let block_size = frozen.block_size;
-
-        // One cursor per query-term *occurrence* (duplicates included),
-        // in query order, so full evaluations add contributions in the
-        // exact order the exhaustive scorer does.
-        let mut cursors: Vec<Cursor<'_>> = terms
-            .iter()
-            .filter_map(|t| frozen.lists.get(t))
-            .map(|list| Cursor {
-                list,
-                pos: 0,
-                block: 0,
-                block_end: block_size.min(list.docs.len()),
-                bound: list.max_impact,
+        let mut scores = vec![0.0f64; self.num_docs()];
+        let mut touched: Vec<DocId> = Vec::new();
+        let mut postings = 0;
+        for &term in terms {
+            // Armed only under fault injection.
+            opine_faults::fire_panic("mid_wand");
+            postings += self.add_term(term, &mut scores, |doc| touched.push(doc));
+        }
+        span.count("postings", postings as u64);
+        let mut hits: Vec<SearchHit> = touched
+            .into_iter()
+            .map(|doc| SearchHit {
+                doc,
+                score: scores[doc.index()],
             })
             .collect();
-        if cursors.is_empty() {
-            return Vec::new();
+        if hits.len() > k {
+            hits.select_nth_unstable_by(k - 1, hit_order);
+            hits.truncate(k);
         }
-
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-        let mut skipped = 0u64;
-        // Indices into `cursors`, kept sorted by current document.
-        let mut order: Vec<usize> = (0..cursors.len()).collect();
-
-        // The `mid_wand` failpoint sits inside the pivot loop (armed
-        // only under fault injection), alongside the cancellation
-        // checkpoint an expired request deadline unwinds from.
-        loop {
-            opine_faults::checkpoint();
-            opine_faults::fire_panic("mid_wand");
-            order.retain(|&i| !cursors[i].exhausted());
-            if order.is_empty() {
-                break;
-            }
-            order.sort_by_key(|&i| cursors[i].doc());
-            let threshold = if heap.len() >= k {
-                heap.peek().expect("heap holds k entries").score
-            } else {
-                f64::NEG_INFINITY
-            };
-
-            // Pivot: the shortest prefix of the sorted cursors whose
-            // summed list bounds could still beat the k-th score. A doc
-            // scoring exactly the threshold loses the tie to an
-            // already-kept smaller id, so the comparison is strict.
-            let mut ub = 0.0;
-            let mut pivot_rank = None;
-            // lint:allow(checkpoint_coverage, reason = "bounded by query term count; the enclosing WAND round checkpoints")
-            for (rank, &i) in order.iter().enumerate() {
-                ub += cursors[i].bound;
-                if ub > threshold {
-                    pivot_rank = Some(rank);
-                    break;
-                }
-            }
-            let Some(p) = pivot_rank else {
-                break; // nothing left can enter the top k
-            };
-            let pivot_doc = cursors[order[p]].doc();
-            // Cursors past the pivot rank can sit exactly on the pivot
-            // document; they contribute to its score and bound too.
-            let mut m = p;
-            while m + 1 < order.len() && cursors[order[m + 1]].doc() == pivot_doc {
-                m += 1;
-            }
-
-            // Block-max refinement: bound every document in
-            // [pivot_doc, min participating block's last doc].
-            let mut block_ub = 0.0;
-            let mut min_block_last = u32::MAX;
-            // lint:allow(checkpoint_coverage, reason = "bounded by query term count; the enclosing WAND round checkpoints")
-            for &i in &order[..=m] {
-                let c = &cursors[i];
-                let nblocks = c.list.blocks.len();
-                let mut b = c.block;
-                while b < nblocks && c.list.blocks[b].last_doc < pivot_doc {
-                    b += 1;
-                }
-                if b == nblocks {
-                    // No remaining posting of this list reaches the
-                    // pivot; its leftovers are all below the pivot and
-                    // provably under the threshold.
-                    continue;
-                }
-                let blk = &c.list.blocks[b];
-                block_ub += blk.max_impact;
-                min_block_last = min_block_last.min(blk.last_doc);
-            }
-
-            if block_ub <= threshold {
-                // Skip: no document up to the nearest participating
-                // block boundary can make the top k. Jump past it,
-                // capped at the next non-participating cursor's doc.
-                let mut target = min_block_last.saturating_add(1);
-                if m + 1 < order.len() {
-                    target = target.min(cursors[order[m + 1]].doc());
-                }
-                for &i in &order[..=m] {
-                    seek(&mut cursors[i], target, block_size, &mut skipped);
-                }
-            } else if cursors[order[0]].doc() == pivot_doc {
-                // Fully aligned: score the pivot document, accumulating
-                // contributions in query-term order (bit-identical to
-                // the exhaustive scorer's sum).
-                let doc_len = self.doc_lengths[pivot_doc as usize];
-                let mut score = 0.0;
-                // lint:allow(checkpoint_coverage, reason = "bounded by query term count; the enclosing WAND round checkpoints")
-                for c in cursors.iter_mut() {
-                    if !c.exhausted() && c.doc() == pivot_doc {
-                        score += score_one(c.list.idf, c.list.tfs[c.pos], doc_len, avg_len);
-                        c.advance(block_size);
-                    }
-                }
-                // A full heap would evict a sub-threshold doc right
-                // back (equal scores lose the tie to the smaller,
-                // already-kept id), so only push winners.
-                if heap.len() < k || score > threshold {
-                    heap.push(HeapEntry {
-                        score,
-                        doc: DocId(pivot_doc),
-                    });
-                    if heap.len() > k {
-                        heap.pop();
-                    }
-                }
-            } else {
-                // Lagging cursors: documents before the pivot appear
-                // only in lists whose summed bounds are ≤ threshold
-                // (that is what made it the pivot) — align to it.
-                for &i in &order[..=m] {
-                    if cursors[i].doc() < pivot_doc {
-                        seek(&mut cursors[i], pivot_doc, block_size, &mut skipped);
-                    }
-                }
-            }
-        }
-        span.count("blocks_skipped", skipped);
-        self.blocks_skipped.fetch_add(skipped, Relaxed);
-        sorted_hits(heap)
+        hits.sort_unstable_by(hit_order);
+        hits
     }
 
-    /// The frozen block structure, built on first use.
-    fn frozen(&self) -> &Frozen {
-        self.frozen.get_or_init(|| {
+    /// The one accumulation loop: adds `term`'s contribution to every
+    /// document containing it into `scores`, reporting each document it
+    /// scores for the first time to `touched` (a contribution is > 0, so
+    /// a score of 0.0 means untouched). Returns the postings scored.
+    fn add_term(&self, term: WordId, scores: &mut [f64], mut touched: impl FnMut(DocId)) -> usize {
+        let postings = self.term_postings(term);
+        let idf = self.idf(postings.len());
+        let factors = self.len_factors();
+        for &(doc, tf) in postings {
+            opine_faults::checkpoint();
+            let score = &mut scores[doc.index()];
+            if *score == 0.0 {
+                touched(doc);
+            }
+            *score += score_one(idf, tf, factors[doc.index()]);
+        }
+        postings.len()
+    }
+
+    /// The per-document length factors, built on first use.
+    fn len_factors(&self) -> &[f64] {
+        self.len_factors.get_or_init(|| {
             let avg_len = self.avg_doc_len();
-            let block_size = self.block_size.max(1);
-            let lists = self
-                .postings
+            self.doc_lengths
                 .iter()
-                .map(|(&term, postings)| {
-                    let idf = self.idf(postings.len());
-                    let docs: Vec<u32> = postings.iter().map(|&(d, _)| d.0).collect();
-                    debug_assert!(
-                        docs.windows(2).all(|w| w[0] < w[1]),
-                        "postings must be sorted by doc id"
-                    );
-                    let tfs: Vec<u32> = postings.iter().map(|&(_, tf)| tf).collect();
-                    let mut blocks = Vec::with_capacity(docs.len().div_ceil(block_size));
-                    let mut list_max = 0.0f64;
-                    // lint:allow(checkpoint_coverage, reason = "construction path; block summaries are built before the index serves queries")
-                    for start in (0..docs.len()).step_by(block_size) {
-                        let end = (start + block_size).min(docs.len());
-                        let max_impact = (start..end)
-                            .map(|i| {
-                                let len = self.doc_lengths[docs[i] as usize];
-                                score_one(idf, tfs[i], len, avg_len)
-                            })
-                            .fold(0.0, f64::max);
-                        list_max = list_max.max(max_impact);
-                        blocks.push(Block {
-                            last_doc: docs[end - 1],
-                            max_impact,
-                        });
-                    }
-                    (
-                        term,
-                        FrozenList {
-                            docs,
-                            tfs,
-                            blocks,
-                            idf,
-                            max_impact: list_max,
-                        },
-                    )
-                })
-                .collect();
-            Frozen { lists, block_size }
+                .map(|&len| len_factor(len, avg_len))
+                .collect()
         })
     }
 
@@ -637,52 +321,8 @@ pub fn bm25_term_score(
     score_one(
         idf(num_docs, df),
         tf,
-        doc_len,
-        avg_doc_len(num_docs, total_length),
+        len_factor(doc_len, avg_doc_len(num_docs, total_length)),
     )
-}
-
-/// Drains a top-k heap into the canonical hit order: score descending,
-/// doc id ascending on ties.
-fn sorted_hits(heap: BinaryHeap<HeapEntry>) -> Vec<SearchHit> {
-    let mut hits: Vec<SearchHit> = heap
-        .into_iter()
-        .map(|e| SearchHit {
-            doc: e.doc,
-            score: e.score,
-        })
-        .collect();
-    hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.doc.0.cmp(&b.doc.0)));
-    hits
-}
-
-/// Min-heap entry ordered by score ascending (so `pop` evicts the worst).
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    score: f64,
-    doc: DocId,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse score so the heap's max is the *worst* candidate; break
-        // ties by doc id descending so the smallest id survives eviction.
-        other
-            .score
-            .total_cmp(&self.score)
-            .then(self.doc.0.cmp(&other.doc.0))
-    }
 }
 
 #[cfg(test)]
@@ -703,24 +343,23 @@ mod tests {
         (vocab, index)
     }
 
-    /// Asserts WAND and exhaustive answers are bit-identical: same
+    /// Asserts the top-k search and the oracle are bit-identical: same
     /// docs, same score bits, same order.
     fn assert_paths_agree(index: &InvertedIndex, terms: &[WordId], k: usize) {
-        let wand = index.search_terms(terms, k);
-        let exhaustive = index.search_terms_exhaustive(terms, k);
-        assert_eq!(wand.len(), exhaustive.len(), "k={k} terms={terms:?}");
-        for (w, e) in wand.iter().zip(&exhaustive) {
-            assert_eq!(w.doc, e.doc, "k={k}");
-            assert_eq!(w.score.to_bits(), e.score.to_bits(), "doc {:?}", w.doc);
+        let fast = index.search_terms(terms, k);
+        let oracle = index.search_terms_exhaustive(terms, k);
+        assert_eq!(fast.len(), oracle.len(), "k={k} terms={terms:?}");
+        for (f, o) in fast.iter().zip(&oracle) {
+            assert_eq!(f.doc, o.doc, "k={k}");
+            assert_eq!(f.score.to_bits(), o.score.to_bits(), "doc {:?}", f.doc);
         }
     }
 
     /// A larger synthetic corpus with a deterministic, skewed term
-    /// distribution (LCG) so block skipping actually fires.
-    fn skewed(num_docs: usize, block_size: usize) -> (Vocab, InvertedIndex, Vec<WordId>) {
+    /// distribution (LCG): many near-ties and many touched documents.
+    fn skewed(num_docs: usize) -> (Vocab, InvertedIndex, Vec<WordId>) {
         let mut vocab = Vocab::new();
         let mut index = InvertedIndex::new();
-        index.set_block_size(block_size);
         let mut state = 0x2545_f491u64;
         let mut next = || {
             state = state
@@ -840,9 +479,9 @@ mod tests {
         let idf = index.idf(postings.len());
         for i in (0..10_000).step_by(97) {
             let doc = DocId(i as u32);
-            // Linear reference: the pre-PR lookup.
+            // Linear reference: a scan for the posting.
             let (_, tf) = postings.iter().find(|(d, _)| *d == doc).copied().unwrap();
-            let reference = score_one(idf, tf, index.doc_len(doc), avg_len);
+            let reference = score_one(idf, tf, len_factor(index.doc_len(doc), avg_len));
             let got = index.bm25(doc, &[term]);
             assert_eq!(got.to_bits(), reference.to_bits(), "doc {i}");
         }
@@ -853,8 +492,7 @@ mod tests {
 
     #[test]
     fn wand_matches_exhaustive_on_the_fixture() {
-        let (vocab, mut index) = build();
-        index.set_block_size(2);
+        let (vocab, index) = build();
         let terms: Vec<WordId> = ["clean", "room", "carpet", "staff"]
             .iter()
             .filter_map(|t| vocab.get(t))
@@ -866,26 +504,47 @@ mod tests {
 
     #[test]
     fn wand_matches_exhaustive_on_a_skewed_corpus() {
-        let (_, index, terms) = skewed(3000, 32);
+        let (_, index, terms) = skewed(3000);
         for k in [1, 5, 10, 100, 5000] {
             assert_paths_agree(&index, &terms, k);
         }
     }
 
     #[test]
-    fn wand_skips_blocks_on_a_skewed_corpus() {
-        let (_, index, terms) = skewed(3000, 32);
-        let before = index.retrieval_stats();
-        let hits = index.search_terms(&terms, 10);
-        assert_eq!(hits.len(), 10);
-        let after = index.retrieval_stats();
-        assert_eq!(after.wand_queries, before.wand_queries + 1);
-        assert!(
-            after.blocks_skipped > before.blocks_skipped,
-            "top-10 over 3000 skewed docs must skip blocks: {after:?}"
+    fn single_doc_blocks_stay_equivalent() {
+        let (vocab, index) = build();
+        let terms: Vec<WordId> = ["clean", "room"]
+            .iter()
+            .filter_map(|t| vocab.get(t))
+            .collect();
+        for k in [1, 2, 3, 10] {
+            assert_paths_agree(&index, &terms, k);
+        }
+        // One posting per matching document.
+        assert_eq!(
+            index.term_postings(terms[0]).len(),
+            index.doc_freq(terms[0])
         );
-        // …and skipping them changed nothing.
-        assert_paths_agree(&index, &terms, 10);
+    }
+
+    #[test]
+    fn block_boundary_exactly_at_k_stays_equivalent() {
+        let (_, index, terms) = skewed(256);
+        // k at a quarter, half and all of the corpus: the selection cuts
+        // at, inside and past a run of ties.
+        for k in [64, 128, 256] {
+            assert_paths_agree(&index, &terms, k);
+        }
+    }
+
+    #[test]
+    fn each_search_counts_once_and_k_zero_not_at_all() {
+        let (_, index, terms) = skewed(200);
+        assert_eq!(index.wand_queries(), 0);
+        index.search_terms(&terms, 10);
+        index.search_terms(&terms, 0);
+        index.search_terms(&[], 10);
+        assert_eq!(index.wand_queries(), 1);
     }
 
     #[test]
@@ -898,34 +557,8 @@ mod tests {
     }
 
     #[test]
-    fn single_doc_blocks_stay_equivalent() {
-        let (vocab, mut index) = build();
-        index.set_block_size(1);
-        let terms: Vec<WordId> = ["clean", "room"]
-            .iter()
-            .filter_map(|t| vocab.get(t))
-            .collect();
-        for k in [1, 2, 3, 10] {
-            assert_paths_agree(&index, &terms, k);
-        }
-        let blocks = index.term_blocks(terms[0]);
-        assert_eq!(blocks.len(), index.doc_freq(terms[0]), "one doc per block");
-    }
-
-    #[test]
-    fn block_boundary_exactly_at_k_stays_equivalent() {
-        let (_, index, terms) = skewed(256, 64);
-        // k equal to the block size and to multiples of it: the heap
-        // fills exactly at a block boundary.
-        for k in [64, 128, 256] {
-            assert_paths_agree(&index, &terms, k);
-        }
-    }
-
-    #[test]
     fn duplicate_terms_score_like_the_exhaustive_path() {
-        let (vocab, mut index) = build();
-        index.set_block_size(2);
+        let (vocab, index) = build();
         let clean = vocab.get("clean").unwrap();
         let room = vocab.get("room").unwrap();
         for terms in [vec![clean, clean], vec![clean, room, clean, clean]] {
@@ -949,7 +582,6 @@ mod tests {
     fn all_equal_scores_keep_smallest_doc_ids() {
         let mut vocab = Vocab::new();
         let mut index = InvertedIndex::new();
-        index.set_block_size(4);
         for _ in 0..20 {
             index.add_document("spotless lobby carpet", &mut vocab);
         }
@@ -961,34 +593,13 @@ mod tests {
     }
 
     #[test]
-    fn stored_block_bounds_are_true_upper_bounds() {
-        let (_, index, terms) = skewed(1000, 16);
-        for &term in &terms {
-            let blocks = index.term_blocks(term);
-            assert!(!blocks.is_empty());
-            for (first, last, bound) in blocks {
-                for &(doc, _) in index.term_postings(term) {
-                    if doc >= first && doc <= last {
-                        let score = index.bm25(doc, &[term]);
-                        assert!(
-                            score <= bound,
-                            "doc {doc:?} scores {score} above its block bound {bound}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn interleaved_adds_and_searches_stay_bit_identical() {
         // Grow a corpus while searching between appends: every append
-        // drops the freeze, so every search rebuilds it over the new
-        // statistics and must stay bit-identical to the exhaustive
-        // scorer over the same state.
+        // drops the length factors, so every search rebuilds them over
+        // the new statistics and must stay bit-identical to the oracle
+        // over the same state.
         let mut vocab = Vocab::new();
         let mut index = InvertedIndex::new();
-        index.set_block_size(4);
         let phrases = [
             "clean room and soft bed",
             "dirty carpet dirty walls",
@@ -1019,8 +630,8 @@ mod tests {
     fn appends_that_introduce_new_terms_extend_the_freeze() {
         let (mut vocab, mut index) = build();
         index.freeze();
-        // The add drops the freeze; the search rebuilds it with the new
-        // term's list in it.
+        // The add drops the length factors; the search rebuilds them
+        // with the new document in them.
         index.add_document("entirely novel wording here", &mut vocab);
         let novel = vocab.get("novel").unwrap();
         let hits = index.search_terms(&[novel], 5);

@@ -16,10 +16,8 @@ pub const MONOTONIC_COUNTERS: &[&str] = &[
     "pushdown_queries",
     "qualified_queries",
     "timed_out_queries",
-    // ir::index WAND counters
+    // ir::index top-k search counter
     "wand_queries",
-    "exhaustive_queries",
-    "blocks_skipped",
     // faults crate injection counter
     "INJECTED",
     // core::db repair counters (a stale cached artifact brought to a
@@ -63,7 +61,7 @@ pub const COUNTER_ALIASES: &[(&str, &str)] = &[
 ];
 
 /// Files whose loops are data-proportional (per-document / per-block /
-/// per-posting work): top-k pivoting, WAND block skipping, summary
+/// per-posting work): top-k pivoting, posting accumulation, summary
 /// merging, the qualified fold and the reference's rescan,
 /// degree-column builds and repairs, the executor's row loop and hash
 /// joins, and the parallel worker shim. Loops of consequence

@@ -48,7 +48,7 @@ pub const STAGES: [&str; 11] = [
 pub const COUNTERS: [&str; 10] = [
     "candidates",
     "heap_pops",
-    "blocks_skipped",
+    "postings",
     "cache_hits",
     "cache_misses",
     "cache_repairs",

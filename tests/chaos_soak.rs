@@ -132,7 +132,7 @@ fn serving_survives_fault_injection_and_recovers() {
     // Arm the failpoints: engine-site panics and delays plus
     // response-boundary errors (which `fire_panic` escalates to the
     // per-request catch). Probabilities are deliberately low at
-    // `mid_wand` — it fires per pivot iteration.
+    // `mid_wand` — it fires per query term of every retrieval.
     faults::configure(
         "pre_ta=panic@0.05,mid_wand=delay:2@0.01,summary_merge=error@0.04,response_write=error@0.02",
         0xC4A0_5EED,

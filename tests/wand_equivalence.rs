@@ -1,22 +1,23 @@
-//! Block-Max-WAND equivalence harness.
+//! Retrieval equivalence harness.
 //!
-//! The skipping retrieval path must return **bit-identical** answers to
-//! the exhaustive posting traversal it replaced — same documents, same
-//! `f64` score bits, same tie order — over random corpora and queries
-//! (including duplicate terms, empty queries, out-of-vocabulary terms,
-//! `k` larger than the corpus, and all-equal-score ties), and the
-//! per-block max-impact bounds must truly dominate every member
-//! document's score. On top of the index-level properties, a cold-path
-//! regression asserts the skipping path actually fires inside the
-//! interpretation pipeline (`wand_queries` / `blocks_skipped` via
-//! `cache_report`) and that, on the interpreter's own review index at
-//! its own retrieval depth, WAND and the exhaustive scorer return the
-//! same hits — so interpretations, and the answers built on them, match
-//! the reference end to end.
+//! The term-at-a-time top-k search must return **bit-identical**
+//! answers to the oracle, which scores every matching document with the
+//! point BM25 and fully sorts — same documents, same `f64` score bits,
+//! same tie order — over random corpora and queries (including
+//! duplicate terms, empty queries, out-of-vocabulary terms, `k` larger
+//! than the corpus, all-equal-score ties, and documents appended
+//! between searches). On top of the index-level properties, a cold-path
+//! regression asserts retrieval actually fires inside the
+//! interpretation pipeline (`wand_queries` via `cache_report`), a
+//! differential over cold-bank-shaped predicates holds the interpreter's
+//! own review index to the oracle at its own retrieval depth, and the
+//! interpretations and answers built on that retrieval match the
+//! reference end to end.
 
 use opinedb::core::interpret::InterpreterConfig;
 use opinedb::core::{build, BuildConfig, OpineDb};
 use opinedb::corpus::hotel::hotel_spec;
+use opinedb::corpus::workload::hotel_workload;
 use opinedb::corpus::{Corpus, CorpusConfig};
 use opinedb::embed::Word2VecConfig;
 use opinedb::ir::{InvertedIndex, SearchHit};
@@ -30,14 +31,12 @@ use proptest::prelude::*;
 fn build_index(
     docs: &[Vec<u8>],
     vocab_size: u8,
-    block_size: usize,
 ) -> (Vocab, InvertedIndex, Vec<opinedb::text::WordId>) {
     let mut vocab = Vocab::new();
     let ids: Vec<_> = (0..vocab_size as usize + 3)
         .map(|w| vocab.intern(&format!("w{w}")))
         .collect();
     let mut index = InvertedIndex::new();
-    index.set_block_size(block_size);
     for doc in docs {
         let text = doc
             .iter()
@@ -51,33 +50,33 @@ fn build_index(
 
 /// Asserts bit-identical hits: same docs, same score bits, same order.
 fn assert_bit_identical(
-    wand: &[SearchHit],
-    exhaustive: &[SearchHit],
+    hits: &[SearchHit],
+    oracle: &[SearchHit],
     context: &str,
 ) -> Result<(), TestCaseError> {
     prop_assert!(
-        wand.len() == exhaustive.len(),
+        hits.len() == oracle.len(),
         "{}: lengths differ ({} vs {})",
         context,
-        wand.len(),
-        exhaustive.len()
+        hits.len(),
+        oracle.len()
     );
-    for (i, (w, e)) in wand.iter().zip(exhaustive).enumerate() {
+    for (i, (h, o)) in hits.iter().zip(oracle).enumerate() {
         prop_assert!(
-            w.doc == e.doc,
+            h.doc == o.doc,
             "{}: doc at rank {} differs ({:?} vs {:?})",
             context,
             i,
-            w.doc,
-            e.doc
+            h.doc,
+            o.doc
         );
         prop_assert!(
-            w.score.to_bits() == e.score.to_bits(),
+            h.score.to_bits() == o.score.to_bits(),
             "{}: score bits at rank {} differ ({} vs {})",
             context,
             i,
-            w.score,
-            e.score
+            h.score,
+            o.score
         );
     }
     Ok(())
@@ -85,52 +84,50 @@ fn assert_bit_identical(
 
 proptest! {
     /// Random corpora + random queries (duplicates and OOV terms
-    /// included), random k (0 up to past the corpus size), random
-    /// block sizes down to single-posting blocks: WAND ≡ exhaustive.
+    /// included), random k (0 up to past the corpus size): the search
+    /// ≡ the oracle.
     #[test]
     fn wand_is_bit_identical_to_exhaustive(
         docs in prop::collection::vec(prop::collection::vec(0u8..12, 0..10), 0..48),
         query in prop::collection::vec(0usize..15, 0..6),
         k in 0usize..60,
-        block_size in 1usize..9,
     ) {
-        let (_, index, ids) = build_index(&docs, 12, block_size);
+        let (_, index, ids) = build_index(&docs, 12);
         let terms: Vec<_> = query.iter().map(|&q| ids[q]).collect();
-        let wand = index.search_terms(&terms, k);
-        let exhaustive = index.search_terms_exhaustive(&terms, k);
+        let hits = index.search_terms(&terms, k);
+        let oracle = index.search_terms_exhaustive(&terms, k);
         assert_bit_identical(
-            &wand,
-            &exhaustive,
-            &format!("docs={} terms={:?} k={k} block={block_size}", docs.len(), query),
+            &hits,
+            &oracle,
+            &format!("docs={} terms={:?} k={k}", docs.len(), query),
         )?;
         if k == 0 || terms.is_empty() {
-            prop_assert!(wand.is_empty());
+            prop_assert!(hits.is_empty());
         }
     }
 
     /// A tiny vocabulary forces massive score ties; the tie order
-    /// (ascending doc id) must survive skipping exactly.
+    /// (ascending doc id) must survive the selection exactly.
     #[test]
     fn tied_scores_keep_exhaustive_order(
         num_docs in 1usize..64,
         k in 0usize..80,
-        block_size in 1usize..6,
     ) {
         // Every document is identical, so every score is identical.
         let docs: Vec<Vec<u8>> = (0..num_docs).map(|_| vec![0, 1, 1]).collect();
-        let (_, index, ids) = build_index(&docs, 2, block_size);
+        let (_, index, ids) = build_index(&docs, 2);
         let terms = [ids[0], ids[1]];
-        let wand = index.search_terms(&terms, k);
-        let exhaustive = index.search_terms_exhaustive(&terms, k);
-        assert_bit_identical(&wand, &exhaustive, &format!("n={num_docs} k={k}"))?;
+        let hits = index.search_terms(&terms, k);
+        let oracle = index.search_terms_exhaustive(&terms, k);
+        assert_bit_identical(&hits, &oracle, &format!("n={num_docs} k={k}"))?;
         // Ties resolve to the smallest doc ids, in ascending order.
         let expect: Vec<u32> = (0..num_docs.min(k) as u32).collect();
-        let got: Vec<u32> = wand.iter().map(|h| h.doc.0).collect();
+        let got: Vec<u32> = hits.iter().map(|h| h.doc.0).collect();
         prop_assert_eq!(got, expect);
     }
 
     /// Duplicate query terms double (triple, …) a term's contribution;
-    /// the skipping path must accumulate them in the same order.
+    /// the search must accumulate them in the same order.
     #[test]
     fn duplicate_terms_stay_equivalent(
         docs in prop::collection::vec(prop::collection::vec(0u8..6, 1..8), 1..40),
@@ -138,26 +135,25 @@ proptest! {
         copies in 2usize..5,
         k in 1usize..50,
     ) {
-        let (_, index, ids) = build_index(&docs, 6, 4);
+        let (_, index, ids) = build_index(&docs, 6);
         let terms: Vec<_> = std::iter::repeat_n(ids[term], copies).collect();
-        let wand = index.search_terms(&terms, k);
-        let exhaustive = index.search_terms_exhaustive(&terms, k);
-        assert_bit_identical(&wand, &exhaustive, &format!("copies={copies} k={k}"))?;
+        let hits = index.search_terms(&terms, k);
+        let oracle = index.search_terms_exhaustive(&terms, k);
+        assert_bit_identical(&hits, &oracle, &format!("copies={copies} k={k}"))?;
     }
 
     /// Interleaved add/search: a document added to an already-frozen
-    /// index drops the freeze, so every search between appends runs
-    /// over blocks rebuilt for the new corpus statistics and stays
-    /// bit-identical to the exhaustive scorer over the same state.
+    /// index drops its length factors, so every search between appends
+    /// runs over factors rebuilt for the new corpus statistics and stays
+    /// bit-identical to the oracle over the same state.
     #[test]
     fn interleaved_adds_and_searches_stay_bit_identical(
         initial in prop::collection::vec(prop::collection::vec(0u8..10, 1..8), 1..24),
         appended in prop::collection::vec(prop::collection::vec(0u8..10, 0..8), 1..24),
         query in prop::collection::vec(0usize..12, 1..5),
         k in 1usize..40,
-        block_size in 1usize..6,
     ) {
-        let (mut vocab, mut index, ids) = build_index(&initial, 10, block_size);
+        let (mut vocab, mut index, ids) = build_index(&initial, 10);
         index.freeze();
         let terms: Vec<_> = query.iter().map(|&q| ids[q]).collect();
         for doc in &appended {
@@ -167,51 +163,21 @@ proptest! {
                 .collect::<Vec<_>>()
                 .join(" ");
             index.add_document(&text, &mut vocab);
-            let wand = index.search_terms(&terms, k);
-            let exhaustive = index.search_terms_exhaustive(&terms, k);
+            let hits = index.search_terms(&terms, k);
+            let oracle = index.search_terms_exhaustive(&terms, k);
             assert_bit_identical(
-                &wand,
-                &exhaustive,
-                &format!(
-                    "base={} appended_len={} k={k} block={block_size}",
-                    initial.len(),
-                    doc.len()
-                ),
+                &hits,
+                &oracle,
+                &format!("base={} appended_len={} k={k}", initial.len(), doc.len()),
             )?;
-        }
-    }
-
-    /// No block's stored max-impact bound is ever exceeded by a member
-    /// document's real score (the invariant every skip relies on).
-    #[test]
-    fn block_bounds_dominate_member_scores(
-        docs in prop::collection::vec(prop::collection::vec(0u8..8, 1..10), 1..60),
-        block_size in 1usize..7,
-    ) {
-        let (_, index, ids) = build_index(&docs, 8, block_size);
-        for &term in &ids {
-            let blocks = index.term_blocks(term);
-            let postings = index.term_postings(term);
-            for (first, last, bound) in blocks {
-                for &(doc, _) in postings {
-                    if doc >= first && doc <= last {
-                        let score = index.bm25(doc, &[term]);
-                        prop_assert!(
-                            score <= bound,
-                            "doc {:?} scores {} above its block bound {}",
-                            doc, score, bound
-                        );
-                    }
-                }
-            }
         }
     }
 }
 
 /// A database whose interpreter must fall past stage 1 for every
 /// predicate (unreachable word2vec threshold) and retrieves a small
-/// top-k, so the cold interpretation path exercises WAND skipping on a
-/// review-heavy corpus.
+/// top-k, so every cold interpretation retrieves from a review-heavy
+/// corpus.
 fn pipeline_db() -> OpineDb {
     let corpus = Corpus::generate(
         hotel_spec(),
@@ -252,15 +218,11 @@ fn cold_interpretation_fires_the_skipping_path() {
         .expect("query runs");
     assert!(!out.result.rows.is_empty());
     let after = db.cache_report();
-    assert!(
-        after.wand_queries > 0,
-        "cold interpretation must route retrieval through WAND: {after:?}"
+    assert_eq!(
+        after.wand_queries, 1,
+        "one cold predicate retrieves once: {after:?}"
     );
-    assert!(
-        after.blocks_skipped > 0,
-        "the block-max bounds must actually skip blocks on a \
-         review-heavy corpus: {after:?}"
-    );
+    assert_eq!(after.blocks_skipped, 0, "nothing skips blocks any more");
 }
 
 const PIPELINE_PREDICATES: [&str; 6] = [
@@ -272,19 +234,105 @@ const PIPELINE_PREDICATES: [&str; 6] = [
     "quiet room great location",
 ];
 
-/// WAND ≡ exhaustive for `predicate` on the interpreter's real review
+/// The interpreter's query terms for `predicate`: its in-vocabulary
+/// tokens, duplicates kept, as `Interpreter::cooccurrence_stage` passes
+/// them.
+fn query_terms(db: &OpineDb, predicate: &str) -> Vec<opinedb::text::WordId> {
+    opinedb::text::tokenize(predicate)
+        .iter()
+        .filter_map(|t| db.vocab().get(t))
+        .collect()
+}
+
+/// Search ≡ oracle for `predicate` on the interpreter's real review
 /// index with its real `top_k_reviews * 4`.
 fn assert_interpreter_retrieval_matches(db: &OpineDb, predicate: &str) {
     let index = db.interpreter().review_index();
     let k = db.interpreter().config().top_k_reviews * 4;
-    let terms: Vec<_> = opinedb::text::tokenize(predicate)
-        .iter()
-        .filter_map(|t| db.vocab().get(t))
-        .collect();
-    let wand = index.search_terms(&terms, k);
-    let exhaustive = index.search_terms_exhaustive(&terms, k);
-    assert!(!wand.is_empty(), "{predicate:?} retrieves reviews");
-    assert_bit_identical(&wand, &exhaustive, predicate).expect("bit-identical retrieval");
+    let terms = query_terms(db, predicate);
+    let hits = index.search_terms(&terms, k);
+    let oracle = index.search_terms_exhaustive(&terms, k);
+    assert!(!hits.is_empty(), "{predicate:?} retrieves reviews");
+    assert_bit_identical(&hits, &oracle, predicate).expect("bit-identical retrieval");
+}
+
+/// Intensifiers in the style of the benchmark's cold bank, which puts
+/// every bank text under each of them.
+const INTENSIFIERS: [&str; 24] = [
+    "very",
+    "really",
+    "truly",
+    "extremely",
+    "quite",
+    "pretty",
+    "super",
+    "so",
+    "incredibly",
+    "remarkably",
+    "exceptionally",
+    "absolutely",
+    "especially",
+    "particularly",
+    "fairly",
+    "rather",
+    "wonderfully",
+    "consistently",
+    "reliably",
+    "notably",
+    "seriously",
+    "honestly",
+    "simply",
+    "totally",
+];
+
+/// Cold-bank-shaped retrieval on the interpreter's review index: every
+/// intensifier × a spread of the 190 bank texts, plus out-of-vocabulary
+/// pairs alone and beside a bank text, at k ∈ {0, 1, the interpreter's
+/// k, ≥ every touched document}. Docs, score bits and order must equal
+/// the oracle's.
+#[test]
+fn cold_bank_retrieval_matches_the_oracle_at_every_k() {
+    let db = pipeline_db();
+    let index = db.interpreter().review_index();
+    let real_k = db.interpreter().config().top_k_reviews * 4;
+    let bank = hotel_workload(&hotel_spec());
+    let texts: Vec<&str> = bank.iter().step_by(19).map(|p| p.text.as_str()).collect();
+    let mut predicates: Vec<String> = Vec::new();
+    for prefix in INTENSIFIERS {
+        for text in &texts {
+            predicates.push(format!("{prefix} {text}"));
+        }
+    }
+    for (i, text) in texts.iter().enumerate() {
+        let nonsense = |tail: char| format!("zq{}{tail}vx", (b'a' + i as u8) as char);
+        let pair = format!("{} {}", nonsense('a'), nonsense('b'));
+        assert!(
+            query_terms(&db, &pair).is_empty(),
+            "{pair:?} is out of vocabulary"
+        );
+        predicates.push(pair);
+        predicates.push(format!("{} {text}", nonsense('c')));
+    }
+    // Predicates whose matches outnumber the interpreter's k, so the
+    // selection really cuts.
+    let mut cut = 0;
+    for predicate in &predicates {
+        let terms = query_terms(&db, predicate);
+        for k in [0, 1, real_k, index.num_docs()] {
+            let hits = index.search_terms(&terms, k);
+            let oracle = index.search_terms_exhaustive(&terms, k);
+            assert_bit_identical(&hits, &oracle, &format!("{predicate:?} k={k}"))
+                .expect("bit-identical retrieval");
+            if k == index.num_docs() && hits.len() > real_k {
+                cut += 1;
+            }
+        }
+    }
+    assert!(
+        cut > predicates.len() / 2,
+        "only {cut} of {} predicates match more than k = {real_k} reviews",
+        predicates.len()
+    );
 }
 
 #[test]
