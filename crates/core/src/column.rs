@@ -30,8 +30,10 @@ use crate::membership::{
 };
 use crate::par;
 use crate::summary::{MarkerSet, MarkerSummary};
-use opine_store::FuzzyAlgebra;
+use opine_store::ast::ColumnRef;
+use opine_store::{Expr, FuzzyAlgebra};
 use opine_text::WordId;
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 /// The dense degree column of one predicate: one slot per entity, plus
@@ -238,9 +240,11 @@ pub(crate) struct PreparedTerm {
 pub(crate) enum PreparedInterpretation {
     /// Stage 1: one attribute, scored against the original phrase.
     Direct(PreparedTerm),
-    /// Stage 2: fuzzy combination of `(attribute, marker phrase)` terms.
+    /// Stage 2: fuzzy combination of `(attribute, marker phrase)` terms,
+    /// each with its marker index, which with the term's attribute names
+    /// the term's cached column ([`OpineDb::term_key`]).
     CoOccur {
-        terms: Vec<PreparedTerm>,
+        terms: Vec<(usize, PreparedTerm)>,
         conjunctive: bool,
     },
     /// Stage 3: BM25 fallback over pre-resolved term ids.
@@ -250,25 +254,33 @@ pub(crate) enum PreparedInterpretation {
 impl PreparedInterpretation {
     /// The degree of one entity: `term` scores each membership term,
     /// `text` the fallback's term ids; co-occurrence terms combine
-    /// under the product algebra.
+    /// through [`fold_terms`].
     pub(crate) fn combine(
         &self,
         term: impl Fn(&PreparedTerm) -> f64,
         text: impl FnOnce(&[WordId]) -> f64,
     ) -> f64 {
-        let algebra = FuzzyAlgebra::Product;
         match self {
             PreparedInterpretation::Direct(t) => term(t),
             PreparedInterpretation::CoOccur { terms, conjunctive } => {
-                let degrees = terms.iter().map(term);
-                if *conjunctive {
-                    degrees.fold(1.0, |acc, d| algebra.and(acc, d))
-                } else {
-                    degrees.fold(0.0, |acc, d| algebra.or(acc, d))
-                }
+                fold_terms(*conjunctive, terms.iter().map(|(_, t)| term(t)))
             }
             PreparedInterpretation::Text { terms } => text(terms),
         }
+    }
+}
+
+/// A co-occurrence interpretation's degree from its term degrees, in
+/// term order under the product algebra: `⊗` folds from 1, `⊕` from 0.
+/// The point path and the column fold both call it, so a folded slot
+/// has the bits of the per-entity combination.
+#[inline]
+fn fold_terms(conjunctive: bool, degrees: impl Iterator<Item = f64>) -> f64 {
+    let algebra = FuzzyAlgebra::Product;
+    if conjunctive {
+        degrees.fold(1.0, |acc, d| algebra.and(acc, d))
+    } else {
+        degrees.fold(0.0, |acc, d| algebra.or(acc, d))
     }
 }
 
@@ -276,9 +288,48 @@ fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
+/// The tag that opens a term column's cache key.
+const TERM_TAG: &str = "\0T";
+/// The tag that opens the key of a predicate whose text starts with NUL.
+const ESCAPED_PREDICATE_TAG: &str = "\0P";
+
+/// The column cache key of a predicate: its text. Term keys open with
+/// [`TERM_TAG`], so a predicate that starts with NUL is escaped behind
+/// [`ESCAPED_PREDICATE_TAG`]. No text given to
+/// [`OpineDb::degree_column`] can name a term column.
+fn predicate_key(predicate: &str) -> Cow<'_, str> {
+    if predicate.starts_with('\0') {
+        Cow::Owned(format!("{ESCAPED_PREDICATE_TAG}{predicate}"))
+    } else {
+        Cow::Borrowed(predicate)
+    }
+}
+
+/// What a cached column is computed from.
+enum ColumnSource<'a> {
+    /// A predicate, by its interpretation.
+    Predicate(&'a str, PreparedInterpretation),
+    /// One `attribute .= marker phrase` term of a co-occurrence
+    /// interpretation: the column of `Direct(term)`.
+    Term(&'a PreparedTerm),
+}
+
+impl ColumnSource<'_> {
+    /// The degree of one entity at `pin`.
+    fn degree(&self, db: &OpineDb, entity: usize, pin: &Pin) -> f64 {
+        match self {
+            ColumnSource::Predicate(_, prepared) => db.degree_prepared(entity, prepared, pin),
+            ColumnSource::Term(term) => db.term_degree(entity, term, pin),
+        }
+    }
+}
+
 impl OpineDb {
     /// The dense degree column of a predicate over all entities, cached.
-    /// Degrees are computed in parallel over entity chunks.
+    /// Degrees are computed per entity (in parallel over entity chunks
+    /// from [`par::PAR_THRESHOLD`] entities up), except that a text
+    /// fallback is one pass over the entity index's postings and a
+    /// co-occurrence interpretation folds its terms' cached columns.
     ///
     /// Cached columns are stamped with the data epoch they were built
     /// at. A probe from a newer pin **repairs** a stale column instead
@@ -293,19 +344,25 @@ impl OpineDb {
     /// column from nothing (a cache miss; a restamp or a repair starts
     /// from a column some earlier statement paid for).
     pub(crate) fn fetch_column(&self, predicate: &str) -> (Arc<DegreeColumn>, bool) {
-        self.ensure_pinned(|pin| self.column_from(predicate, pin, self.column_cache.get(predicate)))
+        self.ensure_pinned(|pin| {
+            self.column_from(&predicate_key(predicate), pin, || {
+                ColumnSource::Predicate(predicate, self.prepare_interpretation(predicate))
+            })
+        })
     }
 
-    /// The column of `predicate` for `pin`, given what a probe of the
-    /// column cache found, and whether it was built from nothing.
-    pub(crate) fn column_from(
+    /// The column cached under `key` for `pin` — a hit, a restamp, a
+    /// repair, or a build from what `source` prepares — and whether it
+    /// was built from nothing. Each outcome counts once under the
+    /// `ta_topk` stage, for predicate and term columns alike.
+    fn column_from<'a>(
         &self,
-        predicate: &str,
+        key: &str,
         pin: &Pin,
-        cached: Option<(u64, Arc<DegreeColumn>)>,
+        source: impl FnOnce() -> ColumnSource<'a>,
     ) -> (Arc<DegreeColumn>, bool) {
         let mut cacheable = true;
-        if let Some((stamp, column)) = cached {
+        if let Some((stamp, column)) = self.column_cache.get(key) {
             if stamp == pin.epoch {
                 opine_trace::count("ta_topk", "cache_hits", 1);
                 return (column, false);
@@ -317,22 +374,20 @@ impl OpineDb {
                     // those epochs; restamp so the next probe hits
                     // on the fast equality check.
                     opine_trace::count("ta_topk", "cache_hits", 1);
-                    self.column_cache
-                        .insert(predicate, (pin.epoch, column.clone()));
+                    self.column_cache.insert(key, (pin.epoch, column.clone()));
                     return (column, false);
                 }
                 opine_trace::count("ta_topk", "cache_repairs", 1);
-                let prepared = self.prepare_interpretation(predicate);
+                let source = source();
                 let updates: Vec<(usize, f64)> = stale
                     .iter()
                     .map(|&entity| {
                         opine_faults::checkpoint();
-                        (entity, self.degree_prepared(entity, &prepared, pin))
+                        (entity, source.degree(self, entity, pin))
                     })
                     .collect();
                 let column = Arc::new(column.patched(&updates));
-                self.column_cache
-                    .insert(predicate, (pin.epoch, column.clone()));
+                self.column_cache.insert(key, (pin.epoch, column.clone()));
                 return (column, false);
             }
             // stamp > pin.epoch: a column from this pin's future.
@@ -340,8 +395,8 @@ impl OpineDb {
             cacheable = false;
         }
         opine_trace::count("ta_topk", "cache_misses", 1);
-        let prepared = self.prepare_interpretation(predicate);
-        let degrees = match &prepared {
+        let source = source();
+        let degrees = match &source {
             // Text fallback: one term-at-a-time pass over the entity
             // index's posting lists (O(total postings)) instead of a
             // per-entity per-term lookup — bit-identical to the point
@@ -349,7 +404,7 @@ impl OpineDb {
             // The pinned delta's merged text contributes through its
             // own dense pass, added as one `f64` add per entity exactly
             // like the point path.
-            PreparedInterpretation::Text { terms }
+            ColumnSource::Predicate(_, PreparedInterpretation::Text { terms })
                 if self.entity_index.num_docs() == self.num_entities() =>
             {
                 let mut scores = self.entity_index.bm25_dense(terms);
@@ -359,17 +414,66 @@ impl OpineDb {
                     .map(|score| sigmoid(score - self.config.sigmoid_c))
                     .collect()
             }
+            ColumnSource::Predicate(
+                predicate,
+                PreparedInterpretation::CoOccur { terms, conjunctive },
+            ) => self.fold_term_columns(predicate, terms, *conjunctive, pin),
             _ => par::par_map(self.num_entities(), |entity| {
                 opine_faults::checkpoint();
-                self.degree_prepared(entity, &prepared, pin)
+                source.degree(self, entity, pin)
             }),
         };
         let column = Arc::new(DegreeColumn::new(degrees));
         if cacheable {
-            self.column_cache
-                .insert(predicate, (pin.epoch, column.clone()));
+            self.column_cache.insert(key, (pin.epoch, column.clone()));
         }
         (column, true)
+    }
+
+    /// The column cache key of the term `attribute .= marker phrase`:
+    /// [`TERM_TAG`], then the term's canonical `.=` rendering.
+    fn term_key(&self, attribute: usize, marker: usize) -> String {
+        let term = Expr::MarkerMatch {
+            attribute: ColumnRef {
+                table: None,
+                column: self.attributes[attribute].clone(),
+            },
+            phrase: self.marker_set(attribute).markers[marker].phrase.clone(),
+        };
+        format!("{TERM_TAG}{term}")
+    }
+
+    /// A co-occurrence predicate's degrees: each term's cached column
+    /// (a hit, a repair or a build), folded slot by slot through
+    /// [`fold_terms`]. A term column depends only on its `(attribute,
+    /// marker)`, so the paraphrases of one concept share them.
+    fn fold_term_columns(
+        &self,
+        predicate: &str,
+        terms: &[(usize, PreparedTerm)],
+        conjunctive: bool,
+        pin: &Pin,
+    ) -> Vec<f64> {
+        let mut cached = 0;
+        let columns: Vec<Arc<DegreeColumn>> = terms
+            .iter()
+            .map(|(marker, term)| {
+                let key = self.term_key(term.attribute, *marker);
+                let (column, built) = self.column_from(&key, pin, || ColumnSource::Term(term));
+                cached += usize::from(!built);
+                column
+            })
+            .collect();
+        opine_trace::note(|| {
+            format!(
+                "ta_topk: column of \"{predicate}\" folded from {} term columns ({cached} cached)",
+                columns.len()
+            )
+        });
+        par::par_map(self.num_entities(), |entity| {
+            opine_faults::checkpoint();
+            fold_terms(conjunctive, columns.iter().map(|c| c.degrees[entity]))
+        })
     }
 
     /// Hoists the query half of a `attribute .= phrase` term.
@@ -393,7 +497,12 @@ impl OpineDb {
             Interpretation::CoOccur { terms, conjunctive } => PreparedInterpretation::CoOccur {
                 terms: terms
                     .iter()
-                    .map(|&(a, m)| self.prepare_term(a, &self.marker_set(a).markers[m].phrase))
+                    .map(|&(a, m)| {
+                        (
+                            m,
+                            self.prepare_term(a, &self.marker_set(a).markers[m].phrase),
+                        )
+                    })
                     .collect(),
                 conjunctive,
             },

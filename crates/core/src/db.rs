@@ -131,11 +131,14 @@ pub struct CacheReport {
     /// counted is gone. Read only by `perfbench/src/run.rs`, and not
     /// exported through [`Self::fields`].
     pub points: CacheStats,
-    /// Degree-column cache hits/misses.
+    /// Degree-column cache hits/misses, counting the probes for the term
+    /// columns a co-occurrence column is folded from.
     pub columns: CacheStats,
-    /// Number of dense degree columns currently cached.
+    /// Number of dense degree columns currently cached, term columns
+    /// included.
     pub cached_columns: usize,
-    /// Heap bytes held by the cached degree columns.
+    /// Heap bytes held by the cached degree columns, term columns
+    /// included.
     pub column_bytes: usize,
     /// Heap bytes of the frozen feature plane (the entity half of the
     /// membership features; fixed at build time).
@@ -305,9 +308,12 @@ pub struct OpineDb {
     pub(crate) config: BuildConfig,
     /// Predicate → dense degree column over all entities, with its sorted
     /// order, stamped with the data epoch it was built (or last repaired)
-    /// at. Populated in parallel on first use; keyed by predicate text
-    /// so repeated queries reuse both the degrees and the sort. Bounded:
-    /// columns are the largest per-entry cache (8 bytes × entities each).
+    /// at. Keyed by predicate text so repeated queries reuse both the
+    /// degrees and the sort. Beside them, in a key namespace no predicate
+    /// text reaches, it holds the term columns that co-occurrence
+    /// columns are folded from, keyed by their `(attribute, marker)`.
+    /// Bounded: columns are the largest per-entry cache (8 bytes ×
+    /// entities each).
     pub(crate) column_cache: BoundedCache<(u64, Arc<DegreeColumn>)>,
     /// Phrase → normalized embedding + sentiment, shared by the
     /// interpretation, marker-match (`attr .= "phrase"`), and column
@@ -542,7 +548,8 @@ impl OpineDb {
         self.phrase_cache.stats()
     }
 
-    /// Number of cached degree columns.
+    /// Number of cached degree columns: predicate columns and the term
+    /// columns co-occurrence predicates are folded from.
     pub fn cached_degree_columns(&self) -> usize {
         self.column_cache.len()
     }

@@ -67,6 +67,59 @@ fn bits(column: &opine_core::DegreeColumn) -> Vec<u64> {
     column.degrees().iter().map(|d| d.to_bits()).collect()
 }
 
+/// The reference's point degrees of `predicate` over every entity.
+fn reference_bits(db: &OpineDb, predicate: &str) -> Vec<u64> {
+    (0..ENTITIES)
+        .map(|e| db.reference().degree(e, predicate).to_bits())
+        .collect()
+}
+
+/// Three paraphrases of one bank text under intensifier prefixes (the
+/// way the benchmark's cold bank forms them) that the co-occurrence
+/// stage interprets onto the same `(attribute, marker)` terms, and
+/// those terms.
+fn paraphrases_sharing_terms(db: &OpineDb) -> ([String; 3], Vec<(usize, usize)>) {
+    let prefixes = ["very", "really", "truly", "extremely", "quite", "pretty"];
+    for base in build_workload(&hotel_spec(), 190) {
+        let cooccur: Vec<_> = prefixes
+            .iter()
+            .filter_map(|prefix| {
+                let text = format!("{prefix} {}", base.text);
+                match db.interpret(&text) {
+                    Interpretation::CoOccur { terms, .. } => Some((terms, text)),
+                    _ => None,
+                }
+            })
+            .collect();
+        for (terms, _) in &cooccur {
+            let texts: Vec<&String> = cooccur
+                .iter()
+                .filter(|(t, _)| t == terms)
+                .map(|(_, text)| text)
+                .collect();
+            if texts.len() >= 3 {
+                return ([0, 1, 2].map(|i| texts[i].clone()), terms.clone());
+            }
+        }
+    }
+    panic!("some bank concept keeps its terms under three prefixes");
+}
+
+/// The `ta_topk` counters one column probe adds:
+/// `(cache_hits, cache_misses, cache_repairs)`, and the plan notes.
+fn probe(db: &OpineDb, predicate: &str) -> (Vec<u64>, (u64, u64, u64), Vec<String>) {
+    let ctx = TraceContext::new();
+    let column = with_trace(Some(ctx.clone()), || bits(&db.degree_column(predicate)));
+    let snapshot = ctx.snapshot();
+    let ta = snapshot.stage("ta_topk").expect("column probe is counted");
+    let counters = (
+        ta.counter("cache_hits"),
+        ta.counter("cache_misses"),
+        ta.counter("cache_repairs"),
+    );
+    (column, counters, snapshot.notes)
+}
+
 /// With every predicate's column cached at an older epoch: the probe
 /// must take the repair path, and the repaired column, a cold rebuild
 /// and the reference's point path must all hold the same bits.
@@ -74,12 +127,9 @@ fn assert_repair_cold_and_point_agree(db: &OpineDb, predicates: &[String], stage
     let repaired: Vec<Vec<u64>> = predicates
         .iter()
         .map(|predicate| {
-            let ctx = TraceContext::new();
-            let column = with_trace(Some(ctx.clone()), || bits(&db.degree_column(predicate)));
-            let snapshot = ctx.snapshot();
-            let ta = snapshot.stage("ta_topk").expect("column probe is counted");
+            let (column, (_, misses, repairs), _) = probe(db, predicate);
             assert_eq!(
-                (ta.counter("cache_repairs"), ta.counter("cache_misses")),
+                (repairs, misses),
                 (1, 0),
                 "{stage}: {predicate:?} must be repaired, not rebuilt"
             );
@@ -92,11 +142,12 @@ fn assert_repair_cold_and_point_agree(db: &OpineDb, predicates: &[String], stage
         assert_eq!(repaired, &cold, "{stage}: {predicate:?} repaired vs cold");
     }
     for predicate in predicates {
-        let point: Vec<u64> = (0..ENTITIES)
-            .map(|e| db.reference().degree(e, predicate).to_bits())
-            .collect();
         let column = bits(&db.degree_column(predicate));
-        assert_eq!(column, point, "{stage}: {predicate:?} column vs point");
+        assert_eq!(
+            column,
+            reference_bits(db, predicate),
+            "{stage}: {predicate:?} column vs point"
+        );
     }
 }
 
@@ -325,5 +376,185 @@ fn column_build_unwinds_with_cancelled_mid_loop() {
         // Without a deadline the same build completes.
         assert_eq!(db.degree_column(&predicate).len(), ENTITIES);
         db.clear_degree_columns();
+    }
+}
+
+/// The note a co-occurrence build leaves when it folds `n` term columns,
+/// `cached` of which it found in the cache.
+fn fold_note(predicate: &str, n: usize, cached: usize) -> String {
+    format!("ta_topk: column of \"{predicate}\" folded from {n} term columns ({cached} cached)")
+}
+
+/// Paraphrases of one concept share their term columns: the second
+/// build folds the columns the first one built and misses none of them,
+/// and both columns hold the reference's bits.
+#[test]
+fn paraphrases_of_one_concept_share_their_term_columns() {
+    let db = db();
+    let ([first, second, _], terms) = paraphrases_sharing_terms(&db);
+    let n = terms.len();
+
+    let (first_bits, counts, notes) = probe(&db, &first);
+    assert_eq!(
+        counts,
+        (0, 1 + n as u64, 0),
+        "{first:?} builds itself and its terms"
+    );
+    assert!(notes.contains(&fold_note(&first, n, 0)), "{notes:?}");
+
+    let (second_bits, counts, notes) = probe(&db, &second);
+    assert_eq!(
+        counts,
+        (n as u64, 1, 0),
+        "{second:?} finds every term cached"
+    );
+    assert!(notes.contains(&fold_note(&second, n, n)), "{notes:?}");
+    assert_eq!(
+        db.cached_degree_columns(),
+        2 + n,
+        "two predicates and their terms"
+    );
+
+    assert_eq!(first_bits, reference_bits(&db, &first), "{first:?}");
+    assert_eq!(second_bits, reference_bits(&db, &second), "{second:?}");
+}
+
+/// Reviews for the cells of `terms` on a spread of entities, phrased
+/// from the frozen opinion domains so they land in marker summaries.
+fn insert_into_term_cells(db: &OpineDb, terms: &[(usize, usize)]) {
+    for i in 0..24 {
+        let entity = db.entity_key(i * 21).to_string();
+        let variations = db.opinion_domain(terms[i % terms.len()].0).variations();
+        let phrase = &variations[i % variations.len()].phrase;
+        db.insert_sql(&format!(
+            "INSERT INTO reviews (entity, text, year) \
+             VALUES ('{entity}', 'the {phrase} part and again {phrase}', 2020)"
+        ))
+        .unwrap();
+    }
+}
+
+/// Term columns cached before an INSERT are repaired, not rebuilt, for
+/// a paraphrase nobody has typed, before and after a merge; every
+/// column equals the reference and a fresh engine that cached nothing.
+#[test]
+fn a_new_paraphrase_folds_repaired_term_columns_across_ingest_and_merge() {
+    let warm = db();
+    let ([first, second, third], terms) = paraphrases_sharing_terms(&warm);
+    let n = terms.len() as u64;
+    let _ = warm.degree_column(&first);
+    insert_into_term_cells(&warm, &terms);
+    let fresh = db();
+    insert_into_term_cells(&fresh, &terms);
+
+    let check = |stage: &str, predicate: &str, column: &[u64]| {
+        assert_eq!(
+            column,
+            reference_bits(&warm, predicate),
+            "{stage}: {predicate:?} vs reference"
+        );
+        assert_eq!(
+            column,
+            bits(&fresh.degree_column(predicate)),
+            "{stage}: {predicate:?} vs a fresh engine"
+        );
+    };
+
+    let (column, (hits, misses, repairs), _) = probe(&warm, &second);
+    assert_eq!(misses, 1, "live delta: only {second:?} itself misses");
+    assert!(
+        repairs >= 1,
+        "live delta: the inserts touched the term cells"
+    );
+    assert_eq!(hits + repairs, n, "live delta: every term found cached");
+    check("live delta", &second, &column);
+
+    warm.merge_delta().unwrap();
+    fresh.merge_delta().unwrap();
+    let (column, (hits, misses, repairs), _) = probe(&warm, &third);
+    assert_eq!(misses, 1, "merged: only {third:?} itself misses");
+    assert!(repairs >= 1, "merged: the merge moved the merged entities");
+    assert_eq!(hits + repairs, n, "merged: every term found cached");
+    check("merged", &third, &column);
+    // The predicate cached before the merge is repaired as a whole.
+    let (column, counts, _) = probe(&warm, &second);
+    assert_eq!(counts, (0, 0, 1), "merged: {second:?} is repaired");
+    check("merged", &second, &column);
+}
+
+/// A deadline that expires while a co-occurrence column is folded
+/// unwinds out of the fold and caches no partial predicate column.
+#[test]
+fn a_fold_cancelled_mid_loop_caches_no_predicate_column() {
+    let db = db();
+    let ([first, second, _], terms) = paraphrases_sharing_terms(&db);
+    let n = terms.len();
+    let _ = db.degree_column(&first);
+    let cached = db.cached_degree_columns();
+    assert_eq!(cached, 1 + n);
+
+    // Both interpretations are memoized and every term column is
+    // cached, so the only checkpoints left on the path are the fold's.
+    let ctx = TraceContext::new();
+    let unwound = with_trace(Some(ctx.clone()), || {
+        with_deadline(Some(Deadline::after(Duration::ZERO)), || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| db.degree_column(&second)))
+        })
+    });
+    let Err(payload) = unwound else {
+        panic!("an expired deadline must cancel the fold of {second:?}");
+    };
+    assert!(
+        payload.is::<Cancelled>(),
+        "unwind payload must be Cancelled"
+    );
+    let notes = ctx.snapshot().notes;
+    assert!(
+        notes.contains(&fold_note(&second, n, n)),
+        "the deadline is noticed in the fold, after every term was found: {notes:?}"
+    );
+    assert_eq!(
+        db.cached_degree_columns(),
+        cached,
+        "a cancelled fold publishes nothing"
+    );
+
+    // Without a deadline the same fold completes over the same terms.
+    let (column, counts, _) = probe(&db, &second);
+    assert_eq!(counts, (n as u64, 1, 0));
+    assert_eq!(column, reference_bits(&db, &second));
+}
+
+/// Term columns and predicate columns share one cache but not one key
+/// space: the `.=` rendering of a cached term, typed as a predicate with
+/// or without a leading NUL, is a predicate of its own. Its probe misses
+/// and its column is the reference's column of that text.
+#[test]
+fn predicate_text_never_reads_a_term_column() {
+    let db = db();
+    let ([first, ..], terms) = paraphrases_sharing_terms(&db);
+    let _ = db.degree_column(&first);
+    for &(attribute, marker) in &terms {
+        let rendering = format!(
+            "{} .= \"{}\"",
+            db.attributes[attribute],
+            db.marker_set(attribute).markers[marker].phrase
+        );
+        let texts = [
+            rendering.clone(),
+            format!("\0{rendering}"),
+            format!("\0T{rendering}"),
+            format!("\0P\0T{rendering}"),
+        ];
+        for text in texts {
+            let before = db.cached_degree_columns();
+            let (column, (_, misses, _), _) = probe(&db, &text);
+            assert!(misses >= 1, "{text:?} must not hit a term column");
+            assert!(
+                db.cached_degree_columns() > before,
+                "{text:?} is cached as itself"
+            );
+            assert_eq!(column, reference_bits(&db, &text), "{text:?}");
+        }
     }
 }
