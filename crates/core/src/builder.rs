@@ -3,14 +3,15 @@
 //! From a raw review corpus this builds everything [`crate::OpineDb`]
 //! needs: the word2vec model over the unlabeled text, per-attribute
 //! linguistic domains, auto-discovered markers, per-entity marker
-//! summaries (with provenance), the three-stage interpreter's indexes, the
-//! trained membership functions, and the relational catalog.
+//! summaries and the phrase occurrences behind them, the three-stage
+//! interpreter's indexes, the trained membership functions, and the
+//! relational catalog.
 
 use crate::db::{OpineDb, PhraseOcc, ReviewMeta};
 use crate::domain::LinguisticDomain;
 use crate::interpret::{Interpreter, InterpreterConfig, ReviewDigest};
 use crate::membership::{marker_features, scan_features, MembershipModel};
-use crate::summary::{AssignMode, MarkerSet, MarkerSummary, SummaryKind};
+use crate::summary::{AssignMode, MarkerSet, MarkerSummary, PhraseContribution, SummaryKind};
 use opine_corpus::spec::AspectKind;
 use opine_corpus::workload::build_workload;
 use opine_corpus::Corpus;
@@ -176,6 +177,14 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         .collect();
 
     // ---- 5. Summaries + raw digests + review digests ----
+    // Every occurrence adds its variation's tabulated contribution, the
+    // table the engine grows delta cells and qualified folds through.
+    let contributions = PhraseContribution::tabulate(
+        &opinion_domains,
+        &marker_sets,
+        config.assign,
+        config.unmatched_threshold,
+    );
     let mut summaries: Vec<Vec<MarkerSummary>> = corpus
         .entities
         .iter()
@@ -195,32 +204,21 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
 
     for (review, extractions) in corpus.reviews.iter().zip(&review_extractions) {
         let mut digest = Vec::with_capacity(extractions.len());
+        let review_id = u32::try_from(review.id).expect("review ids fit 32 bits");
         for (attr, opinion) in extractions {
             let variation = opinion_domains[*attr]
-                .get(opinion)
+                .index_of(opinion)
                 .expect("observed variation");
-            let senti = variation.sentiment;
-            summaries[review.entity_id][*attr].add_phrase(
-                opinion,
-                &variation.rep,
-                senti,
-                &marker_sets[*attr],
-                config.assign,
-                config.unmatched_threshold,
-                review.id,
-            );
-            let var_idx = opinion_domains[*attr]
-                .variations()
-                .iter()
-                .position(|v| v.phrase == *opinion)
-                .expect("variation index");
+            summaries[review.entity_id][*attr].add(&contributions[*attr][variation]);
             raw[review.entity_id][*attr].push(PhraseOcc {
-                variation: var_idx,
-                sentiment: senti,
-                review_id: review.id,
+                variation: u32::try_from(variation).expect("variation indices fit 32 bits"),
+                review_id,
             });
             let marker = marker_sets[*attr]
-                .assign(&variation.rep, AssignMode::Best)
+                .assign(
+                    &opinion_domains[*attr].variations()[variation].rep,
+                    AssignMode::Best,
+                )
                 .first()
                 .map(|&(m, _)| m)
                 .unwrap_or(0);
@@ -283,15 +281,12 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
             ),
             label,
         ));
+        let variations = opinion_domains[attr].variations();
         let phrase_refs: Vec<(&[f32], f64)> = raw[e][attr]
             .iter()
             .map(|occ| {
-                (
-                    opinion_domains[attr].variations()[occ.variation]
-                        .rep
-                        .as_slice(),
-                    occ.sentiment,
-                )
+                let variation = &variations[occ.variation as usize];
+                (variation.rep.as_slice(), variation.sentiment)
             })
             .collect();
         scan_tuples.push((scan_features(&phrase_refs, &q_rep, q_sent), label));
@@ -403,6 +398,7 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         interpreter,
         summaries,
         raw,
+        contributions,
         membership_markers,
         membership_scan,
         entity_index,

@@ -547,12 +547,12 @@ impl OpineDb {
             // Delta reviews mentioned this cell: score over the frozen
             // summary merged with the pinned delta summary (fixed-point
             // merge — identical to rebuilding from base + delta
-            // occurrences; accumulators only, provenance is not scored).
+            // occurrences).
             Some(delta_summary) => {
                 let base = &self.summaries[entity][attribute];
                 let mut merged = MarkerSummary::empty(base.num_markers());
-                merged.merge_aggregates(base);
-                merged.merge_aggregates(delta_summary);
+                merged.merge(base);
+                merged.merge(delta_summary);
                 self.summary_term_degree(&merged, term)
             }
         }
@@ -588,7 +588,7 @@ impl OpineDb {
 mod tests {
     use super::*;
     use crate::membership::{marker_features, MembershipModel};
-    use crate::summary::{AssignMode, Marker, SummaryKind};
+    use crate::summary::{AssignMode, Marker, PhraseContribution, SummaryKind};
     use opine_ml::LogRegConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -665,10 +665,16 @@ mod tests {
         min_similarity: f32,
     ) -> MarkerSummary {
         let mut summary = MarkerSummary::empty(set.markers.len());
-        for review in 0..phrases {
+        for _ in 0..phrases {
             let rep = random_rep(rng, 8);
             let sentiment = rng.gen::<f64>() * 2.0 - 1.0;
-            summary.add_phrase("p", &rep, sentiment, set, mode, min_similarity, review);
+            summary.add(&PhraseContribution::compute(
+                &rep,
+                sentiment,
+                set,
+                mode,
+                min_similarity,
+            ));
         }
         summary
     }

@@ -13,7 +13,7 @@ use crate::ingest::{DeltaState, IngestState};
 use crate::interpret::{Interpretation, Interpreter};
 use crate::membership::MembershipModel;
 use crate::qualified::{QualifiedScorer, QualifiedSummaries};
-use crate::summary::{Assignment, MarkerSet, MarkerSummary};
+use crate::summary::{MarkerSet, MarkerSummary, PhraseContribution};
 use crate::topk::{scan_topk, threshold_topk};
 use opine_embed::PhraseEmbedder;
 use opine_ir::InvertedIndex;
@@ -30,15 +30,15 @@ use std::rc::Rc;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-/// One extracted phrase occurrence in an entity's raw digest.
+/// One extracted phrase occurrence in an entity's raw digest — the one
+/// copy of it the engine keeps. Its phrase, embedding and sentiment are
+/// its variation's, read from the attribute's opinion domain.
 #[derive(Debug, Clone, Copy)]
 pub struct PhraseOcc {
     /// Index into the attribute's opinion domain.
-    pub variation: usize,
-    /// Sentiment of the phrase.
-    pub sentiment: f64,
+    pub variation: u32,
     /// Source review id.
-    pub review_id: usize,
+    pub review_id: u32,
 }
 
 /// Review metadata kept for review-qualifying filters.
@@ -143,6 +143,9 @@ pub struct CacheReport {
     /// Heap bytes of the frozen feature plane (the entity half of the
     /// membership features; fixed at build time).
     pub feature_plane_bytes: usize,
+    /// Heap bytes of the build-time phrase occurrences (`raw`: every
+    /// cell's list header and occurrences; fixed at build time).
+    pub raw_bytes: usize,
     /// Queries answered by the threshold-algorithm fast path (pure
     /// subjective conjunctions and pushdown queries combined).
     pub ta_queries: u64,
@@ -230,6 +233,7 @@ impl CacheReport {
                 "feature_plane_bytes",
                 Gauge(self.feature_plane_bytes as u64),
             ),
+            ("raw_bytes", Gauge(self.raw_bytes as u64)),
             ("ta_queries", Counter(self.ta_queries)),
             ("pushdown_queries", Counter(self.pushdown_queries)),
             ("filtered_summaries", Cache(self.filtered_summaries)),
@@ -300,11 +304,11 @@ pub struct OpineDb {
     /// `reviewer_min_count` thresholds compare against.
     pub(crate) reviewer_counts: Vec<u32>,
     /// `[attribute][variation]`: what one occurrence of a variation adds
-    /// to a summary, up to its sentiment. Every engine-side aggregation
-    /// (delta cells, qualified folds) reads it by `PhraseOcc::variation`
-    /// instead of recomputing the marker cosines; the builder's
-    /// summaries and the reference's rescan do not.
-    pub(crate) assignments: Vec<Vec<Assignment>>,
+    /// to a summary, its sentiment applied. Every summary grows by
+    /// entries of it, read by `PhraseOcc::variation` — the builder's,
+    /// delta cells, qualified folds; only the reference's rescan
+    /// recomputes the marker cosines.
+    pub(crate) contributions: Vec<Vec<PhraseContribution>>,
     pub(crate) config: BuildConfig,
     /// Predicate → dense degree column over all entities, with its sorted
     /// order, stamped with the data epoch it was built (or last repaired)
@@ -357,6 +361,7 @@ impl OpineDb {
         interpreter: Interpreter,
         summaries: Vec<Vec<MarkerSummary>>,
         raw: Vec<Vec<Vec<PhraseOcc>>>,
+        contributions: Vec<Vec<PhraseContribution>>,
         membership_markers: MembershipModel,
         membership_scan: MembershipModel,
         entity_index: InvertedIndex,
@@ -396,26 +401,7 @@ impl OpineDb {
             reviewer_counts[meta.reviewer_id] += 1;
         }
 
-        let marker_sets = interpreter.marker_sets();
-        let plane = FeaturePlane::build(&summaries, marker_sets);
-        let assignments = opinion_domains
-            .iter()
-            .zip(marker_sets)
-            .map(|(domain, markers)| {
-                domain
-                    .variations()
-                    .iter()
-                    .map(|v| {
-                        Assignment::compute(
-                            &v.rep,
-                            markers,
-                            config.assign,
-                            config.unmatched_threshold,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        let plane = FeaturePlane::build(&summaries, interpreter.marker_sets());
 
         Self {
             attributes,
@@ -437,7 +423,7 @@ impl OpineDb {
             review_meta,
             entity_review_counts,
             reviewer_counts,
-            assignments,
+            contributions,
             config,
             column_cache: BoundedCache::new(256),
             phrase_cache: BoundedCache::new(4096),
@@ -569,6 +555,14 @@ impl OpineDb {
             cached_columns: self.column_cache.len(),
             column_bytes,
             feature_plane_bytes: self.plane.memory_bytes(),
+            raw_bytes: self
+                .raw
+                .iter()
+                .flatten()
+                .map(|cell| {
+                    std::mem::size_of_val(cell) + cell.capacity() * std::mem::size_of::<PhraseOcc>()
+                })
+                .sum(),
             ta_queries: self.ta_queries.load(std::sync::atomic::Ordering::Relaxed),
             pushdown_queries: self.pushdown_queries(),
             filtered_summaries: self.filtered_cache.stats(),
@@ -618,17 +612,30 @@ impl OpineDb {
     /// `(rep, sentiment)` views of every raw extracted phrase of an
     /// entity/attribute (the scan path's input).
     pub fn raw_phrases(&self, entity: usize, attribute: usize) -> Vec<(&[f32], f64)> {
+        let variations = self.opinion_domains[attribute].variations();
         self.raw[entity][attribute]
             .iter()
             .map(|occ| {
-                (
-                    self.opinion_domains[attribute].variations()[occ.variation]
-                        .rep
-                        .as_slice(),
-                    occ.sentiment,
-                )
+                let variation = &variations[occ.variation as usize];
+                (variation.rep.as_slice(), variation.sentiment)
             })
             .collect()
+    }
+
+    /// The provenance of an entity/attribute's summary at the current
+    /// pin: `(review id, phrase)` of every occurrence it aggregates, the
+    /// build-time ones first, then the delta's in insert order — "which
+    /// reviews is this summary made of" (Sec. 2).
+    pub fn provenance(&self, entity: usize, attribute: usize) -> Vec<(usize, &str)> {
+        let variations = self.opinion_domains[attribute].variations();
+        self.ensure_pinned(|pin| {
+            self.occurrences_at(entity, attribute, pin)
+                .map(|occ| {
+                    let phrase = variations[occ.variation as usize].phrase.as_str();
+                    (occ.review_id as usize, phrase)
+                })
+                .collect()
+        })
     }
 
     /// Executes a Subjective SQL query (the paper's running example shape:
@@ -1052,6 +1059,8 @@ const _: () = {
     assert_send_sync::<OpineDb>();
     assert_send_sync::<DegreeColumn>();
     assert_send_sync::<CacheReport>();
+    // `raw` holds every occurrence once, at 8 bytes each.
+    assert!(std::mem::size_of::<PhraseOcc>() == 8);
 };
 
 #[cfg(test)]
@@ -1752,6 +1761,89 @@ mod tests {
                 "entity {e}: repaired column diverged from a cold rebuild"
             );
         }
+    }
+
+    #[test]
+    fn provenance_names_every_occurrence_of_a_summary() {
+        let _guard = ingest_lock();
+        let corpus = Corpus::generate(
+            hotel_spec(),
+            &CorpusConfig {
+                num_entities: 48,
+                mean_reviews: 10,
+                seed: 3,
+            },
+        );
+        let db = build(
+            &corpus,
+            &BuildConfig {
+                w2v: Word2VecConfig {
+                    dim: 24,
+                    epochs: 2,
+                    ..Default::default()
+                },
+                membership_tuples: 300,
+                ..Default::default()
+            },
+        );
+        let mut occurrences = 0;
+        for e in 0..db.num_entities() {
+            for a in 0..db.attributes.len() {
+                let provenance = db.provenance(e, a);
+                occurrences += provenance.len();
+                assert_eq!(
+                    provenance.len() as f64,
+                    db.summary(e, a).total,
+                    "({e}, {a})"
+                );
+                for &(review, phrase) in &provenance {
+                    assert!(db.opinion_domain(a).get(phrase).is_some(), "{phrase}");
+                    assert_eq!(db.review_meta[review].entity_id, e);
+                }
+                // The entity's reviews in corpus order, each review's
+                // extractions in extraction order.
+                let expected: Vec<(usize, &str)> = corpus
+                    .reviews
+                    .iter()
+                    .filter(|r| r.entity_id == e)
+                    .flat_map(|r| {
+                        r.gold
+                            .iter()
+                            .filter(|g| g.aspect == a)
+                            .map(move |g| (r.id, g.opinion_term.as_str()))
+                    })
+                    .collect();
+                assert_eq!(provenance, expected, "({e}, {a})");
+            }
+        }
+
+        // Every occurrence is stored once, in 8 bytes.
+        let cells = db.num_entities() * db.attributes.len();
+        let raw_bytes = db.cache_report().raw_bytes;
+        assert!(raw_bytes >= occurrences * 8 + cells * 24, "{raw_bytes}");
+
+        // An INSERT batch appends its occurrences under the
+        // engine-assigned ids; the build-time pairs keep their order.
+        let entity = 3;
+        let before = db.provenance(entity, 0);
+        let untouched = db.provenance(entity + 1, 0);
+        let variations = db.opinion_domain(0).variations();
+        let (p0, p1) = (&variations[0].phrase, &variations[1].phrase);
+        let key = db.entity_key(entity).to_string();
+        db.insert_sql(&format!(
+            "INSERT INTO reviews (entity, text, year) VALUES \
+             ('{key}', 'the {p0} impressed us', 2021), ('{key}', '{p1}', 2022)"
+        ))
+        .unwrap();
+        let base = db.review_meta.len();
+        let after = db.provenance(entity, 0);
+        assert_eq!(after[..before.len()], before[..]);
+        let new = &after[before.len()..];
+        assert!(new.contains(&(base, p0.as_str())), "{new:?}");
+        assert!(new.contains(&(base + 1, p1.as_str())), "{new:?}");
+        assert!(new.windows(2).all(|w| w[0].0 <= w[1].0), "insert order");
+        assert!(new.iter().all(|&(id, _)| id == base || id == base + 1));
+        assert_eq!(db.provenance(entity + 1, 0), untouched);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 use crate::db::{OpineDb, OpineError, PhraseOcc, ReviewMeta};
 use crate::domain::LinguisticDomain;
 use crate::snapshot::SnapshotCell;
-use crate::summary::{Assignment, MarkerSummary};
+use crate::summary::{MarkerSummary, PhraseContribution};
 use opine_ir::bm25_term_score;
 use opine_store::{parse_insert, InsertStmt, StoreError, TableOverlay, Value};
 use opine_text::{Vocab, WordId};
@@ -511,7 +511,7 @@ impl EntityDelta {
         attribute: usize,
         markers: usize,
         occ: PhraseOcc,
-        assignment: &Assignment,
+        contribution: &PhraseContribution,
         copied: &mut u64,
     ) {
         if self.cells.len() <= attribute {
@@ -526,7 +526,7 @@ impl EntityDelta {
             }),
             copied,
         );
-        cell.summary.add_assigned(assignment, occ.sentiment);
+        cell.summary.add(contribution);
         cell.occs.push(occ);
     }
 
@@ -662,7 +662,8 @@ impl OpineDb {
     /// Metadata of a review by global id: base reviews first, then the
     /// pinned delta's (delta review `i` has id `base_count + i`).
     #[inline]
-    pub(crate) fn review_meta_at(&self, delta: &DeltaState, review_id: usize) -> ReviewMeta {
+    pub(crate) fn review_meta_at(&self, delta: &DeltaState, review_id: u32) -> ReviewMeta {
+        let review_id = review_id as usize;
         if review_id < self.review_meta.len() {
             self.review_meta[review_id]
         } else {
@@ -679,15 +680,15 @@ impl OpineDb {
 #[derive(Debug, Default)]
 pub(crate) struct PhraseMatcher {
     /// First token → `(attribute, variation index, full token list)`.
-    by_first: HashMap<String, Vec<(usize, usize, Vec<String>)>>,
+    by_first: HashMap<String, Vec<(usize, u32, Vec<String>)>>,
 }
 
 impl PhraseMatcher {
     /// Builds the matcher from the engine's frozen opinion domains.
     pub fn build(domains: &[LinguisticDomain]) -> Self {
-        let mut by_first: HashMap<String, Vec<(usize, usize, Vec<String>)>> = HashMap::new();
+        let mut by_first: HashMap<String, Vec<(usize, u32, Vec<String>)>> = HashMap::new();
         for (attr, domain) in domains.iter().enumerate() {
-            for (var, variation) in domain.variations().iter().enumerate() {
+            for (var, variation) in (0u32..).zip(domain.variations()) {
                 opine_faults::checkpoint();
                 let tokens = opine_text::tokenize(&variation.phrase);
                 if let Some(first) = tokens.first() {
@@ -706,7 +707,7 @@ impl PhraseMatcher {
     /// anchor position (the scan does not double-count a long phrase as
     /// its own prefix), matching how extraction yields one opinion term
     /// per expression.
-    pub fn extract(&self, text: &str) -> Vec<(usize, usize)> {
+    pub fn extract(&self, text: &str) -> Vec<(usize, u32)> {
         let tokens = opine_text::tokenize(text);
         let mut out = Vec::new();
         for start in 0..tokens.len() {
@@ -714,7 +715,7 @@ impl PhraseMatcher {
             let Some(candidates) = self.by_first.get(&tokens[start]) else {
                 continue;
             };
-            let mut best: Option<(usize, usize, usize)> = None;
+            let mut best: Option<(usize, u32, usize)> = None;
             // lint:allow(checkpoint_coverage, reason = "bounded by the domains' variation count per anchor token, not by data volume")
             for &(attr, var, ref phrase) in candidates {
                 let fits = phrase.len() <= tokens.len() - start
@@ -845,6 +846,17 @@ fn insert_error(message: String) -> OpineError {
     OpineError::Store(StoreError::Execution(message))
 }
 
+/// The engine-assigned id of a review appended after `existing` ones,
+/// or the rejection of a batch whose ids would pass the 32 bits a
+/// [`PhraseOcc`] stores.
+fn next_review_id(existing: usize) -> Result<u32, OpineError> {
+    u32::try_from(existing).map_err(|_| {
+        insert_error(format!(
+            "review id {existing} would pass u32::MAX: the engine holds its maximum review count"
+        ))
+    })
+}
+
 impl OpineDb {
     /// The current data epoch: 0 at build, bumped by every published
     /// `INSERT` batch and every completed merge.
@@ -909,14 +921,14 @@ impl OpineDb {
         let marker_sets = self.interpreter().marker_sets();
         for row in &rows {
             opine_faults::checkpoint();
-            let review_id = self.review_meta.len() + next.reviews();
+            let review_id = next_review_id(self.review_meta.len() + next.reviews())?;
             let reviewer_id = row
                 .reviewer_id
                 .unwrap_or_else(|| next.draw_anonymous_reviewer(self.reviewer_counts.len()));
             next.overlay.push_row(
                 "reviews",
                 vec![
-                    Value::Int(review_id as i64),
+                    Value::Int(i64::from(review_id)),
                     Value::text(&self.entity_keys[row.entity]),
                     Value::Int(reviewer_id as i64),
                     Value::Int(i64::from(row.year)),
@@ -965,20 +977,17 @@ impl OpineDb {
             // Insert-time extraction against the frozen domains: each
             // occurrence lands in its cell and folds into the cell's
             // running summary through its variation's tabulated
-            // assignment — the increments the build computed for the
-            // same variation.
+            // contribution — the one the build's summaries added.
             for (attr, variation) in matcher.extract(&row.text) {
                 opine_faults::checkpoint();
-                let occ = PhraseOcc {
-                    variation,
-                    sentiment: self.opinion_domains[attr].variations()[variation].sentiment,
-                    review_id,
-                };
                 entity.push_occurrence(
                     attr,
                     marker_sets[attr].markers.len(),
-                    occ,
-                    &self.assignments[attr][variation],
+                    PhraseOcc {
+                        variation,
+                        review_id,
+                    },
+                    &self.contributions[attr][variation as usize],
                     &mut copied,
                 );
             }
@@ -1671,5 +1680,16 @@ mod tests {
         // at its own anchor one token later.
         assert_eq!(occs, vec![(0, 1), (0, 0)]);
         assert_eq!(m.extract("nothing matches here"), vec![]);
+    }
+
+    #[test]
+    fn review_ids_past_u32_max_are_rejected() {
+        let last = usize::try_from(u32::MAX).unwrap();
+        assert_eq!(next_review_id(last).unwrap(), u32::MAX);
+        let err = next_review_id(last + 1).unwrap_err();
+        assert!(
+            matches!(err, OpineError::Store(StoreError::Execution(_))),
+            "{err:?}"
+        );
     }
 }

@@ -6,8 +6,10 @@
 //! * [`domain`] — linguistic domains: the set of phrases describing an
 //!   attribute, with counts, sentiment, and embeddings;
 //! * [`summary`] — markers and marker summaries: designer-chosen landmarks
-//!   and the per-entity histograms over them, with incremental updates and
-//!   provenance (Sec. 2, Sec. 4.2.2);
+//!   and the per-entity histograms over them, grown incrementally by one
+//!   tabulated contribution per linguistic variation (Sec. 2, Sec. 4.2.2);
+//!   their provenance is computed from the raw occurrences
+//!   ([`OpineDb::provenance`]);
 //! * [`membership`] — learned membership functions translating a marker
 //!   summary + query phrase into a degree of truth (Sec. 3.3);
 //! * [`interpret`] — the three-stage predicate interpreter: word2vec →

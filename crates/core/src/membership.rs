@@ -236,7 +236,7 @@ impl MembershipModel {
 mod tests {
     use super::*;
     use crate::domain::LinguisticDomain;
-    use crate::summary::{AssignMode, SummaryKind};
+    use crate::summary::{AssignMode, PhraseContribution, SummaryKind};
     use opine_embed::{PhraseEmbedder, Word2Vec, Word2VecConfig};
     use opine_text::{IdfModel, Vocab, WordId};
 
@@ -287,10 +287,16 @@ mod tests {
         vocab: &Vocab,
     ) -> MarkerSummary {
         let mut s = MarkerSummary::empty(set.markers.len());
-        for (i, (p, sent)) in phrases.iter().enumerate() {
+        for (p, sent) in phrases {
             let mut rep = embedder.rep(p, vocab);
             opine_embed::normalize(&mut rep);
-            s.add_phrase(p, &rep, *sent, set, AssignMode::Best, -1.0, i);
+            s.add(&PhraseContribution::compute(
+                &rep,
+                *sent,
+                set,
+                AssignMode::Best,
+                -1.0,
+            ));
         }
         s
     }

@@ -5,9 +5,9 @@
 //! A qualified summary is **one fold over the raw occurrences** of its
 //! cell — the build-time ones and the pinned delta's — keeping those
 //! whose review the qualifier accepts under live reviewer counts. Each
-//! kept occurrence adds its variation's tabulated `summary::Assignment`
-//! scaled by its sentiment: two table lookups and a few integer adds,
-//! no marker cosine. Fixed-point
+//! kept occurrence adds its variation's tabulated
+//! `summary::PhraseContribution`: one table lookup and a few integer
+//! adds, no marker cosine. Fixed-point
 //! accumulation makes the fold bit-identical to the reference's rescan
 //! ([`OpineDb::summaries_with_review_filter`] over
 //! [`ReviewQualifier::accepts`]), which resolves every occurrence from
@@ -37,8 +37,7 @@ pub type QualifiedSummaries = Arc<Vec<QualifiedRow>>;
 impl OpineDb {
     /// The summaries of a structured review qualifier at the current
     /// pin, bit-identical to [`Self::summaries_with_review_filter`] over
-    /// [`ReviewQualifier::accepts`] (modulo provenance, which the fold
-    /// does not record).
+    /// [`ReviewQualifier::accepts`].
     ///
     /// Sets are cached (bounded) by the qualifier's canonical rendering
     /// and stamped with the epoch they are exact for. A pin at that
@@ -137,14 +136,14 @@ impl OpineDb {
         qualifier: &ReviewQualifier,
         pin: &Pin,
     ) -> MarkerSummary {
-        let assignments = &self.assignments[attr];
+        let contributions = &self.contributions[attr];
         let mut out = MarkerSummary::empty(self.marker_set(attr).markers.len());
         for occ in self.occurrences_at(entity, attr, pin) {
             opine_faults::checkpoint();
             let meta = self.review_meta_at(&pin.delta, occ.review_id);
             let count = self.reviewer_count_at(&pin.delta, meta.reviewer_id);
             if qualifier.accepts(meta.year, count) {
-                out.add_assigned(&assignments[occ.variation], occ.sentiment);
+                out.add(&contributions[occ.variation as usize]);
             }
         }
         out

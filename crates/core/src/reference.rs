@@ -81,7 +81,7 @@ impl OpineDb {
     /// This is the rescan oracle: every raw occurrence, base and pinned
     /// delta, is resolved from scratch through
     /// [`PhraseContribution::compute`] (marker cosines and all, never
-    /// the engine's assignment table), O(total extractions × markers).
+    /// the engine's contribution table), O(total extractions × markers).
     /// Qualifiers expressible as year ranges + reviewer-degree
     /// thresholds are served by [`Self::summaries_qualified`], whose
     /// aggregates must equal these bit for bit.
@@ -102,17 +102,14 @@ impl OpineDb {
                         if !filter(&self.review_meta_at(&pin.delta, occ.review_id)) {
                             continue;
                         }
-                        let variation = &variations[occ.variation];
-                        let contribution = PhraseContribution::compute(
-                            &variation.phrase,
+                        let variation = &variations[occ.variation as usize];
+                        summary.add(&PhraseContribution::compute(
                             &variation.rep,
-                            occ.sentiment,
+                            variation.sentiment,
                             markers,
                             self.config.assign,
                             self.config.unmatched_threshold,
-                            occ.review_id,
-                        );
-                        summary.apply(&contribution, true);
+                        ));
                     }
                     row.push(summary);
                 }
@@ -198,7 +195,10 @@ impl<'a> Reference<'a> {
             let variations = db.opinion_domain(attribute).variations();
             let phrases: Vec<(&[f32], f64)> = db
                 .occurrences_at(entity, attribute, pin)
-                .map(|occ| (variations[occ.variation].rep.as_slice(), occ.sentiment))
+                .map(|occ| {
+                    let variation = &variations[occ.variation as usize];
+                    (variation.rep.as_slice(), variation.sentiment)
+                })
                 .collect();
             return db
                 .membership_scan()
@@ -225,8 +225,8 @@ impl<'a> Reference<'a> {
             None => Cow::Borrowed(base),
             Some(delta) => {
                 let mut merged = MarkerSummary::empty(base.num_markers());
-                merged.merge_aggregates(base);
-                merged.merge_aggregates(delta);
+                merged.merge(base);
+                merged.merge(delta);
                 Cow::Owned(merged)
             }
         }

@@ -20,13 +20,13 @@
 //! ## One resolution, tabulated
 //!
 //! What an occurrence adds to a summary is its variation's
-//! `Assignment` — which markers take its mass, or none — scaled by its
-//! sentiment. The assignment is the expensive half (one cosine per
-//! marker) and a pure function of the variation, so the engine
-//! tabulates it once per `(attribute, variation)` at assembly and every
-//! engine-side aggregation (`MarkerSummary::add_assigned`) is table
-//! lookups and integer adds. [`PhraseContribution::compute`] is the
-//! untabulated definition the builder and the reference go through.
+//! [`PhraseContribution`]: which markers take its mass, or none, scaled
+//! by the variation's sentiment. It costs one cosine per marker and is a
+//! pure function of the variation, so the builder tabulates it once per
+//! `(attribute, variation)` and every summary — build-time, delta cell,
+//! review-qualified fold — grows by [`MarkerSummary::add`] of table
+//! entries: lookups and integer adds. The reference's rescan computes
+//! each occurrence's contribution from scratch and never reads the table.
 
 use crate::domain::LinguisticDomain;
 use opine_embed::cosine;
@@ -184,15 +184,6 @@ impl MarkerSet {
     }
 }
 
-/// One provenance record: where an aggregated phrase came from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Provenance {
-    /// Source review id.
-    pub review_id: usize,
-    /// The extracted phrase.
-    pub phrase: String,
-}
-
 /// Fixed-point scale of the summary accumulators: weights and weighted
 /// sentiments are quantized to multiples of `2^-32` before accumulation,
 /// so sums are exact `i64` arithmetic (order-independent, mergeable).
@@ -208,26 +199,30 @@ fn dequantize(q: i64) -> f64 {
     q as f64 / FP_SCALE
 }
 
-/// The sentiment-free half of a phrase's effect on a summary: which
-/// markers take its mass, or that none does. A pure function of the
-/// phrase representation, the marker set, the assignment mode and the
-/// unmatched threshold — all frozen at build — so the engine keeps one
-/// per `(attribute, variation)` instead of recomputing the marker
-/// cosines per occurrence.
+/// One occurrence's fully-resolved effect on a summary: which markers
+/// take its mass and its sentiment-weighted mass, or that none does. A
+/// pure function of the phrase's representation and sentiment, the
+/// marker set, the assignment mode and the unmatched threshold — for a
+/// linguistic variation all frozen at build — so the engine keeps one
+/// per `(attribute, variation)` ([`Self::tabulate`]) and every summary
+/// grows by [`MarkerSummary::add`] of a table entry. The reference's
+/// rescan calls [`Self::compute`] per occurrence instead.
 #[derive(Debug, Clone)]
-pub(crate) struct Assignment {
+pub struct PhraseContribution {
     unmatched: bool,
-    /// `(marker, weight, quantized weight)`; empty when unmatched.
-    slots: Vec<(usize, f64, i64)>,
+    /// `(marker, quantized weight, quantized sentiment·weight)`; empty
+    /// when unmatched.
+    slots: Vec<(usize, i64, i64)>,
 }
 
-impl Assignment {
-    /// Resolves a phrase representation against a marker set (Sec. 4.2.2
-    /// aggregation step). `min_similarity` is the threshold below which
-    /// the phrase counts as unmatched rather than being forced onto a
-    /// marker.
-    pub(crate) fn compute(
+impl PhraseContribution {
+    /// Resolves a phrase against a marker set (Sec. 4.2.2 aggregation
+    /// step) and scales its mass by `sentiment`. `min_similarity` is the
+    /// threshold below which the phrase counts as unmatched rather than
+    /// being forced onto a marker.
+    pub fn compute(
         rep: &[f32],
+        sentiment: f64,
         markers: &MarkerSet,
         mode: AssignMode,
         min_similarity: f32,
@@ -246,56 +241,31 @@ impl Assignment {
         } else {
             assignments
                 .into_iter()
-                .map(|(idx, weight)| (idx, weight, quantize(weight)))
+                .map(|(idx, weight)| (idx, quantize(weight), quantize(sentiment * weight)))
                 .collect()
         };
-        Assignment { unmatched, slots }
+        PhraseContribution { unmatched, slots }
     }
 
-    /// This assignment for one occurrence of sentiment `sentiment`:
-    /// `(marker, quantized weight, quantized sentiment·weight)` per slot
-    /// — the one place an occurrence's accumulator increments are
-    /// computed.
-    fn scaled(&self, sentiment: f64) -> impl Iterator<Item = (usize, i64, i64)> + '_ {
-        self.slots
-            .iter()
-            .map(move |&(idx, weight, weight_q)| (idx, weight_q, quantize(sentiment * weight)))
-    }
-}
-
-/// One phrase's fully-resolved effect on a summary: its `Assignment`
-/// scaled by its sentiment, plus where it came from. This is the
-/// untabulated route — the marker cosines are computed here, per call —
-/// that the builder's summaries and the reference's rescan take; the
-/// engine folds the same increments from its per-variation table
-/// (`MarkerSummary::add_assigned`), so the two agree by construction.
-#[derive(Debug, Clone)]
-pub struct PhraseContribution<'p> {
-    phrase: &'p str,
-    review_id: usize,
-    unmatched: bool,
-    /// `(marker, quantized weight, quantized sentiment·weight)`.
-    assignments: Vec<(usize, i64, i64)>,
-}
-
-impl<'p> PhraseContribution<'p> {
-    /// `Assignment::compute` for the phrase, scaled by its sentiment.
-    pub fn compute(
-        phrase: &'p str,
-        rep: &[f32],
-        sentiment: f64,
-        markers: &MarkerSet,
+    /// `[attribute][variation]`: the contribution of one occurrence of
+    /// each variation of each domain, at the variation's sentiment.
+    pub(crate) fn tabulate(
+        domains: &[LinguisticDomain],
+        marker_sets: &[MarkerSet],
         mode: AssignMode,
         min_similarity: f32,
-        review_id: usize,
-    ) -> Self {
-        let assignment = Assignment::compute(rep, markers, mode, min_similarity);
-        PhraseContribution {
-            phrase,
-            review_id,
-            unmatched: assignment.unmatched,
-            assignments: assignment.scaled(sentiment).collect(),
-        }
+    ) -> Vec<Vec<Self>> {
+        domains
+            .iter()
+            .zip(marker_sets)
+            .map(|(domain, markers)| {
+                domain
+                    .variations()
+                    .iter()
+                    .map(|v| Self::compute(&v.rep, v.sentiment, markers, mode, min_similarity))
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -317,10 +287,6 @@ pub struct MarkerSummary {
     /// Count of phrases whose best marker similarity fell below the
     /// unmatched threshold.
     pub unmatched: f64,
-    /// Provenance of every phrase aggregated through [`Self::add_phrase`]
-    /// (empty for delta-cell and review-qualified summaries, which fold
-    /// occurrences whose phrases the build-time summaries already name).
-    pub provenance: Vec<Provenance>,
 }
 
 impl MarkerSummary {
@@ -331,69 +297,20 @@ impl MarkerSummary {
             senti_q: vec![0; k],
             total: 0.0,
             unmatched: 0.0,
-            provenance: Vec::new(),
         }
     }
 
-    /// Incrementally aggregates one extracted phrase (Sec. 4.2.2: "the
-    /// marker summaries can be incrementally computed").
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_phrase(
-        &mut self,
-        phrase: &str,
-        rep: &[f32],
-        sentiment: f64,
-        markers: &MarkerSet,
-        mode: AssignMode,
-        min_similarity: f32,
-        review_id: usize,
-    ) {
-        let contribution = PhraseContribution::compute(
-            phrase,
-            rep,
-            sentiment,
-            markers,
-            mode,
-            min_similarity,
-            review_id,
-        );
-        self.apply(&contribution, true);
-    }
-
-    /// Applies one precomputed phrase contribution. With
-    /// `track_provenance` false the phrase text is not recorded.
-    pub fn apply(&mut self, contribution: &PhraseContribution<'_>, track_provenance: bool) {
-        if track_provenance {
-            self.provenance.push(Provenance {
-                review_id: contribution.review_id,
-                phrase: contribution.phrase.to_string(),
-            });
-        }
-        self.accumulate(
-            contribution.unmatched,
-            contribution.assignments.iter().copied(),
-        );
-    }
-
-    /// Folds in one occurrence of a phrase whose assignment is already
-    /// known — [`Self::apply`] of the contribution
-    /// [`PhraseContribution::compute`] would resolve for it, provenance
-    /// off, without the marker cosines.
+    /// Incrementally aggregates one occurrence (Sec. 4.2.2: "the marker
+    /// summaries can be incrementally computed"): counts it and adds its
+    /// `(marker, weight, sentiment·weight)` increments.
     #[inline]
-    pub(crate) fn add_assigned(&mut self, assignment: &Assignment, sentiment: f64) {
-        self.accumulate(assignment.unmatched, assignment.scaled(sentiment));
-    }
-
-    /// Counts one phrase and adds its `(marker, weight, sentiment·weight)`
-    /// increments.
-    #[inline]
-    fn accumulate(&mut self, unmatched: bool, slots: impl Iterator<Item = (usize, i64, i64)>) {
+    pub fn add(&mut self, contribution: &PhraseContribution) {
         self.total += 1.0;
-        if unmatched {
+        if contribution.unmatched {
             self.unmatched += 1.0;
             return;
         }
-        for (idx, weight_q, senti_q) in slots {
+        for &(idx, weight_q, senti_q) in &contribution.slots {
             self.counts_q[idx] += weight_q;
             self.senti_q[idx] += senti_q;
         }
@@ -404,17 +321,8 @@ impl MarkerSummary {
     /// Associative and commutative at the bit level: integer
     /// accumulators add exactly, so merging any partition of a phrase
     /// multiset reproduces the from-scratch build of the union
-    /// bit-for-bit (provenance concatenates in merge order).
+    /// bit-for-bit.
     pub fn merge(&mut self, other: &MarkerSummary) {
-        self.merge_aggregates(other);
-        if !other.provenance.is_empty() {
-            self.provenance.extend(other.provenance.iter().cloned());
-        }
-    }
-
-    /// [`Self::merge`] of the numeric aggregates alone — what degrees are
-    /// scored from; `other`'s provenance is not carried over.
-    pub fn merge_aggregates(&mut self, other: &MarkerSummary) {
         debug_assert_eq!(self.counts_q.len(), other.counts_q.len());
         for (a, b) in self.counts_q.iter_mut().zip(&other.counts_q) {
             *a += b;
@@ -475,10 +383,9 @@ impl MarkerSummary {
         dequantize(self.counts_q.iter().sum())
     }
 
-    /// Exact equality of the numeric aggregate state (mass, sentiment
+    /// Exact equality of the aggregate state (mass, sentiment
     /// accumulators, totals) — the "bit-identical" comparison the
-    /// fold/rescan equivalence tests use. Provenance is excluded: only
-    /// [`Self::add_phrase`] records it.
+    /// fold/rescan equivalence tests use.
     pub fn same_aggregates(&self, other: &MarkerSummary) -> bool {
         self.counts_q == other.counts_q
             && self.senti_q == other.senti_q
@@ -486,8 +393,8 @@ impl MarkerSummary {
             && self.unmatched.to_bits() == other.unmatched.to_bits()
     }
 
-    /// Approximate heap bytes of the numeric accumulators (provenance
-    /// excluded) — sizing information for the delta's memory report.
+    /// Heap bytes of the accumulators — sizing information for the
+    /// delta's memory report.
     pub fn accumulator_bytes(&self) -> usize {
         (self.counts_q.len() + self.senti_q.len()) * std::mem::size_of::<i64>()
     }
@@ -595,19 +502,23 @@ mod tests {
     }
 
     #[test]
-    fn summary_aggregation_tracks_counts_and_provenance() {
+    fn summary_aggregation_tracks_counts() {
         let (vocab, embedder, domain) = fixture();
         let set = MarkerSet::discover("a", &domain, SummaryKind::Linear, 3, 1);
         let mut s = MarkerSummary::empty(set.markers.len());
-        for (i, phrase) in ["very clean", "clean", "dirty"].iter().enumerate() {
+        for phrase in ["very clean", "clean", "dirty"] {
             let mut rep = embedder.rep(phrase, &vocab);
             opine_embed::normalize(&mut rep);
-            s.add_phrase(phrase, &rep, 0.5, &set, AssignMode::Best, -1.0, i);
+            s.add(&PhraseContribution::compute(
+                &rep,
+                0.5,
+                &set,
+                AssignMode::Best,
+                -1.0,
+            ));
         }
         assert_eq!(s.total, 3.0);
         assert_eq!(s.matched_mass(), 3.0);
-        assert_eq!(s.provenance.len(), 3);
-        assert_eq!(s.provenance[0].phrase, "very clean");
         let fracs = s.fractions();
         assert!((fracs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
@@ -619,7 +530,13 @@ mod tests {
         let mut s = MarkerSummary::empty(set.markers.len());
         // A zero rep has cosine 0 with everything; threshold 0.5 rejects it.
         let rep = embedder.rep("qqqq zzzz", &vocab);
-        s.add_phrase("qqqq zzzz", &rep, 0.0, &set, AssignMode::Best, 0.5, 0);
+        s.add(&PhraseContribution::compute(
+            &rep,
+            0.0,
+            &set,
+            AssignMode::Best,
+            0.5,
+        ));
         assert_eq!(s.unmatched, 1.0);
         assert_eq!(s.matched_mass(), 0.0);
         assert!((s.unmatched_fraction() - 1.0).abs() < 1e-9);
@@ -632,27 +549,24 @@ mod tests {
         assert_eq!(s.unmatched_fraction(), 0.0);
     }
 
-    /// Builds a summary over the fixture phrases through add_phrase.
+    /// Builds a summary over the fixture phrases.
     fn build_summary(
         phrases: &[(&str, f64)],
         set: &MarkerSet,
         embedder: &PhraseEmbedder,
         vocab: &Vocab,
-        id_base: usize,
     ) -> MarkerSummary {
         let mut s = MarkerSummary::empty(set.markers.len());
-        for (i, (p, sent)) in phrases.iter().enumerate() {
+        for (p, sent) in phrases {
             let mut rep = embedder.rep(p, vocab);
             opine_embed::normalize(&mut rep);
-            s.add_phrase(
-                p,
+            s.add(&PhraseContribution::compute(
                 &rep,
                 *sent,
                 set,
                 AssignMode::Proportional,
                 0.0,
-                id_base + i,
-            );
+            ));
         }
         s
     }
@@ -669,10 +583,10 @@ mod tests {
             ("very dirty", -0.9),
             ("clean", 0.65),
         ];
-        let whole = build_summary(&phrases, &set, &embedder, &vocab, 0);
-        let part_a = build_summary(&phrases[..2], &set, &embedder, &vocab, 0);
-        let part_b = build_summary(&phrases[2..4], &set, &embedder, &vocab, 2);
-        let part_c = build_summary(&phrases[4..], &set, &embedder, &vocab, 4);
+        let whole = build_summary(&phrases, &set, &embedder, &vocab);
+        let part_a = build_summary(&phrases[..2], &set, &embedder, &vocab);
+        let part_b = build_summary(&phrases[2..4], &set, &embedder, &vocab);
+        let part_c = build_summary(&phrases[4..], &set, &embedder, &vocab);
         // Merge in an order different from the build order: fixed-point
         // accumulation is exactly commutative.
         let mut merged = MarkerSummary::empty(set.markers.len());
@@ -680,7 +594,6 @@ mod tests {
         merged.merge(&part_a);
         merged.merge(&part_b);
         assert!(merged.same_aggregates(&whole));
-        assert_eq!(merged.provenance.len(), whole.provenance.len());
         for i in 0..merged.num_markers() {
             assert_eq!(merged.count(i).to_bits(), whole.count(i).to_bits());
             assert_eq!(
@@ -690,24 +603,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn apply_without_provenance_keeps_aggregates() {
-        let (vocab, embedder, domain) = fixture();
-        let set = MarkerSet::discover("a", &domain, SummaryKind::Linear, 3, 1);
-        let mut rep = embedder.rep("clean", &vocab);
-        opine_embed::normalize(&mut rep);
-        let c = PhraseContribution::compute("clean", &rep, 0.65, &set, AssignMode::Best, 0.0, 7);
-        let mut with = MarkerSummary::empty(set.markers.len());
-        with.apply(&c, true);
-        let mut without = MarkerSummary::empty(set.markers.len());
-        without.apply(&c, false);
-        assert!(with.same_aggregates(&without));
-        assert_eq!(with.provenance.len(), 1);
-        assert!(without.provenance.is_empty());
-    }
-
     /// `PhraseContribution::compute` as it was before the assignment
-    /// was split from the sentiment, kept verbatim as the frozen
+    /// was ever split from the sentiment, kept verbatim as the frozen
     /// specification of every accumulator increment's bits.
     fn unsplit_contribution(
         rep: &[f32],
@@ -768,28 +665,25 @@ mod tests {
             // Thresholds just under, at and just over the best
             // similarity, and the two that can never / always reject.
             for min_similarity in [-1.0, best_sim - 1e-3, best_sim, best_sim + 1e-3, 1.01] {
-                let assignment = Assignment::compute(&rep, &set, mode, min_similarity);
                 for sentiment in [0.0, 1.0, -1.0, rng.gen::<f64>() * 2.0 - 1.0] {
                     let expected =
                         unsplit_contribution(&rep, sentiment, &set, mode, min_similarity);
-                    let computed = PhraseContribution::compute(
-                        "p",
-                        &rep,
-                        sentiment,
-                        &set,
-                        mode,
-                        min_similarity,
-                        case,
-                    );
-                    assert_eq!((computed.unmatched, computed.assignments.clone()), expected);
-                    let tabulated: Vec<_> = assignment.scaled(sentiment).collect();
-                    assert_eq!((assignment.unmatched, tabulated), expected);
-                    // …and the two fold the same summary.
-                    let mut applied = MarkerSummary::empty(k);
-                    applied.apply(&computed, false);
+                    let computed =
+                        PhraseContribution::compute(&rep, sentiment, &set, mode, min_similarity);
+                    assert_eq!((computed.unmatched, computed.slots.clone()), expected);
+                    // …and `add` folds exactly those increments.
                     let mut folded = MarkerSummary::empty(k);
-                    folded.add_assigned(&assignment, sentiment);
-                    assert!(applied.same_aggregates(&folded));
+                    folded.add(&computed);
+                    let mut spec = MarkerSummary::empty(k);
+                    spec.total = 1.0;
+                    if expected.0 {
+                        spec.unmatched = 1.0;
+                    }
+                    for &(idx, weight_q, senti_q) in &expected.1 {
+                        spec.counts_q[idx] += weight_q;
+                        spec.senti_q[idx] += senti_q;
+                    }
+                    assert!(folded.same_aggregates(&spec));
                     if expected.0 {
                         unmatched += 1;
                     } else {
@@ -805,7 +699,7 @@ mod tests {
     fn merge_empty_is_identity() {
         let (vocab, embedder, domain) = fixture();
         let set = MarkerSet::discover("a", &domain, SummaryKind::Linear, 3, 1);
-        let built = build_summary(&[("clean", 0.65)], &set, &embedder, &vocab, 0);
+        let built = build_summary(&[("clean", 0.65)], &set, &embedder, &vocab);
         let mut merged = built.clone();
         merged.merge(&MarkerSummary::empty(set.markers.len()));
         assert!(merged.same_aggregates(&built));

@@ -3,7 +3,7 @@
 //!
 //! These are first-class Subjective SQL (`... with reviews(year >= 2010,
 //! reviewer_min_count >= 10)`) and interactive: a qualified summary is
-//! one fold over its cell's raw occurrences, each adding the assignment
+//! one fold over its cell's raw occurrences, each adding the contribution
 //! tabulated once for its linguistic variation (fixed-point accumulators
 //! make the fold bit-identical to the reference's from-scratch rescan,
 //! which computes every marker cosine again). Sets are cached per
@@ -130,7 +130,7 @@ fn main() {
         .sum();
     println!(
         "\n{} entities x {mean_reviews} reviews: {occurrences} raw occurrences of {variations} \
-         variations (one tabulated assignment each)",
+         variations (one tabulated contribution each)",
         db.num_entities()
     );
     println!(

@@ -1,6 +1,8 @@
 //! Property tests for marker-summary invariants through the public API.
 
-use opinedb::core::summary::{AssignMode, Marker, MarkerSet, MarkerSummary, SummaryKind};
+use opinedb::core::summary::{
+    AssignMode, Marker, MarkerSet, MarkerSummary, PhraseContribution, SummaryKind,
+};
 use proptest::prelude::*;
 
 /// A small deterministic marker set over a `dim`-dimensional space, with
@@ -34,14 +36,13 @@ proptest! {
     ) {
         let set = axis_markers(3, 4, SummaryKind::Linear);
         let mut summary = MarkerSummary::empty(3);
-        for (i, (rep, senti)) in phrases.iter().enumerate() {
-            summary.add_phrase("p", rep, *senti, &set, mode, 0.1, i);
+        for (rep, senti) in &phrases {
+            summary.add(&PhraseContribution::compute(rep, *senti, &set, mode, 0.1));
         }
         prop_assert!((summary.total - phrases.len() as f64).abs() < 1e-9);
         let matched = summary.matched_mass();
         prop_assert!(matched <= summary.total + 1e-9);
         prop_assert!((matched + summary.unmatched - summary.total).abs() < 1e-6);
-        prop_assert_eq!(summary.provenance.len(), phrases.len());
         if matched > 1e-9 {
             let frac_sum: f64 = summary.fractions().iter().sum();
             prop_assert!((frac_sum - 1.0).abs() < 1e-6, "fractions sum {frac_sum}");
@@ -77,8 +78,8 @@ proptest! {
         let set = axis_markers(3, 4, SummaryKind::Linear);
         let run = |ps: &[(Vec<f32>, f64)]| {
             let mut s = MarkerSummary::empty(3);
-            for (i, (rep, senti)) in ps.iter().enumerate() {
-                s.add_phrase("p", rep, *senti, &set, AssignMode::Best, 0.1, i);
+            for (rep, senti) in ps {
+                s.add(&PhraseContribution::compute(rep, *senti, &set, AssignMode::Best, 0.1));
             }
             s
         };
@@ -110,14 +111,14 @@ proptest! {
         let set = axis_markers(3, 4, SummaryKind::Linear);
         // From-scratch build over every phrase, in order.
         let mut whole = MarkerSummary::empty(3);
-        for (i, (rep, senti)) in phrases.iter().enumerate() {
-            whole.add_phrase("p", rep, *senti, &set, mode, 0.1, i);
+        for (rep, senti) in &phrases {
+            whole.add(&PhraseContribution::compute(rep, *senti, &set, mode, 0.1));
         }
         // Partition phrases into up to 4 parts by the random assignment
         // and build each part independently.
         let mut parts: Vec<MarkerSummary> = (0..4).map(|_| MarkerSummary::empty(3)).collect();
-        for (i, (rep, senti)) in phrases.iter().enumerate() {
-            parts[assignment[i]].add_phrase("p", rep, *senti, &set, mode, 0.1, i);
+        for (part, (rep, senti)) in assignment.iter().zip(&phrases) {
+            parts[*part].add(&PhraseContribution::compute(rep, *senti, &set, mode, 0.1));
         }
         let mut merged = MarkerSummary::empty(3);
         if merge_backwards {
@@ -140,6 +141,5 @@ proptest! {
             );
         }
         prop_assert_eq!(merged.matched_mass().to_bits(), whole.matched_mass().to_bits());
-        prop_assert_eq!(merged.provenance.len(), whole.provenance.len());
     }
 }
