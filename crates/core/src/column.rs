@@ -31,9 +31,10 @@ use crate::membership::{
 use crate::par;
 use crate::summary::{MarkerSet, MarkerSummary};
 use opine_store::ast::ColumnRef;
-use opine_store::{Expr, FuzzyAlgebra};
+use opine_store::{Bitmap, Expr, FuzzyAlgebra, Leaf, StoreError, Subjective};
 use opine_text::WordId;
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::sync::{Arc, OnceLock};
 
 /// The dense degree column of one predicate: one slot per entity, plus
@@ -241,8 +242,8 @@ pub(crate) enum PreparedInterpretation {
     /// Stage 1: one attribute, scored against the original phrase.
     Direct(PreparedTerm),
     /// Stage 2: fuzzy combination of `(attribute, marker phrase)` terms,
-    /// each with its marker index, which with the term's attribute names
-    /// the term's cached column ([`OpineDb::term_key`]).
+    /// each with its marker index, whose phrase with the term's
+    /// attribute names the term's cached column ([`OpineDb::term_key`]).
     CoOccur {
         terms: Vec<(usize, PreparedTerm)>,
         conjunctive: bool,
@@ -309,8 +310,8 @@ fn predicate_key(predicate: &str) -> Cow<'_, str> {
 enum ColumnSource<'a> {
     /// A predicate, by its interpretation.
     Predicate(&'a str, PreparedInterpretation),
-    /// One `attribute .= marker phrase` term of a co-occurrence
-    /// interpretation: the column of `Direct(term)`.
+    /// One `attribute .= phrase` term — of a co-occurrence
+    /// interpretation, or a `.=` leaf: the column of `Direct(term)`.
     Term(&'a PreparedTerm),
 }
 
@@ -430,15 +431,48 @@ impl OpineDb {
         (column, true)
     }
 
-    /// The column cache key of the term `attribute .= marker phrase`:
+    /// The column a WHERE clause's leaf reads, for the ranking kernel
+    /// and the row loop alike, and whether this call built it from
+    /// nothing: a predicate's [`Self::fetch_column`]; for `attribute .=
+    /// phrase` the cached term column of `(attribute, phrase)`, which a
+    /// co-occurrence term of that marker phrase shares; a comparison's
+    /// bitmap as 0.0 / 1.0. An unknown `.=` attribute is
+    /// [`StoreError::UnknownColumn`].
+    pub(crate) fn leaf_column(
+        &self,
+        leaf: &Leaf<'_, Bitmap>,
+    ) -> Result<(Arc<DegreeColumn>, bool), StoreError> {
+        Ok(match leaf {
+            Leaf::Subjective(Subjective::Predicate(predicate)) => self.fetch_column(predicate),
+            Leaf::Subjective(Subjective::Match { attribute, phrase }) => {
+                let attribute = self.match_attribute(attribute)?;
+                let term = OnceCell::new();
+                self.ensure_pinned(|pin| {
+                    self.column_from(&self.term_key(attribute, phrase), pin, || {
+                        ColumnSource::Term(
+                            term.get_or_init(|| self.prepare_term(attribute, phrase)),
+                        )
+                    })
+                })
+            }
+            Leaf::Compare(holds) => {
+                let degrees = (0..self.num_entities())
+                    .map(|entity| if holds.get(entity) { 1.0 } else { 0.0 })
+                    .collect();
+                (Arc::new(DegreeColumn::new(degrees)), true)
+            }
+        })
+    }
+
+    /// The column cache key of the term `attribute .= phrase`:
     /// [`TERM_TAG`], then the term's canonical `.=` rendering.
-    fn term_key(&self, attribute: usize, marker: usize) -> String {
+    fn term_key(&self, attribute: usize, phrase: &str) -> String {
         let term = Expr::MarkerMatch {
             attribute: ColumnRef {
                 table: None,
                 column: self.attributes[attribute].clone(),
             },
-            phrase: self.marker_set(attribute).markers[marker].phrase.clone(),
+            phrase: phrase.to_string(),
         };
         format!("{TERM_TAG}{term}")
     }
@@ -446,7 +480,8 @@ impl OpineDb {
     /// A co-occurrence predicate's degrees: each term's cached column
     /// (a hit, a repair or a build), folded slot by slot through
     /// [`fold_terms`]. A term column depends only on its `(attribute,
-    /// marker)`, so the paraphrases of one concept share them.
+    /// phrase)`, so the paraphrases of one concept share them, and a
+    /// `.=` of a marker phrase shares them too.
     fn fold_term_columns(
         &self,
         predicate: &str,
@@ -458,7 +493,8 @@ impl OpineDb {
         let columns: Vec<Arc<DegreeColumn>> = terms
             .iter()
             .map(|(marker, term)| {
-                let key = self.term_key(term.attribute, *marker);
+                let phrase = &self.marker_set(term.attribute).markers[*marker].phrase;
+                let key = self.term_key(term.attribute, phrase);
                 let (column, built) = self.column_from(&key, pin, || ColumnSource::Term(term));
                 cached += usize::from(!built);
                 column

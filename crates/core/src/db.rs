@@ -19,7 +19,7 @@ use opine_embed::PhraseEmbedder;
 use opine_ir::InvertedIndex;
 use opine_sentiment::SentimentAnalyzer;
 use opine_store::ast::ColumnRef;
-use opine_store::exec::{BoundLeaf, SubjectiveScorer};
+use opine_store::exec::{BoundLeaf, Leaf, Subjective, SubjectiveScorer};
 use opine_store::{
     execute, parse_select, Bitmap, Catalog, FuzzyAlgebra, Residue, ResultSet, ReviewQualifier,
     ScoredRows, Select, StoreError, Table, Value,
@@ -770,20 +770,22 @@ impl OpineDb {
     /// descending, entity id ascending on ties), including zero-degree
     /// entities when fewer than `k` score positively.
     pub fn rank_top_k(&self, predicates: &[&str], k: usize) -> Vec<(usize, f64)> {
-        match Residue::conjunction(predicates.len()) {
-            Some(residue) => {
-                self.rank_top_k_filtered(&residue, predicates, FuzzyAlgebra::Product, k, None)
-            }
-            None => Vec::new(),
-        }
+        let leaves: Vec<_> = predicates
+            .iter()
+            .map(|p| Leaf::Subjective(Subjective::Predicate(p)))
+            .collect();
+        Residue::conjunction(leaves.len()).map_or_else(Vec::new, |residue| {
+            self.rank_top_k_filtered(&residue, &leaves, FuzzyAlgebra::Product, k, None)
+                .expect("a predicate always has a column")
+        })
     }
 
     /// Top-k entities by `residue`'s degree under `algebra`, its leaf
-    /// `i` reading the degree column of `predicates[i]`, among the set
-    /// bits of `candidates` (the executor's objective prefilter; every
-    /// entity when `None`) — and the one place the ranking plan is
-    /// chosen. Each predicate's column is fetched once; then, the
-    /// classic selection-vs-sorted-access optimizer choice:
+    /// `i` reading the column of `leaves[i]` (`leaf_column`),
+    /// among the set bits of `candidates` (the executor's objective
+    /// prefilter; every entity when `None`) — and the one place the
+    /// ranking plan is chosen. Each leaf's column is fetched once; then,
+    /// the classic selection-vs-sorted-access optimizer choice:
     ///
     /// * **scan** — read every candidate's degrees straight from the
     ///   dense columns, combine, select the k best
@@ -807,32 +809,33 @@ impl OpineDb {
     /// scanned: its degree falls as a leaf's rises, so no cursor bounds
     /// an unseen entity.
     ///
-    /// `candidates` indexes rows of a table with
-    /// [`Self::rows_are_entities`], so a set bit, a column slot and a
-    /// ranked id are the same number.
+    /// `candidates` and a comparison leaf's bitmap index rows of a table
+    /// with [`Self::rows_are_entities`], so a set bit, a column slot and
+    /// a ranked id are the same number. An error is a leaf's (a `.=` on
+    /// an unknown attribute).
     pub fn rank_top_k_filtered(
         &self,
         residue: &Residue,
-        predicates: &[&str],
+        leaves: &[Leaf<'_, Bitmap>],
         algebra: FuzzyAlgebra,
         k: usize,
         candidates: Option<&Bitmap>,
-    ) -> Vec<(usize, f64)> {
+    ) -> Result<Vec<(usize, f64)>, StoreError> {
         if candidates.is_some() {
             self.pushdown_queries
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
         let mut built = false;
-        let columns: Vec<Arc<DegreeColumn>> = predicates
+        let columns = leaves
             .iter()
-            .map(|p| {
-                let (column, fresh) = self.fetch_column(p);
+            .map(|leaf| {
+                let (column, fresh) = self.leaf_column(leaf)?;
                 built |= fresh;
-                column
+                Ok(column)
             })
-            .collect();
+            .collect::<Result<Vec<Arc<DegreeColumn>>, StoreError>>()?;
         if k == 0 {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let degrees: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
         let n = self.num_entities();
@@ -857,13 +860,13 @@ impl OpineDb {
             });
             // Two instantiations on purpose, here and below: the
             // unfiltered loops compile without the candidate test.
-            return match candidates {
+            return Ok(match candidates {
                 None => scan_topk(&degrees, residue, algebra, k, 0..n),
                 Some(bitmap) => scan_topk(&degrees, residue, algebra, k, bitmap.iter_ones()),
-            };
+            });
         }
         let orders: Vec<&[u32]> = columns.iter().map(|c| c.sorted_order()).collect();
-        match candidates {
+        Ok(match candidates {
             None => {
                 opine_trace::note(|| format!("ta_topk: full TA over degree columns (k={k})"));
                 threshold_topk(&degrees, &orders, residue, algebra, k, |_| true)
@@ -878,7 +881,7 @@ impl OpineDb {
                     bitmap.get(entity)
                 })
             }
-        }
+        })
     }
 
     /// Normalized embedding + sentiment of a query phrase, memoized.
@@ -989,29 +992,12 @@ impl OpineDb {
 }
 
 impl SubjectiveScorer for OpineDb {
-    /// The leaf reads one [`DegreeColumn`] for the whole statement: the
-    /// cached one, restamped or repaired for the entities that changed
-    /// since its stamp, or built — [`Self::degree_column`]'s cases. Over
-    /// the entity table a row's degree is the column slot at its
-    /// position.
-    fn bind_predicate<'s>(
-        &'s self,
-        base: &Table,
-        predicate: &'s str,
-    ) -> Result<BoundLeaf<'s>, StoreError> {
-        let column = self.degree_column(predicate);
+    /// The leaf reads one [`DegreeColumn`] for the whole statement, the
+    /// one the ranking kernel reads (`leaf_column`). Over the
+    /// entity table a row's degree is the column slot at its position.
+    fn bind<'s>(&'s self, base: &Table, leaf: Subjective<'s>) -> Result<BoundLeaf<'s>, StoreError> {
+        let (column, _) = self.leaf_column(&Leaf::Subjective(leaf))?;
         Ok(self.entity_leaf(base, move |entity| column.degrees()[entity]))
-    }
-
-    fn bind_match<'s>(
-        &'s self,
-        base: &Table,
-        attribute: &'s ColumnRef,
-        phrase: &'s str,
-    ) -> Result<BoundLeaf<'s>, StoreError> {
-        let term = self.prepare_term(self.match_attribute(attribute)?, phrase);
-        let pin = self.pinned();
-        Ok(self.entity_leaf(base, move |entity| self.term_degree(entity, &term, &pin)))
     }
 
     /// Ranks entity ids, which are row positions of `base` only when
@@ -1020,23 +1006,23 @@ impl SubjectiveScorer for OpineDb {
         &self,
         base: &Table,
         residue: &Residue,
-        predicates: &[&str],
+        leaves: &[Leaf<'_, Bitmap>],
         algebra: FuzzyAlgebra,
         k: usize,
         candidates: Option<&Bitmap>,
-    ) -> Option<Vec<(usize, f64)>> {
+    ) -> Result<Option<Vec<(usize, f64)>>, StoreError> {
         if !self.rows_are_entities(base) {
             opine_trace::note(|| "ta_topk: declined — base rows are not the entities".into());
-            return None;
+            return Ok(None);
         }
         opine_faults::fire_panic("pre_ta");
         let span = opine_trace::span("ta_topk");
-        let ranked = self.rank_top_k_filtered(residue, predicates, algebra, k, candidates);
+        let ranked = self.rank_top_k_filtered(residue, leaves, algebra, k, candidates)?;
         span.count("scored", ranked.len() as u64);
         drop(span);
         self.ta_queries
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Some(ranked)
+        Ok(Some(ranked))
     }
 
     fn qualified_scorer<'s>(

@@ -41,6 +41,7 @@ use opine_store::{parse_insert, InsertStmt, StoreError, TableOverlay, Value};
 use opine_text::{Vocab, WordId};
 use parking_lot::Mutex;
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::atomic::{AtomicU64, AtomicUsize};
@@ -703,29 +704,29 @@ impl PhraseMatcher {
     }
 
     /// `(attribute, variation)` occurrences of the domains' phrases in
-    /// `text`, in scan order. Longer candidate phrases win at a given
-    /// anchor position (the scan does not double-count a long phrase as
-    /// its own prefix), matching how extraction yields one opinion term
-    /// per expression.
+    /// `text`, in scan order. The longest candidate phrase wins at an
+    /// anchor position, and the scan resumes after it, so no token
+    /// counts toward two occurrences: "not nice cocktails" is `not
+    /// nice`, never also `nice`. That matches how extraction yields one
+    /// opinion term per expression.
     pub fn extract(&self, text: &str) -> Vec<(usize, u32)> {
         let tokens = opine_text::tokenize(text);
         let mut out = Vec::new();
-        for start in 0..tokens.len() {
+        let mut start = 0;
+        while start < tokens.len() {
             opine_faults::checkpoint();
-            let Some(candidates) = self.by_first.get(&tokens[start]) else {
-                continue;
-            };
-            let mut best: Option<(usize, u32, usize)> = None;
-            // lint:allow(checkpoint_coverage, reason = "bounded by the domains' variation count per anchor token, not by data volume")
-            for &(attr, var, ref phrase) in candidates {
-                let fits = phrase.len() <= tokens.len() - start
-                    && phrase.iter().zip(&tokens[start..]).all(|(p, t)| p == t);
-                if fits && best.is_none_or(|(_, _, len)| phrase.len() > len) {
-                    best = Some((attr, var, phrase.len()));
+            let longest = self.by_first.get(&tokens[start]).and_then(|candidates| {
+                candidates
+                    .iter()
+                    .filter(|(_, _, phrase)| tokens[start..].starts_with(phrase))
+                    .min_by_key(|(_, _, phrase)| Reverse(phrase.len()))
+            });
+            match longest {
+                Some((attr, var, phrase)) => {
+                    out.push((*attr, *var));
+                    start += phrase.len();
                 }
-            }
-            if let Some((attr, var, _)) = best {
-                out.push((attr, var));
+                None => start += 1,
             }
         }
         out
@@ -1675,10 +1676,21 @@ mod tests {
         );
         m.by_first
             .insert("clean".into(), vec![(0, 0, vec!["clean".into()])]);
-        let occs = m.extract("the room was very clean indeed");
-        // "very clean" wins at the anchor "very"; "clean" still matches
-        // at its own anchor one token later.
-        assert_eq!(occs, vec![(0, 1), (0, 0)]);
+        m.by_first.insert(
+            "not".into(),
+            vec![(1, 3, vec!["not".into(), "nice".into()])],
+        );
+        m.by_first
+            .insert("nice".into(), vec![(1, 4, vec!["nice".into()])]);
+        // "very clean" wins at the anchor "very", and the scan resumes
+        // after it: "clean" is not counted a second time.
+        assert_eq!(m.extract("the room was very clean indeed"), vec![(0, 1)]);
+        // Likewise "not nice" holds "nice"; a later "nice" counts.
+        assert_eq!(m.extract("not nice cocktails"), vec![(1, 3)]);
+        assert_eq!(
+            m.extract("clean but not nice, nice view"),
+            vec![(0, 0), (1, 3), (1, 4)]
+        );
         assert_eq!(m.extract("nothing matches here"), vec![]);
     }
 

@@ -16,12 +16,12 @@
 //! Sets are cached per qualifier and stamped with the epoch they are
 //! exact for; a newer pin re-folds only the entities that changed.
 
+use crate::column::PreparedInterpretation;
 use crate::db::OpineDb;
 use crate::ingest::Pin;
 use crate::par;
 use crate::summary::MarkerSummary;
-use opine_store::ast::ColumnRef;
-use opine_store::exec::{BoundLeaf, SubjectiveScorer};
+use opine_store::exec::{BoundLeaf, Subjective, SubjectiveScorer};
 use opine_store::{ReviewQualifier, StoreError, Table};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -183,31 +183,19 @@ impl SubjectiveScorer for QualifiedScorer<'_> {
     /// The text-retrieval fallback (stage 3) scores the entity's full
     /// review document — BM25 has no per-review summary to filter — so
     /// it is the one stage a qualifier cannot scope.
-    fn bind_predicate<'s>(
-        &'s self,
-        base: &Table,
-        predicate: &'s str,
-    ) -> Result<BoundLeaf<'s>, StoreError> {
+    fn bind<'s>(&'s self, base: &Table, leaf: Subjective<'s>) -> Result<BoundLeaf<'s>, StoreError> {
         let db = self.db;
-        let prepared = db.prepare_interpretation(predicate);
+        let prepared = match leaf {
+            Subjective::Predicate(predicate) => db.prepare_interpretation(predicate),
+            Subjective::Match { attribute, phrase } => PreparedInterpretation::Direct(
+                db.prepare_term(db.match_attribute(attribute)?, phrase),
+            ),
+        };
         Ok(db.entity_leaf(base, move |entity| {
             prepared.combine(
                 |term| db.summary_term_degree(&self.summaries[entity][term.attribute], term),
                 |terms| db.text_degree_terms(entity, terms, &self.pin),
             )
-        }))
-    }
-
-    fn bind_match<'s>(
-        &'s self,
-        base: &Table,
-        attribute: &'s ColumnRef,
-        phrase: &'s str,
-    ) -> Result<BoundLeaf<'s>, StoreError> {
-        let db = self.db;
-        let term = db.prepare_term(db.match_attribute(attribute)?, phrase);
-        Ok(db.entity_leaf(base, move |entity| {
-            db.summary_term_degree(&self.summaries[entity][term.attribute], &term)
         }))
     }
 }

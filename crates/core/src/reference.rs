@@ -27,8 +27,7 @@ use crate::interpret::Interpretation;
 use crate::membership::{marker_features, scan_features};
 use crate::summary::{MarkerSummary, PhraseContribution};
 use crate::topk::rank_cmp;
-use opine_store::ast::ColumnRef;
-use opine_store::exec::{BoundLeaf, SubjectiveScorer};
+use opine_store::exec::{BoundLeaf, Subjective, SubjectiveScorer};
 use opine_store::{parse_select, FuzzyAlgebra, Residue, ReviewQualifier, StoreError, Table};
 use std::borrow::{Borrow, Cow};
 
@@ -234,27 +233,26 @@ impl<'a> Reference<'a> {
 }
 
 impl SubjectiveScorer for Reference<'_> {
-    fn bind_predicate<'s>(
+    fn bind<'s>(
         &'s self,
         _base: &Table,
-        predicate: &'s str,
-    ) -> Result<BoundLeaf<'s>, StoreError> {
-        Ok(BoundLeaf::by_key(move |key| {
-            Ok(self.degree(self.db.entity_of_value(key)?, predicate))
-        }))
-    }
-
-    fn bind_match<'s>(
-        &'s self,
-        _base: &Table,
-        attribute: &'s ColumnRef,
-        phrase: &'s str,
+        leaf: Subjective<'s>,
     ) -> Result<BoundLeaf<'s>, StoreError> {
         let db = self.db;
-        let attr = db.match_attribute(attribute)?;
+        // A bad attribute fails whether or not a row reaches the leaf;
+        // each row resolves it again, as it redoes everything else.
+        if let Subjective::Match { attribute, .. } = leaf {
+            db.match_attribute(attribute)?;
+        }
         Ok(BoundLeaf::by_key(move |key| {
             let entity = db.entity_of_value(key)?;
-            Ok(db.ensure_pinned(|pin| self.term_degree(entity, attr, phrase, pin)))
+            Ok(match leaf {
+                Subjective::Predicate(predicate) => self.degree(entity, predicate),
+                Subjective::Match { attribute, phrase } => {
+                    let attribute = db.match_attribute(attribute)?;
+                    db.ensure_pinned(|pin| self.term_degree(entity, attribute, phrase, pin))
+                }
+            })
         }))
     }
 

@@ -257,12 +257,13 @@ fn a_statement_binds_each_subjective_leaf_once_whatever_its_row_count() {
         ),
         2
     );
-    // Two `.=` leaves: two probes of the prepared-phrase memo.
+    // Two `.=` leaves: two probes of the column cache, which holds
+    // their term columns.
     assert_eq!(
         probes(
             "select * from hotels h where h.price_pn < 100000 \
              and (h.room_cleanliness .= \"very clean\" or h.service .= \"exceptional\")",
-            |r| r.phrases
+            |r| r.columns
         ),
         2
     );

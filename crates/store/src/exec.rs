@@ -13,22 +13,25 @@
 //! **objective prefilter** and a **subjective residue**: the objective
 //! conjuncts evaluate vectorized over the table's typed columns into a
 //! candidate [`Bitmap`], and the residue is scored only over candidates.
-//! When every leaf of the residue is a natural-language predicate — any
-//! nest of AND / OR / NOT, under either algebra — the residue as parsed
-//! ([`Residue`]) and the bitmap are handed to the scorer's top-k
-//! ([`SubjectiveScorer::rank_residue`]): the paper's running example
-//! `price_pn < 150 and "clean rooms"` and a filtered
-//! `price_pn < 150 and ("a" or "b")` both ride the ranking kernel
-//! instead of row-at-a-time scoring.
+//! The residue as parsed ([`Residue`]: any nest of AND / OR / NOT over
+//! predicates, `.=` matches and comparisons, under either algebra) and
+//! the bitmap are handed to the scorer's top-k
+//! ([`SubjectiveScorer::rank_residue`]), a comparison under OR/NOT as
+//! the bitmap of the rows it holds on: the paper's running example
+//! `price_pn < 150 and "clean rooms"`, a filtered
+//! `price_pn < 150 and ("a" or h.comfort .= "firm")` and
+//! `"a" or rating >= 4` all ride the ranking kernel instead of
+//! row-at-a-time scoring.
 //!
-//! Everything else — a `.=` leaf, a comparison under OR/NOT, an
-//! `ORDER BY`, joined rows, overlay rows, a statement without an index
-//! behind it — goes through one row loop (`score_rows`), which binds
-//! each subjective leaf once per statement
-//! ([`SubjectiveScorer::bind_predicate`], [`SubjectiveScorer::bind_match`])
-//! and reads the bound leaf once per row. The row loop (`eval`) and the
-//! ranking kernel ([`Residue::score`]) apply the fuzzy operations in the
-//! same order, so both produce the same bits.
+//! What the kernel cannot rank — an `ORDER BY`, joined rows, overlay
+//! rows, a review-qualified statement, a base table that is not the
+//! scorer's, a scorer without an index (the reference) — goes through
+//! one row loop (`score_rows`). It reads the same [`Residue`], built
+//! from the whole WHERE clause, with one reader per leaf bound once per
+//! statement: a comparison reads its row slots, a subjective leaf the
+//! [`BoundLeaf`] of [`SubjectiveScorer::bind`]. [`Residue::score`] is
+//! the only evaluator of a WHERE clause, so both routes produce the same
+//! bits.
 //!
 //! ## Row positions
 //!
@@ -46,6 +49,7 @@ use crate::overlay::TableOverlay;
 use crate::table::{RowView, Table};
 use crate::value::{Value, ValueRef};
 use crate::StoreError;
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -131,40 +135,55 @@ impl<'s> BoundLeaf<'s> {
     }
 }
 
+/// A subjective leaf of a WHERE clause: a degree of truth only a
+/// [`SubjectiveScorer`] can supply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Subjective<'e> {
+    /// A natural-language predicate, `"clean rooms"`.
+    Predicate(&'e str),
+    /// A marker condition, `h.comfort .= "firm"`.
+    Match {
+        /// The subjective attribute, as written.
+        attribute: &'e ColumnRef,
+        /// The marker or free phrase.
+        phrase: &'e str,
+    },
+}
+
+/// One leaf of a [`Residue`]: subjective, or an objective comparison
+/// whose degree is 0 or 1 (Sec. 3.1). `C` is how a comparison is held:
+/// as parsed (an [`Expr::Compare`]) in what [`Residue::of`] returns, and
+/// as the [`Bitmap`] of the base rows it holds on when a scorer ranks
+/// ([`SubjectiveScorer::rank_residue`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Leaf<'e, C = &'e Expr> {
+    /// A degree the scorer supplies.
+    Subjective(Subjective<'e>),
+    /// A comparison.
+    Compare(C),
+}
+
 /// Supplies degrees of truth for subjective constructs.
 ///
 /// The executor binds every subjective leaf of a statement **once**,
 /// before the first row, and calls the bound leaf per row. Whatever a
 /// leaf costs that does not depend on the row (interpreting the
 /// predicate, embedding the phrase, finding or building a degree column,
-/// resolving the attribute name) belongs in `bind_*`; so do its errors,
+/// resolving the attribute name) belongs in `bind`; so do its errors,
 /// which makes a bad leaf an error whether or not any row reaches it.
 ///
 /// Every method receives `base`, the statement's base table: a row
 /// position means nothing without the table it indexes.
 pub trait SubjectiveScorer {
-    /// Binds a natural-language predicate for a statement over `base`.
-    fn bind_predicate<'s>(
-        &'s self,
-        base: &Table,
-        predicate: &'s str,
-    ) -> Result<BoundLeaf<'s>, StoreError>;
+    /// Binds a subjective leaf for a statement over `base`.
+    fn bind<'s>(&'s self, base: &Table, leaf: Subjective<'s>) -> Result<BoundLeaf<'s>, StoreError>;
 
-    /// Binds `attribute .= "phrase"` for a statement over `base`.
-    fn bind_match<'s>(
-        &'s self,
-        base: &Table,
-        attribute: &'s ColumnRef,
-        phrase: &'s str,
-    ) -> Result<BoundLeaf<'s>, StoreError>;
-
-    /// Optional index-assisted ranking for a WHERE clause whose
-    /// subjective residue has only natural-language predicates for
-    /// leaves: the top `k` `(row position in base, degree)` pairs, where
-    /// a row's degree is [`Residue::score`] under `algebra` with leaf
-    /// `i` reading the row's degree of `predicates[i]`, ranked by degree
-    /// descending with a deterministic tiebreak (row position
-    /// ascending).
+    /// Optional index-assisted ranking of a WHERE clause's residue: the
+    /// top `k` `(row position in base, degree)` pairs, where a row's
+    /// degree is [`Residue::score`] under `algebra` with leaf `i`
+    /// reading the row's degree of `leaves[i]` (a comparison reads 1
+    /// where its bitmap is set, else 0), ranked by degree descending
+    /// with a deterministic tiebreak (row position ascending).
     ///
     /// `candidates`, when present, is the objective prefilter: a bitmap
     /// over the row positions of `base` with a set bit for every row
@@ -172,17 +191,18 @@ pub trait SubjectiveScorer {
     /// only candidate rows (restricted sorted access in TA terms).
     /// Returning `None` (the default) falls back to scoring candidate
     /// rows one at a time; a scorer must decline a `base` whose rows it
-    /// cannot map to what it indexes.
+    /// cannot map to what it indexes. An error is a leaf's: the one
+    /// [`Self::bind`] would have returned.
     fn rank_residue(
         &self,
         _base: &Table,
         _residue: &Residue,
-        _predicates: &[&str],
+        _leaves: &[Leaf<'_, Bitmap>],
         _algebra: FuzzyAlgebra,
         _k: usize,
         _candidates: Option<&Bitmap>,
-    ) -> Option<Vec<(usize, f64)>> {
-        None
+    ) -> Result<Option<Vec<(usize, f64)>>, StoreError> {
+        Ok(None)
     }
 
     /// A scorer view whose subjective degrees count only the reviews
@@ -207,24 +227,17 @@ pub trait SubjectiveScorer {
 pub struct ObjectiveOnly;
 
 impl SubjectiveScorer for ObjectiveOnly {
-    fn bind_predicate<'s>(
+    fn bind<'s>(
         &'s self,
         _base: &Table,
-        predicate: &'s str,
+        leaf: Subjective<'s>,
     ) -> Result<BoundLeaf<'s>, StoreError> {
-        Err(StoreError::NoScorer(predicate.to_string()))
-    }
-
-    fn bind_match<'s>(
-        &'s self,
-        _base: &Table,
-        attribute: &'s ColumnRef,
-        phrase: &'s str,
-    ) -> Result<BoundLeaf<'s>, StoreError> {
-        Err(StoreError::NoScorer(format!(
-            "{}.= \"{phrase}\"",
-            attribute.column
-        )))
+        Err(StoreError::NoScorer(match leaf {
+            Subjective::Predicate(predicate) => predicate.to_string(),
+            Subjective::Match { attribute, phrase } => {
+                format!("{}.= \"{phrase}\"", attribute.column)
+            }
+        }))
     }
 }
 
@@ -619,15 +632,6 @@ struct Scan {
     why: &'static str,
 }
 
-impl Plan<'_> {
-    fn every_row(base: &Table, why: &'static str) -> Self {
-        Plan::Scan(Scan {
-            candidates: Bitmap::all_set(base.len()),
-            why,
-        })
-    }
-}
-
 /// The single-table planner: the only place that chooses between the
 /// scorer's index and the row loop.
 fn plan_single_table<'a>(
@@ -638,7 +642,10 @@ fn plan_single_table<'a>(
 ) -> Result<Plan<'a>, StoreError> {
     let base = layout.base;
     let Some(where_clause) = &query.where_clause else {
-        return Ok(Plan::every_row(base, "no WHERE clause"));
+        return Ok(Plan::Scan(Scan {
+            candidates: Bitmap::all_set(base.len()),
+            why: "no WHERE clause",
+        }));
     };
     let plan_span = opine_trace::span("plan");
     let conjuncts = where_clause.conjuncts();
@@ -653,7 +660,7 @@ fn plan_single_table<'a>(
         None
     } else {
         let prefilter_span = opine_trace::span("prefilter_bitmap");
-        let candidates = objective_bitmap(layout, &objective, scorer)?;
+        let candidates = objective_bitmap(layout, &objective)?;
         if prefilter_span.active() {
             prefilter_span.count("candidates", candidates.count_ones() as u64);
         }
@@ -674,21 +681,32 @@ fn plan_single_table<'a>(
     // The residue as parsed goes to the scorer's top-k, with the
     // candidate bitmap pushed down. An objective conjunct is exactly 1
     // on every candidate and `and(1, r) = r` bit for bit under both
-    // t-norms, so pruning the objective conjuncts changes no score. The
-    // scorer ranks in degree order, so an ORDER BY scores rows instead;
-    // so does a residue with a leaf no degree column holds (a `.=`
-    // match, a comparison under OR/NOT). The row loop scores with the
-    // *full* WHERE expression.
-    let why = match (residue, &query.order_by) {
-        (_, Some(_)) => "ORDER BY sorts by a column",
-        (None, None) => "residue not TA-rankable",
-        (Some((residue, predicates)), None) => {
+    // t-norms, so pruning the objective conjuncts changes no score; a
+    // comparison left in the residue goes as the bitmap of the rows it
+    // holds on. The scorer ranks in degree order, so an ORDER BY scores
+    // rows instead. The row loop scores with the *full* WHERE
+    // expression.
+    let why = match &query.order_by {
+        Some(_) => "ORDER BY sorts by a column",
+        None => {
+            let (residue, leaves) = residue.expect("a subjective conjunct has a leaf");
+            let leaves = leaves
+                .into_iter()
+                .map(|leaf| match leaf {
+                    Leaf::Subjective(s) => Ok(Leaf::Subjective(s)),
+                    Leaf::Compare(expr) => {
+                        let mut holds = Bitmap::all_set(base.len());
+                        restrict(layout, expr, &mut holds)?;
+                        Ok(Leaf::Compare(holds))
+                    }
+                })
+                .collect::<Result<Vec<_>, StoreError>>()?;
             let k = query
                 .limit
                 .unwrap_or(usize::MAX)
                 .min(candidates.as_ref().map_or(base.len(), Bitmap::count_ones));
             let ranked =
-                scorer.rank_residue(base, &residue, &predicates, algebra, k, candidates.as_ref());
+                scorer.rank_residue(base, &residue, &leaves, algebra, k, candidates.as_ref())?;
             if let Some(ranked) = ranked {
                 opine_trace::note(|| match candidates {
                     None => "plan: subjective residue → scorer top-k".into(),
@@ -710,54 +728,50 @@ fn plan_single_table<'a>(
 }
 
 /// Evaluates the objective conjuncts into one candidate bitmap over the
-/// base table's rows. Column-vs-literal comparisons vectorize over the
-/// typed column storage; other objective shapes (column-vs-column,
-/// OR/NOT trees) evaluate row-at-a-time over the still-live candidates.
-/// `scorer` is never consulted — every conjunct here is subjective-free.
-fn objective_bitmap(
-    layout: &Layout<'_>,
-    conjuncts: &[&Expr],
-    scorer: &dyn SubjectiveScorer,
-) -> Result<Bitmap, StoreError> {
-    let base = layout.base;
-    let mut candidates = Bitmap::all_set(base.len());
+/// base table's rows.
+fn objective_bitmap(layout: &Layout<'_>, conjuncts: &[&Expr]) -> Result<Bitmap, StoreError> {
+    let mut candidates = Bitmap::all_set(layout.base.len());
     for expr in conjuncts {
-        if let Expr::Compare { lhs, op, rhs } = expr {
-            let vectorized = match (lhs, rhs) {
-                (Operand::Column(c), Operand::Literal(v)) => Some((layout.resolve(c)?, *op, v)),
-                (Operand::Literal(v), Operand::Column(c)) => {
-                    Some((layout.resolve(c)?, op.flip(), v))
-                }
-                _ => None,
-            };
-            if let Some((slot, op, lit)) = vectorized {
-                // The conjunct's canonical rendering is injective, so it
-                // keys the table's selection-vector cache: a repeated
-                // objective filter costs a hash probe, not an O(rows)
-                // column scan.
-                let bitmap = base.cached_filter(&expr.to_string(), || {
-                    base.column(slot).compare_bitmap(op, lit)
-                });
-                candidates.and_assign(&bitmap);
-                continue;
-            }
-        }
-        let bound = bind(expr, layout, scorer)?;
-        for i in 0..base.len() {
-            opine_faults::checkpoint();
-            if candidates.get(i)
-                && eval(
-                    &bound,
-                    &RowHandle::Base(base.row(i)),
-                    base.schema().key,
-                    FuzzyAlgebra::Product,
-                )? == 0.0
-            {
-                candidates.clear(i);
-            }
-        }
+        restrict(layout, expr, &mut candidates)?;
     }
     Ok(candidates)
+}
+
+/// Clears the bits of `rows` (base-table positions) on which the
+/// objective `expr` does not hold. A column-vs-literal comparison
+/// vectorizes over the typed column storage; any other shape
+/// (column-vs-column, OR/NOT trees) scores its [`Residue`] row at a
+/// time over the still-set bits.
+fn restrict(layout: &Layout<'_>, expr: &Expr, rows: &mut Bitmap) -> Result<(), StoreError> {
+    let base = layout.base;
+    if let Expr::Compare { lhs, op, rhs } = expr {
+        let vectorized = match (lhs, rhs) {
+            (Operand::Column(c), Operand::Literal(v)) => Some((layout.resolve(c)?, *op, v)),
+            (Operand::Literal(v), Operand::Column(c)) => Some((layout.resolve(c)?, op.flip(), v)),
+            _ => None,
+        };
+        if let Some((slot, op, lit)) = vectorized {
+            // The comparison's canonical rendering is injective, so it
+            // keys the table's selection-vector cache: a repeated
+            // objective filter costs a hash probe, not an O(rows)
+            // column scan.
+            let bitmap = base.cached_filter(&expr.to_string(), || {
+                base.column(slot).compare_bitmap(op, lit)
+            });
+            rows.and_assign(&bitmap);
+            return Ok(());
+        }
+    }
+    // An objective expression has no subjective leaf to bind.
+    let reader = RowReader::bind(expr, layout, &ObjectiveOnly)?;
+    for i in 0..base.len() {
+        opine_faults::checkpoint();
+        if rows.get(i) && reader.score(&RowHandle::Base(base.row(i)), FuzzyAlgebra::Product)? == 0.0
+        {
+            rows.clear(i);
+        }
+    }
+    Ok(())
 }
 
 /// One build-side row of a hash join: a base-table position, or an
@@ -797,18 +811,17 @@ fn score_rows<'a>(
 ) -> Result<(), StoreError> {
     let span = opine_trace::span("rescore");
     let base = layout.base;
-    let key_slot = base.schema().key;
-    let bound = where_clause
-        .map(|expr| bind(expr, layout, scorer))
+    let reader = where_clause
+        .map(|expr| RowReader::bind(expr, layout, scorer))
         .transpose()?;
     let base_rows = scan.as_ref().map_or(0, |s| s.candidates.count_ones());
     span.count("scored", (base_rows + rows.len()) as u64);
     if let Some(scan) = &scan {
         opine_trace::note(|| {
-            let reader = match &bound {
-                Some(bound) if !bound.reads_by_position() => "key",
-                _ => "position",
-            };
+            let by_key = reader.iter().flat_map(|r| &r.leaves).any(
+                |leaf| matches!(leaf, LeafReader::Bound(bound) if bound.by_position.is_none()),
+            );
+            let reader = if by_key { "key" } else { "position" };
             format!("plan: {} → {base_rows} candidates by {reader}", scan.why)
         });
     }
@@ -818,15 +831,87 @@ fn score_rows<'a>(
         // Cancellation checkpoint per scored row: an expired request
         // deadline unwinds out of the scan at the next chunk boundary.
         opine_faults::checkpoint();
-        let score = match &bound {
+        let score = match &reader {
             None => 1.0,
-            Some(bound) => eval(bound, &handle, key_slot, algebra)?,
+            Some(reader) => reader.score(&handle, algebra)?,
         };
         if score > 0.0 {
             scored.push((handle, score));
         }
     }
     Ok(())
+}
+
+/// A WHERE clause bound for the row loop: the [`Residue`] of the whole
+/// clause and one reader per leaf, so scoring a row looks nothing up by
+/// name.
+struct RowReader<'s> {
+    residue: Residue,
+    leaves: Vec<LeafReader<'s>>,
+    /// Where the base table's key sits in a row, for by-key reads.
+    key_slot: usize,
+}
+
+/// How the row loop reads one leaf of a row.
+enum LeafReader<'s> {
+    /// A comparison of two operands, each with its row slot (a
+    /// literal's is unused): 1 where it holds, else 0.
+    Compare(CmpOp, [(&'s Operand, usize); 2]),
+    /// A subjective leaf, as the scorer bound it.
+    Bound(BoundLeaf<'s>),
+}
+
+impl<'s> RowReader<'s> {
+    fn bind(
+        expr: &'s Expr,
+        layout: &Layout<'_>,
+        scorer: &'s dyn SubjectiveScorer,
+    ) -> Result<Self, StoreError> {
+        let slot = |operand: &Operand| match operand {
+            Operand::Column(c) => layout.resolve(c),
+            Operand::Literal(_) => Ok(0),
+        };
+        let mut leaves = Vec::new();
+        let residue = Residue::leaves(expr, &mut leaves);
+        let leaves = leaves
+            .into_iter()
+            .map(|leaf| match leaf {
+                Leaf::Subjective(s) => scorer.bind(layout.base, s).map(LeafReader::Bound),
+                Leaf::Compare(Expr::Compare { lhs, op, rhs }) => Ok(LeafReader::Compare(
+                    *op,
+                    [(lhs, slot(lhs)?), (rhs, slot(rhs)?)],
+                )),
+                Leaf::Compare(other) => unreachable!("{other} is not a comparison"),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(RowReader {
+            residue,
+            leaves,
+            key_slot: layout.base.schema().key,
+        })
+    }
+
+    /// The row's degree. A by-key read that fails reads as 0; the first
+    /// such error is kept and returned after the fold.
+    fn score(&self, row: &RowHandle<'_>, algebra: FuzzyAlgebra) -> Result<f64, StoreError> {
+        let value = |&(operand, slot): &(&'s Operand, usize)| match operand {
+            Operand::Literal(v) => ValueRef::from(v),
+            Operand::Column(_) => row.value(slot),
+        };
+        let failed = OnceCell::new();
+        let score = self.residue.score(algebra, &|i| match &self.leaves[i] {
+            LeafReader::Compare(op, [x, y]) if op.evaluate(value(x).compare(&value(y))) => 1.0,
+            LeafReader::Compare(..) => 0.0,
+            LeafReader::Bound(leaf) => leaf.degree(row, self.key_slot).unwrap_or_else(|e| {
+                let _ = failed.set(e);
+                0.0
+            }),
+        });
+        match failed.into_inner() {
+            Some(e) => Err(e),
+            None => Ok(score),
+        }
+    }
 }
 
 /// Turns the scorer's ranked `(row position, degree)` pairs into views
@@ -945,121 +1030,20 @@ fn retain_top_k<T>(scored: &mut Vec<(T, f64)>, k: usize) {
     scored.retain(|_| keep.next() == Some(true));
 }
 
-/// A WHERE clause bound for one statement: column references resolved
-/// to row slots and every subjective leaf bound by the scorer, so
-/// evaluating a row looks nothing up by name.
-enum Bound<'s> {
-    Compare {
-        lhs: BoundOperand<'s>,
-        op: CmpOp,
-        rhs: BoundOperand<'s>,
-    },
-    Leaf(BoundLeaf<'s>),
-    And(Box<Bound<'s>>, Box<Bound<'s>>),
-    Or(Box<Bound<'s>>, Box<Bound<'s>>),
-    Not(Box<Bound<'s>>),
-}
-
-enum BoundOperand<'s> {
-    Literal(&'s Value),
-    Slot(usize),
-}
-
-impl BoundOperand<'_> {
-    #[inline]
-    fn value<'r>(&'r self, row: &'r RowHandle<'_>) -> ValueRef<'r> {
-        match self {
-            BoundOperand::Literal(v) => ValueRef::from(*v),
-            BoundOperand::Slot(slot) => row.value(*slot),
-        }
-    }
-}
-
-impl Bound<'_> {
-    /// True when no base-table row needs its key rendered: every
-    /// subjective leaf (there may be none) offers a by-position reader.
-    fn reads_by_position(&self) -> bool {
-        match self {
-            Bound::Compare { .. } => true,
-            Bound::Leaf(leaf) => leaf.by_position.is_some(),
-            Bound::And(a, b) | Bound::Or(a, b) => a.reads_by_position() && b.reads_by_position(),
-            Bound::Not(e) => e.reads_by_position(),
-        }
-    }
-}
-
-fn bind<'s>(
-    expr: &'s Expr,
-    layout: &Layout<'_>,
-    scorer: &'s dyn SubjectiveScorer,
-) -> Result<Bound<'s>, StoreError> {
-    let operand = |op: &'s Operand| match op {
-        Operand::Literal(v) => Ok(BoundOperand::Literal(v)),
-        Operand::Column(c) => layout.resolve(c).map(BoundOperand::Slot),
-    };
-    let boxed = |e: &'s Expr| bind(e, layout, scorer).map(Box::new);
-    Ok(match expr {
-        Expr::Compare { lhs, op, rhs } => Bound::Compare {
-            lhs: operand(lhs)?,
-            op: *op,
-            rhs: operand(rhs)?,
-        },
-        Expr::Subjective(p) => Bound::Leaf(scorer.bind_predicate(layout.base, p)?),
-        Expr::MarkerMatch { attribute, phrase } => {
-            Bound::Leaf(scorer.bind_match(layout.base, attribute, phrase)?)
-        }
-        Expr::And(a, b) => Bound::And(boxed(a)?, boxed(b)?),
-        Expr::Or(a, b) => Bound::Or(boxed(a)?, boxed(b)?),
-        Expr::Not(e) => Bound::Not(boxed(e)?),
-    })
-}
-
-/// Scores one row; `key_slot` is where the base table's key sits in it.
-fn eval(
-    bound: &Bound<'_>,
-    row: &RowHandle<'_>,
-    key_slot: usize,
-    algebra: FuzzyAlgebra,
-) -> Result<f64, StoreError> {
-    match bound {
-        Bound::Compare { lhs, op, rhs } => {
-            let holds = op.evaluate(lhs.value(row).compare(&rhs.value(row)));
-            Ok(if holds { 1.0 } else { 0.0 })
-        }
-        Bound::Leaf(leaf) => leaf.degree(row, key_slot),
-        Bound::And(a, b) => {
-            let x = eval(a, row, key_slot, algebra)?;
-            // 0 annihilates under both t-norms; skip the (possibly
-            // expensive subjective) right side for filtered-out rows.
-            if x == 0.0 {
-                return Ok(0.0);
-            }
-            let y = eval(b, row, key_slot, algebra)?;
-            Ok(algebra.and(x, y))
-        }
-        Bound::Or(a, b) => {
-            let x = eval(a, row, key_slot, algebra)?;
-            let y = eval(b, row, key_slot, algebra)?;
-            Ok(algebra.or(x, y))
-        }
-        Bound::Not(e) => {
-            let x = eval(e, row, key_slot, algebra)?;
-            Ok(algebra.not(x))
-        }
-    }
-}
-
 /// The subjective residue of a WHERE clause as parsed: the tree with its
 /// top-level objective conjuncts pruned (they are the candidate bitmap),
-/// every leaf a natural-language predicate numbered by its distinct
-/// text. `"a" and ("b" or not "a")` is
-/// `And([Leaf(0), Or([Leaf(1), Not(Leaf(0))])])` over `["a", "b"]`.
+/// every leaf — a predicate, a `.=` match, a comparison under OR/NOT —
+/// numbered by its first occurrence, a repeated leaf sharing the number.
+/// `"a" and ("b" or not "a")` is
+/// `And([Leaf(0), Or([Leaf(1), Not(Leaf(0))])])` over the leaves `"a"`
+/// and `"b"`.
 ///
-/// This is what a scorer ranks ([`SubjectiveScorer::rank_residue`]), and
-/// [`Residue::score`] is the one way its degree is computed.
+/// This is what a scorer ranks ([`SubjectiveScorer::rank_residue`]) and,
+/// built from the whole clause, what the row loop scores; [`Residue::score`]
+/// is the one way a WHERE clause's degree is computed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Residue {
-    /// The degree of distinct predicate `i`.
+    /// The degree of distinct leaf `i`.
     Leaf(usize),
     /// Fuzzy conjunction of two or more operands, folded from the left
     /// as the parser nests a chain: `And([a, b, c])` is
@@ -1073,14 +1057,12 @@ pub enum Residue {
 }
 
 impl Residue {
-    /// The residue of `where_clause` and the predicate texts its leaves
-    /// number; `None` when no conjunct is subjective, or when one holds
-    /// a leaf that is not a natural-language predicate (a `.=` match, a
-    /// comparison under OR/NOT).
-    pub fn of(where_clause: &Expr) -> Option<(Residue, Vec<&str>)> {
-        let mut predicates = Vec::new();
-        let residue = Self::prune(where_clause, &mut predicates)??;
-        Some((residue, predicates))
+    /// The residue of `where_clause` and the leaves it numbers; `None`
+    /// when no conjunct is subjective.
+    pub fn of(where_clause: &Expr) -> Option<(Residue, Vec<Leaf<'_>>)> {
+        let mut leaves = Vec::new();
+        let residue = Self::prune(where_clause, &mut leaves)?;
+        Some((residue, leaves))
     }
 
     /// `leaf 0 and leaf 1 and … and leaf n−1`; `None` for no leaves.
@@ -1122,10 +1104,11 @@ impl Residue {
         }
     }
 
-    /// The residue's degree, given each leaf's. Applies the operations
-    /// of `eval` (the row loop) in its order, including And's
-    /// short-circuit on 0, so a ranked row scores what the row loop
-    /// would have scored it, to the bit.
+    /// The residue's degree, given each leaf's: a chain folds from the
+    /// left, and an AND stops at its first 0, which annihilates under
+    /// both t-norms. The kernels and the row loop all score through
+    /// here, so a ranked row scores what the row loop would have scored
+    /// it, to the bit.
     #[inline]
     pub fn score<F: Fn(usize) -> f64>(&self, algebra: FuzzyAlgebra, leaf: &F) -> f64 {
         match self {
@@ -1194,36 +1177,38 @@ impl Residue {
         }
     }
 
-    /// The top-level AND spine of `expr`: `Some(None)` when it is all
-    /// objective (pruned), `None` when a subjective conjunct is not
-    /// rankable.
-    fn prune<'e>(expr: &'e Expr, predicates: &mut Vec<&'e str>) -> Option<Option<Residue>> {
+    /// The top-level AND spine of `expr`, its objective conjuncts
+    /// pruned: `None` when all of it is objective.
+    fn prune<'e>(expr: &'e Expr, leaves: &mut Vec<Leaf<'e>>) -> Option<Residue> {
         match expr {
-            Expr::And(a, b) => Some(
-                match (Self::prune(a, predicates)?, Self::prune(b, predicates)?) {
-                    (Some(a), Some(b)) => Some(a.and(b)),
-                    (one, None) | (None, one) => one,
-                },
-            ),
-            e if !e.has_subjective() => Some(None),
-            e => Self::leaves(e, predicates).map(Some),
+            Expr::And(a, b) => match (Self::prune(a, leaves), Self::prune(b, leaves)) {
+                (Some(a), Some(b)) => Some(a.and(b)),
+                (one, None) | (None, one) => one,
+            },
+            e if !e.has_subjective() => None,
+            e => Some(Self::leaves(e, leaves)),
         }
     }
 
-    /// A subjective conjunct whose leaves are all predicates.
-    fn leaves<'e>(expr: &'e Expr, predicates: &mut Vec<&'e str>) -> Option<Residue> {
-        Some(match expr {
-            Expr::Subjective(p) => Residue::Leaf(match predicates.iter().position(|q| q == p) {
-                Some(i) => i,
-                None => {
-                    predicates.push(p);
-                    predicates.len() - 1
-                }
-            }),
-            Expr::And(a, b) => Self::leaves(a, predicates)?.and(Self::leaves(b, predicates)?),
-            Expr::Or(a, b) => Self::leaves(a, predicates)?.or(Self::leaves(b, predicates)?),
-            Expr::Not(e) => Residue::Not(Box::new(Self::leaves(e, predicates)?)),
-            Expr::Compare { .. } | Expr::MarkerMatch { .. } => return None,
+    /// The tree of `expr`, nothing pruned, its leaves numbered into
+    /// `leaves`: what the row loop scores.
+    fn leaves<'e>(expr: &'e Expr, leaves: &mut Vec<Leaf<'e>>) -> Residue {
+        let leaf = match expr {
+            Expr::And(a, b) => return Self::leaves(a, leaves).and(Self::leaves(b, leaves)),
+            Expr::Or(a, b) => return Self::leaves(a, leaves).or(Self::leaves(b, leaves)),
+            Expr::Not(e) => return Residue::Not(Box::new(Self::leaves(e, leaves))),
+            Expr::Subjective(predicate) => Leaf::Subjective(Subjective::Predicate(predicate)),
+            Expr::MarkerMatch { attribute, phrase } => {
+                Leaf::Subjective(Subjective::Match { attribute, phrase })
+            }
+            Expr::Compare { .. } => Leaf::Compare(expr),
+        };
+        Residue::Leaf(match leaves.iter().position(|l| *l == leaf) {
+            Some(i) => i,
+            None => {
+                leaves.push(leaf);
+                leaves.len() - 1
+            }
         })
     }
 }
@@ -1278,14 +1263,22 @@ mod tests {
         c
     }
 
-    /// Binds a degree function of `(predicate or phrase, row key)`.
+    /// Binds a degree function of `(leaf, row key)`.
     fn leaf<'s>(
-        text: &'s str,
-        degree: impl Fn(&str, &str) -> f64 + 's,
+        leaf: Subjective<'s>,
+        degree: impl Fn(Subjective<'_>, &str) -> f64 + 's,
     ) -> Result<BoundLeaf<'s>, StoreError> {
         Ok(BoundLeaf::by_key(move |key| {
-            Ok(degree(text, key.as_str().unwrap_or("")))
+            Ok(degree(leaf, key.as_str().unwrap_or("")))
         }))
+    }
+
+    /// A predicate's canned degree, or a `.=` phrase's.
+    fn canned(leaf: Subjective<'_>, key: &str) -> f64 {
+        match leaf {
+            Subjective::Predicate(predicate) => canned_predicate(predicate, key),
+            Subjective::Match { phrase, .. } => canned_match(phrase, key),
+        }
     }
 
     fn canned_predicate(predicate: &str, key: &str) -> f64 {
@@ -1308,20 +1301,12 @@ mod tests {
     /// Scorer with canned degrees for tests.
     struct Canned;
     impl SubjectiveScorer for Canned {
-        fn bind_predicate<'s>(
+        fn bind<'s>(
             &'s self,
             _base: &Table,
-            predicate: &'s str,
+            leaf: Subjective<'s>,
         ) -> Result<BoundLeaf<'s>, StoreError> {
-            leaf(predicate, canned_predicate)
-        }
-        fn bind_match<'s>(
-            &'s self,
-            _base: &Table,
-            _attribute: &'s ColumnRef,
-            phrase: &'s str,
-        ) -> Result<BoundLeaf<'s>, StoreError> {
-            leaf(phrase, canned_match)
+            self::leaf(leaf, canned)
         }
     }
 
@@ -1343,30 +1328,22 @@ mod tests {
     }
 
     impl SubjectiveScorer for Indexed {
-        fn bind_predicate<'s>(
+        fn bind<'s>(
             &'s self,
             _base: &Table,
-            predicate: &'s str,
+            leaf: Subjective<'s>,
         ) -> Result<BoundLeaf<'s>, StoreError> {
-            leaf(predicate, canned_predicate)
-        }
-        fn bind_match<'s>(
-            &'s self,
-            _base: &Table,
-            _attribute: &'s ColumnRef,
-            phrase: &'s str,
-        ) -> Result<BoundLeaf<'s>, StoreError> {
-            leaf(phrase, canned_match)
+            self::leaf(leaf, canned)
         }
         fn rank_residue(
             &self,
             _base: &Table,
             residue: &Residue,
-            predicates: &[&str],
+            leaves: &[Leaf<'_, Bitmap>],
             algebra: FuzzyAlgebra,
             k: usize,
             candidates: Option<&Bitmap>,
-        ) -> Option<Vec<(usize, f64)>> {
+        ) -> Result<Option<Vec<(usize, f64)>>, StoreError> {
             if candidates.is_some() {
                 self.pushdowns.set(self.pushdowns.get() + 1);
             }
@@ -1378,14 +1355,16 @@ mod tests {
                 .enumerate()
                 .filter(|(i, _)| candidates.is_none_or(|c| c.get(*i)))
                 .map(|(i, n)| {
-                    let score =
-                        residue.score(algebra, &|leaf| canned_predicate(predicates[leaf], n));
+                    let score = residue.score(algebra, &|leaf| match &leaves[leaf] {
+                        Leaf::Subjective(s) => canned(*s, n),
+                        Leaf::Compare(holds) => f64::from(u8::from(holds.get(i))),
+                    });
                     (i, score)
                 })
                 .collect();
             ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
             ranked.truncate(k);
-            Some(ranked)
+            Ok(Some(ranked))
         }
     }
 
@@ -1396,38 +1375,22 @@ mod tests {
 
     struct Halved;
     impl SubjectiveScorer for Halved {
-        fn bind_predicate<'s>(
+        fn bind<'s>(
             &'s self,
             _base: &Table,
-            predicate: &'s str,
+            leaf: Subjective<'s>,
         ) -> Result<BoundLeaf<'s>, StoreError> {
-            leaf(predicate, |p, key| canned_predicate(p, key) / 2.0)
-        }
-        fn bind_match<'s>(
-            &'s self,
-            _base: &Table,
-            _attribute: &'s ColumnRef,
-            phrase: &'s str,
-        ) -> Result<BoundLeaf<'s>, StoreError> {
-            leaf(phrase, |p, key| canned_match(p, key) / 2.0)
+            self::leaf(leaf, |l, key| canned(l, key) / 2.0)
         }
     }
 
     impl SubjectiveScorer for Scoping {
-        fn bind_predicate<'s>(
+        fn bind<'s>(
             &'s self,
             _base: &Table,
-            predicate: &'s str,
+            leaf: Subjective<'s>,
         ) -> Result<BoundLeaf<'s>, StoreError> {
-            leaf(predicate, canned_predicate)
-        }
-        fn bind_match<'s>(
-            &'s self,
-            _base: &Table,
-            _attribute: &'s ColumnRef,
-            phrase: &'s str,
-        ) -> Result<BoundLeaf<'s>, StoreError> {
-            leaf(phrase, canned_match)
+            self::leaf(leaf, canned)
         }
         fn qualified_scorer<'s>(
             &'s self,
@@ -1510,10 +1473,10 @@ mod tests {
     fn int_keyed_base_table_scores_subjectively() {
         struct ById;
         impl SubjectiveScorer for ById {
-            fn bind_predicate<'s>(
+            fn bind<'s>(
                 &'s self,
                 _base: &Table,
-                _predicate: &'s str,
+                _leaf: Subjective<'s>,
             ) -> Result<BoundLeaf<'s>, StoreError> {
                 // Resolve the key the way an engine-side entity map
                 // would: by its shared key rendering.
@@ -1524,14 +1487,6 @@ mod tests {
                         other => Err(StoreError::Execution(format!("unknown key {other}"))),
                     })
                 }))
-            }
-            fn bind_match<'s>(
-                &'s self,
-                _base: &Table,
-                attribute: &'s ColumnRef,
-                _phrase: &'s str,
-            ) -> Result<BoundLeaf<'s>, StoreError> {
-                Err(StoreError::NoScorer(attribute.column.clone()))
             }
         }
         let mut cat = Catalog::new();
@@ -1576,7 +1531,7 @@ mod tests {
             }
         }
 
-        fn leaf<'s>(&'s self, text: &'s str, degree: fn(&str, &str) -> f64) -> BoundLeaf<'s> {
+        fn leaf<'s>(&'s self, leaf: Subjective<'s>) -> BoundLeaf<'s> {
             const NAMES: [&str; 3] = ["Grand", "Plaza", "Canal"];
             BoundLeaf::by_key(move |key| {
                 self.by_key.set(self.by_key.get() + 1);
@@ -1584,30 +1539,22 @@ mod tests {
                 if self.base_keys_fail && NAMES.contains(&key) {
                     return Err(StoreError::Execution(format!("base row {key} read by key")));
                 }
-                Ok(degree(text, key))
+                Ok(canned(leaf, key))
             })
             .with_positions(move |pos| {
                 self.by_position.set(self.by_position.get() + 1);
-                degree(text, NAMES[pos])
+                canned(leaf, NAMES[pos])
             })
         }
     }
 
     impl SubjectiveScorer for Positional {
-        fn bind_predicate<'s>(
+        fn bind<'s>(
             &'s self,
             _base: &Table,
-            predicate: &'s str,
+            leaf: Subjective<'s>,
         ) -> Result<BoundLeaf<'s>, StoreError> {
-            Ok(self.leaf(predicate, canned_predicate))
-        }
-        fn bind_match<'s>(
-            &'s self,
-            _base: &Table,
-            _attribute: &'s ColumnRef,
-            phrase: &'s str,
-        ) -> Result<BoundLeaf<'s>, StoreError> {
-            Ok(self.leaf(phrase, canned_match))
+            Ok(self.leaf(leaf))
         }
     }
 
@@ -1640,8 +1587,9 @@ mod tests {
                 Value::text("damrak"),
             ],
         );
-        // Two leaves under an OR, so no row short-circuits past a leaf
-        // and no plan ranks: every statement goes through the row loop.
+        // Two leaves under an OR, so no row short-circuits past a leaf;
+        // the scorer has no index, so every statement goes through the
+        // row loop.
         let residue = "(\"clean rooms\" or h.comfort .= \"firm\")";
         // (statement, overlay?, base rows scored, owned rows scored)
         let cases = [
@@ -1836,6 +1784,24 @@ mod tests {
         assert_eq!(r.rows, naive.rows);
     }
 
+    /// A `.=` leaf and a comparison under an OR rank like a predicate:
+    /// the comparison as the bitmap of the rows it holds on, with the
+    /// row loop's answer.
+    #[test]
+    fn every_leaf_kind_rides_the_kernel() {
+        let cat = hotel_catalog();
+        let scorer = Indexed::new();
+        let q = parse_select(
+            "select * from hotels h where h.price_pn < 400 and (\"clean rooms\" \
+             or h.comfort .= \"firm\" or not (h.city = 'London' or h.price_pn < 100))",
+        )
+        .unwrap();
+        let r = run(&q, &cat, &scorer, None).unwrap();
+        assert_eq!(scorer.pushdowns.get(), 1);
+        assert_eq!(r.rows.len(), 3);
+        assert_eq!(r.rows, run(&q, &cat, &Canned, None).unwrap().rows);
+    }
+
     #[test]
     fn pushdown_handles_scattered_objective_conjuncts() {
         let cat = hotel_catalog();
@@ -1900,8 +1866,8 @@ mod tests {
     #[test]
     fn mixed_marker_residue_scores_candidates_only() {
         let cat = hotel_catalog();
-        // Marker residue can't ride TA, but the objective prefilter
-        // still applies: only Plaza (price ≥ 150) is scored.
+        // The scorer has no index to rank with, and the objective
+        // prefilter still applies: only Plaza (price ≥ 150) is scored.
         let q = parse_select(
             "select * from hotels h where h.price_pn >= 150 and h.comfort .= \"firm\"",
         )
@@ -2189,10 +2155,23 @@ mod tests {
         ));
     }
 
-    /// A random subjective tree of depth ≤ `depth` over `p0`…`p3`.
+    /// A random WHERE tree of depth ≤ `depth` over the predicates
+    /// `p0`…`p3`, the matches `t.m .= "q0"` / `m .= "q1"`, and the
+    /// comparisons `price < N` and `price < id`.
     fn random_tree(next: &mut impl FnMut(usize) -> usize, depth: usize) -> Expr {
         if depth == 0 || next(4) == 0 {
-            return Expr::Subjective(format!("p{}", next(4)));
+            return match next(8) {
+                i @ 0..=3 => Expr::Subjective(format!("p{i}")),
+                i @ 4..=5 => Expr::MarkerMatch {
+                    attribute: ColumnRef {
+                        table: (i == 4).then(|| "t".into()),
+                        column: "m".into(),
+                    },
+                    phrase: format!("q{}", i - 4),
+                },
+                6 => clause(&format!("price < {}", next(11))),
+                _ => clause("price < id"),
+            };
         }
         let op = next(3);
         let a = Box::new(random_tree(next, depth - 1));
@@ -2201,6 +2180,14 @@ mod tests {
             1 => Expr::Or(a, Box::new(random_tree(next, depth - 1))),
             _ => Expr::Not(a),
         }
+    }
+
+    /// The WHERE clause `sql` parses to, over `t`.
+    fn clause(sql: &str) -> Expr {
+        parse_select(&format!("select * from t where {sql}"))
+            .unwrap()
+            .where_clause
+            .unwrap()
     }
 
     /// `expr` with `objective` conjoined somewhere on its top-level AND
@@ -2218,14 +2205,32 @@ mod tests {
         }
     }
 
-    /// The kernel's scorer and the row loop's evaluator agree to the bit
-    /// on every candidate row: random trees (AND / OR / NOT, nested
-    /// either way, predicates repeated) with objective conjuncts spliced
-    /// into their AND spine, both algebras, degrees that include 0 and 1.
-    /// A flat conjunction also folds to the same bits through
-    /// [`Residue::conjoin`].
+    /// The specification of a WHERE clause's degree, written from the
+    /// algebra (Sec. 3.1) and nothing in this module: a binary fold over
+    /// the tree as parsed — so a chain folds left to right — in which an
+    /// AND whose left side is 0 is 0 without reading its right side.
+    fn spec_fold(expr: &Expr, algebra: FuzzyAlgebra, leaf: &dyn Fn(&Expr) -> f64) -> f64 {
+        match expr {
+            Expr::And(a, b) => match spec_fold(a, algebra, leaf) {
+                0.0 => 0.0,
+                x => algebra.and(x, spec_fold(b, algebra, leaf)),
+            },
+            Expr::Or(a, b) => algebra.or(spec_fold(a, algebra, leaf), spec_fold(b, algebra, leaf)),
+            Expr::Not(e) => algebra.not(spec_fold(e, algebra, leaf)),
+            leaf_expr => leaf(leaf_expr),
+        }
+    }
+
+    /// Both evaluators of a WHERE clause — the kernel's [`Residue::score`]
+    /// of the pruned residue on candidate rows, and the row loop's
+    /// [`RowReader`] over the whole clause on every row — equal
+    /// [`spec_fold`] to the bit: random trees (AND / OR / NOT, nested
+    /// either way, leaves repeated, comparisons and `.=` matches among
+    /// them) with objective conjuncts spliced into their AND spine, both
+    /// algebras, degrees that include 0 and 1. A flat conjunction also
+    /// folds to the same bits through [`Residue::conjoin`].
     #[test]
-    fn residue_score_equals_eval_of_the_full_where_on_candidates() {
+    fn residue_score_equals_the_spec_fold_of_the_full_where() {
         const ROWS: usize = 40;
         const PALETTE: [f64; 7] = [0.0, 1.0, 0.5, 0.25, 0.3, 0.9, 1.0 - f64::EPSILON];
         let mut cat = Catalog::new();
@@ -2254,71 +2259,106 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as usize % n
         };
-        let degrees: Vec<Vec<f64>> = (0..4)
+        // p0…p3, then q0, q1.
+        let degrees: Vec<Vec<f64>> = (0..6)
             .map(|_| (0..ROWS).map(|_| PALETTE[next(PALETTE.len())]).collect())
             .collect();
 
-        /// `p{i}` of the row with id `r` is `degrees[i][r]`.
+        /// The column of a subjective leaf's text: `p{i}` is column `i`,
+        /// `q{i}` column `4 + i`.
+        fn column(leaf: Subjective<'_>) -> usize {
+            match leaf {
+                Subjective::Predicate(p) => p[1..].parse().unwrap(),
+                Subjective::Match { phrase, .. } => 4 + phrase[1..].parse::<usize>().unwrap(),
+            }
+        }
+        // A leaf's degree on row `r` (whose id is `r`, price `r % 10`),
+        // computed from the data.
+        let spec_leaf = |expr: &Expr, r: usize| -> f64 {
+            let value = |operand: &Operand| match operand {
+                Operand::Column(c) if c.column == "id" => r as i64,
+                Operand::Column(c) if c.column == "price" => (r % 10) as i64,
+                Operand::Literal(Value::Int(v)) => *v,
+                other => panic!("no such operand {other:?}"),
+            };
+            match expr {
+                Expr::Compare {
+                    lhs,
+                    op: crate::ast::CmpOp::Lt,
+                    rhs,
+                } => f64::from(u8::from(value(lhs) < value(rhs))),
+                Expr::Subjective(p) => degrees[column(Subjective::Predicate(p))][r],
+                Expr::MarkerMatch { attribute, phrase } => {
+                    degrees[column(Subjective::Match { attribute, phrase })][r]
+                }
+                other => panic!("not a leaf: {other}"),
+            }
+        };
+
+        /// Reads `degrees` by the row key.
         struct Palette(Vec<Vec<f64>>);
         impl SubjectiveScorer for Palette {
-            fn bind_predicate<'s>(
+            fn bind<'s>(
                 &'s self,
                 _base: &Table,
-                predicate: &'s str,
+                leaf: Subjective<'s>,
             ) -> Result<BoundLeaf<'s>, StoreError> {
-                let p: usize = predicate[1..].parse().unwrap();
+                let c = column(leaf);
                 Ok(BoundLeaf::by_key(move |key| {
-                    Ok(self.0[p][key.as_f64().unwrap() as usize])
+                    Ok(self.0[c][key.as_f64().unwrap() as usize])
                 }))
-            }
-            fn bind_match<'s>(
-                &'s self,
-                _base: &Table,
-                attribute: &'s ColumnRef,
-                _phrase: &'s str,
-            ) -> Result<BoundLeaf<'s>, StoreError> {
-                Err(StoreError::NoScorer(attribute.column.clone()))
             }
         }
         let scorer = Palette(degrees.clone());
 
-        let (mut scored, mut negated, mut flat) = (0, 0, 0);
+        let (mut scored, mut negated, mut flat, mut compared, mut matched) = (0, 0, 0, 0, 0);
         for _ in 0..300 {
             let mut where_clause = random_tree(&mut next, 3);
             for _ in 0..next(3) {
-                let price = next(11);
-                let objective = parse_select(&format!("select * from t where price < {price}"))
-                    .unwrap()
-                    .where_clause
-                    .unwrap();
+                let objective = clause(&format!("price < {}", next(11)));
                 where_clause = conjoin_somewhere(where_clause, objective, &mut next);
             }
-            let (residue, predicates) = Residue::of(&where_clause).expect("every leaf is quoted");
-            negated += usize::from(!residue.is_monotone());
-            let full = bind(&where_clause, &layout, &scorer).unwrap();
-            let objective: Vec<Bound<'_>> = where_clause
+            let rendered = where_clause.to_string();
+            let reader = RowReader::bind(&where_clause, &layout, &scorer).unwrap();
+            let residue = Residue::of(&where_clause);
+            if let Some((residue, leaves)) = &residue {
+                negated += usize::from(!residue.is_monotone());
+                compared += usize::from(leaves.iter().any(|l| matches!(l, Leaf::Compare(_))));
+                matched += usize::from(rendered.contains(".="));
+            }
+            let objective: Vec<&Expr> = where_clause
                 .conjuncts()
                 .into_iter()
                 .filter(|e| !e.has_subjective())
-                .map(|e| bind(e, &layout, &scorer).unwrap())
                 .collect();
             for algebra in [FuzzyAlgebra::Product, FuzzyAlgebra::Godel] {
                 for (row, view) in base.rows().enumerate() {
+                    let spec = |expr: &Expr| spec_fold(expr, algebra, &|e| spec_leaf(e, row));
+                    let want = spec(&where_clause);
                     let handle = RowHandle::Base(view);
-                    let eval = |bound: &Bound<'_>| eval(bound, &handle, 0, algebra).unwrap();
-                    if objective.iter().any(|b| eval(b) != 1.0) {
+                    assert_eq!(
+                        reader.score(&handle, algebra).unwrap().to_bits(),
+                        want.to_bits(),
+                        "{where_clause} row {row} {algebra:?}: row loop"
+                    );
+                    let Some((residue, leaves)) = &residue else {
+                        continue;
+                    };
+                    if objective.iter().any(|e| spec(e) != 1.0) {
                         continue;
                     }
-                    let read =
-                        |leaf: usize| degrees[predicates[leaf][1..].parse::<usize>().unwrap()][row];
+                    let read = |leaf: usize| match &leaves[leaf] {
+                        Leaf::Subjective(s) => degrees[column(*s)][row],
+                        Leaf::Compare(e) => spec_leaf(e, row),
+                    };
                     let kernel = residue.score(algebra, &read);
                     assert_eq!(
                         kernel.to_bits(),
-                        eval(&full).to_bits(),
-                        "{where_clause} row {row} {algebra:?}"
+                        want.to_bits(),
+                        "{where_clause} row {row} {algebra:?}: kernel"
                     );
-                    if residue.is_conjunction(predicates.len()) {
-                        let folded = Residue::conjoin(algebra, (0..predicates.len()).map(read));
+                    if residue.is_conjunction(leaves.len()) {
+                        let folded = Residue::conjoin(algebra, (0..leaves.len()).map(read));
                         assert_eq!(
                             folded.to_bits(),
                             kernel.to_bits(),
@@ -2331,44 +2371,66 @@ mod tests {
             }
         }
         assert!(
-            scored > 5_000 && negated > 50 && flat > 500,
-            "{scored} rows, {negated} NOTs, {flat} flat conjunction rows"
+            scored > 5_000 && negated > 50 && flat > 500 && compared > 50 && matched > 50,
+            "{scored} rows, {negated} NOTs, {flat} flat conjunction rows, \
+             {compared} comparison leaves, {matched} matches"
         );
 
-        // A leaf no column holds keeps the row loop.
-        for sql in [
-            "select * from t h where h.comfort .= \"firm\" and \"p0\"",
-            "select * from t where price < 3 or \"p0\"",
-            "select * from t where not (price < 3 and \"p0\")",
-            "select * from t where price < 3",
+        // Every leaf kind is a leaf; a clause with no subjective conjunct
+        // has no residue.
+        let price = clause("price < 3");
+        let comfort = ColumnRef {
+            table: Some("h".into()),
+            column: "comfort".into(),
+        };
+        let p0 = Leaf::Subjective(Subjective::Predicate("p0"));
+        let firm = Leaf::Subjective(Subjective::Match {
+            attribute: &comfort,
+            phrase: "firm",
+        });
+        let leaf = Residue::Leaf;
+        for (sql, want) in [
+            (
+                "h.comfort .= \"firm\" and \"p0\"",
+                Some((Residue::And(vec![leaf(0), leaf(1)]), vec![firm, p0.clone()])),
+            ),
+            (
+                "price < 3 or \"p0\"",
+                Some((
+                    Residue::Or(vec![leaf(0), leaf(1)]),
+                    vec![Leaf::Compare(&price), p0.clone()],
+                )),
+            ),
+            (
+                "not (price < 3 and \"p0\")",
+                Some((
+                    Residue::Not(Box::new(Residue::And(vec![leaf(0), leaf(1)]))),
+                    vec![Leaf::Compare(&price), p0],
+                )),
+            ),
+            ("price < 3", None),
         ] {
-            let q = parse_select(sql).unwrap();
-            assert_eq!(Residue::of(q.where_clause.as_ref().unwrap()), None, "{sql}");
+            assert_eq!(Residue::of(&clause(sql)), want, "{sql}");
         }
-        let q = parse_select("select * from t where \"a\" and price < 3 and (\"b\" or not \"a\")")
-            .unwrap();
+        let q = clause("\"a\" and price < 3 and (\"b\" or not \"a\")");
+        let predicate = |p| Leaf::Subjective(Subjective::Predicate(p));
         assert_eq!(
-            Residue::of(q.where_clause.as_ref().unwrap()),
+            Residue::of(&q),
             Some((
                 Residue::And(vec![
-                    Residue::Leaf(0),
-                    Residue::Or(vec![
-                        Residue::Leaf(1),
-                        Residue::Not(Box::new(Residue::Leaf(0)))
-                    ])
+                    leaf(0),
+                    Residue::Or(vec![leaf(1), Residue::Not(Box::new(leaf(0)))])
                 ]),
-                vec!["a", "b"]
+                vec![predicate("a"), predicate("b")]
             ))
         );
         // A chain folds into one operator; a nested right side stays.
-        let q =
-            parse_select("select * from t where \"a\" and \"b\" and (\"c\" and \"a\")").unwrap();
-        let leaf = Residue::Leaf;
+        let q = clause("\"a\" and \"b\" and (\"c\" and \"a\")");
         assert_eq!(
-            Residue::of(q.where_clause.as_ref().unwrap()),
+            Residue::of(&q),
             Some((
                 Residue::And(vec![leaf(0), leaf(1), Residue::And(vec![leaf(2), leaf(0)])]),
-                vec!["a", "b", "c"]
+                vec![predicate("a"), predicate("b"), predicate("c")]
             ))
         );
     }

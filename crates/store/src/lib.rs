@@ -18,9 +18,9 @@
 //!   [`exec::SubjectiveScorer`], all combined with a pluggable fuzzy
 //!   algebra and returned as a ranked result.
 //!
-//! Writing a scorer: do everything that depends only on the predicate or
-//! phrase in `bind_predicate` / `bind_match` (the executor calls each once
-//! per statement) and return an [`exec::BoundLeaf`]. Every leaf reads one
+//! Writing a scorer: do everything that depends only on the
+//! [`exec::Subjective`] leaf in `bind` (called once per leaf per
+//! statement) and return an [`exec::BoundLeaf`]. Every leaf reads one
 //! row's degree **by key** ([`exec::BoundLeaf::by_key`]): that is how
 //! overlay rows, joined rows and rows of a table you know nothing about
 //! are scored. Add a **by-position** reader
@@ -28,21 +28,21 @@
 //! row `i` of the `base` table you were handed is item `i` of whatever
 //! you index — the executor then reads base rows as `read(i)` and never
 //! renders their keys. A position is meaningful only together with its
-//! table: `bind_*` and `rank_residue` all receive `base`, the candidate
+//! table: `bind` and `rank_residue` both receive `base`, the candidate
 //! bitmap indexes its rows, the ranking returns its positions, and a
 //! scorer that cannot prove the table declines to rank it (`None`)
 //! rather than guess.
 //!
 //! A scorer with an index may also rank ([`exec::SubjectiveScorer::rank_residue`]):
 //! it receives the statement's [`exec::Residue`] — the WHERE tree as
-//! parsed, objective conjuncts pruned, leaves numbered by distinct
-//! predicate text — with the algebra, `k` and the candidate bitmap, and
-//! must score a row with [`exec::Residue::score`] over that row's leaf
-//! degrees (or, for an [`exec::Residue::is_conjunction`] residue,
-//! [`exec::Residue::conjoin`], the same fold without the tree walk),
-//! which is what makes its answer the row loop's to the bit.
-//! Sorted access (Fagin's TA) may bound an unseen row only for a
-//! [`exec::Residue::is_monotone`] residue; one with a NOT must be
+//! parsed, objective conjuncts pruned — and its [`exec::Leaf`]s with the
+//! algebra, `k` and the candidate bitmap, and must score a row with
+//! [`exec::Residue::score`] over that row's leaf degrees (or, for an
+//! [`exec::Residue::is_conjunction`] residue, [`exec::Residue::conjoin`],
+//! the same fold without the tree walk). The row loop scores through
+//! [`exec::Residue::score`] too, which makes the ranking its answer to
+//! the bit. Sorted access (Fagin's TA) may bound an unseen row only for
+//! a [`exec::Residue::is_monotone`] residue; one with a NOT must be
 //! scanned.
 //!
 //! ```
@@ -84,8 +84,8 @@ pub use bitmap::Bitmap;
 pub use catalog::Catalog;
 pub use column::ColumnData;
 pub use exec::{
-    execute, BoundLeaf, FuzzyAlgebra, ObjectiveOnly, ProjectedValues, Residue, ResultSet,
-    ScoredRows, SubjectiveScorer,
+    execute, BoundLeaf, FuzzyAlgebra, Leaf, ObjectiveOnly, ProjectedValues, Residue, ResultSet,
+    ScoredRows, Subjective, SubjectiveScorer,
 };
 pub use overlay::TableOverlay;
 pub use parser::{parse_insert, parse_select, parse_statement, ParseError, Statement};

@@ -6,12 +6,11 @@
 
 use opinedb::core::topk::threshold_topk;
 use opinedb::core::DegreeColumn;
-use opinedb::store::ast::ColumnRef;
 use opinedb::store::exec::{BoundLeaf, SubjectiveScorer};
 use opinedb::store::parser::parse_select;
 use opinedb::store::{
-    execute, Bitmap, Catalog, Column, ColumnType, FuzzyAlgebra, Residue, Schema, StoreError, Table,
-    Value,
+    execute, Bitmap, Catalog, Column, ColumnType, FuzzyAlgebra, Leaf, Residue, Schema, StoreError,
+    Subjective, Table, Value,
 };
 use proptest::prelude::*;
 use std::cell::Cell;
@@ -41,8 +40,12 @@ impl SyntheticIndex {
         }
     }
 
-    fn predicate_index(&self, predicate: &str) -> Option<usize> {
-        predicate.strip_prefix('p').and_then(|n| n.parse().ok())
+    /// The column of predicate `p{i}`; no other leaf has one.
+    fn column_index(&self, leaf: Subjective<'_>) -> Option<usize> {
+        match leaf {
+            Subjective::Predicate(p) => p.strip_prefix('p').and_then(|n| n.parse().ok()),
+            Subjective::Match { .. } => None,
+        }
     }
 
     fn entity(&self, key: &Value) -> Option<usize> {
@@ -52,14 +55,14 @@ impl SyntheticIndex {
 }
 
 impl SubjectiveScorer for SyntheticIndex {
-    fn bind_predicate<'s>(
+    fn bind<'s>(
         &'s self,
         _base: &Table,
-        predicate: &'s str,
+        leaf: Subjective<'s>,
     ) -> Result<BoundLeaf<'s>, StoreError> {
         let p = self
-            .predicate_index(predicate)
-            .ok_or_else(|| StoreError::NoScorer(predicate.to_string()))?;
+            .column_index(leaf)
+            .ok_or_else(|| StoreError::NoScorer(format!("{leaf:?}")))?;
         Ok(BoundLeaf::by_key(move |key| {
             let e = self
                 .entity(key)
@@ -68,31 +71,28 @@ impl SubjectiveScorer for SyntheticIndex {
         }))
     }
 
-    fn bind_match<'s>(
-        &'s self,
-        _base: &Table,
-        attribute: &'s ColumnRef,
-        _phrase: &'s str,
-    ) -> Result<BoundLeaf<'s>, StoreError> {
-        Err(StoreError::NoScorer(attribute.column.clone()))
-    }
-
     fn rank_residue(
         &self,
         _base: &Table,
         residue: &Residue,
-        predicates: &[&str],
+        leaves: &[Leaf<'_, Bitmap>],
         algebra: FuzzyAlgebra,
         k: usize,
         candidates: Option<&Bitmap>,
-    ) -> Option<Vec<(usize, f64)>> {
+    ) -> Result<Option<Vec<(usize, f64)>>, StoreError> {
         if !self.use_index {
-            return None;
+            return Ok(None);
         }
-        let columns: Vec<&DegreeColumn> = predicates
+        let Some(columns) = leaves
             .iter()
-            .map(|p| self.predicate_index(p).map(|i| &self.columns[i]))
-            .collect::<Option<Vec<_>>>()?;
+            .map(|leaf| match leaf {
+                Leaf::Subjective(s) => self.column_index(*s).map(|i| &self.columns[i]),
+                Leaf::Compare(_) => None,
+            })
+            .collect::<Option<Vec<&DegreeColumn>>>()
+        else {
+            return Ok(None);
+        };
         let degrees: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
         let orders: Vec<&[u32]> = columns.iter().map(|c| c.sorted_order()).collect();
         let ranked = match candidates {
@@ -103,7 +103,7 @@ impl SubjectiveScorer for SyntheticIndex {
             None => threshold_topk(&degrees, &orders, residue, algebra, k, |_| true),
         };
         // Entity ids are row positions of `t` (see `catalog`).
-        Some(ranked)
+        Ok(Some(ranked))
     }
 }
 

@@ -1,26 +1,30 @@
 //! A generated differential test for the ranking kernel.
 //!
-//! Seeded WHERE trees of depth ≤ 3 over bank predicates — AND, OR and
-//! NOT nested either way, a predicate repeated within a tree, a
-//! text-fallback predicate among the leaves — under objective filters
-//! from empty to everything, with every kind of `limit` and sometimes an
-//! `order by`. Each statement runs through the engine and through the
-//! reference under both algebras: cold, warm, after an INSERT batch that
-//! touches some candidates, and after a merge. Rows and score bits must
-//! be equal every time.
+//! Seeded WHERE trees of depth ≤ 3 — AND, OR and NOT nested either way,
+//! a leaf repeated within a tree — over every leaf kind: bank predicates
+//! (one of them a text-fallback predicate), `.=` matches (a domain
+//! phrase on an aliased attribute, an out-of-vocabulary phrase on an
+//! unaliased one) and comparisons (against a literal and column against
+//! column), under objective filters from empty to everything, with every
+//! kind of `limit` and sometimes an `order by`. Each statement runs
+//! through the engine and through the reference under both algebras:
+//! cold, warm, after an INSERT batch that touches some candidates, and
+//! after a merge. Rows and score bits must be equal every time.
 
 use opinedb::core::trace::{with_trace, TraceContext};
+use opinedb::core::OpineError;
 use opinedb::core::{build, BuildConfig, Interpretation, OpineDb};
 use opinedb::corpus::hotel::hotel_spec;
 use opinedb::corpus::workload::build_workload;
 use opinedb::corpus::{Corpus, CorpusConfig};
 use opinedb::embed::Word2VecConfig;
-use opinedb::store::{execute, parse_select, Expr, FuzzyAlgebra, Value};
+use opinedb::store::ast::ColumnRef;
+use opinedb::store::{execute, parse_select, Expr, FuzzyAlgebra, StoreError, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const ALGEBRAS: [FuzzyAlgebra; 2] = [FuzzyAlgebra::Product, FuzzyAlgebra::Godel];
-const STATEMENTS: usize = 28;
+const STATEMENTS: usize = 48;
 
 fn db() -> OpineDb {
     let corpus = Corpus::generate(
@@ -45,34 +49,65 @@ fn db() -> OpineDb {
     )
 }
 
-/// The leaves trees draw from: four bank predicates the interpreter maps
-/// to attributes, and the first one it sends to the text fallback.
-fn leaves(db: &OpineDb) -> Vec<String> {
+/// The leaves trees draw from: four bank predicates the interpreter
+/// maps to attributes and the first one it sends to the text fallback
+/// (at index 4), two `.=` matches and three comparisons.
+fn leaves(db: &OpineDb, median_price: f64) -> Vec<Expr> {
     let bank: Vec<String> = build_workload(&hotel_spec(), 190)
         .into_iter()
         .map(|p| p.text)
         .collect();
     let fallback = |p: &&String| db.interpret(p) == Interpretation::TextFallback;
-    let mut leaves: Vec<String> = bank
+    let mut leaves: Vec<Expr> = bank
         .iter()
         .filter(|p| !fallback(p))
         .step_by(9)
         .take(4)
-        .cloned()
+        .map(|p| Expr::Subjective(p.clone()))
         .collect();
-    leaves.push(
+    leaves.push(Expr::Subjective(
         bank.iter()
             .find(fallback)
             .expect("the bank exercises the text fallback")
             .clone(),
-    );
+    ));
+    let matches = |table: Option<&str>, attribute: usize, phrase: &str| Expr::MarkerMatch {
+        attribute: ColumnRef {
+            table: table.map(str::to_string),
+            column: db.attributes[attribute].clone(),
+        },
+        phrase: phrase.to_string(),
+    };
+    leaves.push(matches(
+        Some("h"),
+        0,
+        &db.opinion_domain(0).variations()[0].phrase,
+    ));
+    leaves.push(matches(None, 1, "zyzzyva quuxly"));
+    for comparison in [
+        format!("price_pn < {median_price}"),
+        "city = 'London'".to_string(),
+        "h.price_pn < capacity".to_string(),
+    ] {
+        leaves.push(clause(&comparison));
+    }
     leaves
 }
 
-/// A random tree of depth ≤ `depth` over `leaves`.
-fn tree(rng: &mut StdRng, leaves: &[String], depth: usize) -> Expr {
+/// The WHERE clause `sql` parses to, over `hotels h`.
+fn clause(sql: &str) -> Expr {
+    parse_select(&format!("select * from hotels h where {sql}"))
+        .expect("a clause parses")
+        .where_clause
+        .expect("a WHERE clause")
+}
+
+/// A random tree of depth ≤ `depth` over `leaves`: half of its leaves
+/// are predicates, the rest any leaf.
+fn tree(rng: &mut StdRng, leaves: &[Expr], depth: usize) -> Expr {
     if depth == 0 || rng.gen_range(0..3) == 0 {
-        return Expr::Subjective(leaves[rng.gen_range(0..leaves.len())].clone());
+        let pool = if rng.gen_bool(0.5) { 5 } else { leaves.len() };
+        return leaves[rng.gen_range(0..pool)].clone();
     }
     let sub = |rng: &mut StdRng| Box::new(tree(rng, leaves, depth - 1));
     match rng.gen_range(0..5) {
@@ -90,19 +125,26 @@ struct Coverage {
     negated: usize,
     fallback: usize,
     ordered: usize,
+    /// Per leaf of the pool past the predicates: trees holding it.
+    matches: [usize; 2],
+    /// The statements with a comparison under an OR or a NOT.
+    nested_comparison: Vec<String>,
 }
 
 impl Coverage {
-    fn record(&mut self, tree: &Expr, fallback: &str) {
+    fn record(&mut self, tree: &Expr, leaves: &[Expr]) {
         let rendered = tree.to_string();
         let mut predicates = tree.subjective_predicates();
-        let leaves = predicates.len();
+        let count = predicates.len();
         predicates.sort_unstable();
         predicates.dedup();
-        self.repeated += usize::from(predicates.len() < leaves);
+        self.repeated += usize::from(predicates.len() < count);
         self.right_nested += usize::from(right_nested(tree));
         self.negated += usize::from(rendered.contains("not ("));
-        self.fallback += usize::from(predicates.contains(&fallback));
+        self.fallback += usize::from(rendered.contains(&leaves[4].to_string()));
+        for (seen, leaf) in self.matches.iter_mut().zip(&leaves[5..7]) {
+            *seen += usize::from(rendered.contains(&leaf.to_string()));
+        }
     }
 }
 
@@ -116,10 +158,20 @@ fn right_nested(expr: &Expr) -> bool {
     }
 }
 
+/// True when a comparison sits under an OR or a NOT (`nested`).
+fn nested_comparison(expr: &Expr, nested: bool) -> bool {
+    match expr {
+        Expr::Compare { .. } => nested,
+        Expr::And(a, b) => nested_comparison(a, nested) || nested_comparison(b, nested),
+        Expr::Or(a, b) => nested_comparison(a, true) || nested_comparison(b, true),
+        Expr::Not(e) => nested_comparison(e, true),
+        _ => false,
+    }
+}
+
 /// The generated statements, with what they cover.
 fn statements(db: &OpineDb) -> (Vec<String>, Coverage) {
     let mut rng = StdRng::seed_from_u64(25);
-    let leaves = leaves(db);
     let mut prices: Vec<f64> = db
         .query("select price_pn from hotels")
         .expect("objective statement")
@@ -130,6 +182,7 @@ fn statements(db: &OpineDb) -> (Vec<String>, Coverage) {
         .collect();
     prices.sort_by(f64::total_cmp);
     let n = prices.len();
+    let leaves = leaves(db, prices[n / 2]);
     // Admits none, ≈ 5 %, ≈ 50 %, all.
     let filters = [
         None,
@@ -143,7 +196,8 @@ fn statements(db: &OpineDb) -> (Vec<String>, Coverage) {
     let statements = (0..STATEMENTS)
         .map(|_| {
             let tree = tree(&mut rng, &leaves, 3);
-            coverage.record(&tree, &leaves[4]);
+            coverage.record(&tree, &leaves);
+            let nested = nested_comparison(&tree, false);
             let filter = filters[rng.gen_range(0..filters.len())];
             let clause = match filter {
                 None => tree.to_string(),
@@ -160,7 +214,11 @@ fn statements(db: &OpineDb) -> (Vec<String>, Coverage) {
                 Some(k) => format!(" limit {k}"),
                 None => String::new(),
             };
-            format!("select * from hotels where {clause}{order}{limit}")
+            let sql = format!("select * from hotels h where {clause}{order}{limit}");
+            if nested {
+                coverage.nested_comparison.push(sql.clone());
+            }
+            sql
         })
         .collect();
     (statements, coverage)
@@ -179,14 +237,15 @@ fn reference(db: &OpineDb, sql: &str, algebra: FuzzyAlgebra) -> Vec<(Vec<Value>,
 }
 
 /// Every statement under both algebras against `references` (one per
-/// statement and algebra, at the current data); returns the plan notes.
+/// statement and algebra, at the current data); returns the plan notes,
+/// each with its statement.
 fn check(
     db: &OpineDb,
     stage: &str,
     cold: bool,
     statements: &[String],
     references: &[Vec<(Vec<Value>, u64)>],
-) -> Vec<String> {
+) -> Vec<(String, String)> {
     let mut notes = Vec::new();
     for (i, sql) in statements.iter().enumerate() {
         for (a, &algebra) in ALGEBRAS.iter().enumerate() {
@@ -207,7 +266,7 @@ fn check(
                 ctx.snapshot()
                     .notes
                     .into_iter()
-                    .map(|n| format!("{algebra:?} {n}")),
+                    .map(|n| (sql.clone(), format!("{algebra:?} {n}"))),
             );
         }
     }
@@ -230,7 +289,9 @@ fn generated_residues_equal_the_reference_in_every_cache_state() {
             && coverage.right_nested > 0
             && coverage.negated > 0
             && coverage.fallback > 0
-            && coverage.ordered > 0,
+            && coverage.ordered > 0
+            && coverage.matches.iter().all(|&m| m > 0)
+            && !coverage.nested_comparison.is_empty(),
         "{coverage:?}"
     );
 
@@ -269,14 +330,66 @@ fn generated_residues_equal_the_reference_in_every_cache_state() {
             assert!(
                 notes
                     .iter()
-                    .any(|n| n.starts_with(algebra) && n.contains(plan)),
+                    .any(|(_, n)| n.starts_with(algebra) && n.contains(plan)),
                 "{algebra}: no `{plan}` note"
             );
         }
         assert!(
-            notes.iter().any(|n| n.starts_with(algebra)
+            notes.iter().any(|(_, n)| n.starts_with(algebra)
                 && (n.contains("full TA") || n.contains("restricted sorted access"))),
             "{algebra}: sorted access never ran"
         );
+    }
+    // Every leaf kind ranks: the row loop scored only ORDER BY
+    // statements, and the kernel ranked a `.=` and a comparison under
+    // OR/NOT.
+    for (sql, note) in &notes {
+        if note.contains(" candidates by ") {
+            assert!(sql.contains(" order by "), "{sql}: {note}");
+        }
+    }
+    let ranked = |sql: &String| {
+        notes
+            .iter()
+            .any(|(s, n)| s == sql && n.contains("scorer top-k"))
+    };
+    assert!(
+        statements.iter().any(|s| s.contains(".=") && ranked(s)),
+        "no `.=` ranked"
+    );
+    assert!(
+        coverage.nested_comparison.iter().any(ranked),
+        "no comparison under OR/NOT ranked"
+    );
+}
+
+/// A `.=` on an attribute the engine does not have is the same typed
+/// error from the engine and from the reference, whether or not a row
+/// reaches it.
+#[test]
+fn an_unknown_attribute_is_unknown_to_the_engine_and_the_reference() {
+    let db = db();
+    for clause in [
+        "h.no_such_attribute .= \"clean\"",
+        "price_pn < 100000 and (h.no_such_attribute .= \"clean\" or \"clean rooms\")",
+        "price_pn < 0 and not no_such_attribute .= \"clean\"",
+    ] {
+        let sql = format!("select * from hotels h where {clause}");
+        for algebra in ALGEBRAS {
+            let engine = db.query_with_algebra(&sql, algebra).map(|_| ());
+            assert!(
+                matches!(engine, Err(OpineError::Store(StoreError::UnknownColumn(_)))),
+                "{sql}: {engine:?}"
+            );
+            let select = parse_select(&sql).expect("parses");
+            let reference = execute(&select, db.catalog(), &db.reference(), algebra, None)
+                .map(|_| ())
+                .map_err(OpineError::Store);
+            assert_eq!(
+                reference.map_err(|e| e.to_string()),
+                engine.map_err(|e| e.to_string()),
+                "{sql}"
+            );
+        }
     }
 }

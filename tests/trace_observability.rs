@@ -231,17 +231,30 @@ fn wand_cold_query_blocks_skipped_matches_stats_delta() {
     );
 }
 
-/// The row loop's plan note names the reader that ran and how many base
-/// rows it walked: by position for the engine over its entity table, by
-/// key for the reference (on purpose) — the same statement, the same
-/// candidates.
+/// A filtered residue with a `.=` leaf ranks through the kernel. The
+/// row loop — here for an `order by` — names in its plan note the reader
+/// that ran and how many base rows it walked: by position for the engine
+/// over its entity table, by key for the reference (on purpose) — the
+/// same statement, the same candidates.
 #[test]
 fn row_loop_plan_note_names_the_reader_and_the_candidate_count() {
     let db = small_db();
-    // A `.=` leaf has no degree column to rank: the row loop scores it.
-    let sql = "select * from hotels h where h.price_pn < 200 \
-               and (\"clean rooms\" or h.room_cleanliness .= \"very clean\") limit 5";
-    let (snap, ..) = traced_query(&db, sql);
+    let clause = "h.price_pn < 200 \
+                  and (\"clean rooms\" or h.room_cleanliness .= \"very clean\")";
+    let (snap, ..) = traced_query(
+        &db,
+        &format!("select * from hotels h where {clause} limit 5"),
+    );
+    assert!(
+        snap.notes.iter().any(|n| n.starts_with("ta_topk:")),
+        "notes: {:?}",
+        snap.notes
+    );
+    assert!(snap.stage("rescore").is_none(), "the row loop never ran");
+
+    // The scorer ranks in degree order: an ORDER BY scores rows.
+    let sql = format!("select * from hotels h where {clause} order by h.price_pn limit 5");
+    let (snap, ..) = traced_query(&db, &sql);
     let candidates = snap
         .stage("prefilter_bitmap")
         .unwrap()
@@ -249,12 +262,12 @@ fn row_loop_plan_note_names_the_reader_and_the_candidate_count() {
     assert!(candidates > 0);
     assert_eq!(snap.stage("rescore").unwrap().counter("scored"), candidates);
     let by_position =
-        format!("plan: residue not TA-rankable → {candidates} candidates by position");
+        format!("plan: ORDER BY sorts by a column → {candidates} candidates by position");
     assert!(snap.notes.contains(&by_position), "notes: {:?}", snap.notes);
 
     let ctx = trace::TraceContext::new();
-    trace::with_trace(Some(ctx.clone()), || db.reference().query(sql)).expect("query runs");
-    let by_key = format!("plan: residue not TA-rankable → {candidates} candidates by key");
+    trace::with_trace(Some(ctx.clone()), || db.reference().query(&sql)).expect("query runs");
+    let by_key = format!("plan: ORDER BY sorts by a column → {candidates} candidates by key");
     let notes = ctx.snapshot().notes;
     assert!(notes.contains(&by_key), "notes: {notes:?}");
 }
