@@ -12,14 +12,14 @@ use crate::domain::LinguisticDomain;
 use crate::ingest::{DeltaState, IngestState};
 use crate::interpret::{Interpretation, Interpreter};
 use crate::membership::MembershipModel;
-use crate::qualified::{QualifiedScorer, QualifiedSummaries};
+use crate::qualified::QualifiedSummaries;
 use crate::summary::{MarkerSet, MarkerSummary, PhraseContribution};
 use crate::topk::{scan_topk, threshold_topk};
 use opine_embed::PhraseEmbedder;
 use opine_ir::InvertedIndex;
 use opine_sentiment::SentimentAnalyzer;
 use opine_store::ast::ColumnRef;
-use opine_store::exec::{BoundLeaf, Leaf, Subjective, SubjectiveScorer};
+use opine_store::exec::{BoundLeaf, Leaf, Scope, Subjective, SubjectiveScorer};
 use opine_store::{
     execute, parse_select, Bitmap, Catalog, FuzzyAlgebra, Residue, ResultSet, ReviewQualifier,
     ScoredRows, Select, StoreError, Table, Value,
@@ -159,9 +159,9 @@ pub struct CacheReport {
     pub filtered_summaries: CacheStats,
     /// Qualified summary sets currently cached.
     pub filtered_summary_sets: usize,
-    /// Review-qualified rankings served (`with reviews(...)`
-    /// statements) — the `filtered_summary_queries` counter in `/stats`
-    /// that the serve-smoke CI job guards.
+    /// Review-qualified rankings served (`with reviews(...)` statements
+    /// the ranking kernel answered) — the `filtered_summary_queries`
+    /// counter in `/stats` that the serve-smoke CI job guards.
     pub filtered_summary_queries: u64,
     /// Cached qualified sets brought to a newer epoch by re-aggregating
     /// only the entities that changed since their stamp.
@@ -567,7 +567,7 @@ impl OpineDb {
             pushdown_queries: self.pushdown_queries(),
             filtered_summaries: self.filtered_cache.stats(),
             filtered_summary_sets: self.filtered_cache.len(),
-            filtered_summary_queries: self.qualified_queries(),
+            filtered_summary_queries: self.qualified_queries.load(Relaxed),
             qualified_repairs: self.qualified_repairs.load(Relaxed),
             qualified_repaired_entities: self.qualified_repaired_entities.load(Relaxed),
             wand_queries: self.interpreter.review_index().wand_queries()
@@ -585,13 +585,6 @@ impl OpineDb {
             delta_rows_copied: self.ingest.delta_rows_copied.load(Relaxed),
             delta_bytes: delta.value().memory_bytes(),
         }
-    }
-
-    /// How many review-qualified rankings this engine served (also in
-    /// [`Self::cache_report`]).
-    pub fn qualified_queries(&self) -> u64 {
-        self.qualified_queries
-            .load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// The marker-feature membership function.
@@ -775,7 +768,7 @@ impl OpineDb {
             .map(|p| Leaf::Subjective(Subjective::Predicate(p)))
             .collect();
         Residue::conjunction(leaves.len()).map_or_else(Vec::new, |residue| {
-            self.rank_top_k_filtered(&residue, &leaves, FuzzyAlgebra::Product, k, None)
+            self.rank_top_k_filtered(&residue, &leaves, FuzzyAlgebra::Product, k, None, None)
                 .expect("a predicate always has a column")
         })
     }
@@ -809,6 +802,10 @@ impl OpineDb {
     /// scanned: its degree falls as a leaf's rises, so no cursor bounds
     /// an unseen entity.
     ///
+    /// Under a review `qualifier` a subjective leaf's column is this
+    /// statement's alone, `qualified_degree` over the candidates and 0
+    /// elsewhere: never cached nor sorted, so the residue is scanned.
+    ///
     /// `candidates` and a comparison leaf's bitmap index rows of a table
     /// with [`Self::rows_are_entities`], so a set bit, a column slot and
     /// a ranked id are the same number. An error is a leaf's (a `.=` on
@@ -820,36 +817,52 @@ impl OpineDb {
         algebra: FuzzyAlgebra,
         k: usize,
         candidates: Option<&Bitmap>,
+        qualifier: Option<&ReviewQualifier>,
     ) -> Result<Vec<(usize, f64)>, StoreError> {
         if candidates.is_some() {
             self.pushdown_queries
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
+        let n = self.num_entities();
         let mut built = false;
         let columns = leaves
             .iter()
-            .map(|leaf| {
-                let (column, fresh) = self.leaf_column(leaf)?;
-                built |= fresh;
-                Ok(column)
+            .map(|leaf| match (qualifier, leaf) {
+                (Some(qualifier), Leaf::Subjective(leaf)) => {
+                    let degree = self.qualified_degree(*leaf, qualifier)?;
+                    let rows = candidates.cloned().unwrap_or_else(|| Bitmap::all_set(n));
+                    let mut degrees = vec![0.0; n];
+                    for entity in rows.iter_ones() {
+                        opine_faults::checkpoint();
+                        degrees[entity] = degree(entity);
+                    }
+                    Ok(Arc::new(DegreeColumn::new(degrees)))
+                }
+                _ => {
+                    let (column, fresh) = self.leaf_column(leaf)?;
+                    built |= fresh;
+                    Ok(column)
+                }
             })
             .collect::<Result<Vec<Arc<DegreeColumn>>, StoreError>>()?;
         if k == 0 {
             return Ok(Vec::new());
         }
         let degrees: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
-        let n = self.num_entities();
         let cand_count = candidates.map_or(n, Bitmap::count_ones);
         let few = cand_count.saturating_mul(cand_count) <= k.saturating_mul(n);
         let monotone = residue.is_monotone();
-        if few || !monotone || (built && columns.len() >= 2) {
+        let qualified = qualifier.is_some();
+        if qualified || few || !monotone || (built && columns.len() >= 2) {
             opine_trace::note(|| {
-                if few && candidates.is_some() {
+                if few && candidates.is_some() && !qualified {
                     return format!(
                         "ta_topk: pushdown via gather ({cand_count} candidates, k={k})"
                     );
                 }
-                let why = if few {
+                let why = if qualified {
+                    "qualified columns are built per statement"
+                } else if few {
                     "k reaches them all"
                 } else if !monotone {
                     "a NOT is not monotone, so no sorted-access bound holds"
@@ -993,45 +1006,51 @@ impl OpineDb {
 
 impl SubjectiveScorer for OpineDb {
     /// The leaf reads one [`DegreeColumn`] for the whole statement, the
-    /// one the ranking kernel reads (`leaf_column`). Over the
-    /// entity table a row's degree is the column slot at its position.
-    fn bind<'s>(&'s self, base: &Table, leaf: Subjective<'s>) -> Result<BoundLeaf<'s>, StoreError> {
+    /// one the ranking kernel reads (`leaf_column`), or under a review
+    /// qualifier `qualified_degree`. Over the entity table a row's
+    /// degree is read at its position.
+    fn bind<'s>(
+        &'s self,
+        scope: Scope<'_>,
+        leaf: Subjective<'s>,
+    ) -> Result<BoundLeaf<'s>, StoreError> {
+        if let Some(qualifier) = &scope.qualifier {
+            let degree = self.qualified_degree(leaf, qualifier)?;
+            return Ok(self.entity_leaf(scope.base, degree));
+        }
         let (column, _) = self.leaf_column(&Leaf::Subjective(leaf))?;
-        Ok(self.entity_leaf(base, move |entity| column.degrees()[entity]))
+        Ok(self.entity_leaf(scope.base, move |entity| column.degrees()[entity]))
     }
 
-    /// Ranks entity ids, which are row positions of `base` only when
-    /// [`Self::rows_are_entities`] says so; any other table is declined.
+    /// Ranks entity ids, which are row positions of `scope.base` only
+    /// when [`Self::rows_are_entities`] says so; any other table is
+    /// declined.
     fn rank_residue(
         &self,
-        base: &Table,
+        scope: Scope<'_>,
         residue: &Residue,
         leaves: &[Leaf<'_, Bitmap>],
         algebra: FuzzyAlgebra,
         k: usize,
         candidates: Option<&Bitmap>,
     ) -> Result<Option<Vec<(usize, f64)>>, StoreError> {
-        if !self.rows_are_entities(base) {
+        if !self.rows_are_entities(scope.base) {
             opine_trace::note(|| "ta_topk: declined — base rows are not the entities".into());
             return Ok(None);
         }
         opine_faults::fire_panic("pre_ta");
         let span = opine_trace::span("ta_topk");
-        let ranked = self.rank_top_k_filtered(residue, leaves, algebra, k, candidates)?;
+        let qualifier = scope.qualifier.as_ref();
+        let ranked =
+            self.rank_top_k_filtered(residue, leaves, algebra, k, candidates, qualifier)?;
         span.count("scored", ranked.len() as u64);
         drop(span);
         self.ta_queries
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if qualifier.is_some() {
+            self.qualified_queries.fetch_add(1, Relaxed);
+        }
         Ok(Some(ranked))
-    }
-
-    fn qualified_scorer<'s>(
-        &'s self,
-        qualifier: &ReviewQualifier,
-    ) -> Option<Box<dyn SubjectiveScorer + 's>> {
-        self.qualified_queries
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Some(Box::new(QualifiedScorer::new(self, qualifier)))
     }
 }
 

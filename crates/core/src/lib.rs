@@ -64,7 +64,7 @@ pub use domain::LinguisticDomain;
 pub use ingest::IngestReceipt;
 pub use interpret::{Interpretation, Interpreter, InterpreterConfig};
 pub use membership::MembershipModel;
-pub use qualified::{QualifiedRow, QualifiedScorer, QualifiedSummaries};
+pub use qualified::{QualifiedRow, QualifiedSummaries};
 pub use reference::Reference;
 pub use snapshot::{Snapshot, SnapshotCell};
 pub use summary::{AssignMode, Marker, MarkerSet, MarkerSummary, SummaryKind};

@@ -15,14 +15,20 @@
 //!
 //! Sets are cached per qualifier and stamped with the epoch they are
 //! exact for; a newer pin re-folds only the entities that changed.
+//!
+//! A qualifier is an argument of the one scorer, not a scorer of its
+//! own: `bind` and `rank_residue` receive it in the statement's `Scope`
+//! and read a leaf's degree through `OpineDb::qualified_degree`. The
+//! kernel ranks over columns filled for that statement's candidates
+//! only, never cached or sorted, so a qualified residue always scans.
 
 use crate::column::PreparedInterpretation;
 use crate::db::OpineDb;
 use crate::ingest::Pin;
 use crate::par;
 use crate::summary::MarkerSummary;
-use opine_store::exec::{BoundLeaf, Subjective, SubjectiveScorer};
-use opine_store::{ReviewQualifier, StoreError, Table};
+use opine_store::exec::Subjective;
+use opine_store::{ReviewQualifier, StoreError};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
@@ -148,54 +154,32 @@ impl OpineDb {
         }
         out
     }
-}
 
-/// A scorer view over one review qualifier's summaries: every
-/// subjective degree is computed from the qualified summaries through
-/// the membership kernel's generic-summary arm, so only qualifying
-/// reviews count. Interpretations, prepared phrases, and the membership
-/// model are shared with the engine; the unqualified degree columns are
-/// bypassed (their entries assume all reviews).
-///
-/// The executor obtains one per qualified statement via
-/// [`SubjectiveScorer::qualified_scorer`]. It deliberately declines the
-/// ranking kernel (`rank_residue` default): qualified statements score
-/// row-at-a-time over the qualified summaries.
-pub struct QualifiedScorer<'a> {
-    db: &'a OpineDb,
-    summaries: QualifiedSummaries,
-    /// The delta generation the statement pinned (the text fallback
-    /// reads its merged text index).
-    pin: Pin,
-}
-
-impl<'a> QualifiedScorer<'a> {
-    pub(crate) fn new(db: &'a OpineDb, qualifier: &ReviewQualifier) -> Self {
-        QualifiedScorer {
-            db,
-            summaries: db.summaries_qualified(qualifier),
-            pin: db.pinned(),
-        }
-    }
-}
-
-impl SubjectiveScorer for QualifiedScorer<'_> {
-    /// The text-retrieval fallback (stage 3) scores the entity's full
-    /// review document — BM25 has no per-review summary to filter — so
-    /// it is the one stage a qualifier cannot scope.
-    fn bind<'s>(&'s self, base: &Table, leaf: Subjective<'s>) -> Result<BoundLeaf<'s>, StoreError> {
-        let db = self.db;
+    /// The degree of `leaf` as a function of the entity, counting only
+    /// the reviews `qualifier` accepts: every membership term scores the
+    /// entity's cell of [`Self::summaries_qualified`]. The text fallback
+    /// (stage 3) scores the entity's full review document at the pin —
+    /// BM25 has no per-review summary to filter — so it is the one stage
+    /// a qualifier cannot scope. `bind` reads it per row, the ranking
+    /// kernel per candidate (`rank_top_k_filtered`).
+    pub(crate) fn qualified_degree(
+        &self,
+        leaf: Subjective<'_>,
+        qualifier: &ReviewQualifier,
+    ) -> Result<impl Fn(usize) -> f64 + '_, StoreError> {
         let prepared = match leaf {
-            Subjective::Predicate(predicate) => db.prepare_interpretation(predicate),
+            Subjective::Predicate(predicate) => self.prepare_interpretation(predicate),
             Subjective::Match { attribute, phrase } => PreparedInterpretation::Direct(
-                db.prepare_term(db.match_attribute(attribute)?, phrase),
+                self.prepare_term(self.match_attribute(attribute)?, phrase),
             ),
         };
-        Ok(db.entity_leaf(base, move |entity| {
+        let summaries = self.summaries_qualified(qualifier);
+        let pin = self.pinned();
+        Ok(move |entity: usize| {
             prepared.combine(
-                |term| db.summary_term_degree(&self.summaries[entity][term.attribute], term),
-                |terms| db.text_degree_terms(entity, terms, &self.pin),
+                |term| self.summary_term_degree(&summaries[entity][term.attribute], term),
+                |terms| self.text_degree_terms(entity, terms, &pin),
             )
-        }))
+        })
     }
 }

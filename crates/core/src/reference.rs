@@ -27,8 +27,8 @@ use crate::interpret::Interpretation;
 use crate::membership::{marker_features, scan_features};
 use crate::summary::{MarkerSummary, PhraseContribution};
 use crate::topk::rank_cmp;
-use opine_store::exec::{BoundLeaf, Subjective, SubjectiveScorer};
-use opine_store::{parse_select, FuzzyAlgebra, Residue, ReviewQualifier, StoreError, Table};
+use opine_store::exec::{BoundLeaf, Scope, Subjective, SubjectiveScorer};
+use opine_store::{parse_select, FuzzyAlgebra, Residue, StoreError};
 use std::borrow::{Borrow, Cow};
 
 /// The top-k reference over dense columns (`columns[leaf][entity]`):
@@ -57,8 +57,8 @@ pub struct Reference<'a> {
     db: &'a OpineDb,
     /// Score from raw occurrences instead of marker summaries.
     scan: bool,
-    /// Inside a `with reviews(…)` statement: the summaries of the raw
-    /// rescan under the statement's qualifier.
+    /// Bound for a `with reviews(…)` statement: the summaries of the
+    /// raw rescan under the statement's qualifier.
     qualified: Option<Vec<Vec<MarkerSummary>>>,
 }
 
@@ -233,9 +233,13 @@ impl<'a> Reference<'a> {
 }
 
 impl SubjectiveScorer for Reference<'_> {
+    /// Under a review qualifier the leaf reads the summaries of the raw
+    /// rescan ([`OpineDb::summaries_with_review_filter`]), taken once
+    /// per bind. Raw occurrences carry no summaries to qualify, so
+    /// [`Self::scan`] declines a qualified leaf.
     fn bind<'s>(
         &'s self,
-        _base: &Table,
+        scope: Scope<'_>,
         leaf: Subjective<'s>,
     ) -> Result<BoundLeaf<'s>, StoreError> {
         let db = self.db;
@@ -244,33 +248,27 @@ impl SubjectiveScorer for Reference<'_> {
         if let Subjective::Match { attribute, .. } = leaf {
             db.match_attribute(attribute)?;
         }
+        let qualified = match scope.qualifier {
+            None => None,
+            Some(q) if self.scan => return Err(StoreError::NoScorer(format!("with {q}"))),
+            Some(q) => Some(Reference {
+                db,
+                scan: false,
+                qualified: Some(db.summaries_with_review_filter(|m| {
+                    q.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
+                })),
+            }),
+        };
         Ok(BoundLeaf::by_key(move |key| {
+            let reference = qualified.as_ref().unwrap_or(self);
             let entity = db.entity_of_value(key)?;
             Ok(match leaf {
-                Subjective::Predicate(predicate) => self.degree(entity, predicate),
+                Subjective::Predicate(predicate) => reference.degree(entity, predicate),
                 Subjective::Match { attribute, phrase } => {
                     let attribute = db.match_attribute(attribute)?;
-                    db.ensure_pinned(|pin| self.term_degree(entity, attribute, phrase, pin))
+                    db.ensure_pinned(|pin| reference.term_degree(entity, attribute, phrase, pin))
                 }
             })
-        }))
-    }
-
-    fn qualified_scorer<'s>(
-        &'s self,
-        qualifier: &ReviewQualifier,
-    ) -> Option<Box<dyn SubjectiveScorer + 's>> {
-        if self.scan {
-            return None;
-        }
-        let db = self.db;
-        let rescan = db.summaries_with_review_filter(|m| {
-            qualifier.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
-        });
-        Some(Box::new(Reference {
-            db,
-            scan: false,
-            qualified: Some(rescan),
         }))
     }
 }

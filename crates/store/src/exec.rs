@@ -23,24 +23,29 @@
 //! `"a" or rating >= 4` all ride the ranking kernel instead of
 //! row-at-a-time scoring.
 //!
+//! A review qualifier (`with reviews(…)`) changes which reviews a
+//! degree counts, not the expression: it travels to the scorer beside
+//! the base table in the statement's [`Scope`], so a qualified statement
+//! is planned, ranked and row-scored like any other.
+//!
 //! What the kernel cannot rank — an `ORDER BY`, joined rows, overlay
-//! rows, a review-qualified statement, a base table that is not the
-//! scorer's, a scorer without an index (the reference) — goes through
-//! one row loop (`score_rows`). It reads the same [`Residue`], built
-//! from the whole WHERE clause, with one reader per leaf bound once per
-//! statement: a comparison reads its row slots, a subjective leaf the
-//! [`BoundLeaf`] of [`SubjectiveScorer::bind`]. [`Residue::score`] is
-//! the only evaluator of a WHERE clause, so both routes produce the same
-//! bits.
+//! rows, a base table that is not the scorer's, a scorer without an
+//! index (the reference) — goes through one row loop (`score_rows`).
+//! It reads the same [`Residue`], built from the whole WHERE clause,
+//! with one reader per leaf bound once per statement: a comparison
+//! reads its row slots, a subjective leaf the [`BoundLeaf`] of
+//! [`SubjectiveScorer::bind`]. [`Residue::score`] is the only evaluator
+//! of a WHERE clause, so both routes produce the same bits.
 //!
 //! ## Row positions
 //!
 //! The identifier that crosses the scorer boundary is a **row position
 //! of the statement's base table**, and every call that carries one also
-//! carries that [`Table`]: candidate bitmaps index its rows, the ranking
-//! returns its positions, and a [`BoundLeaf`] may offer a by-position
-//! reader for it. A scorer that cannot prove how the table's rows relate
-//! to whatever it indexes reads by key and declines to rank.
+//! carries that [`Table`] (in the [`Scope`]): candidate bitmaps index
+//! its rows, the ranking returns its positions, and a [`BoundLeaf`] may
+//! offer a by-position reader for it. A scorer that cannot prove how
+//! the table's rows relate to whatever it indexes reads by key and
+//! declines to rank.
 
 use crate::ast::{CmpOp, ColumnRef, Expr, Operand, ReviewQualifier, Select};
 use crate::bitmap::Bitmap;
@@ -163,6 +168,17 @@ pub enum Leaf<'e, C = &'e Expr> {
     Compare(C),
 }
 
+/// What a statement's degrees are taken over: the base table its row
+/// positions index, and the review qualifier (`with reviews(…)`) whose
+/// reviews they count; `with reviews()` accepts every one, so is `None`.
+#[derive(Debug, Clone, Copy)]
+pub struct Scope<'a> {
+    /// The statement's base table.
+    pub base: &'a Table,
+    /// The statement's non-trivial review qualifier.
+    pub qualifier: Option<ReviewQualifier>,
+}
+
 /// Supplies degrees of truth for subjective constructs.
 ///
 /// The executor binds every subjective leaf of a statement **once**,
@@ -172,30 +188,37 @@ pub enum Leaf<'e, C = &'e Expr> {
 /// resolving the attribute name) belongs in `bind`; so do its errors,
 /// which makes a bad leaf an error whether or not any row reaches it.
 ///
-/// Every method receives `base`, the statement's base table: a row
-/// position means nothing without the table it indexes.
+/// Every method receives the statement's [`Scope`]: a row position
+/// means nothing without the table it indexes, and a qualified degree
+/// counts only the reviews its qualifier accepts. A scorer that cannot
+/// scope its degrees returns [`StoreError::NoScorer`] for a qualified
+/// leaf rather than silently answer from every review.
 pub trait SubjectiveScorer {
-    /// Binds a subjective leaf for a statement over `base`.
-    fn bind<'s>(&'s self, base: &Table, leaf: Subjective<'s>) -> Result<BoundLeaf<'s>, StoreError>;
+    /// Binds a subjective leaf for a statement over `scope`.
+    fn bind<'s>(
+        &'s self,
+        scope: Scope<'_>,
+        leaf: Subjective<'s>,
+    ) -> Result<BoundLeaf<'s>, StoreError>;
 
     /// Optional index-assisted ranking of a WHERE clause's residue: the
-    /// top `k` `(row position in base, degree)` pairs, where a row's
-    /// degree is [`Residue::score`] under `algebra` with leaf `i`
+    /// top `k` `(row position in scope.base, degree)` pairs, where a
+    /// row's degree is [`Residue::score`] under `algebra` with leaf `i`
     /// reading the row's degree of `leaves[i]` (a comparison reads 1
     /// where its bitmap is set, else 0), ranked by degree descending
     /// with a deterministic tiebreak (row position ascending).
     ///
     /// `candidates`, when present, is the objective prefilter: a bitmap
-    /// over the row positions of `base` with a set bit for every row
-    /// that passed the objective conjuncts. The scorer must then rank
-    /// only candidate rows (restricted sorted access in TA terms).
+    /// over the row positions of `scope.base` with a set bit for every
+    /// row that passed the objective conjuncts. The scorer must then
+    /// rank only candidate rows (restricted sorted access in TA terms).
     /// Returning `None` (the default) falls back to scoring candidate
-    /// rows one at a time; a scorer must decline a `base` whose rows it
-    /// cannot map to what it indexes. An error is a leaf's: the one
+    /// rows one at a time; a scorer must decline a base table whose rows
+    /// it cannot map to what it indexes. An error is a leaf's: the one
     /// [`Self::bind`] would have returned.
     fn rank_residue(
         &self,
-        _base: &Table,
+        _scope: Scope<'_>,
         _residue: &Residue,
         _leaves: &[Leaf<'_, Bitmap>],
         _algebra: FuzzyAlgebra,
@@ -203,22 +226,6 @@ pub trait SubjectiveScorer {
         _candidates: Option<&Bitmap>,
     ) -> Result<Option<Vec<(usize, f64)>>, StoreError> {
         Ok(None)
-    }
-
-    /// A scorer view whose subjective degrees count only the reviews
-    /// accepted by `qualifier` (the paper's "reviews after 2010" /
-    /// "reviewers with ≥ 10 reviews" queries). The executor requests one
-    /// per qualified statement and routes every subjective evaluation of
-    /// that statement through it; objective predicates are unaffected.
-    ///
-    /// The default `None` means the scorer cannot scope its degrees, and
-    /// qualified statements fail with [`StoreError::NoScorer`] rather
-    /// than silently answering from unqualified summaries.
-    fn qualified_scorer<'s>(
-        &'s self,
-        _qualifier: &ReviewQualifier,
-    ) -> Option<Box<dyn SubjectiveScorer + 's>> {
-        None
     }
 }
 
@@ -229,7 +236,7 @@ pub struct ObjectiveOnly;
 impl SubjectiveScorer for ObjectiveOnly {
     fn bind<'s>(
         &'s self,
-        _base: &Table,
+        _scope: Scope<'_>,
         leaf: Subjective<'s>,
     ) -> Result<BoundLeaf<'s>, StoreError> {
         Err(StoreError::NoScorer(match leaf {
@@ -412,10 +419,11 @@ impl<'a> ScoredRows<'a> {
 struct Layout<'a> {
     /// `(table_or_alias, column_name)` per output slot.
     slots: Vec<(String, String)>,
-    /// The statement's base table: its columns are the first slots, its
-    /// key column the slot subjective leaves read by key, and its row
-    /// positions the ones candidate bitmaps and rankings speak of.
-    base: &'a Table,
+    /// The statement's scope: its base table's columns are the first
+    /// slots, its key column the slot subjective leaves read by key, and
+    /// its row positions the ones candidate bitmaps and rankings speak
+    /// of.
+    scope: Scope<'a>,
 }
 
 impl Layout<'_> {
@@ -465,13 +473,6 @@ pub fn execute<'a>(
     algebra: FuzzyAlgebra,
     overlay: Option<&TableOverlay>,
 ) -> Result<ScoredRows<'a>, StoreError> {
-    // Review-qualified statements swap in the scorer's scoped view for
-    // every subjective evaluation below. The scoped view declines
-    // rank_residue, so qualified queries take the row-at-a-time path
-    // over the (still vectorized) objective prefilter — degree columns
-    // cache *unqualified* degrees only.
-    let scoped = resolve_qualified(query, scorer)?;
-    let scorer: &dyn SubjectiveScorer = scoped.as_deref().unwrap_or(scorer);
     let base = catalog.table(&query.from)?;
     let base_name = query.alias.clone().unwrap_or_else(|| query.from.clone());
 
@@ -483,7 +484,11 @@ pub fn execute<'a>(
             .iter()
             .map(|c| (base_name.clone(), c.name.clone()))
             .collect(),
-        base,
+        scope: Scope {
+            base,
+            // `with reviews()` accepts every review: it is no qualifier.
+            qualifier: query.review_qualifier.filter(|q| !q.is_trivial()),
+        },
     };
 
     // Single-table planner: objective prefilter bitmap + subjective
@@ -594,26 +599,6 @@ pub fn execute<'a>(
     finish(query, layout, scored)
 }
 
-/// Resolves a statement's review qualifier to the scorer's scoped view,
-/// erroring when the statement is qualified but the scorer cannot scope
-/// its degrees (answering from unqualified summaries would be wrong).
-fn resolve_qualified<'s>(
-    query: &Select,
-    scorer: &'s dyn SubjectiveScorer,
-) -> Result<Option<Box<dyn SubjectiveScorer + 's>>, StoreError> {
-    match &query.review_qualifier {
-        None => Ok(None),
-        // A trivial qualifier accepts every review: the base scorer
-        // already answers it, with all of its fast paths (TA ranking,
-        // degree columns) intact.
-        Some(qualifier) if qualifier.is_trivial() => Ok(None),
-        Some(qualifier) => scorer
-            .qualified_scorer(qualifier)
-            .map(Some)
-            .ok_or_else(|| StoreError::NoScorer(format!("review qualifier `with {qualifier}`"))),
-    }
-}
-
 /// What the single-table planner decided about the base table's rows.
 enum Plan<'a> {
     /// They are answered: ranked by the scorer's top-k, or selected
@@ -640,7 +625,7 @@ fn plan_single_table<'a>(
     scorer: &dyn SubjectiveScorer,
     algebra: FuzzyAlgebra,
 ) -> Result<Plan<'a>, StoreError> {
-    let base = layout.base;
+    let base = layout.scope.base;
     let Some(where_clause) = &query.where_clause else {
         return Ok(Plan::Scan(Scan {
             candidates: Bitmap::all_set(base.len()),
@@ -705,8 +690,14 @@ fn plan_single_table<'a>(
                 .limit
                 .unwrap_or(usize::MAX)
                 .min(candidates.as_ref().map_or(base.len(), Bitmap::count_ones));
-            let ranked =
-                scorer.rank_residue(base, &residue, &leaves, algebra, k, candidates.as_ref())?;
+            let ranked = scorer.rank_residue(
+                layout.scope,
+                &residue,
+                &leaves,
+                algebra,
+                k,
+                candidates.as_ref(),
+            )?;
             if let Some(ranked) = ranked {
                 opine_trace::note(|| match candidates {
                     None => "plan: subjective residue → scorer top-k".into(),
@@ -730,7 +721,7 @@ fn plan_single_table<'a>(
 /// Evaluates the objective conjuncts into one candidate bitmap over the
 /// base table's rows.
 fn objective_bitmap(layout: &Layout<'_>, conjuncts: &[&Expr]) -> Result<Bitmap, StoreError> {
-    let mut candidates = Bitmap::all_set(layout.base.len());
+    let mut candidates = Bitmap::all_set(layout.scope.base.len());
     for expr in conjuncts {
         restrict(layout, expr, &mut candidates)?;
     }
@@ -743,7 +734,7 @@ fn objective_bitmap(layout: &Layout<'_>, conjuncts: &[&Expr]) -> Result<Bitmap, 
 /// (column-vs-column, OR/NOT trees) scores its [`Residue`] row at a
 /// time over the still-set bits.
 fn restrict(layout: &Layout<'_>, expr: &Expr, rows: &mut Bitmap) -> Result<(), StoreError> {
-    let base = layout.base;
+    let base = layout.scope.base;
     if let Expr::Compare { lhs, op, rhs } = expr {
         let vectorized = match (lhs, rhs) {
             (Operand::Column(c), Operand::Literal(v)) => Some((layout.resolve(c)?, *op, v)),
@@ -810,7 +801,7 @@ fn score_rows<'a>(
     scored: &mut Vec<(RowHandle<'a>, f64)>,
 ) -> Result<(), StoreError> {
     let span = opine_trace::span("rescore");
-    let base = layout.base;
+    let base = layout.scope.base;
     let reader = where_clause
         .map(|expr| RowReader::bind(expr, layout, scorer))
         .transpose()?;
@@ -876,7 +867,7 @@ impl<'s> RowReader<'s> {
         let leaves = leaves
             .into_iter()
             .map(|leaf| match leaf {
-                Leaf::Subjective(s) => scorer.bind(layout.base, s).map(LeafReader::Bound),
+                Leaf::Subjective(s) => scorer.bind(layout.scope, s).map(LeafReader::Bound),
                 Leaf::Compare(Expr::Compare { lhs, op, rhs }) => Ok(LeafReader::Compare(
                     *op,
                     [(lhs, slot(lhs)?), (rhs, slot(rhs)?)],
@@ -887,7 +878,7 @@ impl<'s> RowReader<'s> {
         Ok(RowReader {
             residue,
             leaves,
-            key_slot: layout.base.schema().key,
+            key_slot: layout.scope.base.schema().key,
         })
     }
 
@@ -1218,7 +1209,7 @@ mod tests {
     use super::*;
     use crate::parser::parse_select;
     use crate::schema::{Column, ColumnType, Schema};
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
 
     /// [`execute`], materialized.
     fn run(
@@ -1298,16 +1289,48 @@ mod tests {
         }
     }
 
-    /// Scorer with canned degrees for tests.
+    /// Scorer with canned degrees for tests. It cannot scope a degree
+    /// to a review qualifier, so it rejects a qualified leaf.
     struct Canned;
     impl SubjectiveScorer for Canned {
         fn bind<'s>(
             &'s self,
-            _base: &Table,
+            scope: Scope<'_>,
             leaf: Subjective<'s>,
         ) -> Result<BoundLeaf<'s>, StoreError> {
-            self::leaf(leaf, canned)
+            match scope.qualifier {
+                Some(q) => Err(StoreError::NoScorer(format!("with {q}"))),
+                None => self::leaf(leaf, canned),
+            }
         }
+    }
+
+    /// Ranks rows 0..3 (Grand, Plaza, Canal) by `degree` through the
+    /// same contract OpineDb implements.
+    fn rank_canned(
+        residue: &Residue,
+        leaves: &[Leaf<'_, Bitmap>],
+        algebra: FuzzyAlgebra,
+        k: usize,
+        candidates: Option<&Bitmap>,
+        degree: impl Fn(Subjective<'_>, &str) -> f64,
+    ) -> Vec<(usize, f64)> {
+        let names = ["Grand", "Plaza", "Canal"];
+        let mut ranked: Vec<(usize, f64)> = names
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| candidates.is_none_or(|c| c.get(*i)))
+            .map(|(i, n)| {
+                let score = residue.score(algebra, &|leaf| match &leaves[leaf] {
+                    Leaf::Subjective(s) => degree(*s, n),
+                    Leaf::Compare(holds) => f64::from(u8::from(holds.get(i))),
+                });
+                (i, score)
+            })
+            .collect();
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+        ranked.truncate(k);
+        ranked
     }
 
     /// A scorer with an index: ranks the canned degrees through the
@@ -1330,14 +1353,14 @@ mod tests {
     impl SubjectiveScorer for Indexed {
         fn bind<'s>(
             &'s self,
-            _base: &Table,
+            _scope: Scope<'_>,
             leaf: Subjective<'s>,
         ) -> Result<BoundLeaf<'s>, StoreError> {
             self::leaf(leaf, canned)
         }
         fn rank_residue(
             &self,
-            _base: &Table,
+            _scope: Scope<'_>,
             residue: &Residue,
             leaves: &[Leaf<'_, Bitmap>],
             algebra: FuzzyAlgebra,
@@ -1348,85 +1371,113 @@ mod tests {
                 self.pushdowns.set(self.pushdowns.get() + 1);
             }
             self.last_candidates.set(candidates.map(Bitmap::count_ones));
-            // Rank rows 0..3 (Grand, Plaza, Canal) by the canned degrees.
-            let names = ["Grand", "Plaza", "Canal"];
-            let mut ranked: Vec<(usize, f64)> = names
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| candidates.is_none_or(|c| c.get(*i)))
-                .map(|(i, n)| {
-                    let score = residue.score(algebra, &|leaf| match &leaves[leaf] {
-                        Leaf::Subjective(s) => canned(*s, n),
-                        Leaf::Compare(holds) => f64::from(u8::from(holds.get(i))),
-                    });
-                    (i, score)
-                })
-                .collect();
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-            ranked.truncate(k);
-            Ok(Some(ranked))
+            Ok(Some(rank_canned(
+                residue, leaves, algebra, k, candidates, canned,
+            )))
         }
     }
 
-    /// A scorer whose qualified view halves every degree — enough to
-    /// observe that the executor routes qualified statements through the
-    /// scoped scorer and unqualified ones through the base scorer.
-    struct Scoping;
+    /// A scorer with an index that halves every degree under a review
+    /// qualifier, by both routes, and records the qualifier each route
+    /// received.
+    #[derive(Default)]
+    struct Halving {
+        ranked: RefCell<Vec<Option<String>>>,
+        bound: RefCell<Vec<Option<String>>>,
+    }
 
-    struct Halved;
-    impl SubjectiveScorer for Halved {
+    /// `canned`, halved under a qualifier.
+    fn halved(scope: Scope<'_>) -> impl Fn(Subjective<'_>, &str) -> f64 {
+        let divisor = if scope.qualifier.is_some() { 2.0 } else { 1.0 };
+        move |leaf, key| canned(leaf, key) / divisor
+    }
+
+    impl SubjectiveScorer for Halving {
         fn bind<'s>(
             &'s self,
-            _base: &Table,
+            scope: Scope<'_>,
             leaf: Subjective<'s>,
         ) -> Result<BoundLeaf<'s>, StoreError> {
-            self::leaf(leaf, |l, key| canned(l, key) / 2.0)
+            let qualifier = scope.qualifier.map(|q| q.to_string());
+            self.bound.borrow_mut().push(qualifier);
+            self::leaf(leaf, halved(scope))
+        }
+        fn rank_residue(
+            &self,
+            scope: Scope<'_>,
+            residue: &Residue,
+            leaves: &[Leaf<'_, Bitmap>],
+            algebra: FuzzyAlgebra,
+            k: usize,
+            candidates: Option<&Bitmap>,
+        ) -> Result<Option<Vec<(usize, f64)>>, StoreError> {
+            let qualifier = scope.qualifier.map(|q| q.to_string());
+            self.ranked.borrow_mut().push(qualifier);
+            Ok(Some(rank_canned(
+                residue,
+                leaves,
+                algebra,
+                k,
+                candidates,
+                halved(scope),
+            )))
         }
     }
 
-    impl SubjectiveScorer for Scoping {
-        fn bind<'s>(
-            &'s self,
-            _base: &Table,
-            leaf: Subjective<'s>,
-        ) -> Result<BoundLeaf<'s>, StoreError> {
-            self::leaf(leaf, canned)
-        }
-        fn qualified_scorer<'s>(
-            &'s self,
-            _qualifier: &ReviewQualifier,
-        ) -> Option<Box<dyn SubjectiveScorer + 's>> {
-            Some(Box::new(Halved))
-        }
-    }
+    const QUALIFIED: &str = "reviews(year >= 2015)";
 
     #[test]
-    fn review_qualifier_routes_through_the_scoped_scorer() {
+    fn review_qualifier_reaches_the_ranking_as_an_argument() {
         let cat = hotel_catalog();
         let plain = parse_select("select * from hotels where \"clean rooms\"").unwrap();
-        let qualified =
-            parse_select("select * from hotels where \"clean rooms\" with reviews(year >= 2015)")
-                .unwrap();
-        let base = run(&plain, &cat, &Scoping, None).unwrap();
-        let scoped = run(&qualified, &cat, &Scoping, None).unwrap();
+        let qualified = parse_select(&format!(
+            "select * from hotels where \"clean rooms\" with {QUALIFIED}"
+        ))
+        .unwrap();
+        let scorer = Halving::default();
+        let base = run(&plain, &cat, &scorer, None).unwrap();
+        let scoped = run(&qualified, &cat, &scorer, None).unwrap();
+        assert_eq!(*scorer.ranked.borrow(), [None, Some(QUALIFIED.to_string())]);
+        assert!(scorer.bound.borrow().is_empty(), "no row loop");
         assert_eq!(base.rows.len(), scoped.rows.len());
         for (b, s) in base.rows.iter().zip(&scoped.rows) {
             assert_eq!(b.0[0], s.0[0], "same ranking order");
-            assert!((b.1 / 2.0 - s.1).abs() < 1e-12, "scoped degrees are halved");
+            assert_eq!(b.1 / 2.0, s.1, "qualified degrees are halved");
         }
     }
 
     #[test]
-    fn trivial_qualifier_bypasses_the_scoped_scorer() {
+    fn an_ordered_qualified_statement_binds_with_its_qualifier() {
+        let cat = hotel_catalog();
+        let q = parse_select(&format!(
+            "select * from hotels where \"clean rooms\" with {QUALIFIED} order by price_pn"
+        ))
+        .unwrap();
+        let scorer = Halving::default();
+        let r = run(&q, &cat, &scorer, None).unwrap();
+        assert!(
+            scorer.ranked.borrow().is_empty(),
+            "ORDER BY takes the row loop"
+        );
+        assert_eq!(*scorer.bound.borrow(), [Some(QUALIFIED.to_string())]);
+        // Canal (90), Grand (120), Plaza (300), each degree halved.
+        let degrees: Vec<f64> = r.rows.iter().map(|(_, d)| *d).collect();
+        assert_eq!(degrees, [0.1, 0.45, 0.25]);
+    }
+
+    #[test]
+    fn a_trivial_qualifier_arrives_as_none() {
         let cat = hotel_catalog();
         let plain = parse_select("select * from hotels where \"clean rooms\"").unwrap();
         let trivial =
             parse_select("select * from hotels where \"clean rooms\" with reviews()").unwrap();
-        let base = run(&plain, &cat, &Scoping, None).unwrap();
-        let bypassed = run(&trivial, &cat, &Scoping, None).unwrap();
-        // `with reviews()` accepts every review — the base scorer
-        // answers it directly (degrees NOT halved), keeping its fast
-        // paths. A scorer without qualifier support also serves it.
+        let scorer = Halving::default();
+        let base = run(&plain, &cat, &scorer, None).unwrap();
+        let bypassed = run(&trivial, &cat, &scorer, None).unwrap();
+        // `with reviews()` accepts every review: no qualifier reaches
+        // the scorer, the degrees are not halved, and a scorer that
+        // cannot scope its degrees serves it too.
+        assert_eq!(*scorer.ranked.borrow(), [None, None]);
         assert_eq!(base.rows, bypassed.rows);
         assert!(run(&trivial, &cat, &Canned, None).is_ok());
     }
@@ -1434,31 +1485,46 @@ mod tests {
     #[test]
     fn review_qualifier_without_scorer_support_is_an_error() {
         let cat = hotel_catalog();
-        let q =
-            parse_select("select * from hotels where \"clean rooms\" with reviews(year >= 2015)")
-                .unwrap();
-        // Canned has no qualified view; silently answering from
-        // unqualified degrees would be wrong, so this must error.
-        assert!(matches!(
-            run(&q, &cat, &Canned, None),
-            Err(StoreError::NoScorer(_))
-        ));
-        // Same under the Gödel algebra.
-        assert!(matches!(
-            execute(&q, &cat, &Canned, FuzzyAlgebra::Godel, None),
-            Err(StoreError::NoScorer(_))
-        ));
+        // Canned cannot scope its degrees; silently answering from
+        // every review would be wrong, so this must error, ranked or
+        // ordered, under either algebra.
+        for sql in [
+            format!("select * from hotels where \"clean rooms\" with {QUALIFIED}"),
+            format!("select * from hotels where \"clean rooms\" with {QUALIFIED} order by city"),
+        ] {
+            let q = parse_select(&sql).unwrap();
+            for algebra in [FuzzyAlgebra::Product, FuzzyAlgebra::Godel] {
+                assert!(
+                    matches!(
+                        execute(&q, &cat, &Canned, algebra, None),
+                        Err(StoreError::NoScorer(_))
+                    ),
+                    "{sql}, {algebra:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_objective_qualified_statement_needs_no_scorer() {
+        let cat = hotel_catalog();
+        let q = parse_select(&format!(
+            "select * from hotels where price_pn < 200 with {QUALIFIED}"
+        ))
+        .unwrap();
+        // Its answer does not depend on reviews.
+        let r = run(&q, &cat, &ObjectiveOnly, None).unwrap();
+        assert_eq!(r.rows.len(), 2);
     }
 
     #[test]
     fn qualified_mixed_query_keeps_the_objective_prefilter() {
         let cat = hotel_catalog();
-        let q = parse_select(
-            "select * from hotels where price_pn < 150 and \"clean rooms\" \
-             with reviews(year >= 2015)",
-        )
+        let q = parse_select(&format!(
+            "select * from hotels where price_pn < 150 and \"clean rooms\" with {QUALIFIED}"
+        ))
         .unwrap();
-        let r = run(&q, &cat, &Scoping, None).unwrap();
+        let r = run(&q, &cat, &Halving::default(), None).unwrap();
         // Plaza (300/night) filtered objectively; degrees are the scoped
         // (halved) ones.
         assert_eq!(r.rows.len(), 2);
@@ -1475,7 +1541,7 @@ mod tests {
         impl SubjectiveScorer for ById {
             fn bind<'s>(
                 &'s self,
-                _base: &Table,
+                _scope: Scope<'_>,
                 _leaf: Subjective<'s>,
             ) -> Result<BoundLeaf<'s>, StoreError> {
                 // Resolve the key the way an engine-side entity map
@@ -1551,7 +1617,7 @@ mod tests {
     impl SubjectiveScorer for Positional {
         fn bind<'s>(
             &'s self,
-            _base: &Table,
+            _scope: Scope<'_>,
             leaf: Subjective<'s>,
         ) -> Result<BoundLeaf<'s>, StoreError> {
             Ok(self.leaf(leaf))
@@ -1707,7 +1773,10 @@ mod tests {
                         .collect();
                     let layout = Layout {
                         slots: vec![("t".into(), "id".into())],
-                        base,
+                        scope: Scope {
+                            base,
+                            qualifier: None,
+                        },
                     };
                     let got = finish(&q, layout, scored).unwrap().into_result_set();
                     let mut want: Vec<(Vec<Value>, f64)> = scores
@@ -2250,7 +2319,10 @@ mod tests {
         let base = cat.table("t").unwrap();
         let layout = Layout {
             slots: vec![("t".into(), "id".into()), ("t".into(), "price".into())],
-            base,
+            scope: Scope {
+                base,
+                qualifier: None,
+            },
         };
         let mut state = 0x2545_F491_4F6C_DD1D_u64;
         let mut next = move |n: usize| {
@@ -2300,7 +2372,7 @@ mod tests {
         impl SubjectiveScorer for Palette {
             fn bind<'s>(
                 &'s self,
-                _base: &Table,
+                _scope: Scope<'_>,
                 leaf: Subjective<'s>,
             ) -> Result<BoundLeaf<'s>, StoreError> {
                 let c = column(leaf);

@@ -28,10 +28,12 @@
 //! row `i` of the `base` table you were handed is item `i` of whatever
 //! you index — the executor then reads base rows as `read(i)` and never
 //! renders their keys. A position is meaningful only together with its
-//! table: `bind` and `rank_residue` both receive `base`, the candidate
-//! bitmap indexes its rows, the ranking returns its positions, and a
-//! scorer that cannot prove the table declines to rank it (`None`)
-//! rather than guess.
+//! table: `bind` and `rank_residue` both receive the statement's
+//! [`exec::Scope`], whose `base` is that table; the candidate bitmap
+//! indexes its rows, the ranking returns its positions, and a scorer
+//! that cannot prove the table declines to rank it (`None`) rather than
+//! guess. The scope also carries the review qualifier (`with
+//! reviews(…)`), which a scorer honours or rejects with `NoScorer`.
 //!
 //! A scorer with an index may also rank ([`exec::SubjectiveScorer::rank_residue`]):
 //! it receives the statement's [`exec::Residue`] — the WHERE tree as
@@ -85,7 +87,7 @@ pub use catalog::Catalog;
 pub use column::ColumnData;
 pub use exec::{
     execute, BoundLeaf, FuzzyAlgebra, Leaf, ObjectiveOnly, ProjectedValues, Residue, ResultSet,
-    ScoredRows, Subjective, SubjectiveScorer,
+    Scope, ScoredRows, Subjective, SubjectiveScorer,
 };
 pub use overlay::TableOverlay;
 pub use parser::{parse_insert, parse_select, parse_statement, ParseError, Statement};

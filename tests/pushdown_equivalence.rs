@@ -6,11 +6,11 @@
 
 use opinedb::core::topk::threshold_topk;
 use opinedb::core::DegreeColumn;
-use opinedb::store::exec::{BoundLeaf, SubjectiveScorer};
+use opinedb::store::exec::{BoundLeaf, Scope, SubjectiveScorer};
 use opinedb::store::parser::parse_select;
 use opinedb::store::{
     execute, Bitmap, Catalog, Column, ColumnType, FuzzyAlgebra, Leaf, Residue, Schema, StoreError,
-    Subjective, Table, Value,
+    Subjective, Value,
 };
 use proptest::prelude::*;
 use std::cell::Cell;
@@ -57,7 +57,7 @@ impl SyntheticIndex {
 impl SubjectiveScorer for SyntheticIndex {
     fn bind<'s>(
         &'s self,
-        _base: &Table,
+        _scope: Scope<'_>,
         leaf: Subjective<'s>,
     ) -> Result<BoundLeaf<'s>, StoreError> {
         let p = self
@@ -73,7 +73,7 @@ impl SubjectiveScorer for SyntheticIndex {
 
     fn rank_residue(
         &self,
-        _base: &Table,
+        _scope: Scope<'_>,
         residue: &Residue,
         leaves: &[Leaf<'_, Bitmap>],
         algebra: FuzzyAlgebra,

@@ -6,10 +6,14 @@
 //! phrase on an aliased attribute, an out-of-vocabulary phrase on an
 //! unaliased one) and comparisons (against a literal and column against
 //! column), under objective filters from empty to everything, with every
-//! kind of `limit` and sometimes an `order by`. Each statement runs
-//! through the engine and through the reference under both algebras:
-//! cold, warm, after an INSERT batch that touches some candidates, and
-//! after a merge. Rows and score bits must be equal every time.
+//! kind of `limit`, sometimes an `order by` and about every other time
+//! a `with reviews(…)` qualifier (year bounds either way, a
+//! reviewer-count bound, both, or the trivial `with reviews()`). Each
+//! statement runs through the engine and through the reference under
+//! both algebras: cold, warm, after an INSERT batch that touches some
+//! candidates and takes one reviewer across a `reviewer_min_count`
+//! bound through the delta alone, and after a merge. Rows and score
+//! bits must be equal every time.
 
 use opinedb::core::trace::{with_trace, TraceContext};
 use opinedb::core::OpineError;
@@ -19,6 +23,7 @@ use opinedb::corpus::workload::build_workload;
 use opinedb::corpus::{Corpus, CorpusConfig};
 use opinedb::embed::Word2VecConfig;
 use opinedb::store::ast::ColumnRef;
+use opinedb::store::ReviewQualifier;
 use opinedb::store::{execute, parse_select, Expr, FuzzyAlgebra, StoreError, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,17 +31,35 @@ use rand::{Rng, SeedableRng};
 const ALGEBRAS: [FuzzyAlgebra; 2] = [FuzzyAlgebra::Product, FuzzyAlgebra::Godel];
 const STATEMENTS: usize = 48;
 
-fn db() -> OpineDb {
-    let corpus = Corpus::generate(
+/// The qualifiers a statement may carry, `None` for none. The
+/// reviewer-count bound is [`CROSSING`] so that the INSERT batch can
+/// take a reviewer across it.
+const QUALIFIERS: [Option<&str>; 6] = [
+    None,
+    Some("with reviews()"),
+    Some("with reviews(year >= 2012)"),
+    Some("with reviews(year <= 2013)"),
+    Some("with reviews(reviewer_min_count >= 3)"),
+    Some("with reviews(year >= 2008, year <= 2016, reviewer_min_count >= 3)"),
+];
+
+/// The `reviewer_min_count` bound of [`QUALIFIERS`].
+const CROSSING: usize = 3;
+
+fn corpus() -> Corpus {
+    Corpus::generate(
         hotel_spec(),
         &CorpusConfig {
             num_entities: 160,
             mean_reviews: 5,
             seed: 11,
         },
-    );
+    )
+}
+
+fn db() -> OpineDb {
     build(
-        &corpus,
+        &corpus(),
         &BuildConfig {
             w2v: Word2VecConfig {
                 dim: 24,
@@ -125,6 +148,8 @@ struct Coverage {
     negated: usize,
     fallback: usize,
     ordered: usize,
+    /// Per entry of [`QUALIFIERS`]: statements carrying it.
+    qualified: [usize; QUALIFIERS.len()],
     /// Per leaf of the pool past the predicates: trees holding it.
     matches: [usize; 2],
     /// The statements with a comparison under an OR or a NOT.
@@ -172,6 +197,9 @@ fn nested_comparison(expr: &Expr, nested: bool) -> bool {
 /// The generated statements, with what they cover.
 fn statements(db: &OpineDb) -> (Vec<String>, Coverage) {
     let mut rng = StdRng::seed_from_u64(25);
+    // Qualifiers draw from a stream of their own: the trees, filters
+    // and limits do not depend on them.
+    let mut qualifiers = StdRng::seed_from_u64(32);
     let mut prices: Vec<f64> = db
         .query("select price_pn from hotels")
         .expect("objective statement")
@@ -214,7 +242,13 @@ fn statements(db: &OpineDb) -> (Vec<String>, Coverage) {
                 Some(k) => format!(" limit {k}"),
                 None => String::new(),
             };
-            let sql = format!("select * from hotels h where {clause}{order}{limit}");
+            let q = match qualifiers.gen_bool(0.5) {
+                true => qualifiers.gen_range(1..QUALIFIERS.len()),
+                false => 0,
+            };
+            coverage.qualified[q] += 1;
+            let qualifier = QUALIFIERS[q].map_or_else(String::new, |q| format!(" {q}"));
+            let sql = format!("select * from hotels h where {clause}{qualifier}{order}{limit}");
             if nested {
                 coverage.nested_comparison.push(sql.clone());
             }
@@ -280,8 +314,29 @@ fn references(db: &OpineDb, statements: &[String]) -> Vec<Vec<(Vec<Value>, u64)>
         .collect()
 }
 
+/// A reviewer one review short of [`CROSSING`] with an occurrence in
+/// `entity`'s summaries, and that entity: one more review takes every
+/// review they wrote across the bound.
+fn crossing_reviewer(corpus: &Corpus, db: &OpineDb) -> (usize, usize) {
+    let counts = corpus.reviewer_counts();
+    corpus
+        .reviews
+        .iter()
+        .filter(|r| counts[&r.reviewer_id] == CROSSING - 1)
+        .find(|r| {
+            (0..db.attributes.len()).any(|a| {
+                db.provenance(r.entity_id, a)
+                    .iter()
+                    .any(|&(id, _)| id == r.id)
+            })
+        })
+        .map(|r| (r.reviewer_id, r.entity_id))
+        .expect("a reviewer one review short of the bound")
+}
+
 #[test]
 fn generated_residues_equal_the_reference_in_every_cache_state() {
+    let corpus = corpus();
     let db = db();
     let (statements, coverage) = statements(&db);
     assert!(
@@ -290,10 +345,21 @@ fn generated_residues_equal_the_reference_in_every_cache_state() {
             && coverage.negated > 0
             && coverage.fallback > 0
             && coverage.ordered > 0
+            && coverage.qualified.iter().all(|&q| q > 0)
             && coverage.matches.iter().all(|&m| m > 0)
             && !coverage.nested_comparison.is_empty(),
         "{coverage:?}"
     );
+    let (reviewer, reviewed) = crossing_reviewer(&corpus, &db);
+    let bound = ReviewQualifier {
+        min_reviewer_count: Some(CROSSING as u32),
+        ..Default::default()
+    };
+    let reviewed_mass = |db: &OpineDb| -> f64 {
+        let set = db.summaries_qualified(&bound);
+        set[reviewed].iter().map(|summary| summary.total).sum()
+    };
+    let mass_before = reviewed_mass(&db);
 
     let before = references(&db, &statements);
     let mut notes = check(&db, "cold", true, &statements, &before);
@@ -310,6 +376,22 @@ fn generated_residues_equal_the_reference_in_every_cache_state() {
         ))
         .unwrap();
     }
+    // One more review, elsewhere, takes a reviewer across the
+    // `reviewer_min_count` bound: the reviews they wrote before now
+    // count in an entity no insert touched.
+    let elsewhere = db
+        .entity_key((reviewed + 1) % db.num_entities())
+        .to_string();
+    db.insert_sql(&format!(
+        "INSERT INTO reviews (entity, text, year, reviewer_id) \
+         VALUES ('{elsewhere}', 'fine', 2021, {reviewer})"
+    ))
+    .unwrap();
+    assert_eq!(db.reviewer_review_count(reviewer), CROSSING);
+    assert!(
+        reviewed_mass(&db) > mass_before,
+        "the crossing moved no summary"
+    );
     let inserted = references(&db, &statements);
     assert_ne!(inserted, before, "the inserts must move some answer");
     notes.extend(check(&db, "after inserts", false, &statements, &inserted));
@@ -325,6 +407,7 @@ fn generated_residues_equal_the_reference_in_every_cache_state() {
             "ta_topk: scan of",
             "ta_topk: pushdown via",
             "— a NOT is not monotone",
+            "— qualified columns are built per statement",
             "plan: ORDER BY sorts by a column",
         ] {
             assert!(
@@ -340,9 +423,9 @@ fn generated_residues_equal_the_reference_in_every_cache_state() {
             "{algebra}: sorted access never ran"
         );
     }
-    // Every leaf kind ranks: the row loop scored only ORDER BY
-    // statements, and the kernel ranked a `.=` and a comparison under
-    // OR/NOT.
+    // Every leaf kind ranks, qualified or not: the row loop scored only
+    // ORDER BY statements, and the kernel ranked a `.=` and a
+    // comparison under OR/NOT.
     for (sql, note) in &notes {
         if note.contains(" candidates by ") {
             assert!(sql.contains(" order by "), "{sql}: {note}");
@@ -365,16 +448,21 @@ fn generated_residues_equal_the_reference_in_every_cache_state() {
 
 /// A `.=` on an attribute the engine does not have is the same typed
 /// error from the engine and from the reference, whether or not a row
-/// reaches it.
+/// reaches it and whatever the statement's qualifier.
 #[test]
 fn an_unknown_attribute_is_unknown_to_the_engine_and_the_reference() {
     let db = db();
-    for clause in [
+    let clauses = [
         "h.no_such_attribute .= \"clean\"",
         "price_pn < 100000 and (h.no_such_attribute .= \"clean\" or \"clean rooms\")",
         "price_pn < 0 and not no_such_attribute .= \"clean\"",
-    ] {
-        let sql = format!("select * from hotels h where {clause}");
+    ];
+    for (clause, qualifier) in clauses
+        .into_iter()
+        .flat_map(|clause| QUALIFIERS.map(|q| (clause, q)))
+    {
+        let qualifier = qualifier.map_or_else(String::new, |q| format!(" {q}"));
+        let sql = format!("select * from hotels h where {clause}{qualifier}");
         for algebra in ALGEBRAS {
             let engine = db.query_with_algebra(&sql, algebra).map(|_| ());
             assert!(

@@ -116,7 +116,20 @@ fn review_qualified_query_shows_summary_merge() {
     let db = small_db();
     let sql = "select * from hotels where \"clean rooms\" \
                with reviews(year >= 2012) limit 10";
+    let columns = db.cached_degree_columns();
     let (snap, before, after, _) = traced_query(&db, sql);
+
+    // It ranks through the kernel, over a column built for it alone:
+    // every entity is scanned, no row is rescored, and the column cache
+    // is as it was.
+    assert!(snap.stage("ta_topk").is_some(), "{:?}", snap.stages);
+    assert!(snap.stage("rescore").is_none(), "the row loop never ran");
+    let scan = format!(
+        "ta_topk: scan of {} candidates (k=10) — qualified columns are built per statement",
+        db.num_entities()
+    );
+    assert!(snap.notes.contains(&scan), "notes: {:?}", snap.notes);
+    assert_eq!(db.cached_degree_columns(), columns);
 
     let merge = snap
         .stage("summary_merge")
@@ -129,6 +142,12 @@ fn review_qualified_query_shows_summary_merge() {
     assert_eq!(
         after.filtered_summary_queries - before.filtered_summary_queries,
         1
+    );
+    // The reference's statements are not counted.
+    db.reference().query(sql).expect("the reference answers");
+    assert_eq!(
+        db.cache_report().filtered_summary_queries,
+        after.filtered_summary_queries
     );
 
     // Warm rerun: the merged set is served from the filtered cache and
@@ -270,4 +289,46 @@ fn row_loop_plan_note_names_the_reader_and_the_candidate_count() {
     let by_key = format!("plan: ORDER BY sorts by a column → {candidates} candidates by key");
     let notes = ctx.snapshot().notes;
     assert!(notes.contains(&by_key), "notes: {notes:?}");
+}
+
+/// A qualified statement with no subjective leaf reads no review, so it
+/// folds no qualified set, and a scorer that cannot scope its degrees
+/// answers it too. Under `order by` a qualified statement takes the row
+/// loop, by position over the entity table.
+#[test]
+fn a_qualified_statement_folds_only_what_it_reads() {
+    let db = small_db();
+    let sql = "select * from hotels where price_pn < 150 with reviews(year >= 2015)";
+    let (snap, before, after, rows) = traced_query(&db, sql);
+    assert!(rows > 0);
+    assert!(snap.stage("summary_merge").is_none(), "{:?}", snap.stages);
+    assert_eq!(
+        after.filtered_summaries.misses,
+        before.filtered_summaries.misses
+    );
+    let engine = db.query(sql).expect("engine answers").result.rows;
+    let scan = db.reference().scan().query(sql).expect("scan answers");
+    assert_eq!(scan.result.rows, engine);
+    let select = opinedb::store::parse_select(sql).unwrap();
+    let objective = opinedb::store::execute(
+        &select,
+        db.catalog(),
+        &opinedb::store::ObjectiveOnly,
+        opinedb::store::FuzzyAlgebra::Product,
+        None,
+    )
+    .expect("ObjectiveOnly answers");
+    assert_eq!(objective.into_result_set().rows, engine);
+
+    let sql = "select * from hotels where price_pn < 150 and \"clean rooms\" \
+               with reviews(year >= 2015) order by price_pn";
+    let (snap, ..) = traced_query(&db, sql);
+    let candidates = snap
+        .stage("prefilter_bitmap")
+        .unwrap()
+        .counter("candidates");
+    let by_position =
+        format!("plan: ORDER BY sorts by a column → {candidates} candidates by position");
+    assert!(snap.notes.contains(&by_position), "notes: {:?}", snap.notes);
+    assert!(snap.stage("summary_merge").is_some(), "{:?}", snap.stages);
 }
