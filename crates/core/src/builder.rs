@@ -11,7 +11,9 @@ use crate::db::{OpineDb, PhraseOcc, ReviewMeta};
 use crate::domain::LinguisticDomain;
 use crate::interpret::{Interpreter, InterpreterConfig, ReviewDigest};
 use crate::membership::{marker_features, scan_features, MembershipModel};
-use crate::summary::{AssignMode, MarkerSet, MarkerSummary, PhraseContribution, SummaryKind};
+use crate::summary::{
+    nearest_markers, AssignMode, MarkerSet, MarkerSummary, PhraseContribution, SummaryKind,
+};
 use opine_corpus::spec::AspectKind;
 use opine_corpus::workload::build_workload;
 use opine_corpus::Corpus;
@@ -20,9 +22,12 @@ use opine_ir::InvertedIndex;
 use opine_ml::LogRegConfig;
 use opine_sentiment::SentimentAnalyzer;
 use opine_store::{Catalog, Column, ColumnType, Schema, Value};
-use opine_text::{split_sentences, tokenize, IdfModel, Vocab};
+use opine_text::{
+    is_content_token, split_sentences, tokenize, tokenize_keep_stops, IdfModel, Vocab, WordId,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// Where extractions come from during construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -80,19 +85,35 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
     let num_attrs = corpus.spec.aspects.len();
     let sentiment = SentimentAnalyzer::new();
 
-    // ---- 1. Tokenize, intern, train word2vec on the unlabeled corpus ----
+    // ---- 1. One pass over the review text ----
+    // Each sentence is tokenized once, stopwords kept. Its content
+    // tokens (`is_content_token`, what `tokenize` keeps) are interned
+    // and feed word2vec, the IDF model and the review index; the whole
+    // review's token stream gives its sentiment. No terminator is a
+    // token character, so a review's tokens are its sentences' tokens
+    // and both come out as a whole-text pass would give them.
     let mut vocab = Vocab::new();
     let mut sentences_interned = Vec::new();
     let mut idf = IdfModel::new(&vocab);
+    let mut review_index = InvertedIndex::new();
+    let mut review_sentiments = Vec::with_capacity(corpus.reviews.len());
     for review in &corpus.reviews {
+        let mut review_terms = Vec::new();
         let mut review_tokens = Vec::new();
         for sentence in split_sentences(&review.text) {
-            let toks = tokenize(sentence);
-            let ids = vocab.intern_all(&toks);
-            review_tokens.extend(ids.iter().copied());
+            let tokens = tokenize_keep_stops(sentence);
+            let ids: Vec<WordId> = tokens
+                .iter()
+                .filter(|t| is_content_token(t))
+                .map(|t| vocab.intern(t))
+                .collect();
+            review_terms.extend_from_slice(&ids);
             sentences_interned.push(ids);
+            review_tokens.extend(tokens);
         }
-        idf.add_document(&review_tokens);
+        idf.add_document(&review_terms);
+        review_index.add_terms(&review_terms);
+        review_sentiments.push(sentiment.score_tokens(&review_tokens));
     }
     // Make sure workload/query vocabulary is interned (idf treats unseen
     // words as maximally rare, which is the desired behaviour).
@@ -138,9 +159,14 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         (0..num_attrs).map(|_| LinguisticDomain::new()).collect();
     let mut opinion_domains: Vec<LinguisticDomain> =
         (0..num_attrs).map(|_| LinguisticDomain::new()).collect();
-    for (review, extractions) in corpus.reviews.iter().zip(&review_extractions) {
+    // An opinion's sentiment is a function of its text alone: score
+    // each distinct text once.
+    let mut opinion_sentiments: HashMap<&str, f64> = HashMap::new();
+    for extractions in &review_extractions {
         for (attr, opinion) in extractions {
-            let senti = sentiment.score(opinion);
+            let senti = *opinion_sentiments
+                .entry(opinion.as_str())
+                .or_insert_with(|| sentiment.score(opinion));
             opinion_domains[*attr].observe(opinion, senti, &embedder, &vocab);
             // Pair the opinion with a representative aspect term for the
             // joint variation.
@@ -152,7 +178,6 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
                 &vocab,
             );
         }
-        let _ = review;
     }
 
     // ---- 4. Marker discovery (Sec. 4.2.1) ----
@@ -178,7 +203,9 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
 
     // ---- 5. Summaries + raw digests + review digests ----
     // Every occurrence adds its variation's tabulated contribution, the
-    // table the engine grows delta cells and qualified folds through.
+    // table the engine grows delta cells and qualified folds through,
+    // and gives its review's digest its variation's tabulated nearest
+    // marker.
     let contributions = PhraseContribution::tabulate(
         &opinion_domains,
         &marker_sets,
@@ -200,6 +227,7 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         .iter()
         .map(|_| (0..num_attrs).map(|_| Vec::new()).collect())
         .collect();
+    let nearest = nearest_markers(&opinion_domains, &marker_sets);
     let mut review_digest: ReviewDigest = Vec::with_capacity(corpus.reviews.len());
 
     for (review, extractions) in corpus.reviews.iter().zip(&review_extractions) {
@@ -214,30 +242,17 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
                 variation: u32::try_from(variation).expect("variation indices fit 32 bits"),
                 review_id,
             });
-            let marker = marker_sets[*attr]
-                .assign(
-                    &opinion_domains[*attr].variations()[variation].rep,
-                    AssignMode::Best,
-                )
-                .first()
-                .map(|&(m, _)| m)
-                .unwrap_or(0);
-            digest.push((*attr, marker));
+            digest.push((*attr, nearest[*attr][variation]));
         }
         review_digest.push(digest);
     }
 
     // ---- 6. IR indexes ----
-    let mut review_index = InvertedIndex::new();
-    let mut review_sentiments = Vec::with_capacity(corpus.reviews.len());
-    for review in &corpus.reviews {
-        review_index.add_document(&review.text, &mut vocab);
-        review_sentiments.push(sentiment.score(&review.text));
-    }
-    let mut entity_index = InvertedIndex::new();
-    for entity in &corpus.entities {
-        entity_index.add_document(&corpus.entity_document(entity.id), &mut vocab);
-    }
+    // The review index was filled by the text pass. An entity's document
+    // is its reviews joined by spaces, so the entity index is the review
+    // index grouped by entity: term frequencies and lengths summed.
+    let entity_of: Vec<usize> = corpus.reviews.iter().map(|r| r.entity_id).collect();
+    let entity_index = review_index.grouped(&entity_of, corpus.entities.len());
     // Build the length factors at build time so no query pays them.
     entity_index.freeze();
 
@@ -424,7 +439,6 @@ fn learned_extractions(
     use opine_extract::seeds::seeds_from_spec;
     use opine_extract::{expand_seeds, AttributeClassifier, EmbeddingClusters, Extractor};
     use opine_ml::TaggerConfig;
-    use opine_text::tokenize_keep_stops;
 
     // Labelled tagging data for this domain (hotel → the Booking set;
     // restaurants and other domains → the SemEval-14-style restaurant set).

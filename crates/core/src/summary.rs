@@ -269,6 +269,31 @@ impl PhraseContribution {
     }
 }
 
+/// `[attribute][variation]`: the marker each variation of each domain
+/// is nearest to ([`AssignMode::Best`]), 0 for an attribute without
+/// markers. A review's digest records it per occurrence.
+pub(crate) fn nearest_markers(
+    domains: &[LinguisticDomain],
+    marker_sets: &[MarkerSet],
+) -> Vec<Vec<usize>> {
+    domains
+        .iter()
+        .zip(marker_sets)
+        .map(|(domain, markers)| {
+            domain
+                .variations()
+                .iter()
+                .map(|v| {
+                    markers
+                        .assign(&v.rep, AssignMode::Best)
+                        .first()
+                        .map_or(0, |&(m, _)| m)
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// A per-entity marker-summary instance.
 ///
 /// Per-marker mass and weighted sentiment accumulate in fixed-point

@@ -4,6 +4,13 @@
 //! Gensim dependency of the original system; the algorithm follows Mikolov
 //! et al. (2013) with the standard unigram^0.75 negative-sampling table and
 //! linearly decaying learning rate.
+//!
+//! As in the reference implementation, the input and output vectors are
+//! two flat row-major matrices (`syn0` and `syn1neg`, one row of `dim`
+//! floats per word), and a positive pair's center gradient is one buffer
+//! reused across pairs, so training allocates nothing per pair. Every
+//! float operation and its order is that of a per-row layout: the
+//! trained vectors are bit-identical to it.
 
 use crate::vector::{add_scaled, dot};
 use opine_text::{Vocab, WordId};
@@ -48,7 +55,8 @@ impl Default for Word2VecConfig {
 #[derive(Debug, Clone)]
 pub struct Word2Vec {
     dim: usize,
-    vectors: Vec<Vec<f32>>,
+    /// One row of `dim` floats per word id, row-major.
+    vectors: Vec<f32>,
     counts: Vec<u32>,
 }
 
@@ -62,6 +70,7 @@ impl Word2Vec {
     pub fn train(sentences: &[Vec<WordId>], vocab_len: usize, config: &Word2VecConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let dim = config.dim;
+        let row = |word: usize| word * dim..(word + 1) * dim;
 
         let mut counts = vec![0u32; vocab_len];
         for s in sentences {
@@ -71,14 +80,10 @@ impl Word2Vec {
         }
 
         // Input vectors: small random init. Output (context) vectors: zeros.
-        let mut input: Vec<Vec<f32>> = (0..vocab_len)
-            .map(|_| {
-                (0..dim)
-                    .map(|_| (rng.gen::<f32>() - 0.5) / dim as f32)
-                    .collect()
-            })
+        let mut input: Vec<f32> = (0..vocab_len * dim)
+            .map(|_| (rng.gen::<f32>() - 0.5) / dim as f32)
             .collect();
-        let mut output: Vec<Vec<f32>> = vec![vec![0.0; dim]; vocab_len];
+        let mut output = vec![0.0f32; vocab_len * dim];
 
         let neg_table = build_negative_table(&counts);
         if neg_table.is_empty() {
@@ -92,6 +97,7 @@ impl Word2Vec {
         let total_pairs: usize =
             sentences.iter().map(|s| s.len()).sum::<usize>().max(1) * config.epochs;
         let mut seen = 0usize;
+        let mut grad_center = vec![0.0f32; dim];
 
         for _epoch in 0..config.epochs {
             for sentence in sentences {
@@ -104,25 +110,34 @@ impl Word2Vec {
                     let lr = (config.learning_rate * (1.0 - progress)).max(1e-4);
                     let lo = pos.saturating_sub(config.window);
                     let hi = (pos + config.window + 1).min(sentence.len());
-                    #[allow(clippy::needless_range_loop)]
-                    for ctx_pos in lo..hi {
-                        if ctx_pos == pos {
+                    let center = center.index();
+                    for (ctx_pos, &context) in sentence.iter().enumerate().take(hi).skip(lo) {
+                        if ctx_pos == pos || counts[context.index()] < config.min_count {
                             continue;
                         }
-                        let context = sentence[ctx_pos];
-                        if counts[context.index()] < config.min_count {
-                            continue;
+                        let context = context.index();
+                        grad_center.fill(0.0);
+                        // The positive sample plus `negative` draws from
+                        // the noise distribution. Only output rows change
+                        // here, so the center row is read in place.
+                        let center_vec = &input[row(center)];
+                        for sample in 0..=config.negative {
+                            let (target, label) = if sample == 0 {
+                                (context, 1.0f32)
+                            } else {
+                                let t = neg_table[rng.gen_range(0..neg_table.len())] as usize;
+                                if t == context {
+                                    continue;
+                                }
+                                (t, 0.0)
+                            };
+                            let target_vec = &mut output[row(target)];
+                            let score = sigmoid(dot(center_vec, target_vec));
+                            let g = (label - score) * lr;
+                            add_scaled(&mut grad_center, target_vec, g);
+                            add_scaled(target_vec, center_vec, g);
                         }
-                        train_pair(
-                            &mut input,
-                            &mut output,
-                            center.index(),
-                            context.index(),
-                            &neg_table,
-                            config.negative,
-                            lr,
-                            &mut rng,
-                        );
+                        add_scaled(&mut input[row(center)], &grad_center, 1.0);
                     }
                 }
             }
@@ -132,9 +147,9 @@ impl Word2Vec {
         // random initialization; zero them so they contribute nothing to
         // IDF-weighted phrase sums (unseen words otherwise get *maximum*
         // IDF weight attached to pure noise).
-        for (idx, vec) in input.iter_mut().enumerate() {
-            if counts[idx] < config.min_count {
-                vec.iter_mut().for_each(|x| *x = 0.0);
+        for (idx, &count) in counts.iter().enumerate() {
+            if count < config.min_count {
+                input[row(idx)].fill(0.0);
             }
         }
 
@@ -143,13 +158,13 @@ impl Word2Vec {
         // vectors share a dominant direction, pushing every cosine toward
         // 1 and making similarity thresholds meaningless. Removing the
         // common mean restores contrast.
-        let trained: Vec<usize> = (0..input.len())
+        let trained: Vec<usize> = (0..vocab_len)
             .filter(|&i| counts[i] >= config.min_count)
             .collect();
         if trained.len() > 1 {
             let mut mean = vec![0.0f32; dim];
             for &i in &trained {
-                for (m, x) in mean.iter_mut().zip(&input[i]) {
+                for (m, x) in mean.iter_mut().zip(&input[row(i)]) {
                     *m += x;
                 }
             }
@@ -157,7 +172,7 @@ impl Word2Vec {
                 *m /= trained.len() as f32;
             }
             for &i in &trained {
-                for (x, m) in input[i].iter_mut().zip(&mean) {
+                for (x, m) in input[row(i)].iter_mut().zip(&mean) {
                     *x -= m;
                 }
             }
@@ -177,7 +192,7 @@ impl Word2Vec {
 
     /// The vector for `id`; every interned word has one.
     pub fn vector(&self, id: WordId) -> &[f32] {
-        &self.vectors[id.index()]
+        &self.vectors[id.index() * self.dim..(id.index() + 1) * self.dim]
     }
 
     /// Corpus frequency observed during training.
@@ -187,12 +202,12 @@ impl Word2Vec {
 
     /// Number of word vectors (== vocab length at training time).
     pub fn len(&self) -> usize {
-        self.vectors.len()
+        self.counts.len()
     }
 
     /// True when the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
+        self.counts.is_empty()
     }
 
     /// The `k` most similar words to `id` by cosine, excluding `id` itself.
@@ -225,40 +240,6 @@ fn build_negative_table(counts: &[u32]) -> Vec<u32> {
         table.extend(std::iter::repeat_n(idx as u32, slots.max(1)));
     }
     table
-}
-
-#[allow(clippy::too_many_arguments)]
-fn train_pair(
-    input: &mut [Vec<f32>],
-    output: &mut [Vec<f32>],
-    center: usize,
-    context: usize,
-    neg_table: &[u32],
-    negative: usize,
-    lr: f32,
-    rng: &mut StdRng,
-) {
-    let dim = input[center].len();
-    let mut grad_center = vec![0.0f32; dim];
-
-    // Positive sample plus `negative` draws from the noise distribution.
-    for sample in 0..=negative {
-        let (target, label) = if sample == 0 {
-            (context, 1.0f32)
-        } else {
-            let t = neg_table[rng.gen_range(0..neg_table.len())] as usize;
-            if t == context {
-                continue;
-            }
-            (t, 0.0)
-        };
-        let score = sigmoid(dot(&input[center], &output[target]));
-        let g = (label - score) * lr;
-        add_scaled(&mut grad_center, &output[target], g);
-        let center_vec = input[center].clone();
-        add_scaled(&mut output[target], &center_vec, g);
-    }
-    add_scaled(&mut input[center], &grad_center, 1.0);
 }
 
 #[inline]
@@ -339,6 +320,19 @@ mod tests {
     fn empty_corpus_yields_table_without_panic() {
         let w2v = Word2Vec::train(&[], 0, &Word2VecConfig::default());
         assert!(w2v.is_empty());
+    }
+
+    #[test]
+    fn a_zero_dimensional_table_still_has_a_vector_per_word() {
+        let (vocab, sents) = tiny_corpus();
+        let cfg = Word2VecConfig {
+            dim: 0,
+            epochs: 1,
+            ..Default::default()
+        };
+        let w2v = Word2Vec::train(&sents, vocab.len(), &cfg);
+        assert_eq!(w2v.len(), vocab.len());
+        assert!(vocab.iter().all(|(id, _)| w2v.vector(id).is_empty()));
     }
 
     #[test]

@@ -91,27 +91,77 @@ impl InvertedIndex {
         Self::default()
     }
 
-    /// Adds a document, interning its tokens into `vocab`.
+    /// Adds a document, interning its [`tokenize`]d text into `vocab`:
+    /// [`Self::add_terms`] of its token ids.
+    pub fn add_document(&mut self, text: &str, vocab: &mut Vocab) -> DocId {
+        let terms: Vec<WordId> = tokenize(text).iter().map(|t| vocab.intern(t)).collect();
+        self.add_terms(&terms)
+    }
+
+    /// Adds a document given its interned tokens, in text order.
     ///
     /// Returns the new document's id. The per-document length factors
     /// are dropped: the mean length moved under every one of them, so
     /// the next score (or [`Self::freeze`]) rebuilds them.
-    pub fn add_document(&mut self, text: &str, vocab: &mut Vocab) -> DocId {
-        let tokens = tokenize(text);
+    pub fn add_terms(&mut self, terms: &[WordId]) -> DocId {
         let doc = DocId(self.doc_lengths.len() as u32);
         let mut tf: HashMap<WordId, u32> = HashMap::new();
-        for t in &tokens {
-            *tf.entry(vocab.intern(t)).or_insert(0) += 1;
+        for &term in terms {
+            *tf.entry(term).or_insert(0) += 1;
         }
         for (word, count) in tf {
             // Documents arrive in ascending id order, so each posting
             // list stays sorted by doc id without ever re-sorting.
             self.postings.entry(word).or_default().push((doc, count));
         }
-        self.doc_lengths.push(tokens.len() as u32);
-        self.total_length += tokens.len() as u64;
+        self.doc_lengths.push(terms.len() as u32);
+        self.total_length += terms.len() as u64;
         self.len_factors.take();
         doc
+    }
+
+    /// The index of this index's documents concatenated by group:
+    /// document `d` belongs to group `group_of[d]`, and group `g`
+    /// becomes document `g` of the result, `num_groups` of them, empty
+    /// groups included. A group's term frequencies and length are
+    /// integer sums over its documents, so the result equals, posting
+    /// for posting, an index of each group's documents joined by
+    /// spaces, in any order, and scores bit-identically to it.
+    ///
+    /// Any map works. Each posting list is mapped to groups, stably
+    /// sorted by group (linear when the map is monotone, as when the
+    /// documents arrive group by group) and merged.
+    pub fn grouped(&self, group_of: &[usize], num_groups: usize) -> Self {
+        assert_eq!(group_of.len(), self.num_docs(), "one group per document");
+        let mut doc_lengths = vec![0u32; num_groups];
+        for (&group, &len) in group_of.iter().zip(&self.doc_lengths) {
+            doc_lengths[group] += len;
+        }
+        let mut postings = HashMap::with_capacity(self.postings.len());
+        // lint:allow(checkpoint_coverage, reason = "construction path; no request deadline is armed during build")
+        for (&term, list) in &self.postings {
+            let mut merged: Vec<(DocId, u32)> = list
+                .iter()
+                .map(|&(doc, tf)| (DocId(group_of[doc.index()] as u32), tf))
+                .collect();
+            merged.sort_by_key(|&(group, _)| group);
+            merged.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
+                }
+                same
+            });
+            merged.shrink_to_fit();
+            postings.insert(term, merged);
+        }
+        Self {
+            postings,
+            total_length: self.total_length,
+            doc_lengths,
+            len_factors: OnceLock::new(),
+            wand_queries: AtomicU64::new(0),
+        }
     }
 
     /// Number of indexed documents.

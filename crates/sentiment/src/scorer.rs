@@ -44,7 +44,13 @@ impl SentimentAnalyzer {
     ///
     /// Returns 0.0 for text with no opinion-bearing words.
     pub fn score(&self, text: &str) -> f64 {
-        let tokens = tokenize_keep_stops(text);
+        self.score_tokens(&tokenize_keep_stops(text))
+    }
+
+    /// [`Self::score`] over text already split by
+    /// [`tokenize_keep_stops`], for callers that tokenize once for
+    /// several uses.
+    pub fn score_tokens(&self, tokens: &[String]) -> f64 {
         let mut total = 0.0;
         let mut hits = 0usize;
         let mut negate_until: Option<usize> = None;
@@ -99,6 +105,35 @@ impl Default for SentimentAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opine_text::split_sentences;
+    use proptest::prelude::*;
+
+    const PIECES: &[&str] = &[
+        "the", "not", "Not", "never", "very", "too", "clean", "dirty", "Rude", "friendly", "room",
+        "wasn't", "spotless", "É", "İ", "ß", "42", "'", "-", ".", "!", "?", ";", "\n", " ", " ",
+        "  ",
+    ];
+
+    proptest! {
+        /// The text entry and the token entry agree bit for bit, also
+        /// when the tokens are collected sentence by sentence, as the
+        /// build's one pass over each review does.
+        #[test]
+        fn score_equals_score_tokens(
+            pieces in prop::collection::vec(prop::sample::select(PIECES.to_vec()), 0..40),
+            noise in "[-' .!?;\nab0ZÉİß]{0,16}",
+        ) {
+            let s = SentimentAnalyzer::new();
+            let text = pieces.concat() + &noise;
+            let by_sentence: Vec<String> = split_sentences(&text)
+                .into_iter()
+                .flat_map(tokenize_keep_stops)
+                .collect();
+            let score = s.score(&text).to_bits();
+            prop_assert_eq!(score, s.score_tokens(&tokenize_keep_stops(&text)).to_bits());
+            prop_assert_eq!(score, s.score_tokens(&by_sentence).to_bits());
+        }
+    }
 
     #[test]
     fn positive_and_negative_words_score_correctly() {

@@ -19,5 +19,5 @@ pub mod vocab;
 pub use idf::IdfModel;
 pub use ngram::{bigrams, ngrams};
 pub use stopwords::is_stopword;
-pub use token::{split_sentences, tokenize, tokenize_keep_stops};
+pub use token::{is_content_token, split_sentences, tokenize, tokenize_keep_stops};
 pub use vocab::{Vocab, WordId};

@@ -5,15 +5,21 @@ use crate::stopwords::is_stopword;
 /// Splits `text` into lowercase word tokens.
 ///
 /// Alphanumeric runs become tokens; apostrophes inside words are kept so
-/// "wasn't" stays one token; everything else is a separator. Stopwords are
-/// removed, with the exception of negation words ("not", "no", "never",
-/// "nothing") and common intensifiers, which carry sentiment-critical signal
-/// in review text.
+/// "wasn't" stays one token; everything else is a separator. Only
+/// [`is_content_token`]s are kept: [`tokenize_keep_stops`] filtered by it.
 pub fn tokenize(text: &str) -> Vec<String> {
     raw_tokens(text)
         .into_iter()
-        .filter(|t| !is_stopword(t) || is_negation(t) || is_intensifier(t))
+        .filter(|t| is_content_token(t))
         .collect()
+}
+
+/// True for the tokens [`tokenize`] keeps: every non-stopword, and the
+/// negation words ("not", "no", "never", "nothing") and intensifiers
+/// among the stopwords, which carry sentiment-critical signal in review
+/// text.
+pub fn is_content_token(token: &str) -> bool {
+    !is_stopword(token) || is_negation(token) || is_intensifier(token)
 }
 
 /// Splits `text` into lowercase word tokens keeping stopwords.
@@ -92,6 +98,10 @@ pub fn is_intensifier(token: &str) -> bool {
 /// Splits review text into sentences on `.`, `!`, `?`, `;` and newlines.
 ///
 /// Empty fragments are dropped; the terminators themselves are not returned.
+/// Neither the terminators nor the trimmed whitespace are token
+/// characters, so the tokens of `text` (by [`tokenize`] or
+/// [`tokenize_keep_stops`]) are its sentences' tokens, concatenated in
+/// order.
 pub fn split_sentences(text: &str) -> Vec<&str> {
     text.split(['.', '!', '?', ';', '\n'])
         .map(str::trim)
