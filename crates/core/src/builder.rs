@@ -247,15 +247,10 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         review_digest.push(digest);
     }
 
-    // ---- 6. IR indexes ----
-    // The review index was filled by the text pass. An entity's document
-    // is its reviews joined by spaces, so the entity index is the review
-    // index grouped by entity: term frequencies and lengths summed.
-    let entity_of: Vec<usize> = corpus.reviews.iter().map(|r| r.entity_id).collect();
-    let entity_index = review_index.grouped(&entity_of, corpus.entities.len());
-    // Build the length factors at build time so no query pays them.
-    entity_index.freeze();
-
+    // ---- 6. IR index ----
+    // The review index was filled by the text pass. It is the one
+    // inverted index: co-occurrence retrieves reviews from it, and the
+    // text fallback sums its postings per entity.
     let interpreter = Interpreter::new(
         config.interpreter.clone(),
         joint_domains,
@@ -416,7 +411,6 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         contributions,
         membership_markers,
         membership_scan,
-        entity_index,
         catalog,
         entity_table.to_string(),
         entity_keys,

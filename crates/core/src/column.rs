@@ -21,7 +21,7 @@
 //! [`crate::MembershipModel::degree`]: that reference is the same two
 //! halves composed per call.
 
-use crate::db::{OpineDb, PreparedPhrase};
+use crate::db::{OpineDb, PreparedPhrase, ReviewMeta};
 use crate::ingest::Pin;
 use crate::interpret::Interpretation;
 use crate::membership::{
@@ -30,11 +30,12 @@ use crate::membership::{
 };
 use crate::par;
 use crate::summary::{MarkerSet, MarkerSummary};
+use opine_ir::{bm25_term_score, DocId};
 use opine_store::ast::ColumnRef;
-use opine_store::{Bitmap, Expr, FuzzyAlgebra, Leaf, StoreError, Subjective};
+use opine_store::{Bitmap, Expr, FuzzyAlgebra, Leaf, ReviewQualifier, StoreError, Subjective};
 use opine_text::WordId;
 use std::borrow::Cow;
-use std::cell::OnceCell;
+use std::cell::{LazyCell, OnceCell};
 use std::sync::{Arc, OnceLock};
 
 /// The dense degree column of one predicate: one slot per entity, plus
@@ -248,25 +249,23 @@ pub(crate) enum PreparedInterpretation {
         terms: Vec<(usize, PreparedTerm)>,
         conjunctive: bool,
     },
-    /// Stage 3: BM25 fallback over pre-resolved term ids.
+    /// Stage 3: BM25 fallback over pre-resolved term ids, scored a
+    /// column at a time ([`OpineDb::text_degrees`]).
     Text { terms: Vec<WordId> },
 }
 
 impl PreparedInterpretation {
     /// The degree of one entity: `term` scores each membership term,
-    /// `text` the fallback's term ids; co-occurrence terms combine
-    /// through [`fold_terms`].
-    pub(crate) fn combine(
-        &self,
-        term: impl Fn(&PreparedTerm) -> f64,
-        text: impl FnOnce(&[WordId]) -> f64,
-    ) -> f64 {
+    /// and co-occurrence terms combine through [`fold_terms`]. `None`
+    /// for the text fallback, which has no per-entity degree: its BM25
+    /// reads corpus-wide statistics.
+    pub(crate) fn combine(&self, term: impl Fn(&PreparedTerm) -> f64) -> Option<f64> {
         match self {
-            PreparedInterpretation::Direct(t) => term(t),
+            PreparedInterpretation::Direct(t) => Some(term(t)),
             PreparedInterpretation::CoOccur { terms, conjunctive } => {
-                fold_terms(*conjunctive, terms.iter().map(|(_, t)| term(t)))
+                Some(fold_terms(*conjunctive, terms.iter().map(|(_, t)| term(t))))
             }
-            PreparedInterpretation::Text { terms } => text(terms),
+            PreparedInterpretation::Text { .. } => None,
         }
     }
 }
@@ -285,7 +284,7 @@ fn fold_terms(conjunctive: bool, degrees: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-fn sigmoid(x: f64) -> f64 {
+pub(crate) fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
 }
 
@@ -316,11 +315,14 @@ enum ColumnSource<'a> {
 }
 
 impl ColumnSource<'_> {
-    /// The degree of one entity at `pin`.
-    fn degree(&self, db: &OpineDb, entity: usize, pin: &Pin) -> f64 {
+    /// The degree of one entity at `pin`; `None` for a text fallback
+    /// (see [`PreparedInterpretation::combine`]).
+    fn degree(&self, db: &OpineDb, entity: usize, pin: &Pin) -> Option<f64> {
         match self {
-            ColumnSource::Predicate(_, prepared) => db.degree_prepared(entity, prepared, pin),
-            ColumnSource::Term(term) => db.term_degree(entity, term, pin),
+            ColumnSource::Predicate(_, prepared) => {
+                prepared.combine(|term| db.term_degree(entity, term, pin))
+            }
+            ColumnSource::Term(term) => Some(db.term_degree(entity, term, pin)),
         }
     }
 }
@@ -329,14 +331,19 @@ impl OpineDb {
     /// The dense degree column of a predicate over all entities, cached.
     /// Degrees are computed per entity (in parallel over entity chunks
     /// from [`par::PAR_THRESHOLD`] entities up), except that a text
-    /// fallback is one pass over the entity index's postings and a
-    /// co-occurrence interpretation folds its terms' cached columns.
+    /// fallback is one pass over its terms' review postings
+    /// ([`Self::text_degrees`]) and a co-occurrence interpretation folds
+    /// its terms' cached columns.
     ///
     /// Cached columns are stamped with the data epoch they were built
     /// at. A probe from a newer pin **repairs** a stale column instead
     /// of rebuilding it: only the entities whose pinned delta version
     /// moved past the stamp recompute (an `INSERT` touches one entity;
-    /// the other N−1 slots are reused verbatim).
+    /// the other N−1 slots are reused verbatim). A text fallback column
+    /// has no per-entity repair: inserted in-vocabulary text moves the
+    /// corpus statistics every entity's BM25 reads, so the column is
+    /// rebuilt whole when such text arrived after its stamp, and reused
+    /// as it is otherwise.
     pub fn degree_column(&self, predicate: &str) -> Arc<DegreeColumn> {
         self.fetch_column(predicate).0
     }
@@ -362,6 +369,7 @@ impl OpineDb {
         pin: &Pin,
         source: impl FnOnce() -> ColumnSource<'a>,
     ) -> (Arc<DegreeColumn>, bool) {
+        let source = LazyCell::new(source);
         let mut cacheable = true;
         if let Some((stamp, column)) = self.column_cache.get(key) {
             if stamp == pin.epoch {
@@ -369,60 +377,59 @@ impl OpineDb {
                 return (column, false);
             }
             if stamp < pin.epoch {
-                let stale = pin.delta.changed_since(stamp);
-                if stale.is_empty() {
-                    // Nothing the column depends on changed across
-                    // those epochs; restamp so the next probe hits
-                    // on the fast equality check.
-                    opine_trace::count("ta_topk", "cache_hits", 1);
+                'carried: {
+                    let updates: Option<Vec<(usize, f64)>> = pin
+                        .delta
+                        .changed_since(stamp)
+                        .into_iter()
+                        .map(|entity| {
+                            opine_faults::checkpoint();
+                            Some((entity, source.degree(self, entity, pin)?))
+                        })
+                        .collect();
+                    let column = match updates {
+                        Some(updates) if !updates.is_empty() => {
+                            opine_trace::count("ta_topk", "cache_repairs", 1);
+                            Arc::new(column.patched(&updates))
+                        }
+                        // A text fallback has no per-entity degree and
+                        // reads the delta's text at every entity: built
+                        // whole below once in-vocabulary text arrived.
+                        None if pin.delta.text_epoch > stamp => break 'carried,
+                        // Nothing the column depends on changed across
+                        // those epochs; restamp so the next probe hits
+                        // on the fast equality check.
+                        _ => {
+                            opine_trace::count("ta_topk", "cache_hits", 1);
+                            column
+                        }
+                    };
                     self.column_cache.insert(key, (pin.epoch, column.clone()));
                     return (column, false);
                 }
-                opine_trace::count("ta_topk", "cache_repairs", 1);
-                let source = source();
-                let updates: Vec<(usize, f64)> = stale
-                    .iter()
-                    .map(|&entity| {
-                        opine_faults::checkpoint();
-                        (entity, source.degree(self, entity, pin))
-                    })
-                    .collect();
-                let column = Arc::new(column.patched(&updates));
-                self.column_cache.insert(key, (pin.epoch, column.clone()));
-                return (column, false);
+            } else {
+                // A column from this pin's future. Build privately
+                // without regressing the cached stamp.
+                cacheable = false;
             }
-            // stamp > pin.epoch: a column from this pin's future.
-            // Build privately without regressing the cached stamp.
-            cacheable = false;
         }
         opine_trace::count("ta_topk", "cache_misses", 1);
-        let source = source();
-        let degrees = match &source {
-            // Text fallback: one term-at-a-time pass over the entity
-            // index's posting lists (O(total postings)) instead of a
-            // per-entity per-term lookup — bit-identical to the point
-            // path, which sums the same contributions per document.
-            // The pinned delta's merged text contributes through its
-            // own dense pass, added as one `f64` add per entity exactly
-            // like the point path.
-            ColumnSource::Predicate(_, PreparedInterpretation::Text { terms })
-                if self.entity_index.num_docs() == self.num_entities() =>
-            {
-                let mut scores = self.entity_index.bm25_dense(terms);
-                pin.delta.add_text_scores(terms, &mut scores);
-                scores
-                    .into_iter()
-                    .map(|score| sigmoid(score - self.config.sigmoid_c))
-                    .collect()
+        let term_column = |term: &PreparedTerm| {
+            par::par_map(self.num_entities(), |entity| {
+                opine_faults::checkpoint();
+                self.term_degree(entity, term, pin)
+            })
+        };
+        let degrees = match &*source {
+            ColumnSource::Predicate(_, PreparedInterpretation::Text { terms }) => {
+                self.text_degrees(terms, pin, None)
             }
             ColumnSource::Predicate(
                 predicate,
                 PreparedInterpretation::CoOccur { terms, conjunctive },
             ) => self.fold_term_columns(predicate, terms, *conjunctive, pin),
-            _ => par::par_map(self.num_entities(), |entity| {
-                opine_faults::checkpoint();
-                source.degree(self, entity, pin)
-            }),
+            ColumnSource::Predicate(_, PreparedInterpretation::Direct(term)) => term_column(term),
+            ColumnSource::Term(term) => term_column(term),
         };
         let column = Arc::new(DegreeColumn::new(degrees));
         if cacheable {
@@ -557,20 +564,6 @@ impl OpineDb {
             .collect()
     }
 
-    /// Degree of one entity under a prepared interpretation, reading
-    /// the frozen plane and `pin`'s delta.
-    pub(crate) fn degree_prepared(
-        &self,
-        entity: usize,
-        prepared: &PreparedInterpretation,
-        pin: &Pin,
-    ) -> f64 {
-        prepared.combine(
-            |term| self.term_degree(entity, term, pin),
-            |terms| self.text_degree_terms(entity, terms, pin),
-        )
-    }
-
     /// Degree of one membership term for an entity.
     pub(crate) fn term_degree(&self, entity: usize, term: &PreparedTerm, pin: &Pin) -> f64 {
         let attribute = term.attribute;
@@ -605,18 +598,79 @@ impl OpineDb {
         ))
     }
 
-    /// Text-retrieval fallback degree over pre-resolved term ids:
-    /// `sigmoid(BM25(D_e, q) − c)`, with the pinned delta's merged text
-    /// contributing once a merge has frozen it (near-real-time,
-    /// Lucene-style: delta text becomes retrievable at the next merge,
-    /// not the next epoch).
-    pub(crate) fn text_degree_terms(&self, entity: usize, terms: &[WordId], pin: &Pin) -> f64 {
-        let doc = opine_ir::DocId(entity as u32);
-        let mut score = self.entity_index.bm25(doc, terms);
-        if let Some(delta) = pin.delta.text_score(entity, terms, self.num_entities()) {
-            score += delta;
+    /// The text fallback's degree of every entity: `sigmoid(BM25 − c)`
+    /// of its reviews at `pin`, base and delta, that `qualifier`
+    /// accepts, as one document. Per query term, in query order and
+    /// duplicates included, the tf of its review postings and of the
+    /// pinned delta reviews holding it sums into each entity's slot, and
+    /// each entity touched adds the term's BM25. Document frequency and
+    /// mean length are the live, unqualified ones of every review at the
+    /// pin — a rebuilt database's. With an empty delta and no qualifier
+    /// these are the integers and term order of an index with one
+    /// document per entity, so the degrees are its bits.
+    pub(crate) fn text_degrees(
+        &self,
+        terms: &[WordId],
+        pin: &Pin,
+        qualifier: Option<&ReviewQualifier>,
+    ) -> Vec<f64> {
+        let n = self.num_entities();
+        let index = self.interpreter().review_index();
+        let delta = &pin.delta;
+        let accepts = |meta: &ReviewMeta| {
+            qualifier.is_none_or(|q| {
+                q.accepts(meta.year, self.reviewer_count_at(delta, meta.reviewer_id))
+            })
+        };
+        let mut lengths = self.entity_text_len.clone();
+        // Under a qualifier, less each rejected base review.
+        let base = qualifier.map_or(&[][..], |_| &self.review_meta[..]);
+        for (review, meta) in (0..).zip(base) {
+            opine_faults::checkpoint();
+            if !accepts(meta) {
+                lengths[meta.entity_id] -= index.doc_len(DocId(review));
+            }
         }
-        sigmoid(score - self.config.sigmoid_c)
+        let mut total_len = index.total_len();
+        for (meta, len) in delta.review_lengths() {
+            opine_faults::checkpoint();
+            total_len += u64::from(len);
+            if accepts(&meta) {
+                lengths[meta.entity_id] += len;
+            }
+        }
+        let mut scores = vec![0.0f64; n];
+        let mut tf = vec![0u32; n];
+        // The entities whose text holds the term, accepted or not.
+        let mut holds = vec![false; n];
+        let mut holders = Vec::new();
+        for &term in terms {
+            let base = index.term_postings(term).iter();
+            let base = base.map(|&(doc, count)| (self.review_meta[doc.index()], count));
+            for (meta, count) in base.chain(delta.reviews_holding(term)) {
+                opine_faults::checkpoint();
+                let entity = meta.entity_id;
+                if !std::mem::replace(&mut holds[entity], true) {
+                    holders.push(entity);
+                }
+                if accepts(&meta) {
+                    tf[entity] += count;
+                }
+            }
+            let df = holders.len();
+            for entity in holders.drain(..) {
+                opine_faults::checkpoint();
+                holds[entity] = false;
+                let tf = std::mem::take(&mut tf[entity]);
+                if tf > 0 {
+                    scores[entity] += bm25_term_score(n, total_len, df, tf, lengths[entity]);
+                }
+            }
+        }
+        scores
+            .into_iter()
+            .map(|score| sigmoid(score - self.config.sigmoid_c))
+            .collect()
     }
 }
 

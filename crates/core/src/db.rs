@@ -16,7 +16,7 @@ use crate::qualified::QualifiedSummaries;
 use crate::summary::{MarkerSet, MarkerSummary, PhraseContribution};
 use crate::topk::{scan_topk, threshold_topk};
 use opine_embed::PhraseEmbedder;
-use opine_ir::InvertedIndex;
+use opine_ir::DocId;
 use opine_sentiment::SentimentAnalyzer;
 use opine_store::ast::ColumnRef;
 use opine_store::exec::{BoundLeaf, Leaf, Scope, Subjective, SubjectiveScorer};
@@ -168,9 +168,10 @@ pub struct CacheReport {
     pub qualified_repairs: u64,
     /// Entities those repairs re-aggregated.
     pub qualified_repaired_entities: u64,
-    /// Top-k BM25 retrievals, summed over the review index
-    /// (co-occurrence interpretation) and the entity index (text
-    /// fallback) — the `/stats` counter the serve-smoke CI job greps.
+    /// Top-k BM25 retrievals over the review index (co-occurrence
+    /// interpretation; the text fallback scores every entity and
+    /// retrieves no top k) — the `/stats` counter the serve-smoke CI job
+    /// greps.
     pub wand_queries: u64,
     /// Always 0: retrieval scores every posting and skips no block. Kept
     /// only because the benchmark harness still reads it.
@@ -190,8 +191,8 @@ pub struct CacheReport {
     pub delta_reviews: u64,
     /// Reviews accepted by `INSERT` statements since startup.
     pub inserted_reviews: u64,
-    /// Delta merges that published (folded the unsealed reviews' text
-    /// into the delta's term frequencies).
+    /// Delta merges that published (sealed the unsealed rows of the
+    /// relational overlay).
     pub delta_merges: u64,
     /// Delta merges that failed and were rolled back — the previous
     /// epoch kept serving. The chaos-smoke CI job greps this.
@@ -291,7 +292,6 @@ pub struct OpineDb {
     pub(crate) raw: Vec<Vec<Vec<PhraseOcc>>>,
     pub(crate) membership_markers: MembershipModel,
     pub(crate) membership_scan: MembershipModel,
-    pub(crate) entity_index: InvertedIndex,
     catalog: Catalog,
     entity_table: String,
     pub(crate) entity_keys: Vec<String>,
@@ -300,6 +300,10 @@ pub struct OpineDb {
     /// Reviews aggregated per entity, precomputed at build time (the
     /// old `review_count` walked every review per call).
     entity_review_counts: Vec<u32>,
+    /// Per entity, the tokens of its build-time reviews in the review
+    /// index: its document length to the text fallback before the
+    /// delta.
+    pub(crate) entity_text_len: Vec<u32>,
     /// Reviews written per reviewer id — the degree the qualifier's
     /// `reviewer_min_count` thresholds compare against.
     pub(crate) reviewer_counts: Vec<u32>,
@@ -364,7 +368,6 @@ impl OpineDb {
         contributions: Vec<Vec<PhraseContribution>>,
         membership_markers: MembershipModel,
         membership_scan: MembershipModel,
-        entity_index: InvertedIndex,
         catalog: Catalog,
         entity_table: String,
         entity_keys: Vec<String>,
@@ -387,16 +390,22 @@ impl OpineDb {
                 })
         });
 
-        // Per-entity and per-reviewer review counts, both needed at
-        // query time: the former answers `review_count` in O(1), the
-        // latter resolves reviewer-degree thresholds.
+        // Per-entity and per-reviewer review counts and per-entity text
+        // lengths, all needed at query time: the first answers
+        // `review_count` in O(1), the second resolves reviewer-degree
+        // thresholds, the third is the text fallback's base length.
         let mut entity_review_counts = vec![0u32; entity_keys.len()];
+        let mut entity_text_len = vec![0u32; entity_keys.len()];
         let max_reviewer = review_meta.iter().map(|m| m.reviewer_id).max();
         let mut reviewer_counts = vec![0u32; max_reviewer.map_or(0, |m| m + 1)];
+        let review_index = interpreter.review_index();
         // lint:allow(checkpoint_coverage, reason = "construction path; no request deadline is armed during build")
-        for meta in &review_meta {
+        for (review, meta) in review_meta.iter().enumerate() {
             if let Some(c) = entity_review_counts.get_mut(meta.entity_id) {
                 *c += 1;
+            }
+            if let Some(len) = entity_text_len.get_mut(meta.entity_id) {
+                *len += review_index.doc_len(DocId(review as u32));
             }
             reviewer_counts[meta.reviewer_id] += 1;
         }
@@ -415,13 +424,13 @@ impl OpineDb {
             raw,
             membership_markers,
             membership_scan,
-            entity_index,
             catalog,
             entity_table,
             entity_keys,
             key_to_entity,
             review_meta,
             entity_review_counts,
+            entity_text_len,
             reviewer_counts,
             contributions,
             config,
@@ -570,8 +579,7 @@ impl OpineDb {
             filtered_summary_queries: self.qualified_queries.load(Relaxed),
             qualified_repairs: self.qualified_repairs.load(Relaxed),
             qualified_repaired_entities: self.qualified_repaired_entities.load(Relaxed),
-            wand_queries: self.interpreter.review_index().wand_queries()
-                + self.entity_index.wand_queries(),
+            wand_queries: self.interpreter.review_index().wand_queries(),
             blocks_skipped: 0,
             timed_out_queries: self
                 .timed_out_queries
@@ -916,10 +924,11 @@ impl OpineDb {
         self.term_degree(entity, &term, &self.pinned())
     }
 
-    /// Text-retrieval fallback degree: `sigmoid(BM25(D_e, q) − c)` over
-    /// the frozen entity index plus the pinned delta's merged text.
+    /// Text-retrieval fallback degree: `sigmoid(BM25(D_e, q) − c)` of
+    /// the entity's reviews at the pin, base and delta — its slot of the
+    /// fallback's one pass over every entity.
     pub fn text_degree(&self, entity: usize, predicate: &str) -> f64 {
-        self.text_degree_terms(entity, &self.text_terms(predicate), &self.pinned())
+        self.text_degrees(&self.text_terms(predicate), &self.pinned(), None)[entity]
     }
 
     /// Number of reviews aggregated for an entity: the build-time count
@@ -1906,7 +1915,7 @@ mod tests {
         check("pre-merge");
         let epoch = db.merge_delta().unwrap();
         assert_eq!(epoch, 2);
-        // Post-merge: the merge moves text only; the cached sets restamp.
+        // Post-merge: the merge moves nothing; the cached sets restamp.
         check("post-merge");
     }
 
@@ -1932,7 +1941,7 @@ mod tests {
         assert_eq!(second.epoch, 3, "batch publish + merge publish");
         let report = db.cache_report();
         assert_eq!((report.delta_merges, report.failed_merges), (1, 0));
-        // The merge seals the delta's text; its rows keep serving.
+        // The merge seals the overlay; its rows keep serving.
         assert_eq!(db.delta_reviews(), 2);
         let rows = db
             .query(&format!(
@@ -1945,7 +1954,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_delta_text_contributes_to_text_degrees() {
+    fn inserted_text_lifts_text_degrees_at_its_epoch() {
         let _guard = ingest_lock();
         let (_, db) = db();
         let phrase = db.opinion_domain(0).variations()[0].phrase.clone();
@@ -1955,16 +1964,16 @@ mod tests {
             "INSERT INTO reviews (entity, text) VALUES ('{entity}', '{phrase} {phrase} {phrase}')"
         ))
         .unwrap();
-        // Text retrieval is near-real-time: visible at the next merge,
-        // not at the insert itself (counts and summaries are live
-        // immediately — see the tests above).
-        assert_eq!(db.text_degree(6, &phrase).to_bits(), before.to_bits());
-        db.merge_delta().unwrap();
+        // Text counts at the insert's epoch, like counts and summaries
+        // (see the tests above)…
         let after = db.text_degree(6, &phrase);
         assert!(
             after > before,
-            "merged delta BM25 must lift entity 6: {before} -> {after}"
+            "inserted text must lift entity 6: {before} -> {after}"
         );
+        // …and a merge, which only seals the overlay, moves nothing.
+        db.merge_delta().unwrap();
+        assert_eq!(db.text_degree(6, &phrase).to_bits(), after.to_bits());
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! build time. The delta only moves the **data plane** — relational
 //! rows (a [`TableOverlay`]), per-entity/per-reviewer counts, marker
 //! summaries (phrase occurrences are extracted at insert time by exact
-//! token matching against the frozen opinion domains), and per-entity
-//! term frequencies of the merged review text. Near-real-time semantics
-//! follow Lucene's: summary/count effects are visible at the very next
-//! epoch, text-retrieval (BM25) effects become visible at the next delta
-//! merge.
+//! token matching against the frozen opinion domains), and each
+//! review's in-vocabulary term frequencies, which the text fallback
+//! reads beside the build's review postings. Every effect of an insert,
+//! text retrieval (BM25) included, is visible at the insert's own
+//! epoch; a merge only seals the relational overlay.
 //!
 //! ## Cost shape
 //!
@@ -27,18 +27,16 @@
 //! two-level spine, review metadata in sealed chunks plus a tail,
 //! reviewer counts in fixed copy-on-write shards. Publishing a batch
 //! copies the spine and the rows, chunks and shards the batch touches —
-//! never the rest — and a merge folds only the reviews since the last
-//! merge. Readers bring an artifact stamped at epoch *s* to a pin at
-//! epoch *e* by asking [`DeltaState::changed_since`] which entities
-//! moved in (*s*, *e*].
+//! never the rest. Readers bring an artifact stamped at epoch *s* to a
+//! pin at epoch *e* by asking [`DeltaState::changed_since`] which
+//! entities moved in (*s*, *e*].
 
 use crate::db::{OpineDb, OpineError, PhraseOcc, ReviewMeta};
 use crate::domain::LinguisticDomain;
 use crate::snapshot::SnapshotCell;
 use crate::summary::{MarkerSummary, PhraseContribution};
-use opine_ir::bm25_term_score;
 use opine_store::{parse_insert, InsertStmt, StoreError, TableOverlay, Value};
-use opine_text::{Vocab, WordId};
+use opine_text::WordId;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -78,21 +76,13 @@ pub(crate) struct DeltaCell {
 
 /// Everything the delta holds about one entity. Immutable once
 /// published; a batch that touches the entity publishes a copy, which
-/// still shares the cells the batch did not mention and (an insert's
-/// copy) the merged term frequencies.
+/// still shares the cells the batch did not mention.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EntityDelta {
     /// Delta reviews of the entity.
     pub reviews: u32,
     /// Per attribute, `None` until a delta review mentions it.
     cells: Vec<Option<Arc<DeltaCell>>>,
-    /// Text of the reviews inserted since the last merge, which folds
-    /// it into `term_freqs` and clears it.
-    unsealed_text: String,
-    /// Term frequencies of the merged delta text, ascending by word.
-    term_freqs: Arc<[(WordId, u32)]>,
-    /// In-vocabulary tokens of the merged delta text.
-    text_len: u32,
 }
 
 /// One chunk of the entity spine: the rows and, beside them, the two
@@ -101,17 +91,16 @@ pub(crate) struct EntityDelta {
 /// only re-qualifies an entity copies no row.
 #[derive(Debug, Clone)]
 struct SpineChunk {
-    /// Per entity, the epoch of the last published change to anything
-    /// that feeds its degrees (summaries at insert, text at merge).
-    /// Epoch-stamped cache entries compare against this to stay
-    /// precise: an entity untouched since an entry was stamped never
-    /// invalidates it.
+    /// Per entity, the epoch of its last insert, which moves its
+    /// summaries and its text. Epoch-stamped cache entries compare
+    /// against this to stay precise: an entity untouched since an entry
+    /// was stamped never invalidates it.
     versions: [u64; SPINE_CHUNK],
     /// Per entity, the epoch of the last change to what a
     /// review-qualified summary of it aggregates: its own inserts, and
     /// a review gained elsewhere by any author of one of its reviews
     /// (live reviewer counts move those reviews across
-    /// `reviewer_min_count` thresholds). Text merges do not move it.
+    /// `reviewer_min_count` thresholds).
     qualified_versions: [u64; SPINE_CHUNK],
     /// The newest stamp of each kind in the chunk, so
     /// [`DeltaState::changed_since`] skips chunks nothing moved in.
@@ -133,22 +122,47 @@ impl Default for SpineChunk {
     }
 }
 
-/// One delta review in the log: its metadata and the previous delta
-/// review by the same reviewer, so "which entities did this reviewer
-/// touch" is a walk through the append-only log instead of a growing
-/// per-reviewer list.
+/// A review's text as BM25 reads it: its in-vocabulary words with
+/// their frequencies, ascending by word. Tokens outside the frozen
+/// vocabulary are dropped and do not count towards its length, as the
+/// build's review index never saw them.
+type ReviewTerms = Arc<[(WordId, u32)]>;
+
+fn review_terms(mut words: Vec<WordId>) -> ReviewTerms {
+    words.sort_unstable();
+    let runs = words.chunk_by(|a, b| a == b);
+    runs.map(|run| (run[0], run.len() as u32)).collect()
+}
+
+/// One delta review in the log: its metadata, the length of its text
+/// and the previous delta review by the same reviewer, so "which
+/// entities did this reviewer touch" is a walk through the append-only
+/// log instead of a growing per-reviewer list.
 #[derive(Debug, Clone, Copy)]
 struct LoggedReview {
     meta: ReviewMeta,
     previous_by_reviewer: u32,
+    /// In-vocabulary tokens of its text.
+    len: u32,
+}
+
+/// A sealed chunk of the review log: its reviews and the postings of
+/// their text, `(word, offset in the chunk, tf)` sorted, so the text
+/// fallback finds a word's reviews by binary search.
+#[derive(Debug)]
+struct SealedChunk {
+    reviews: Vec<LoggedReview>,
+    postings: Vec<(WordId, u16, u32)>,
 }
 
 /// The append-only log of delta reviews: full chunks are sealed and
 /// shared between generations, only the tail is copied.
 #[derive(Debug, Clone, Default)]
 struct ReviewLog {
-    sealed: Vec<Arc<Vec<LoggedReview>>>,
+    sealed: Vec<Arc<SealedChunk>>,
     tail: Vec<LoggedReview>,
+    /// The terms of the tail's reviews, index-aligned with it.
+    tail_terms: Vec<ReviewTerms>,
 }
 
 impl ReviewLog {
@@ -158,15 +172,24 @@ impl ReviewLog {
 
     fn get(&self, i: usize) -> LoggedReview {
         match self.sealed.get(i / LOG_CHUNK) {
-            Some(chunk) => chunk[i % LOG_CHUNK],
+            Some(chunk) => chunk.reviews[i % LOG_CHUNK],
             None => self.tail[i % LOG_CHUNK],
         }
     }
 
-    fn push(&mut self, review: LoggedReview) {
+    fn push(&mut self, review: LoggedReview, terms: ReviewTerms) {
         self.tail.push(review);
+        self.tail_terms.push(terms);
         if self.tail.len() == LOG_CHUNK {
-            self.sealed.push(Arc::new(std::mem::take(&mut self.tail)));
+            let mut postings = Vec::new();
+            for (i, terms) in (0u16..).zip(self.tail_terms.drain(..)) {
+                opine_faults::checkpoint();
+                postings.extend(terms.iter().map(|&(word, tf)| (word, i, tf)));
+            }
+            postings.sort_unstable();
+            let reviews = std::mem::take(&mut self.tail);
+            let chunk = SealedChunk { reviews, postings };
+            self.sealed.push(Arc::new(chunk));
         }
     }
 }
@@ -177,16 +200,6 @@ impl ReviewLog {
 struct ReviewerDelta {
     count: u32,
     last_review: u32,
-}
-
-/// Corpus statistics of the merged delta text, the shared half of its
-/// BM25 scores (the per-entity half is [`EntityDelta::term_freqs`]).
-#[derive(Debug, Clone, Default)]
-struct DeltaText {
-    /// Entities whose merged delta text contains the word.
-    doc_freqs: HashMap<WordId, u32>,
-    /// In-vocabulary tokens over all merged delta text.
-    total_len: u64,
 }
 
 /// Mutable access to a node of a generation under construction, copying
@@ -214,13 +227,13 @@ pub(crate) struct DeltaState {
     log: ReviewLog,
     /// Reviewer id → delta side, sharded by `id % REVIEWER_SHARDS`.
     reviewers: Vec<Arc<HashMap<usize, ReviewerDelta>>>,
-    /// Statistics of the merged delta text.
-    text: Arc<DeltaText>,
+    /// The epoch of the last insert that added in-vocabulary text — the
+    /// last move of the corpus statistics every text fallback column
+    /// reads.
+    pub text_epoch: u64,
     /// Anonymous reviewer ids handed out so far (see
     /// [`Self::draw_anonymous_reviewer`]).
     anonymous_drawn: usize,
-    /// Delta reviews whose text the last merge folded in.
-    pub merged_reviews: usize,
     /// Delta reviews inserted since the last merge — drives the merge
     /// threshold.
     pub unsealed_reviews: usize,
@@ -294,6 +307,30 @@ impl DeltaState {
         moved
     }
 
+    /// Every delta review's metadata and text length, in log order.
+    pub fn review_lengths(&self) -> impl Iterator<Item = (ReviewMeta, u32)> + '_ {
+        let sealed = self.log.sealed.iter().flat_map(|chunk| &chunk.reviews);
+        sealed
+            .chain(&self.log.tail)
+            .map(|review| (review.meta, review.len))
+    }
+
+    /// The metadata of every delta review holding `word`, with its
+    /// frequency in it: a binary search per sealed chunk, then the tail.
+    pub fn reviews_holding(&self, word: WordId) -> impl Iterator<Item = (ReviewMeta, u32)> + '_ {
+        let sealed = self.log.sealed.iter().flat_map(move |chunk| {
+            let from = chunk.postings.partition_point(|&(w, _, _)| w < word);
+            let postings = chunk.postings[from..].iter();
+            let postings = postings.take_while(move |&&(w, _, _)| w == word);
+            postings.map(|&(_, i, tf)| (chunk.reviews[usize::from(i)].meta, tf))
+        });
+        let tail = self.log.tail.iter().zip(&self.log.tail_terms);
+        sealed.chain(tail.filter_map(move |(review, terms)| {
+            let i = terms.binary_search_by_key(&word, |&(w, _)| w).ok()?;
+            Some((review.meta, terms[i].1))
+        }))
+    }
+
     /// Every touched entity's row, ascending by entity.
     fn rows(&self) -> impl Iterator<Item = (usize, &EntityDelta)> + '_ {
         self.spine.iter().enumerate().flat_map(|(c, chunk)| {
@@ -343,60 +380,6 @@ impl DeltaState {
         entities
     }
 
-    /// BM25 score of one query term against `row`'s merged delta text,
-    /// the statistics being those of an index with one document per
-    /// entity: bit-identical to `InvertedIndex::bm25` over such an
-    /// index, whose scoring function this calls.
-    fn term_score(&self, row: &EntityDelta, term: WordId, num_entities: usize) -> Option<f64> {
-        let i = row
-            .term_freqs
-            .binary_search_by_key(&term, |&(word, _)| word)
-            .ok()?;
-        Some(bm25_term_score(
-            num_entities,
-            self.text.total_len,
-            self.text.doc_freqs.get(&term).copied().unwrap_or(0) as usize,
-            row.term_freqs[i].1,
-            row.text_len,
-        ))
-    }
-
-    /// BM25 of `entity`'s merged delta text for `terms` — `None` until a
-    /// merge has folded any text (delta text becomes retrievable at the
-    /// next merge, not the next epoch).
-    pub fn text_score(&self, entity: usize, terms: &[WordId], num_entities: usize) -> Option<f64> {
-        (self.merged_reviews > 0).then(|| {
-            let row = self.row(entity);
-            terms
-                .iter()
-                .map(|&term| {
-                    row.and_then(|row| self.term_score(row, term, num_entities))
-                        .unwrap_or(0.0)
-                })
-                .sum()
-        })
-    }
-
-    /// Adds every entity's merged-text BM25 for `terms` to its slot of
-    /// `scores` — the dense twin of [`Self::text_score`], accumulating
-    /// per entity in query-term order like `InvertedIndex::bm25_dense`.
-    pub fn add_text_scores(&self, terms: &[WordId], scores: &mut [f64]) {
-        if self.merged_reviews == 0 {
-            return;
-        }
-        for (entity, row) in self.rows() {
-            opine_faults::checkpoint();
-            if row.term_freqs.is_empty() {
-                continue;
-            }
-            let score = terms
-                .iter()
-                .filter_map(|&term| self.term_score(row, term, scores.len()))
-                .fold(0.0, |sum, score| sum + score);
-            scores[entity] += score;
-        }
-    }
-
     /// Approximate heap bytes of the generation (shared nodes counted
     /// once; they are shared with older generations, not within one).
     pub fn memory_bytes(&self) -> usize {
@@ -419,10 +402,11 @@ impl DeltaState {
                 size_of::<EntityDelta>()
                     + row.cells.capacity() * size_of::<Option<Arc<DeltaCell>>>()
                     + cells
-                    + row.unsealed_text.capacity()
-                    + row.term_freqs.len() * size_of::<(WordId, u32)>()
             })
             .sum();
+        let sealed: usize = self.log.sealed.iter().map(|c| c.postings.len()).sum();
+        let tail: usize = self.log.tail_terms.iter().map(|terms| terms.len()).sum();
+        let texts = sealed * size_of::<(WordId, u16, u32)>() + tail * size_of::<(WordId, u32)>();
         let reviewers: usize = self
             .reviewers
             .iter()
@@ -430,8 +414,8 @@ impl DeltaState {
             .sum();
         rows + self.spine.iter().flatten().count() * size_of::<SpineChunk>()
             + self.log.len() * size_of::<LoggedReview>()
+            + texts
             + reviewers
-            + self.text.doc_freqs.capacity() * size_of::<(WordId, u32)>()
             + self.overlay.total_len() * OVERLAY_ROW_BYTES
     }
 
@@ -481,7 +465,7 @@ impl DeltaState {
     }
 
     /// Appends one review to the log and its reviewer's chain.
-    fn log_review(&mut self, meta: ReviewMeta, copied: &mut u64) {
+    fn log_review(&mut self, meta: ReviewMeta, terms: ReviewTerms, copied: &mut u64) {
         if self.reviewers.is_empty() {
             self.reviewers = vec![Arc::default(); REVIEWER_SHARDS];
         }
@@ -497,10 +481,15 @@ impl DeltaState {
         });
         let previous_by_reviewer = std::mem::replace(&mut reviewer.last_review, index);
         reviewer.count += 1;
-        self.log.push(LoggedReview {
-            meta,
-            previous_by_reviewer,
-        });
+        let len = terms.iter().map(|&(_, tf)| tf).sum();
+        self.log.push(
+            LoggedReview {
+                meta,
+                previous_by_reviewer,
+                len,
+            },
+            terms,
+        );
     }
 }
 
@@ -529,41 +518,6 @@ impl EntityDelta {
         );
         cell.summary.add(contribution);
         cell.occs.push(occ);
-    }
-
-    /// Folds the unsealed text into the merged term frequencies,
-    /// updating the shared statistics: tokens outside the frozen
-    /// vocabulary are dropped and do not count towards the length.
-    fn merge_text(&mut self, vocab: &Vocab, text: &mut DeltaText) {
-        let mut words: Vec<WordId> = opine_text::tokenize(&self.unsealed_text)
-            .iter()
-            .filter_map(|token| vocab.get(token))
-            .collect();
-        self.unsealed_text = String::new();
-        if words.is_empty() {
-            return;
-        }
-        self.text_len += words.len() as u32;
-        text.total_len += words.len() as u64;
-        words.sort_unstable();
-        let mut merged = Vec::with_capacity(self.term_freqs.len() + words.len());
-        let mut old = self.term_freqs.iter().copied().peekable();
-        for run in words.chunk_by(|a, b| a == b) {
-            opine_faults::checkpoint();
-            let (word, count) = (run[0], run.len() as u32);
-            while let Some(entry) = old.next_if(|&(w, _)| w < word) {
-                merged.push(entry);
-            }
-            match old.next_if(|&(w, _)| w == word) {
-                Some((_, tf)) => merged.push((word, tf + count)),
-                None => {
-                    *text.doc_freqs.entry(word).or_insert(0) += 1;
-                    merged.push((word, count));
-                }
-            }
-        }
-        merged.extend(old);
-        self.term_freqs = merged.into();
     }
 }
 
@@ -704,13 +658,13 @@ impl PhraseMatcher {
     }
 
     /// `(attribute, variation)` occurrences of the domains' phrases in
-    /// `text`, in scan order. The longest candidate phrase wins at an
-    /// anchor position, and the scan resumes after it, so no token
-    /// counts toward two occurrences: "not nice cocktails" is `not
-    /// nice`, never also `nice`. That matches how extraction yields one
-    /// opinion term per expression.
-    pub fn extract(&self, text: &str) -> Vec<(usize, u32)> {
-        let tokens = opine_text::tokenize(text);
+    /// a text's `tokens` ([`opine_text::tokenize`]), in scan order. The
+    /// longest candidate phrase wins at an anchor position, and the
+    /// scan resumes after it, so no token counts toward two
+    /// occurrences: "not nice cocktails" is `not nice`, never also
+    /// `nice`. That matches how extraction yields one opinion term per
+    /// expression.
+    pub fn extract(&self, tokens: &[String]) -> Vec<(usize, u32)> {
         let mut out = Vec::new();
         let mut start = 0;
         while start < tokens.len() {
@@ -893,9 +847,10 @@ impl OpineDb {
     /// Only the `reviews` table accepts inserts (the entity set — and
     /// with it every frozen model artifact — is fixed at build time).
     /// Columns must be listed by name. `entity` is required; the
-    /// virtual `text` column carries the review text that insert-time
-    /// phrase extraction and the next merge's term-frequency fold
-    /// consume; `reviewer_id`, `year`, and `helpful_votes` are
+    /// virtual `text` column carries the review text, tokenized once
+    /// for insert-time phrase extraction and for the review's
+    /// in-vocabulary term frequencies, which the text fallback counts
+    /// from this epoch on; `reviewer_id`, `year`, and `helpful_votes` are
     /// optional (`reviewer_id` defaults to a fresh reviewer).
     /// `review_id` is assigned by the engine and cannot be specified.
     ///
@@ -956,6 +911,16 @@ impl OpineDb {
                 opine_faults::checkpoint();
                 next.requalify(entity, new_epoch, &mut copied);
             }
+            let tokens = opine_text::tokenize(&row.text);
+            let terms = review_terms(
+                tokens
+                    .iter()
+                    .filter_map(|token| self.vocab().get(token))
+                    .collect(),
+            );
+            if !terms.is_empty() {
+                next.text_epoch = new_epoch;
+            }
             next.log_review(
                 ReviewMeta {
                     entity_id: row.entity,
@@ -963,23 +928,18 @@ impl OpineDb {
                     year: row.year,
                     helpful_votes: row.helpful_votes,
                 },
+                terms,
                 &mut copied,
             );
             next.unsealed_reviews += 1;
             next.requalify(row.entity, new_epoch, &mut copied);
             let entity = next.row_mut(row.entity, new_epoch, &mut copied);
             entity.reviews += 1;
-            if !row.text.is_empty() {
-                if !entity.unsealed_text.is_empty() {
-                    entity.unsealed_text.push(' ');
-                }
-                entity.unsealed_text.push_str(&row.text);
-            }
             // Insert-time extraction against the frozen domains: each
             // occurrence lands in its cell and folds into the cell's
             // running summary through its variation's tabulated
             // contribution — the one the build's summaries added.
-            for (attr, variation) in matcher.extract(&row.text) {
+            for (attr, variation) in matcher.extract(&tokens) {
                 opine_faults::checkpoint();
                 entity.push_occurrence(
                     attr,
@@ -1133,12 +1093,10 @@ impl OpineDb {
     }
 
     /// Freezes the unsealed tail of the delta: seals the overlay tail
-    /// into an `Arc`-shared chunk and folds the text of the reviews
-    /// inserted since the last merge into their entities' term
-    /// frequencies and the shared delta statistics, so delta BM25
-    /// scores exactly as an index over all merged delta text would —
-    /// then publishes with a single epoch bump. The cost is the tail's,
-    /// not the delta's. On failure (an injected `mid_merge` fault, a
+    /// into an `Arc`-shared chunk and publishes with a single epoch
+    /// bump. No degree moves: every review already counted, its text
+    /// included, from its insert's epoch. The cost is the tail's, not
+    /// the delta's. On failure (an injected `mid_merge` fault, a
     /// cancelled deadline) nothing publishes — the previous epoch keeps
     /// serving — and `failed_merges` increments.
     pub fn merge_delta(&self) -> Result<u64, OpineError> {
@@ -1163,33 +1121,15 @@ impl OpineDb {
         let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             opine_faults::fire_panic("mid_merge");
             let mut next = DeltaState::clone(snap.value());
-            let mut copied = 0u64;
             next.overlay.seal();
-            // The merge changes the tail reviews' text-retrieval
-            // contribution, so their entities must invalidate
-            // epoch-stamped cache entries from before it.
-            let mut tail: Vec<usize> = (next.merged_reviews..next.reviews())
-                .map(|i| next.review_meta(i).entity_id)
-                .collect();
-            tail.sort_unstable();
-            tail.dedup();
-            let mut text = DeltaText::clone(&next.text);
-            for entity in tail {
-                opine_faults::checkpoint();
-                next.row_mut(entity, new_epoch, &mut copied)
-                    .merge_text(self.vocab(), &mut text);
-            }
-            next.text = Arc::new(text);
-            next.merged_reviews = next.reviews();
             next.unsealed_reviews = 0;
-            (next, copied)
+            next
         }));
         match built {
-            Ok((next, copied)) => {
+            Ok(next) => {
                 let epoch = self.ingest.cell.publish(next);
                 debug_assert_eq!(epoch, new_epoch);
                 self.ingest.delta_merges.fetch_add(1, Relaxed);
-                self.ingest.delta_rows_copied.fetch_add(copied, Relaxed);
                 drop(span);
                 Ok(epoch)
             }
@@ -1342,56 +1282,40 @@ mod tests {
         assert!(same_set(&db.summaries_qualified(&qualifier), &new_set));
     }
 
-    /// `sigmoid(base BM25 + delta BM25 − c)` with the delta side scored
-    /// by an `InvertedIndex` rebuilt from scratch over the concatenated
-    /// merged delta text — how the engine itself scored delta text
-    /// before it kept per-entity term frequencies.
-    fn text_degrees_by_rebuilt_index(
-        db: &OpineDb,
-        merged: Option<&[String]>,
-        predicate: &str,
-    ) -> (Vec<u64>, Vec<u64>) {
-        let terms = db.text_terms(predicate);
-        let sigmoid = |x: f64| 1.0 / (1.0 + (-x).exp());
-        // Only in-vocabulary tokens are indexed, as the merge keeps only
-        // those: the copy of the vocabulary interns nothing new, so its
-        // word ids are the engine's.
-        let index = merged.map(|texts| {
-            let mut vocab = db.vocab().clone();
-            let mut index = InvertedIndex::new();
-            for text in texts {
-                let known: Vec<String> = opine_text::tokenize(text)
-                    .into_iter()
-                    .filter(|token| vocab.get(token).is_some())
-                    .collect();
-                index.add_document(&known.join(" "), &mut vocab);
-            }
-            assert_eq!(vocab.len(), db.vocab().len());
-            index
-        });
-        let point = (0..db.num_entities())
-            .map(|e| {
-                let doc = DocId(e as u32);
-                let mut score = db.entity_index.bm25(doc, &terms);
-                if let Some(index) = &index {
-                    score += index.bm25(doc, &terms);
-                }
-                sigmoid(score - db.config.sigmoid_c).to_bits()
-            })
-            .collect();
-        let mut scores = db.entity_index.bm25_dense(&terms);
-        if let Some(index) = &index {
-            for (score, delta) in scores.iter_mut().zip(index.bm25_dense(&terms)) {
-                *score += delta;
-            }
-        }
-        let dense = scores
-            .into_iter()
-            .map(|score| sigmoid(score - db.config.sigmoid_c).to_bits())
-            .collect();
-        (point, dense)
+    /// The in-vocabulary token ids of `text`.
+    fn known(db: &OpineDb, text: &str) -> Vec<WordId> {
+        opine_text::tokenize(text)
+            .iter()
+            .filter_map(|token| db.vocab().get(token))
+            .collect()
     }
 
+    /// Every entity's fallback degree bits for `predicate` under an
+    /// index rebuilt from scratch with one document per entity, `docs`:
+    /// the in-vocabulary tokens of its build-time reviews, then of the
+    /// texts inserted for it — what a database rebuilt from every review
+    /// at the pin would score. It reads nothing of the engine but the
+    /// frozen vocabulary and the fallback's constant.
+    fn text_degrees_by_rebuilt_index(
+        db: &OpineDb,
+        docs: &[Vec<WordId>],
+        predicate: &str,
+    ) -> Vec<u64> {
+        let mut index = InvertedIndex::new();
+        for doc in docs {
+            index.add_terms(doc);
+        }
+        let terms = db.text_terms(predicate);
+        let sigmoid = |x: f64| 1.0 / (1.0 + (-x).exp());
+        (0..docs.len())
+            .map(|e| sigmoid(index.bm25(DocId(e as u32), &terms) - db.config.sigmoid_c).to_bits())
+            .collect()
+    }
+
+    /// After every insert, merged or not, the reference, a cold column
+    /// and a warm column carried across all the inserts equal the
+    /// rebuilt index bit for bit — past a sealed chunk of the review
+    /// log, so both the chunk's postings and the tail are read.
     #[test]
     fn delta_text_scores_match_an_index_rebuilt_from_scratch() {
         let _guard = merge_test_lock();
@@ -1409,52 +1333,94 @@ mod tests {
         ];
         for predicate in predicates {
             assert_eq!(db.interpret(predicate), Interpretation::TextFallback);
+            // Warm from here on: the cache is never cleared.
+            db.degree_column(predicate);
         }
         let n = db.num_entities();
+        let mut docs = vec![Vec::new(); n];
+        for review in &corpus.reviews {
+            docs[review.entity_id].extend(known(&db, &review.text));
+        }
         let mut rng = StdRng::seed_from_u64(77);
-        let mut merged: Option<Vec<String>> = None;
-        let mut unsealed = vec![String::new(); n];
         let mut merges = 0;
-        for step in 0..60 {
+        for step in 0..LOG_CHUNK + 40 {
             let entity = rng.gen_range(0..n);
-            // Donor text is in-vocabulary; the suffix is not.
+            // Donor text is in-vocabulary; one insert in five has no
+            // in-vocabulary word at all.
             let donor = &corpus.reviews[rng.gen_range(0..corpus.reviews.len())].text;
-            let text: String = donor.chars().filter(|c| *c != '\'').collect();
-            let text = format!("{text} zzzunknown{step}");
+            let text: String = match rng.gen_range(0..5) {
+                0 => format!("zzzunknown{step}"),
+                _ => donor.chars().filter(|c| *c != '\'').collect(),
+            };
             insert(&db, entity, &text, 2020, None);
-            if !unsealed[entity].is_empty() {
-                unsealed[entity].push(' ');
-            }
-            unsealed[entity].push_str(&text);
+            docs[entity].extend(known(&db, &text));
             if rng.gen_bool(0.3) {
                 db.merge_delta().unwrap();
                 merges += 1;
-                let merged = merged.get_or_insert_with(|| vec![String::new(); n]);
-                for (doc, tail) in merged.iter_mut().zip(&mut unsealed) {
-                    if !tail.is_empty() {
-                        if !doc.is_empty() {
-                            doc.push(' ');
-                        }
-                        doc.push_str(&std::mem::take(tail));
-                    }
-                }
             }
+            let pin = db.pinned();
             for predicate in predicates {
-                let (point, dense) =
-                    text_degrees_by_rebuilt_index(&db, merged.as_deref(), predicate);
-                // Point path: the reference, no memo or column in the way.
-                let got: Vec<u64> = (0..n)
-                    .map(|e| db.reference().degree(e, predicate).to_bits())
+                let want = text_degrees_by_rebuilt_index(&db, &docs, predicate);
+                let bits =
+                    |degrees: &[f64]| -> Vec<u64> { degrees.iter().map(|d| d.to_bits()).collect() };
+                let reference: Vec<f64> = (0..n)
+                    .map(|e| db.reference().degree(e, predicate))
                     .collect();
-                assert_eq!(got, point, "step {step} {predicate:?}: point path");
-                // Dense path: a cold column build.
-                db.clear_degree_columns();
-                let column = db.degree_column(predicate);
-                let got: Vec<u64> = column.degrees().iter().map(|d| d.to_bits()).collect();
-                assert_eq!(got, dense, "step {step} {predicate:?}: dense path");
+                assert_eq!(
+                    bits(&reference),
+                    want,
+                    "step {step} {predicate:?}: reference"
+                );
+                let cold = db.text_degrees(&db.text_terms(predicate), &pin, None);
+                assert_eq!(bits(&cold), want, "step {step} {predicate:?}: cold column");
+                let warm = db.degree_column(predicate);
+                assert_eq!(
+                    bits(warm.degrees()),
+                    want,
+                    "step {step} {predicate:?}: warm column"
+                );
             }
         }
         assert!(merges >= 5, "the schedule must merge repeatedly");
+        assert_eq!(db.pinned().delta.log.sealed.len(), 1);
+    }
+
+    /// Inserted text moves the corpus statistics every entity's BM25
+    /// reads, so a warm fallback column must come out of an INSERT
+    /// (and a merge) equal to a cold one at every entity, not only at
+    /// the entity the insert touched.
+    #[test]
+    fn a_warm_fallback_column_equals_a_cold_one_after_text_elsewhere() {
+        let _guard = merge_test_lock();
+        let (_, db) = fixture(InterpreterConfig {
+            theta1: 1.01,
+            theta2: f64::INFINITY,
+            ..Default::default()
+        });
+        db.set_merge_threshold(usize::MAX);
+        let predicate = "clean rooms";
+        assert_eq!(db.interpret(predicate), Interpretation::TextFallback);
+        insert(&db, 3, "clean rooms clean", 2020, None);
+        db.merge_delta().unwrap();
+        db.degree_column(predicate);
+        insert(&db, 5, "the rooms were clean and quiet", 2021, None);
+        db.merge_delta().unwrap();
+        let warm: Vec<u64> = db
+            .degree_column(predicate)
+            .degrees()
+            .iter()
+            .map(|d| d.to_bits())
+            .collect();
+        db.clear_degree_columns();
+        let cold: Vec<u64> = db
+            .degree_column(predicate)
+            .degrees()
+            .iter()
+            .map(|d| d.to_bits())
+            .collect();
+        for (entity, (w, c)) in warm.iter().zip(&cold).enumerate() {
+            assert_eq!(w, c, "entity {entity}: warm {w:#x} cold {c:#x}");
+        }
     }
 
     /// Spine chunk and row of `entity` in a generation.
@@ -1496,7 +1462,7 @@ mod tests {
             .filter_map(|(attr, d)| {
                 let phrase = d.variations().iter().map(|v| v.phrase.clone());
                 let mut own = phrase
-                    .filter(|p| matches!(matcher.extract(p).as_slice(), [(a, _)] if *a == attr));
+                    .filter(|p| matches!(matcher.extract(&opine_text::tokenize(p)).as_slice(), [(a, _)] if *a == attr));
                 Some((attr, own.next()?))
             });
         let (a0, p0) = phrases.next().expect("an extractable phrase");
@@ -1523,13 +1489,17 @@ mod tests {
         assert!(!Arc::ptr_eq(chunk_a, chunk_b));
         assert!(Arc::ptr_eq(neighbour_a, neighbour_b));
         // …and the touched row a copy that shares the cell the review
-        // did not mention and the merged term frequencies.
+        // did not mention.
         let (row_a, row_b) = (nodes(&before, 70).1, nodes(&after, 70).1);
         assert!(!Arc::ptr_eq(row_a, row_b));
         let cell = |row: &EntityDelta, attr: usize| row.cells[attr].clone().expect("cell");
         assert!(!Arc::ptr_eq(&cell(row_a, a0), &cell(row_b, a0)));
         assert!(Arc::ptr_eq(&cell(row_a, a1), &cell(row_b, a1)));
-        assert!(Arc::ptr_eq(&row_a.term_freqs, &row_b.term_freqs));
+        // The copied log tail shares every earlier review's terms.
+        assert_eq!(after.log.tail_terms.len(), before.log.tail_terms.len() + 1);
+        for (a, b) in before.log.tail_terms.iter().zip(&after.log.tail_terms) {
+            assert!(Arc::ptr_eq(a, b));
+        }
         // Reviewer shards: only the new reviewer's was copied.
         let touched = 800_100 % REVIEWER_SHARDS;
         for (shard, (a, b)) in before.reviewers.iter().zip(&after.reviewers).enumerate() {
@@ -1616,7 +1586,6 @@ mod tests {
             let (chunk_a, row_a) = nodes(before.value(), entity);
             let (chunk_b, row_b) = nodes(after.value(), entity);
             assert!(Arc::ptr_eq(chunk_a, chunk_b) && Arc::ptr_eq(row_a, row_b));
-            assert_eq!(row_b.term_freqs.len(), 0, "no text was folded");
         }
         let now = db.cache_report();
         assert_eq!(now.delta_rows_copied, report.delta_rows_copied);
@@ -1682,16 +1651,17 @@ mod tests {
         );
         m.by_first
             .insert("nice".into(), vec![(1, 4, vec!["nice".into()])]);
+        let extract = |m: &PhraseMatcher, text: &str| m.extract(&opine_text::tokenize(text));
         // "very clean" wins at the anchor "very", and the scan resumes
         // after it: "clean" is not counted a second time.
-        assert_eq!(m.extract("the room was very clean indeed"), vec![(0, 1)]);
+        assert_eq!(extract(&m, "the room was very clean indeed"), vec![(0, 1)]);
         // Likewise "not nice" holds "nice"; a later "nice" counts.
-        assert_eq!(m.extract("not nice cocktails"), vec![(1, 3)]);
+        assert_eq!(extract(&m, "not nice cocktails"), vec![(1, 3)]);
         assert_eq!(
-            m.extract("clean but not nice, nice view"),
+            extract(&m, "clean but not nice, nice view"),
             vec![(0, 0), (1, 3), (1, 4)]
         );
-        assert_eq!(m.extract("nothing matches here"), vec![]);
+        assert_eq!(extract(&m, "nothing matches here"), vec![]);
     }
 
     #[test]

@@ -157,11 +157,12 @@ impl OpineDb {
 
     /// The degree of `leaf` as a function of the entity, counting only
     /// the reviews `qualifier` accepts: every membership term scores the
-    /// entity's cell of [`Self::summaries_qualified`]. The text fallback
-    /// (stage 3) scores the entity's full review document at the pin —
-    /// BM25 has no per-review summary to filter — so it is the one stage
-    /// a qualifier cannot scope. `bind` reads it per row, the ranking
-    /// kernel per candidate (`rank_top_k_filtered`).
+    /// entity's cell of [`Self::summaries_qualified`], and the text
+    /// fallback (stage 3) reads the column [`Self::text_degrees`] scores
+    /// once for the statement from the accepted reviews' postings
+    /// (document frequency and mean length stay unqualified). `bind`
+    /// reads it per row, the ranking kernel per candidate
+    /// (`rank_top_k_filtered`).
     pub(crate) fn qualified_degree(
         &self,
         leaf: Subjective<'_>,
@@ -174,12 +175,16 @@ impl OpineDb {
             ),
         };
         let summaries = self.summaries_qualified(qualifier);
-        let pin = self.pinned();
+        let text = match &prepared {
+            PreparedInterpretation::Text { terms } => {
+                self.text_degrees(terms, &self.pinned(), Some(qualifier))
+            }
+            _ => Vec::new(),
+        };
         Ok(move |entity: usize| {
-            prepared.combine(
-                |term| self.summary_term_degree(&summaries[entity][term.attribute], term),
-                |terms| self.text_degree_terms(entity, terms, &pin),
-            )
+            prepared
+                .combine(|term| self.summary_term_degree(&summaries[entity][term.attribute], term))
+                .unwrap_or_else(|| text[entity])
         })
     }
 }

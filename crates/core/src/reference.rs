@@ -5,8 +5,9 @@
 //! through the *unsplit* specification functions the builder trains
 //! with — [`marker_features`] (or [`scan_features`] after
 //! [`Reference::scan`], Table 7's "no markers" arm) and
-//! [`crate::MembershipModel::degree`], the point BM25 plus the pinned
-//! delta text for the fallback, and the raw rescan
+//! [`crate::MembershipModel::degree`], BM25 over the concatenation of the
+//! entity's accepted reviews for the fallback, each review's term
+//! frequencies read on their own, and the raw rescan
 //! ([`OpineDb::summaries_with_review_filter`]) for `with reviews(…)` —
 //! under the same pin as every other read. Its bound leaves hoist
 //! nothing out of the row loop (each row interprets, embeds and scores
@@ -21,15 +22,18 @@
 //! Beside it sits the top-k kernels' own oracle,
 //! [`full_scan_topk_dense`].
 
+use crate::column::sigmoid;
 use crate::db::{OpineDb, OpineError, QueryOutput, QueryRef, ReviewMeta};
 use crate::ingest::Pin;
 use crate::interpret::Interpretation;
 use crate::membership::{marker_features, scan_features};
 use crate::summary::{MarkerSummary, PhraseContribution};
 use crate::topk::rank_cmp;
+use opine_ir::{bm25_term_score, DocId};
 use opine_store::exec::{BoundLeaf, Scope, Subjective, SubjectiveScorer};
-use opine_store::{parse_select, FuzzyAlgebra, Residue, StoreError};
+use opine_store::{parse_select, FuzzyAlgebra, Residue, ReviewQualifier, StoreError};
 use std::borrow::{Borrow, Cow};
+use std::collections::BTreeSet;
 
 /// The top-k reference over dense columns (`columns[leaf][entity]`):
 /// score every entity through `residue` under `algebra`, sort by the
@@ -57,9 +61,9 @@ pub struct Reference<'a> {
     db: &'a OpineDb,
     /// Score from raw occurrences instead of marker summaries.
     scan: bool,
-    /// Bound for a `with reviews(…)` statement: the summaries of the
-    /// raw rescan under the statement's qualifier.
-    qualified: Option<Vec<Vec<MarkerSummary>>>,
+    /// Bound for a `with reviews(…)` statement: its qualifier and the
+    /// summaries of the raw rescan under it.
+    qualified: Option<(ReviewQualifier, Vec<Vec<MarkerSummary>>)>,
 }
 
 impl OpineDb {
@@ -178,10 +182,47 @@ impl<'a> Reference<'a> {
                     degrees.fold(0.0, |acc, d| algebra.or(acc, d))
                 }
             }
-            Interpretation::TextFallback => {
-                db.text_degree_terms(entity, &db.text_terms(predicate), pin)
+            Interpretation::TextFallback => self.text_degree(entity, predicate, pin),
+        }
+    }
+
+    /// The text fallback's degree, `sigmoid(BM25 − c)` of the
+    /// concatenation of the entity's reviews at `pin`, base and delta,
+    /// that the statement's qualifier accepts, each review's length and
+    /// term frequencies read on their own. Document frequency and mean
+    /// length count one document per entity over every review at the
+    /// pin, whatever the qualifier.
+    fn text_degree(&self, entity: usize, predicate: &str, pin: &Pin) -> f64 {
+        let (db, delta) = (self.db, &pin.delta);
+        let index = db.interpreter().review_index();
+        let qualifier = self.qualified.as_ref().map(|(q, _)| q);
+        let own = |m: &ReviewMeta| {
+            let count = db.reviewer_count_at(delta, m.reviewer_id);
+            m.entity_id == entity && qualifier.is_none_or(|q| q.accepts(m.year, count))
+        };
+        let lens = (0..)
+            .zip(&db.review_meta)
+            .map(|(r, m)| (*m, index.doc_len(DocId(r))));
+        let lens: Vec<(ReviewMeta, u32)> = lens.chain(delta.review_lengths()).collect();
+        let total_len = lens.iter().map(|&(_, len)| u64::from(len)).sum();
+        let doc_len = lens.iter().filter(|(m, _)| own(m)).map(|r| r.1).sum();
+        let mut score = 0.0;
+        for term in db.text_terms(predicate) {
+            opine_faults::checkpoint();
+            // Every review holding the term, with its frequency in it.
+            let base = index.term_postings(term).iter();
+            let base = base.map(|&(doc, tf)| (db.review_meta[doc.index()], tf));
+            let holding: Vec<(ReviewMeta, u32)> = base.chain(delta.reviews_holding(term)).collect();
+            let tf = holding.iter().filter(|(m, _)| own(m)).map(|r| r.1).sum();
+            let df = holding
+                .iter()
+                .map(|(m, _)| m.entity_id)
+                .collect::<BTreeSet<_>>();
+            if tf > 0 {
+                score += bm25_term_score(db.num_entities(), total_len, df.len(), tf, doc_len);
             }
         }
+        sigmoid(score - db.config.sigmoid_c)
     }
 
     /// Degree of `attribute .= phrase` for an entity.
@@ -216,7 +257,7 @@ impl<'a> Reference<'a> {
     /// statement, else the build-time summary merged with the pinned
     /// delta's.
     fn summary(&self, entity: usize, attribute: usize, pin: &Pin) -> Cow<'_, MarkerSummary> {
-        if let Some(set) = &self.qualified {
+        if let Some((_, set)) = &self.qualified {
             return Cow::Borrowed(&set[entity][attribute]);
         }
         let base = &self.db.summaries[entity][attribute];
@@ -235,7 +276,8 @@ impl<'a> Reference<'a> {
 impl SubjectiveScorer for Reference<'_> {
     /// Under a review qualifier the leaf reads the summaries of the raw
     /// rescan ([`OpineDb::summaries_with_review_filter`]), taken once
-    /// per bind. Raw occurrences carry no summaries to qualify, so
+    /// per bind, and the fallback the reviews it accepts. Raw
+    /// occurrences carry no summaries to qualify, so
     /// [`Self::scan`] declines a qualified leaf.
     fn bind<'s>(
         &'s self,
@@ -254,9 +296,12 @@ impl SubjectiveScorer for Reference<'_> {
             Some(q) => Some(Reference {
                 db,
                 scan: false,
-                qualified: Some(db.summaries_with_review_filter(|m| {
-                    q.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
-                })),
+                qualified: Some((
+                    q,
+                    db.summaries_with_review_filter(|m| {
+                        q.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
+                    }),
+                )),
             }),
         };
         Ok(BoundLeaf::by_key(move |key| {

@@ -3,8 +3,10 @@
 //! A predicate's degree column is filled by one loop over the frozen
 //! feature plane; the reference scores one entity through the unsplit
 //! feature functions; the repair path recomputes only the entities an
-//! `INSERT` or a merge touched. All three must agree to the last bit for every interpretation kind, with
-//! live delta cells in play, before and after a delta merge. Lives in
+//! `INSERT` touched, and a text fallback column, which inserted text
+//! moves at every entity, is rebuilt whole. All of them must agree to
+//! the last bit for every interpretation kind, with live delta cells in
+//! play, before and after a delta merge. Lives in
 //! its own test binary because it merges deltas (the lib's unit tests
 //! arm global merge failpoints).
 
@@ -120,19 +122,22 @@ fn probe(db: &OpineDb, predicate: &str) -> (Vec<u64>, (u64, u64, u64), Vec<Strin
     (column, counters, snapshot.notes)
 }
 
-/// With every predicate's column cached at an older epoch: the probe
-/// must take the repair path, and the repaired column, a cold rebuild
-/// and the reference's point path must all hold the same bits.
-fn assert_repair_cold_and_point_agree(db: &OpineDb, predicates: &[String], stage: &str) {
+/// With every predicate's column cached at an older epoch: each probe
+/// must add the `(cache_hits, cache_misses, cache_repairs)` of
+/// `paths`, and the column it returns, a cold rebuild and the
+/// reference's point path must all hold the same bits.
+fn assert_carried_cold_and_point_agree(
+    db: &OpineDb,
+    predicates: &[String],
+    paths: [(u64, u64, u64); 3],
+    stage: &str,
+) {
     let repaired: Vec<Vec<u64>> = predicates
         .iter()
-        .map(|predicate| {
-            let (column, (_, misses, repairs), _) = probe(db, predicate);
-            assert_eq!(
-                (repairs, misses),
-                (1, 0),
-                "{stage}: {predicate:?} must be repaired, not rebuilt"
-            );
+        .zip(paths)
+        .map(|(predicate, path)| {
+            let (column, counters, _) = probe(db, predicate);
+            assert_eq!(counters, path, "{stage}: {predicate:?}");
             column
         })
         .collect();
@@ -161,8 +166,8 @@ fn column_point_and_repaired_column_agree_bit_for_bit() {
         .collect();
 
     // Live delta cells on a spread of entities, phrased from the
-    // frozen opinion domains so insert-time extraction lands them
-    // in marker summaries (and, after the merge, in the text index).
+    // frozen opinion domains so insert-time extraction lands them in
+    // marker summaries, and their words in the text fallback's counts.
     for i in 0..24 {
         let entity = db.entity_key(i * 21).to_string();
         let phrase = &db.opinion_domain(i % 3).variations()[i % 5].phrase;
@@ -172,19 +177,28 @@ fn column_point_and_repaired_column_agree_bit_for_bit() {
         ))
         .unwrap();
     }
-    assert_repair_cold_and_point_agree(&db, &predicates, "live delta");
+    // The membership columns are repaired; the text fallback column,
+    // whose corpus statistics the inserted text moved, is rebuilt.
+    let (repaired, rebuilt) = ((0, 0, 1), (0, 1, 0));
+    assert_carried_cold_and_point_agree(
+        &db,
+        &predicates,
+        [repaired, repaired, rebuilt],
+        "live delta",
+    );
     let live = bits(&db.degree_column(&predicates[0]));
     assert_ne!(live, frozen[0], "the inserts must reach marker summaries");
-
-    // The merge freezes the delta text index and bumps the merged
-    // entities' versions: the cached columns are stale again.
-    db.merge_delta().unwrap();
-    assert_repair_cold_and_point_agree(&db, &predicates, "merged delta");
     assert_ne!(
         bits(&db.degree_column(&predicates[2])),
         frozen[2],
-        "the merge must reach the text fallback"
+        "the inserts must reach the text fallback"
     );
+
+    // The merge only seals the overlay: every cached column is carried
+    // over as it is.
+    db.merge_delta().unwrap();
+    let hit = (1, 0, 0);
+    assert_carried_cold_and_point_agree(&db, &predicates, [hit; 3], "merged delta");
 }
 
 /// The same spread of inserts for two engines: live cells, a merge, then
@@ -436,7 +450,7 @@ fn insert_into_term_cells(db: &OpineDb, terms: &[(usize, usize)]) {
 }
 
 /// Term columns cached before an INSERT are repaired, not rebuilt, for
-/// a paraphrase nobody has typed, before and after a merge; every
+/// a paraphrase nobody has typed, and carried over a merge; every
 /// column equals the reference and a fresh engine that cached nothing.
 #[test]
 fn a_new_paraphrase_folds_repaired_term_columns_across_ingest_and_merge() {
@@ -470,16 +484,15 @@ fn a_new_paraphrase_folds_repaired_term_columns_across_ingest_and_merge() {
     assert_eq!(hits + repairs, n, "live delta: every term found cached");
     check("live delta", &second, &column);
 
+    // The merge moves no degree: every term column is carried over as
+    // it is, and so is the predicate cached before the merge.
     warm.merge_delta().unwrap();
     fresh.merge_delta().unwrap();
-    let (column, (hits, misses, repairs), _) = probe(&warm, &third);
-    assert_eq!(misses, 1, "merged: only {third:?} itself misses");
-    assert!(repairs >= 1, "merged: the merge moved the merged entities");
-    assert_eq!(hits + repairs, n, "merged: every term found cached");
+    let (column, counts, _) = probe(&warm, &third);
+    assert_eq!(counts, (n, 1, 0), "merged: only {third:?} itself misses");
     check("merged", &third, &column);
-    // The predicate cached before the merge is repaired as a whole.
     let (column, counts, _) = probe(&warm, &second);
-    assert_eq!(counts, (0, 0, 1), "merged: {second:?} is repaired");
+    assert_eq!(counts, (1, 0, 0), "merged: {second:?} is carried over");
     check("merged", &second, &column);
 }
 

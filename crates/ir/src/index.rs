@@ -2,16 +2,15 @@
 //!
 //! Documents are added once (the build phase). Every score is a sum of
 //! `(term, doc)` contributions through one expression over a
-//! per-document length factor, built once after the last add. The
-//! multi-document scorers — [`InvertedIndex::bm25_dense`] and the top-k
-//! [`InvertedIndex::search_terms`] — share one accumulation loop that
-//! adds each query term's postings into a dense score array in
-//! query-term order, duplicates included; the top-k search then selects
-//! its k best by (score desc, doc asc). A document's sum is therefore
-//! the one the point [`InvertedIndex::bm25`] computes, and the oracle
-//! [`InvertedIndex::search_terms_exhaustive`], which scores every
-//! matching document that way and fully sorts, returns **bit-identical**
-//! hits — same documents, same `f64` score bits, same tie order.
+//! per-document length factor, built once after the last add. The top-k
+//! [`InvertedIndex::search_terms`] adds each query term's postings into
+//! a dense score array in query-term order, duplicates included, then
+//! selects its k best by (score desc, doc asc). A document's sum is
+//! therefore the one the point [`InvertedIndex::bm25`] computes, and the
+//! oracle [`InvertedIndex::search_terms_exhaustive`], which scores every
+//! matching document that way and fully sorts, returns
+//! **bit-identical** hits — same documents, same `f64` score bits, same
+//! tie order.
 
 use opine_text::{tokenize, Vocab, WordId};
 use std::cmp::Ordering;
@@ -120,50 +119,6 @@ impl InvertedIndex {
         doc
     }
 
-    /// The index of this index's documents concatenated by group:
-    /// document `d` belongs to group `group_of[d]`, and group `g`
-    /// becomes document `g` of the result, `num_groups` of them, empty
-    /// groups included. A group's term frequencies and length are
-    /// integer sums over its documents, so the result equals, posting
-    /// for posting, an index of each group's documents joined by
-    /// spaces, in any order, and scores bit-identically to it.
-    ///
-    /// Any map works. Each posting list is mapped to groups, stably
-    /// sorted by group (linear when the map is monotone, as when the
-    /// documents arrive group by group) and merged.
-    pub fn grouped(&self, group_of: &[usize], num_groups: usize) -> Self {
-        assert_eq!(group_of.len(), self.num_docs(), "one group per document");
-        let mut doc_lengths = vec![0u32; num_groups];
-        for (&group, &len) in group_of.iter().zip(&self.doc_lengths) {
-            doc_lengths[group] += len;
-        }
-        let mut postings = HashMap::with_capacity(self.postings.len());
-        // lint:allow(checkpoint_coverage, reason = "construction path; no request deadline is armed during build")
-        for (&term, list) in &self.postings {
-            let mut merged: Vec<(DocId, u32)> = list
-                .iter()
-                .map(|&(doc, tf)| (DocId(group_of[doc.index()] as u32), tf))
-                .collect();
-            merged.sort_by_key(|&(group, _)| group);
-            merged.dedup_by(|next, kept| {
-                let same = next.0 == kept.0;
-                if same {
-                    kept.1 += next.1;
-                }
-                same
-            });
-            merged.shrink_to_fit();
-            postings.insert(term, merged);
-        }
-        Self {
-            postings,
-            total_length: self.total_length,
-            doc_lengths,
-            len_factors: OnceLock::new(),
-            wand_queries: AtomicU64::new(0),
-        }
-    }
-
     /// Number of indexed documents.
     pub fn num_docs(&self) -> usize {
         self.doc_lengths.len()
@@ -177,6 +132,11 @@ impl InvertedIndex {
     /// Length (token count) of `doc`.
     pub fn doc_len(&self, doc: DocId) -> u32 {
         self.doc_lengths[doc.index()]
+    }
+
+    /// Tokens over all documents.
+    pub fn total_len(&self) -> u64 {
+        self.total_length
     }
 
     /// Top-k searches answered since construction.
@@ -214,19 +174,6 @@ impl InvertedIndex {
         };
         let idf = self.idf(postings.len());
         score_one(idf, postings[i].1, self.len_factors()[doc.index()])
-    }
-
-    /// BM25 scores of **every** document for `query_terms`, in one
-    /// term-at-a-time pass over the posting lists — `O(total postings)`
-    /// instead of a per-document per-term lookup, and bit-identical to
-    /// calling [`Self::bm25`] on each document. This is the batch entry
-    /// the text-fallback degree column rides.
-    pub fn bm25_dense(&self, query_terms: &[WordId]) -> Vec<f64> {
-        let mut scores = vec![0.0f64; self.num_docs()];
-        for &term in query_terms {
-            self.add_term(term, &mut scores, |_| {});
-        }
-        scores
     }
 
     /// Top-`k` documents by BM25 for a free-text query.
@@ -278,13 +225,25 @@ impl InvertedIndex {
         let span = opine_trace::span("wand_retrieval");
         let mut scores = vec![0.0f64; self.num_docs()];
         let mut touched: Vec<DocId> = Vec::new();
-        let mut postings = 0;
+        let mut scored = 0;
+        let factors = self.len_factors();
         for &term in terms {
             // Armed only under fault injection.
             opine_faults::fire_panic("mid_wand");
-            postings += self.add_term(term, &mut scores, |doc| touched.push(doc));
+            let postings = self.term_postings(term);
+            let idf = self.idf(postings.len());
+            scored += postings.len();
+            for &(doc, tf) in postings {
+                opine_faults::checkpoint();
+                let score = &mut scores[doc.index()];
+                // A contribution is > 0, so 0.0 means untouched.
+                if *score == 0.0 {
+                    touched.push(doc);
+                }
+                *score += score_one(idf, tf, factors[doc.index()]);
+            }
         }
-        span.count("postings", postings as u64);
+        span.count("postings", scored as u64);
         let mut hits: Vec<SearchHit> = touched
             .into_iter()
             .map(|doc| SearchHit {
@@ -298,25 +257,6 @@ impl InvertedIndex {
         }
         hits.sort_unstable_by(hit_order);
         hits
-    }
-
-    /// The one accumulation loop: adds `term`'s contribution to every
-    /// document containing it into `scores`, reporting each document it
-    /// scores for the first time to `touched` (a contribution is > 0, so
-    /// a score of 0.0 means untouched). Returns the postings scored.
-    fn add_term(&self, term: WordId, scores: &mut [f64], mut touched: impl FnMut(DocId)) -> usize {
-        let postings = self.term_postings(term);
-        let idf = self.idf(postings.len());
-        let factors = self.len_factors();
-        for &(doc, tf) in postings {
-            opine_faults::checkpoint();
-            let score = &mut scores[doc.index()];
-            if *score == 0.0 {
-                touched(doc);
-            }
-            *score += score_one(idf, tf, factors[doc.index()]);
-        }
-        postings.len()
     }
 
     /// The per-document length factors, built on first use.
@@ -359,8 +299,9 @@ fn idf(num_docs: usize, df: usize) -> f64 {
 /// statistics: `num_docs` documents of `total_length` tokens, `df` of
 /// them containing the term, this one `tf` times in `doc_len` tokens.
 /// The expression [`InvertedIndex::bm25`] evaluates per term, for
-/// callers that keep those statistics outside an index (the engine's
-/// delta text) and must score bit-identically to one.
+/// callers that derive those statistics outside an index (the engine
+/// sums review postings per entity) and must score bit-identically to
+/// one.
 pub fn bm25_term_score(
     num_docs: usize,
     total_length: u64,

@@ -12,7 +12,7 @@
 //!   its neighbour and under `with reviews(year >= 2012)`, plus two
 //!   concept texts the interpreter sends to co-occurrence (the review
 //!   index and its sentiments) and one partly out-of-vocabulary text it
-//!   sends to the entity-index text fallback;
+//!   sends to the text fallback;
 //! - the interpretation each of those statements reports.
 //!
 //! Every construction step is deterministic, so any change to the build

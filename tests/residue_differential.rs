@@ -11,9 +11,12 @@
 //! reviewer-count bound, both, or the trivial `with reviews()`). Each
 //! statement runs through the engine and through the reference under
 //! both algebras: cold, warm, after an INSERT batch that touches some
-//! candidates and takes one reviewer across a `reviewer_min_count`
-//! bound through the delta alone, and after a merge. Rows and score
-//! bits must be equal every time.
+//! candidates, gives the text-fallback predicate's words to some of them
+//! and takes one reviewer across a `reviewer_min_count` bound through
+//! the delta alone, after a merge, and after a second INSERT batch with
+//! the fallback's words in reviews of years either side of the
+//! qualifiers' bounds, met by warm columns. Rows and score bits must be
+//! equal every time.
 
 use opinedb::core::trace::{with_trace, TraceContext};
 use opinedb::core::OpineError;
@@ -57,19 +60,20 @@ fn corpus() -> Corpus {
     )
 }
 
-fn db() -> OpineDb {
-    build(
-        &corpus(),
-        &BuildConfig {
-            w2v: Word2VecConfig {
-                dim: 24,
-                epochs: 2,
-                ..Default::default()
-            },
-            membership_tuples: 400,
+fn config() -> BuildConfig {
+    BuildConfig {
+        w2v: Word2VecConfig {
+            dim: 24,
+            epochs: 2,
             ..Default::default()
         },
-    )
+        membership_tuples: 400,
+        ..Default::default()
+    }
+}
+
+fn db() -> OpineDb {
+    build(&corpus(), &config())
 }
 
 /// The leaves trees draw from: four bank predicates the interpreter
@@ -258,6 +262,14 @@ fn statements(db: &OpineDb) -> (Vec<String>, Coverage) {
     (statements, coverage)
 }
 
+/// The text of the generated trees' fallback leaf.
+fn fallback_leaf(db: &OpineDb) -> String {
+    match &leaves(db, 0.0)[4] {
+        Expr::Subjective(text) => text.clone(),
+        other => panic!("leaf 4 is the fallback predicate, got {other}"),
+    }
+}
+
 /// The reference's answer: its rows with their score bits.
 fn reference(db: &OpineDb, sql: &str, algebra: FuzzyAlgebra) -> Vec<(Vec<Value>, u64)> {
     let select = parse_select(sql).expect("generated SQL parses");
@@ -365,17 +377,52 @@ fn generated_residues_equal_the_reference_in_every_cache_state() {
     let mut notes = check(&db, "cold", true, &statements, &before);
     notes.extend(check(&db, "warm", false, &statements, &before));
 
+    // The fallback predicate's words: no build-time review holds them,
+    // so before any insert every entity scores `sigmoid(0 − c)`.
+    let fallback = fallback_leaf(&db);
+    let floor = 1.0 / (1.0 + config().sigmoid_c.exp());
+    let fallback_scores = |qualifier: &str| -> Vec<u64> {
+        let sql = format!("select * from hotels h where \"{fallback}\"{qualifier}");
+        db.query(&sql)
+            .expect("engine answers")
+            .result
+            .rows
+            .into_iter()
+            .map(|(_, score)| score.to_bits())
+            .collect()
+    };
+    assert!(
+        fallback_scores("").iter().all(|&s| s == floor.to_bits()),
+        "fixture: a build-time review holds a word of {fallback:?}"
+    );
+
     // Reviews for every 13th entity, phrased from the frozen opinion
-    // domains so they reach marker summaries: the warm columns are
-    // repaired, keeping their orders.
+    // domains so they reach marker summaries, every other one with the
+    // fallback predicate's words: the warm membership columns are
+    // repaired, keeping their orders, and the warm fallback column is
+    // rebuilt.
     for i in 0..12 {
         let entity = db.entity_key(i * 13).to_string();
         let phrase = &db.opinion_domain(i % 3).variations()[i % 4].phrase;
+        let text = match i % 2 {
+            0 => format!("so {phrase} and {fallback}"),
+            _ => format!("so {phrase}"),
+        };
         db.insert_sql(&format!(
-            "INSERT INTO reviews (entity, text, year) VALUES ('{entity}', 'so {phrase}', 2021)"
+            "INSERT INTO reviews (entity, text, year) VALUES ('{entity}', '{text}', 2021)"
         ))
         .unwrap();
     }
+    // The fallback's words now count, at the inserts' epoch, but only
+    // in reviews of 2021: a qualifier that rejects those finds them in
+    // no review it accepts.
+    assert!(fallback_scores("").iter().any(|&s| s != floor.to_bits()));
+    assert!(
+        fallback_scores(" with reviews(year <= 2013)")
+            .iter()
+            .all(|&s| s == floor.to_bits()),
+        "a qualifier that rejects every review holding {fallback:?} must score sigmoid(-c)"
+    );
     // One more review, elsewhere, takes a reviewer across the
     // `reviewer_min_count` bound: the reviews they wrote before now
     // count in an entity no insert touched.
@@ -399,6 +446,42 @@ fn generated_residues_equal_the_reference_in_every_cache_state() {
     db.merge_delta().unwrap();
     let merged = references(&db, &statements);
     notes.extend(check(&db, "after the merge", false, &statements, &merged));
+
+    // A second round over the warm caches: the fallback's words in
+    // reviews of 2010 and of 2021, by a prolific reviewer and by new
+    // ones, on entities the first round did and did not touch — every
+    // qualifier of the pool sees the fallback's text move.
+    let prolific = corpus
+        .reviews
+        .iter()
+        .map(|r| r.reviewer_id)
+        .find(|&id| db.reviewer_review_count(id) >= CROSSING)
+        .expect("a reviewer past the bound");
+    for i in 0..8 {
+        let entity = db.entity_key(i * 13 + 5 * (i % 2)).to_string();
+        let year = [2010, 2021][i % 2];
+        let reviewer = match i % 4 {
+            0 => format!(", {prolific}"),
+            _ => String::new(),
+        };
+        let columns = match reviewer.is_empty() {
+            true => "entity, text, year",
+            false => "entity, text, year, reviewer_id",
+        };
+        db.insert_sql(&format!(
+            "INSERT INTO reviews ({columns}) VALUES ('{entity}', '{fallback} {fallback}', {year}{reviewer})"
+        ))
+        .unwrap();
+    }
+    let second = references(&db, &statements);
+    assert_ne!(second, merged, "the second round must move some answer");
+    notes.extend(check(
+        &db,
+        "after a second round",
+        false,
+        &statements,
+        &second,
+    ));
 
     // The kernel ran every way it can, under both algebras, and the row
     // loop took the statements it must.
