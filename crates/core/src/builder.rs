@@ -2,12 +2,13 @@
 //!
 //! From a raw review corpus this builds everything [`crate::OpineDb`]
 //! needs: the word2vec model over the unlabeled text, per-attribute
-//! linguistic domains, auto-discovered markers, per-entity marker
-//! summaries and the phrase occurrences behind them, the three-stage
-//! interpreter's indexes, the trained membership functions, and the
-//! relational catalog.
+//! linguistic domains, auto-discovered markers, the phrase occurrences
+//! behind every marker summary and the feature plane over them, the
+//! three-stage interpreter's indexes, the trained membership functions,
+//! and the relational catalog.
 
-use crate::db::{OpineDb, PhraseOcc, ReviewMeta};
+use crate::column::FeaturePlane;
+use crate::db::{Csr, OpineDb, PhraseOcc, ReviewMeta};
 use crate::domain::LinguisticDomain;
 use crate::interpret::{Interpreter, InterpreterConfig, ReviewDigest};
 use crate::membership::{marker_features, scan_features, MembershipModel};
@@ -201,35 +202,21 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         })
         .collect();
 
-    // ---- 5. Summaries + raw digests + review digests ----
-    // Every occurrence adds its variation's tabulated contribution, the
-    // table the engine grows delta cells and qualified folds through,
-    // and gives its review's digest its variation's tabulated nearest
-    // marker.
+    // ---- 5. Raw digests + review digests ----
+    // Every occurrence is stored once, grouped by `(entity, attribute)`
+    // cell, and gives its review's digest its variation's tabulated
+    // nearest marker. A cell's summary is the fold of its occurrences'
+    // tabulated contributions, the table the engine also grows delta
+    // cells and qualified folds through.
     let contributions = PhraseContribution::tabulate(
         &opinion_domains,
         &marker_sets,
         config.assign,
         config.unmatched_threshold,
     );
-    let mut summaries: Vec<Vec<MarkerSummary>> = corpus
-        .entities
-        .iter()
-        .map(|_| {
-            marker_sets
-                .iter()
-                .map(|s| MarkerSummary::empty(s.markers.len()))
-                .collect()
-        })
-        .collect();
-    let mut raw: Vec<Vec<Vec<PhraseOcc>>> = corpus
-        .entities
-        .iter()
-        .map(|_| (0..num_attrs).map(|_| Vec::new()).collect())
-        .collect();
     let nearest = nearest_markers(&opinion_domains, &marker_sets);
     let mut review_digest: ReviewDigest = Vec::with_capacity(corpus.reviews.len());
-
+    let mut tagged = Vec::new();
     for (review, extractions) in corpus.reviews.iter().zip(&review_extractions) {
         let mut digest = Vec::with_capacity(extractions.len());
         let review_id = u32::try_from(review.id).expect("review ids fit 32 bits");
@@ -237,15 +224,17 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
             let variation = opinion_domains[*attr]
                 .index_of(opinion)
                 .expect("observed variation");
-            summaries[review.entity_id][*attr].add(&contributions[*attr][variation]);
-            raw[review.entity_id][*attr].push(PhraseOcc {
+            let occ = PhraseOcc {
                 variation: u32::try_from(variation).expect("variation indices fit 32 bits"),
                 review_id,
-            });
+            };
+            tagged.push((review.entity_id * num_attrs + attr, occ));
             digest.push((*attr, nearest[*attr][variation]));
         }
         review_digest.push(digest);
     }
+    let raw = Csr::group(corpus.entities.len() * num_attrs, tagged.iter().copied());
+    drop(tagged);
 
     // ---- 6. IR index ----
     // The review index was filled by the text pass. It is the one
@@ -260,9 +249,19 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         review_digest,
     );
 
-    // ---- 7. Membership functions (Sec. 3.3) ----
+    // ---- 7. Membership functions (Sec. 3.3) and the feature plane ----
     // Labelled (summary, phrase, y) tuples; labels come from the latent
-    // ground truth of the simulator (the paper used human labels).
+    // ground truth of the simulator (the paper used human labels). Each
+    // summary is folded where it is read and dropped after: the plane
+    // keeps the entity half of every build-time cell's features, and no
+    // summary stays resident.
+    let cell_summary = |entity: usize, attr: usize| {
+        let mut summary = MarkerSummary::empty(interpreter.marker_sets()[attr].markers.len());
+        for occ in raw.row(entity * num_attrs + attr) {
+            summary.add(&contributions[attr][occ.variation as usize]);
+        }
+        summary
+    };
     let workload = build_workload(
         &corpus.spec,
         if corpus.spec.name == "hotel" {
@@ -284,7 +283,7 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         let attr = p.gold_aspect;
         marker_tuples.push((
             marker_features(
-                &summaries[e][attr],
+                &cell_summary(e, attr),
                 &interpreter.marker_sets()[attr],
                 &q_rep,
                 q_sent,
@@ -292,7 +291,8 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
             label,
         ));
         let variations = opinion_domains[attr].variations();
-        let phrase_refs: Vec<(&[f32], f64)> = raw[e][attr]
+        let phrase_refs: Vec<(&[f32], f64)> = raw
+            .row(e * num_attrs + attr)
             .iter()
             .map(|occ| {
                 let variation = &variations[occ.variation as usize];
@@ -307,6 +307,11 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
     };
     let membership_markers = MembershipModel::train(&marker_tuples, &lr_cfg);
     let membership_scan = MembershipModel::train(&scan_tuples, &lr_cfg);
+    let plane = FeaturePlane::build(
+        corpus.entities.len(),
+        interpreter.marker_sets(),
+        cell_summary,
+    );
 
     // ---- 8. Relational catalog ----
     let is_hotel = corpus.spec.name == "hotel";
@@ -406,7 +411,7 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         sentiment,
         opinion_domains,
         interpreter,
-        summaries,
+        plane,
         raw,
         contributions,
         membership_markers,
@@ -526,7 +531,7 @@ mod tests {
         for e in 0..db.num_entities() {
             for a in 0..db.attributes.len() {
                 let s = db.summary(e, a);
-                assert_eq!(s.num_markers(), db.marker_set(a).markers.len());
+                assert_eq!(s.counts().len(), db.marker_set(a).markers.len());
             }
         }
     }

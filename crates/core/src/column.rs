@@ -10,13 +10,14 @@
 //!   [`PreparedInterpretation`];
 //! * the **entity half** — per-marker fractions, sentiment means and
 //!   totals of each `(entity, attribute)` summary — depends on the data
-//!   only, so `OpineDb::assemble` freezes it into a [`FeaturePlane`].
+//!   only, so the builder freezes it into a [`FeaturePlane`], folding
+//!   each cell's build-time occurrences once and keeping no summary.
 //!
 //! Scoring an entity is then one sequential row read, a k-term dot
-//! product, and the logistic. Cells with a pinned delta summary (live
-//! ingest) and externally supplied summaries (review-qualified
-//! statements) run the same feature function over a row written on the
-//! spot from the merged [`MarkerSummary`]. Every degree is bit-identical
+//! product, and the logistic. A cell live ingest touched carries its
+//! whole summary in the pinned delta, and review-qualified statements
+//! supply theirs; both run the same feature function over a row written
+//! on the spot from that [`MarkerSummary`]. Every degree is bit-identical
 //! to [`crate::membership::marker_features`] followed by
 //! [`crate::MembershipModel::degree`]: that reference is the same two
 //! halves composed per call.
@@ -182,8 +183,8 @@ impl DegreeColumn {
 /// The frozen entity half of the membership features: per attribute one
 /// contiguous `entities × feature_row_len(k)` array of
 /// [`write_feature_row`] rows over the build-time summaries. Immutable
-/// after `OpineDb::assemble`; cells touched by live ingest are scored
-/// from their merged summary instead.
+/// once built; cells touched by live ingest are scored from their delta
+/// cell's summary instead.
 #[derive(Debug)]
 pub(crate) struct FeaturePlane {
     /// Per attribute: the row stride and the rows, entity-major.
@@ -191,17 +192,22 @@ pub(crate) struct FeaturePlane {
 }
 
 impl FeaturePlane {
-    /// Freezes `summaries[entity][attribute]` into rows.
-    pub(crate) fn build(summaries: &[Vec<MarkerSummary>], marker_sets: &[MarkerSet]) -> Self {
+    /// Freezes `summary(entity, attribute)` of `entities` entities into
+    /// rows, each summary dropped once its row is written.
+    pub(crate) fn build(
+        entities: usize,
+        marker_sets: &[MarkerSet],
+        summary: impl Fn(usize, usize) -> MarkerSummary,
+    ) -> Self {
         let attributes = marker_sets
             .iter()
             .enumerate()
             .map(|(attribute, set)| {
                 let k = set.markers.len();
                 let stride = feature_row_len(k);
-                let mut rows = vec![0.0; summaries.len() * stride];
-                for (row, per_attribute) in rows.chunks_exact_mut(stride).zip(summaries) {
-                    write_feature_row(&per_attribute[attribute], k, row);
+                let mut rows = vec![0.0; entities * stride];
+                for (entity, row) in rows.chunks_exact_mut(stride).enumerate() {
+                    write_feature_row(&summary(entity, attribute), k, row);
                 }
                 (stride, rows)
             })
@@ -564,7 +570,9 @@ impl OpineDb {
             .collect()
     }
 
-    /// Degree of one membership term for an entity.
+    /// Degree of one membership term for an entity: its plane row, or,
+    /// when delta reviews mentioned the cell, the pinned delta cell's
+    /// summary of the whole cell (no merge, no allocation).
     pub(crate) fn term_degree(&self, entity: usize, term: &PreparedTerm, pin: &Pin) -> f64 {
         let attribute = term.attribute;
         match pin.delta.summary(entity, attribute) {
@@ -573,23 +581,13 @@ impl OpineDb {
                 &term.sims,
                 term.phrase.sentiment,
             )),
-            // Delta reviews mentioned this cell: score over the frozen
-            // summary merged with the pinned delta summary (fixed-point
-            // merge — identical to rebuilding from base + delta
-            // occurrences).
-            Some(delta_summary) => {
-                let base = &self.summaries[entity][attribute];
-                let mut merged = MarkerSummary::empty(base.num_markers());
-                merged.merge(base);
-                merged.merge(delta_summary);
-                self.summary_term_degree(&merged, term)
-            }
+            Some(summary) => self.summary_term_degree(summary, term),
         }
     }
 
     /// Degree of one membership term over an explicit summary: the
-    /// kernel's generic arm (delta-merged cells, review-qualified
-    /// summaries), which writes the entity-half row on the spot.
+    /// kernel's generic arm (delta cells, review-qualified summaries),
+    /// which writes the entity-half row on the spot.
     pub(crate) fn summary_term_degree(&self, summary: &MarkerSummary, term: &PreparedTerm) -> f64 {
         self.membership_markers.degree(&summary_features(
             summary,
@@ -818,12 +816,10 @@ mod tests {
                     -0.3,
                 ));
             }
-            let summaries: Vec<Vec<MarkerSummary>> = cells.into_iter().map(|c| vec![c]).collect();
-            let plane = FeaturePlane::build(&summaries, std::slice::from_ref(&set));
-            assert_eq!(
-                plane.memory_bytes(),
-                summaries.len() * feature_row_len(k) * 8
-            );
+            let plane = FeaturePlane::build(cells.len(), std::slice::from_ref(&set), |e, _| {
+                cells[e].clone()
+            });
+            assert_eq!(plane.memory_bytes(), cells.len() * feature_row_len(k) * 8);
 
             for _ in 0..8 {
                 // Includes the zero vector: cosine 0 against everything.
@@ -834,14 +830,13 @@ mod tests {
                 };
                 let sentiment = rng.gen::<f64>() * 2.0 - 1.0;
                 let sims = marker_sims(&set, &query);
-                for (entity, cell) in summaries.iter().enumerate() {
+                for (entity, cell) in cells.iter().enumerate() {
                     let over_plane =
                         model.degree(&features_from_row(plane.row(0, entity), &sims, sentiment));
-                    let over_summary = model.degree(&summary_features(&cell[0], &sims, sentiment));
-                    let reference =
-                        model.degree(&marker_features(&cell[0], &set, &query, sentiment));
+                    let over_summary = model.degree(&summary_features(cell, &sims, sentiment));
+                    let reference = model.degree(&marker_features(cell, &set, &query, sentiment));
                     let legacy =
-                        model.degree(&legacy_marker_features(&cell[0], &set, &query, sentiment));
+                        model.degree(&legacy_marker_features(cell, &set, &query, sentiment));
                     assert_eq!(
                         over_plane.to_bits(),
                         legacy.to_bits(),

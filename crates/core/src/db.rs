@@ -33,12 +33,54 @@ use std::sync::Arc;
 /// One extracted phrase occurrence in an entity's raw digest — the one
 /// copy of it the engine keeps. Its phrase, embedding and sentiment are
 /// its variation's, read from the attribute's opinion domain.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PhraseOcc {
     /// Index into the attribute's opinion domain.
     pub variation: u32,
     /// Source review id.
     pub review_id: u32,
+}
+
+/// Items grouped by row in compressed-sparse-row form: row `r` owns
+/// `items[offsets[r]..offsets[r + 1]]`, in the order they were given —
+/// two allocations of their final size, whatever the row count.
+#[derive(Debug)]
+pub(crate) struct Csr<T> {
+    offsets: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default> Csr<T> {
+    /// Groups `(row, item)` pairs by row, a counting sort: `tagged` is
+    /// walked to size the items, to count each row's and to place them.
+    pub(crate) fn group(rows: usize, tagged: impl Iterator<Item = (usize, T)> + Clone) -> Self {
+        u32::try_from(tagged.clone().count()).expect("u32 offsets hold < 2^32 items");
+        let mut offsets = vec![0u32; rows + 1];
+        for (row, _) in tagged.clone() {
+            offsets[row + 1] += 1;
+        }
+        for row in 0..rows {
+            offsets[row + 1] += offsets[row];
+        }
+        let mut items = vec![T::default(); offsets[rows] as usize];
+        let mut next = offsets.clone();
+        for (row, item) in tagged {
+            items[next[row] as usize] = item;
+            next[row] += 1;
+        }
+        Csr { offsets, items }
+    }
+
+    /// The items of row `r`.
+    #[inline]
+    pub(crate) fn row(&self, r: usize) -> &[T] {
+        &self.items[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    }
+
+    /// Heap bytes of the offsets and the items (both exactly sized).
+    pub(crate) fn memory_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.offsets[..]) + std::mem::size_of_val(&self.items[..])
+    }
 }
 
 /// Review metadata kept for review-qualifying filters.
@@ -143,8 +185,9 @@ pub struct CacheReport {
     /// Heap bytes of the frozen feature plane (the entity half of the
     /// membership features; fixed at build time).
     pub feature_plane_bytes: usize,
-    /// Heap bytes of the build-time phrase occurrences (`raw`: every
-    /// cell's list header and occurrences; fixed at build time).
+    /// Heap bytes of the build-time phrase occurrences (`raw`: 8 per
+    /// occurrence plus 4 per cell offset, one flat array each; fixed at
+    /// build time).
     pub raw_bytes: usize,
     /// Queries answered by the threshold-algorithm fast path (pure
     /// subjective conjunctions and pushdown queries combined).
@@ -285,11 +328,12 @@ pub struct OpineDb {
     sentiment: SentimentAnalyzer,
     pub(crate) opinion_domains: Vec<LinguisticDomain>,
     interpreter: Interpreter,
-    pub(crate) summaries: Vec<Vec<MarkerSummary>>,
     /// The entity half of the membership features of every build-time
     /// summary, frozen into contiguous rows (see [`crate::column`]).
     pub(crate) plane: FeaturePlane,
-    pub(crate) raw: Vec<Vec<Vec<PhraseOcc>>>,
+    /// Every build-time occurrence, row `entity · attributes +
+    /// attribute` per cell ([`Self::occurrences_at`] reads it).
+    pub(crate) raw: Csr<PhraseOcc>,
     pub(crate) membership_markers: MembershipModel,
     pub(crate) membership_scan: MembershipModel,
     catalog: Catalog,
@@ -363,8 +407,8 @@ impl OpineDb {
         sentiment: SentimentAnalyzer,
         opinion_domains: Vec<LinguisticDomain>,
         interpreter: Interpreter,
-        summaries: Vec<Vec<MarkerSummary>>,
-        raw: Vec<Vec<Vec<PhraseOcc>>>,
+        plane: FeaturePlane,
+        raw: Csr<PhraseOcc>,
         contributions: Vec<Vec<PhraseContribution>>,
         membership_markers: MembershipModel,
         membership_scan: MembershipModel,
@@ -410,8 +454,6 @@ impl OpineDb {
             reviewer_counts[meta.reviewer_id] += 1;
         }
 
-        let plane = FeaturePlane::build(&summaries, interpreter.marker_sets());
-
         Self {
             attributes,
             vocab,
@@ -419,7 +461,6 @@ impl OpineDb {
             sentiment,
             opinion_domains,
             interpreter,
-            summaries,
             plane,
             raw,
             membership_markers,
@@ -478,9 +519,10 @@ impl OpineDb {
         &self.interpreter.marker_sets()[attribute]
     }
 
-    /// The marker summary of an entity/attribute.
-    pub fn summary(&self, entity: usize, attribute: usize) -> &MarkerSummary {
-        &self.summaries[entity][attribute]
+    /// The marker summary of an entity/attribute at the current pin:
+    /// the fold of every occurrence of the cell, build-time and delta.
+    pub fn summary(&self, entity: usize, attribute: usize) -> MarkerSummary {
+        self.ensure_pinned(|pin| self.fold_cell(entity, attribute, pin, |_| true))
     }
 
     /// The vocabulary built over the corpus.
@@ -564,14 +606,7 @@ impl OpineDb {
             cached_columns: self.column_cache.len(),
             column_bytes,
             feature_plane_bytes: self.plane.memory_bytes(),
-            raw_bytes: self
-                .raw
-                .iter()
-                .flatten()
-                .map(|cell| {
-                    std::mem::size_of_val(cell) + cell.capacity() * std::mem::size_of::<PhraseOcc>()
-                })
-                .sum(),
+            raw_bytes: self.raw.memory_bytes(),
             ta_queries: self.ta_queries.load(std::sync::atomic::Ordering::Relaxed),
             pushdown_queries: self.pushdown_queries(),
             filtered_summaries: self.filtered_cache.stats(),
@@ -610,17 +645,19 @@ impl OpineDb {
         &self.opinion_domains[attribute]
     }
 
-    /// `(rep, sentiment)` views of every raw extracted phrase of an
-    /// entity/attribute (the scan path's input).
+    /// `(rep, sentiment)` views of every extracted phrase of an
+    /// entity/attribute at the current pin, build-time then delta (the
+    /// scan path's input).
     pub fn raw_phrases(&self, entity: usize, attribute: usize) -> Vec<(&[f32], f64)> {
         let variations = self.opinion_domains[attribute].variations();
-        self.raw[entity][attribute]
-            .iter()
-            .map(|occ| {
-                let variation = &variations[occ.variation as usize];
-                (variation.rep.as_slice(), variation.sentiment)
-            })
-            .collect()
+        self.ensure_pinned(|pin| {
+            self.occurrences_at(entity, attribute, pin)
+                .map(|occ| {
+                    let variation = &variations[occ.variation as usize];
+                    (variation.rep.as_slice(), variation.sentiment)
+                })
+                .collect()
+        })
     }
 
     /// The provenance of an entity/attribute's summary at the current
@@ -838,11 +875,14 @@ impl OpineDb {
             .map(|leaf| match (qualifier, leaf) {
                 (Some(qualifier), Leaf::Subjective(leaf)) => {
                     let degree = self.qualified_degree(*leaf, qualifier)?;
-                    let rows = candidates.cloned().unwrap_or_else(|| Bitmap::all_set(n));
                     let mut degrees = vec![0.0; n];
-                    for entity in rows.iter_ones() {
+                    let mut fill = |entity: usize| {
                         opine_faults::checkpoint();
                         degrees[entity] = degree(entity);
+                    };
+                    match candidates {
+                        Some(bitmap) => bitmap.iter_ones().for_each(&mut fill),
+                        None => (0..n).for_each(&mut fill),
                     }
                     Ok(Arc::new(DegreeColumn::new(degrees)))
                 }
@@ -1251,14 +1291,18 @@ mod tests {
         }
     }
 
+    /// The trivial qualifier's fold equals the build-time summaries as
+    /// the reference rescans them (`summary(e, a)` is the same fold, so
+    /// it is no independent witness).
     #[test]
     fn trivial_qualifier_merge_equals_build_time_summaries() {
         let (_, db) = db();
         let merged = db.summaries_qualified(&ReviewQualifier::default());
+        let rescan = db.summaries_with_review_filter(|_| true);
         for e in 0..db.num_entities() {
             for a in 0..db.attributes.len() {
                 assert!(
-                    merged[e][a].same_aggregates(db.summary(e, a)),
+                    merged[e][a].same_aggregates(&rescan[e][a]),
                     "entity {e} attr {a}"
                 );
             }
@@ -1831,10 +1875,13 @@ mod tests {
             }
         }
 
-        // Every occurrence is stored once, in 8 bytes.
+        // Every occurrence is stored once, in 8 bytes, beside one 4-byte
+        // offset per cell and one past the last.
         let cells = db.num_entities() * db.attributes.len();
-        let raw_bytes = db.cache_report().raw_bytes;
-        assert!(raw_bytes >= occurrences * 8 + cells * 24, "{raw_bytes}");
+        assert_eq!(
+            db.cache_report().raw_bytes,
+            occurrences * 8 + (cells + 1) * 4
+        );
 
         // An INSERT batch appends its occurrences under the
         // engine-assigned ids; the build-time pairs keep their order.
@@ -1858,6 +1905,8 @@ mod tests {
         assert!(new.windows(2).all(|w| w[0].0 <= w[1].0), "insert order");
         assert!(new.iter().all(|&(id, _)| id == base || id == base + 1));
         assert_eq!(db.provenance(entity + 1, 0), untouched);
+        // The scan path's phrases are the cell's at the pin too.
+        assert_eq!(db.raw_phrases(entity, 0).len(), after.len());
     }
 
     #[test]
@@ -1868,13 +1917,34 @@ mod tests {
         let phrase1 = db.opinion_domain(1).variations()[0].phrase.clone();
         let e2 = db.entity_key(2).to_string();
         let e5 = db.entity_key(5).to_string();
+        // A cell with no build-time occurrence, and a phrase the insert
+        // path files under its attribute alone.
+        let matcher = crate::ingest::PhraseMatcher::build(&db.opinion_domains);
+        let (empty_entity, empty_attr, empty_phrase) = (0..db.num_entities())
+            .flat_map(|e| (0..db.attributes.len()).map(move |a| (e, a)))
+            .filter(|&(e, a)| db.provenance(e, a).is_empty())
+            .find_map(|(e, a)| {
+                let phrases = db.opinion_domain(a).variations().iter();
+                let own = phrases.map(|v| &v.phrase).find(|p| {
+                    matches!(matcher.extract(&opine_text::tokenize(p)).as_slice(), [(x, _)] if *x == a)
+                })?;
+                Some((e, a, own.clone()))
+            })
+            .expect("fixture: an empty cell with a phrase of its own");
+        let empty_key = db.entity_key(empty_entity).to_string();
+        assert!(db.pinned().delta.summary(2, 0).is_none());
+        assert!(!db.provenance(2, 0).is_empty(), "fixture: a built cell");
         db.insert_sql(&format!(
             "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES \
              ('{e2}', 'really {phrase0} here', 2016, 901), \
              ('{e2}', '{phrase1} but loud', 2009, 901), \
-             ('{e5}', '{phrase0} and {phrase1}', 2013, 902)"
+             ('{e5}', '{phrase0} and {phrase1}', 2013, 902), \
+             ('{empty_key}', 'so {empty_phrase}', 2014, 903)"
         ))
         .unwrap();
+        // Both cells are delta cells now, each carrying its whole summary.
+        assert!(db.pinned().delta.summary(2, 0).is_some());
+        assert_eq!(db.provenance(empty_entity, empty_attr).len(), 1);
         let qualifiers = [
             ReviewQualifier {
                 min_year: Some(2012),
@@ -1907,6 +1977,22 @@ mod tests {
                             merged[e][a].counts(),
                             rebuilt[e][a].counts()
                         );
+                    }
+                }
+            }
+            // The unqualified summary at the pin, and the delta cells'
+            // own summaries, equal the rescan of every occurrence.
+            let rescan = db.summaries_with_review_filter(|_| true);
+            let delta = db.pinned().delta;
+            for (e, row) in rescan.iter().enumerate() {
+                for (a, rescanned) in row.iter().enumerate() {
+                    let summary = db.summary(e, a);
+                    assert!(
+                        summary.same_aggregates(rescanned),
+                        "{label} summary({e}, {a})"
+                    );
+                    if let Some(cell) = delta.summary(e, a) {
+                        assert!(cell.same_aggregates(&summary), "{label} cell ({e}, {a})");
                     }
                 }
             }

@@ -2,8 +2,8 @@
 //! and the writer that grows it.
 //!
 //! A built [`crate::OpineDb`] is immutable — its relational tables,
-//! summaries, and indexes are frozen artifacts. Reviews
-//! inserted at serve time land in a [`DeltaState`]: a copy-on-write
+//! phrase occurrences, feature plane and indexes are frozen artifacts.
+//! Reviews inserted at serve time land in a [`DeltaState`]: a copy-on-write
 //! value published through a [`crate::snapshot::SnapshotCell`], so every
 //! query pins exactly one delta generation for its whole execution (the
 //! thread-local [`Pin`]) and a half-applied `INSERT` batch is never
@@ -14,11 +14,13 @@
 //! build time. The delta only moves the **data plane** — relational
 //! rows (a [`TableOverlay`]), per-entity/per-reviewer counts, marker
 //! summaries (phrase occurrences are extracted at insert time by exact
-//! token matching against the frozen opinion domains), and each
-//! review's in-vocabulary term frequencies, which the text fallback
-//! reads beside the build's review postings. Every effect of an insert,
-//! text retrieval (BM25) included, is visible at the insert's own
-//! epoch; a merge only seals the relational overlay.
+//! token matching against the frozen opinion domains; a cell an insert
+//! mentions becomes a [`DeltaCell`] whose summary covers the whole
+//! cell, so a read scores it as it stands, whatever the uptime), and
+//! each review's in-vocabulary term frequencies, which the text
+//! fallback reads beside the build's review postings. Every effect of
+//! an insert, text retrieval (BM25) included, is visible at the
+//! insert's own epoch; a merge only seals the relational overlay.
 //!
 //! ## Cost shape
 //!
@@ -31,7 +33,7 @@
 //! pin at epoch *e* by asking [`DeltaState::changed_since`] which
 //! entities moved in (*s*, *e*].
 
-use crate::db::{OpineDb, OpineError, PhraseOcc, ReviewMeta};
+use crate::db::{Csr, OpineDb, OpineError, PhraseOcc, ReviewMeta};
 use crate::domain::LinguisticDomain;
 use crate::snapshot::SnapshotCell;
 use crate::summary::{MarkerSummary, PhraseContribution};
@@ -64,13 +66,15 @@ const REVIEWER_SHARDS: usize = 256;
 const NO_REVIEW: u32 = u32::MAX;
 
 /// The delta phrase occurrences of one `(entity, attribute)` cell and
-/// the marker summary over all of them, maintained at insert time so the
-/// unqualified read path is one merge away.
+/// the marker summary of the whole cell, maintained at insert time so
+/// the unqualified read path scores it as it stands.
 #[derive(Debug, Clone)]
 pub(crate) struct DeltaCell {
     /// Every delta occurrence, in insert order.
     pub occs: Vec<PhraseOcc>,
-    /// Marker summary over `occs`.
+    /// Marker summary over the cell's build-time occurrences and `occs`:
+    /// seeded at the first delta occurrence by folding the build-time
+    /// ones, then grown by one `add` per delta occurrence.
     pub summary: MarkerSummary,
 }
 
@@ -260,7 +264,8 @@ impl DeltaState {
         self.row(entity)?.cells.get(attribute)?.as_deref()
     }
 
-    /// The marker summary over the delta occurrences of one cell.
+    /// The marker summary of one cell a delta review mentioned, over
+    /// all its occurrences, build-time and delta.
     #[inline]
     pub fn summary(&self, entity: usize, attribute: usize) -> Option<&MarkerSummary> {
         self.cell(entity, attribute).map(|cell| &cell.summary)
@@ -495,11 +500,12 @@ impl DeltaState {
 
 impl EntityDelta {
     /// Adds one extracted occurrence to a cell and folds it into the
-    /// cell's summary.
+    /// cell's summary; a cell's first delta occurrence starts from
+    /// `seed`, the summary of its build-time occurrences.
     fn push_occurrence(
         &mut self,
         attribute: usize,
-        markers: usize,
+        seed: impl FnOnce() -> MarkerSummary,
         occ: PhraseOcc,
         contribution: &PhraseContribution,
         copied: &mut u64,
@@ -511,7 +517,7 @@ impl EntityDelta {
             self.cells[attribute].get_or_insert_with(|| {
                 Arc::new(DeltaCell {
                     occs: Vec::new(),
-                    summary: MarkerSummary::empty(markers),
+                    summary: seed(),
                 })
             }),
             copied,
@@ -611,7 +617,30 @@ impl OpineDb {
             .delta
             .cell(entity, attribute)
             .map_or(&[][..], |cell| cell.occs.as_slice());
-        self.raw[entity][attribute].iter().chain(delta_occs)
+        let base = self.raw.row(entity * self.attributes.len() + attribute);
+        base.iter().chain(delta_occs)
+    }
+
+    /// The summary of one cell at `pin` over the occurrences `accept`
+    /// keeps, each adding its variation's tabulated contribution — the
+    /// one fold behind [`Self::summary`], every review-qualified
+    /// summary, and the seed of a delta cell.
+    pub(crate) fn fold_cell(
+        &self,
+        entity: usize,
+        attribute: usize,
+        pin: &Pin,
+        accept: impl Fn(&PhraseOcc) -> bool,
+    ) -> MarkerSummary {
+        let contributions = &self.contributions[attribute];
+        let mut summary = MarkerSummary::empty(self.marker_set(attribute).markers.len());
+        for occ in self.occurrences_at(entity, attribute, pin) {
+            opine_faults::checkpoint();
+            if accept(occ) {
+                summary.add(&contributions[occ.variation as usize]);
+            }
+        }
+        summary
     }
 
     /// Metadata of a review by global id: base reviews first, then the
@@ -687,43 +716,6 @@ impl PhraseMatcher {
     }
 }
 
-/// Base reviewer id → the entities of the reviews they wrote, in CSR
-/// form. Built on the first insert by a reviewer the base knows (like
-/// the matcher, not at build): that insert moves the reviewer's live
-/// count, so every entity they reviewed must re-qualify.
-#[derive(Debug)]
-pub(crate) struct ReviewerEntities {
-    /// `entities[starts[r]..starts[r + 1]]` are reviewer `r`'s.
-    starts: Vec<u32>,
-    entities: Vec<u32>,
-}
-
-impl ReviewerEntities {
-    fn build(review_meta: &[ReviewMeta], reviewer_counts: &[u32]) -> Self {
-        let mut starts = Vec::with_capacity(reviewer_counts.len() + 1);
-        let mut total = 0u32;
-        starts.push(0);
-        for &count in reviewer_counts {
-            opine_faults::checkpoint();
-            total += count;
-            starts.push(total);
-        }
-        let mut next = starts.clone();
-        let mut entities = vec![0u32; total as usize];
-        for meta in review_meta {
-            opine_faults::checkpoint();
-            let slot = &mut next[meta.reviewer_id];
-            entities[*slot as usize] = meta.entity_id as u32;
-            *slot += 1;
-        }
-        ReviewerEntities { starts, entities }
-    }
-
-    fn of(&self, reviewer_id: usize) -> &[u32] {
-        &self.entities[self.starts[reviewer_id] as usize..self.starts[reviewer_id + 1] as usize]
-    }
-}
-
 /// The engine's ingest machinery: the published delta generation, the
 /// writer lock serializing inserts and merges, and the observability
 /// counters the `/stats` surface reports.
@@ -748,8 +740,11 @@ pub(crate) struct IngestState {
     pub merge_threshold: AtomicUsize,
     /// Lazily built exact-phrase matcher over the frozen domains.
     pub matcher: OnceLock<PhraseMatcher>,
-    /// Lazily built base reviewer → entities index.
-    pub reviewer_entities: OnceLock<ReviewerEntities>,
+    /// Base reviewer id → the entities of the reviews they wrote. Built
+    /// on the first insert by a reviewer the base knows (like the
+    /// matcher, not at build): that insert moves the reviewer's live
+    /// count, so every entity they reviewed must re-qualify.
+    pub reviewer_entities: OnceLock<Csr<u32>>,
 }
 
 impl IngestState {
@@ -874,7 +869,6 @@ impl OpineDb {
             .ingest
             .matcher
             .get_or_init(|| PhraseMatcher::build(&self.opinion_domains));
-        let marker_sets = self.interpreter().marker_sets();
         for row in &rows {
             opine_faults::checkpoint();
             let review_id = next_review_id(self.review_meta.len() + next.reviews())?;
@@ -900,9 +894,11 @@ impl OpineDb {
                 .is_some_and(|&c| c > 0)
             {
                 let index = self.ingest.reviewer_entities.get_or_init(|| {
-                    ReviewerEntities::build(&self.review_meta, &self.reviewer_counts)
+                    let metas = self.review_meta.iter();
+                    let tagged = metas.map(|m| (m.reviewer_id, m.entity_id as u32));
+                    Csr::group(self.reviewer_counts.len(), tagged)
                 });
-                for &entity in index.of(reviewer_id) {
+                for &entity in index.row(reviewer_id) {
                     opine_faults::checkpoint();
                     next.requalify(entity as usize, new_epoch, &mut copied);
                 }
@@ -938,12 +934,14 @@ impl OpineDb {
             // Insert-time extraction against the frozen domains: each
             // occurrence lands in its cell and folds into the cell's
             // running summary through its variation's tabulated
-            // contribution — the one the build's summaries added.
+            // contribution. A cell new to `next` is absent from every
+            // published generation, so its fold at any pin is its
+            // build-time summary.
             for (attr, variation) in matcher.extract(&tokens) {
                 opine_faults::checkpoint();
                 entity.push_occurrence(
                     attr,
-                    marker_sets[attr].markers.len(),
+                    || self.fold_cell(row.entity, attr, &self.pinned(), |_| true),
                     PhraseOcc {
                         variation,
                         review_id,

@@ -120,7 +120,7 @@ pub(crate) fn features_from_row(
 }
 
 /// The feature vector of a summary that has no prebuilt row (the
-/// reference below, delta-merged cells, review-qualified summaries):
+/// reference below, delta cells, review-qualified summaries):
 /// writes the entity half on the spot — on the stack for every marker
 /// set up to 16 markers — and joins it with `sims`.
 pub(crate) fn summary_features(

@@ -23,7 +23,7 @@
 //! only, never cached or sorted, so a qualified residue always scans.
 
 use crate::column::PreparedInterpretation;
-use crate::db::OpineDb;
+use crate::db::{OpineDb, PhraseOcc};
 use crate::ingest::Pin;
 use crate::par;
 use crate::summary::MarkerSummary;
@@ -124,35 +124,22 @@ impl OpineDb {
         })
     }
 
+    /// One entity's qualified summaries: per cell, the fold of its base
+    /// and pinned-delta occurrences whose review `qualifier` accepts
+    /// under live reviewer counts.
     fn requalify_row(&self, entity: usize, qualifier: &ReviewQualifier, pin: &Pin) -> QualifiedRow {
+        let accepts = |occ: &PhraseOcc| {
+            let meta = self.review_meta_at(&pin.delta, occ.review_id);
+            qualifier.accepts(
+                meta.year,
+                self.reviewer_count_at(&pin.delta, meta.reviewer_id),
+            )
+        };
         Arc::new(
             (0..self.attributes.len())
-                .map(|attr| self.requalify_cell(entity, attr, qualifier, pin))
+                .map(|attr| self.fold_cell(entity, attr, pin, accepts))
                 .collect(),
         )
-    }
-
-    /// The qualified summary of one cell: the fold of its base and
-    /// pinned-delta occurrences whose review `qualifier` accepts under
-    /// live reviewer counts.
-    fn requalify_cell(
-        &self,
-        entity: usize,
-        attr: usize,
-        qualifier: &ReviewQualifier,
-        pin: &Pin,
-    ) -> MarkerSummary {
-        let contributions = &self.contributions[attr];
-        let mut out = MarkerSummary::empty(self.marker_set(attr).markers.len());
-        for occ in self.occurrences_at(entity, attr, pin) {
-            opine_faults::checkpoint();
-            let meta = self.review_meta_at(&pin.delta, occ.review_id);
-            let count = self.reviewer_count_at(&pin.delta, meta.reviewer_id);
-            if qualifier.accepts(meta.year, count) {
-                out.add(&contributions[occ.variation as usize]);
-            }
-        }
-        out
     }
 
     /// The degree of `leaf` as a function of the entity, counting only

@@ -7,10 +7,11 @@
 //! [`Reference::scan`], Table 7's "no markers" arm) and
 //! [`crate::MembershipModel::degree`], BM25 over the concatenation of the
 //! entity's accepted reviews for the fallback, each review's term
-//! frequencies read on their own, and the raw rescan
-//! ([`OpineDb::summaries_with_review_filter`]) for `with reviews(…)` —
-//! under the same pin as every other read. Its bound leaves hoist
-//! nothing out of the row loop (each row interprets, embeds and scores
+//! frequencies read on their own, and for every term it scores a marker
+//! summary rescanned from the cell's occurrences (the rescan of
+//! [`OpineDb::summaries_with_review_filter`], scoped by the statement's
+//! `with reviews(…)`) — under the same pin as every other read. Its
+//! bound leaves hoist nothing out of the row loop (each row interprets, embeds and scores
 //! again) and read **by key on purpose** — every row, whatever table it
 //! came from, is resolved through its key value, never through a row
 //! position, so the oracle depends on no proof about row order — it
@@ -32,7 +33,7 @@ use crate::topk::rank_cmp;
 use opine_ir::{bm25_term_score, DocId};
 use opine_store::exec::{BoundLeaf, Scope, Subjective, SubjectiveScorer};
 use opine_store::{parse_select, FuzzyAlgebra, Residue, ReviewQualifier, StoreError};
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 /// The top-k reference over dense columns (`columns[leaf][entity]`):
@@ -61,9 +62,8 @@ pub struct Reference<'a> {
     db: &'a OpineDb,
     /// Score from raw occurrences instead of marker summaries.
     scan: bool,
-    /// Bound for a `with reviews(…)` statement: its qualifier and the
-    /// summaries of the raw rescan under it.
-    qualified: Option<(ReviewQualifier, Vec<Vec<MarkerSummary>>)>,
+    /// Bound for a `with reviews(…)` statement: the reviews it accepts.
+    qualifier: Option<ReviewQualifier>,
 }
 
 impl OpineDb {
@@ -72,7 +72,7 @@ impl OpineDb {
         Reference {
             db: self,
             scan: false,
-            qualified: None,
+            qualifier: None,
         }
     }
 
@@ -88,38 +88,49 @@ impl OpineDb {
     /// Qualifiers expressible as year ranges + reviewer-degree
     /// thresholds are served by [`Self::summaries_qualified`], whose
     /// aggregates must equal these bit for bit.
-    pub fn summaries_with_review_filter<F>(&self, filter: F) -> Vec<Vec<MarkerSummary>>
-    where
-        F: Fn(&ReviewMeta) -> bool,
-    {
+    pub fn summaries_with_review_filter(
+        &self,
+        filter: impl Fn(&ReviewMeta) -> bool,
+    ) -> Vec<Vec<MarkerSummary>> {
         self.ensure_pinned(|pin| {
-            let mut out: Vec<Vec<MarkerSummary>> = Vec::with_capacity(self.num_entities());
-            for entity in 0..self.num_entities() {
-                let mut row = Vec::with_capacity(self.attributes.len());
-                for attr in 0..self.attributes.len() {
-                    let markers = self.marker_set(attr);
-                    let variations = self.opinion_domain(attr).variations();
-                    let mut summary = MarkerSummary::empty(markers.markers.len());
-                    for occ in self.occurrences_at(entity, attr, pin) {
-                        opine_faults::checkpoint();
-                        if !filter(&self.review_meta_at(&pin.delta, occ.review_id)) {
-                            continue;
-                        }
-                        let variation = &variations[occ.variation as usize];
-                        summary.add(&PhraseContribution::compute(
-                            &variation.rep,
-                            variation.sentiment,
-                            markers,
-                            self.config.assign,
-                            self.config.unmatched_threshold,
-                        ));
-                    }
-                    row.push(summary);
-                }
-                out.push(row);
-            }
-            out
+            (0..self.num_entities())
+                .map(|entity| {
+                    (0..self.attributes.len())
+                        .map(|attr| self.rescan_cell(entity, attr, pin, &filter))
+                        .collect()
+                })
+                .collect()
         })
+    }
+
+    /// One cell of [`Self::summaries_with_review_filter`]: every
+    /// occurrence at `pin` whose review `filter` accepts, resolved from
+    /// scratch.
+    fn rescan_cell(
+        &self,
+        entity: usize,
+        attribute: usize,
+        pin: &Pin,
+        filter: impl Fn(&ReviewMeta) -> bool,
+    ) -> MarkerSummary {
+        let markers = self.marker_set(attribute);
+        let variations = self.opinion_domain(attribute).variations();
+        let mut summary = MarkerSummary::empty(markers.markers.len());
+        for occ in self.occurrences_at(entity, attribute, pin) {
+            opine_faults::checkpoint();
+            if !filter(&self.review_meta_at(&pin.delta, occ.review_id)) {
+                continue;
+            }
+            let variation = &variations[occ.variation as usize];
+            summary.add(&PhraseContribution::compute(
+                &variation.rep,
+                variation.sentiment,
+                markers,
+                self.config.assign,
+                self.config.unmatched_threshold,
+            ));
+        }
+        summary
     }
 
     /// Degree of `attribute .= phrase` computed over externally supplied
@@ -195,7 +206,7 @@ impl<'a> Reference<'a> {
     fn text_degree(&self, entity: usize, predicate: &str, pin: &Pin) -> f64 {
         let (db, delta) = (self.db, &pin.delta);
         let index = db.interpreter().review_index();
-        let qualifier = self.qualified.as_ref().map(|(q, _)| q);
+        let qualifier = self.qualifier.as_ref();
         let own = |m: &ReviewMeta| {
             let count = db.reviewer_count_at(delta, m.reviewer_id);
             m.entity_id == entity && qualifier.is_none_or(|q| q.accepts(m.year, count))
@@ -232,19 +243,17 @@ impl<'a> Reference<'a> {
         opine_embed::normalize(&mut rep);
         let sentiment = db.sentiment().score(phrase);
         if self.scan {
-            let variations = db.opinion_domain(attribute).variations();
-            let phrases: Vec<(&[f32], f64)> = db
-                .occurrences_at(entity, attribute, pin)
-                .map(|occ| {
-                    let variation = &variations[occ.variation as usize];
-                    (variation.rep.as_slice(), variation.sentiment)
-                })
-                .collect();
+            let phrases = db.raw_phrases(entity, attribute);
             return db
                 .membership_scan()
                 .degree(&scan_features(&phrases, &rep, sentiment));
         }
-        let summary = self.summary(entity, attribute, pin);
+        // The cell rescanned at `pin`, keeping the reviews the
+        // statement's qualifier accepts under live reviewer counts.
+        let summary = db.rescan_cell(entity, attribute, pin, |m| {
+            let count = db.reviewer_count_at(&pin.delta, m.reviewer_id);
+            self.qualifier.is_none_or(|q| q.accepts(m.year, count))
+        });
         db.membership_markers().degree(&marker_features(
             &summary,
             db.marker_set(attribute),
@@ -252,33 +261,13 @@ impl<'a> Reference<'a> {
             sentiment,
         ))
     }
-
-    /// The summary of one cell at `pin`: the rescan's inside a qualified
-    /// statement, else the build-time summary merged with the pinned
-    /// delta's.
-    fn summary(&self, entity: usize, attribute: usize, pin: &Pin) -> Cow<'_, MarkerSummary> {
-        if let Some((_, set)) = &self.qualified {
-            return Cow::Borrowed(&set[entity][attribute]);
-        }
-        let base = &self.db.summaries[entity][attribute];
-        match pin.delta.summary(entity, attribute) {
-            None => Cow::Borrowed(base),
-            Some(delta) => {
-                let mut merged = MarkerSummary::empty(base.num_markers());
-                merged.merge(base);
-                merged.merge(delta);
-                Cow::Owned(merged)
-            }
-        }
-    }
 }
 
 impl SubjectiveScorer for Reference<'_> {
-    /// Under a review qualifier the leaf reads the summaries of the raw
-    /// rescan ([`OpineDb::summaries_with_review_filter`]), taken once
-    /// per bind, and the fallback the reviews it accepts. Raw
-    /// occurrences carry no summaries to qualify, so
-    /// [`Self::scan`] declines a qualified leaf.
+    /// Under a review qualifier the leaf rescans, per row and term, the
+    /// occurrences whose review it accepts, and the fallback reads the
+    /// reviews it accepts. Raw occurrences carry no summaries to
+    /// qualify, so [`Self::scan`] declines a qualified leaf.
     fn bind<'s>(
         &'s self,
         scope: Scope<'_>,
@@ -294,14 +283,8 @@ impl SubjectiveScorer for Reference<'_> {
             None => None,
             Some(q) if self.scan => return Err(StoreError::NoScorer(format!("with {q}"))),
             Some(q) => Some(Reference {
-                db,
-                scan: false,
-                qualified: Some((
-                    q,
-                    db.summaries_with_review_filter(|m| {
-                        q.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
-                    }),
-                )),
+                qualifier: Some(q),
+                ..db.reference()
             }),
         };
         Ok(BoundLeaf::by_key(move |key| {

@@ -5,15 +5,15 @@
 //! the markers plus precomputed features — per-marker mass and mean
 //! sentiment — that the membership functions consume.
 //!
-//! ## Deterministic, mergeable aggregation
+//! ## Deterministic aggregation
 //!
 //! Summaries accumulate in **fixed-point `i64`** (scale `2^32`), not
 //! floating point. Integer addition is exact, associative, and
-//! commutative, so [`MarkerSummary::merge`] of any partition of the
-//! phrases — in any order — is *bit-identical* to a from-scratch build
-//! over the same phrases. That is the property live ingest and the
-//! review-qualified query path rely on: a delta cell's summary merges
-//! into the build-time one, and a qualified summary folds whichever
+//! commutative, so adding the same phrases in any order is
+//! *bit-identical* to a from-scratch build over them. That is the
+//! property live ingest and the review-qualified query path rely on: a
+//! delta cell's summary grows from its build-time fold by one add per
+//! inserted occurrence, and a qualified summary folds whichever
 //! occurrences a qualifier accepts in whatever order they are stored,
 //! with answers guaranteed identical to the reference's rescan.
 //!
@@ -297,9 +297,8 @@ pub(crate) fn nearest_markers(
 /// A per-entity marker-summary instance.
 ///
 /// Per-marker mass and weighted sentiment accumulate in fixed-point
-/// `i64` (see the module docs); [`Self::merge`] of disjoint summaries is
-/// therefore bit-identical to aggregating all their phrases into one
-/// summary, in any order.
+/// `i64` (see the module docs), so aggregating the same phrases in any
+/// order gives the same bits.
 #[derive(Debug, Clone)]
 pub struct MarkerSummary {
     /// Quantized phrase mass per marker.
@@ -339,29 +338,6 @@ impl MarkerSummary {
             self.counts_q[idx] += weight_q;
             self.senti_q[idx] += senti_q;
         }
-    }
-
-    /// Merges another summary over the same marker set into this one.
-    ///
-    /// Associative and commutative at the bit level: integer
-    /// accumulators add exactly, so merging any partition of a phrase
-    /// multiset reproduces the from-scratch build of the union
-    /// bit-for-bit.
-    pub fn merge(&mut self, other: &MarkerSummary) {
-        debug_assert_eq!(self.counts_q.len(), other.counts_q.len());
-        for (a, b) in self.counts_q.iter_mut().zip(&other.counts_q) {
-            *a += b;
-        }
-        for (a, b) in self.senti_q.iter_mut().zip(&other.senti_q) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.unmatched += other.unmatched;
-    }
-
-    /// Number of markers this summary aggregates over.
-    pub fn num_markers(&self) -> usize {
-        self.counts_q.len()
     }
 
     /// Phrase mass on marker `i`.
@@ -574,60 +550,6 @@ mod tests {
         assert_eq!(s.unmatched_fraction(), 0.0);
     }
 
-    /// Builds a summary over the fixture phrases.
-    fn build_summary(
-        phrases: &[(&str, f64)],
-        set: &MarkerSet,
-        embedder: &PhraseEmbedder,
-        vocab: &Vocab,
-    ) -> MarkerSummary {
-        let mut s = MarkerSummary::empty(set.markers.len());
-        for (p, sent) in phrases {
-            let mut rep = embedder.rep(p, vocab);
-            opine_embed::normalize(&mut rep);
-            s.add(&PhraseContribution::compute(
-                &rep,
-                *sent,
-                set,
-                AssignMode::Proportional,
-                0.0,
-            ));
-        }
-        s
-    }
-
-    #[test]
-    fn merge_of_partition_is_bit_identical_to_from_scratch() {
-        let (vocab, embedder, domain) = fixture();
-        let set = MarkerSet::discover("a", &domain, SummaryKind::Linear, 3, 1);
-        let phrases = [
-            ("very clean", 0.9),
-            ("clean", 0.65),
-            ("average", 0.0),
-            ("dirty", -0.7),
-            ("very dirty", -0.9),
-            ("clean", 0.65),
-        ];
-        let whole = build_summary(&phrases, &set, &embedder, &vocab);
-        let part_a = build_summary(&phrases[..2], &set, &embedder, &vocab);
-        let part_b = build_summary(&phrases[2..4], &set, &embedder, &vocab);
-        let part_c = build_summary(&phrases[4..], &set, &embedder, &vocab);
-        // Merge in an order different from the build order: fixed-point
-        // accumulation is exactly commutative.
-        let mut merged = MarkerSummary::empty(set.markers.len());
-        merged.merge(&part_c);
-        merged.merge(&part_a);
-        merged.merge(&part_b);
-        assert!(merged.same_aggregates(&whole));
-        for i in 0..merged.num_markers() {
-            assert_eq!(merged.count(i).to_bits(), whole.count(i).to_bits());
-            assert_eq!(
-                merged.sentiment_mean(i).to_bits(),
-                whole.sentiment_mean(i).to_bits()
-            );
-        }
-    }
-
     /// `PhraseContribution::compute` as it was before the assignment
     /// was ever split from the sentiment, kept verbatim as the frozen
     /// specification of every accumulator increment's bits.
@@ -718,15 +640,5 @@ mod tests {
             }
         }
         assert!(matched > 400 && unmatched > 400, "{matched} / {unmatched}");
-    }
-
-    #[test]
-    fn merge_empty_is_identity() {
-        let (vocab, embedder, domain) = fixture();
-        let set = MarkerSet::discover("a", &domain, SummaryKind::Linear, 3, 1);
-        let built = build_summary(&[("clean", 0.65)], &set, &embedder, &vocab);
-        let mut merged = built.clone();
-        merged.merge(&MarkerSummary::empty(set.markers.len()));
-        assert!(merged.same_aggregates(&built));
     }
 }

@@ -92,54 +92,4 @@ proptest! {
         }
         prop_assert!((forward.unmatched - backward.unmatched).abs() < 1e-9);
     }
-
-    /// The tentpole property: building partial summaries over any
-    /// partition of the phrases and merging them — in any order — is
-    /// bit-identical to the from-scratch build over all phrases.
-    /// Fixed-point accumulation makes merge exactly associative and
-    /// commutative, which is what lets the engine merge a live delta
-    /// cell's summary into the build-time one, and fold a qualified
-    /// summary in storage order, with the reference's bits.
-    #[test]
-    fn merge_of_partition_is_bit_identical_to_from_scratch(
-        phrases in prop::collection::vec(
-            (prop::collection::vec(-1.0f32..=1.0, 4), -1.0f64..=1.0), 1..24),
-        assignment in prop::collection::vec(0usize..4, 24),
-        mode in prop::sample::select(vec![AssignMode::Best, AssignMode::Proportional]),
-        merge_backwards in prop::sample::select(vec![false, true]),
-    ) {
-        let set = axis_markers(3, 4, SummaryKind::Linear);
-        // From-scratch build over every phrase, in order.
-        let mut whole = MarkerSummary::empty(3);
-        for (rep, senti) in &phrases {
-            whole.add(&PhraseContribution::compute(rep, *senti, &set, mode, 0.1));
-        }
-        // Partition phrases into up to 4 parts by the random assignment
-        // and build each part independently.
-        let mut parts: Vec<MarkerSummary> = (0..4).map(|_| MarkerSummary::empty(3)).collect();
-        for (part, (rep, senti)) in assignment.iter().zip(&phrases) {
-            parts[*part].add(&PhraseContribution::compute(rep, *senti, &set, mode, 0.1));
-        }
-        let mut merged = MarkerSummary::empty(3);
-        if merge_backwards {
-            for p in parts.iter().rev() {
-                merged.merge(p);
-            }
-        } else {
-            for p in &parts {
-                merged.merge(p);
-            }
-        }
-        prop_assert!(merged.same_aggregates(&whole),
-            "merged {:?}/{:?} vs whole {:?}/{:?}",
-            merged.counts(), merged.total, whole.counts(), whole.total);
-        for i in 0..3 {
-            prop_assert_eq!(merged.count(i).to_bits(), whole.count(i).to_bits());
-            prop_assert_eq!(
-                merged.sentiment_mean(i).to_bits(),
-                whole.sentiment_mean(i).to_bits()
-            );
-        }
-        prop_assert_eq!(merged.matched_mass().to_bits(), whole.matched_mass().to_bits());
-    }
 }
