@@ -29,7 +29,6 @@ use crate::membership::{
     feature_row_len, features_from_row, marker_sims, summary_features, write_feature_row,
     MarkerSims,
 };
-use crate::par;
 use crate::summary::{MarkerSet, MarkerSummary};
 use opine_ir::{bm25_term_score, DocId};
 use opine_store::ast::ColumnRef;
@@ -334,10 +333,9 @@ impl ColumnSource<'_> {
 }
 
 impl OpineDb {
-    /// The dense degree column of a predicate over all entities, cached.
-    /// Degrees are computed per entity (in parallel over entity chunks
-    /// from [`par::PAR_THRESHOLD`] entities up), except that a text
-    /// fallback is one pass over its terms' review postings
+    /// The dense degree column of a predicate over all entities at the
+    /// current pin, cached. Degrees are computed per entity, except that
+    /// a text fallback is one pass over its terms' review postings
     /// ([`Self::text_degrees`]) and a co-occurrence interpretation folds
     /// its terms' cached columns.
     ///
@@ -351,17 +349,15 @@ impl OpineDb {
     /// rebuilt whole when such text arrived after its stamp, and reused
     /// as it is otherwise.
     pub fn degree_column(&self, predicate: &str) -> Arc<DegreeColumn> {
-        self.fetch_column(predicate).0
+        self.fetch_column(predicate, &self.pin()).0
     }
 
-    /// [`Self::degree_column`], and whether this call had to build the
-    /// column from nothing (a cache miss; a restamp or a repair starts
-    /// from a column some earlier statement paid for).
-    pub(crate) fn fetch_column(&self, predicate: &str) -> (Arc<DegreeColumn>, bool) {
-        self.ensure_pinned(|pin| {
-            self.column_from(&predicate_key(predicate), pin, || {
-                ColumnSource::Predicate(predicate, self.prepare_interpretation(predicate))
-            })
+    /// [`Self::degree_column`] at `pin`, and whether this call had to
+    /// build the column from nothing (a cache miss; a restamp or a
+    /// repair starts from a column some earlier statement paid for).
+    pub(crate) fn fetch_column(&self, predicate: &str, pin: &Pin) -> (Arc<DegreeColumn>, bool) {
+        self.column_from(&predicate_key(predicate), pin, || {
+            ColumnSource::Predicate(predicate, self.prepare_interpretation(predicate))
         })
     }
 
@@ -421,10 +417,12 @@ impl OpineDb {
         }
         opine_trace::count("ta_topk", "cache_misses", 1);
         let term_column = |term: &PreparedTerm| {
-            par::par_map(self.num_entities(), |entity| {
-                opine_faults::checkpoint();
-                self.term_degree(entity, term, pin)
-            })
+            (0..self.num_entities())
+                .map(|entity| {
+                    opine_faults::checkpoint();
+                    self.term_degree(entity, term, pin)
+                })
+                .collect()
         };
         let degrees = match &*source {
             ColumnSource::Predicate(_, PreparedInterpretation::Text { terms }) => {
@@ -444,8 +442,8 @@ impl OpineDb {
         (column, true)
     }
 
-    /// The column a WHERE clause's leaf reads, for the ranking kernel
-    /// and the row loop alike, and whether this call built it from
+    /// The column a WHERE clause's leaf reads at `pin`, for the ranking
+    /// kernel and the row loop alike, and whether this call built it from
     /// nothing: a predicate's [`Self::fetch_column`]; for `attribute .=
     /// phrase` the cached term column of `(attribute, phrase)`, which a
     /// co-occurrence term of that marker phrase shares; a comparison's
@@ -454,18 +452,15 @@ impl OpineDb {
     pub(crate) fn leaf_column(
         &self,
         leaf: &Leaf<'_, Bitmap>,
+        pin: &Pin,
     ) -> Result<(Arc<DegreeColumn>, bool), StoreError> {
         Ok(match leaf {
-            Leaf::Subjective(Subjective::Predicate(predicate)) => self.fetch_column(predicate),
+            Leaf::Subjective(Subjective::Predicate(predicate)) => self.fetch_column(predicate, pin),
             Leaf::Subjective(Subjective::Match { attribute, phrase }) => {
                 let attribute = self.match_attribute(attribute)?;
                 let term = OnceCell::new();
-                self.ensure_pinned(|pin| {
-                    self.column_from(&self.term_key(attribute, phrase), pin, || {
-                        ColumnSource::Term(
-                            term.get_or_init(|| self.prepare_term(attribute, phrase)),
-                        )
-                    })
+                self.column_from(&self.term_key(attribute, phrase), pin, || {
+                    ColumnSource::Term(term.get_or_init(|| self.prepare_term(attribute, phrase)))
                 })
             }
             Leaf::Compare(holds) => {
@@ -519,10 +514,12 @@ impl OpineDb {
                 columns.len()
             )
         });
-        par::par_map(self.num_entities(), |entity| {
-            opine_faults::checkpoint();
-            fold_terms(conjunctive, columns.iter().map(|c| c.degrees[entity]))
-        })
+        (0..self.num_entities())
+            .map(|entity| {
+                opine_faults::checkpoint();
+                fold_terms(conjunctive, columns.iter().map(|c| c.degrees[entity]))
+            })
+            .collect()
     }
 
     /// Hoists the query half of a `attribute .= phrase` term.

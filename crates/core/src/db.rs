@@ -9,7 +9,7 @@ use crate::cache::{BoundedCache, CacheStats};
 pub use crate::column::DegreeColumn;
 use crate::column::FeaturePlane;
 use crate::domain::LinguisticDomain;
-use crate::ingest::{DeltaState, IngestState};
+use crate::ingest::{DeltaState, IngestState, Pin};
 use crate::interpret::{Interpretation, Interpreter};
 use crate::membership::MembershipModel;
 use crate::qualified::QualifiedSummaries;
@@ -522,7 +522,7 @@ impl OpineDb {
     /// The marker summary of an entity/attribute at the current pin:
     /// the fold of every occurrence of the cell, build-time and delta.
     pub fn summary(&self, entity: usize, attribute: usize) -> MarkerSummary {
-        self.ensure_pinned(|pin| self.fold_cell(entity, attribute, pin, |_| true))
+        self.fold_cell(entity, attribute, &self.pin(), |_| true)
     }
 
     /// The vocabulary built over the corpus.
@@ -649,15 +649,23 @@ impl OpineDb {
     /// entity/attribute at the current pin, build-time then delta (the
     /// scan path's input).
     pub fn raw_phrases(&self, entity: usize, attribute: usize) -> Vec<(&[f32], f64)> {
+        self.raw_phrases_at(entity, attribute, &self.pin())
+    }
+
+    /// [`Self::raw_phrases`] at `pin`.
+    pub(crate) fn raw_phrases_at(
+        &self,
+        entity: usize,
+        attribute: usize,
+        pin: &Pin,
+    ) -> Vec<(&[f32], f64)> {
         let variations = self.opinion_domains[attribute].variations();
-        self.ensure_pinned(|pin| {
-            self.occurrences_at(entity, attribute, pin)
-                .map(|occ| {
-                    let variation = &variations[occ.variation as usize];
-                    (variation.rep.as_slice(), variation.sentiment)
-                })
-                .collect()
-        })
+        self.occurrences_at(entity, attribute, pin)
+            .map(|occ| {
+                let variation = &variations[occ.variation as usize];
+                (variation.rep.as_slice(), variation.sentiment)
+            })
+            .collect()
     }
 
     /// The provenance of an entity/attribute's summary at the current
@@ -666,14 +674,12 @@ impl OpineDb {
     /// reviews is this summary made of" (Sec. 2).
     pub fn provenance(&self, entity: usize, attribute: usize) -> Vec<(usize, &str)> {
         let variations = self.opinion_domains[attribute].variations();
-        self.ensure_pinned(|pin| {
-            self.occurrences_at(entity, attribute, pin)
-                .map(|occ| {
-                    let phrase = variations[occ.variation as usize].phrase.as_str();
-                    (occ.review_id as usize, phrase)
-                })
-                .collect()
-        })
+        self.occurrences_at(entity, attribute, &self.pin())
+            .map(|occ| {
+                let phrase = variations[occ.variation as usize].phrase.as_str();
+                (occ.review_id as usize, phrase)
+            })
+            .collect()
     }
 
     /// Executes a Subjective SQL query (the paper's running example shape:
@@ -693,50 +699,59 @@ impl OpineDb {
     /// the parse-once/execute-many entry the serving layer's prepared
     /// queries use.
     ///
-    /// The whole execution runs under one pinned delta generation
-    /// (installed thread-locally here, re-installed inside parallel
-    /// workers): row scans see {frozen tables + that generation's
-    /// overlay rows}, and every degree, count, and qualified summary
-    /// underneath reads the same generation — snapshot isolation
-    /// against concurrent `INSERT`s.
+    /// The whole execution runs on the calling thread at one pin, taken
+    /// here: row scans see {frozen tables + that generation's overlay
+    /// rows}, and every degree, count, and qualified summary underneath
+    /// reads the same generation — snapshot isolation against
+    /// concurrent `INSERT`s.
     pub fn query_select_ref(&self, select: &Select) -> Result<QueryRef<'_>, OpineError> {
-        self.query_select_with(select, self, FuzzyAlgebra::Product)
+        self.at_pin().query_select(select, FuzzyAlgebra::Product)
     }
 
-    /// [`Self::query_select_ref`] with the subjective parts scored by
-    /// `scorer` (the engine itself, or its [`crate::reference`]) and
+    /// The engine at the current pin, as the executor's scorer: every
+    /// leaf of a statement it scores, over the engine's catalog or any
+    /// other (one extended with a joined table, say), reads that one
+    /// generation.
+    pub fn at_pin(&self) -> AtPin<'_> {
+        AtPin {
+            db: self,
+            pin: self.pin(),
+        }
+    }
+
+    /// A statement at `pin` with its subjective parts scored by `scorer`
+    /// (the engine at `pin`, or a [`crate::reference`] at `pin`) and
     /// combined under `algebra`.
     pub(crate) fn query_select_with(
         &self,
         select: &Select,
+        pin: &Pin,
         scorer: &dyn SubjectiveScorer,
         algebra: FuzzyAlgebra,
     ) -> Result<QueryRef<'_>, OpineError> {
-        self.ensure_pinned(|pin| {
-            let interpretations = select
-                .where_clause
-                .as_ref()
-                .map(|w| {
-                    w.subjective_predicates()
-                        .into_iter()
-                        .map(|p| (p.to_string(), self.interpret(p)))
-                        .collect()
-                })
-                .unwrap_or_default();
-            let result = execute(select, &self.catalog, scorer, algebra, pin.overlay())?;
-            Ok(QueryRef {
-                result,
-                interpretations,
-                epoch: pin.epoch,
+        let interpretations = select
+            .where_clause
+            .as_ref()
+            .map(|w| {
+                w.subjective_predicates()
+                    .into_iter()
+                    .map(|p| (p.to_string(), self.interpret(p)))
+                    .collect()
             })
+            .unwrap_or_default();
+        let result = execute(select, &self.catalog, scorer, algebra, pin.overlay())?;
+        Ok(QueryRef {
+            result,
+            interpretations,
+            epoch: pin.epoch,
         })
     }
 
     /// [`Self::query_select_ref`] under a request deadline: `deadline`
     /// is installed as the thread's ambient cancellation token for the
     /// duration of execution, so every long scan underneath (TA depth
-    /// loops, posting accumulation, qualified-summary folds, row scoring,
-    /// `par_map` fan-outs) checkpoints against it at chunk boundaries.
+    /// loops, posting accumulation, qualified-summary folds, row scoring)
+    /// checkpoints against it at chunk boundaries.
     ///
     /// This is the **single catch site** for the cancellation unwind: an
     /// expired checkpoint panics with [`opine_faults::Cancelled`], which
@@ -784,7 +799,8 @@ impl OpineDb {
         algebra: FuzzyAlgebra,
     ) -> Result<QueryOutput, OpineError> {
         let select = parse_select(sql).map_err(|e| OpineError::Parse(e.to_string()))?;
-        self.query_select_with(&select, self, algebra)
+        self.at_pin()
+            .query_select(&select, algebra)
             .map(QueryOutput::from)
     }
 
@@ -813,135 +829,9 @@ impl OpineDb {
             .map(|p| Leaf::Subjective(Subjective::Predicate(p)))
             .collect();
         Residue::conjunction(leaves.len()).map_or_else(Vec::new, |residue| {
-            self.rank_top_k_filtered(&residue, &leaves, FuzzyAlgebra::Product, k, None, None)
+            self.at_pin()
+                .rank_top_k_filtered(&residue, &leaves, FuzzyAlgebra::Product, k, None, None)
                 .expect("a predicate always has a column")
-        })
-    }
-
-    /// Top-k entities by `residue`'s degree under `algebra`, its leaf
-    /// `i` reading the column of `leaves[i]` (`leaf_column`),
-    /// among the set bits of `candidates` (the executor's objective
-    /// prefilter; every entity when `None`) — and the one place the
-    /// ranking plan is chosen. Each leaf's column is fetched once; then,
-    /// the classic selection-vs-sorted-access optimizer choice:
-    ///
-    /// * **scan** — read every candidate's degrees straight from the
-    ///   dense columns, combine, select the k best
-    ///   ([`scan_topk`]). O(candidates · leaves), and needs no sorted
-    ///   order.
-    /// * **sorted access** — the (filtered) threshold algorithm
-    ///   ([`threshold_topk`]), which walks ~`k / selectivity` positions
-    ///   of each column's sorted order and so needs every order built.
-    ///
-    /// The scan wins when the candidate set is small
-    /// (`candidates² ≤ k · entities`, equating the two cost models;
-    /// selective filters — the whole point of the pushdown — land
-    /// there, while weak filters keep TA's early termination), and when
-    /// a residue over two or more predicates had to build one of its
-    /// columns just now: it has already paid Θ(entities) for the build,
-    /// and sorting that column for a list TA reads a short prefix of
-    /// costs more than one pass over all of them. The order is a
-    /// column's reward for being *reused*: the next statement that finds
-    /// it cached sorts it. A lone predicate keeps sorted access — its
-    /// answer is the order's prefix. A residue with a NOT is always
-    /// scanned: its degree falls as a leaf's rises, so no cursor bounds
-    /// an unseen entity.
-    ///
-    /// Under a review `qualifier` a subjective leaf's column is this
-    /// statement's alone, `qualified_degree` over the candidates and 0
-    /// elsewhere: never cached nor sorted, so the residue is scanned.
-    ///
-    /// `candidates` and a comparison leaf's bitmap index rows of a table
-    /// with [`Self::rows_are_entities`], so a set bit, a column slot and
-    /// a ranked id are the same number. An error is a leaf's (a `.=` on
-    /// an unknown attribute).
-    pub fn rank_top_k_filtered(
-        &self,
-        residue: &Residue,
-        leaves: &[Leaf<'_, Bitmap>],
-        algebra: FuzzyAlgebra,
-        k: usize,
-        candidates: Option<&Bitmap>,
-        qualifier: Option<&ReviewQualifier>,
-    ) -> Result<Vec<(usize, f64)>, StoreError> {
-        if candidates.is_some() {
-            self.pushdown_queries
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        let n = self.num_entities();
-        let mut built = false;
-        let columns = leaves
-            .iter()
-            .map(|leaf| match (qualifier, leaf) {
-                (Some(qualifier), Leaf::Subjective(leaf)) => {
-                    let degree = self.qualified_degree(*leaf, qualifier)?;
-                    let mut degrees = vec![0.0; n];
-                    let mut fill = |entity: usize| {
-                        opine_faults::checkpoint();
-                        degrees[entity] = degree(entity);
-                    };
-                    match candidates {
-                        Some(bitmap) => bitmap.iter_ones().for_each(&mut fill),
-                        None => (0..n).for_each(&mut fill),
-                    }
-                    Ok(Arc::new(DegreeColumn::new(degrees)))
-                }
-                _ => {
-                    let (column, fresh) = self.leaf_column(leaf)?;
-                    built |= fresh;
-                    Ok(column)
-                }
-            })
-            .collect::<Result<Vec<Arc<DegreeColumn>>, StoreError>>()?;
-        if k == 0 {
-            return Ok(Vec::new());
-        }
-        let degrees: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
-        let cand_count = candidates.map_or(n, Bitmap::count_ones);
-        let few = cand_count.saturating_mul(cand_count) <= k.saturating_mul(n);
-        let monotone = residue.is_monotone();
-        let qualified = qualifier.is_some();
-        if qualified || few || !monotone || (built && columns.len() >= 2) {
-            opine_trace::note(|| {
-                if few && candidates.is_some() && !qualified {
-                    return format!(
-                        "ta_topk: pushdown via gather ({cand_count} candidates, k={k})"
-                    );
-                }
-                let why = if qualified {
-                    "qualified columns are built per statement"
-                } else if few {
-                    "k reaches them all"
-                } else if !monotone {
-                    "a NOT is not monotone, so no sorted-access bound holds"
-                } else {
-                    "column built by this statement"
-                };
-                format!("ta_topk: scan of {cand_count} candidates (k={k}) — {why}")
-            });
-            // Two instantiations on purpose, here and below: the
-            // unfiltered loops compile without the candidate test.
-            return Ok(match candidates {
-                None => scan_topk(&degrees, residue, algebra, k, 0..n),
-                Some(bitmap) => scan_topk(&degrees, residue, algebra, k, bitmap.iter_ones()),
-            });
-        }
-        let orders: Vec<&[u32]> = columns.iter().map(|c| c.sorted_order()).collect();
-        Ok(match candidates {
-            None => {
-                opine_trace::note(|| format!("ta_topk: full TA over degree columns (k={k})"));
-                threshold_topk(&degrees, &orders, residue, algebra, k, |_| true)
-            }
-            Some(bitmap) => {
-                opine_trace::note(|| {
-                    format!(
-                        "ta_topk: pushdown via restricted sorted access ({cand_count} candidates, k={k})"
-                    )
-                });
-                threshold_topk(&degrees, &orders, residue, algebra, k, |entity| {
-                    bitmap.get(entity)
-                })
-            }
         })
     }
 
@@ -961,30 +851,30 @@ impl OpineDb {
     /// marker-feature membership function.
     pub fn attribute_degree(&self, entity: usize, attribute: usize, phrase: &str) -> f64 {
         let term = self.prepare_term(attribute, phrase);
-        self.term_degree(entity, &term, &self.pinned())
+        self.term_degree(entity, &term, &self.pin())
     }
 
     /// Text-retrieval fallback degree: `sigmoid(BM25(D_e, q) − c)` of
     /// the entity's reviews at the pin, base and delta — its slot of the
     /// fallback's one pass over every entity.
     pub fn text_degree(&self, entity: usize, predicate: &str) -> f64 {
-        self.text_degrees(&self.text_terms(predicate), &self.pinned(), None)[entity]
+        self.text_degrees(&self.text_terms(predicate), &self.pin(), None)[entity]
     }
 
     /// Number of reviews aggregated for an entity: the build-time count
-    /// plus the pinned delta's (both O(1); the base side used to walk
+    /// plus the current delta's (both O(1); the base side used to walk
     /// every review in the corpus per call).
     pub fn review_count(&self, entity: usize) -> usize {
-        let pin = self.pinned();
-        self.entity_review_counts[entity] as usize + pin.delta.entity_reviews(entity) as usize
+        self.entity_review_counts[entity] as usize
+            + self.pin().delta.entity_reviews(entity) as usize
     }
 
     /// Number of reviews written by a reviewer — the degree the
     /// qualifier's `reviewer_min_count` thresholds compare against.
-    /// Live: includes the pinned delta's reviews, which is why an
+    /// Live: includes the current delta's reviews, which is why an
     /// insert re-qualifies every entity its reviewer ever reviewed.
     pub fn reviewer_review_count(&self, reviewer_id: usize) -> usize {
-        self.reviewer_count_at(&self.pinned().delta, reviewer_id) as usize
+        self.reviewer_count_at(&self.pin().delta, reviewer_id) as usize
     }
 
     /// [`Self::reviewer_review_count`] against an explicit generation.
@@ -1053,7 +943,161 @@ impl OpineDb {
     }
 }
 
-impl SubjectiveScorer for OpineDb {
+/// The engine at one pinned generation ([`OpineDb::at_pin`]): the
+/// executor's scorer. Every column, qualified summary and degree it
+/// reads is read at its pin.
+pub struct AtPin<'a> {
+    pub(crate) db: &'a OpineDb,
+    pub(crate) pin: Pin,
+}
+
+impl<'a> AtPin<'a> {
+    /// A statement at this pin, combined under `algebra`.
+    pub(crate) fn query_select(
+        &self,
+        select: &Select,
+        algebra: FuzzyAlgebra,
+    ) -> Result<QueryRef<'a>, OpineError> {
+        self.db.query_select_with(select, &self.pin, self, algebra)
+    }
+
+    /// Top-k entities by `residue`'s degree under `algebra`, its leaf
+    /// `i` reading the column of `leaves[i]` (`leaf_column`),
+    /// among the set bits of `candidates` (the executor's objective
+    /// prefilter; every entity when `None`) — and the one place the
+    /// ranking plan is chosen. Each leaf's column is fetched once; then,
+    /// the classic selection-vs-sorted-access optimizer choice:
+    ///
+    /// * **scan** — read every candidate's degrees straight from the
+    ///   dense columns, combine, select the k best
+    ///   ([`scan_topk`]). O(candidates · leaves), and needs no sorted
+    ///   order.
+    /// * **sorted access** — the (filtered) threshold algorithm
+    ///   ([`threshold_topk`]), which walks ~`k / selectivity` positions
+    ///   of each column's sorted order and so needs every order built.
+    ///
+    /// The scan wins when the candidate set is small
+    /// (`candidates² ≤ k · entities`, equating the two cost models;
+    /// selective filters — the whole point of the pushdown — land
+    /// there, while weak filters keep TA's early termination), and when
+    /// a residue over two or more predicates had to build one of its
+    /// columns just now: it has already paid Θ(entities) for the build,
+    /// and sorting that column for a list TA reads a short prefix of
+    /// costs more than one pass over all of them. The order is a
+    /// column's reward for being *reused*: the next statement that finds
+    /// it cached sorts it. A lone predicate keeps sorted access — its
+    /// answer is the order's prefix. A residue with a NOT is always
+    /// scanned: its degree falls as a leaf's rises, so no cursor bounds
+    /// an unseen entity.
+    ///
+    /// Under a review `qualifier` a subjective leaf's column is this
+    /// statement's alone, `qualified_degree` over the candidates and 0
+    /// elsewhere: never cached nor sorted, so the residue is scanned.
+    ///
+    /// `candidates` and a comparison leaf's bitmap index rows of a table
+    /// with [`OpineDb::rows_are_entities`], so a set bit, a column slot
+    /// and a ranked id are the same number. An error is a leaf's (a `.=`
+    /// on an unknown attribute).
+    pub fn rank_top_k_filtered(
+        &self,
+        residue: &Residue,
+        leaves: &[Leaf<'_, Bitmap>],
+        algebra: FuzzyAlgebra,
+        k: usize,
+        candidates: Option<&Bitmap>,
+        qualifier: Option<&ReviewQualifier>,
+    ) -> Result<Vec<(usize, f64)>, StoreError> {
+        let db = self.db;
+        if candidates.is_some() {
+            db.pushdown_queries
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        let n = db.num_entities();
+        let mut built = false;
+        let columns = leaves
+            .iter()
+            .map(|leaf| match (qualifier, leaf) {
+                (Some(qualifier), Leaf::Subjective(leaf)) => {
+                    let degree = db.qualified_degree(*leaf, qualifier, &self.pin)?;
+                    let mut degrees = vec![0.0; n];
+                    let mut fill = |entity: usize| {
+                        opine_faults::checkpoint();
+                        degrees[entity] = degree(entity);
+                    };
+                    match candidates {
+                        Some(bitmap) => bitmap.iter_ones().for_each(&mut fill),
+                        None => (0..n).for_each(&mut fill),
+                    }
+                    Ok(Arc::new(DegreeColumn::new(degrees)))
+                }
+                _ => {
+                    let (column, fresh) = db.leaf_column(leaf, &self.pin)?;
+                    built |= fresh;
+                    Ok(column)
+                }
+            })
+            .collect::<Result<Vec<Arc<DegreeColumn>>, StoreError>>()?;
+        if k == 0 {
+            return Ok(Vec::new());
+        }
+        let degrees: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
+        let cand_count = candidates.map_or(n, Bitmap::count_ones);
+        let few = cand_count.saturating_mul(cand_count) <= k.saturating_mul(n);
+        let monotone = residue.is_monotone();
+        let qualified = qualifier.is_some();
+        if qualified || few || !monotone || (built && columns.len() >= 2) {
+            opine_trace::note(|| {
+                if few && candidates.is_some() && !qualified {
+                    return format!(
+                        "ta_topk: pushdown via gather ({cand_count} candidates, k={k})"
+                    );
+                }
+                let why = if qualified {
+                    "qualified columns are built per statement"
+                } else if few {
+                    "k reaches them all"
+                } else if !monotone {
+                    "a NOT is not monotone, so no sorted-access bound holds"
+                } else {
+                    "column built by this statement"
+                };
+                format!("ta_topk: scan of {cand_count} candidates (k={k}) — {why}")
+            });
+            // Two instantiations on purpose, here and below: the
+            // unfiltered loops compile without the candidate test.
+            return Ok(match candidates {
+                None => scan_topk(&degrees, residue, algebra, k, 0..n, n),
+                Some(bitmap) => scan_topk(
+                    &degrees,
+                    residue,
+                    algebra,
+                    k,
+                    bitmap.iter_ones(),
+                    cand_count,
+                ),
+            });
+        }
+        let orders: Vec<&[u32]> = columns.iter().map(|c| c.sorted_order()).collect();
+        Ok(match candidates {
+            None => {
+                opine_trace::note(|| format!("ta_topk: full TA over degree columns (k={k})"));
+                threshold_topk(&degrees, &orders, residue, algebra, k, |_| true)
+            }
+            Some(bitmap) => {
+                opine_trace::note(|| {
+                    format!(
+                        "ta_topk: pushdown via restricted sorted access ({cand_count} candidates, k={k})"
+                    )
+                });
+                threshold_topk(&degrees, &orders, residue, algebra, k, |entity| {
+                    bitmap.get(entity)
+                })
+            }
+        })
+    }
+}
+
+impl SubjectiveScorer for AtPin<'_> {
     /// The leaf reads one [`DegreeColumn`] for the whole statement, the
     /// one the ranking kernel reads (`leaf_column`), or under a review
     /// qualifier `qualified_degree`. Over the entity table a row's
@@ -1063,16 +1107,17 @@ impl SubjectiveScorer for OpineDb {
         scope: Scope<'_>,
         leaf: Subjective<'s>,
     ) -> Result<BoundLeaf<'s>, StoreError> {
+        let db = self.db;
         if let Some(qualifier) = &scope.qualifier {
-            let degree = self.qualified_degree(leaf, qualifier)?;
-            return Ok(self.entity_leaf(scope.base, degree));
+            let degree = db.qualified_degree(leaf, qualifier, &self.pin)?;
+            return Ok(db.entity_leaf(scope.base, degree));
         }
-        let (column, _) = self.leaf_column(&Leaf::Subjective(leaf))?;
-        Ok(self.entity_leaf(scope.base, move |entity| column.degrees()[entity]))
+        let (column, _) = db.leaf_column(&Leaf::Subjective(leaf), &self.pin)?;
+        Ok(db.entity_leaf(scope.base, move |entity| column.degrees()[entity]))
     }
 
     /// Ranks entity ids, which are row positions of `scope.base` only
-    /// when [`Self::rows_are_entities`] says so; any other table is
+    /// when [`OpineDb::rows_are_entities`] says so; any other table is
     /// declined.
     fn rank_residue(
         &self,
@@ -1083,7 +1128,8 @@ impl SubjectiveScorer for OpineDb {
         k: usize,
         candidates: Option<&Bitmap>,
     ) -> Result<Option<Vec<(usize, f64)>>, StoreError> {
-        if !self.rows_are_entities(scope.base) {
+        let db = self.db;
+        if !db.rows_are_entities(scope.base) {
             opine_trace::note(|| "ta_topk: declined — base rows are not the entities".into());
             return Ok(None);
         }
@@ -1094,10 +1140,10 @@ impl SubjectiveScorer for OpineDb {
             self.rank_top_k_filtered(residue, leaves, algebra, k, candidates, qualifier)?;
         span.count("scored", ranked.len() as u64);
         drop(span);
-        self.ta_queries
+        db.ta_queries
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         if qualifier.is_some() {
-            self.qualified_queries.fetch_add(1, Relaxed);
+            db.qualified_queries.fetch_add(1, Relaxed);
         }
         Ok(Some(ranked))
     }
@@ -1932,7 +1978,7 @@ mod tests {
             })
             .expect("fixture: an empty cell with a phrase of its own");
         let empty_key = db.entity_key(empty_entity).to_string();
-        assert!(db.pinned().delta.summary(2, 0).is_none());
+        assert!(db.pin().delta.summary(2, 0).is_none());
         assert!(!db.provenance(2, 0).is_empty(), "fixture: a built cell");
         db.insert_sql(&format!(
             "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES \
@@ -1943,7 +1989,7 @@ mod tests {
         ))
         .unwrap();
         // Both cells are delta cells now, each carrying its whole summary.
-        assert!(db.pinned().delta.summary(2, 0).is_some());
+        assert!(db.pin().delta.summary(2, 0).is_some());
         assert_eq!(db.provenance(empty_entity, empty_attr).len(), 1);
         let qualifiers = [
             ReviewQualifier {
@@ -1983,7 +2029,7 @@ mod tests {
             // The unqualified summary at the pin, and the delta cells'
             // own summaries, equal the rescan of every occurrence.
             let rescan = db.summaries_with_review_filter(|_| true);
-            let delta = db.pinned().delta;
+            let delta = db.pin().delta;
             for (e, row) in rescan.iter().enumerate() {
                 for (a, rescanned) in row.iter().enumerate() {
                     let summary = db.summary(e, a);

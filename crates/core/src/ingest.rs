@@ -4,10 +4,11 @@
 //! A built [`crate::OpineDb`] is immutable — its relational tables,
 //! phrase occurrences, feature plane and indexes are frozen artifacts.
 //! Reviews inserted at serve time land in a [`DeltaState`]: a copy-on-write
-//! value published through a [`crate::snapshot::SnapshotCell`], so every
-//! query pins exactly one delta generation for its whole execution (the
-//! thread-local [`Pin`]) and a half-applied `INSERT` batch is never
-//! observable.
+//! value published through a [`crate::snapshot::SnapshotCell`]. Every
+//! read entry point takes one [`Pin`] of it with [`OpineDb::pin`] and
+//! hands that pin down as an argument, so a whole statement reads
+//! exactly one delta generation and a half-applied `INSERT` batch is
+//! never observable.
 //!
 //! The **model plane stays frozen**: vocabulary, embeddings, sentiment,
 //! interpreter, membership functions, and marker sets are fixed at
@@ -40,7 +41,6 @@ use crate::summary::{MarkerSummary, PhraseContribution};
 use opine_store::{parse_insert, InsertStmt, StoreError, TableOverlay, Value};
 use opine_text::WordId;
 use parking_lot::Mutex;
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
@@ -527,9 +527,9 @@ impl EntityDelta {
     }
 }
 
-/// A query's pinned delta generation: the epoch and the generation's
-/// shared state, installed thread-locally for the whole execution (and
-/// re-installed inside parallel workers by `par::par_map`).
+/// A statement's pinned delta generation: the epoch and the
+/// generation's shared state. A read entry point takes one with
+/// [`OpineDb::pin`] and passes it to every read beneath it.
 #[derive(Debug, Clone)]
 pub(crate) struct Pin {
     pub epoch: u64,
@@ -544,65 +544,17 @@ impl Pin {
     }
 }
 
-thread_local! {
-    /// The delta generation pinned by the query running on this thread.
-    static PIN: RefCell<Option<Pin>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` with `pin` installed as the thread's pinned generation,
-/// restoring the previous pin on exit (panic-safe via a drop guard) —
-/// the same ambient-state pattern as `opine_faults::with_deadline`.
-pub(crate) fn with_pin<T>(pin: Option<Pin>, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<Pin>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let previous = self.0.take();
-            PIN.with(|p| *p.borrow_mut() = previous);
-        }
-    }
-    let previous = PIN.with(|p| p.borrow_mut().take());
-    let _restore = Restore(previous);
-    PIN.with(|p| *p.borrow_mut() = pin);
-    f()
-}
-
-/// The pin installed on this thread, if any.
-pub(crate) fn current_pin() -> Option<Pin> {
-    PIN.with(|p| p.borrow().clone())
-}
-
 /// Snapshot pins: how the engine's read paths get at their generation.
 impl OpineDb {
-    /// Runs `f` under a pinned delta generation: the pin already
-    /// installed on this thread (so every read inside one query shares
-    /// a generation), else the currently published generation installed
-    /// for the duration of `f`. Every delta-aware entry point goes
-    /// through this — it is what makes a whole request observe exactly
-    /// one epoch.
-    pub(crate) fn ensure_pinned<T>(&self, f: impl FnOnce(&Pin) -> T) -> T {
-        if let Some(pin) = current_pin() {
-            return f(&pin);
-        }
+    /// The currently published delta generation — the one way a read
+    /// takes its pin. A public read calls this once and hands the pin
+    /// down, so everything it reads shares one epoch.
+    pub(crate) fn pin(&self) -> Pin {
         let snap = self.ingest.cell.load();
-        let pin = Pin {
+        Pin {
             epoch: snap.epoch(),
             delta: snap.value().clone(),
-        };
-        with_pin(Some(pin.clone()), || f(&pin))
-    }
-
-    /// The delta generation this thread's query pinned, or (outside a
-    /// query) the currently published one. Leaf reads that don't
-    /// recurse into other delta-aware paths use this instead of
-    /// [`Self::ensure_pinned`].
-    pub(crate) fn pinned(&self) -> Pin {
-        current_pin().unwrap_or_else(|| {
-            let snap = self.ingest.cell.load();
-            Pin {
-                epoch: snap.epoch(),
-                delta: snap.value().clone(),
-            }
-        })
+        }
     }
 
     /// Every occurrence of one cell at `pin`: the build-time ones, then
@@ -859,11 +811,12 @@ impl OpineDb {
         // lint:allow(lock_hold, reason = "single writer lock by design: inserts and merges serialize; readers pin generations and never take it")
         let _writer = self.ingest.writer.lock();
         let span = opine_trace::span("ingest");
-        let snap = self.ingest.cell.load();
+        // The generation this batch extends, and reads its seeds at.
+        let base = self.pin();
         // Single writer (the lock above) ⇒ the next publish gets
         // exactly this epoch; inserted entities are stamped with it.
-        let new_epoch = snap.epoch() + 1;
-        let mut next = DeltaState::clone(snap.value());
+        let new_epoch = base.epoch + 1;
+        let mut next = DeltaState::clone(&base.delta);
         let mut copied = 0u64;
         let matcher = self
             .ingest
@@ -934,14 +887,13 @@ impl OpineDb {
             // Insert-time extraction against the frozen domains: each
             // occurrence lands in its cell and folds into the cell's
             // running summary through its variation's tabulated
-            // contribution. A cell new to `next` is absent from every
-            // published generation, so its fold at any pin is its
-            // build-time summary.
+            // contribution. A cell new to `next` is absent from `base`,
+            // so its fold at `base` is its build-time summary.
             for (attr, variation) in matcher.extract(&tokens) {
                 opine_faults::checkpoint();
                 entity.push_occurrence(
                     attr,
-                    || self.fold_cell(row.entity, attr, &self.pinned(), |_| true),
+                    || self.fold_cell(row.entity, attr, &base, |_| true),
                     PhraseOcc {
                         variation,
                         review_id,
@@ -1160,12 +1112,13 @@ pub(crate) fn merge_test_lock() -> std::sync::MutexGuard<'static, ()> {
 mod tests {
     use super::*;
     use crate::builder::{build, BuildConfig};
+    use crate::db::{AtPin, QueryOutput};
     use crate::interpret::{Interpretation, InterpreterConfig};
     use opine_corpus::hotel::hotel_spec;
     use opine_corpus::{Corpus, CorpusConfig};
     use opine_embed::Word2VecConfig;
     use opine_ir::{DocId, InvertedIndex};
-    use opine_store::ReviewQualifier;
+    use opine_store::{FuzzyAlgebra, ReviewQualifier};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1223,7 +1176,7 @@ mod tests {
         for entity in 1..4 {
             insert(&db, entity, "fine", 2020, None);
         }
-        let delta = db.pinned().delta;
+        let delta = db.pin().delta;
         let reviewers: Vec<usize> = (0..delta.reviews())
             .map(|i| delta.review_meta(i).reviewer_id)
             .collect();
@@ -1256,17 +1209,19 @@ mod tests {
             min_reviewer_count: Some(2),
             ..Default::default()
         };
-        let rescan = || {
+        // The rescan of the current generation, `pin`, with its
+        // reviewer counts.
+        let rescan = |pin: &Pin| {
             db.summaries_with_review_filter(|m| {
-                qualifier.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
+                qualifier.accepts(m.year, db.reviewer_count_at(&pin.delta, m.reviewer_id))
             })
         };
         insert(&db, 1, &format!("so {phrase}"), 2015, Some(900_001));
-        let old_pin = db.pinned();
-        let old_set = with_pin(Some(old_pin.clone()), rescan);
+        let old_pin = db.pin();
+        let old_set = rescan(&old_pin);
         // The base reviewer returns: its other review now counts.
         insert(&db, 2, &format!("very {phrase}"), 2016, Some(reviewer));
-        let new_set = rescan();
+        let new_set = rescan(&db.pin());
         assert!(
             !same_set(&db.summaries_qualified(&qualifier), &old_set),
             "fixture: the publish must change the qualified set"
@@ -1274,10 +1229,51 @@ mod tests {
         // The cache now holds the set of the newer epoch; the old pin
         // still gets its own generation's, privately.
         let sets_before = db.cache_report().filtered_summary_sets;
-        let under_old_pin = with_pin(Some(old_pin), || db.summaries_qualified(&qualifier));
+        let under_old_pin = db.summaries_qualified_at(&qualifier, &old_pin);
         assert!(same_set(&under_old_pin, &old_set));
         assert_eq!(db.cache_report().filtered_summary_sets, sets_before);
         assert!(same_set(&db.summaries_qualified(&qualifier), &new_set));
+    }
+
+    /// Rows and score bits of an answer, for comparing two of them.
+    fn answer_bits(out: &QueryOutput) -> Vec<(Vec<Value>, u64)> {
+        let rows = out.result.rows.iter();
+        rows.map(|(row, score)| (row.clone(), score.to_bits()))
+            .collect()
+    }
+
+    /// A statement evaluated at a pin taken before an INSERT answers as
+    /// the database did then, fast path and reference alike, while the
+    /// current pin sees the insert.
+    #[test]
+    fn a_statement_at_an_old_pin_answers_as_before_the_insert() {
+        let db = db();
+        let phrase = db.opinion_domains[0].variations()[0].phrase.clone();
+        let (table, attribute) = (db.entity_table(), &db.attributes[0]);
+        let sql = format!("select * from {table} where {attribute} .= \"{phrase}\"");
+        let select = opine_store::parse_select(&sql).unwrap();
+        let at = |pin: &Pin| -> QueryOutput {
+            let engine = AtPin {
+                db: &db,
+                pin: pin.clone(),
+            };
+            let out = engine.query_select(&select, FuzzyAlgebra::Product);
+            out.unwrap().into()
+        };
+        let before = db.query(&sql).unwrap();
+        let pin = db.pin();
+        for year in 2015..2020 {
+            insert(&db, 0, &format!("so {phrase}"), year, None);
+        }
+        assert_ne!(
+            answer_bits(&at(&db.pin())),
+            answer_bits(&before),
+            "fixture: the inserts must move the answer"
+        );
+        // The cache now holds the newer column; the old pin reads its own.
+        assert_eq!(answer_bits(&at(&pin)), answer_bits(&before));
+        let reference = db.reference_at(pin).query(&sql).unwrap();
+        assert_eq!(answer_bits(&reference), answer_bits(&before));
     }
 
     /// The in-vocabulary token ids of `text`.
@@ -1356,7 +1352,7 @@ mod tests {
                 db.merge_delta().unwrap();
                 merges += 1;
             }
-            let pin = db.pinned();
+            let pin = db.pin();
             for predicate in predicates {
                 let want = text_degrees_by_rebuilt_index(&db, &docs, predicate);
                 let bits =
@@ -1380,7 +1376,7 @@ mod tests {
             }
         }
         assert!(merges >= 5, "the schedule must merge repeatedly");
-        assert_eq!(db.pinned().delta.log.sealed.len(), 1);
+        assert_eq!(db.pin().delta.log.sealed.len(), 1);
     }
 
     /// Inserted text moves the corpus statistics every entity's BM25
@@ -1469,11 +1465,11 @@ mod tests {
         for (i, entity) in [3, 70, 71, 140, 199].into_iter().enumerate() {
             insert(&db, entity, &both, 2019, Some(800_000 + i));
         }
-        let before = db.pinned().delta;
+        let before = db.pin().delta;
         // One more review of entity 70, mentioning the first attribute
         // only, by a reviewer of its own.
         insert(&db, 70, &p0, 2020, Some(800_100));
-        let after = db.pinned().delta;
+        let after = db.pin().delta;
 
         for entity in [3, 140, 199] {
             let (chunk_a, row_a) = nodes(&before, entity);
@@ -1549,7 +1545,7 @@ mod tests {
         // Per publish: each row copies at most its entity row, spine
         // chunk, reviewer shard and the cells it mentions; a returning
         // reviewer and a merge add at most the spine and the tail's rows.
-        let spine = db.pinned().delta.spine.len() as u64;
+        let spine = db.pin().delta.spine.len() as u64;
         let bound = ROWS as u64 * (3 + attributes) + spine + 64;
         let (first, tail) = (&per_batch[48..96], &per_batch[BATCHES - 48..]);
         assert!(per_batch.iter().all(|&c| c <= bound), "{per_batch:?}");
@@ -1590,43 +1586,6 @@ mod tests {
         assert_eq!(now.delta_bytes, report.delta_bytes);
         assert_eq!(now.delta_merges, report.delta_merges);
         assert_eq!(now.failed_merges, report.failed_merges + 1);
-    }
-
-    #[test]
-    fn with_pin_installs_and_restores() {
-        assert!(current_pin().is_none());
-        let pin = Pin {
-            epoch: 3,
-            delta: Arc::new(DeltaState::default()),
-        };
-        with_pin(Some(pin.clone()), || {
-            assert_eq!(current_pin().expect("pinned").epoch, 3);
-            // Nesting replaces, exit restores the outer pin.
-            with_pin(
-                Some(Pin {
-                    epoch: 4,
-                    delta: Arc::new(DeltaState::default()),
-                }),
-                || assert_eq!(current_pin().expect("pinned").epoch, 4),
-            );
-            assert_eq!(current_pin().expect("outer pin restored").epoch, 3);
-        });
-        assert!(current_pin().is_none());
-    }
-
-    #[test]
-    fn with_pin_restores_after_panic() {
-        let result = std::panic::catch_unwind(|| {
-            with_pin(
-                Some(Pin {
-                    epoch: 1,
-                    delta: Arc::new(DeltaState::default()),
-                }),
-                || panic!("boom"),
-            )
-        });
-        assert!(result.is_err());
-        assert!(current_pin().is_none(), "drop guard must restore the pin");
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod domain;
 pub mod ingest;
 pub mod interpret;
 pub mod membership;
-pub mod par;
 pub mod qualified;
 pub mod reference;
 pub mod snapshot;
@@ -57,8 +56,8 @@ pub mod topk;
 pub use builder::{build, BuildConfig, ExtractionMode};
 pub use cache::{BoundedCache, CacheStats};
 pub use db::{
-    CacheReport, DegreeColumn, MetricValue, OpineDb, OpineError, PreparedPhrase, QueryOutput,
-    QueryRef,
+    AtPin, CacheReport, DegreeColumn, MetricValue, OpineDb, OpineError, PreparedPhrase,
+    QueryOutput, QueryRef,
 };
 pub use domain::LinguisticDomain;
 pub use ingest::IngestReceipt;

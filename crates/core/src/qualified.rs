@@ -25,7 +25,6 @@
 use crate::column::PreparedInterpretation;
 use crate::db::{OpineDb, PhraseOcc};
 use crate::ingest::Pin;
-use crate::par;
 use crate::summary::MarkerSummary;
 use opine_store::exec::Subjective;
 use opine_store::{ReviewQualifier, StoreError};
@@ -55,35 +54,42 @@ impl OpineDb {
     /// future is left alone and the pin folds a private one, as degree
     /// columns do.
     pub fn summaries_qualified(&self, qualifier: &ReviewQualifier) -> QualifiedSummaries {
-        self.ensure_pinned(|pin| {
-            let key = qualifier.to_string();
-            let found = self.filtered_cache.get(&key);
-            let missed = found.is_none();
-            if !missed {
-                opine_trace::count("summary_merge", "cache_hits", 1);
-            }
-            let (stale, cacheable) = match found {
-                Some((stamp, set)) if stamp == pin.epoch => return set,
-                // A set from this pin's future keeps its stamp.
-                Some((stamp, _)) if stamp > pin.epoch => (None, false),
-                older => (older, true),
-            };
-            let span = opine_trace::span("summary_merge");
-            let set = match stale {
-                Some((stamp, set)) => self.repair_qualified(qualifier, stamp, set, pin, &span),
-                None => {
-                    if missed {
-                        span.count("cache_misses", 1);
-                    }
-                    Arc::new(self.fold_qualified(qualifier, pin))
+        self.summaries_qualified_at(qualifier, &self.pin())
+    }
+
+    /// [`Self::summaries_qualified`] at `pin`.
+    pub(crate) fn summaries_qualified_at(
+        &self,
+        qualifier: &ReviewQualifier,
+        pin: &Pin,
+    ) -> QualifiedSummaries {
+        let key = qualifier.to_string();
+        let found = self.filtered_cache.get(&key);
+        let missed = found.is_none();
+        if !missed {
+            opine_trace::count("summary_merge", "cache_hits", 1);
+        }
+        let (stale, cacheable) = match found {
+            Some((stamp, set)) if stamp == pin.epoch => return set,
+            // A set from this pin's future keeps its stamp.
+            Some((stamp, _)) if stamp > pin.epoch => (None, false),
+            older => (older, true),
+        };
+        let span = opine_trace::span("summary_merge");
+        let set = match stale {
+            Some((stamp, set)) => self.repair_qualified(qualifier, stamp, set, pin, &span),
+            None => {
+                if missed {
+                    span.count("cache_misses", 1);
                 }
-            };
-            drop(span);
-            if cacheable {
-                self.filtered_cache.insert(&key, (pin.epoch, set.clone()));
+                Arc::new(self.fold_qualified(qualifier, pin))
             }
-            set
-        })
+        };
+        drop(span);
+        if cacheable {
+            self.filtered_cache.insert(&key, (pin.epoch, set.clone()));
+        }
+        set
     }
 
     /// Brings `set`, exact for epoch `stamp`, to `pin`: the entities
@@ -114,14 +120,15 @@ impl OpineDb {
         set
     }
 
-    /// The cold set: every entity folded at `pin`, parallel over entity
-    /// chunks.
+    /// The cold set: every entity folded at `pin`.
     fn fold_qualified(&self, qualifier: &ReviewQualifier, pin: &Pin) -> Vec<QualifiedRow> {
         opine_faults::fire_panic("summary_merge");
-        par::par_map(self.num_entities(), |entity| {
-            opine_faults::checkpoint();
-            self.requalify_row(entity, qualifier, pin)
-        })
+        (0..self.num_entities())
+            .map(|entity| {
+                opine_faults::checkpoint();
+                self.requalify_row(entity, qualifier, pin)
+            })
+            .collect()
     }
 
     /// One entity's qualified summaries: per cell, the fold of its base
@@ -142,9 +149,9 @@ impl OpineDb {
         )
     }
 
-    /// The degree of `leaf` as a function of the entity, counting only
-    /// the reviews `qualifier` accepts: every membership term scores the
-    /// entity's cell of [`Self::summaries_qualified`], and the text
+    /// The degree of `leaf` at `pin` as a function of the entity, counting
+    /// only the reviews `qualifier` accepts: every membership term scores
+    /// the entity's cell of [`Self::summaries_qualified`], and the text
     /// fallback (stage 3) reads the column [`Self::text_degrees`] scores
     /// once for the statement from the accepted reviews' postings
     /// (document frequency and mean length stay unqualified). `bind`
@@ -154,6 +161,7 @@ impl OpineDb {
         &self,
         leaf: Subjective<'_>,
         qualifier: &ReviewQualifier,
+        pin: &Pin,
     ) -> Result<impl Fn(usize) -> f64 + '_, StoreError> {
         let prepared = match leaf {
             Subjective::Predicate(predicate) => self.prepare_interpretation(predicate),
@@ -161,10 +169,10 @@ impl OpineDb {
                 self.prepare_term(self.match_attribute(attribute)?, phrase),
             ),
         };
-        let summaries = self.summaries_qualified(qualifier);
+        let summaries = self.summaries_qualified_at(qualifier, pin);
         let text = match &prepared {
             PreparedInterpretation::Text { terms } => {
-                self.text_degrees(terms, &self.pinned(), Some(qualifier))
+                self.text_degrees(terms, pin, Some(qualifier))
             }
             _ => Vec::new(),
         };

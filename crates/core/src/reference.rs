@@ -10,7 +10,7 @@
 //! frequencies read on their own, and for every term it scores a marker
 //! summary rescanned from the cell's occurrences (the rescan of
 //! [`OpineDb::summaries_with_review_filter`], scoped by the statement's
-//! `with reviews(…)`) — under the same pin as every other read. Its
+//! `with reviews(…)`) — all at the one pin it holds. Its
 //! bound leaves hoist nothing out of the row loop (each row interprets, embeds and scores
 //! again) and read **by key on purpose** — every row, whatever table it
 //! came from, is resolved through its key value, never through a row
@@ -57,9 +57,12 @@ pub fn full_scan_topk_dense<C: AsRef<[f64]>>(
     combined
 }
 
-/// A borrowed, cache-free, row-at-a-time evaluator over an [`OpineDb`].
+/// A borrowed, cache-free, row-at-a-time evaluator over an [`OpineDb`]
+/// at one delta generation.
 pub struct Reference<'a> {
     db: &'a OpineDb,
+    /// The generation every read of this evaluator sees.
+    pin: Pin,
     /// Score from raw occurrences instead of marker summaries.
     scan: bool,
     /// Bound for a `with reviews(…)` statement: the reviews it accepts.
@@ -67,10 +70,17 @@ pub struct Reference<'a> {
 }
 
 impl OpineDb {
-    /// The reference evaluator over this engine's data.
+    /// The reference evaluator over this engine's data at the current
+    /// pin: each statement it answers reads that generation.
     pub fn reference(&self) -> Reference<'_> {
+        self.reference_at(self.pin())
+    }
+
+    /// The reference evaluator at `pin`.
+    pub(crate) fn reference_at(&self, pin: Pin) -> Reference<'_> {
         Reference {
             db: self,
+            pin,
             scan: false,
             qualifier: None,
         }
@@ -88,19 +98,23 @@ impl OpineDb {
     /// Qualifiers expressible as year ranges + reviewer-degree
     /// thresholds are served by [`Self::summaries_qualified`], whose
     /// aggregates must equal these bit for bit.
+    ///
+    /// The rescan reads the current pin, taken once here. A count that
+    /// `filter` looks up through another public read, such as
+    /// [`Self::reviewer_review_count`], is read at the pin that read
+    /// takes: the same one unless an `INSERT` lands meanwhile.
     pub fn summaries_with_review_filter(
         &self,
         filter: impl Fn(&ReviewMeta) -> bool,
     ) -> Vec<Vec<MarkerSummary>> {
-        self.ensure_pinned(|pin| {
-            (0..self.num_entities())
-                .map(|entity| {
-                    (0..self.attributes.len())
-                        .map(|attr| self.rescan_cell(entity, attr, pin, &filter))
-                        .collect()
-                })
-                .collect()
-        })
+        let pin = self.pin();
+        (0..self.num_entities())
+            .map(|entity| {
+                (0..self.attributes.len())
+                    .map(|attr| self.rescan_cell(entity, attr, &pin, &filter))
+                    .collect()
+            })
+            .collect()
     }
 
     /// One cell of [`Self::summaries_with_review_filter`]: every
@@ -158,12 +172,6 @@ impl<'a> Reference<'a> {
         Reference { scan: true, ..self }
     }
 
-    /// Degree of truth of a natural-language predicate for an entity.
-    pub fn degree(&self, entity: usize, predicate: &str) -> f64 {
-        self.db
-            .ensure_pinned(|pin| self.predicate_degree(entity, predicate, pin))
-    }
-
     /// [`OpineDb::query`], scored by this evaluator.
     pub fn query(&self, sql: &str) -> Result<QueryOutput, OpineError> {
         self.query_ref(sql).map(QueryOutput::from)
@@ -173,19 +181,20 @@ impl<'a> Reference<'a> {
     pub fn query_ref(&self, sql: &str) -> Result<QueryRef<'a>, OpineError> {
         let select = parse_select(sql).map_err(|e| OpineError::Parse(e.to_string()))?;
         self.db
-            .query_select_with(&select, self, FuzzyAlgebra::Product)
+            .query_select_with(&select, &self.pin, self, FuzzyAlgebra::Product)
     }
 
-    fn predicate_degree(&self, entity: usize, predicate: &str, pin: &Pin) -> f64 {
+    /// Degree of truth of a natural-language predicate for an entity.
+    pub fn degree(&self, entity: usize, predicate: &str) -> f64 {
         let db = self.db;
         let algebra = FuzzyAlgebra::Product;
         match db.interpret(predicate) {
             Interpretation::Direct { attribute, .. } => {
-                self.term_degree(entity, attribute, predicate, pin)
+                self.term_degree(entity, attribute, predicate)
             }
             Interpretation::CoOccur { terms, conjunctive } => {
                 let degrees = terms.iter().map(|&(a, m)| {
-                    self.term_degree(entity, a, &db.marker_set(a).markers[m].phrase, pin)
+                    self.term_degree(entity, a, &db.marker_set(a).markers[m].phrase)
                 });
                 if conjunctive {
                     degrees.fold(1.0, |acc, d| algebra.and(acc, d))
@@ -193,18 +202,18 @@ impl<'a> Reference<'a> {
                     degrees.fold(0.0, |acc, d| algebra.or(acc, d))
                 }
             }
-            Interpretation::TextFallback => self.text_degree(entity, predicate, pin),
+            Interpretation::TextFallback => self.text_degree(entity, predicate),
         }
     }
 
     /// The text fallback's degree, `sigmoid(BM25 − c)` of the
-    /// concatenation of the entity's reviews at `pin`, base and delta,
+    /// concatenation of the entity's reviews at the pin, base and delta,
     /// that the statement's qualifier accepts, each review's length and
     /// term frequencies read on their own. Document frequency and mean
     /// length count one document per entity over every review at the
     /// pin, whatever the qualifier.
-    fn text_degree(&self, entity: usize, predicate: &str, pin: &Pin) -> f64 {
-        let (db, delta) = (self.db, &pin.delta);
+    fn text_degree(&self, entity: usize, predicate: &str) -> f64 {
+        let (db, delta) = (self.db, &self.pin.delta);
         let index = db.interpreter().review_index();
         let qualifier = self.qualifier.as_ref();
         let own = |m: &ReviewMeta| {
@@ -237,19 +246,20 @@ impl<'a> Reference<'a> {
     }
 
     /// Degree of `attribute .= phrase` for an entity.
-    fn term_degree(&self, entity: usize, attribute: usize, phrase: &str, pin: &Pin) -> f64 {
+    fn term_degree(&self, entity: usize, attribute: usize, phrase: &str) -> f64 {
         let db = self.db;
         let mut rep = db.embedder().rep(phrase, db.vocab());
         opine_embed::normalize(&mut rep);
         let sentiment = db.sentiment().score(phrase);
         if self.scan {
-            let phrases = db.raw_phrases(entity, attribute);
+            let phrases = db.raw_phrases_at(entity, attribute, &self.pin);
             return db
                 .membership_scan()
                 .degree(&scan_features(&phrases, &rep, sentiment));
         }
-        // The cell rescanned at `pin`, keeping the reviews the
+        // The cell rescanned at the pin, keeping the reviews the
         // statement's qualifier accepts under live reviewer counts.
+        let pin = &self.pin;
         let summary = db.rescan_cell(entity, attribute, pin, |m| {
             let count = db.reviewer_count_at(&pin.delta, m.reviewer_id);
             self.qualifier.is_none_or(|q| q.accepts(m.year, count))
@@ -284,7 +294,7 @@ impl SubjectiveScorer for Reference<'_> {
             Some(q) if self.scan => return Err(StoreError::NoScorer(format!("with {q}"))),
             Some(q) => Some(Reference {
                 qualifier: Some(q),
-                ..db.reference()
+                ..db.reference_at(self.pin.clone())
             }),
         };
         Ok(BoundLeaf::by_key(move |key| {
@@ -294,7 +304,7 @@ impl SubjectiveScorer for Reference<'_> {
                 Subjective::Predicate(predicate) => reference.degree(entity, predicate),
                 Subjective::Match { attribute, phrase } => {
                     let attribute = db.match_attribute(attribute)?;
-                    db.ensure_pinned(|pin| reference.term_degree(entity, attribute, phrase, pin))
+                    reference.term_degree(entity, attribute, phrase)
                 }
             })
         }))

@@ -20,7 +20,7 @@
 //! the columns alone — combine every candidate, select the k best — for
 //! the statements where building or walking the orders costs more than
 //! one pass, and for the residues TA cannot bound
-//! (`OpineDb::rank_top_k_filtered` chooses). The reference they are
+//! (`AtPin::rank_top_k_filtered` chooses). The reference they are
 //! tested against is `reference::full_scan_topk_dense`.
 //!
 //! Ranking is a total order: combined degree descending, entity id
@@ -201,10 +201,10 @@ where
     out
 }
 
-/// Top-k of `candidates` (entity ids, each at most once) by `residue`'s
-/// degree under `algebra`, without sorted orders: one pass over the
-/// candidates, select the k best in O(candidates), order only the
-/// winners. Any residue, NOT included. Same combining expression and
+/// Top-k of `candidates` (`count` entity ids, each at most once) by
+/// `residue`'s degree under `algebra`, without sorted orders: one pass
+/// over the candidates, select the k best in O(candidates), order only
+/// the winners. Any residue, NOT included. Same combining expression and
 /// comparator as [`threshold_topk`], so the two return the same pairs
 /// bit for bit.
 pub fn scan_topk<C: AsRef<[f64]>>(
@@ -213,13 +213,14 @@ pub fn scan_topk<C: AsRef<[f64]>>(
     algebra: FuzzyAlgebra,
     k: usize,
     candidates: impl Iterator<Item = usize>,
+    count: usize,
 ) -> Vec<(usize, f64)> {
     if columns.is_empty() || k == 0 {
         return Vec::new();
     }
     let columns: Vec<&[f64]> = columns.iter().map(AsRef::as_ref).collect();
     let flat = residue.is_conjunction(columns.len());
-    let mut scored = Vec::with_capacity(candidates.size_hint().0);
+    let mut scored = Vec::with_capacity(count);
     for e in candidates {
         opine_faults::checkpoint();
         let score = if flat {
@@ -495,7 +496,7 @@ mod tests {
             let lone = rng.gen_range(0..n);
             for k in [0, 1, n / 2, n, n + 1] {
                 assert_eq!(
-                    bits(scan_topk(&degrees, &residue, algebra, k, 0..n)),
+                    bits(scan_topk(&degrees, &residue, algebra, k, 0..n, n)),
                     bits(full_scan_topk_dense(&degrees, &residue, algebra, k)),
                     "round {round} k={k}: scan vs reference"
                 );
@@ -505,9 +506,17 @@ mod tests {
                 let masks: [&dyn Fn(usize) -> bool; 4] =
                     [&|_| true, &|e| keep[e], &|e| e == lone, &|_| false];
                 for (m, mask) in masks.iter().enumerate() {
-                    let candidates = (0..n).filter(|&e| mask(e));
+                    let candidates: Vec<usize> = (0..n).filter(|&e| mask(e)).collect();
+                    let count = candidates.len();
                     assert_eq!(
-                        bits(scan_topk(&degrees, &residue, algebra, k, candidates)),
+                        bits(scan_topk(
+                            &degrees,
+                            &residue,
+                            algebra,
+                            k,
+                            candidates.into_iter(),
+                            count
+                        )),
                         bits(ta_with(&cols, &residue, algebra, k, mask)),
                         "round {round} k={k} mask {m}: scan vs TA of {residue:?}"
                     );
@@ -515,7 +524,7 @@ mod tests {
             }
         }
         let leaf = Residue::Leaf(0);
-        assert!(scan_topk::<&[f64]>(&[], &leaf, FuzzyAlgebra::Product, 3, 0..0).is_empty());
+        assert!(scan_topk::<&[f64]>(&[], &leaf, FuzzyAlgebra::Product, 3, 0..0, 0).is_empty());
     }
 
     /// An OR bounds an unseen entity by `or(bound_a, bound_b)`, so the

@@ -38,8 +38,7 @@ use std::time::{Duration, Instant};
 
 /// A per-request budget: a wall-clock expiry plus a manual cancel flag.
 ///
-/// Cheap to clone (one `Arc` bump) so it can cross into `par_map`
-/// workers.
+/// Cheap to clone (one `Arc` bump); clones share the cancel flag.
 #[derive(Debug, Clone)]
 pub struct Deadline {
     expires_at: Instant,
@@ -114,9 +113,9 @@ pub fn with_deadline<T>(deadline: Option<Deadline>, f: impl FnOnce() -> T) -> T 
     f()
 }
 
-/// The ambient deadline, if one is installed — captured by `par_map` so
-/// fan-out workers inherit the spawning request's budget.
-pub fn current_deadline() -> Option<Deadline> {
+/// The ambient deadline, if one is installed — what a failpoint's delay
+/// is capped by.
+fn current_deadline() -> Option<Deadline> {
     AMBIENT.with(|slot| {
         let d = slot.take();
         slot.set(d.clone());

@@ -90,7 +90,8 @@ impl Default for ServerConfig {
     fn default() -> Self {
         // Blocking I/O: more workers than cores still helps, because a
         // worker stalled on a slow client isn't burning a core.
-        let workers = (opine_core::par::available_workers() * 2).clamp(2, 16);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = (cores * 2).clamp(2, 16);
         ServerConfig {
             workers,
             max_body: DEFAULT_MAX_BODY,

@@ -1063,8 +1063,19 @@ impl Residue {
 
     /// Whether this is [`Self::conjunction`]`(leaves)`: the shape a flat
     /// AND of distinct predicates parses to, and most statements take.
+    /// Checked in place, without building that tree.
     pub fn is_conjunction(&self, leaves: usize) -> bool {
-        Residue::conjunction(leaves).as_ref() == Some(self)
+        match self {
+            Residue::Leaf(0) => leaves == 1,
+            Residue::And(operands) => {
+                leaves >= 2
+                    && operands.len() == leaves
+                    && (0..)
+                        .zip(operands)
+                        .all(|(i, op)| matches!(op, Residue::Leaf(j) if *j == i))
+            }
+            _ => false,
+        }
     }
 
     /// [`Self::score`] of [`Self::conjunction`]`(n)`, given its n leaves'
@@ -1306,7 +1317,7 @@ mod tests {
     }
 
     /// Ranks rows 0..3 (Grand, Plaza, Canal) by `degree` through the
-    /// same contract OpineDb implements.
+    /// same contract the engine at a pin implements.
     fn rank_canned(
         residue: &Residue,
         leaves: &[Leaf<'_, Bitmap>],
@@ -1334,7 +1345,7 @@ mod tests {
     }
 
     /// A scorer with an index: ranks the canned degrees through the
-    /// same contract OpineDb implements, recording the candidate
+    /// same contract the engine at a pin implements, recording the candidate
     /// bitmaps it receives.
     struct Indexed {
         pushdowns: Cell<usize>,
@@ -2515,5 +2526,52 @@ mod tests {
             run(&q, &cat, &ObjectiveOnly, None),
             Err(StoreError::UnknownColumn(_))
         ));
+    }
+
+    /// The in-place shape check says what comparing with the built
+    /// conjunction says, on every shape near it.
+    #[test]
+    fn is_conjunction_agrees_with_the_built_conjunction() {
+        use Residue::{And, Leaf, Not, Or};
+        let not = |r| Not(Box::new(r));
+        let shapes = [
+            // Flat.
+            Leaf(0),
+            And(vec![Leaf(0), Leaf(1)]),
+            And(vec![Leaf(0), Leaf(1), Leaf(2), Leaf(3)]),
+            // Nested.
+            And(vec![Leaf(0), And(vec![Leaf(1), Leaf(2)])]),
+            And(vec![And(vec![Leaf(0), Leaf(1)]), Leaf(2)]),
+            And(vec![Leaf(0)]),
+            And(vec![]),
+            // Reordered.
+            Leaf(1),
+            And(vec![Leaf(1), Leaf(0)]),
+            And(vec![Leaf(0), Leaf(2), Leaf(1)]),
+            // A repeated leaf.
+            And(vec![Leaf(0), Leaf(0)]),
+            And(vec![Leaf(0), Leaf(1), Leaf(0)]),
+            // OR and NOT.
+            Or(vec![Leaf(0), Leaf(1)]),
+            not(Leaf(0)),
+            And(vec![Leaf(0), not(Leaf(1))]),
+            And(vec![Leaf(0), Or(vec![Leaf(1), Leaf(2)])]),
+        ];
+        let mut flat = 0;
+        for shape in &shapes {
+            for leaves in 0..6 {
+                let built = Residue::conjunction(leaves).as_ref() == Some(shape);
+                assert_eq!(
+                    shape.is_conjunction(leaves),
+                    built,
+                    "{shape:?}, {leaves} leaves"
+                );
+                flat += usize::from(built);
+            }
+        }
+        assert_eq!(
+            flat, 3,
+            "one leaf count makes each flat shape a conjunction"
+        );
     }
 }

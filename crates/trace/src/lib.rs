@@ -15,10 +15,9 @@
 //!    [`span`], [`count`], and [`note`] return before touching the
 //!    thread-local, taking a timestamp, or building a string.
 //! 2. **Aggregation is lock-free.** All per-stage cells are relaxed
-//!    atomics, so scoped scoring workers that re-install a clone of the
-//!    coordinator's context (see `opine_core::par::par_map`) merge their
-//!    increments into one tree without double-counting and without a
-//!    serialization point.
+//!    atomics, so clones of one context installed on several threads
+//!    merge their increments into one tree without double-counting and
+//!    without a serialization point.
 //! 3. **Zero dependencies.** `std` only, consistent with the rest of the
 //!    workspace.
 

@@ -87,7 +87,7 @@ fn main() {
     let result = opinedb::store::execute(
         &select,
         &catalog,
-        &db,
+        &db.at_pin(),
         opinedb::store::FuzzyAlgebra::Product,
         None,
     )

@@ -330,7 +330,7 @@ fn foreign_base_tables_match_the_reference_from_every_plan() {
         "select * from hotels where price_pn < 150 \
          and (\"clean rooms\" or \"friendly staff\") limit 5",
     ] {
-        let fast = run(sql, &db).expect(sql);
+        let fast = run(sql, &db.at_pin()).expect(sql);
         let slow = run(sql, &reference).expect(sql);
         assert!(!fast.is_empty(), "{sql}");
         assert_eq!(fast.len(), slow.len(), "{sql}");

@@ -58,12 +58,13 @@ fn qualified_corpus_and_db() -> (Corpus, OpineDb) {
     (corpus, db)
 }
 
-/// `execute` with the engine as the scorer, materialized.
+/// `execute` with the engine at the current pin as the scorer,
+/// materialized.
 fn run(db: &OpineDb, sql: &str) -> ResultSet {
     execute(
         &parse_select(sql).unwrap(),
         db.catalog(),
-        db,
+        &db.at_pin(),
         FuzzyAlgebra::Product,
         None,
     )
@@ -165,7 +166,8 @@ fn borrowed_and_materialized_rows_agree_on_qualified_statements() {
     ] {
         let q = parse_select(sql).unwrap();
         let materialized = run(db, sql);
-        let lazy = execute(&q, db.catalog(), db, FuzzyAlgebra::Product, None).unwrap();
+        let engine = db.at_pin();
+        let lazy = execute(&q, db.catalog(), &engine, FuzzyAlgebra::Product, None).unwrap();
         assert_eq!(lazy.len(), materialized.rows.len(), "{sql}");
         for (i, (row, score)) in materialized.rows.iter().enumerate() {
             assert_eq!(
@@ -272,160 +274,156 @@ fn assert_routes_agree(
 
 #[test]
 fn repaired_and_cold_sets_equal_the_rescan_across_inserts_and_merges() {
-    for threads in ["1", "2"] {
-        std::env::set_var("OPINE_THREADS", threads);
-        let (corpus, db) = qualified_corpus_and_db();
-        db.set_merge_threshold(usize::MAX);
-        let n = db.num_entities();
+    let (corpus, db) = qualified_corpus_and_db();
+    db.set_merge_threshold(usize::MAX);
+    let n = db.num_entities();
 
-        // A base reviewer about to return: few reviews, at least one of
-        // them with extracted phrases on an entity no insert touches.
-        let inserted_into = [0usize, 1, 2, 3];
-        let counts = corpus.reviewer_counts();
-        let mut candidates: Vec<(usize, usize)> = counts
-            .iter()
-            .filter(|&(_, &c)| (1..=3).contains(&c))
-            .map(|(&r, &c)| (r, c))
-            .collect();
-        candidates.sort_unstable();
-        let (returning, base_count, witness) = candidates
-            .into_iter()
-            .find_map(|(r, c)| {
-                let own = db.summaries_with_review_filter(|m| m.reviewer_id == r);
-                let witness = (0..n)
-                    .find(|e| !inserted_into.contains(e) && entity_total(&db, &own, *e) > 0.0)?;
-                Some((r, c, witness))
-            })
-            .expect("a returning reviewer with a witness entity");
-        let crossing = ReviewQualifier {
-            min_year: None,
+    // A base reviewer about to return: few reviews, at least one of
+    // them with extracted phrases on an entity no insert touches.
+    let inserted_into = [0usize, 1, 2, 3];
+    let counts = corpus.reviewer_counts();
+    let mut candidates: Vec<(usize, usize)> = counts
+        .iter()
+        .filter(|&(_, &c)| (1..=3).contains(&c))
+        .map(|(&r, &c)| (r, c))
+        .collect();
+    candidates.sort_unstable();
+    let (returning, base_count, witness) = candidates
+        .into_iter()
+        .find_map(|(r, c)| {
+            let own = db.summaries_with_review_filter(|m| m.reviewer_id == r);
+            let witness =
+                (0..n).find(|e| !inserted_into.contains(e) && entity_total(&db, &own, *e) > 0.0)?;
+            Some((r, c, witness))
+        })
+        .expect("a returning reviewer with a witness entity");
+    let crossing = ReviewQualifier {
+        min_year: None,
+        max_year: None,
+        min_reviewer_count: Some(base_count as u32 + 1),
+    };
+    // One further out: only two delta reviews take the reviewer
+    // across it, the second of them after a merge.
+    let crossing_later = ReviewQualifier {
+        min_reviewer_count: Some(base_count as u32 + 2),
+        ..crossing
+    };
+    let qualifiers = [
+        ReviewQualifier {
+            min_year: Some(2012),
             max_year: None,
-            min_reviewer_count: Some(base_count as u32 + 1),
-        };
-        // One further out: only two delta reviews take the reviewer
-        // across it, the second of them after a merge.
-        let crossing_later = ReviewQualifier {
-            min_reviewer_count: Some(base_count as u32 + 2),
-            ..crossing
-        };
-        let qualifiers = [
-            ReviewQualifier {
-                min_year: Some(2012),
-                max_year: None,
-                min_reviewer_count: None,
-            },
-            crossing,
-            ReviewQualifier {
-                min_year: Some(2008),
-                max_year: Some(2020),
-                min_reviewer_count: Some(2),
-            },
-            ReviewQualifier::default(),
-            crossing_later,
-        ];
-        // The witness's phrase mass under `qualifiers[q]`, per route.
-        let witness_totals = |sets: &[[opinedb::core::QualifiedSummaries; 2]], q: usize| {
-            [0, 1].map(|route| entity_total(&db, &sets[q][route], witness))
-        };
+            min_reviewer_count: None,
+        },
+        crossing,
+        ReviewQualifier {
+            min_year: Some(2008),
+            max_year: Some(2020),
+            min_reviewer_count: Some(2),
+        },
+        ReviewQualifier::default(),
+        crossing_later,
+    ];
+    // The witness's phrase mass under `qualifiers[q]`, per route.
+    let witness_totals = |sets: &[[opinedb::core::QualifiedSummaries; 2]], q: usize| {
+        [0, 1].map(|route| entity_total(&db, &sets[q][route], witness))
+    };
 
-        let phrase = |attr: usize, v: usize| db.opinion_domain(attr).variations()[v].phrase.clone();
-        let key = |e: usize| db.entity_key(e).to_string();
-        let before = assert_routes_agree(&db, &qualifiers, "no delta");
-        assert_eq!(db.cache_report().qualified_repairs, 0);
+    let phrase = |attr: usize, v: usize| db.opinion_domain(attr).variations()[v].phrase.clone();
+    let key = |e: usize| db.entity_key(e).to_string();
+    let before = assert_routes_agree(&db, &qualifiers, "no delta");
+    assert_eq!(db.cache_report().qualified_repairs, 0);
 
-        // New reviewers.
-        db.insert_sql(&format!(
-            "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES \
-             ('{}', 'really {} here', 2016, 900001), \
-             ('{}', '{} but loud', 2009, 900002)",
-            key(0),
-            phrase(0, 0),
-            key(1),
-            phrase(1, 0)
-        ))
-        .unwrap();
-        assert_routes_agree(&db, &qualifiers, "new reviewers");
-        let repairs = db.cache_report().qualified_repairs;
-        assert!(repairs > 0, "a non-empty delta must repair, not rescan");
+    // New reviewers.
+    db.insert_sql(&format!(
+        "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES \
+         ('{}', 'really {} here', 2016, 900001), \
+         ('{}', '{} but loud', 2009, 900002)",
+        key(0),
+        phrase(0, 0),
+        key(1),
+        phrase(1, 0)
+    ))
+    .unwrap();
+    assert_routes_agree(&db, &qualifiers, "new reviewers");
+    let repairs = db.cache_report().qualified_repairs;
+    assert!(repairs > 0, "a non-empty delta must repair, not rescan");
 
-        // The base reviewer returns elsewhere: its review of the
-        // untouched witness crosses the threshold.
-        db.insert_sql(&format!(
-            "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES ('{}', 'so {}', 2018, {returning})",
-            key(2),
-            phrase(0, 1),
-        ))
-        .unwrap();
-        let after = assert_routes_agree(&db, &qualifiers, "base reviewer returns");
-        for (route, name) in ROUTES.iter().enumerate() {
-            assert!(
-                witness_totals(&after, 1)[route] > witness_totals(&before, 1)[route],
-                "{name} set: reviewer {returning}'s base review of entity {witness} must \
-                 start to qualify"
-            );
-        }
-        assert_eq!(
-            witness_totals(&after, 4),
-            witness_totals(&before, 4),
-            "one review short of the later threshold"
+    // The base reviewer returns elsewhere: its review of the
+    // untouched witness crosses the threshold.
+    db.insert_sql(&format!(
+        "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES ('{}', 'so {}', 2018, {returning})",
+        key(2),
+        phrase(0, 1),
+    ))
+    .unwrap();
+    let after = assert_routes_agree(&db, &qualifiers, "base reviewer returns");
+    for (route, name) in ROUTES.iter().enumerate() {
+        assert!(
+            witness_totals(&after, 1)[route] > witness_totals(&before, 1)[route],
+            "{name} set: reviewer {returning}'s base review of entity {witness} must \
+             start to qualify"
         );
-
-        // A delta reviewer returns (its first review, of entity 0, now
-        // has an author of two); then anonymous rows.
-        db.insert_sql(&format!(
-            "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES \
-             ('{}', '{} and {}', 2013, 900001)",
-            key(3),
-            phrase(0, 0),
-            phrase(1, 1)
-        ))
-        .unwrap();
-        assert_routes_agree(&db, &qualifiers, "delta reviewer returns");
-        db.insert_sql(&format!(
-            "INSERT INTO reviews (entity, text, year) VALUES \
-             ('{}', 'again {}', 2019), ('{}', '{}', 2011)",
-            key(0),
-            phrase(2, 0),
-            key(1),
-            phrase(0, 2)
-        ))
-        .unwrap();
-        assert_routes_agree(&db, &qualifiers, "anonymous rows");
-
-        db.merge_delta().unwrap();
-        assert_routes_agree(&db, &qualifiers, "merged");
-
-        // And once more past the merge: both returning reviewers again.
-        db.insert_sql(&format!(
-            "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES \
-             ('{}', '{}', 2020, {returning}), ('{}', '{}', 2020, 900002), ('{}', '{}', 2020, 900002)",
-            key(3),
-            phrase(1, 0),
-            key(2),
-            phrase(0, 0),
-            key(0),
-            phrase(0, 1)
-        ))
-        .unwrap();
-        // That was the returning reviewer's second delta review: delta
-        // reviews alone carry it over the later threshold, and its base
-        // review of the witness — an entity no insert touched — starts
-        // to count in the repaired set and in the cold one, before the
-        // merge and after it.
-        let crossed = assert_routes_agree(&db, &qualifiers, "after the merge");
-        for (route, name) in ROUTES.iter().enumerate() {
-            assert!(
-                witness_totals(&crossed, 4)[route] > witness_totals(&after, 4)[route],
-                "{name} set: entity {witness} must gain reviewer {returning}'s base review"
-            );
-        }
-        db.merge_delta().unwrap();
-        let merged = assert_routes_agree(&db, &qualifiers, "merged again");
-        assert_eq!(witness_totals(&merged, 4), witness_totals(&crossed, 4));
-
-        let report = db.cache_report();
-        assert!(report.qualified_repairs > repairs);
-        assert!(report.qualified_repaired_entities >= report.qualified_repairs);
     }
-    std::env::remove_var("OPINE_THREADS");
+    assert_eq!(
+        witness_totals(&after, 4),
+        witness_totals(&before, 4),
+        "one review short of the later threshold"
+    );
+
+    // A delta reviewer returns (its first review, of entity 0, now
+    // has an author of two); then anonymous rows.
+    db.insert_sql(&format!(
+        "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES \
+         ('{}', '{} and {}', 2013, 900001)",
+        key(3),
+        phrase(0, 0),
+        phrase(1, 1)
+    ))
+    .unwrap();
+    assert_routes_agree(&db, &qualifiers, "delta reviewer returns");
+    db.insert_sql(&format!(
+        "INSERT INTO reviews (entity, text, year) VALUES \
+         ('{}', 'again {}', 2019), ('{}', '{}', 2011)",
+        key(0),
+        phrase(2, 0),
+        key(1),
+        phrase(0, 2)
+    ))
+    .unwrap();
+    assert_routes_agree(&db, &qualifiers, "anonymous rows");
+
+    db.merge_delta().unwrap();
+    assert_routes_agree(&db, &qualifiers, "merged");
+
+    // And once more past the merge: both returning reviewers again.
+    db.insert_sql(&format!(
+        "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES \
+         ('{}', '{}', 2020, {returning}), ('{}', '{}', 2020, 900002), ('{}', '{}', 2020, 900002)",
+        key(3),
+        phrase(1, 0),
+        key(2),
+        phrase(0, 0),
+        key(0),
+        phrase(0, 1)
+    ))
+    .unwrap();
+    // That was the returning reviewer's second delta review: delta
+    // reviews alone carry it over the later threshold, and its base
+    // review of the witness — an entity no insert touched — starts
+    // to count in the repaired set and in the cold one, before the
+    // merge and after it.
+    let crossed = assert_routes_agree(&db, &qualifiers, "after the merge");
+    for (route, name) in ROUTES.iter().enumerate() {
+        assert!(
+            witness_totals(&crossed, 4)[route] > witness_totals(&after, 4)[route],
+            "{name} set: entity {witness} must gain reviewer {returning}'s base review"
+        );
+    }
+    db.merge_delta().unwrap();
+    let merged = assert_routes_agree(&db, &qualifiers, "merged again");
+    assert_eq!(witness_totals(&merged, 4), witness_totals(&crossed, 4));
+
+    let report = db.cache_report();
+    assert!(report.qualified_repairs > repairs);
+    assert!(report.qualified_repaired_entities >= report.qualified_repairs);
 }
