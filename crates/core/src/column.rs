@@ -13,12 +13,21 @@
 //!   only, so the builder freezes it into a [`FeaturePlane`], folding
 //!   each cell's build-time occurrences once and keeping no summary.
 //!
-//! Scoring an entity is then one sequential row read, a k-term dot
-//! product, and the logistic. A cell live ingest touched carries its
-//! whole summary in the pinned delta, and review-qualified statements
-//! supply theirs; both run the same feature function over a row written
-//! on the spot from that [`MarkerSummary`]. Every degree is bit-identical
-//! to [`crate::membership::marker_features`] followed by
+//! The plane is **column-major**: per attribute, one `f64` column of
+//! all entities for each of the `2k + 3` slots of a feature row. A term
+//! column is filled eight entities per pass: each slot of eight
+//! consecutive entities is one contiguous load, and the k-term support
+//! sum, the 9-weight logistic and the sigmoid run as eight independent
+//! chains. **The lane rule:** per lane, the operations are those of the
+//! one-entity path, in the same order, so a degree's bits do not
+//! depend on the lane it ran in. A cell live ingest touched replaces
+//! its lane's degree with its summary's, and the tail past the last
+//! full block takes the one-entity path (`OpineDb::term_degree`),
+//! which reads the columns in place. A touched cell carries its whole
+//! summary in the pinned delta, and review-qualified statements supply
+//! theirs; both run the same feature function over a row written on the
+//! spot from that [`MarkerSummary`]. Every degree is bit-identical to
+//! [`crate::membership::marker_features`] followed by
 //! [`crate::MembershipModel::degree`]: that reference is the same two
 //! halves composed per call.
 
@@ -26,8 +35,8 @@ use crate::db::{OpineDb, PreparedPhrase, ReviewMeta};
 use crate::ingest::Pin;
 use crate::interpret::Interpretation;
 use crate::membership::{
-    feature_row_len, features_from_row, marker_sims, summary_features, write_feature_row,
-    MarkerSims,
+    feature_row_len, lane_features, marker_sims, summary_features, write_feature_row, MarkerSims,
+    MembershipModel,
 };
 use crate::summary::{MarkerSet, MarkerSummary};
 use opine_ir::{bm25_term_score, DocId};
@@ -179,20 +188,25 @@ impl DegreeColumn {
     }
 }
 
-/// The frozen entity half of the membership features: per attribute one
-/// contiguous `entities × feature_row_len(k)` array of
-/// [`write_feature_row`] rows over the build-time summaries. Immutable
-/// once built; cells touched by live ingest are scored from their delta
-/// cell's summary instead.
+/// Entities per pass of the column kernel.
+const LANES: usize = 8;
+
+/// The frozen entity half of the membership features, column-major:
+/// per attribute, slot `c` of every entity's [`write_feature_row`] row
+/// is one column of `entities` values. Immutable once built; cells
+/// touched by live ingest are scored from their delta cell's summary
+/// instead.
 #[derive(Debug)]
 pub(crate) struct FeaturePlane {
-    /// Per attribute: the row stride and the rows, entity-major.
-    attributes: Vec<(usize, Vec<f64>)>,
+    entities: usize,
+    /// Per attribute: its `feature_row_len(k)` columns, one after the
+    /// other.
+    attributes: Vec<Vec<f64>>,
 }
 
 impl FeaturePlane {
     /// Freezes `summary(entity, attribute)` of `entities` entities into
-    /// rows, each summary dropped once its row is written.
+    /// columns, each summary dropped once its row is written.
     pub(crate) fn build(
         entities: usize,
         marker_sets: &[MarkerSet],
@@ -203,29 +217,96 @@ impl FeaturePlane {
             .enumerate()
             .map(|(attribute, set)| {
                 let k = set.markers.len();
-                let stride = feature_row_len(k);
-                let mut rows = vec![0.0; entities * stride];
-                for (entity, row) in rows.chunks_exact_mut(stride).enumerate() {
-                    write_feature_row(&summary(entity, attribute), k, row);
+                let mut row = vec![0.0; feature_row_len(k)];
+                let mut columns = vec![0.0; entities * row.len()];
+                // lint:allow(checkpoint_coverage, reason = "construction path; no request deadline is armed during build")
+                for entity in 0..entities {
+                    write_feature_row(&summary(entity, attribute), k, &mut row);
+                    for (slot, &value) in row.iter().enumerate() {
+                        columns[slot * entities + entity] = value;
+                    }
                 }
-                (stride, rows)
+                columns
             })
             .collect();
-        FeaturePlane { attributes }
+        FeaturePlane {
+            entities,
+            attributes,
+        }
     }
 
-    /// The row of one `(attribute, entity)` cell.
+    /// The degrees of `term` over entities `first..first + L`, every
+    /// slot read from the plane: lane `l` is entity `first + l`.
     #[inline]
-    fn row(&self, attribute: usize, entity: usize) -> &[f64] {
-        let (stride, rows) = &self.attributes[attribute];
-        &rows[entity * stride..(entity + 1) * stride]
+    fn degrees<const L: usize>(
+        &self,
+        first: usize,
+        term: &PreparedTerm,
+        model: &MembershipModel,
+    ) -> [f64; L] {
+        let columns = &self.attributes[term.attribute];
+        let slot = |c: usize| -> &[f64; L] {
+            let at = c * self.entities + first;
+            columns[at..at + L]
+                .try_into()
+                .expect("a lane block lies inside one column")
+        };
+        model.degrees(&lane_features(slot, &term.sims, term.phrase.sentiment))
     }
 
-    /// Heap bytes of the rows.
+    /// The degree of `term` for one entity: its plane slots read in
+    /// place, or, when `delta` holds the cell's summary, that summary.
+    fn degree(
+        &self,
+        entity: usize,
+        term: &PreparedTerm,
+        model: &MembershipModel,
+        delta: Option<&MarkerSummary>,
+    ) -> f64 {
+        match delta {
+            None => self.degrees::<1>(entity, term, model)[0],
+            Some(summary) => term.summary_degree(summary, model),
+        }
+    }
+
+    /// The degree of `term` for every entity, [`LANES`] entities per
+    /// pass. A cell `delta` has a summary for takes that summary's
+    /// degree in place of its lane; the tail takes [`Self::degree`] per
+    /// entity.
+    fn term_column<'d>(
+        &self,
+        term: &PreparedTerm,
+        model: &MembershipModel,
+        delta: impl Fn(usize) -> Option<&'d MarkerSummary>,
+    ) -> Vec<f64> {
+        let mut degrees = vec![0.0; self.entities];
+        let mut blocks = degrees.chunks_exact_mut(LANES);
+        for (first, block) in (0..).step_by(LANES).zip(&mut blocks) {
+            // One checkpoint per entity: the deadline's clock is read
+            // every 256 calls, so a call per block would let a column of
+            // 2 000 entities finish without reading it.
+            (0..LANES).for_each(|_| opine_faults::checkpoint());
+            block.copy_from_slice(&self.degrees::<LANES>(first, term, model));
+            for (entity, slot) in (first..).zip(block) {
+                if let Some(summary) = delta(entity) {
+                    *slot = term.summary_degree(summary, model);
+                }
+            }
+        }
+        let tail = blocks.into_remainder();
+        let first = self.entities - tail.len();
+        for (entity, slot) in (first..).zip(tail) {
+            opine_faults::checkpoint();
+            *slot = self.degree(entity, term, model, delta(entity));
+        }
+        degrees
+    }
+
+    /// Heap bytes of the columns.
     pub(crate) fn memory_bytes(&self) -> usize {
         self.attributes
             .iter()
-            .map(|(_, rows)| rows.len() * std::mem::size_of::<f64>())
+            .map(|columns| columns.len() * std::mem::size_of::<f64>())
             .sum()
     }
 }
@@ -237,6 +318,18 @@ pub(crate) struct PreparedTerm {
     pub(crate) attribute: usize,
     phrase: Arc<PreparedPhrase>,
     sims: MarkerSims,
+}
+
+impl PreparedTerm {
+    /// The term's degree over an explicit summary, its entity-half row
+    /// written on the spot.
+    fn summary_degree(&self, summary: &MarkerSummary, model: &MembershipModel) -> f64 {
+        model.degree(&summary_features(
+            summary,
+            &self.sims,
+            self.phrase.sentiment,
+        ))
+    }
 }
 
 /// An interpretation with its query-side work hoisted out of the
@@ -417,12 +510,11 @@ impl OpineDb {
         }
         opine_trace::count("ta_topk", "cache_misses", 1);
         let term_column = |term: &PreparedTerm| {
-            (0..self.num_entities())
-                .map(|entity| {
-                    opine_faults::checkpoint();
-                    self.term_degree(entity, term, pin)
+            let attribute = term.attribute;
+            self.plane
+                .term_column(term, &self.membership_markers, |entity| {
+                    pin.delta.summary(entity, attribute)
                 })
-                .collect()
         };
         let degrees = match &*source {
             ColumnSource::Predicate(_, PreparedInterpretation::Text { terms }) => {
@@ -567,30 +659,25 @@ impl OpineDb {
             .collect()
     }
 
-    /// Degree of one membership term for an entity: its plane row, or,
-    /// when delta reviews mentioned the cell, the pinned delta cell's
-    /// summary of the whole cell (no merge, no allocation).
+    /// Degree of one membership term for an entity: its plane slots read
+    /// in place, or, when delta reviews mentioned the cell, the pinned
+    /// delta cell's summary of the whole cell (no merge, no allocation).
+    /// The column kernel's path for a delta cell's block and the tail,
+    /// and the per-entity repair's.
     pub(crate) fn term_degree(&self, entity: usize, term: &PreparedTerm, pin: &Pin) -> f64 {
-        let attribute = term.attribute;
-        match pin.delta.summary(entity, attribute) {
-            None => self.membership_markers.degree(&features_from_row(
-                self.plane.row(attribute, entity),
-                &term.sims,
-                term.phrase.sentiment,
-            )),
-            Some(summary) => self.summary_term_degree(summary, term),
-        }
+        self.plane.degree(
+            entity,
+            term,
+            &self.membership_markers,
+            pin.delta.summary(entity, term.attribute),
+        )
     }
 
     /// Degree of one membership term over an explicit summary: the
     /// kernel's generic arm (delta cells, review-qualified summaries),
     /// which writes the entity-half row on the spot.
     pub(crate) fn summary_term_degree(&self, summary: &MarkerSummary, term: &PreparedTerm) -> f64 {
-        self.membership_markers.degree(&summary_features(
-            summary,
-            &term.sims,
-            term.phrase.sentiment,
-        ))
+        term.summary_degree(summary, &self.membership_markers)
     }
 
     /// The text fallback's degree of every entity: `sigmoid(BM25 − c)`
@@ -731,10 +818,9 @@ mod tests {
             attribute: "a".into(),
             kind,
             markers: (0..k)
-                .map(|i| Marker {
-                    phrase: format!("m{i}"),
-                    rep: random_rep(rng, 8),
-                    sentiment: rng.gen::<f64>() * 2.0 - 1.0,
+                .map(|i| {
+                    let rep = random_rep(rng, 8);
+                    Marker::new(format!("m{i}"), rep, rng.gen::<f64>() * 2.0 - 1.0)
                 })
                 .collect(),
         }
@@ -764,6 +850,14 @@ mod tests {
         summary
     }
 
+    /// Every degree path against the frozen specification: the column
+    /// kernel (lanes, a delta cell's block, the tail), the one-entity
+    /// plane path, the summary path and `marker_features`. Entity counts
+    /// straddle one and several lane blocks, marker counts straddle the
+    /// stack row of `summary_features`, the queries include the zero
+    /// vector and ones most similar to the first and to the last marker,
+    /// and delta cells sit in the first and the last slot of a block and
+    /// in the tail.
     #[test]
     fn plane_summary_and_reference_features_agree_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(12);
@@ -777,6 +871,7 @@ mod tests {
             })
             .collect();
         let model = MembershipModel::train(&tuples, &LogRegConfig::default());
+        const ENTITIES: [usize; 7] = [1, 7, 8, 9, 63, 64, 65];
 
         for (k, kind) in [
             (0, SummaryKind::Linear),
@@ -784,7 +879,9 @@ mod tests {
             (4, SummaryKind::Linear),
             (10, SummaryKind::Linear),
             (6, SummaryKind::Categorical),
-            // Past the stack row of `summary_features`.
+            // The stack row of `summary_features`, and one past it.
+            (16, SummaryKind::Linear),
+            (17, SummaryKind::Linear),
             (20, SummaryKind::Linear),
         ] {
             let set = random_marker_set(&mut rng, k, kind);
@@ -796,55 +893,97 @@ mod tests {
                 random_summary(&mut rng, &set, 5, AssignMode::Best, 2.0),
                 random_summary(&mut rng, &set, 1, AssignMode::Best, -1.0),
             ];
-            for _ in 0..20 {
+            while cells.len() < ENTITIES[6] {
                 let phrases = rng.gen_range(1..40);
+                let (mode, min_similarity) = if cells.len() % 2 == 0 {
+                    (AssignMode::Best, 0.2)
+                } else {
+                    (AssignMode::Proportional, -0.3)
+                };
                 cells.push(random_summary(
                     &mut rng,
                     &set,
                     phrases,
-                    AssignMode::Best,
-                    0.2,
-                ));
-                cells.push(random_summary(
-                    &mut rng,
-                    &set,
-                    phrases,
-                    AssignMode::Proportional,
-                    -0.3,
+                    mode,
+                    min_similarity,
                 ));
             }
-            let plane = FeaturePlane::build(cells.len(), std::slice::from_ref(&set), |e, _| {
-                cells[e].clone()
-            });
-            assert_eq!(plane.memory_bytes(), cells.len() * feature_row_len(k) * 8);
+            // What a delta cell holds for each entity.
+            let deltas: Vec<MarkerSummary> = (0..cells.len())
+                .map(|_| {
+                    let phrases = rng.gen_range(1..40);
+                    random_summary(&mut rng, &set, phrases, AssignMode::Best, 0.2)
+                })
+                .collect();
+            let planes: Vec<FeaturePlane> = ENTITIES
+                .iter()
+                .map(|&n| {
+                    let plane =
+                        FeaturePlane::build(n, std::slice::from_ref(&set), |e, _| cells[e].clone());
+                    assert_eq!(plane.memory_bytes(), n * feature_row_len(k) * 8);
+                    plane
+                })
+                .collect();
 
-            for _ in 0..8 {
-                // Includes the zero vector: cosine 0 against everything.
-                let query = if rng.gen::<f64>() < 0.15 {
-                    vec![0.0; 8]
-                } else {
-                    random_rep(&mut rng, 8)
-                };
+            // The zero vector (cosine 0 against everything), the first
+            // and the last marker's own embedding, then random ones.
+            let mut queries = vec![vec![0.0; 8]];
+            if let (Some(first), Some(last)) = (set.markers.first(), set.markers.last()) {
+                queries.push(first.rep.clone());
+                queries.push(last.rep.clone());
+            }
+            queries.extend((0..5).map(|_| random_rep(&mut rng, 8)));
+            for (q, query) in queries.iter().enumerate() {
                 let sentiment = rng.gen::<f64>() * 2.0 - 1.0;
-                let sims = marker_sims(&set, &query);
+                let sims = marker_sims(&set, query);
+                if k > 0 && q == 1 {
+                    assert_eq!(sims.best, 0, "k={k}");
+                }
+                if k > 0 && q == 2 {
+                    assert_eq!(sims.best, k - 1, "k={k}");
+                }
+                let legacy = |cell: &MarkerSummary| {
+                    model
+                        .degree(&legacy_marker_features(cell, &set, query, sentiment))
+                        .to_bits()
+                };
+                let legacy_cells: Vec<u64> = cells.iter().map(legacy).collect();
+                let legacy_deltas: Vec<u64> = deltas.iter().map(legacy).collect();
                 for (entity, cell) in cells.iter().enumerate() {
-                    let over_plane =
-                        model.degree(&features_from_row(plane.row(0, entity), &sims, sentiment));
                     let over_summary = model.degree(&summary_features(cell, &sims, sentiment));
-                    let reference = model.degree(&marker_features(cell, &set, &query, sentiment));
-                    let legacy =
-                        model.degree(&legacy_marker_features(cell, &set, &query, sentiment));
-                    assert_eq!(
-                        over_plane.to_bits(),
-                        legacy.to_bits(),
-                        "k={k} cell {entity}"
-                    );
-                    assert_eq!(
-                        over_summary.to_bits(),
-                        legacy.to_bits(),
-                        "k={k} cell {entity}"
-                    );
-                    assert_eq!(reference.to_bits(), legacy.to_bits(), "k={k} cell {entity}");
+                    let reference = model.degree(&marker_features(cell, &set, query, sentiment));
+                    let expected = legacy_cells[entity];
+                    assert_eq!(over_summary.to_bits(), expected, "k={k} cell {entity}");
+                    assert_eq!(reference.to_bits(), expected, "k={k} cell {entity}");
+                }
+
+                let term = PreparedTerm {
+                    attribute: 0,
+                    phrase: Arc::new(PreparedPhrase {
+                        rep: query.clone(),
+                        sentiment,
+                    }),
+                    sims,
+                };
+                for (&n, plane) in ENTITIES.iter().zip(&planes) {
+                    // Block 1's first slot, block 2's last, the last
+                    // entity when it is in the tail.
+                    let touched = |e: usize| e == 8 || e == 23 || (n % LANES != 0 && e == n - 1);
+                    for with_delta in [false, true] {
+                        let delta = |e: usize| (with_delta && touched(e)).then(|| &deltas[e]);
+                        let column = plane.term_column(&term, &model, delta);
+                        assert_eq!(column.len(), n);
+                        for (entity, degree) in column.iter().enumerate() {
+                            let single = plane.degree(entity, &term, &model, delta(entity));
+                            let expected = match delta(entity) {
+                                Some(_) => legacy_deltas[entity],
+                                None => legacy_cells[entity],
+                            };
+                            let at = format!("k={k} n={n} query {q} delta {with_delta} {entity}");
+                            assert_eq!(degree.to_bits(), single.to_bits(), "{at}");
+                            assert_eq!(single.to_bits(), expected, "{at}");
+                        }
+                    }
                 }
             }
         }

@@ -329,7 +329,7 @@ pub struct OpineDb {
     pub(crate) opinion_domains: Vec<LinguisticDomain>,
     interpreter: Interpreter,
     /// The entity half of the membership features of every build-time
-    /// summary, frozen into contiguous rows (see [`crate::column`]).
+    /// summary, frozen column-major (see [`crate::column`]).
     pub(crate) plane: FeaturePlane,
     /// Every build-time occurrence, row `entity · attributes +
     /// attribute` per cell ([`Self::occurrences_at`] reads it).

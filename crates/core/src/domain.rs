@@ -104,21 +104,55 @@ impl LinguisticDomain {
 
     /// The variation most similar to a query representation, with its
     /// cosine similarity: `opine_embed::cosine(query_rep, &v.rep)` bit
-    /// for bit, with both norms taken outside the loop.
-    pub fn best_match(&self, query_rep: &[f32]) -> Option<(&Variation, f32)> {
+    /// for bit, with both norms taken outside the loop, and the last of
+    /// equal maxima under `f32::total_cmp` (`Iterator::max_by`'s rule).
+    /// The dot products run eight variations at a time, each summed in
+    /// `opine_embed::dot`'s order.
+    pub fn best_match<'a>(&'a self, query_rep: &[f32]) -> Option<(&'a Variation, f32)> {
         let query_norm = opine_embed::norm(query_rep);
-        self.variations
-            .iter()
-            .map(|v| {
-                let cosine = if query_norm == 0.0 || v.norm == 0.0 {
-                    0.0
-                } else {
-                    (opine_embed::dot(query_rep, &v.rep) / (query_norm * v.norm)).clamp(-1.0, 1.0)
-                };
-                (v, cosine)
-            })
-            .max_by(|a, b| a.1.total_cmp(&b.1))
+        let mut best: Option<(&'a Variation, f32)> = None;
+        let mut offer = |v: &'a Variation, dot: f32| {
+            let cosine = if query_norm == 0.0 || v.norm == 0.0 {
+                0.0
+            } else {
+                (dot / (query_norm * v.norm)).clamp(-1.0, 1.0)
+            };
+            if best.is_none_or(|(_, b)| cosine.total_cmp(&b).is_ge()) {
+                best = Some((v, cosine));
+            }
+        };
+        let mut blocks = self.variations.chunks_exact(LANES);
+        for block in &mut blocks {
+            let dots = lane_dots::<LANES>(query_rep, std::array::from_fn(|l| &block[l].rep[..]));
+            for (v, dot) in block.iter().zip(dots) {
+                offer(v, dot);
+            }
+        }
+        for v in blocks.remainder() {
+            offer(v, opine_embed::dot(query_rep, &v.rep));
+        }
+        best
     }
+}
+
+/// Variations per pass of [`LinguisticDomain::best_match`].
+const LANES: usize = 8;
+
+/// `opine_embed::dot(query, reps[l])` for every lane, as `L` independent
+/// chains: each folds `query[d] * rep[d]` in `d` order from `-0.0`,
+/// where `Sum` for `f32` starts. Every rep has the query's length, as
+/// `dot` requires.
+fn lane_dots<const L: usize>(query: &[f32], reps: [&[f32]; L]) -> [f32; L] {
+    let dim = query.len();
+    debug_assert!(reps.iter().all(|rep| rep.len() == dim));
+    let reps = reps.map(|rep| &rep[..dim]);
+    let mut sums = [-0.0f32; L];
+    for d in 0..dim {
+        for (sum, rep) in sums.iter_mut().zip(&reps) {
+            *sum += query[d] * rep[d];
+        }
+    }
+    sums
 }
 
 #[cfg(test)]
@@ -221,6 +255,62 @@ mod tests {
             let (best, sim) = d.best_match(&query).unwrap();
             assert_eq!(best.phrase, expected.phrase, "round {round}");
             assert_eq!(sim.to_bits(), expected_sim.to_bits(), "round {round}");
+        }
+    }
+
+    /// `best_match` keeps `max_by`'s tie rule — the last of equal
+    /// maxima wins — over 0, 1, 7, 8, 9 and 17 variations (nothing, a
+    /// tail alone, one block, a block and a tail, two blocks and a tail),
+    /// with duplicate representations, a zero-norm variation and a zero
+    /// query.
+    #[test]
+    fn best_match_returns_the_last_of_equal_maxima() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(39);
+        const DIM: usize = 10;
+        let mut random_rep = || -> Vec<f32> {
+            let mut rep: Vec<f32> = (0..DIM).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect();
+            opine_embed::normalize(&mut rep);
+            rep
+        };
+        let shared = random_rep();
+        for n in [0usize, 1, 7, 8, 9, 17] {
+            let mut d = LinguisticDomain::new();
+            for i in 0..n {
+                let rep = match i {
+                    // Every fourth variation shares one representation.
+                    _ if i % 4 == 0 => shared.clone(),
+                    // An out-of-vocabulary phrase embeds to all zeros.
+                    5 => vec![0.0; DIM],
+                    _ => random_rep(),
+                };
+                d.insert(&format!("v{i}"), 0.0, rep);
+            }
+            let last_shared = n.checked_sub(1).map(|last| format!("v{}", last / 4 * 4));
+            let last = n.checked_sub(1).map(|last| format!("v{last}"));
+            for (q, query) in [vec![0.0; DIM], shared.clone(), random_rep()]
+                .iter()
+                .enumerate()
+            {
+                let got = d.best_match(query);
+                let expected = d
+                    .variations()
+                    .iter()
+                    .map(|v| (v, opine_embed::cosine(query, &v.rep)))
+                    .max_by(|a, b| a.1.total_cmp(&b.1));
+                let bits =
+                    |m: Option<(&Variation, f32)>| m.map(|(v, s)| (v.phrase.clone(), s.to_bits()));
+                assert_eq!(bits(got), bits(expected), "n={n} query {q}");
+                let winner = got.map(|(v, _)| v.phrase.clone());
+                match q {
+                    // Every cosine is 0: the last variation wins.
+                    0 => assert_eq!(winner, last, "n={n}"),
+                    // The shared representation ties at the top.
+                    1 => assert_eq!(winner, last_shared, "n={n}"),
+                    _ => {}
+                }
+            }
         }
     }
 

@@ -96,6 +96,11 @@ pub struct Interpreter {
     review_digest: ReviewDigest,
     /// Number of reviews containing at least one extraction of attribute A.
     attr_review_df: Vec<u32>,
+    /// Where attribute A's marker counters start in the co-occurrence
+    /// stage's flat counter array: one counter per marker the digest
+    /// names for A, attribute after attribute; the last entry is the
+    /// array's length.
+    marker_offsets: Vec<usize>,
     /// Bounded predicate → interpretation memo (see
     /// [`InterpreterConfig::cache_capacity`]).
     cache: BoundedCache<Interpretation>,
@@ -117,15 +122,23 @@ impl Interpreter {
     ) -> Self {
         let num_attrs = domains.len();
         let mut attr_review_df = vec![0u32; num_attrs];
+        let mut markers_named = vec![0usize; num_attrs];
         for digest in &review_digest {
             let mut seen = vec![false; num_attrs];
-            for &(a, _) in digest {
+            for &(a, m) in digest {
+                markers_named[a] = markers_named[a].max(m + 1);
                 if !seen[a] {
                     seen[a] = true;
                     attr_review_df[a] += 1;
                 }
             }
         }
+        let marker_offsets = std::iter::once(0)
+            .chain(markers_named.iter().scan(0, |end, &named| {
+                *end += named;
+                Some(*end)
+            }))
+            .collect();
         let cache = BoundedCache::new(config.cache_capacity);
         review_index.freeze();
         Self {
@@ -136,6 +149,7 @@ impl Interpreter {
             review_sentiments,
             review_digest,
             attr_review_df,
+            marker_offsets,
             cache,
         }
     }
@@ -248,15 +262,15 @@ impl Interpreter {
             return None;
         }
 
-        // freq_k(A) and the per-(A, marker) frequencies in the top-k set.
+        // freq_k(A) and the per-(A, marker) frequencies in the top-k set,
+        // attribute A's at `marker_freq[marker_offsets[A]..]`.
         let num_attrs = self.domains.len();
         let mut freq = vec![0u32; num_attrs];
-        let mut marker_freq: Vec<std::collections::HashMap<usize, u32>> =
-            vec![Default::default(); num_attrs];
+        let mut marker_freq = vec![0u32; self.marker_offsets[num_attrs]];
         for &(doc, _) in &scored {
             for &(a, m) in &self.review_digest[doc] {
                 freq[a] += 1;
-                *marker_freq[a].entry(m).or_insert(0) += 1;
+                marker_freq[self.marker_offsets[a] + m] += 1;
             }
         }
 
@@ -282,14 +296,14 @@ impl Interpreter {
         let terms: Vec<(usize, usize)> = attr_scores
             .iter()
             .map(|&(a, _)| {
-                // Tie-break by smallest marker index: `HashMap`
-                // iteration order is arbitrary, and a count-only max
-                // made tied markers resolve differently run to run.
-                let marker = marker_freq[a]
-                    .iter()
-                    .max_by_key(|(&m, &c)| (c, std::cmp::Reverse(m)))
-                    .map(|(&m, _)| m)
-                    .unwrap_or(0);
+                // The most frequent marker; the smallest among equal
+                // counts, as the ascending scan keeps the first.
+                let counts = &marker_freq[self.marker_offsets[a]..self.marker_offsets[a + 1]];
+                let (marker, _) =
+                    counts.iter().enumerate().fold(
+                        (0, 0),
+                        |best, (m, &c)| if c > best.1 { (m, c) } else { best },
+                    );
                 (a, marker)
             })
             .collect();
@@ -331,6 +345,25 @@ mod tests {
     /// Two attributes (cleanliness, service); reviews mention "romantic
     /// getaway" together with positive service phrases.
     fn fixture() -> (Vocab, PhraseEmbedder, Interpreter) {
+        fixture_with(|clean_set, service_set| {
+            // Review 0, 1 mention cleanliness; 2, 3, 4 service; 5 cleanliness.
+            let ex_marker = |set: &MarkerSet, phrase: &str| set.marker_index(phrase).unwrap_or(0);
+            vec![
+                vec![(0, ex_marker(clean_set, "very clean"))],
+                vec![(0, ex_marker(clean_set, "spotless"))],
+                vec![(1, ex_marker(service_set, "exceptional"))],
+                vec![(1, ex_marker(service_set, "exceptional"))],
+                vec![(1, ex_marker(service_set, "exceptional"))],
+                vec![(0, ex_marker(clean_set, "dirty"))],
+            ]
+        })
+    }
+
+    /// The fixture's reviews with the extraction digest `digest` writes
+    /// over the cleanliness and the service marker sets.
+    fn fixture_with(
+        digest: impl FnOnce(&MarkerSet, &MarkerSet) -> ReviewDigest,
+    ) -> (Vocab, PhraseEmbedder, Interpreter) {
         let mut vocab = Vocab::new();
         let review_texts = [
             "the room was very clean and fresh",
@@ -380,16 +413,7 @@ mod tests {
         let service_set =
             MarkerSet::discover("service", &service_domain, SummaryKind::Linear, 2, 1);
 
-        // Digest: review 0,1 mention cleanliness; 2,3,4 service; 5 cleanliness.
-        let ex_marker = |set: &MarkerSet, phrase: &str| set.marker_index(phrase).unwrap_or(0);
-        let digest: ReviewDigest = vec![
-            vec![(0, ex_marker(&clean_set, "very clean"))],
-            vec![(0, ex_marker(&clean_set, "spotless"))],
-            vec![(1, ex_marker(&service_set, "exceptional"))],
-            vec![(1, ex_marker(&service_set, "exceptional"))],
-            vec![(1, ex_marker(&service_set, "exceptional"))],
-            vec![(0, ex_marker(&clean_set, "dirty"))],
-        ];
+        let digest = digest(&clean_set, &service_set);
         let sentiments = vec![0.7, 0.8, 0.8, 0.85, 0.9, -0.6];
 
         let interp = Interpreter::new(
@@ -434,6 +458,34 @@ mod tests {
             }
             other => panic!("expected CoOccur, got {other:?}"),
         }
+    }
+
+    /// Among markers of equal count the smallest wins, whichever the
+    /// top reviews name first. Only reviews 2 and 3 hold "romantic
+    /// getaway"; between them they name cleanliness markers 2 and 1
+    /// twice each (2 first) and marker 0 once, and service marker 1
+    /// once.
+    #[test]
+    fn cooccurrence_stage_picks_the_smallest_of_tied_markers() {
+        let (vocab, _, interp) = fixture_with(|clean_set, service_set| {
+            assert_eq!(clean_set.markers.len(), 3);
+            assert_eq!(service_set.markers.len(), 2);
+            vec![
+                vec![],
+                vec![],
+                vec![(0, 2), (0, 1), (1, 1)],
+                vec![(0, 2), (0, 0), (0, 1)],
+                vec![],
+                vec![],
+            ]
+        });
+        assert_eq!(
+            interp.cooccurrence_stage("romantic getaway", &vocab),
+            Some(Interpretation::CoOccur {
+                terms: vec![(0, 1), (1, 1)],
+                conjunctive: false,
+            })
+        );
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   their provenance is computed from the raw occurrences
 //!   ([`OpineDb::provenance`]);
 //! * [`membership`] — learned membership functions translating a marker
-//!   summary + query phrase into a degree of truth (Sec. 3.3);
+//!   summary + query phrase into a degree of truth (Sec. 3.3), run on
+//!   lanes of entities with each lane's operations those of the
+//!   one-entity path, in the same order;
 //! * [`interpret`] — the three-stage predicate interpreter: word2vec →
 //!   co-occurrence → text-retrieval fallback (Sec. 3.2, Fig. 5);
 //! * [`builder`] — the construction pipeline from a raw review corpus
@@ -20,7 +22,9 @@
 //! * [`db`] — [`OpineDb`]: the end-to-end engine executing Subjective SQL
 //!   with fuzzy combination (Sec. 3.1);
 //! * [`column`] — degree columns and the batched membership kernel that
-//!   fills them from a frozen feature plane;
+//!   fills them eight entities per pass from a frozen, column-major
+//!   feature plane (one `f64` column per feature-row slot per
+//!   attribute), bit for bit the one-entity degrees;
 //! * [`ingest`] — live ingest: the copy-on-write delta segment behind
 //!   snapshot-isolated `INSERT` at serve time;
 //! * [`qualified`] — review-qualified summaries (`with reviews(…)`): one

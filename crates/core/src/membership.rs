@@ -15,10 +15,18 @@
 //! query↔marker cosines, which do not depend on the entity) and an
 //! **entity half** (`write_feature_row`: fractions, sentiment means and
 //! totals, which do not depend on the query), joined by
-//! `features_from_row`. [`marker_features`] is exactly that
-//! composition, so the batched column kernel (`crate::column`), which
-//! hoists the query half out of the entity loop and reads the entity
-//! half from a prebuilt plane, cannot drift from it.
+//! `lane_features`. [`marker_features`] is exactly that composition, so
+//! the batched column kernel (`crate::column`), which hoists the query
+//! half out of the entity loop and reads the entity half from a
+//! prebuilt plane, cannot drift from it.
+//!
+//! The join and the logistic run on **lanes**: `lane_features` and
+//! `MembershipModel::degrees` take `L` entities at once, slot `c` of
+//! every entity's row as one `[f64; L]`, and run per lane exactly the
+//! operations of the one-entity path, in the same order; a summary's
+//! features are the join over one lane. The column kernel reads eight
+//! lanes straight out of the plane's column-major columns, so eight
+//! dependency chains overlap and every degree keeps its bits.
 
 use crate::summary::{MarkerSet, MarkerSummary};
 use opine_embed::cosine;
@@ -35,20 +43,27 @@ pub(crate) struct MarkerSims {
     /// the weights of the `support` sum.
     support_weights: Vec<f64>,
     /// The most similar marker (the first one on ties).
-    best: usize,
+    pub(crate) best: usize,
     /// Its similarity, floored at −1 (the value when no marker exists).
     best_sim: f64,
 }
 
-/// Computes the query↔marker similarities of `query_rep` once.
+/// Computes the query↔marker similarities of `query_rep` once: each is
+/// `opine_embed::cosine(query_rep, &marker.rep)` bit for bit, with the
+/// query's norm taken once and each marker's stored when it was built.
 pub(crate) fn marker_sims(markers: &MarkerSet, query_rep: &[f32]) -> MarkerSims {
+    let query_norm = opine_embed::norm(query_rep);
     let mut best = (0usize, f32::NEG_INFINITY);
     let support_weights = markers
         .markers
         .iter()
         .enumerate()
         .map(|(i, m)| {
-            let sim = cosine(query_rep, &m.rep);
+            let sim = if query_norm == 0.0 || m.norm == 0.0 {
+                0.0
+            } else {
+                (opine_embed::dot(query_rep, &m.rep) / (query_norm * m.norm)).clamp(-1.0, 1.0)
+            };
             if sim > best.1 {
                 best = (i, sim);
             }
@@ -87,42 +102,48 @@ pub(crate) fn write_feature_row(summary: &MarkerSummary, k: usize, row: &mut [f6
     row[2 * k + 2] = summary.unmatched_fraction();
 }
 
-/// Joins an entity-half row with a query half into the feature vector.
+/// The feature vectors of `L` entities, one lane each: `slot(c)` holds
+/// slot `c` of their entity-half rows. Per lane this is the one-entity
+/// join: `support` sums from `0.0` in marker order, and every other
+/// feature is a load or the one product, so a lane's features do not
+/// depend on `L`.
 #[inline]
-pub(crate) fn features_from_row(
-    row: &[f64],
+pub(crate) fn lane_features<'a, const L: usize>(
+    slot: impl Fn(usize) -> &'a [f64; L],
     sims: &MarkerSims,
     query_sentiment: f64,
-) -> [f64; FEATURE_DIM] {
+) -> [[f64; L]; FEATURE_DIM] {
     let k = sims.support_weights.len();
-    debug_assert_eq!(row.len(), feature_row_len(k));
-    let mut support = 0.0;
-    for (frac, weight) in row[..k].iter().zip(&sims.support_weights) {
-        support += frac * weight;
+    let mut support = [0.0; L];
+    for (i, &weight) in sims.support_weights.iter().enumerate() {
+        let fracs = slot(i);
+        for (sum, frac) in support.iter_mut().zip(fracs) {
+            *sum += frac * weight;
+        }
     }
     let (best_frac, best_sent) = if k == 0 {
-        (0.0, 0.0)
+        ([0.0; L], [0.0; L])
     } else {
-        (row[sims.best], row[k + sims.best])
+        (*slot(sims.best), *slot(k + sims.best))
     };
-    let avg_sent = row[2 * k];
+    let avg_sent = *slot(2 * k);
     [
         support,
         avg_sent,
         best_frac,
-        sims.best_sim,
+        [sims.best_sim; L],
         best_sent,
-        row[2 * k + 1],
-        row[2 * k + 2],
-        query_sentiment,
-        avg_sent * query_sentiment,
+        *slot(2 * k + 1),
+        *slot(2 * k + 2),
+        [query_sentiment; L],
+        avg_sent.map(|a| a * query_sentiment),
     ]
 }
 
 /// The feature vector of a summary that has no prebuilt row (the
 /// reference below, delta cells, review-qualified summaries):
 /// writes the entity half on the spot — on the stack for every marker
-/// set up to 16 markers — and joins it with `sims`.
+/// set up to 16 markers — and joins it with `sims` over one lane.
 pub(crate) fn summary_features(
     summary: &MarkerSummary,
     sims: &MarkerSims,
@@ -140,7 +161,7 @@ pub(crate) fn summary_features(
         &mut heap[..]
     };
     write_feature_row(summary, k, row);
-    features_from_row(row, sims, query_sentiment)
+    lane_features(|c| std::array::from_ref(&row[c]), sims, query_sentiment).map(|[x]| x)
 }
 
 /// Features computed from the marker summary only: the slow reference
@@ -223,6 +244,23 @@ impl MembershipModel {
     /// The degree of truth for a feature vector.
     pub fn degree(&self, features: &[f64]) -> f64 {
         self.model.predict_proba(features)
+    }
+
+    /// [`Self::degree`] of `L` feature vectors, one lane each. Per lane
+    /// the weighted sum folds in weight order from `-0.0` (where `Sum`
+    /// for `f64` starts, which `predict_proba` uses), the bias is added
+    /// after, and the sigmoid is `predict_proba`'s: the bits of the
+    /// one-vector call.
+    #[inline]
+    pub(crate) fn degrees<const L: usize>(&self, features: &[[f64; L]; FEATURE_DIM]) -> [f64; L] {
+        let mut sums = [-0.0; L];
+        for (&weight, lanes) in self.model.weights().iter().zip(features) {
+            for (sum, x) in sums.iter_mut().zip(lanes) {
+                *sum += weight * x;
+            }
+        }
+        let bias = self.model.bias();
+        sums.map(|sum| crate::column::sigmoid(bias + sum))
     }
 
     /// Classification accuracy at the 0.5 threshold (the LR-accuracy rows

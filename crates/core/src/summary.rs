@@ -57,10 +57,27 @@ pub enum AssignMode {
 pub struct Marker {
     /// The marker phrase, e.g. "very clean".
     pub phrase: String,
-    /// Unit-normalized embedding of the phrase.
+    /// Unit-normalized embedding of the phrase; not changed once the
+    /// marker is built, which takes its norm.
     pub rep: Vec<f32>,
     /// Sentiment of the marker phrase.
     pub sentiment: f64,
+    /// `norm(rep)` as `opine_embed::cosine` would compute it, taken
+    /// once when the marker is built, so a query's similarity to every
+    /// marker costs one dot product each.
+    pub(crate) norm: f32,
+}
+
+impl Marker {
+    /// A marker over `rep`, its norm taken here.
+    pub fn new(phrase: String, rep: Vec<f32>, sentiment: f64) -> Self {
+        Marker {
+            phrase,
+            norm: opine_embed::norm(&rep),
+            rep,
+            sentiment,
+        }
+    }
 }
 
 /// The marker set (record type) of one subjective attribute.
@@ -104,11 +121,7 @@ impl MarkerSet {
                         .map(|i| {
                             let center = ((i as f64 + 0.5) * bucket) as usize;
                             let v = &variations[order[center.min(order.len() - 1)]];
-                            Marker {
-                                phrase: v.phrase.clone(),
-                                rep: v.rep.clone(),
-                                sentiment: v.sentiment,
-                            }
+                            Marker::new(v.phrase.clone(), v.rep.clone(), v.sentiment)
                         })
                         .collect()
                 }
@@ -124,10 +137,9 @@ impl MarkerSet {
                     );
                     km.medoid_indices(&points)
                         .into_iter()
-                        .map(|i| Marker {
-                            phrase: variations[i].phrase.clone(),
-                            rep: variations[i].rep.clone(),
-                            sentiment: variations[i].sentiment,
+                        .map(|i| {
+                            let v = &variations[i];
+                            Marker::new(v.phrase.clone(), v.rep.clone(), v.sentiment)
                         })
                         .collect()
                 }
@@ -596,11 +608,7 @@ mod tests {
                 attribute: "a".into(),
                 kind,
                 markers: (0..k)
-                    .map(|i| Marker {
-                        phrase: format!("m{i}"),
-                        rep: random_rep(&mut rng),
-                        sentiment: 0.0,
-                    })
+                    .map(|i| Marker::new(format!("m{i}"), random_rep(&mut rng), 0.0))
                     .collect(),
             };
             let rep = random_rep(&mut rng);

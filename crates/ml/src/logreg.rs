@@ -96,6 +96,12 @@ impl LogisticRegression {
         &self.weights
     }
 
+    /// Learned bias: `predict_proba(x)` is the sigmoid of `bias` plus
+    /// the weighted sum of `x`.
+    pub fn bias(&self) -> f64 {
+        self.bias
+    }
+
     /// Fraction of correctly classified examples.
     pub fn accuracy(&self, data: &[(Vec<f64>, bool)]) -> f64 {
         if data.is_empty() {

@@ -15,11 +15,7 @@ fn axis_markers(k: usize, dim: usize, kind: SummaryKind) -> MarkerSet {
             .map(|i| {
                 let mut rep = vec![0.0f32; dim];
                 rep[i % dim] = 1.0;
-                Marker {
-                    phrase: format!("m{i}"),
-                    rep,
-                    sentiment: i as f64 / k as f64,
-                }
+                Marker::new(format!("m{i}"), rep, i as f64 / k as f64)
             })
             .collect(),
     }
