@@ -299,11 +299,9 @@ impl Interpreter {
                 // The most frequent marker; the smallest among equal
                 // counts, as the ascending scan keeps the first.
                 let counts = &marker_freq[self.marker_offsets[a]..self.marker_offsets[a + 1]];
-                let (marker, _) =
-                    counts.iter().enumerate().fold(
-                        (0, 0),
-                        |best, (m, &c)| if c > best.1 { (m, c) } else { best },
-                    );
+                let marker =
+                    (0..counts.len())
+                        .fold(0, |best, m| if counts[m] > counts[best] { m } else { best });
                 (a, marker)
             })
             .collect();
