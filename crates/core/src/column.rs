@@ -20,13 +20,15 @@
 //! sum, the 9-weight logistic and the sigmoid run as eight independent
 //! chains. **The lane rule:** per lane, the operations are those of the
 //! one-entity path, in the same order, so a degree's bits do not
-//! depend on the lane it ran in. A cell live ingest touched replaces
-//! its lane's degree with its summary's, and the tail past the last
-//! full block takes the one-entity path (`OpineDb::term_degree`),
-//! which reads the columns in place. A touched cell carries its whole
-//! summary in the pinned delta, and review-qualified statements supply
-//! theirs; both run the same feature function over a row written on the
-//! spot from that [`MarkerSummary`]. Every degree is bit-identical to
+//! depend on the lane it ran in. An entity whose cell has an
+//! [`Override`] replaces its lane's degree with the override's, and the
+//! tail past the last full block takes the one-entity path
+//! (`OpineDb::term_degree`), which reads the columns in place. A cell
+//! live ingest touched carries its whole summary in the pinned delta,
+//! its row written on the spot; a review-qualified set
+//! ([`crate::qualified`]) is a plane of its own, and the entities a
+//! repair refolded carry rows written at the repair. Both run the
+//! one-lane join over that row. Every degree is bit-identical to
 //! [`crate::membership::marker_features`] followed by
 //! [`crate::MembershipModel::degree`]: that reference is the same two
 //! halves composed per call.
@@ -35,11 +37,11 @@ use crate::db::{OpineDb, PreparedPhrase, ReviewMeta};
 use crate::ingest::Pin;
 use crate::interpret::Interpretation;
 use crate::membership::{
-    feature_row_len, lane_features, marker_sims, summary_features, write_feature_row, MarkerSims,
-    MembershipModel,
+    feature_row_len, lane_features, marker_sims, row_features, summary_features, write_feature_row,
+    MarkerSims, MembershipModel,
 };
 use crate::summary::{MarkerSet, MarkerSummary};
-use opine_ir::{bm25_term_score, DocId};
+use opine_ir::bm25_term_score;
 use opine_store::ast::ColumnRef;
 use opine_store::{Bitmap, Expr, FuzzyAlgebra, Leaf, ReviewQualifier, StoreError, Subjective};
 use opine_text::WordId;
@@ -189,19 +191,31 @@ impl DegreeColumn {
 }
 
 /// Entities per pass of the column kernel.
-const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
+
+/// What stands in for an entity's plane row in one term column.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Override<'d> {
+    /// A delta cell's summary of the whole cell, its row written on the
+    /// spot.
+    Summary(&'d MarkerSummary),
+    /// A row [`write_feature_row`] wrote earlier.
+    Row(&'d [f64]),
+}
 
 /// The frozen entity half of the membership features, column-major:
 /// per attribute, slot `c` of every entity's [`write_feature_row`] row
-/// is one column of `entities` values. Immutable once built; cells
-/// touched by live ingest are scored from their delta cell's summary
-/// instead.
+/// is one column of `entities` values. Immutable once built; an entity
+/// with an [`Override`] is scored from that instead.
 #[derive(Debug)]
 pub(crate) struct FeaturePlane {
     entities: usize,
     /// Per attribute: its `feature_row_len(k)` columns, one after the
     /// other.
     attributes: Vec<Vec<f64>>,
+    /// Where each attribute's row starts in an entity's rows laid end
+    /// to end, and their total length last.
+    starts: Vec<usize>,
 }
 
 impl FeaturePlane {
@@ -219,8 +233,8 @@ impl FeaturePlane {
                 let k = set.markers.len();
                 let mut row = vec![0.0; feature_row_len(k)];
                 let mut columns = vec![0.0; entities * row.len()];
-                // lint:allow(checkpoint_coverage, reason = "construction path; no request deadline is armed during build")
                 for entity in 0..entities {
+                    opine_faults::checkpoint();
                     write_feature_row(&summary(entity, attribute), k, &mut row);
                     for (slot, &value) in row.iter().enumerate() {
                         columns[slot * entities + entity] = value;
@@ -229,10 +243,39 @@ impl FeaturePlane {
                 columns
             })
             .collect();
+        let mut starts = vec![0];
+        for set in marker_sets {
+            starts.push(starts[starts.len() - 1] + feature_row_len(set.markers.len()));
+        }
         FeaturePlane {
             entities,
             attributes,
+            starts,
         }
+    }
+
+    /// Where `attribute`'s row lies in an entity's rows laid end to end
+    /// (the layout of [`Self::entity_rows`]).
+    pub(crate) fn row_range(&self, attribute: usize) -> std::ops::Range<usize> {
+        self.starts[attribute]..self.starts[attribute + 1]
+    }
+
+    /// Every attribute's row of one entity, laid end to end, written
+    /// by `row(attribute, out)`.
+    pub(crate) fn entity_rows(&self, mut row: impl FnMut(usize, &mut [f64])) -> Box<[f64]> {
+        let mut rows = vec![0.0; self.starts[self.starts.len() - 1]];
+        for attribute in 0..self.attributes.len() {
+            row(attribute, &mut rows[self.row_range(attribute)]);
+        }
+        rows.into_boxed_slice()
+    }
+
+    /// The row of `(entity, attribute)`, gathered from its columns.
+    pub(crate) fn row(&self, entity: usize, attribute: usize) -> Vec<f64> {
+        let columns = &self.attributes[attribute];
+        (0..self.row_range(attribute).len())
+            .map(|slot| columns[slot * self.entities + entity])
+            .collect()
     }
 
     /// The degrees of `term` over entities `first..first + L`, every
@@ -255,29 +298,29 @@ impl FeaturePlane {
     }
 
     /// The degree of `term` for one entity: its plane slots read in
-    /// place, or, when `delta` holds the cell's summary, that summary.
+    /// place, or its override's.
     fn degree(
         &self,
         entity: usize,
         term: &PreparedTerm,
         model: &MembershipModel,
-        delta: Option<&MarkerSummary>,
+        over: Option<Override<'_>>,
     ) -> f64 {
-        match delta {
+        match over {
             None => self.degrees::<1>(entity, term, model)[0],
-            Some(summary) => term.summary_degree(summary, model),
+            Some(over) => term.override_degree(over, model),
         }
     }
 
     /// The degree of `term` for every entity, [`LANES`] entities per
-    /// pass. A cell `delta` has a summary for takes that summary's
-    /// degree in place of its lane; the tail takes [`Self::degree`] per
-    /// entity.
-    fn term_column<'d>(
+    /// pass. An entity `over` yields an override for takes that
+    /// override's degree in place of its lane; the tail takes
+    /// [`Self::degree`] per entity.
+    pub(crate) fn term_column<'d>(
         &self,
         term: &PreparedTerm,
         model: &MembershipModel,
-        delta: impl Fn(usize) -> Option<&'d MarkerSummary>,
+        over: impl Fn(usize) -> Option<Override<'d>>,
     ) -> Vec<f64> {
         let mut degrees = vec![0.0; self.entities];
         let mut blocks = degrees.chunks_exact_mut(LANES);
@@ -288,8 +331,8 @@ impl FeaturePlane {
             (0..LANES).for_each(|_| opine_faults::checkpoint());
             block.copy_from_slice(&self.degrees::<LANES>(first, term, model));
             for (entity, slot) in (first..).zip(block) {
-                if let Some(summary) = delta(entity) {
-                    *slot = term.summary_degree(summary, model);
+                if let Some(over) = over(entity) {
+                    *slot = term.override_degree(over, model);
                 }
             }
         }
@@ -297,7 +340,7 @@ impl FeaturePlane {
         let first = self.entities - tail.len();
         for (entity, slot) in (first..).zip(tail) {
             opine_faults::checkpoint();
-            *slot = self.degree(entity, term, model, delta(entity));
+            *slot = self.degree(entity, term, model, over(entity));
         }
         degrees
     }
@@ -321,14 +364,14 @@ pub(crate) struct PreparedTerm {
 }
 
 impl PreparedTerm {
-    /// The term's degree over an explicit summary, its entity-half row
-    /// written on the spot.
-    fn summary_degree(&self, summary: &MarkerSummary, model: &MembershipModel) -> f64 {
-        model.degree(&summary_features(
-            summary,
-            &self.sims,
-            self.phrase.sentiment,
-        ))
+    /// The term's degree over an override: a summary's row written on
+    /// the spot, or a row written before, joined over one lane.
+    fn override_degree(&self, over: Override<'_>, model: &MembershipModel) -> f64 {
+        let sentiment = self.phrase.sentiment;
+        model.degree(&match over {
+            Override::Summary(summary) => summary_features(summary, &self.sims, sentiment),
+            Override::Row(row) => row_features(row, &self.sims, sentiment),
+        })
     }
 }
 
@@ -366,6 +409,17 @@ impl PreparedInterpretation {
             PreparedInterpretation::Text { .. } => None,
         }
     }
+}
+
+/// The co-occurrence column of `n` entities from its term columns,
+/// slot by slot through [`fold_terms`].
+pub(crate) fn fold_columns(conjunctive: bool, columns: &[&[f64]], n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|entity| {
+            opine_faults::checkpoint();
+            fold_terms(conjunctive, columns.iter().map(|c| c[entity]))
+        })
+        .collect()
 }
 
 /// A co-occurrence interpretation's degree from its term degrees, in
@@ -513,7 +567,7 @@ impl OpineDb {
             let attribute = term.attribute;
             self.plane
                 .term_column(term, &self.membership_markers, |entity| {
-                    pin.delta.summary(entity, attribute)
+                    pin.delta.summary(entity, attribute).map(Override::Summary)
                 })
         };
         let degrees = match &*source {
@@ -539,9 +593,27 @@ impl OpineDb {
     /// nothing: a predicate's [`Self::fetch_column`]; for `attribute .=
     /// phrase` the cached term column of `(attribute, phrase)`, which a
     /// co-occurrence term of that marker phrase shares; a comparison's
-    /// bitmap as 0.0 / 1.0. An unknown `.=` attribute is
-    /// [`StoreError::UnknownColumn`].
+    /// bitmap as 0.0 / 1.0. Under a review `qualifier` a subjective leaf
+    /// reads its column of the qualified set instead
+    /// ([`Self::qualified_column`]), built for this statement. An
+    /// unknown `.=` attribute is [`StoreError::UnknownColumn`].
     pub(crate) fn leaf_column(
+        &self,
+        leaf: &Leaf<'_, Bitmap>,
+        qualifier: Option<&ReviewQualifier>,
+        pin: &Pin,
+    ) -> Result<(Arc<DegreeColumn>, bool), StoreError> {
+        Ok(match (qualifier, leaf) {
+            (Some(qualifier), Leaf::Subjective(leaf)) => {
+                let degrees = self.qualified_column(*leaf, qualifier, pin)?;
+                (Arc::new(DegreeColumn::new(degrees)), true)
+            }
+            (_, leaf) => self.unqualified_column(leaf, pin)?,
+        })
+    }
+
+    /// [`Self::leaf_column`] with no qualifier.
+    fn unqualified_column(
         &self,
         leaf: &Leaf<'_, Bitmap>,
         pin: &Pin,
@@ -606,12 +678,8 @@ impl OpineDb {
                 columns.len()
             )
         });
-        (0..self.num_entities())
-            .map(|entity| {
-                opine_faults::checkpoint();
-                fold_terms(conjunctive, columns.iter().map(|c| c.degrees[entity]))
-            })
-            .collect()
+        let columns: Vec<&[f64]> = columns.iter().map(|c| c.degrees()).collect();
+        fold_columns(conjunctive, &columns, self.num_entities())
     }
 
     /// Hoists the query half of a `attribute .= phrase` term.
@@ -669,19 +737,21 @@ impl OpineDb {
             entity,
             term,
             &self.membership_markers,
-            pin.delta.summary(entity, term.attribute),
+            pin.delta
+                .summary(entity, term.attribute)
+                .map(Override::Summary),
         )
     }
 
     /// Degree of one membership term over an explicit summary: the
-    /// kernel's generic arm (delta cells, review-qualified summaries),
-    /// which writes the entity-half row on the spot.
+    /// kernel's arm for a delta cell, which writes the entity-half row
+    /// on the spot.
     pub(crate) fn summary_term_degree(&self, summary: &MarkerSummary, term: &PreparedTerm) -> f64 {
-        term.summary_degree(summary, &self.membership_markers)
+        term.override_degree(Override::Summary(summary), &self.membership_markers)
     }
 
     /// The text fallback's degree of every entity: `sigmoid(BM25 − c)`
-    /// of its reviews at `pin`, base and delta, that `qualifier`
+    /// of its reviews at `pin`, base and delta, that the qualifier
     /// accepts, as one document. Per query term, in query order and
     /// duplicates included, the tf of its review postings and of the
     /// pinned delta reviews holding it sums into each entity's slot, and
@@ -690,37 +760,36 @@ impl OpineDb {
     /// pin — a rebuilt database's. With an empty delta and no qualifier
     /// these are the integers and term order of an index with one
     /// document per entity, so the degrees are its bits.
+    ///
+    /// `qualified` is the qualifier with each entity's accepted text
+    /// length, which its set carries ([`crate::QualifiedSet::text_len`]),
+    /// so a qualified column walks only its terms' postings.
     pub(crate) fn text_degrees(
         &self,
         terms: &[WordId],
         pin: &Pin,
-        qualifier: Option<&ReviewQualifier>,
+        qualified: Option<(&ReviewQualifier, &[u32])>,
     ) -> Vec<f64> {
         let n = self.num_entities();
         let index = self.interpreter().review_index();
         let delta = &pin.delta;
         let accepts = |meta: &ReviewMeta| {
-            qualifier.is_none_or(|q| {
+            qualified.is_none_or(|(q, _)| {
                 q.accepts(meta.year, self.reviewer_count_at(delta, meta.reviewer_id))
             })
         };
-        let mut lengths = self.entity_text_len.clone();
-        // Under a qualifier, less each rejected base review.
-        let base = qualifier.map_or(&[][..], |_| &self.review_meta[..]);
-        for (review, meta) in (0..).zip(base) {
-            opine_faults::checkpoint();
-            if !accepts(meta) {
-                lengths[meta.entity_id] -= index.doc_len(DocId(review));
+        let lengths = match qualified {
+            Some((_, lengths)) => Cow::Borrowed(lengths),
+            None => {
+                let mut lengths = self.entity_text_len.clone();
+                for (meta, len) in delta.review_lengths() {
+                    opine_faults::checkpoint();
+                    lengths[meta.entity_id] += len;
+                }
+                Cow::Owned(lengths)
             }
-        }
-        let mut total_len = index.total_len();
-        for (meta, len) in delta.review_lengths() {
-            opine_faults::checkpoint();
-            total_len += u64::from(len);
-            if accepts(&meta) {
-                lengths[meta.entity_id] += len;
-            }
-        }
+        };
+        let total_len = index.total_len() + delta.text_len();
         let mut scores = vec![0.0f64; n];
         let mut tf = vec![0u32; n];
         // The entities whose text holds the term, accepted or not.
@@ -759,7 +828,7 @@ impl OpineDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::membership::{marker_features, MembershipModel};
+    use crate::membership::{feature_row, marker_features, MembershipModel};
     use crate::summary::{AssignMode, Marker, PhraseContribution, SummaryKind};
     use opine_ml::LogRegConfig;
     use rand::rngs::StdRng;
@@ -908,19 +977,30 @@ mod tests {
                     min_similarity,
                 ));
             }
-            // What a delta cell holds for each entity.
+            // What a delta cell holds for each entity, and its row as a
+            // qualified repair writes it.
             let deltas: Vec<MarkerSummary> = (0..cells.len())
                 .map(|_| {
                     let phrases = rng.gen_range(1..40);
                     random_summary(&mut rng, &set, phrases, AssignMode::Best, 0.2)
                 })
                 .collect();
+            let delta_rows: Vec<Vec<f64>> = deltas.iter().map(feature_row).collect();
             let planes: Vec<FeaturePlane> = ENTITIES
                 .iter()
                 .map(|&n| {
                     let plane =
                         FeaturePlane::build(n, std::slice::from_ref(&set), |e, _| cells[e].clone());
                     assert_eq!(plane.memory_bytes(), n * feature_row_len(k) * 8);
+                    for (e, cell) in cells[..n].iter().enumerate() {
+                        let bits =
+                            |row: Vec<f64>| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(plane.row(e, 0)),
+                            bits(feature_row(cell)),
+                            "k={k} n={n} {e}"
+                        );
+                    }
                     plane
                 })
                 .collect();
@@ -969,8 +1049,13 @@ mod tests {
                     // Block 1's first slot, block 2's last, the last
                     // entity when it is in the tail.
                     let touched = |e: usize| e == 8 || e == 23 || (n % LANES != 0 && e == n - 1);
-                    for with_delta in [false, true] {
-                        let delta = |e: usize| (with_delta && touched(e)).then(|| &deltas[e]);
+                    // No override, a delta cell's summary, a written row.
+                    for mode in 0..3 {
+                        let delta = |e: usize| match mode {
+                            1 if touched(e) => Some(Override::Summary(&deltas[e])),
+                            2 if touched(e) => Some(Override::Row(&delta_rows[e])),
+                            _ => None,
+                        };
                         let column = plane.term_column(&term, &model, delta);
                         assert_eq!(column.len(), n);
                         for (entity, degree) in column.iter().enumerate() {
@@ -979,7 +1064,7 @@ mod tests {
                                 Some(_) => legacy_deltas[entity],
                                 None => legacy_cells[entity],
                             };
-                            let at = format!("k={k} n={n} query {q} delta {with_delta} {entity}");
+                            let at = format!("k={k} n={n} query {q} mode {mode} {entity}");
                             assert_eq!(degree.to_bits(), single.to_bits(), "{at}");
                             assert_eq!(single.to_bits(), expected, "{at}");
                         }

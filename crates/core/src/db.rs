@@ -12,7 +12,7 @@ use crate::domain::LinguisticDomain;
 use crate::ingest::{DeltaState, IngestState, Pin};
 use crate::interpret::{Interpretation, Interpreter};
 use crate::membership::MembershipModel;
-use crate::qualified::QualifiedSummaries;
+use crate::qualified::QualifiedSet;
 use crate::summary::{MarkerSet, MarkerSummary, PhraseContribution};
 use crate::topk::{scan_topk, threshold_topk};
 use opine_embed::PhraseEmbedder;
@@ -198,10 +198,14 @@ pub struct CacheReport {
     /// reports and CI guards.
     pub pushdown_queries: u64,
     /// Filtered-summary cache hits/misses (qualifier rendering →
-    /// qualified summary set).
+    /// qualified set).
     pub filtered_summaries: CacheStats,
-    /// Qualified summary sets currently cached.
+    /// Qualified sets currently cached.
     pub filtered_summary_sets: usize,
+    /// Heap bytes held by the cached qualified sets: each set's feature
+    /// plane and accepted text lengths, and once repaired its
+    /// per-entity index and the rows beside the plane.
+    pub qualified_set_bytes: usize,
     /// Review-qualified rankings served (`with reviews(...)` statements
     /// the ranking kernel answered) — the `filtered_summary_queries`
     /// counter in `/stats` that the serve-smoke CI job guards.
@@ -284,6 +288,10 @@ impl CacheReport {
             (
                 "filtered_summary_sets",
                 Gauge(self.filtered_summary_sets as u64),
+            ),
+            (
+                "qualified_set_bytes",
+                Gauge(self.qualified_set_bytes as u64),
             ),
             (
                 "filtered_summary_queries",
@@ -378,11 +386,11 @@ pub struct OpineDb {
     ta_queries: std::sync::atomic::AtomicU64,
     /// TA rankings that carried an objective candidate bitmap.
     pushdown_queries: std::sync::atomic::AtomicU64,
-    /// Qualifier rendering → qualified summary set stamped with the
+    /// Qualifier rendering → qualified set stamped with the
     /// epoch it is exact for, so repeated review-qualified statements
     /// (the interactive case) skip even the fold and a newer pin repairs
     /// only what changed since the stamp.
-    pub(crate) filtered_cache: BoundedCache<(u64, QualifiedSummaries)>,
+    pub(crate) filtered_cache: BoundedCache<(u64, Arc<QualifiedSet>)>,
     /// Review-qualified rankings served (the `/stats`
     /// `filtered_summary_queries` counter).
     qualified_queries: std::sync::atomic::AtomicU64,
@@ -569,7 +577,7 @@ impl OpineDb {
         self.filtered_cache.clear();
     }
 
-    /// Drops only the cached summary sets of review-qualified
+    /// Drops only the cached sets of review-qualified
     /// statements — used to benchmark the cold fold in isolation.
     pub fn clear_filtered_summaries(&self) {
         self.filtered_cache.clear();
@@ -597,6 +605,9 @@ impl OpineDb {
         let mut column_bytes = 0usize;
         self.column_cache
             .for_each_value(|(_, c)| column_bytes += c.memory_bytes());
+        let mut qualified_set_bytes = 0usize;
+        self.filtered_cache
+            .for_each_value(|(_, set)| qualified_set_bytes += set.memory_bytes());
         let delta = self.ingest.cell.load();
         CacheReport {
             interpretations: self.interpreter.cache_stats(),
@@ -611,6 +622,7 @@ impl OpineDb {
             pushdown_queries: self.pushdown_queries(),
             filtered_summaries: self.filtered_cache.stats(),
             filtered_summary_sets: self.filtered_cache.len(),
+            qualified_set_bytes,
             filtered_summary_queries: self.qualified_queries.load(Relaxed),
             qualified_repairs: self.qualified_repairs.load(Relaxed),
             qualified_repaired_entities: self.qualified_repaired_entities.load(Relaxed),
@@ -701,7 +713,7 @@ impl OpineDb {
     ///
     /// The whole execution runs on the calling thread at one pin, taken
     /// here: row scans see {frozen tables + that generation's overlay
-    /// rows}, and every degree, count, and qualified summary underneath
+    /// rows}, and every degree, count, and qualified set underneath
     /// reads the same generation — snapshot isolation against
     /// concurrent `INSERT`s.
     pub fn query_select_ref(&self, select: &Select) -> Result<QueryRef<'_>, OpineError> {
@@ -944,7 +956,7 @@ impl OpineDb {
 }
 
 /// The engine at one pinned generation ([`OpineDb::at_pin`]): the
-/// executor's scorer. Every column, qualified summary and degree it
+/// executor's scorer. Every column, qualified set and degree it
 /// reads is read at its pin.
 pub struct AtPin<'a> {
     pub(crate) db: &'a OpineDb,
@@ -990,9 +1002,10 @@ impl<'a> AtPin<'a> {
     /// scanned: its degree falls as a leaf's rises, so no cursor bounds
     /// an unseen entity.
     ///
-    /// Under a review `qualifier` a subjective leaf's column is this
-    /// statement's alone, `qualified_degree` over the candidates and 0
-    /// elsewhere: never cached nor sorted, so the residue is scanned.
+    /// Under a review `qualifier` a subjective leaf reads its column of
+    /// the qualified set, filled by the same lane kernel as a cached
+    /// column but for this statement alone: never cached nor sorted, so
+    /// the residue is scanned.
     ///
     /// `candidates` and a comparison leaf's bitmap index rows of a table
     /// with [`OpineDb::rows_are_entities`], so a set bit, a column slot
@@ -1016,25 +1029,10 @@ impl<'a> AtPin<'a> {
         let mut built = false;
         let columns = leaves
             .iter()
-            .map(|leaf| match (qualifier, leaf) {
-                (Some(qualifier), Leaf::Subjective(leaf)) => {
-                    let degree = db.qualified_degree(*leaf, qualifier, &self.pin)?;
-                    let mut degrees = vec![0.0; n];
-                    let mut fill = |entity: usize| {
-                        opine_faults::checkpoint();
-                        degrees[entity] = degree(entity);
-                    };
-                    match candidates {
-                        Some(bitmap) => bitmap.iter_ones().for_each(&mut fill),
-                        None => (0..n).for_each(&mut fill),
-                    }
-                    Ok(Arc::new(DegreeColumn::new(degrees)))
-                }
-                _ => {
-                    let (column, fresh) = db.leaf_column(leaf, &self.pin)?;
-                    built |= fresh;
-                    Ok(column)
-                }
+            .map(|leaf| {
+                let (column, fresh) = db.leaf_column(leaf, qualifier, &self.pin)?;
+                built |= fresh;
+                Ok(column)
             })
             .collect::<Result<Vec<Arc<DegreeColumn>>, StoreError>>()?;
         if k == 0 {
@@ -1099,20 +1097,17 @@ impl<'a> AtPin<'a> {
 
 impl SubjectiveScorer for AtPin<'_> {
     /// The leaf reads one [`DegreeColumn`] for the whole statement, the
-    /// one the ranking kernel reads (`leaf_column`), or under a review
-    /// qualifier `qualified_degree`. Over the entity table a row's
-    /// degree is read at its position.
+    /// one the ranking kernel reads (`leaf_column`, under the scope's
+    /// review qualifier). Over the entity table a row's degree is read
+    /// at its position.
     fn bind<'s>(
         &'s self,
         scope: Scope<'_>,
         leaf: Subjective<'s>,
     ) -> Result<BoundLeaf<'s>, StoreError> {
         let db = self.db;
-        if let Some(qualifier) = &scope.qualifier {
-            let degree = db.qualified_degree(leaf, qualifier, &self.pin)?;
-            return Ok(db.entity_leaf(scope.base, degree));
-        }
-        let (column, _) = db.leaf_column(&Leaf::Subjective(leaf), &self.pin)?;
+        let qualifier = scope.qualifier.as_ref();
+        let (column, _) = db.leaf_column(&Leaf::Subjective(leaf), qualifier, &self.pin)?;
         Ok(db.entity_leaf(scope.base, move |entity| column.degrees()[entity]))
     }
 
@@ -1324,14 +1319,16 @@ mod tests {
             let rebuilt = db.summaries_with_review_filter(|m| {
                 q.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
             });
-            for e in 0..db.num_entities() {
-                for a in 0..db.attributes.len() {
+            for (e, row) in rebuilt.iter().enumerate() {
+                for (a, rebuilt) in row.iter().enumerate() {
+                    let folded = db.summary_qualified(e, a, &q);
                     assert!(
-                        merged[e][a].same_aggregates(&rebuilt[e][a]),
-                        "{q} entity {e} attr {a}: merged {:?} vs rebuilt {:?}",
-                        merged[e][a].counts(),
-                        rebuilt[e][a].counts()
+                        folded.same_aggregates(rebuilt),
+                        "{q} entity {e} attr {a}: folded {:?} vs rebuilt {:?}",
+                        folded.counts(),
+                        rebuilt.counts()
                     );
+                    assert!(merged.same_row(e, a, rebuilt), "{q} row {e} {a}");
                 }
             }
         }
@@ -1345,12 +1342,11 @@ mod tests {
         let (_, db) = db();
         let merged = db.summaries_qualified(&ReviewQualifier::default());
         let rescan = db.summaries_with_review_filter(|_| true);
-        for e in 0..db.num_entities() {
-            for a in 0..db.attributes.len() {
-                assert!(
-                    merged[e][a].same_aggregates(&rescan[e][a]),
-                    "entity {e} attr {a}"
-                );
+        for (e, row) in rescan.iter().enumerate() {
+            for (a, rescanned) in row.iter().enumerate() {
+                let folded = db.summary_qualified(e, a, &ReviewQualifier::default());
+                assert!(folded.same_aggregates(rescanned), "entity {e} attr {a}");
+                assert!(merged.same_row(e, a, rescanned), "row {e} {a}");
             }
         }
     }
@@ -2015,14 +2011,16 @@ mod tests {
                 let rebuilt = db.summaries_with_review_filter(|m| {
                     q.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
                 });
-                for e in 0..db.num_entities() {
-                    for a in 0..db.attributes.len() {
+                for (e, row) in rebuilt.iter().enumerate() {
+                    for (a, rebuilt) in row.iter().enumerate() {
+                        let folded = db.summary_qualified(e, a, q);
                         assert!(
-                            merged[e][a].same_aggregates(&rebuilt[e][a]),
-                            "{label} {q} entity {e} attr {a}: merged {:?} vs rebuilt {:?}",
-                            merged[e][a].counts(),
-                            rebuilt[e][a].counts()
+                            folded.same_aggregates(rebuilt),
+                            "{label} {q} entity {e} attr {a}: folded {:?} vs rebuilt {:?}",
+                            folded.counts(),
+                            rebuilt.counts()
                         );
+                        assert!(merged.same_row(e, a, rebuilt), "{label} {q} {e} {a}");
                     }
                 }
             }

@@ -167,6 +167,8 @@ struct ReviewLog {
     tail: Vec<LoggedReview>,
     /// The terms of the tail's reviews, index-aligned with it.
     tail_terms: Vec<ReviewTerms>,
+    /// The in-vocabulary tokens of every review in the log.
+    text_len: u64,
 }
 
 impl ReviewLog {
@@ -182,6 +184,7 @@ impl ReviewLog {
     }
 
     fn push(&mut self, review: LoggedReview, terms: ReviewTerms) {
+        self.text_len += u64::from(review.len);
         self.tail.push(review);
         self.tail_terms.push(terms);
         if self.tail.len() == LOG_CHUNK {
@@ -310,6 +313,12 @@ impl DeltaState {
             }
         }
         moved
+    }
+
+    /// The text length of every delta review together: what the delta
+    /// adds to the text fallback's total length.
+    pub fn text_len(&self) -> u64 {
+        self.log.text_len
     }
 
     /// Every delta review's metadata and text length, in log order.
@@ -697,6 +706,10 @@ pub(crate) struct IngestState {
     /// matcher, not at build): that insert moves the reviewer's live
     /// count, so every entity they reviewed must re-qualify.
     pub reviewer_entities: OnceLock<Csr<u32>>,
+    /// Base entity → the ids of its reviews. Built by the first
+    /// review-qualified set, which sums each entity's accepted text
+    /// length over them.
+    pub entity_reviews: OnceLock<Csr<u32>>,
 }
 
 impl IngestState {
@@ -711,6 +724,7 @@ impl IngestState {
             merge_threshold: AtomicUsize::new(DEFAULT_MERGE_THRESHOLD),
             matcher: OnceLock::new(),
             reviewer_entities: OnceLock::new(),
+            entity_reviews: OnceLock::new(),
         }
     }
 }
@@ -1192,10 +1206,13 @@ mod tests {
         // reviews of the merged "reviewer".)
     }
 
-    fn same_set(a: &[crate::QualifiedRow], b: &[Vec<MarkerSummary>]) -> bool {
-        a.iter()
-            .zip(b)
-            .all(|(a, b)| a.iter().zip(b).all(|(a, b)| a.same_aggregates(b)))
+    fn same_set(a: &crate::QualifiedSet, b: &[Vec<MarkerSummary>]) -> bool {
+        let mut cells = b.iter().enumerate().flat_map(|(e, row)| {
+            row.iter()
+                .enumerate()
+                .map(move |(attr, summary)| (e, attr, summary))
+        });
+        cells.all(|(e, attr, summary)| a.same_row(e, attr, summary))
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //!   attribute), bit for bit the one-entity degrees;
 //! * [`ingest`] — live ingest: the copy-on-write delta segment behind
 //!   snapshot-isolated `INSERT` at serve time;
-//! * [`qualified`] — review-qualified summaries (`with reviews(…)`): one
-//!   fold over the raw occurrences per cell, cached and repaired per
-//!   entity;
+//! * [`qualified`] — review-qualified sets (`with reviews(…)`): one fold
+//!   over the raw occurrences per cell, written into a feature plane of
+//!   their own, cached, and repaired per entity into rows beside it;
 //! * [`reference`] — the slow, cache-free evaluator every fast path is
 //!   checked against and every ablation runs on;
 //! * [`topk`] — Fagin's Threshold Algorithm for fuzzy top-k (an extension
@@ -67,7 +67,7 @@ pub use domain::LinguisticDomain;
 pub use ingest::IngestReceipt;
 pub use interpret::{Interpretation, Interpreter, InterpreterConfig};
 pub use membership::MembershipModel;
-pub use qualified::{QualifiedRow, QualifiedSummaries};
+pub use qualified::QualifiedSet;
 pub use reference::Reference;
 pub use snapshot::{Snapshot, SnapshotCell};
 pub use summary::{AssignMode, Marker, MarkerSet, MarkerSummary, SummaryKind};

@@ -59,11 +59,7 @@ pub(crate) fn marker_sims(markers: &MarkerSet, query_rep: &[f32]) -> MarkerSims 
         .iter()
         .enumerate()
         .map(|(i, m)| {
-            let sim = if query_norm == 0.0 || m.norm == 0.0 {
-                0.0
-            } else {
-                (opine_embed::dot(query_rep, &m.rep) / (query_norm * m.norm)).clamp(-1.0, 1.0)
-            };
+            let sim = m.similarity(query_rep, query_norm);
             if sim > best.1 {
                 best = (i, sim);
             }
@@ -140,10 +136,30 @@ pub(crate) fn lane_features<'a, const L: usize>(
     ]
 }
 
+/// The entity half of a summary's marker features as one row, in
+/// [`write_feature_row`]'s layout: what a feature plane holds for the
+/// summary's cell.
+pub fn feature_row(summary: &MarkerSummary) -> Vec<f64> {
+    let k = summary.markers();
+    let mut row = vec![0.0; feature_row_len(k)];
+    write_feature_row(summary, k, &mut row);
+    row
+}
+
+/// The feature vector of one written entity-half row: the join with
+/// `sims` over one lane.
+pub(crate) fn row_features(
+    row: &[f64],
+    sims: &MarkerSims,
+    query_sentiment: f64,
+) -> [f64; FEATURE_DIM] {
+    lane_features(|c| std::array::from_ref(&row[c]), sims, query_sentiment).map(|[x]| x)
+}
+
 /// The feature vector of a summary that has no prebuilt row (the
-/// reference below, delta cells, review-qualified summaries):
-/// writes the entity half on the spot — on the stack for every marker
-/// set up to 16 markers — and joins it with `sims` over one lane.
+/// reference below, delta cells): writes the entity half on the spot —
+/// on the stack for every marker set up to 16 markers — and joins it
+/// through [`row_features`].
 pub(crate) fn summary_features(
     summary: &MarkerSummary,
     sims: &MarkerSims,
@@ -161,7 +177,7 @@ pub(crate) fn summary_features(
         &mut heap[..]
     };
     write_feature_row(summary, k, row);
-    lane_features(|c| std::array::from_ref(&row[c]), sims, query_sentiment).map(|[x]| x)
+    row_features(row, sims, query_sentiment)
 }
 
 /// Features computed from the marker summary only: the slow reference

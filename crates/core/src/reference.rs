@@ -33,7 +33,6 @@ use crate::topk::rank_cmp;
 use opine_ir::{bm25_term_score, DocId};
 use opine_store::exec::{BoundLeaf, Scope, Subjective, SubjectiveScorer};
 use opine_store::{parse_select, FuzzyAlgebra, Residue, ReviewQualifier, StoreError};
-use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 /// The top-k reference over dense columns (`columns[leaf][entity]`):
@@ -96,8 +95,10 @@ impl OpineDb {
     /// [`PhraseContribution::compute`] (marker cosines and all, never
     /// the engine's contribution table), O(total extractions × markers).
     /// Qualifiers expressible as year ranges + reviewer-degree
-    /// thresholds are served by [`Self::summaries_qualified`], whose
-    /// aggregates must equal these bit for bit.
+    /// thresholds are served by [`Self::summaries_qualified`]: the fold
+    /// behind its feature rows ([`Self::summary_qualified`]) must equal
+    /// these aggregates bit for bit, and its rows these summaries'
+    /// rows.
     ///
     /// The rescan reads the current pin, taken once here. A count that
     /// `filter` looks up through another public read, such as
@@ -148,18 +149,18 @@ impl OpineDb {
     }
 
     /// Degree of `attribute .= phrase` computed over externally supplied
-    /// summaries (pairs with [`Self::summaries_with_review_filter`]).
-    /// Rows may be owned (`Vec<Vec<MarkerSummary>>`, the rescan's) or
-    /// shared ([`crate::QualifiedSummaries`]).
-    pub fn attribute_degree_with_summaries<R: Borrow<Vec<MarkerSummary>>>(
+    /// summaries (pairs with [`Self::summaries_with_review_filter`]):
+    /// the one-entity route a qualified column
+    /// ([`Self::degree_column_qualified`]) must equal bit for bit.
+    pub fn attribute_degree_with_summaries(
         &self,
-        summaries: &[R],
+        summaries: &[Vec<MarkerSummary>],
         entity: usize,
         attribute: usize,
         phrase: &str,
     ) -> f64 {
         let term = self.prepare_term(attribute, phrase);
-        self.summary_term_degree(&summaries[entity].borrow()[attribute], &term)
+        self.summary_term_degree(&summaries[entity][attribute], &term)
     }
 }
 

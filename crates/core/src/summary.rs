@@ -29,7 +29,6 @@
 //! each occurrence's contribution from scratch and never reads the table.
 
 use crate::domain::LinguisticDomain;
-use opine_embed::cosine;
 use opine_ml::{KMeans, KMeansConfig};
 
 /// Whether a marker set forms a linear scale or unordered categories.
@@ -76,6 +75,18 @@ impl Marker {
             norm: opine_embed::norm(&rep),
             rep,
             sentiment,
+        }
+    }
+
+    /// `opine_embed::cosine(rep, &self.rep)` bit for bit, given
+    /// `rep_norm = opine_embed::norm(rep)`: 0 when either vector is
+    /// zero, else the dot over the product of the norms, clamped.
+    #[inline]
+    pub(crate) fn similarity(&self, rep: &[f32], rep_norm: f32) -> f32 {
+        if rep_norm == 0.0 || self.norm == 0.0 {
+            0.0
+        } else {
+            (opine_embed::dot(rep, &self.rep) / (rep_norm * self.norm)).clamp(-1.0, 1.0)
         }
     }
 }
@@ -158,12 +169,14 @@ impl MarkerSet {
     }
 
     /// `(marker index, cosine)` of a phrase representation against every
-    /// marker, in marker order.
+    /// marker, in marker order: the phrase's norm taken once, each
+    /// marker's stored.
     fn similarities(&self, rep: &[f32]) -> Vec<(usize, f32)> {
+        let norm = opine_embed::norm(rep);
         self.markers
             .iter()
             .enumerate()
-            .map(|(i, m)| (i, cosine(rep, &m.rep)))
+            .map(|(i, m)| (i, m.similarity(rep, norm)))
             .collect()
     }
 
@@ -352,6 +365,11 @@ impl MarkerSummary {
         }
     }
 
+    /// Number of markers the summary spreads its mass over.
+    pub fn markers(&self) -> usize {
+        self.counts_q.len()
+    }
+
     /// Phrase mass on marker `i`.
     pub fn count(&self, i: usize) -> f64 {
         dequantize(self.counts_q[i])
@@ -461,6 +479,44 @@ mod tests {
             domain.observe(p, s, &embedder, &vocab);
         }
         (vocab, embedder, domain)
+    }
+
+    /// `similarities` takes the phrase's norm once and each marker's
+    /// stored one: its bits are `cosine`'s, for reps of any length, a
+    /// zero phrase and a zero marker included.
+    #[test]
+    fn similarities_equal_cosine_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(40);
+        let rep = |rng: &mut StdRng| -> Vec<f32> {
+            let scale = rng.gen::<f32>() * 4.0;
+            (0..12)
+                .map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * scale)
+                .collect()
+        };
+        let mut markers: Vec<Marker> = (0..9)
+            .map(|i| Marker::new(format!("m{i}"), rep(&mut rng), 0.0))
+            .collect();
+        markers.insert(4, Marker::new("zero".into(), vec![0.0; 12], 0.0));
+        let set = MarkerSet {
+            attribute: "a".into(),
+            kind: SummaryKind::Linear,
+            markers,
+        };
+        let mut phrases: Vec<Vec<f32>> = (0..200).map(|_| rep(&mut rng)).collect();
+        phrases.push(vec![0.0; 12]);
+        phrases.push(set.markers[0].rep.clone());
+        for phrase in &phrases {
+            let sims = set.similarities(phrase);
+            assert_eq!(sims.len(), set.markers.len());
+            for (&(i, sim), marker) in sims.iter().zip(&set.markers) {
+                let expected = opine_embed::cosine(phrase, &marker.rep);
+                assert_eq!(
+                    sim.to_bits(),
+                    expected.to_bits(),
+                    "marker {i} of {phrase:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub const STAGES: [&str; 11] = [
 
 /// Stage-native counter names. Each stage may bump any of these; the
 /// snapshot only reports non-zero cells.
-pub const COUNTERS: [&str; 10] = [
+pub const COUNTERS: [&str; 11] = [
     "candidates",
     "heap_pops",
     "postings",
@@ -53,6 +53,7 @@ pub const COUNTERS: [&str; 10] = [
     "cache_repairs",
     "repairs",
     "repaired_entities",
+    "refolds",
     "rows",
     "scored",
 ];

@@ -6,14 +6,16 @@
 //! one fold over its cell's raw occurrences, each adding the contribution
 //! tabulated once for its linguistic variation (fixed-point accumulators
 //! make the fold bit-identical to the reference's from-scratch rescan,
-//! which computes every marker cosine again). Sets are cached per
-//! qualifier and repaired per entity after an INSERT.
+//! which computes every marker cosine again). A set keeps the folded
+//! cells as a feature plane, which the same lane kernel as an
+//! unqualified column scores; sets are cached per qualifier and repaired
+//! per entity after an INSERT.
 //!
 //! ```sh
 //! cargo run --release --example qualified_reviews [entities] [reviews]
 //! ```
 
-use opinedb::core::{build, BuildConfig};
+use opinedb::core::{build, BuildConfig, Interpretation};
 use opinedb::corpus::hotel::hotel_spec;
 use opinedb::corpus::{Corpus, CorpusConfig};
 use opinedb::store::ReviewQualifier;
@@ -55,8 +57,8 @@ fn main() {
         println!("  {:<12} {:>8}   degree {score:.3}", row[0], row[1]);
     }
 
-    // Under the hood: the fold vs the raw rescan — same summaries
-    // (bit-identical), very different cost.
+    // Under the hood: the fold vs the raw rescan — same feature rows
+    // and degrees (bit-identical), very different cost.
     let qualifier = ReviewQualifier {
         min_year: Some(2011),
         max_year: None,
@@ -71,21 +73,33 @@ fn main() {
     let start = Instant::now();
     let folded = db.summaries_qualified(&qualifier);
     let t_fold = start.elapsed();
+    let start = Instant::now();
+    let column = db.degree_column_qualified("very clean rooms", &qualifier);
+    let t_column = start.elapsed();
 
-    println!("\nroom-cleanliness degree for \"very clean\", all vs qualified reviews:");
+    println!("\nroom-cleanliness degree for \"very clean rooms\", all vs qualified reviews:");
     println!(
         "{:<12} {:>8} {:>11} {:>8}",
         "hotel", "all", "qualified", "reviews"
     );
-    let all = db.summaries_qualified(&ReviewQualifier::default());
+    let all = db.degree_column_qualified("very clean rooms", &ReviewQualifier::default());
+    let attribute = match db.interpret("very clean rooms") {
+        Interpretation::Direct { attribute, .. } => attribute,
+        other => panic!("\"very clean rooms\" is a direct predicate, got {other:?}"),
+    };
     for e in 0..8.min(db.num_entities()) {
-        let d_all = db.attribute_degree_with_summaries(&all, e, 0, "very clean");
-        let d_q = db.attribute_degree_with_summaries(&folded, e, 0, "very clean");
+        let (d_all, d_q) = (all[e], column[e]);
+        for (a, rebuilt) in rebuilt[e].iter().enumerate() {
+            assert!(
+                folded.same_row(e, a, rebuilt),
+                "fold and rescan must agree bit-for-bit"
+            );
+        }
         assert_eq!(
             d_q.to_bits(),
-            db.attribute_degree_with_summaries(&rebuilt, e, 0, "very clean")
+            db.attribute_degree_with_summaries(&rebuilt, e, attribute, "very clean rooms")
                 .to_bits(),
-            "fold and rescan must agree bit-for-bit"
+            "the plane's column and the rescan's degree must agree bit-for-bit"
         );
         println!(
             "{:<12} {:>8.3} {:>11.3} {:>8}",
@@ -96,11 +110,12 @@ fn main() {
         );
     }
 
-    // One INSERT batch touching up to 100 entities, then the same
-    // qualifier again: the cached set is repaired by folding only those
-    // entities (and any other a returning reviewer wrote about); a third
-    // call is a cache probe.
-    let touched = db.num_entities().min(100);
+    // One INSERT batch touching one entity in eight (at most 100), by
+    // new reviewers, then the same qualifier again: the cached set is
+    // repaired by folding only those entities into rows beside its
+    // plane (past one in eight it would fold cold); a third call is a
+    // cache probe.
+    let touched = (db.num_entities() / 8).min(100);
     let phrase = &db.opinion_domain(0).variations()[0].phrase;
     let rows: Vec<String> = (0..touched)
         .map(|e| format!("('{}', 'really {phrase}', 2019)", db.entity_key(e)))
@@ -119,6 +134,7 @@ fn main() {
     let cached = db.summaries_qualified(&qualifier);
     let t_cached = start.elapsed();
     assert!(std::sync::Arc::ptr_eq(&repaired, &cached));
+    let report = db.cache_report();
 
     let attributes = db.attributes.len();
     let occurrences: usize = (0..db.num_entities())
@@ -133,11 +149,23 @@ fn main() {
          variations (one tabulated contribution each)",
         db.num_entities()
     );
+    // Past one changed entity in eight a stale set folds cold instead.
+    let repair = match repaired_entities {
+        0 => format!("folded cold again {t_repair:.1?}"),
+        m => format!(
+            "repair {:.2?} per entity ({m} entities, {t_repair:.1?})",
+            t_repair / m as u32
+        ),
+    };
     println!(
-        "raw rescan {t_rescan:>8.1?}   cold fold {t_fold:>8.1?} ({:.1}x)   \
-         repair {:.2?} per entity ({repaired_entities} entities, {t_repair:.1?})   \
-         cached set {t_cached:.1?}",
+        "raw rescan {t_rescan:>8.1?}   cold fold {t_fold:>8.1?} ({:.1}x)   {repair}   \
+         cached set {t_cached:.1?}   column {t_column:.1?}",
         t_rescan.as_secs_f64() / t_fold.as_secs_f64().max(1e-9),
-        t_repair / (repaired_entities.max(1) as u32),
+    );
+    println!(
+        "cached sets hold {} B: feature plane {} B per set, {} entities repaired beside it",
+        report.qualified_set_bytes,
+        report.feature_plane_bytes,
+        cached.repaired_entities()
     );
 }

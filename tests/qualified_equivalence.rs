@@ -15,17 +15,29 @@
 //! Routes 1 and 2 are exercised both at the summary level and through
 //! `execute` (the SQL surface), borrowed and materialized.
 //!
+//! The fold's accumulators are checked per cell
+//! (`OpineDb::summary_qualified`); a cached set keeps feature rows, not
+//! summaries, and its rows must carry the bits of the rescanned
+//! summaries' rows.
+//!
 //! Under live ingest route 1 splits in two that must still agree with
 //! route 2 at every epoch: the **repaired** set (a cached set brought
-//! to the new epoch by folding again only the entities that changed)
-//! and the **cold** set (every entity folded at the pinned epoch).
+//! to the new epoch by folding again only the entities that changed,
+//! into rows beside its plane) and the **cold** set (every entity
+//! folded at the pinned epoch). The column a qualified leaf reads
+//! (`OpineDb::degree_column_qualified`, the lane kernel over the set)
+//! must equal the reference's answer and the one-entity degree over the
+//! rescanned summaries, for a direct, a co-occurrence and a
+//! text-fallback predicate.
 
-use opinedb::core::{build, BuildConfig, OpineDb};
+use opinedb::core::{build, BuildConfig, Interpretation, MarkerSummary, OpineDb, QualifiedSet};
 use opinedb::corpus::hotel::hotel_spec;
+use opinedb::corpus::workload::build_workload;
 use opinedb::corpus::{Corpus, CorpusConfig};
 use opinedb::embed::Word2VecConfig;
 use opinedb::store::{execute, parse_select, FuzzyAlgebra, ResultSet, ReviewQualifier, Value};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -35,11 +47,18 @@ fn env_usize(key: &str, default: usize) -> usize {
 }
 
 fn qualified_corpus_and_db() -> (Corpus, OpineDb) {
+    corpus_and_db(
+        env_usize("OPINE_TEST_ENTITIES", 20),
+        env_usize("OPINE_TEST_REVIEWS", 14),
+    )
+}
+
+fn corpus_and_db(num_entities: usize, mean_reviews: usize) -> (Corpus, OpineDb) {
     let corpus = Corpus::generate(
         hotel_spec(),
         &CorpusConfig {
-            num_entities: env_usize("OPINE_TEST_ENTITIES", 20),
-            mean_reviews: env_usize("OPINE_TEST_REVIEWS", 14),
+            num_entities,
+            mean_reviews,
             seed: 71,
         },
     );
@@ -83,14 +102,105 @@ fn db() -> &'static OpineDb {
     &fixture().1
 }
 
-/// Degrees of one predicate for all entities over a summary set.
-fn degrees<R>(db: &OpineDb, summaries: &[R]) -> Vec<f64>
-where
-    R: std::borrow::Borrow<Vec<opinedb::core::MarkerSummary>>,
-{
+/// Degrees of one predicate for all entities over a summary set: each
+/// entity's one-entity degree of the predicate's interpretation, its
+/// co-occurrence terms folded under the product algebra.
+fn degrees(db: &OpineDb, summaries: &[Vec<MarkerSummary>], predicate: &str) -> Vec<f64> {
+    let term = |e: usize, a: usize, phrase: &str| {
+        db.attribute_degree_with_summaries(summaries, e, a, phrase)
+    };
+    let algebra = FuzzyAlgebra::Product;
     (0..db.num_entities())
-        .map(|e| db.attribute_degree_with_summaries(summaries, e, 0, "clean rooms"))
+        .map(|e| match db.interpret(predicate) {
+            Interpretation::Direct { attribute, .. } => term(e, attribute, predicate),
+            Interpretation::CoOccur { terms, conjunctive } => {
+                let degrees = terms
+                    .iter()
+                    .map(|&(a, m)| term(e, a, &db.marker_set(a).markers[m].phrase));
+                match conjunctive {
+                    true => degrees.fold(1.0, |acc, d| algebra.and(acc, d)),
+                    false => degrees.fold(0.0, |acc, d| algebra.or(acc, d)),
+                }
+            }
+            Interpretation::TextFallback => panic!("{predicate:?} has no summary degree"),
+        })
         .collect()
+}
+
+/// A direct, a co-occurrence and a text-fallback predicate of the
+/// benchmark bank.
+fn predicates(db: &OpineDb) -> [String; 3] {
+    let bank = build_workload(&hotel_spec(), 190);
+    let find = |kind: fn(&Interpretation) -> bool| {
+        let found = bank.iter().find(|p| kind(&db.interpret(&p.text)));
+        found.expect("the bank exercises every stage").text.clone()
+    };
+    [
+        find(|i| matches!(i, Interpretation::Direct { .. })),
+        find(|i| matches!(i, Interpretation::CoOccur { .. })),
+        find(|i| matches!(i, Interpretation::TextFallback)),
+    ]
+}
+
+/// Every entity's score, by entity, of `predicate` under `q` through
+/// the reference.
+fn reference_scores(db: &OpineDb, predicate: &str, q: &ReviewQualifier) -> Vec<u64> {
+    let n = db.num_entities();
+    let sql = format!("select * from hotels where \"{predicate}\" with {q} limit {n}");
+    let out = db.reference().query(&sql).expect("reference answers");
+    let mut scores = vec![None; n];
+    for (row, score) in out.result.rows {
+        let entity = db.entity_id(row[0].as_str().unwrap()).unwrap();
+        scores[entity] = Some(score.to_bits());
+    }
+    scores
+        .into_iter()
+        .map(|s| s.expect("every entity ranked"))
+        .collect()
+}
+
+/// The qualified column of each of [`predicates`] under `q` equals
+/// the reference's scores and, for the membership stages, the
+/// one-entity degree over `rescan` (the rescan of `q`), bit for bit.
+fn assert_columns_agree(
+    db: &OpineDb,
+    q: &ReviewQualifier,
+    rescan: &[Vec<MarkerSummary>],
+    label: &str,
+) {
+    for (stage, predicate) in predicates(db).iter().enumerate() {
+        let column = db.degree_column_qualified(predicate, q);
+        let bits: Vec<u64> = column.iter().map(|d| d.to_bits()).collect();
+        assert_eq!(
+            bits,
+            reference_scores(db, predicate, q),
+            "{label}: {q} column of {predicate:?} vs the reference"
+        );
+        if stage < 2 {
+            let one_entity: Vec<u64> = degrees(db, rescan, predicate)
+                .iter()
+                .map(|d| d.to_bits())
+                .collect();
+            assert_eq!(
+                bits, one_entity,
+                "{label}: {q} column of {predicate:?} vs one entity"
+            );
+        }
+        // The ranking kernel, and the row loop `order by` takes, which
+        // binds the same column by position.
+        for tail in ["limit 7", "order by price_pn desc limit 7"] {
+            let sql = format!("select * from hotels where \"{predicate}\" with {q} {tail}");
+            let answer = |out: opinedb::core::QueryOutput| -> Vec<(Vec<Value>, u64)> {
+                let rows = out.result.rows.into_iter();
+                rows.map(|(row, score)| (row, score.to_bits())).collect()
+            };
+            assert_eq!(
+                answer(db.query(&sql).expect("engine answers")),
+                answer(db.reference().query(&sql).expect("reference answers")),
+                "{label}: {sql}"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -115,23 +225,22 @@ proptest! {
             max_year: use_max_year.then_some(min_year + span),
             min_reviewer_count: use_count.then_some(min_count),
         };
-        let folded = db.summaries_qualified(&q);
+        let set = db.summaries_qualified(&q);
         let rebuilt = db.summaries_with_review_filter(|m| {
             q.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
         });
-        for e in 0..db.num_entities() {
-            for a in 0..db.attributes.len() {
-                prop_assert!(
-                    folded[e][a].same_aggregates(&rebuilt[e][a]),
-                    "{q} entity {e} attr {a}"
-                );
+        for (e, row) in rebuilt.iter().enumerate() {
+            for (a, rebuilt) in row.iter().enumerate() {
+                let folded = db.summary_qualified(e, a, &q);
+                prop_assert!(folded.same_aggregates(rebuilt), "{q} entity {e} attr {a}");
+                prop_assert!(set.same_row(e, a, rebuilt), "{q} row {e} {a}");
                 if use_count && min_count > max_count {
-                    prop_assert!(folded[e][a].total == 0.0, "{q} accepts no review");
+                    prop_assert!(folded.total == 0.0, "{q} accepts no review");
                 }
             }
         }
-        let d_folded = degrees(db, &folded);
-        let d_rebuilt = degrees(db, &rebuilt);
+        let d_folded = db.degree_column_qualified("clean rooms", &q);
+        let d_rebuilt = degrees(db, &rebuilt, "clean rooms");
         for (a, b) in d_folded.iter().zip(&d_rebuilt) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -217,26 +326,124 @@ fn qualified_execution_matches_rebuild_reference_scores() {
     }
 }
 
-/// Total phrase mass of one entity in a summary set, over all attributes.
-fn entity_total<R>(db: &OpineDb, summaries: &[R], entity: usize) -> f64
-where
-    R: std::borrow::Borrow<Vec<opinedb::core::MarkerSummary>>,
-{
+/// The phrase mass of one entity in a qualified set: the `ln(total +
+/// 1)` slot of its feature rows (the next to last), over all
+/// attributes. It grows with every cell's total.
+fn entity_mass(db: &OpineDb, set: &QualifiedSet, entity: usize) -> f64 {
+    let rows = (0..db.attributes.len()).map(|a| set.feature_row(entity, a));
+    rows.map(|row| row[row.len() - 2]).sum()
+}
+
+/// Total phrase mass of one entity in rescanned summaries, over all
+/// attributes.
+fn entity_total(db: &OpineDb, summaries: &[Vec<MarkerSummary>], entity: usize) -> f64 {
     (0..db.attributes.len())
-        .map(|a| summaries[entity].borrow()[a].total)
+        .map(|a| summaries[entity][a].total)
         .sum()
+}
+
+/// A repaired set's rows sit beside its plane and override their lane:
+/// entities in lane slots 0, 7 and 8 and in the tail past the last full
+/// block, after INSERTs and after a merge. Past one repaired entity in
+/// eight the next probe folds the set cold. Every column equals the
+/// reference and the one-entity route at each step.
+#[test]
+fn repaired_rows_override_every_lane_position_until_the_set_folds_cold() {
+    // Five full lane blocks and a tail of five: a set folds cold past
+    // 45 / 8 = 5 repaired entities.
+    let (_, db) = corpus_and_db(45, 8);
+    db.set_merge_threshold(usize::MAX);
+    let n = db.num_entities();
+    assert_eq!(n, 45);
+    let q = ReviewQualifier {
+        min_year: Some(2010),
+        max_year: None,
+        min_reviewer_count: Some(2),
+    };
+    let check = |label: &str, repaired: usize| {
+        let set = db.summaries_qualified(&q);
+        assert_eq!(set.repaired_entities(), repaired, "{label}");
+        let rescan = db.summaries_with_review_filter(|m| {
+            q.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
+        });
+        for (e, row) in rescan.iter().enumerate() {
+            for (a, reference) in row.iter().enumerate() {
+                assert!(set.same_row(e, a, reference), "{label}: row {e} {a}");
+            }
+        }
+        assert_columns_agree(&db, &q, &rescan, label);
+        set
+    };
+    // Two reviews by one new reviewer per entity: the bound accepts
+    // both, and only that entity re-qualifies.
+    let [direct, _, fallback] = predicates(&db);
+    let insert = |entities: &[usize], reviewer: usize| {
+        let rows: Vec<String> = entities
+            .iter()
+            .flat_map(|&e| {
+                let key = db.entity_key(e).to_string();
+                let phrase = db.opinion_domain(e % 3).variations()[e % 4].phrase.clone();
+                let id = reviewer + e;
+                [
+                    format!("('{key}', 'so {phrase} and {fallback}', 2015, {id})"),
+                    format!("('{key}', '{direct}', 2016, {id})"),
+                ]
+            })
+            .collect();
+        db.insert_sql(&format!(
+            "INSERT INTO reviews (entity, text, year, reviewer_id) VALUES {}",
+            rows.join(", ")
+        ))
+        .unwrap();
+    };
+    let cold = check("cold", 0);
+    // The gauge: a cold set is its plane and its lengths; a repaired
+    // one adds its per-entity index (one `Option<Arc<[f64]>>` each) and
+    // the rows it wrote.
+    let report = db.cache_report();
+    assert_eq!(report.filtered_summary_sets, 1);
+    assert_eq!(
+        report.qualified_set_bytes,
+        report.feature_plane_bytes + 4 * n
+    );
+    let mass_before = entity_mass(&db, &cold, 44);
+    insert(&[0, 7, 8, 44], 800_000);
+    let repaired = check("slots 0, 7, 8 and the tail", 4);
+    assert!(
+        entity_mass(&db, &repaired, 44) > mass_before,
+        "the tail entity moved"
+    );
+    let row_bytes: usize = (0..db.attributes.len())
+        .map(|a| 8 * repaired.feature_row(0, a).len())
+        .sum();
+    assert_eq!(
+        db.cache_report().qualified_set_bytes,
+        report.feature_plane_bytes + 4 * n + 16 * n + 4 * row_bytes
+    );
+    insert(&[7], 810_000);
+    check("an overridden entity again", 4);
+    insert(&[20, 33], 820_000);
+    check("past the refold threshold", 0);
+    db.merge_delta().unwrap();
+    check("merged", 0);
+    insert(&[43], 830_000);
+    check("after the merge", 1);
+    let report = db.cache_report();
+    assert!(report.qualified_set_bytes > report.feature_plane_bytes);
 }
 
 /// The two engine routes to a qualified set at one epoch.
 const ROUTES: [&str; 2] = ["repaired", "cold"];
 
 /// Repaired set == cold set == raw rescan for every qualifier, by
-/// every accumulator; returns each qualifier's sets in [`ROUTES`] order.
+/// every accumulator of the fold and every bit of a set's rows, and the
+/// qualified columns of the cold sets agree ([`assert_columns_agree`]);
+/// returns each qualifier's sets in [`ROUTES`] order.
 fn assert_routes_agree(
     db: &OpineDb,
     qualifiers: &[ReviewQualifier],
     label: &str,
-) -> Vec<[opinedb::core::QualifiedSummaries; 2]> {
+) -> Vec<[Arc<QualifiedSet>; 2]> {
     // The cached sets are the previous call's cold ones, an epoch or
     // more old: these calls repair them.
     let repaired: Vec<_> = qualifiers
@@ -250,23 +457,35 @@ fn assert_routes_agree(
         let rescan = db.summaries_with_review_filter(|m| {
             q.accepts(m.year, db.reviewer_review_count(m.reviewer_id) as u32)
         });
-        for e in 0..db.num_entities() {
-            for a in 0..db.attributes.len() {
-                let reference = &rescan[e][a];
+        for (e, row) in rescan.iter().enumerate() {
+            for (a, reference) in row.iter().enumerate() {
+                let folded = db.summary_qualified(e, a, q);
+                assert!(
+                    folded.same_aggregates(reference),
+                    "{label}: fold of {q}, entity {e} attr {a}: {:?}/{} vs rescan {:?}/{}",
+                    folded.counts(),
+                    folded.total,
+                    reference.counts(),
+                    reference.total
+                );
                 for (route, set) in ROUTES.iter().zip(&routes) {
-                    let got = &set[e][a];
                     assert!(
-                        got.same_aggregates(reference),
-                        "{label}: {route} set of {q}, entity {e} attr {a}: \
-                         {:?}/{} vs rescan {:?}/{}",
-                        got.counts(),
-                        got.total,
-                        reference.counts(),
-                        reference.total
+                        set.same_row(e, a, reference),
+                        "{label}: {route} set of {q}, entity {e} attr {a}: {:?} vs rescan {:?}",
+                        set.feature_row(e, a),
+                        opinedb::core::membership::feature_row(reference)
                     );
                 }
             }
+            for (route, set) in ROUTES.iter().zip(&routes) {
+                assert_eq!(
+                    set.text_len(e),
+                    routes[1].text_len(e),
+                    "{label}: {route} set of {q}, text length of {e}"
+                );
+            }
         }
+        assert_columns_agree(db, q, &rescan, label);
         sets.push(routes);
     }
     sets
@@ -324,8 +543,8 @@ fn repaired_and_cold_sets_equal_the_rescan_across_inserts_and_merges() {
         crossing_later,
     ];
     // The witness's phrase mass under `qualifiers[q]`, per route.
-    let witness_totals = |sets: &[[opinedb::core::QualifiedSummaries; 2]], q: usize| {
-        [0, 1].map(|route| entity_total(&db, &sets[q][route], witness))
+    let witness_totals = |sets: &[[Arc<QualifiedSet>; 2]], q: usize| {
+        [0, 1].map(|route| entity_mass(&db, &sets[q][route], witness))
     };
 
     let phrase = |attr: usize, v: usize| db.opinion_domain(attr).variations()[v].phrase.clone();
@@ -380,7 +599,16 @@ fn repaired_and_cold_sets_equal_the_rescan_across_inserts_and_merges() {
         phrase(1, 1)
     ))
     .unwrap();
-    assert_routes_agree(&db, &qualifiers, "delta reviewer returns");
+    // Delta reviews alone carry reviewer 900001 to two reviews: its
+    // review of entity 0 starts to count under `reviewer_min_count
+    // >= 2`.
+    let returned = assert_routes_agree(&db, &qualifiers, "delta reviewer returns");
+    for (route, name) in ROUTES.iter().enumerate() {
+        assert!(
+            entity_mass(&db, &returned[2][route], 0) > entity_mass(&db, &after[2][route], 0),
+            "{name} set: entity 0 must gain reviewer 900001's first review"
+        );
+    }
     db.insert_sql(&format!(
         "INSERT INTO reviews (entity, text, year) VALUES \
          ('{}', 'again {}', 2019), ('{}', '{}', 2011)",

@@ -367,9 +367,11 @@ fn generated_residues_equal_the_reference_in_every_cache_state() {
         min_reviewer_count: Some(CROSSING as u32),
         ..Default::default()
     };
+    // Each feature row's `ln(total + 1)` slot, the next to last.
     let reviewed_mass = |db: &OpineDb| -> f64 {
         let set = db.summaries_qualified(&bound);
-        set[reviewed].iter().map(|summary| summary.total).sum()
+        let rows = (0..db.attributes.len()).map(|a| set.feature_row(reviewed, a));
+        rows.map(|row| row[row.len() - 2]).sum()
     };
     let mass_before = reviewed_mass(&db);
 
