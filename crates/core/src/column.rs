@@ -20,15 +20,16 @@
 //! sum, the 9-weight logistic and the sigmoid run as eight independent
 //! chains. **The lane rule:** per lane, the operations are those of the
 //! one-entity path, in the same order, so a degree's bits do not
-//! depend on the lane it ran in. An entity whose cell has an
-//! [`Override`] replaces its lane's degree with the override's, and the
-//! tail past the last full block takes the one-entity path
+//! depend on the lane it ran in. An entity the caller's override hook
+//! yields a degree for takes that degree in place of its lane's, and
+//! the tail past the last full block takes the one-entity path
 //! (`OpineDb::term_degree`), which reads the columns in place. A cell
 //! live ingest touched carries its whole summary in the pinned delta,
-//! its row written on the spot; a review-qualified set
-//! ([`crate::qualified`]) is a plane of its own, and the entities a
-//! repair refolded carry rows written at the repair. Both run the
-//! one-lane join over that row. Every degree is bit-identical to
+//! its row written on the spot ([`PreparedTerm::summary_degree`]); a
+//! review-qualified set ([`crate::qualified`]) is a plane of its own,
+//! and the entities a repair refolded carry rows written at the repair
+//! ([`PreparedTerm::row_degree`]). Both run the one-lane join over that
+//! row. Every degree is bit-identical to
 //! [`crate::membership::marker_features`] followed by
 //! [`crate::MembershipModel::degree`]: that reference is the same two
 //! halves composed per call.
@@ -193,20 +194,11 @@ impl DegreeColumn {
 /// Entities per pass of the column kernel.
 pub(crate) const LANES: usize = 8;
 
-/// What stands in for an entity's plane row in one term column.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Override<'d> {
-    /// A delta cell's summary of the whole cell, its row written on the
-    /// spot.
-    Summary(&'d MarkerSummary),
-    /// A row [`write_feature_row`] wrote earlier.
-    Row(&'d [f64]),
-}
-
 /// The frozen entity half of the membership features, column-major:
 /// per attribute, slot `c` of every entity's [`write_feature_row`] row
 /// is one column of `entities` values. Immutable once built; an entity
-/// with an [`Override`] is scored from that instead.
+/// whose cell moved since is scored from its own row or summary
+/// instead.
 #[derive(Debug)]
 pub(crate) struct FeaturePlane {
     entities: usize,
@@ -297,30 +289,21 @@ impl FeaturePlane {
         model.degrees(&lane_features(slot, &term.sims, term.phrase.sentiment))
     }
 
-    /// The degree of `term` for one entity: its plane slots read in
-    /// place, or its override's.
-    fn degree(
-        &self,
-        entity: usize,
-        term: &PreparedTerm,
-        model: &MembershipModel,
-        over: Option<Override<'_>>,
-    ) -> f64 {
-        match over {
-            None => self.degrees::<1>(entity, term, model)[0],
-            Some(over) => term.override_degree(over, model),
-        }
+    /// The degree of `term` for one entity, its plane slots read in
+    /// place.
+    fn degree(&self, entity: usize, term: &PreparedTerm, model: &MembershipModel) -> f64 {
+        self.degrees::<1>(entity, term, model)[0]
     }
 
     /// The degree of `term` for every entity, [`LANES`] entities per
-    /// pass. An entity `over` yields an override for takes that
-    /// override's degree in place of its lane; the tail takes
-    /// [`Self::degree`] per entity.
-    pub(crate) fn term_column<'d>(
+    /// pass. An entity `over` yields a degree for takes that degree in
+    /// place of its lane's; the tail takes [`Self::degree`] per entity
+    /// `over` yields none for.
+    pub(crate) fn term_column(
         &self,
         term: &PreparedTerm,
         model: &MembershipModel,
-        over: impl Fn(usize) -> Option<Override<'d>>,
+        over: impl Fn(usize) -> Option<f64>,
     ) -> Vec<f64> {
         let mut degrees = vec![0.0; self.entities];
         let mut blocks = degrees.chunks_exact_mut(LANES);
@@ -331,8 +314,8 @@ impl FeaturePlane {
             (0..LANES).for_each(|_| opine_faults::checkpoint());
             block.copy_from_slice(&self.degrees::<LANES>(first, term, model));
             for (entity, slot) in (first..).zip(block) {
-                if let Some(over) = over(entity) {
-                    *slot = term.override_degree(over, model);
+                if let Some(degree) = over(entity) {
+                    *slot = degree;
                 }
             }
         }
@@ -340,7 +323,7 @@ impl FeaturePlane {
         let first = self.entities - tail.len();
         for (entity, slot) in (first..).zip(tail) {
             opine_faults::checkpoint();
-            *slot = self.degree(entity, term, model, over(entity));
+            *slot = over(entity).unwrap_or_else(|| self.degree(entity, term, model));
         }
         degrees
     }
@@ -364,14 +347,20 @@ pub(crate) struct PreparedTerm {
 }
 
 impl PreparedTerm {
-    /// The term's degree over an override: a summary's row written on
-    /// the spot, or a row written before, joined over one lane.
-    fn override_degree(&self, over: Override<'_>, model: &MembershipModel) -> f64 {
-        let sentiment = self.phrase.sentiment;
-        model.degree(&match over {
-            Override::Summary(summary) => summary_features(summary, &self.sims, sentiment),
-            Override::Row(row) => row_features(row, &self.sims, sentiment),
-        })
+    /// The term's degree over `summary`, its row written on the spot
+    /// and joined over one lane.
+    pub(crate) fn summary_degree(&self, summary: &MarkerSummary, model: &MembershipModel) -> f64 {
+        model.degree(&summary_features(
+            summary,
+            &self.sims,
+            self.phrase.sentiment,
+        ))
+    }
+
+    /// The term's degree over a row [`write_feature_row`] wrote before,
+    /// joined over one lane.
+    pub(crate) fn row_degree(&self, row: &[f64], model: &MembershipModel) -> f64 {
+        model.degree(&row_features(row, &self.sims, self.phrase.sentiment))
     }
 }
 
@@ -563,12 +552,12 @@ impl OpineDb {
             }
         }
         opine_trace::count("ta_topk", "cache_misses", 1);
+        let model = &self.membership_markers;
         let term_column = |term: &PreparedTerm| {
-            let attribute = term.attribute;
-            self.plane
-                .term_column(term, &self.membership_markers, |entity| {
-                    pin.delta.summary(entity, attribute).map(Override::Summary)
-                })
+            self.plane.term_column(term, model, |entity| {
+                let summary = pin.delta.summary(entity, term.attribute)?;
+                Some(term.summary_degree(summary, model))
+            })
         };
         let degrees = match &*source {
             ColumnSource::Predicate(_, PreparedInterpretation::Text { terms }) => {
@@ -733,21 +722,18 @@ impl OpineDb {
     /// The column kernel's path for a delta cell's block and the tail,
     /// and the per-entity repair's.
     pub(crate) fn term_degree(&self, entity: usize, term: &PreparedTerm, pin: &Pin) -> f64 {
-        self.plane.degree(
-            entity,
-            term,
-            &self.membership_markers,
-            pin.delta
-                .summary(entity, term.attribute)
-                .map(Override::Summary),
-        )
+        let model = &self.membership_markers;
+        match pin.delta.summary(entity, term.attribute) {
+            Some(summary) => term.summary_degree(summary, model),
+            None => self.plane.degree(entity, term, model),
+        }
     }
 
     /// Degree of one membership term over an explicit summary: the
     /// kernel's arm for a delta cell, which writes the entity-half row
     /// on the spot.
     pub(crate) fn summary_term_degree(&self, summary: &MarkerSummary, term: &PreparedTerm) -> f64 {
-        term.override_degree(Override::Summary(summary), &self.membership_markers)
+        term.summary_degree(summary, &self.membership_markers)
     }
 
     /// The text fallback's degree of every entity: `sigmoid(BM25 − c)`
@@ -1052,14 +1038,15 @@ mod tests {
                     // No override, a delta cell's summary, a written row.
                     for mode in 0..3 {
                         let delta = |e: usize| match mode {
-                            1 if touched(e) => Some(Override::Summary(&deltas[e])),
-                            2 if touched(e) => Some(Override::Row(&delta_rows[e])),
+                            1 if touched(e) => Some(term.summary_degree(&deltas[e], &model)),
+                            2 if touched(e) => Some(term.row_degree(&delta_rows[e], &model)),
                             _ => None,
                         };
                         let column = plane.term_column(&term, &model, delta);
                         assert_eq!(column.len(), n);
                         for (entity, degree) in column.iter().enumerate() {
-                            let single = plane.degree(entity, &term, &model, delta(entity));
+                            let single = delta(entity)
+                                .unwrap_or_else(|| plane.degree(entity, &term, &model));
                             let expected = match delta(entity) {
                                 Some(_) => legacy_deltas[entity],
                                 None => legacy_cells[entity],

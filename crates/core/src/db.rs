@@ -215,6 +215,10 @@ pub struct CacheReport {
     pub qualified_repairs: u64,
     /// Entities those repairs re-aggregated.
     pub qualified_repaired_entities: u64,
+    /// Cached qualified sets folded cold at a newer epoch because a
+    /// repair would have left more than one entity in eight with a row
+    /// beside the plane.
+    pub qualified_refolds: u64,
     /// Top-k BM25 retrievals over the review index (co-occurrence
     /// interpretation; the text fallback scores every entity and
     /// retrieves no top k) — the `/stats` counter the serve-smoke CI job
@@ -249,6 +253,11 @@ pub struct CacheReport {
     pub delta_rows_copied: u64,
     /// Approximate heap bytes of the current delta generation.
     pub delta_bytes: usize,
+    /// Heap bytes of the base review indexes live ingest builds on
+    /// first use: reviewer → entities (the first insert by a reviewer
+    /// the base knows) and entity → reviews (the first repair of a
+    /// qualified set).
+    pub ingest_index_bytes: usize,
 }
 
 /// One exported value of a [`CacheReport`] field, typed so each metrics
@@ -302,6 +311,7 @@ impl CacheReport {
                 "qualified_repaired_entities",
                 Counter(self.qualified_repaired_entities),
             ),
+            ("qualified_refolds", Counter(self.qualified_refolds)),
             ("wand_queries", Counter(self.wand_queries)),
             ("timed_out_queries", Counter(self.timed_out_queries)),
             ("faults_injected", Counter(self.faults_injected)),
@@ -312,6 +322,7 @@ impl CacheReport {
             ("failed_merges", Counter(self.failed_merges)),
             ("delta_rows_copied", Counter(self.delta_rows_copied)),
             ("delta_bytes", Gauge(self.delta_bytes as u64)),
+            ("ingest_index_bytes", Gauge(self.ingest_index_bytes as u64)),
         ]
         .into_iter()
     }
@@ -397,6 +408,7 @@ pub struct OpineDb {
     /// Stale qualified sets repaired / entities they re-aggregated.
     pub(crate) qualified_repairs: std::sync::atomic::AtomicU64,
     pub(crate) qualified_repaired_entities: std::sync::atomic::AtomicU64,
+    pub(crate) qualified_refolds: std::sync::atomic::AtomicU64,
     /// Queries cancelled by an expired deadline (mapped to
     /// [`OpineError::QueryTimeout`] at the query entry).
     timed_out_queries: std::sync::atomic::AtomicU64,
@@ -492,6 +504,7 @@ impl OpineDb {
             qualified_queries: std::sync::atomic::AtomicU64::new(0),
             qualified_repairs: std::sync::atomic::AtomicU64::new(0),
             qualified_repaired_entities: std::sync::atomic::AtomicU64::new(0),
+            qualified_refolds: std::sync::atomic::AtomicU64::new(0),
             timed_out_queries: std::sync::atomic::AtomicU64::new(0),
             ingest: IngestState::new(),
         }
@@ -626,6 +639,7 @@ impl OpineDb {
             filtered_summary_queries: self.qualified_queries.load(Relaxed),
             qualified_repairs: self.qualified_repairs.load(Relaxed),
             qualified_repaired_entities: self.qualified_repaired_entities.load(Relaxed),
+            qualified_refolds: self.qualified_refolds.load(Relaxed),
             wand_queries: self.interpreter.review_index().wand_queries(),
             blocks_skipped: 0,
             timed_out_queries: self
@@ -639,6 +653,7 @@ impl OpineDb {
             failed_merges: self.ingest.failed_merges.load(Relaxed),
             delta_rows_copied: self.ingest.delta_rows_copied.load(Relaxed),
             delta_bytes: delta.value().memory_bytes(),
+            ingest_index_bytes: self.ingest.index_bytes(),
         }
     }
 
@@ -1162,6 +1177,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::builder::{build, BuildConfig};
+    use crate::qualified::same_row;
     use opine_corpus::hotel::hotel_spec;
     use opine_corpus::{Corpus, CorpusConfig};
     use opine_embed::Word2VecConfig;
@@ -1328,7 +1344,7 @@ mod tests {
                         folded.counts(),
                         rebuilt.counts()
                     );
-                    assert!(merged.same_row(e, a, rebuilt), "{q} row {e} {a}");
+                    assert!(same_row(&merged, e, a, rebuilt), "{q} row {e} {a}");
                 }
             }
         }
@@ -1346,7 +1362,7 @@ mod tests {
             for (a, rescanned) in row.iter().enumerate() {
                 let folded = db.summary_qualified(e, a, &ReviewQualifier::default());
                 assert!(folded.same_aggregates(rescanned), "entity {e} attr {a}");
-                assert!(merged.same_row(e, a, rescanned), "row {e} {a}");
+                assert!(same_row(&merged, e, a, rescanned), "row {e} {a}");
             }
         }
     }
@@ -2020,7 +2036,7 @@ mod tests {
                             folded.counts(),
                             rebuilt.counts()
                         );
-                        assert!(merged.same_row(e, a, rebuilt), "{label} {q} {e} {a}");
+                        assert!(same_row(&merged, e, a, rebuilt), "{label} {q} {e} {a}");
                     }
                 }
             }

@@ -706,13 +706,19 @@ pub(crate) struct IngestState {
     /// matcher, not at build): that insert moves the reviewer's live
     /// count, so every entity they reviewed must re-qualify.
     pub reviewer_entities: OnceLock<Csr<u32>>,
-    /// Base entity → the ids of its reviews. Built by the first
-    /// review-qualified set, which sums each entity's accepted text
-    /// length over them.
+    /// Base entity → the ids of its reviews. Built by the first repair
+    /// of a review-qualified set, which sums each repaired entity's
+    /// accepted text length over them.
     pub entity_reviews: OnceLock<Csr<u32>>,
 }
 
 impl IngestState {
+    /// Heap bytes of the two base review indexes, once built.
+    pub fn index_bytes(&self) -> usize {
+        let bytes = |index: &OnceLock<Csr<u32>>| index.get().map_or(0, Csr::memory_bytes);
+        bytes(&self.reviewer_entities) + bytes(&self.entity_reviews)
+    }
+
     pub fn new() -> Self {
         IngestState {
             cell: SnapshotCell::new(DeltaState::default()),
@@ -1128,6 +1134,7 @@ mod tests {
     use crate::builder::{build, BuildConfig};
     use crate::db::{AtPin, QueryOutput};
     use crate::interpret::{Interpretation, InterpreterConfig};
+    use crate::qualified::same_row;
     use opine_corpus::hotel::hotel_spec;
     use opine_corpus::{Corpus, CorpusConfig};
     use opine_embed::Word2VecConfig;
@@ -1212,7 +1219,7 @@ mod tests {
                 .enumerate()
                 .map(move |(attr, summary)| (e, attr, summary))
         });
-        cells.all(|(e, attr, summary)| a.same_row(e, attr, summary))
+        cells.all(|(e, attr, summary)| same_row(a, e, attr, summary))
     }
 
     #[test]

@@ -19,9 +19,15 @@
 //! Sets are cached per qualifier and stamped with the epoch they are
 //! exact for. A newer pin **repairs** a set: the entities whose
 //! qualified version moved fold again into rows held beside the shared
-//! plane, found through a dense per-entity index. Once more than one
-//! entity in [`LANES`] has such a row, every lane block has one, and
-//! the set folds cold instead.
+//! plane, found through a dense per-entity index. Those rows are
+//! bounded: a repair that would leave more than `n / LANES`
+//! entities with one folds the set cold instead. Without that bound a
+//! long-lived set under inserts spread over many entities grows toward
+//! a second plane of rows (a row costs what the plane spends on the
+//! entity), and each of its columns toward `n` one-lane degrees on top
+//! of the kernel; with it, the rows stay under an eighth of the plane
+//! and the extra work under `n / 8` one-lane degrees per column.
+//! Inserts confined to a hot set of fewer entities never reach it.
 //!
 //! A qualifier is an argument of the one scorer, not a scorer of its
 //! own: `bind` and `rank_residue` receive it in the statement's `Scope`
@@ -32,12 +38,10 @@
 //! lengths for the text fallback). The column is the statement's own,
 //! never cached or sorted, so a qualified residue always scans.
 
-use crate::column::{
-    fold_columns, FeaturePlane, Override, PreparedInterpretation, PreparedTerm, LANES,
-};
+use crate::column::{fold_columns, FeaturePlane, PreparedInterpretation, PreparedTerm, LANES};
 use crate::db::{Csr, OpineDb, ReviewMeta};
 use crate::ingest::Pin;
-use crate::membership::{feature_row, write_feature_row};
+use crate::membership::write_feature_row;
 use crate::summary::MarkerSummary;
 use opine_ir::DocId;
 use opine_store::exec::Subjective;
@@ -71,13 +75,6 @@ impl QualifiedSet {
             Some(row) => row.to_vec(),
             None => self.plane.row(entity, attribute),
         }
-    }
-
-    /// Whether the row of `(entity, attribute)` has the bits of
-    /// `summary`'s — the set-level comparison the equivalence tests use.
-    pub fn same_row(&self, entity: usize, attribute: usize, summary: &MarkerSummary) -> bool {
-        let bits = |row: Vec<f64>| row.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        bits(self.feature_row(entity, attribute)) == bits(feature_row(summary))
     }
 
     /// The in-vocabulary tokens of the reviews of `entity` the
@@ -172,7 +169,8 @@ impl OpineDb {
     /// Brings `set`, exact for epoch `stamp`, to `pin`: the entities
     /// whose qualified version moved in `(stamp, pin.epoch]` fold again
     /// into rows beside the shared plane. When that would leave more
-    /// than one entity in [`LANES`] with a row, the set folds cold.
+    /// than `n / LANES` entities with a row, the set folds cold (the
+    /// bound on its rows the module doc sets out).
     fn repair_qualified(
         &self,
         qualifier: &ReviewQualifier,
@@ -191,6 +189,7 @@ impl OpineDb {
             .filter(|&&entity| set.repaired.get(entity).is_none_or(Option::is_none))
             .count();
         if set.repaired_entities + fresh > n / LANES {
+            self.qualified_refolds.fetch_add(1, Relaxed);
             span.count("refolds", 1);
             return Arc::new(self.fold_qualified(qualifier, pin));
         }
@@ -200,7 +199,7 @@ impl OpineDb {
         span.count("repairs", 1);
         span.count("repaired_entities", dirty.len() as u64);
         let accepts = self.review_accepts(qualifier, pin);
-        let lens = self.accepted_text_lens(&accepts, pin, &dirty);
+        let lens = self.repaired_text_lens(&accepts, pin, &dirty);
         let set_mut = Arc::make_mut(&mut set);
         set_mut.repaired.resize(n, None);
         for (&entity, len) in dirty.iter().zip(lens) {
@@ -226,10 +225,9 @@ impl OpineDb {
             FeaturePlane::build(n, self.interpreter().marker_sets(), |entity, attribute| {
                 self.fold_accepted(entity, attribute, pin, &accepts)
             });
-        let all: Vec<usize> = (0..n).collect();
         QualifiedSet {
             plane: Arc::new(plane),
-            text_lens: self.accepted_text_lens(&accepts, pin, &all),
+            text_lens: self.accepted_text_lens(&accepts, pin),
             repaired: Vec::new(),
             repaired_entities: 0,
         }
@@ -262,10 +260,30 @@ impl OpineDb {
         })
     }
 
-    /// The accepted text length of each of `entities` (ascending) at
-    /// `pin`: its base reviews through the entity → review index, then
-    /// one pass over the delta's.
-    fn accepted_text_lens(
+    /// The accepted text length of every entity at `pin`: one pass over
+    /// the base reviews, then one over the delta's.
+    fn accepted_text_lens(&self, accepts: &impl Fn(&ReviewMeta) -> bool, pin: &Pin) -> Vec<u32> {
+        let index = self.interpreter().review_index();
+        let mut lens = vec![0u32; self.num_entities()];
+        for (review, meta) in (0u32..).zip(&self.review_meta) {
+            opine_faults::checkpoint();
+            if accepts(meta) {
+                lens[meta.entity_id] += index.doc_len(DocId(review));
+            }
+        }
+        for (meta, len) in pin.delta.review_lengths() {
+            opine_faults::checkpoint();
+            if accepts(&meta) {
+                lens[meta.entity_id] += len;
+            }
+        }
+        lens
+    }
+
+    /// The accepted text length of each of `entities` (ascending, the
+    /// few a repair refolds) at `pin`: its base reviews through the
+    /// entity → review index, then one pass over the delta's.
+    fn repaired_text_lens(
         &self,
         accepts: &impl Fn(&ReviewMeta) -> bool,
         pin: &Pin,
@@ -343,12 +361,12 @@ impl OpineDb {
             ),
         };
         let set = self.summaries_qualified_at(qualifier, pin);
+        let model = &self.membership_markers;
         let term_column = |term: &PreparedTerm| {
-            let attribute = term.attribute;
-            set.plane
-                .term_column(term, &self.membership_markers, |entity| {
-                    set.repaired_row(entity, attribute).map(Override::Row)
-                })
+            set.plane.term_column(term, model, |entity| {
+                let row = set.repaired_row(entity, term.attribute)?;
+                Some(term.row_degree(row, model))
+            })
         };
         Ok(match &prepared {
             PreparedInterpretation::Direct(term) => term_column(term),
@@ -362,4 +380,17 @@ impl OpineDb {
             }
         })
     }
+}
+
+/// Whether the row of `(entity, attribute)` in `set` has the bits of
+/// `summary`'s: the set-level comparison of the crate's tests.
+#[cfg(test)]
+pub(crate) fn same_row(
+    set: &QualifiedSet,
+    entity: usize,
+    attribute: usize,
+    summary: &MarkerSummary,
+) -> bool {
+    let bits = |row: Vec<f64>| row.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    bits(set.feature_row(entity, attribute)) == bits(crate::membership::feature_row(summary))
 }

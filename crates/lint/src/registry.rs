@@ -24,6 +24,7 @@ pub const MONOTONIC_COUNTERS: &[&str] = &[
     // newer pin by recomputing only what changed since its stamp)
     "qualified_repairs",
     "qualified_repaired_entities",
+    "qualified_refolds",
     // core::ingest counters (writer-side bumps, reader-side report)
     "inserted_reviews",
     "delta_merges",

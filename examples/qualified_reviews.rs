@@ -15,6 +15,7 @@
 //! cargo run --release --example qualified_reviews [entities] [reviews]
 //! ```
 
+use opinedb::core::membership::feature_row;
 use opinedb::core::{build, BuildConfig, Interpretation};
 use opinedb::corpus::hotel::hotel_spec;
 use opinedb::corpus::{Corpus, CorpusConfig};
@@ -90,8 +91,10 @@ fn main() {
     for e in 0..8.min(db.num_entities()) {
         let (d_all, d_q) = (all[e], column[e]);
         for (a, rebuilt) in rebuilt[e].iter().enumerate() {
-            assert!(
-                folded.same_row(e, a, rebuilt),
+            let bits = |row: Vec<f64>| row.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(folded.feature_row(e, a)),
+                bits(feature_row(rebuilt)),
                 "fold and rescan must agree bit-for-bit"
             );
         }
@@ -114,7 +117,8 @@ fn main() {
     // new reviewers, then the same qualifier again: the cached set is
     // repaired by folding only those entities into rows beside its
     // plane (past one in eight it would fold cold); a third call is a
-    // cache probe.
+    // cache probe. This first repair also builds the entity → review
+    // index the repaired text lengths are summed over, once per process.
     let touched = (db.num_entities() / 8).min(100);
     let phrase = &db.opinion_domain(0).variations()[0].phrase;
     let rows: Vec<String> = (0..touched)

@@ -30,6 +30,7 @@
 //! rescanned summaries, for a direct, a co-occurrence and a
 //! text-fallback predicate.
 
+use opinedb::core::membership::feature_row;
 use opinedb::core::{build, BuildConfig, Interpretation, MarkerSummary, OpineDb, QualifiedSet};
 use opinedb::corpus::hotel::hotel_spec;
 use opinedb::corpus::workload::build_workload;
@@ -38,6 +39,13 @@ use opinedb::embed::Word2VecConfig;
 use opinedb::store::{execute, parse_select, FuzzyAlgebra, ResultSet, ReviewQualifier, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// Whether the row of `(entity, attribute)` in `set` has the bits of
+/// `summary`'s.
+fn same_row(set: &QualifiedSet, entity: usize, attribute: usize, summary: &MarkerSummary) -> bool {
+    let bits = |row: Vec<f64>| row.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    bits(set.feature_row(entity, attribute)) == bits(feature_row(summary))
+}
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -233,7 +241,7 @@ proptest! {
             for (a, rebuilt) in row.iter().enumerate() {
                 let folded = db.summary_qualified(e, a, &q);
                 prop_assert!(folded.same_aggregates(rebuilt), "{q} entity {e} attr {a}");
-                prop_assert!(set.same_row(e, a, rebuilt), "{q} row {e} {a}");
+                prop_assert!(same_row(&set, e, a, rebuilt), "{q} row {e} {a}");
                 if use_count && min_count > max_count {
                     prop_assert!(folded.total == 0.0, "{q} accepts no review");
                 }
@@ -351,7 +359,7 @@ fn entity_total(db: &OpineDb, summaries: &[Vec<MarkerSummary>], entity: usize) -
 fn repaired_rows_override_every_lane_position_until_the_set_folds_cold() {
     // Five full lane blocks and a tail of five: a set folds cold past
     // 45 / 8 = 5 repaired entities.
-    let (_, db) = corpus_and_db(45, 8);
+    let (corpus, db) = corpus_and_db(45, 8);
     db.set_merge_threshold(usize::MAX);
     let n = db.num_entities();
     assert_eq!(n, 45);
@@ -368,7 +376,7 @@ fn repaired_rows_override_every_lane_position_until_the_set_folds_cold() {
         });
         for (e, row) in rescan.iter().enumerate() {
             for (a, reference) in row.iter().enumerate() {
-                assert!(set.same_row(e, a, reference), "{label}: row {e} {a}");
+                assert!(same_row(&set, e, a, reference), "{label}: row {e} {a}");
             }
         }
         assert_columns_agree(&db, &q, &rescan, label);
@@ -406,6 +414,10 @@ fn repaired_rows_override_every_lane_position_until_the_set_folds_cold() {
         report.qualified_set_bytes,
         report.feature_plane_bytes + 4 * n
     );
+    // A cold fold sums the text lengths without the entity → review
+    // index; the first repair builds it (a `u32` offset per entity and
+    // one more, a `u32` per base review).
+    assert_eq!(report.ingest_index_bytes, 0);
     let mass_before = entity_mass(&db, &cold, 44);
     insert(&[0, 7, 8, 44], 800_000);
     let repaired = check("slots 0, 7, 8 and the tail", 4);
@@ -416,14 +428,21 @@ fn repaired_rows_override_every_lane_position_until_the_set_folds_cold() {
     let row_bytes: usize = (0..db.attributes.len())
         .map(|a| 8 * repaired.feature_row(0, a).len())
         .sum();
+    let report = db.cache_report();
     assert_eq!(
-        db.cache_report().qualified_set_bytes,
+        report.qualified_set_bytes,
         report.feature_plane_bytes + 4 * n + 16 * n + 4 * row_bytes
+    );
+    assert_eq!(
+        report.ingest_index_bytes,
+        4 * (n + 1) + 4 * corpus.reviews.len()
     );
     insert(&[7], 810_000);
     check("an overridden entity again", 4);
+    assert_eq!(db.cache_report().qualified_refolds, 0);
     insert(&[20, 33], 820_000);
     check("past the refold threshold", 0);
+    assert_eq!(db.cache_report().qualified_refolds, 1);
     db.merge_delta().unwrap();
     check("merged", 0);
     insert(&[43], 830_000);
@@ -470,10 +489,10 @@ fn assert_routes_agree(
                 );
                 for (route, set) in ROUTES.iter().zip(&routes) {
                     assert!(
-                        set.same_row(e, a, reference),
+                        same_row(set, e, a, reference),
                         "{label}: {route} set of {q}, entity {e} attr {a}: {:?} vs rescan {:?}",
                         set.feature_row(e, a),
-                        opinedb::core::membership::feature_row(reference)
+                        feature_row(reference)
                     );
                 }
             }
