@@ -365,6 +365,13 @@ pub fn build(corpus: &Corpus, config: &BuildConfig) -> OpineDb {
         entity_keys.push(entity.name.clone());
         catalog.insert(entity_table, row).expect("schema matches");
     }
+    // The entity table is frozen from here on (serve-time INSERTs ride
+    // the overlay): render its cells to JSON once, so that an answer
+    // copies a row's bytes and formats only its score.
+    catalog
+        .table_mut(entity_table)
+        .expect("created above")
+        .render_json();
     catalog
         .create_table(Schema::new(
             "reviews",

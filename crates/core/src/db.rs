@@ -189,6 +189,10 @@ pub struct CacheReport {
     /// occurrence plus 4 per cell offset, one flat array each; fixed at
     /// build time).
     pub raw_bytes: usize,
+    /// Heap bytes of the entity table's cells rendered to JSON at build
+    /// (the text plus a `u32` offset per cell and one past the end;
+    /// fixed at build time).
+    pub rendered_cell_bytes: usize,
     /// Queries answered by the threshold-algorithm fast path (pure
     /// subjective conjunctions and pushdown queries combined).
     pub ta_queries: u64,
@@ -291,6 +295,10 @@ impl CacheReport {
                 Gauge(self.feature_plane_bytes as u64),
             ),
             ("raw_bytes", Gauge(self.raw_bytes as u64)),
+            (
+                "rendered_cell_bytes",
+                Gauge(self.rendered_cell_bytes as u64),
+            ),
             ("ta_queries", Counter(self.ta_queries)),
             ("pushdown_queries", Counter(self.pushdown_queries)),
             ("filtered_summaries", Cache(self.filtered_summaries)),
@@ -631,6 +639,10 @@ impl OpineDb {
             column_bytes,
             feature_plane_bytes: self.plane.memory_bytes(),
             raw_bytes: self.raw.memory_bytes(),
+            rendered_cell_bytes: self
+                .catalog
+                .table(&self.entity_table)
+                .map_or(0, |table| table.rendered_bytes()),
             ta_queries: self.ta_queries.load(std::sync::atomic::Ordering::Relaxed),
             pushdown_queries: self.pushdown_queries(),
             filtered_summaries: self.filtered_cache.stats(),

@@ -1,9 +1,11 @@
 //! Minimal JSON: an escaping writer for responses and a recursive-descent
 //! parser for the small request bodies the API accepts (`{"sql": …}`,
 //! `{"name": …}`). Dependency-free by construction — the build
-//! environment has no crates.io access.
+//! environment has no crates.io access. The writer is `opine-store`'s,
+//! re-exported: a frozen table renders its cells with the same
+//! [`push_value`] that formats every other served value.
 
-use std::fmt::Write;
+pub use opine_store::json::{escape_fmt_into, escape_into, push_f64, push_value};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -307,74 +309,11 @@ impl Parser<'_> {
     }
 }
 
-/// Appends `s` to `out` escaped for the inside of a JSON string literal
-/// (quotes, backslashes, control characters): runs of clean bytes are
-/// copied whole, only the bytes that need it are rewritten.
-fn escape_body_into(out: &mut String, s: &str) {
-    let mut clean = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        // Every escaped byte is ASCII, so both cuts are char boundaries.
-        out.push_str(s.get(clean..i).unwrap_or_default());
-        clean = i + 1;
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            0x08 => out.push_str("\\b"),
-            0x0c => out.push_str("\\f"),
-            _ => {
-                let _ = write!(out, "\\u{b:04x}");
-            }
-        }
-    }
-    out.push_str(s.get(clean..).unwrap_or_default());
-}
-
-/// Appends `s` to `out` as a JSON string literal, escaping quotes,
-/// backslashes, and control characters. Review text goes through here on
-/// every response, so it must be correct for arbitrary input.
-pub fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    escape_body_into(out, s);
-    out.push('"');
-}
-
-/// [`escape_into`] for a value's `Display`/`Debug` rendering
-/// (`format_args!("{x:?}")`), escaped as it is produced rather than
-/// formatted into a temporary first.
-pub fn escape_fmt_into(out: &mut String, args: std::fmt::Arguments<'_>) {
-    struct Escaping<'a>(&'a mut String);
-    impl Write for Escaping<'_> {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            escape_body_into(self.0, s);
-            Ok(())
-        }
-    }
-    out.push('"');
-    let _ = Escaping(out).write_fmt(args);
-    out.push('"');
-}
-
 /// `s` as a standalone JSON string literal.
 pub fn escaped(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     escape_into(&mut out, s);
     out
-}
-
-/// Appends an f64 in JSON-safe form: NaN and infinities (which JSON
-/// cannot represent) become `null`.
-pub fn push_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x}");
-    } else {
-        out.push_str("null");
-    }
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ use crate::prepared::PreparedRegistry;
 use crate::prometheus::{self, Exposition};
 use opine_core::cache::BoundedCache;
 use opine_core::{MetricValue, OpineDb, OpineError};
-use opine_store::{parse_insert, parse_statement, InsertStmt, Select, Statement, ValueRef};
+use opine_store::{parse_insert, parse_statement, InsertStmt, Select, Statement};
 use opine_trace::{TraceContext, TraceSnapshot};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -956,11 +956,12 @@ fn run_select(
     // published `INSERT` batch bumps the epoch, so a post-insert probe
     // can never replay a pre-insert body. (`\u{1}` cannot appear in
     // normalized SQL, so the composite key is unambiguous.) Entries
-    // stranded under old epochs age out of the bounded FIFO cache.
-    let cache_key = format!("{}\u{1}{}", state.db.ingest_epoch(), key);
+    // stranded under old epochs age out of the bounded FIFO cache. A
+    // request that bypasses the cache builds no key.
+    let cache_key = caching.then(|| format!("{}\u{1}{}", state.db.ingest_epoch(), key));
     let routed = 'routed: {
-        if caching {
-            if let Some(hit) = state.results.get(&cache_key) {
+        if let Some(cache_key) = &cache_key {
+            if let Some(hit) = state.results.get(cache_key) {
                 break 'routed Routed {
                     endpoint,
                     status: 200,
@@ -983,8 +984,8 @@ fn run_select(
                     Arc::new(body)
                 } else {
                     let body = Arc::new(body);
-                    if caching {
-                        state.results.insert(&cache_key, body.clone());
+                    if let Some(cache_key) = &cache_key {
+                        state.results.insert(cache_key, body.clone());
                     }
                     body
                 };
@@ -1117,21 +1118,6 @@ fn render_slow_queries(state: &ServerState) -> String {
     out
 }
 
-/// Appends one cell value as JSON. Takes the executor's borrowed
-/// [`ValueRef`] view — scalars come straight out of the columnar
-/// storage, text is borrowed, nothing is cloned.
-fn push_value(out: &mut String, v: ValueRef<'_>) {
-    match v {
-        ValueRef::Null => out.push_str("null"),
-        ValueRef::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        ValueRef::Float(x) => json::push_f64(out, x),
-        ValueRef::Str(s) => json::escape_into(out, s),
-        ValueRef::Bool(b) => out.push_str(if b { "true" } else { "false" }),
-    }
-}
-
 /// Renders a statement's answer as the `/query` response body.
 ///
 /// Public because it *is* the library-path reference serialization: the
@@ -1158,45 +1144,74 @@ pub fn render_query_body_deadline(
     Ok(render_body(&q))
 }
 
+/// The `/query` body. A row its table holds rendered
+/// ([`opine_store::Table::render_json`]) is copied from that buffer;
+/// only its score, and every row no buffer holds (overlay and joined
+/// rows), is formatted here, by the formatter that wrote the buffer.
 fn render_body(q: &opine_core::QueryRef<'_>) -> String {
     let span = opine_trace::span("serialize");
-    span.count("rows", q.result.len() as u64);
-    let mut out = String::with_capacity(256 + 64 * q.result.len());
-    out.push_str("{\"columns\":[");
-    for (i, col) in q.result.columns().iter().enumerate() {
+    let rows = &q.result;
+    span.count("rows", rows.len() as u64);
+    // Everything formatted goes to `formatted`, and each copied fragment
+    // is noted with the offset it belongs at; the body is then allocated
+    // once at its exact size and assembled from the two.
+    let mut formatted = String::with_capacity(256 + 48 * rows.len());
+    let mut copied: Vec<(usize, &str)> = Vec::with_capacity(rows.len());
+    formatted.push_str("{\"columns\":[");
+    for (i, col) in rows.columns().iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            formatted.push(',');
         }
-        json::escape_into(&mut out, col);
+        json::escape_into(&mut formatted, col);
     }
-    let _ = write!(out, "],\"row_count\":{},\"rows\":[", q.result.len());
-    for i in 0..q.result.len() {
+    let _ = write!(formatted, "],\"row_count\":{},\"rows\":[", rows.len());
+    for i in 0..rows.len() {
         if i > 0 {
-            out.push(',');
+            formatted.push(',');
         }
-        out.push_str("{\"values\":[");
-        for (j, value) in q.result.values(i).enumerate() {
-            if j > 0 {
-                out.push(',');
+        formatted.push_str("{\"values\":[");
+        if let Some(fragments) = rows.rendered_values(i) {
+            for (j, fragment) in fragments.enumerate() {
+                if j > 0 {
+                    formatted.push(',');
+                }
+                copied.push((formatted.len(), fragment));
             }
-            push_value(&mut out, value);
+        } else {
+            for (j, value) in rows.values(i).enumerate() {
+                if j > 0 {
+                    formatted.push(',');
+                }
+                json::push_value(&mut formatted, value);
+            }
         }
-        out.push_str("],\"score\":");
-        json::push_f64(&mut out, q.result.score(i));
-        out.push('}');
+        formatted.push_str("],\"score\":");
+        json::push_f64(&mut formatted, rows.score(i));
+        formatted.push('}');
     }
-    out.push_str("],\"interpretations\":[");
+    formatted.push_str("],\"interpretations\":[");
     for (i, (predicate, interp)) in q.interpretations.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            formatted.push(',');
         }
-        out.push_str("{\"predicate\":");
-        json::escape_into(&mut out, predicate);
-        out.push_str(",\"interpretation\":");
-        json::escape_fmt_into(&mut out, format_args!("{interp:?}"));
-        out.push('}');
+        formatted.push_str("{\"predicate\":");
+        json::escape_into(&mut formatted, predicate);
+        formatted.push_str(",\"interpretation\":");
+        json::escape_fmt_into(&mut formatted, format_args!("{interp:?}"));
+        formatted.push('}');
     }
-    out.push_str("]}");
+    formatted.push_str("]}");
+    let copied_len: usize = copied.iter().map(|(_, fragment)| fragment.len()).sum();
+    let mut out = String::with_capacity(formatted.len() + copied_len);
+    let mut from = 0;
+    // Each offset was `formatted.len()` when noted: in order, and a char
+    // boundary.
+    for (at, fragment) in copied {
+        out.push_str(formatted.get(from..at).unwrap_or_default());
+        out.push_str(fragment);
+        from = at;
+    }
+    out.push_str(formatted.get(from..).unwrap_or_default());
     out
 }
 

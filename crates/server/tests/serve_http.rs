@@ -3,20 +3,26 @@
 
 use opine_core::{build, BuildConfig, OpineDb};
 use opine_corpus::hotel::hotel_spec;
-use opine_corpus::{Corpus, CorpusConfig};
+use opine_corpus::restaurant::restaurant_spec;
+use opine_corpus::workload::{hotel_workload, restaurant_workload};
+use opine_corpus::{Corpus, CorpusConfig, DomainSpec};
 use opine_embed::Word2VecConfig;
-use opine_server::{render_query_body, HttpClient, OpineServer, ServerConfig};
-use opine_store::parse_select;
+use opine_server::{render_query_body, HttpClient, JsonValue, OpineServer, ServerConfig};
+use opine_store::{parse_select, ValueRef};
 use std::io::{Read, Write};
 use std::sync::Arc;
 
 fn small_db() -> Arc<OpineDb> {
+    small_db_of(hotel_spec(), 23)
+}
+
+fn small_db_of(spec: DomainSpec, seed: u64) -> Arc<OpineDb> {
     let corpus = Corpus::generate(
-        hotel_spec(),
+        spec,
         &CorpusConfig {
             num_entities: 16,
             mean_reviews: 12,
-            seed: 23,
+            seed,
         },
     );
     Arc::new(build(
@@ -785,4 +791,142 @@ fn conjunctions_keep_serving_after_an_insert_repairs_their_columns() {
         .and_then(|s| s.get("counters")?.get("cache_repairs")?.as_f64())
         .unwrap_or(0.0);
     assert!(repairs >= 1.0, "no cache_repairs in {}", explained.body);
+}
+
+/// Statements drawn from a domain's predicate bank: one to three
+/// predicates under AND / OR, sometimes an objective filter, sometimes
+/// a projection with the key in the middle, and a limit.
+fn generated_statements(
+    table: &str,
+    key: &str,
+    price: &str,
+    bank: &[String],
+    count: usize,
+) -> Vec<String> {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    (0..count)
+        .map(|_| {
+            let columns = if next(3) == 0 {
+                format!("rating, {key}, city")
+            } else {
+                "*".to_string()
+            };
+            let joiner = if next(2) == 0 { " and " } else { " or " };
+            let predicates: Vec<String> = (0..1 + next(3))
+                .map(|_| format!("\"{}\"", bank[next(bank.len())]))
+                .collect();
+            let mut residue = format!("({})", predicates.join(joiner));
+            match next(3) {
+                0 => residue = format!("rating > {}.{} and {residue}", 2 + next(3), next(10)),
+                1 => residue = format!("{price} < {} and {residue}", 2 + next(300)),
+                _ => {}
+            }
+            let limit = [1, 5, 10, 30][next(4)];
+            format!("select {columns} from {table} where {residue} limit {limit}")
+        })
+        .collect()
+}
+
+/// A JSON value as the cell it renders, bit for bit.
+fn json_is_cell(json: &JsonValue, cell: ValueRef<'_>) -> bool {
+    match (json, cell) {
+        (JsonValue::String(s), ValueRef::Str(c)) => s == c,
+        (JsonValue::Number(x), ValueRef::Int(i)) => *x == i as f64,
+        (JsonValue::Number(x), ValueRef::Float(c)) => x.to_bits() == c.to_bits(),
+        (JsonValue::Null, ValueRef::Float(c)) => !c.is_finite(),
+        (JsonValue::Null, ValueRef::Null) => true,
+        (JsonValue::Bool(b), ValueRef::Bool(c)) => *b == c,
+        _ => false,
+    }
+}
+
+#[test]
+fn served_json_parses_back_to_the_engine_scores_and_catalog_cells() {
+    let cases = [
+        (hotel_spec(), 23, "hotels", "hotelname", "price_pn"),
+        (
+            restaurant_spec(),
+            29,
+            "restaurants",
+            "restname",
+            "price_range",
+        ),
+    ];
+    for (spec, seed, table, key, price) in cases {
+        let bank: Vec<String> = match table {
+            "hotels" => hotel_workload(&spec),
+            _ => restaurant_workload(&spec),
+        }
+        .into_iter()
+        .map(|p| p.text)
+        .collect();
+        let db = small_db_of(spec, seed);
+        let server = serve(db.clone());
+        let mut client = HttpClient::connect(server.local_addr()).unwrap();
+        let entities = db.catalog().table(table).unwrap();
+        let mut rows_checked = 0;
+        for sql in generated_statements(table, key, price, &bank, 100) {
+            let resp = client.post("/query", &query_body(&sql)).unwrap();
+            assert_eq!(resp.status, 200, "{sql}: {}", resp.body);
+            let body = opine_server::json::parse(&resp.body).expect("served body is JSON");
+            let want = db.query_select_ref(&parse_select(&sql).unwrap()).unwrap();
+            let Some(JsonValue::Array(columns)) = body.get("columns") else {
+                panic!("{sql}: no columns in {}", resp.body)
+            };
+            // Output column `j` is column `slots[j]` of the entity table.
+            let slots: Vec<usize> = columns
+                .iter()
+                .map(|c| {
+                    let name = c.as_str().unwrap();
+                    let name = name.rsplit('.').next().unwrap();
+                    entities
+                        .schema()
+                        .column_index(name)
+                        .expect("an entity column")
+                })
+                .collect();
+            let key_slot = slots
+                .iter()
+                .position(|&c| c == 0)
+                .expect("the key is served");
+            let Some(JsonValue::Array(rows)) = body.get("rows") else {
+                panic!("{sql}: no rows in {}", resp.body)
+            };
+            assert_eq!(rows.len(), want.result.len(), "{sql}");
+            for (i, row) in rows.iter().enumerate() {
+                let score = row.get("score").and_then(JsonValue::as_f64).unwrap();
+                assert_eq!(
+                    score.to_bits(),
+                    want.result.score(i).to_bits(),
+                    "{sql}, row {i}"
+                );
+                let Some(JsonValue::Array(values)) = row.get("values") else {
+                    panic!("{sql}: row {i} has no values")
+                };
+                assert_eq!(values.len(), slots.len());
+                let name = values[key_slot].as_str().unwrap();
+                let cells = entities
+                    .get_by_key(&opine_store::Value::text(name))
+                    .unwrap();
+                for (value, &c) in values.iter().zip(&slots) {
+                    assert!(
+                        json_is_cell(value, cells.get(c)),
+                        "{sql}: row {i}: {value:?} is not {:?}",
+                        cells.get(c)
+                    );
+                }
+                rows_checked += 1;
+            }
+        }
+        assert!(
+            rows_checked > 100,
+            "{table}: only {rows_checked} rows served"
+        );
+    }
 }

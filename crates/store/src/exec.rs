@@ -388,6 +388,29 @@ impl<'a> ScoredRows<'a> {
         }
     }
 
+    /// Row `i`'s projected values as JSON copied from its table's
+    /// rendered cells ([`crate::Table::render_json`]), in fragments to be
+    /// joined by commas: one for the whole row when nothing is projected,
+    /// one per output column otherwise. `None` for a row no table holds
+    /// rendered — an overlay or joined row, or a row of a table never
+    /// rendered — whose [`Self::values`] the caller formats with
+    /// [`crate::json::push_value`], the formatter the buffer was written by.
+    pub fn rendered_values(&self, i: usize) -> Option<impl Iterator<Item = &str> + '_> {
+        let RowHandle::Base(view) = &self.entries[i].0 else {
+            return None;
+        };
+        let row = view.rendered()?;
+        let (whole, slots) = match self.projection.as_deref() {
+            None => (Some(row.cells()), &[][..]),
+            Some(slots) => (None, slots),
+        };
+        Some(
+            whole
+                .into_iter()
+                .chain(slots.iter().map(move |&c| row.cell(c))),
+        )
+    }
+
     /// `(values, score)` pairs in rank order.
     pub fn iter(&self) -> impl Iterator<Item = (ProjectedValues<'_>, f64)> {
         (0..self.len()).map(|i| (self.values(i), self.score(i)))

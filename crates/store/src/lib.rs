@@ -9,6 +9,8 @@
 //!   a row-view adapter) with primary keys, and a concurrent catalog;
 //! * [`bitmap`] / [`column`] — the candidate/null [`Bitmap`] and the
 //!   typed column storage with vectorized objective comparisons;
+//! * [`json`] — the one JSON formatter of cell values, which a frozen
+//!   table also renders its cells with once ([`Table::render_json`]);
 //! * [`ast`] / [`parser`] — the Subjective SQL dialect: ordinary
 //!   `SELECT … FROM … WHERE` plus natural-language predicates
 //!   (`"has really clean rooms"`) and direct marker conditions
@@ -75,6 +77,7 @@ pub mod bitmap;
 pub mod catalog;
 pub mod column;
 pub mod exec;
+pub mod json;
 pub mod overlay;
 pub mod parser;
 pub mod schema;
@@ -89,6 +92,7 @@ pub use exec::{
     execute, BoundLeaf, FuzzyAlgebra, Leaf, ObjectiveOnly, ProjectedValues, Residue, ResultSet,
     Scope, ScoredRows, Subjective, SubjectiveScorer,
 };
+pub use json::RenderedRow;
 pub use overlay::TableOverlay;
 pub use parser::{parse_insert, parse_select, parse_statement, ParseError, Statement};
 pub use schema::{Column, ColumnType, Schema};

@@ -11,6 +11,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::column::ColumnData;
+use crate::json::{RenderedCells, RenderedRow};
 use crate::schema::Schema;
 use crate::value::{Value, ValueRef};
 use crate::StoreError;
@@ -56,6 +57,9 @@ pub struct Table {
     len: usize,
     key_index: HashMap<String, usize>,
     filters: FilterCache,
+    /// Every cell rendered as JSON, once the table is frozen
+    /// ([`Table::render_json`]); shared by clones, dropped by an insert.
+    rendered: Option<Arc<RenderedCells>>,
 }
 
 /// A borrowed view of one stored row.
@@ -100,6 +104,12 @@ impl<'a> RowView<'a> {
     pub fn to_values(&self) -> Vec<Value> {
         self.iter().map(|v| v.to_value()).collect()
     }
+
+    /// The row's cells as JSON, when the table holds them rendered
+    /// ([`Table::render_json`]).
+    pub fn rendered(&self) -> Option<RenderedRow<'a>> {
+        Some(self.table.rendered.as_deref()?.row(self.row))
+    }
 }
 
 impl Table {
@@ -116,6 +126,7 @@ impl Table {
             len: 0,
             key_index: HashMap::new(),
             filters: FilterCache::default(),
+            rendered: None,
         }
     }
 
@@ -148,9 +159,26 @@ impl Table {
             column.push(v);
         }
         self.len += 1;
-        // Every cached selection bitmap is one row short now.
+        // Every cached selection bitmap, and the rendered cells, are
+        // one row short now.
         self.filters = FilterCache::default();
+        self.rendered = None;
         Ok(())
+    }
+
+    /// Renders every cell to JSON once, with [`crate::json::push_value`],
+    /// into one row-major buffer that [`RowView::rendered`] reads from,
+    /// so that serving a row copies
+    /// its bytes instead of formatting its values. For a table that is
+    /// frozen from here on: the next [`Table::insert`] drops the buffer.
+    pub fn render_json(&mut self) {
+        self.rendered = RenderedCells::of(self).map(Arc::new);
+    }
+
+    /// Heap bytes of the rendered cells: the text plus a `u32` offset
+    /// per cell and one past the end; 0 before [`Table::render_json`].
+    pub fn rendered_bytes(&self) -> usize {
+        self.rendered.as_ref().map_or(0, |r| r.memory_bytes())
     }
 
     /// The selection bitmap cached under `key`, or `build()` evaluated,
@@ -362,6 +390,32 @@ mod tests {
         let warm = t.cached_filter("price < 150", || build(&t, &mut builds));
         assert_eq!(builds, 3);
         assert!(Arc::ptr_eq(&rebuilt, &warm));
+    }
+
+    #[test]
+    fn rendered_cells_are_shared_by_clones_and_dropped_on_insert() {
+        let mut t = table();
+        t.insert(vec![Value::text("A \"B\""), Value::Float(0.5)])
+            .unwrap();
+        t.insert(vec![Value::text("C"), Value::Null]).unwrap();
+        assert!(t.row(0).rendered().is_none());
+        assert_eq!(t.rendered_bytes(), 0);
+        t.render_json();
+        assert_eq!(t.row(0).rendered().unwrap().cells(), r#""A \"B\"",0.5"#);
+        assert_eq!(t.row(1).rendered().unwrap().cell(0), r#""C""#);
+        assert_eq!(t.row(1).rendered().unwrap().cell(1), "null");
+        // 21 bytes of text, five offsets.
+        assert_eq!(t.rendered_bytes(), 21 + 5 * 4);
+        let clone = t.clone();
+        assert_eq!(clone.rendered_bytes(), t.rendered_bytes());
+        assert!(std::ptr::eq(
+            clone.row(1).rendered().unwrap().cells(),
+            t.row(1).rendered().unwrap().cells()
+        ));
+        t.insert(vec![Value::text("D"), Value::Float(1.0)]).unwrap();
+        assert!(t.row(0).rendered().is_none());
+        assert_eq!(t.rendered_bytes(), 0);
+        assert!(clone.row(0).rendered().is_some(), "the clone keeps its own");
     }
 
     #[test]
