@@ -549,10 +549,7 @@ fn review_text_with_quotes_survives_the_json_layer() {
         if j > 0 {
             body.push(',');
         }
-        match v {
-            opine_store::ValueRef::Str(s) => opine_server::json::escape_into(&mut body, s),
-            other => body.push_str(&other.to_string()),
-        }
+        opine_server::json::push_value(&mut body, v);
     }
     body.push_str("]}");
     let parsed = opine_server::json::parse(&body).expect("escaped body must be valid JSON");
